@@ -173,7 +173,7 @@ fn bench_retrieval(c: &mut Criterion) {
             pmr_core::retrieve(
                 black_box(&dataset),
                 &pmr_core::Theory,
-                &pmr_core::RetrievalRequest::abs(abs).with_kernel(pmr_core::PlaneKernel::Auto),
+                &pmr_core::RetrievalRequest::abs(abs),
                 &pmr_core::Backend::Direct,
             )
             .expect("direct retrieval succeeds")

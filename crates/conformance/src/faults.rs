@@ -221,6 +221,7 @@ pub fn run_fault_grid(cfg: &FaultGridConfig) -> FaultReport {
                             bound,
                             &tolerant,
                             None,
+                            None,
                         );
                         (out, inj.log())
                     };

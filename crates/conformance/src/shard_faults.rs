@@ -12,8 +12,8 @@
 //! * **R = 1 + a dead shard** → the tolerant path returns an honest
 //!   [`DegradedRetrieval`](pmr_storage::DegradedRetrieval): the measured
 //!   error satisfies `achievable_bound`, and re-executing the achieved
-//!   plane counts against healthy payloads (`retrieve_measured`)
-//!   reproduces the degraded reconstruction bit-for-bit.
+//!   plane counts against healthy payloads reproduces the degraded
+//!   reconstruction bit-for-bit.
 //! * **Slow / flapping shards** never change bytes, only time: every such
 //!   cell must stay bit-identical and undegraded at any R.
 //! * **Bit rot on one replica** is caught by read-time checksums (R ≥ 2
@@ -121,8 +121,8 @@ pub struct ShardFaultReport {
     pub bit_identical: usize,
     /// Cells that returned a degraded retrieval (only legal at R = 1).
     pub degraded: usize,
-    /// Degraded cells whose honest bound was re-verified against
-    /// `retrieve_measured` on healthy payloads.
+    /// Degraded cells whose honest bound was re-verified by decoding the
+    /// achieved plane counts from healthy payloads.
     pub honest_verified: usize,
     /// Rotted replica copies detected by scrub across the grid.
     pub rot_detected: usize,
@@ -505,6 +505,7 @@ pub fn run_shard_grid(cfg: &ShardGridConfig) -> ShardFaultReport {
                             bound,
                             &tolerant,
                             None,
+                            None,
                         ) {
                             Ok(g) => g,
                             Err(e) => {
@@ -512,14 +513,15 @@ pub fn run_shard_grid(cfg: &ShardGridConfig) -> ShardFaultReport {
                                 continue;
                             }
                         };
-                        let out =
-                            match fetch_plan_tolerant(&c, &store, &plan, bound, &tolerant, None) {
-                                Ok(out) => out,
-                                Err(e) => {
-                                    report.failures.push(format!("{cell}: hard failure: {e}"));
-                                    continue;
-                                }
-                            };
+                        let out = match fetch_plan_tolerant(
+                            &c, &store, &plan, bound, &tolerant, None, None,
+                        ) {
+                            Ok(out) => out,
+                            Err(e) => {
+                                report.failures.push(format!("{cell}: hard failure: {e}"));
+                                continue;
+                            }
+                        };
                         check_cell(&mut report, &cell, field, &c, &out, &golden, kind, replication);
                         if bi == 0 {
                             first_outcome = Some(CellOutcome {
@@ -539,10 +541,10 @@ pub fn run_shard_grid(cfg: &ShardGridConfig) -> ShardFaultReport {
                         let rerun = build_cell_store(&c, shard_cfg.clone(), kind, victim, salt)
                             .map_err(|e| format!("{cell_base}: determinism rebuild failed: {e}"))
                             .and_then(|(store2, _)| {
-                                fetch_plan_tolerant(&c, &store2, &plan, bound, &tolerant, None)
-                                    .map_err(|e| {
-                                        format!("{cell_base}: determinism re-run failed: {e}")
-                                    })
+                                fetch_plan_tolerant(
+                                    &c, &store2, &plan, bound, &tolerant, None, None,
+                                )
+                                .map_err(|e| format!("{cell_base}: determinism re-run failed: {e}"))
                             });
                         match rerun {
                             Ok(out2) => {

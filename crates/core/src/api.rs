@@ -1,14 +1,8 @@
 //! The unified retrieval API: one `RetrievalRequest → RetrievalOutcome`
-//! entry point over every retrieval surface the workspace grew —
-//! direct decode, per-call execution policies, coarse-grid decode, error
-//! measurement, byte-budget planning, and the fault-tolerant storage path.
-//!
-//! Before this module, callers picked from a sprawl of near-duplicates:
-//! `Compressed::retrieve` / `retrieve_with` / `retrieve_measured` /
-//! `retrieve_at_level`, `pmr_core::execute` / `execute_tolerant`, and
-//! `pmr_storage::retrieve_tolerant`. Those remain as thin deprecated shims;
-//! new code — including `pmrd`, the serving daemon, whose wire protocol is
-//! deliberately the same shape — states *what* it wants:
+//! entry point over every retrieval surface — direct decode, per-call
+//! execution policies, coarse-grid decode, error measurement, byte-budget
+//! planning, and the fault-tolerant storage path. Callers (and `pmrd`, whose
+//! wire protocol is deliberately the same shape) state *what* they want:
 //!
 //! ```text
 //!   RetrievalRequest { target: Tolerance | ByteBudget | PlaneSet, … }
@@ -16,11 +10,17 @@
 //!     × backend  (Direct decode | SegmentStore with faults/retries)
 //!     → RetrievalOutcome { field, planes, bytes, bounds, stats, degraded }
 //! ```
+//!
+//! The strategy is the only thing the paper varies; everything after the
+//! plan is one pipeline: a verified-plane *source* (the artifact's own
+//! planes, or a `FetchExecutor` over a store), the degradation *loop*
+//! (`pmr_storage::fetch_planes_tolerant`) and a *sink* — here the one plane
+//! decoder and recompose tail of `pmr_mgard::Compressed`.
 
 use crate::framework::{RetrievalContext, Retriever};
 use pmr_error::PmrError;
 use pmr_field::{error, Field};
-use pmr_mgard::{Compressed, DecodeOptions, ExecPolicy, PlaneKernel, RetrievalPlan};
+use pmr_mgard::{Compressed, DecodeOptions, ExecPolicy, RetrievalPlan};
 use pmr_storage::{
     fetch_plan_tolerant, DegradedRetrieval, FetchStats, Placement, SegmentStore, StorageHierarchy,
     TolerantConfig,
@@ -73,7 +73,8 @@ pub enum RetrievalTarget {
 pub struct RetrievalRequest {
     /// What to optimise for.
     pub target: RetrievalTarget,
-    /// Execution-policy override for the decode (direct backend only).
+    /// Execution-policy override for the decode (`None` = the artifact's
+    /// own policy), on either backend.
     pub exec: Option<ExecPolicy>,
     /// Measure achieved error and PSNR against the original field
     /// (requires [`Dataset::original`]).
@@ -126,15 +127,6 @@ impl RetrievalRequest {
     /// Override the execution policy for the decode.
     pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
         self.exec = Some(exec);
-        self
-    }
-
-    /// Select the bit-plane codec kernel for the decode (layered onto the
-    /// current execution policy, or the default policy if none was set).
-    /// Every kernel is bit-identical; [`PlaneKernel::Scalar`] exists for
-    /// differential testing against the legacy path.
-    pub fn with_kernel(mut self, kernel: PlaneKernel) -> Self {
-        self.exec = Some(self.exec.unwrap_or_default().with_kernel(kernel));
         self
     }
 
@@ -271,10 +263,11 @@ pub fn plan_for_target(
     }
 }
 
-/// The requested bound handed to the tolerant fetch path: the absolute
-/// tolerance when the target is one, otherwise the plan's own sound
-/// estimate (budget and plane-set targets promise nothing tighter).
-fn requested_bound(
+/// The requested bound handed to the tolerant fetch path — the one the
+/// degraded re-plan chases: the absolute tolerance when the target is one,
+/// otherwise the plan's own sound estimate (budget and plane-set targets
+/// promise nothing tighter).
+pub fn requested_bound(
     compressed: &Compressed,
     target: &RetrievalTarget,
     plan: &RetrievalPlan,
@@ -336,8 +329,8 @@ pub fn retrieve(
                 ));
             }
             let bound = requested_bound(compressed, &request.target, &plan)?;
-            let t =
-                fetch_plan_tolerant(compressed, *store, &plan, bound, &request.tolerant, *model)?;
+            let (tolerant, exec) = (&request.tolerant, request.exec);
+            let t = fetch_plan_tolerant(compressed, *store, &plan, bound, tolerant, *model, exec)?;
             (t.field, t.planes, t.stats.bytes, t.estimated_error, Some(t.stats), t.degraded)
         }
     };
@@ -369,7 +362,7 @@ mod tests {
     use super::*;
     use crate::framework::Theory;
     use pmr_field::{error::max_abs_error, Shape};
-    use pmr_mgard::CompressConfig;
+    use pmr_mgard::{CompressConfig, PlaneKernel};
     use pmr_storage::{FaultConfig, FaultInjector, MemStore, RetryPolicy};
 
     fn artifact() -> (Field, Compressed) {
@@ -457,6 +450,9 @@ mod tests {
         let ds = Dataset::new(&c);
         let req = RetrievalRequest::rel(1e-3).measured();
         assert!(retrieve(&ds, &Theory, &req, &Backend::Direct).is_err());
+        // So is an original of the wrong shape.
+        let other = Field::from_fn("api", 0, Shape::cube(5), |x, _, _| x as f64);
+        assert!(retrieve(&ds.with_original(&other), &Theory, &req, &Backend::Direct).is_err());
     }
 
     #[test]
@@ -516,6 +512,52 @@ mod tests {
             assert_eq!(direct.planes, stored.planes);
             assert_eq!(direct.bytes, stored.bytes);
         }
+    }
+
+    #[test]
+    fn store_backend_honours_the_exec_policy() {
+        // 33^3: the fine levels clear PARALLEL_MIN_COEFFS, so the threaded
+        // policy really takes the parallel decode and recompose paths.
+        let field = Field::from_fn("api", 0, Shape::cube(33), |x, y, z| {
+            ((x as f64) * 0.3).sin() + ((y as f64) * 0.2).cos() * 0.4 + (z as f64) * 0.01
+        });
+        let c = Compressed::compress(&field, &CompressConfig::default());
+        let ds = Dataset::new(&c);
+        let store = MemStore::from_compressed(&c);
+        let backend = Backend::Store { store: &store, model: None };
+        let direct =
+            retrieve(&ds, &Theory, &RetrievalRequest::rel(1e-4), &Backend::Direct).expect("direct");
+        let scalar = ExecPolicy::serial().with_kernel(PlaneKernel::Scalar);
+        for exec in [scalar, ExecPolicy::with_threads(4)] {
+            let req = RetrievalRequest::rel(1e-4).with_exec(exec);
+            let stored = retrieve(&ds, &Theory, &req, &backend).expect("stored");
+            assert_eq!(stored.field.data(), direct.field.data(), "{exec:?}");
+        }
+    }
+
+    #[test]
+    fn over_asking_strategy_is_clamped_not_rejected() {
+        struct Overask;
+        impl Retriever for Overask {
+            fn name(&self) -> &str {
+                "overask"
+            }
+            fn plan(&self, ctx: &RetrievalContext<'_>, _abs_bound: f64) -> RetrievalPlan {
+                // A (mock) learned model predicting past every level's
+                // capacity — must mean "fetch everything", not an error.
+                RetrievalPlan::from_planes(vec![u32::MAX; ctx.compressed.num_levels()])
+            }
+        }
+        let (_, c) = artifact();
+        let store = MemStore::from_compressed(&c);
+        let backend = Backend::Store { store: &store, model: None };
+        let out = retrieve(&Dataset::new(&c), &Overask, &RetrievalRequest::abs(1e-6), &backend)
+            .expect("clamped retrieval");
+        assert!(!out.is_degraded());
+        assert_eq!(out.planes, c.plan_full().planes);
+        assert_eq!(out.bytes, c.total_bytes());
+        // Full fetch reproduces the quantization-limited reconstruction.
+        assert_eq!(out.field.data(), c.retrieve(&c.plan_full()).data());
     }
 
     #[test]

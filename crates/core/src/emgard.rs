@@ -194,23 +194,10 @@ pub fn build_samples_many(
     if threads <= 1 {
         return items.iter().map(|&(f, c, s)| build_samples(f, c, cfg, s)).collect();
     }
-    let mut out: Vec<Option<Vec<TrainSample>>> = (0..items.len()).map(|_| None).collect();
-    let slots = parking_lot::Mutex::new(&mut out);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&(field, compressed, seed)) = items.get(i) else { break };
-                let samples =
-                    build_samples_with(field, compressed, cfg, seed, &ExecPolicy::serial());
-                slots.lock()[i] = Some(samples);
-            });
-        }
-    });
-    let filled: Vec<Vec<TrainSample>> = out.into_iter().flatten().collect();
-    assert_eq!(filled.len(), items.len(), "batch worker left a slot unfilled");
-    filled
+    pmr_mgard::exec::fan_out(threads, items.len(), |i| {
+        let (field, compressed, seed) = items[i];
+        build_samples_with(field, compressed, cfg, seed, &ExecPolicy::serial())
+    })
 }
 
 /// The trained E-MGARD model: one encoder per coefficient level.

@@ -134,29 +134,13 @@ pub struct RetrievalSummary {
     pub psnr: f64,
 }
 
-/// Old name of [`RetrievalSummary`], before `RetrievalOutcome` became the
-/// result type of the unified [`crate::api::retrieve`] entry point.
-#[deprecated(
-    since = "0.6.0",
-    note = "renamed to RetrievalSummary; the unified \
-    API's result type is pmr_core::api::RetrievalOutcome"
-)]
-pub type RetrievalOutcome = RetrievalSummary;
-
-/// Decode `plan` and measure against `original` (internal, non-deprecated
-/// core of the legacy `execute` shim and the sweep/record paths).
+/// Decode `plan` (validated against the artifact) and measure the
+/// reconstruction against `original` — the sweep/record/experiment row.
 pub(crate) fn measure_plan(
     original: &Field,
     compressed: &Compressed,
     plan: &RetrievalPlan,
 ) -> Result<RetrievalSummary, PmrError> {
-    if plan.planes.len() != compressed.num_levels() {
-        return Err(PmrError::invalid_config(format!(
-            "plan has {} levels but the artifact has {}",
-            plan.planes.len(),
-            compressed.num_levels()
-        )));
-    }
     if original.shape() != compressed.shape() {
         return Err(PmrError::invalid_config(format!(
             "original field shape {:?} does not match artifact shape {:?}",
@@ -171,23 +155,6 @@ pub(crate) fn measure_plan(
         achieved_err: error::max_abs_error(original.data(), field.data()),
         psnr: error::psnr(original.data(), field.data()),
     })
-}
-
-/// Execute `plan` against `compressed` and measure against `original`.
-///
-/// Fails when the plan does not match the artifact (wrong level count) or
-/// the original does not match the artifact's shape.
-#[deprecated(
-    since = "0.6.0",
-    note = "use pmr_core::api::retrieve with \
-    RetrievalRequest::plane_set(plan.planes).measured() instead"
-)]
-pub fn execute(
-    original: &Field,
-    compressed: &Compressed,
-    plan: &RetrievalPlan,
-) -> Result<RetrievalSummary, PmrError> {
-    measure_plan(original, compressed, plan)
 }
 
 #[cfg(test)]

@@ -24,7 +24,6 @@ pub mod features;
 pub mod framework;
 pub mod records;
 pub mod sweep;
-pub mod tolerant;
 
 pub use api::{
     retrieve, Backend, Dataset, RetrievalOutcome, RetrievalRequest, RetrievalTarget, Tolerance,
@@ -37,5 +36,3 @@ pub use framework::{
 pub use pmr_mgard::{ExecPolicy, PlaneKernel};
 pub use records::{collect_records, collect_records_many, standard_rel_bounds, RetrievalRecord};
 pub use sweep::{sweep, sweep_strategy, SweepPoint};
-#[allow(deprecated)]
-pub use tolerant::execute_tolerant;

@@ -109,23 +109,10 @@ pub fn collect_records_many(
     if threads <= 1 {
         return items.iter().map(|&(f, c)| collect_records(f, c, rel_bounds)).collect();
     }
-    let mut out: Vec<Option<Vec<RetrievalRecord>>> = (0..items.len()).map(|_| None).collect();
-    let slots = parking_lot::Mutex::new(&mut out);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&(field, compressed)) = items.get(i) else { break };
-                let recs =
-                    collect_records_with(field, compressed, rel_bounds, &ExecPolicy::serial());
-                slots.lock()[i] = Some(recs);
-            });
-        }
-    });
-    let filled: Vec<Vec<RetrievalRecord>> = out.into_iter().flatten().collect();
-    assert_eq!(filled.len(), items.len(), "batch worker left a slot unfilled");
-    filled
+    pmr_mgard::exec::fan_out(threads, items.len(), |i| {
+        let (field, compressed) = items[i];
+        collect_records_with(field, compressed, rel_bounds, &ExecPolicy::serial())
+    })
 }
 
 #[cfg(test)]

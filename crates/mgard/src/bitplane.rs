@@ -26,7 +26,7 @@
 use crate::exec::ExecPolicy;
 use pmr_codec::{
     bitstream::{BitReader, BitWriter},
-    lossless, negabinary, transpose, PlaneKernel, TileImpl,
+    lossless, negabinary, transpose, TileImpl,
 };
 use pmr_error::{len_u32, PmrError};
 use serde::{Deserialize, Serialize};
@@ -390,27 +390,34 @@ impl LevelEncoding {
     }
 
     /// Decode the level from *externally fetched* plane payloads instead of
-    /// the payloads held by this encoding. `payloads[k]` must be the byte
-    /// string of plane `k`; the prefix may be shorter than `B` (progressive
-    /// truncation keeps any prefix valid) but never longer.
-    ///
-    /// Unlike [`LevelEncoding::decode`], which trusts its own payloads, this
-    /// is the data path for bytes that crossed a storage tier: every payload
-    /// is re-validated (bounded decompression to exactly one bit per
-    /// coefficient) and a mangled segment comes back as
-    /// [`PmrError::Malformed`] instead of a panic.
-    pub fn decode_from_payloads(&self, payloads: &[Vec<u8>]) -> Result<Vec<f64>, PmrError> {
-        self.decode_from_payloads_with(payloads, PlaneKernel::Auto)
+    /// the payloads held by this encoding, serially with the auto-detected
+    /// kernel. `payloads[k]` must be the byte string of plane `k`; the
+    /// prefix may be shorter than `B` (progressive truncation keeps any
+    /// prefix valid) but never longer.
+    pub fn decode_from_payloads<P: AsRef<[u8]> + Sync>(
+        &self,
+        payloads: &[P],
+    ) -> Result<Vec<f64>, PmrError> {
+        self.decode_from_payloads_with(payloads, &ExecPolicy::serial())
     }
 
-    /// [`LevelEncoding::decode_from_payloads`] with an explicit bit-plane
-    /// kernel — the validated path's differential hook
-    /// ([`PlaneKernel::Scalar`] re-runs the original bit-at-a-time
-    /// assembly).
-    pub fn decode_from_payloads_with(
+    /// The level decoder — every retrieval path ends here, whether the
+    /// planes are this encoding's own ([`LevelEncoding::decode_with`]) or
+    /// crossed a storage tier or a socket.
+    ///
+    /// Every payload is validated (bounded decompression to exactly one bit
+    /// per coefficient), so a mangled segment comes back as
+    /// [`PmrError::Malformed`] instead of a panic or an oversized
+    /// allocation. Under a parallel policy planes decompress independently,
+    /// then tile-aligned coefficient chunks assemble their digits through
+    /// the transpose kernels — each coefficient is produced by exactly one
+    /// worker, so the output matches serial decoding bit for bit.
+    /// [`PlaneKernel::Scalar`] routes the assembly to the original
+    /// bit-at-a-time loop (the differential oracle, serial by definition).
+    pub fn decode_from_payloads_with<P: AsRef<[u8]> + Sync>(
         &self,
-        payloads: &[Vec<u8>],
-        kernel: PlaneKernel,
+        payloads: &[P],
+        exec: &ExecPolicy,
     ) -> Result<Vec<f64>, PmrError> {
         if payloads.len() > self.num_planes as usize {
             return Err(PmrError::malformed(
@@ -421,20 +428,42 @@ impl LevelEncoding {
         if self.step == 0.0 {
             return Ok(vec![0.0; self.count]);
         }
+        let scalar = exec.kernel.is_scalar();
+        let threads = if scalar || payloads.is_empty() { 1 } else { exec.resolved_threads() };
+        let threads = if self.count < 2 * threads { 1 } else { threads };
         let expected = self.count.div_ceil(8);
-        let mut plane_bytes = Vec::with_capacity(payloads.len());
-        for (k, payload) in payloads.iter().enumerate() {
-            match lossless::decompress_bounded(payload, expected) {
-                Some(b) if b.len() == expected => plane_bytes.push(b),
-                _ => {
-                    return Err(PmrError::malformed(
+
+        let unpack = |slots: &mut [Option<Vec<u8>>], payloads: &[P]| {
+            for (slot, p) in slots.iter_mut().zip(payloads) {
+                *slot = lossless::decompress_bounded(p.as_ref(), expected)
+                    .filter(|bytes| bytes.len() == expected);
+            }
+        };
+        let mut slots: Vec<Option<Vec<u8>>> = vec![None; payloads.len()];
+        if threads <= 1 {
+            unpack(&mut slots, payloads);
+        } else {
+            let pchunk = payloads.len().div_ceil(threads);
+            std::thread::scope(|scope| {
+                for (s, p) in slots.chunks_mut(pchunk).zip(payloads.chunks(pchunk)) {
+                    scope.spawn(move || unpack(s, p));
+                }
+            });
+        }
+        let plane_bytes: Vec<Vec<u8>> = slots
+            .into_iter()
+            .enumerate()
+            .map(|(k, bytes)| {
+                bytes.ok_or_else(|| {
+                    PmrError::malformed(
                         "plane segment",
                         format!("plane {k} does not decompress to {expected} packed bytes"),
-                    ))
-                }
-            }
-        }
-        if kernel.is_scalar() {
+                    )
+                })
+            })
+            .collect::<Result<_, _>>()?;
+
+        if scalar {
             let mut digits = vec![0u64; self.count];
             for (bytes, shift) in plane_bytes.iter().zip((0..self.num_planes).rev()) {
                 let mut r = BitReader::new(bytes);
@@ -449,16 +478,30 @@ impl LevelEncoding {
                 .map(|nb| negabinary::from_negabinary(nb) as f64 * self.step)
                 .collect());
         }
+        let imp = exec.kernel.tile_impl();
         let mut out = vec![0.0f64; self.count];
-        tiles_to_coeffs(
-            &plane_bytes,
-            self.num_planes,
-            self.step,
-            expected,
-            0,
-            &mut out,
-            kernel.tile_impl(),
-        );
+        let csize = self.count.div_ceil(threads).max(1).div_ceil(transpose::TILE) * transpose::TILE;
+        let assemble = |ci: usize, chunk: &mut [f64]| {
+            tiles_to_coeffs(
+                &plane_bytes,
+                self.num_planes,
+                self.step,
+                expected,
+                ci * csize,
+                chunk,
+                imp,
+            );
+        };
+        if threads <= 1 {
+            assemble(0, &mut out);
+        } else {
+            std::thread::scope(|scope| {
+                for (ci, chunk) in out.chunks_mut(csize).enumerate() {
+                    let assemble = &assemble;
+                    scope.spawn(move || assemble(ci, chunk));
+                }
+            });
+        }
         Ok(out)
     }
 
@@ -553,137 +596,31 @@ impl LevelEncoding {
         self.error_row[b.min(self.num_planes) as usize]
     }
 
-    /// Decompress the first `b` plane payloads. Planes are a construction
-    /// invariant: `encode` packs exactly one bit per coefficient and
-    /// `from_parts` re-validates persisted planes the same way, so a
-    /// failure here is a contract bug, not bad input — asserted, not routed
-    /// through `PmrError`.
-    fn decompress_planes(&self, b: u32) -> Vec<Vec<u8>> {
-        let expected = self.count.div_ceil(8);
-        (0..b as usize)
-            .map(|k| {
-                let bytes = lossless::decompress(&self.planes[k]).unwrap_or_default();
-                assert_eq!(bytes.len(), expected, "plane {k} violated the construction invariant");
-                bytes
-            })
-            .collect()
-    }
-
     /// Decode the level using only the first `b` planes (clamped to `B`).
     pub fn decode(&self, b: u32) -> Vec<f64> {
-        let b = b.min(self.num_planes);
-        self.decode_tiled(b, PlaneKernel::Auto.tile_impl())
+        self.decode_with(b, &ExecPolicy::serial())
     }
 
-    /// [`LevelEncoding::decode`] under an explicit execution policy.
+    /// [`LevelEncoding::decode`] under an explicit execution policy: the
+    /// level decoder ([`LevelEncoding::decode_from_payloads_with`]) over
+    /// this encoding's own first `b` planes.
     ///
-    /// Planes decompress independently in parallel, then tile-aligned
-    /// coefficient chunks assemble their digits through the transpose
-    /// kernels — each coefficient is produced by exactly one worker, so the
-    /// output matches serial decoding bit for bit. [`PlaneKernel::Scalar`]
-    /// routes to the original bit-at-a-time decoder (serial by definition).
+    /// Own planes are a construction invariant — `encode` packs exactly one
+    /// bit per coefficient and `from_parts` re-validates persisted planes
+    /// the same way — so a failure here is a contract bug, not bad input:
+    /// asserted, not routed through `PmrError`.
     pub fn decode_with(&self, b: u32, exec: &ExecPolicy) -> Vec<f64> {
-        let b = b.min(self.num_planes);
-        if exec.kernel.is_scalar() {
-            return self.decode_scalar(b);
-        }
-        let imp = exec.kernel.tile_impl();
-        let threads = exec.resolved_threads();
-        if threads <= 1 || b == 0 || self.step == 0.0 || self.count < 2 * threads {
-            return self.decode_tiled(b, imp);
-        }
-        self.decode_tiled_parallel(b, imp, threads)
-    }
-
-    /// The original bit-at-a-time decoder, kept verbatim as the
-    /// differential oracle behind [`PlaneKernel::Scalar`].
-    fn decode_scalar(&self, b: u32) -> Vec<f64> {
-        if self.step == 0.0 {
-            return vec![0.0; self.count];
-        }
-        let expected = self.count.div_ceil(8);
-        let mut digits = vec![0u64; self.count];
-        for k in 0..b {
-            let bytes = lossless::decompress(&self.planes[k as usize]).unwrap_or_default();
-            assert_eq!(bytes.len(), expected, "plane {k} violated the construction invariant");
-            let mut r = BitReader::new(&bytes);
-            let shift = self.num_planes - 1 - k;
-            for nb in digits.iter_mut() {
-                if r.next_bit() == Some(true) {
-                    *nb |= 1u64 << shift;
-                }
-            }
-        }
-        digits.into_iter().map(|nb| negabinary::from_negabinary(nb) as f64 * self.step).collect()
-    }
-
-    /// Serial tiled decode.
-    fn decode_tiled(&self, b: u32, imp: TileImpl) -> Vec<f64> {
-        if self.step == 0.0 {
-            return vec![0.0; self.count];
-        }
-        let plane_bytes = self.decompress_planes(b);
-        let mut out = vec![0.0f64; self.count];
-        tiles_to_coeffs(
-            &plane_bytes,
-            self.num_planes,
-            self.step,
-            self.count.div_ceil(8),
-            0,
-            &mut out,
-            imp,
-        );
-        out
-    }
-
-    /// Parallel tiled decode: plane decompression parallelizes across
-    /// planes, tile assembly across tile-aligned coefficient chunks.
-    fn decode_tiled_parallel(&self, b: u32, imp: TileImpl, threads: usize) -> Vec<f64> {
-        let expected = self.count.div_ceil(8);
-        let mut plane_bytes: Vec<Vec<u8>> = vec![Vec::new(); b as usize];
-        let pchunk = (b as usize).div_ceil(threads).max(1);
-        std::thread::scope(|scope| {
-            for (ci, chunk) in plane_bytes.chunks_mut(pchunk).enumerate() {
-                scope.spawn(move || {
-                    for (j, slot) in chunk.iter_mut().enumerate() {
-                        let k = ci * pchunk + j;
-                        let bytes = lossless::decompress(&self.planes[k]).unwrap_or_default();
-                        assert_eq!(
-                            bytes.len(),
-                            expected,
-                            "plane {k} violated the construction invariant"
-                        );
-                        *slot = bytes;
-                    }
-                });
-            }
-        });
-
-        let mut out = vec![0.0f64; self.count];
-        let csize = self.count.div_ceil(threads).max(1).div_ceil(transpose::TILE) * transpose::TILE;
-        std::thread::scope(|scope| {
-            for (ci, chunk) in out.chunks_mut(csize).enumerate() {
-                let plane_bytes = &plane_bytes;
-                scope.spawn(move || {
-                    tiles_to_coeffs(
-                        plane_bytes,
-                        self.num_planes,
-                        self.step,
-                        expected,
-                        ci * csize,
-                        chunk,
-                        imp,
-                    );
-                });
-            }
-        });
-        out
+        let own = &self.planes[..b.min(self.num_planes) as usize];
+        let coeffs = self.decode_from_payloads_with(own, exec).unwrap_or_default();
+        assert_eq!(coeffs.len(), self.count, "own planes violated the construction invariant");
+        coeffs
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmr_codec::PlaneKernel;
 
     fn sample_coeffs(n: usize) -> Vec<f64> {
         (0..n)
@@ -866,7 +803,7 @@ mod tests {
         for p in [0usize, 1, 11, 24] {
             let payloads: Vec<Vec<u8>> =
                 (0..p).map(|k| enc.plane_payload(k as u32).to_vec()).collect();
-            let scalar = enc.decode_from_payloads_with(&payloads, PlaneKernel::Scalar).unwrap();
+            let scalar = enc.decode_from_payloads_with(&payloads, &scalar_policy()).unwrap();
             let tiled = enc.decode_from_payloads(&payloads).unwrap();
             let same = scalar.iter().zip(&tiled).all(|(a, x)| a.to_bits() == x.to_bits());
             assert!(same, "p={p}");

@@ -5,14 +5,12 @@
 use crate::bitplane::{LevelEncoding, DEFAULT_BITPLANES};
 use crate::decompose::{Decomposer, TransformMode};
 use crate::estimate::{estimate_error, theory_constants};
-use crate::exec::{ExecPolicy, AUTO, PARALLEL_MIN_COEFFS, PARALLEL_MIN_POINTS};
+use crate::exec::{fan_out, ExecPolicy, AUTO, PARALLEL_MIN_COEFFS, PARALLEL_MIN_POINTS};
 use crate::retrieve::{greedy_plan, greedy_plan_budget, plan_size, RetrievalPlan};
 use pmr_codec::PlaneKernel;
 use pmr_error::PmrError;
 use pmr_field::{Field, Shape};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Compression parameters.
 ///
@@ -287,28 +285,11 @@ impl Compressed {
         if threads <= 1 {
             return fields.iter().map(|f| Self::compress(f, cfg)).collect();
         }
-        let mut out: Vec<Option<Compressed>> = (0..fields.len()).map(|_| None).collect();
-        let slots = Mutex::new(&mut out);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(field) = fields.get(i) else { break };
-                    let mut c = Self::compress_with(field, cfg, &ExecPolicy::serial());
-                    c.exec = exec;
-                    // A poisoned lock means another worker panicked; the
-                    // scope re-raises that panic on join, so recovering the
-                    // slot table here is sound.
-                    slots.lock().unwrap_or_else(|p| p.into_inner())[i] = Some(c);
-                });
-            }
-        });
-        let filled: Vec<Compressed> = out.into_iter().flatten().collect();
-        // The fetch_add loop hands out every index exactly once; a hole is
-        // a dispatch bug, not a runtime failure.
-        assert_eq!(filled.len(), fields.len(), "batch worker left a slot unfilled");
-        filled
+        fan_out(threads, fields.len(), |i| {
+            let mut c = Self::compress_with(&fields[i], cfg, &ExecPolicy::serial());
+            c.exec = exec;
+            c
+        })
     }
 
     pub fn name(&self) -> &str {
@@ -435,13 +416,18 @@ impl Compressed {
     }
 
     /// Reconstruct from raw plane payloads fetched out-of-band: one prefix
-    /// of payload blobs per level, as handed over by a segment store. This
-    /// is the degraded-retrieval decode path — the fault-tolerant fetch
-    /// layer passes whatever plane prefixes survived, and the result is
-    /// exactly what [`Compressed::retrieve`] would produce for the
-    /// corresponding plan. Payloads that fail to decompress to the level's
-    /// packed size are a [`PmrError::Malformed`].
-    pub fn retrieve_from_payloads(&self, payloads: &[Vec<Vec<u8>>]) -> Result<Field, PmrError> {
+    /// of payload blobs per level, as handed over by a segment store or a
+    /// pmrd connection. This is the degraded-retrieval decode path — the
+    /// fault-tolerant fetch layer passes whatever plane prefixes survived,
+    /// and the result is exactly what [`Compressed::decode_plan`] would
+    /// produce for the corresponding plan under the same `exec` (`None`
+    /// uses the artifact's own policy). Payloads that fail to decompress to
+    /// the level's packed size are a [`PmrError::Malformed`].
+    pub fn retrieve_from_payloads<P: AsRef<[u8]> + Sync>(
+        &self,
+        payloads: &[Vec<P>],
+        exec: Option<ExecPolicy>,
+    ) -> Result<Field, PmrError> {
         if payloads.len() != self.levels.len() {
             return Err(PmrError::invalid_config(format!(
                 "payloads cover {} levels but the artifact has {}",
@@ -449,16 +435,16 @@ impl Compressed {
                 self.levels.len()
             )));
         }
+        let exec = exec.unwrap_or(self.exec);
         let coeffs: Vec<Vec<f64>> = self
             .levels
             .iter()
             .zip(payloads)
-            .map(|(l, p)| l.decode_from_payloads(p))
+            .map(|(l, p)| {
+                l.decode_from_payloads_with(p, &exec.gate(l.count(), PARALLEL_MIN_COEFFS))
+            })
             .collect::<Result<_, _>>()?;
-        let mut data = self.decomposer.deinterleave(&coeffs);
-        let gated = self.exec.gate(data.len(), PARALLEL_MIN_POINTS);
-        self.decomposer.recompose_with(&mut data, &gated);
-        Ok(Field::new(self.name.clone(), self.timestep, self.decomposer.shape(), data))
+        Ok(self.recompose_levels(&coeffs, None, &exec))
     }
 
     /// Bytes fetched under `plan` (the size interpreter).
@@ -481,7 +467,7 @@ impl Compressed {
     /// `RetrievalRequest` API (or [`Compressed::decode_plan`] directly).
     pub fn retrieve(&self, plan: &RetrievalPlan) -> Field {
         assert_eq!(plan.planes.len(), self.levels.len(), "plan/levels mismatch");
-        self.decode_full(plan, &self.exec)
+        self.decode_own(plan, None, &self.exec)
     }
 
     /// Validated decode with per-call options — the primitive behind
@@ -493,120 +479,66 @@ impl Compressed {
         opts: &DecodeOptions,
     ) -> Result<Field, PmrError> {
         self.validate_plan(plan)?;
-        let exec = opts.exec.unwrap_or(self.exec);
-        match opts.coarse_level {
-            None => Ok(self.decode_full(plan, &exec)),
-            Some(target_level) => {
-                if target_level >= self.num_levels() {
-                    return Err(PmrError::invalid_config(format!(
-                        "coarse level {target_level} out of range for {}-level artifact",
-                        self.num_levels()
-                    )));
-                }
-                Ok(self.decode_coarse(plan, target_level, &exec))
+        if let Some(target_level) = opts.coarse_level {
+            if target_level >= self.num_levels() {
+                return Err(PmrError::invalid_config(format!(
+                    "coarse level {target_level} out of range for {}-level artifact",
+                    self.num_levels()
+                )));
             }
         }
+        Ok(self.decode_own(plan, opts.coarse_level, &opts.exec.unwrap_or(self.exec)))
     }
 
-    /// Unvalidated full-resolution decode shared by [`Compressed::retrieve`]
-    /// and [`Compressed::decode_plan`].
-    pub(crate) fn decode_full(&self, plan: &RetrievalPlan, exec: &ExecPolicy) -> Field {
-        let coeffs: Vec<Vec<f64>> = self
-            .levels
-            .iter()
-            .zip(&plan.planes)
-            .map(|(l, &b)| l.decode_with(b, &exec.gate(l.count(), PARALLEL_MIN_COEFFS)))
-            .collect();
-        let mut data = self.decomposer.deinterleave(&coeffs);
-        let gated = exec.gate(data.len(), PARALLEL_MIN_POINTS);
-        self.decomposer.recompose_with(&mut data, &gated);
-        Field::new(self.name.clone(), self.timestep, self.decomposer.shape(), data)
-    }
-
-    /// Unvalidated coarse-resolution decode: recompose only up to the grid
-    /// of `target_level` (`0` = coarsest). Levels finer than the target
-    /// contribute nothing, so a matching plan should fetch zero planes from
-    /// them — the combined I/O + compute saving of progressive storage
-    /// (paper §I).
-    fn decode_coarse(&self, plan: &RetrievalPlan, target_level: usize, exec: &ExecPolicy) -> Field {
+    /// Unvalidated decode of the artifact's own planes. With a coarse
+    /// level, levels finer than it contribute nothing — a matching plan
+    /// should fetch zero planes from them, the combined I/O + compute
+    /// saving of progressive storage (paper §I).
+    pub(crate) fn decode_own(
+        &self,
+        plan: &RetrievalPlan,
+        coarse_level: Option<usize>,
+        exec: &ExecPolicy,
+    ) -> Field {
         let coeffs: Vec<Vec<f64>> = self
             .levels
             .iter()
             .zip(&plan.planes)
             .enumerate()
             .map(|(l, (lvl, &b))| {
-                if l <= target_level {
-                    lvl.decode_with(b, &exec.gate(lvl.count(), PARALLEL_MIN_COEFFS))
-                } else {
+                if coarse_level.is_some_and(|target| l > target) {
                     vec![0.0; lvl.count()]
+                } else {
+                    lvl.decode_with(b, &exec.gate(lvl.count(), PARALLEL_MIN_COEFFS))
                 }
             })
             .collect();
-        let mut data = self.decomposer.deinterleave(&coeffs);
-        let gated = exec.gate(data.len(), PARALLEL_MIN_POINTS);
-        let coarse = self.decomposer.recompose_to_level_with(&mut data, target_level, &gated);
-        Field::new(
-            self.name.clone(),
-            self.timestep,
-            self.decomposer.grid_shape_at_level(target_level),
-            coarse,
-        )
+        self.recompose_levels(&coeffs, coarse_level, exec)
     }
 
-    /// [`Compressed::retrieve`] with the execution policy overridden.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `pmr_core`'s `RetrievalRequest` with an exec policy, or `Compressed::decode_plan` with `DecodeOptions { exec, .. }`"
-    )]
-    pub fn retrieve_with(&self, plan: &RetrievalPlan, exec: &ExecPolicy) -> Field {
-        assert_eq!(plan.planes.len(), self.levels.len(), "plan/levels mismatch");
-        self.decode_full(plan, exec)
-    }
-
-    /// Execute `plan` with full error accounting against `original`.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `pmr_core`'s `RetrievalRequest::measured()` — the unified API returns achieved error and PSNR in its `RetrievalOutcome`"
-    )]
-    pub fn retrieve_measured(
+    /// The one decode tail — Direct, Store, sessions and pmrd clients all
+    /// end here: deinterleave the per-level coefficients and recompose, to
+    /// the full grid or only up to the grid of `coarse_level` (`0` =
+    /// coarsest).
+    fn recompose_levels(
         &self,
-        plan: &RetrievalPlan,
-        original: &Field,
-    ) -> Result<MeasuredRetrieval, PmrError> {
-        if plan.planes.len() != self.levels.len() {
-            return Err(PmrError::invalid_config(format!(
-                "plan covers {} levels but the artifact has {}",
-                plan.planes.len(),
-                self.levels.len()
-            )));
-        }
-        if original.shape() != self.shape() {
-            return Err(PmrError::invalid_config(format!(
-                "original field shape {:?} does not match artifact shape {:?}",
-                original.shape(),
-                self.shape()
-            )));
-        }
-        let field = self.decode_full(plan, &self.exec);
-        let achieved_error = pmr_field::error::max_abs_error(original.data(), field.data());
-        Ok(MeasuredRetrieval {
-            bytes: self.retrieved_bytes(plan),
-            estimated_error: plan.estimated_error,
-            achieved_error,
-            field,
-        })
-    }
-
-    /// Retrieve a coarse-resolution approximation (see
-    /// [`Compressed::decode_plan`] with `DecodeOptions::at_level`).
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `pmr_core`'s `RetrievalRequest::at_level`, or `Compressed::decode_plan` with `DecodeOptions::at_level`"
-    )]
-    pub fn retrieve_at_level(&self, plan: &RetrievalPlan, target_level: usize) -> Field {
-        assert_eq!(plan.planes.len(), self.levels.len(), "plan/levels mismatch");
-        assert!(target_level < self.num_levels(), "level out of range");
-        self.decode_coarse(plan, target_level, &self.exec)
+        coeffs: &[Vec<f64>],
+        coarse_level: Option<usize>,
+        exec: &ExecPolicy,
+    ) -> Field {
+        let mut data = self.decomposer.deinterleave(coeffs);
+        let gated = exec.gate(data.len(), PARALLEL_MIN_POINTS);
+        let (shape, data) = match coarse_level {
+            None => {
+                self.decomposer.recompose_with(&mut data, &gated);
+                (self.decomposer.shape(), data)
+            }
+            Some(level) => (
+                self.decomposer.grid_shape_at_level(level),
+                self.decomposer.recompose_to_level_with(&mut data, level, &gated),
+            ),
+        };
+        Field::new(self.name.clone(), self.timestep, shape, data)
     }
 }
 
@@ -632,21 +564,6 @@ impl DecodeOptions {
     }
 }
 
-/// A retrieval executed with full error accounting (see
-/// [`Compressed::retrieve_measured`]).
-#[derive(Debug, Clone)]
-pub struct MeasuredRetrieval {
-    /// The reconstructed approximation.
-    pub field: Field,
-    /// Bytes fetched under the plan.
-    pub bytes: u64,
-    /// The plan's own error claim (`f64::INFINITY` when the strategy that
-    /// produced the plan carries no estimator, e.g. a pure DNN prediction).
-    pub estimated_error: f64,
-    /// Measured `L∞` error of the reconstruction against the original.
-    pub achieved_error: f64,
-}
-
 /// Execute a batch of retrievals, fanning out across worker threads — one
 /// `(artifact, plan)` pair per worker at a time, each retrieval running
 /// serially inside its worker. Results are identical to calling
@@ -657,25 +574,11 @@ pub fn retrieve_many(items: &[(&Compressed, &RetrievalPlan)]) -> Vec<Field> {
     if threads <= 1 {
         return items.iter().map(|(c, p)| c.retrieve(p)).collect();
     }
-    let mut out: Vec<Option<Field>> = (0..items.len()).map(|_| None).collect();
-    let slots = Mutex::new(&mut out);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((c, plan)) = items.get(i) else { break };
-                assert_eq!(plan.planes.len(), c.levels.len(), "plan/levels mismatch");
-                let field = c.decode_full(plan, &ExecPolicy::serial());
-                // See `compress_many`: poison implies a worker panic that
-                // the scope re-raises on join.
-                slots.lock().unwrap_or_else(|p| p.into_inner())[i] = Some(field);
-            });
-        }
-    });
-    let filled: Vec<Field> = out.into_iter().flatten().collect();
-    assert_eq!(filled.len(), items.len(), "batch worker left a slot unfilled");
-    filled
+    fan_out(threads, items.len(), |i| {
+        let (c, plan) = items[i];
+        assert_eq!(plan.planes.len(), c.levels.len(), "plan/levels mismatch");
+        c.decode_own(plan, None, &ExecPolicy::serial())
+    })
 }
 
 #[cfg(test)]
@@ -972,25 +875,6 @@ mod tests {
         assert!(large.estimated_error <= small.estimated_error);
         // Budget plans are valid plans: decode succeeds.
         assert!(c.decode_plan(&large, &DecodeOptions::default()).is_ok());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn retrieve_measured_reports_ground_truth() {
-        let field = wave_field(17);
-        let c = Compressed::compress(&field, &CompressConfig::default());
-        let plan = c.plan_theory(1e-3);
-        let m = c.retrieve_measured(&plan, &field).expect("matching plan and field");
-        assert!(m.achieved_error <= 1e-3, "achieved {}", m.achieved_error);
-        assert!(m.achieved_error <= m.estimated_error);
-        assert_eq!(m.bytes, c.retrieved_bytes(&plan));
-        assert_eq!(m.field.data(), c.retrieve(&plan).data());
-
-        // Mismatched shape and plan length are clean errors, not panics.
-        let other = wave_field(9);
-        assert!(c.retrieve_measured(&plan, &other).is_err());
-        let bad = RetrievalPlan::from_planes(vec![1; c.num_levels() + 1]);
-        assert!(c.retrieve_measured(&bad, &field).is_err());
     }
 
     #[test]

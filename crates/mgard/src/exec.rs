@@ -10,6 +10,8 @@
 
 use pmr_codec::PlaneKernel;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Sentinel meaning "let the library pick" for [`ExecPolicy`] knobs.
 pub const AUTO: usize = 0;
@@ -101,6 +103,36 @@ impl ExecPolicy {
     }
 }
 
+/// Map `work` over `0..n` on `threads` scoped workers claiming indices from
+/// a shared cursor; results come back in index order whatever the
+/// scheduling. The outer half of the batch APIs, which run each item under
+/// a *serial* inner policy.
+pub fn fan_out<T: Send>(threads: usize, n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let slots = Mutex::new(&mut out);
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(n) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let item = work(i);
+                // A poisoned lock means another worker panicked; the scope
+                // re-raises that panic on join, so recovering the slot
+                // table here is sound.
+                slots.lock().unwrap_or_else(|p| p.into_inner())[i] = Some(item);
+            });
+        }
+    });
+    let filled: Vec<T> = out.into_iter().flatten().collect();
+    // The cursor hands out every index exactly once; a hole is a dispatch
+    // bug, not a runtime failure.
+    assert_eq!(filled.len(), n, "batch worker left a slot unfilled");
+    filled
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,6 +149,12 @@ mod tests {
         assert!(ExecPolicy::serial().is_serial());
         assert_eq!(ExecPolicy::with_threads(4).resolved_threads(), 4);
         assert!(!ExecPolicy::with_threads(4).is_serial());
+    }
+
+    #[test]
+    fn fan_out_keeps_index_order() {
+        assert_eq!(fan_out(4, 100, |i| i * i), (0..100).map(|i| i * i).collect::<Vec<_>>());
+        assert!(fan_out(4, 0, |i| i).is_empty());
     }
 
     #[test]

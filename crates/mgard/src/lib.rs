@@ -41,7 +41,6 @@ pub mod transform;
 pub use bitplane::{LevelEncoding, DEFAULT_BITPLANES};
 pub use compress::{
     retrieve_many, CompressConfig, CompressConfigBuilder, Compressed, DecodeOptions,
-    MeasuredRetrieval,
 };
 pub use decompose::{Decomposer, TransformMode};
 pub use estimate::theory_constants;

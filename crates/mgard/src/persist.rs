@@ -8,7 +8,9 @@
 //! Two wire versions exist. `PMRC2` (current) carries a per-plane FNV-1a
 //! checksum table so bit rot in a payload is detected at load/fetch time
 //! instead of surfacing as silent reconstruction error; `PMRC1` (legacy,
-//! pre-checksum) is still readable — [`from_bytes`] dispatches on the magic.
+//! pre-checksum) is still readable — [`from_bytes`] dispatches on the magic —
+//! but no longer written: the pinned `tests/golden/poly-1d.legacy-v1.pmr`
+//! fixture is what keeps the read path honest.
 //!
 //! ```text
 //! magic "PMRC2\0"            ("PMRC1\0" = legacy, no checksum table)
@@ -44,9 +46,14 @@ fn malformed(detail: &str) -> PmrError {
     PmrError::malformed("mgard artifact", detail)
 }
 
-fn encode(c: &Compressed, checksummed: bool) -> Result<Vec<u8>, PmrError> {
+/// Serialize an artifact to bytes in the current checksummed format.
+///
+/// Fails with [`PmrError::Corrupt`] if a length no longer fits its `u32`
+/// wire field — the cast-and-wrap alternative would silently persist an
+/// artifact that cannot round-trip.
+pub fn to_bytes(c: &Compressed) -> Result<Vec<u8>, PmrError> {
     let mut out = Vec::with_capacity(c.total_bytes() as usize + 4096);
-    out.extend_from_slice(if checksummed { MAGIC_V2 } else { MAGIC_V1 });
+    out.extend_from_slice(MAGIC_V2);
     let name = c.name().as_bytes();
     out.extend_from_slice(&len_u32(name.len(), "field name length")?.to_le_bytes());
     out.extend_from_slice(name);
@@ -62,34 +69,16 @@ fn encode(c: &Compressed, checksummed: bool) -> Result<Vec<u8>, PmrError> {
         TransformMode::L2Projection => 1,
     });
     out.extend_from_slice(&c.value_range().to_le_bytes());
-    if checksummed {
-        for lvl in c.levels() {
-            out.extend_from_slice(&lvl.num_planes().to_le_bytes());
-            for k in 0..lvl.num_planes() {
-                out.extend_from_slice(&fnv1a64(lvl.plane_payload(k)).to_le_bytes());
-            }
+    for lvl in c.levels() {
+        out.extend_from_slice(&lvl.num_planes().to_le_bytes());
+        for k in 0..lvl.num_planes() {
+            out.extend_from_slice(&fnv1a64(lvl.plane_payload(k)).to_le_bytes());
         }
     }
     for lvl in c.levels() {
         out.extend_from_slice(&lvl.to_bytes()?);
     }
     Ok(out)
-}
-
-/// Serialize an artifact to bytes in the current checksummed format.
-///
-/// Fails with [`PmrError::Corrupt`] if a length no longer fits its `u32`
-/// wire field — the cast-and-wrap alternative would silently persist an
-/// artifact that cannot round-trip.
-pub fn to_bytes(c: &Compressed) -> Result<Vec<u8>, PmrError> {
-    encode(c, true)
-}
-
-/// Serialize in the legacy `PMRC1` layout (no checksum table). Exists so
-/// the backward-compat path stays testable; new artifacts should use
-/// [`to_bytes`].
-pub fn to_bytes_legacy_v1(c: &Compressed) -> Result<Vec<u8>, PmrError> {
-    encode(c, false)
 }
 
 /// Deserialize an artifact previously produced by [`to_bytes`] (either wire
@@ -282,17 +271,20 @@ mod tests {
 
     #[test]
     fn legacy_v1_blobs_still_load() {
-        let (_, c) = artifact();
-        let v1 = to_bytes_legacy_v1(&c).expect("serialize");
+        let v1 = include_bytes!("../../../tests/golden/poly-1d.legacy-v1.pmr");
         assert_eq!(&v1[..6], MAGIC_V1);
-        let rt = from_bytes(&v1).expect("legacy load");
-        assert_eq!(rt.total_bytes(), c.total_bytes());
-        let plan = c.plan_theory(c.absolute_bound(1e-4));
-        assert_eq!(c.retrieve(&plan).data(), rt.retrieve(&plan).data());
+        let c = from_bytes(v1).expect("legacy load");
         // The two wire versions differ only by magic + checksum table.
         let v2 = to_bytes(&c).expect("serialize");
+        let at = table_offset(&c);
         let table: usize = c.levels().iter().map(|l| 4 + 8 * l.num_planes() as usize).sum();
-        assert_eq!(v2.len(), v1.len() + table);
+        assert_eq!(&v2[..6], MAGIC_V2);
+        assert_eq!(v2[6..at], v1[6..at]);
+        assert_eq!(v2[at + table..], v1[at..]);
+        // And the upgraded blob retrieves exactly what the legacy one does.
+        let rt = from_bytes(&v2).expect("upgraded load");
+        let plan = c.plan_theory(c.absolute_bound(1e-4));
+        assert_eq!(c.retrieve(&plan).data(), rt.retrieve(&plan).data());
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl<'a> ProgressiveSession<'a> {
     /// share a machine without oversubscribing it.
     pub fn current_field_with(&self, exec: &crate::exec::ExecPolicy) -> Field {
         let plan = RetrievalPlan::from_planes(self.planes.clone());
-        self.compressed.decode_full(&plan, exec)
+        self.compressed.decode_own(&plan, None, exec)
     }
 }
 

@@ -202,7 +202,7 @@ proptest! {
             }
         }
         for kernel in [PlaneKernel::Scalar, PlaneKernel::Auto, PlaneKernel::Swar] {
-            let _ = enc.decode_from_payloads_with(&payloads, kernel);
+            let _ = enc.decode_from_payloads_with(&payloads, &ExecPolicy::serial().with_kernel(kernel));
         }
     }
 
@@ -219,12 +219,12 @@ proptest! {
         let payloads: Vec<Vec<u8>> =
             (0..keep as u32).map(|k| enc.plane_payload(k).to_vec()).collect();
         let want: Vec<u64> = enc
-            .decode_from_payloads_with(&payloads, PlaneKernel::Scalar)
+            .decode_from_payloads_with(&payloads, &ExecPolicy::serial().with_kernel(PlaneKernel::Scalar))
             .expect("prefix of a valid artifact decodes")
             .iter().map(|v| v.to_bits()).collect();
         for kernel in [PlaneKernel::Auto, PlaneKernel::Simd, PlaneKernel::Swar] {
             let got: Vec<u64> = enc
-                .decode_from_payloads_with(&payloads, kernel)
+                .decode_from_payloads_with(&payloads, &ExecPolicy::serial().with_kernel(kernel))
                 .expect("prefix of a valid artifact decodes")
                 .iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(&got, &want);
@@ -425,14 +425,17 @@ fn kernel_identity_and_payload_totality_on_fixed_corpus() {
             let payloads: Vec<Vec<u8>> =
                 (0..keep as u32).map(|k| enc.plane_payload(k).to_vec()).collect();
             let want: Vec<u64> = enc
-                .decode_from_payloads_with(&payloads, PlaneKernel::Scalar)
+                .decode_from_payloads_with(
+                    &payloads,
+                    &ExecPolicy::serial().with_kernel(PlaneKernel::Scalar),
+                )
                 .expect("prefix of a valid artifact decodes")
                 .iter()
                 .map(|v| v.to_bits())
                 .collect();
             for kernel in kernels {
                 let got: Vec<u64> = enc
-                    .decode_from_payloads_with(&payloads, kernel)
+                    .decode_from_payloads_with(&payloads, &ExecPolicy::serial().with_kernel(kernel))
                     .expect("prefix of a valid artifact decodes")
                     .iter()
                     .map(|v| v.to_bits())
@@ -451,7 +454,8 @@ fn kernel_identity_and_payload_totality_on_fixed_corpus() {
                 }
             }
             for kernel in [PlaneKernel::Scalar, PlaneKernel::Auto, PlaneKernel::Swar] {
-                let _ = enc.decode_from_payloads_with(&mangled, kernel);
+                let _ = enc
+                    .decode_from_payloads_with(&mangled, &ExecPolicy::serial().with_kernel(kernel));
             }
         }
     }

@@ -54,7 +54,7 @@ impl ServedRetrieval {
     /// a protocol violation, reported as malformed rather than decoded
     /// into silent garbage.
     pub fn reconstruct(&self, manifest: &Compressed) -> Result<Field, PmrError> {
-        let mut payloads: Vec<Vec<Vec<u8>>> = vec![Vec::new(); manifest.num_levels()];
+        let mut payloads: Vec<Vec<&[u8]>> = vec![Vec::new(); manifest.num_levels()];
         for (level, plane, payload) in &self.planes {
             let slot = payloads.get_mut(*level).ok_or_else(|| {
                 PmrError::malformed(
@@ -71,9 +71,9 @@ impl ServedRetrieval {
                     ),
                 ));
             }
-            slot.push(payload.clone());
+            slot.push(payload);
         }
-        manifest.retrieve_from_payloads(&payloads)
+        manifest.retrieve_from_payloads(&payloads, None)
     }
 }
 

@@ -105,6 +105,18 @@ pub enum Target {
     Planes(Vec<u32>),
 }
 
+impl From<&Target> for pmr_core::api::RetrievalTarget {
+    fn from(target: &Target) -> Self {
+        use pmr_core::api::{RetrievalTarget, Tolerance};
+        match target {
+            Target::Abs(e) => RetrievalTarget::Tolerance(Tolerance::Abs(*e)),
+            Target::Rel(r) => RetrievalTarget::Tolerance(Tolerance::Rel(*r)),
+            Target::Bytes(b) => RetrievalTarget::ByteBudget(*b),
+            Target::Planes(p) => RetrievalTarget::PlaneSet(p.clone()),
+        }
+    }
+}
+
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {

@@ -4,19 +4,22 @@
 //! One acceptor thread hands connections to a fixed pool of workers over
 //! an mpsc channel; each worker runs the per-connection request loop
 //! (connections are persistent — a client may issue many requests).
-//! Request handling is the library's tolerant fetch loop with two
-//! daemon-level additions: every plane fetch is routed through the
-//! shared single-flight [`PlaneCache`], and admission control caps
-//! in-flight retrievals globally and per tenant, answering `Busy`
-//! instead of queueing invisibly.
+//! Request handling is the library's retrieval pipeline
+//! ([`pmr_storage::fetch_planes_tolerant`]) with a daemon-level source
+//! and sink: every plane comes through the shared single-flight
+//! [`PlaneCache`] in front of a per-request verifying [`FetchExecutor`],
+//! and the held prefixes go out as wire frames instead of being decoded.
+//! Admission control caps in-flight retrievals globally and per tenant,
+//! answering `Busy` instead of queueing invisibly.
 
 use crate::admission::{Admission, AdmissionConfig, Permit};
 use crate::cache::{Origin, PlaneCache};
 use crate::corpus::{Corpus, CorpusEntry};
 use crate::protocol::{self, Report, Request, Status, Target, FLAG_NO_PLANES};
-use pmr_core::api::{plan_for_target, RetrievalTarget, Tolerance};
+use pmr_core::api::{plan_for_target, requested_bound, RetrievalTarget};
 use pmr_core::Theory;
-use pmr_storage::{ExpectedSegment, FetchExecutor, TolerantConfig};
+use pmr_error::PmrError;
+use pmr_storage::{fetch_planes_tolerant, ExpectedSegment, FetchExecutor, TolerantConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -25,8 +28,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-
-use pmr_mgard::greedy_plan_capped;
 
 /// Daemon knobs.
 #[derive(Debug, Clone)]
@@ -67,10 +68,6 @@ pub struct Daemon {
 /// Payloads are shared with the cache — streaming a hot plane to many
 /// clients never copies it.
 pub type ServedPlanes = Vec<(usize, u32, Arc<Vec<u8>>)>;
-
-fn held<T>(payloads: &[T]) -> u32 {
-    u32::try_from(payloads.len()).unwrap_or(u32::MAX)
-}
 
 impl Daemon {
     /// Build a daemon over `corpus`.
@@ -153,31 +150,28 @@ impl Daemon {
     /// Handle one parsed request. Public so in-process tests can exercise
     /// the exact server path without sockets.
     pub fn handle_request(&self, req: &Request) -> (ServedPlanes, Report) {
+        let reject = |status, detail: String| (Vec::new(), Report::error(status, detail));
         if req.strategy != 0 {
-            let rep = Report::error(
+            let n = req.strategy;
+            return reject(
                 Status::Failed,
-                format!(
-                    "strategy {} not available (corpus serves theory plans only)",
-                    req.strategy
-                ),
+                format!("strategy {n} not available (corpus serves theory plans only)"),
             );
-            return (Vec::new(), rep);
         }
         let Some(entry) = self.corpus.get(&req.dataset) else {
-            let rep = Report::error(
+            return reject(
                 Status::NotFound,
                 format!("no dataset {:?} in corpus of {}", req.dataset, self.corpus.len()),
             );
-            return (Vec::new(), rep);
         };
         let Some(permit) = self.admission.try_acquire(&req.tenant) else {
-            let rep = Report::error(
+            return reject(
                 Status::Busy,
                 format!("tenant {:?} over admission cap; retry later", req.tenant),
             );
-            return (Vec::new(), rep);
         };
         self.serve_admitted(entry, &req.target, permit)
+            .unwrap_or_else(|e| reject(Status::Malformed, e.to_string()))
     }
 
     fn serve_admitted(
@@ -185,112 +179,52 @@ impl Daemon {
         entry: &CorpusEntry,
         target: &Target,
         _permit: Permit,
-    ) -> (ServedPlanes, Report) {
+    ) -> Result<(ServedPlanes, Report), PmrError> {
         let manifest = &entry.manifest;
-        let api_target = match target {
-            Target::Abs(e) => RetrievalTarget::Tolerance(Tolerance::Abs(*e)),
-            Target::Rel(r) => RetrievalTarget::Tolerance(Tolerance::Rel(*r)),
-            Target::Bytes(b) => RetrievalTarget::ByteBudget(*b),
-            Target::Planes(p) => RetrievalTarget::PlaneSet(p.clone()),
-        };
-        let plan = match plan_for_target(manifest, &Theory, &[], &api_target) {
-            Ok(plan) => plan,
-            Err(e) => return (Vec::new(), Report::error(Status::Malformed, e.to_string())),
-        };
-        // The bound the degraded re-plan chases: the tolerance when the
-        // target is one, otherwise the plan's own sound estimate.
-        let bound = match &api_target {
-            RetrievalTarget::Tolerance(tol) => match tol.absolute(manifest) {
-                Ok(b) => b,
-                Err(e) => return (Vec::new(), Report::error(Status::Malformed, e.to_string())),
-            },
-            _ => manifest.estimate_for(&plan.planes),
-        };
+        let target = RetrievalTarget::from(target);
+        let plan = plan_for_target(manifest, &Theory, &[], &target)?;
+        let bound = requested_bound(manifest, &target, &plan)?;
 
-        // The tolerant fetch loop (mirrors `fetch_plan_tolerant`), with
-        // every plane routed through the shared single-flight cache. The
-        // executor is per-request: retries and attempts are accounted to
-        // the request that ran them.
+        // Source: the shared single-flight cache over a verifying
+        // executor. The cache sits above verification, so a hit is never
+        // re-hashed; the executor is per-request, so retries and attempts
+        // are accounted to the request that ran them.
         let mut exec = FetchExecutor::new(entry.store.as_ref(), self.cfg.tolerant.policy.clone());
         let levels = manifest.levels();
-        let nl = levels.len();
-        let mut payloads: Vec<Vec<Arc<Vec<u8>>>> = vec![Vec::new(); nl];
-        let mut caps: Vec<u32> = levels.iter().map(|l| l.num_planes()).collect();
-        let mut target_planes = plan.planes.clone();
-        let mut lost: Vec<(usize, u32)> = Vec::new();
         let mut cache_hits = 0u64;
         let mut coalesced = 0u64;
+        let got = fetch_planes_tolerant(manifest, &plan, bound, &self.cfg.tolerant, |(l, k)| {
+            let (data, origin) = self.cache.get_or_fetch((entry.id, l, k), || {
+                exec.fetch_verified((l, k), ExpectedSegment::of(levels[l].plane_payload(k)))
+            })?;
+            match origin {
+                Origin::Hit => cache_hits += 1,
+                Origin::Coalesced => coalesced += 1,
+                Origin::Fetched => {}
+            }
+            Ok(data)
+        })?;
 
-        for round in 0..=self.cfg.tolerant.max_replan_rounds {
-            for (l, lvl) in levels.iter().enumerate() {
-                while held(&payloads[l]) < target_planes[l].min(caps[l]) {
-                    let k = held(&payloads[l]);
-                    let key = (entry.id, l, k);
-                    let fetched = self.cache.get_or_fetch(key, || {
-                        exec.fetch_verified((l, k), ExpectedSegment::of(lvl.plane_payload(k)))
-                    });
-                    match fetched {
-                        Ok((data, origin)) => {
-                            match origin {
-                                Origin::Hit => cache_hits += 1,
-                                Origin::Coalesced => coalesced += 1,
-                                Origin::Fetched => {}
-                            }
-                            payloads[l].push(data);
-                        }
-                        Err(_) => {
-                            // Unrecoverable even after retries: truncate
-                            // this level's prefix here.
-                            lost.push((l, k));
-                            caps[l] = k;
-                            break;
-                        }
-                    }
-                }
-            }
-            let any_capped_below_target = target_planes.iter().zip(&caps).any(|(&t, &c)| c < t);
-            if !any_capped_below_target
-                || !self.cfg.tolerant.replan
-                || round == self.cfg.tolerant.max_replan_rounds
-            {
-                break;
-            }
-            let floor: Vec<u32> = payloads.iter().map(|p| held(p)).collect();
-            let next =
-                greedy_plan_capped(levels, manifest.theory_constants(), bound, &floor, &caps);
-            if next.planes == floor {
-                break;
-            }
-            target_planes = next.planes;
-        }
-
-        let achieved: Vec<u32> = payloads.iter().map(|p| held(p)).collect();
-        let estimated_error = manifest.estimate_for(&achieved);
-        let bytes: u64 = levels
-            .iter()
-            .zip(&achieved)
-            .map(|(lvl, &n)| (0..n).map(|k| lvl.plane_size(k)).sum::<u64>())
-            .sum();
+        // Sink: the held prefixes as `(level, plane, payload)` frames,
+        // payloads still shared with the cache.
+        let achieved = got.planes();
         let stats = exec.stats();
         let report = Report {
             status: Status::Ok,
+            estimated_error: manifest.estimate_for(&achieved),
+            bytes: levels.iter().zip(&achieved).map(|(lvl, &n)| lvl.size_of_first(n)).sum(),
             planes: achieved,
-            estimated_error,
-            bytes,
-            lost,
+            lost: got.lost,
             attempts: stats.attempts,
             retries: stats.retries,
             cache_hits,
             coalesced,
             detail: String::new(),
         };
-        let mut served: ServedPlanes = Vec::new();
-        for (l, level_payloads) in payloads.into_iter().enumerate() {
-            for (k, data) in level_payloads.into_iter().enumerate() {
-                served.push((l, u32::try_from(k).unwrap_or(u32::MAX), data));
-            }
-        }
-        (served, report)
+        let served = (0..)
+            .zip(got.payloads)
+            .flat_map(|(l, level)| (0..).zip(level).map(move |(k, data)| (l, k, data)));
+        Ok((served.collect(), report))
     }
 
     /// Serve one connection until the peer closes it (or a protocol /

@@ -492,3 +492,73 @@ fn in_process_handle_request_matches_socket_path() {
     assert_eq!(report.planes, direct.planes);
     assert_eq!(planes.len() as u64, report.planes.iter().map(|&p| u64::from(p)).sum::<u64>());
 }
+
+/// Serve `c` from `store` with permanently `dead` segments and check the
+/// wire response against the library's Store backend on the same store:
+/// same planes, bound and losses in the `Report`, a bit-identical
+/// reconstruction, and a reported bound the measured error respects.
+/// Returns the served plane counts.
+fn degraded_response_matches_library(
+    field: &Field,
+    c: &Compressed,
+    dead: SegmentKey,
+    rel: f64,
+) -> Vec<u32> {
+    let store = MemStore::from_compressed(c).without(&[dead]);
+    let library = retrieve(
+        &Dataset::new(c).with_original(field),
+        &Theory,
+        &RetrievalRequest::rel(rel).measured(),
+        &Backend::Store { store: &store, model: None },
+    )
+    .expect("library retrieval");
+    let degraded = library.degraded.as_ref().expect("a dead segment must degrade");
+
+    let mut corpus = Corpus::new();
+    corpus.insert("d", c.clone(), Box::new(store.clone()));
+    // Both sides run the default `TolerantConfig` (`replan: true`).
+    let handle =
+        Daemon::new(corpus, DaemonConfig::default()).spawn_tcp("127.0.0.1:0").expect("bind");
+    let mut client =
+        Client::connect_tcp(&handle.tcp_addr().expect("tcp").to_string()).expect("connect");
+    let served = client.retrieve("t", "d", Target::Rel(rel)).expect("served retrieval");
+    handle.stop();
+
+    assert_eq!(served.report.status, Status::Ok);
+    assert_eq!(served.report.planes, library.planes);
+    assert_eq!(served.report.estimated_error, library.estimated_error);
+    assert_eq!(served.report.lost, degraded.lost_segments);
+    assert_eq!(served.report.lost, vec![dead]);
+    let over_wire = served.reconstruct(c).expect("reconstruct");
+    assert_eq!(over_wire.data(), library.field.data());
+    let measured = library.achieved_error.expect("measured");
+    assert!(
+        measured <= served.report.estimated_error,
+        "measured {measured:e} above the reported bound {:e}",
+        served.report.estimated_error
+    );
+    served.report.planes
+}
+
+#[test]
+fn lost_segment_is_compensated_at_surviving_levels_like_the_library() {
+    let (field, c) = artifact("replan");
+    let rel = 1e-3;
+    let plan = c.plan_theory(c.absolute_bound(rel));
+    assert!(plan.planes[0] > 2, "plan must lean on level 0 for this bound");
+    // Plane 1 of level 0 is gone: the level is cut to a single plane and
+    // the re-plan must buy the accuracy back elsewhere.
+    let served = degraded_response_matches_library(&field, &c, (0, 1), rel);
+    assert_eq!(served[0], 1, "prefix truncated at the loss");
+    let deeper = served.iter().zip(&plan.planes).skip(1).any(|(&got, &want)| got > want);
+    assert!(deeper, "re-plan should spend planes at surviving levels: {served:?} vs {plan:?}");
+}
+
+#[test]
+fn total_loss_of_a_level_is_served_honestly_like_the_library() {
+    let (field, c) = artifact("gone");
+    // Plane 0 of the finest level missing: that level contributes nothing.
+    let finest = c.num_levels() - 1;
+    let served = degraded_response_matches_library(&field, &c, (finest, 0), 1e-4);
+    assert_eq!(served[finest], 0);
+}

@@ -35,9 +35,10 @@ pub use segment::{
     QUARANTINE_SUFFIX,
 };
 pub use shard::{ShardConfig, ShardState, ShardStatus, ShardedStore, SHARD_DEAD_AFTER};
-#[allow(deprecated)]
-pub use tolerant::retrieve_tolerant;
-pub use tolerant::{fetch_plan_tolerant, DegradedRetrieval, TolerantConfig, TolerantRetrieval};
+pub use tolerant::{
+    fetch_plan_tolerant, fetch_planes_tolerant, DegradedRetrieval, FetchedPlanes, TolerantConfig,
+    TolerantRetrieval,
+};
 
 /// One storage tier.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -12,11 +12,11 @@
 //! away (the capped greedy planner never asks past a dead level's prefix).
 
 use crate::fetch::{ExpectedSegment, FetchExecutor, FetchStats, RetryPolicy};
-use crate::segment::{SegmentKey, SegmentStore};
+use crate::segment::{FetchError, SegmentKey, SegmentStore};
 use crate::{Placement, StorageHierarchy};
 use pmr_error::PmrError;
 use pmr_field::Field;
-use pmr_mgard::{greedy_plan_capped, Compressed, RetrievalPlan};
+use pmr_mgard::{greedy_plan_capped, Compressed, ExecPolicy, RetrievalPlan};
 
 /// Knobs of the tolerant reader.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,18 +83,102 @@ impl TolerantRetrieval {
     }
 }
 
+/// What the degradation loop settled on: the plane prefixes it holds, one
+/// per level, in whatever form the source handed them over.
+#[derive(Debug)]
+pub struct FetchedPlanes<P> {
+    /// `payloads[l][k]` is plane `k` of level `l`.
+    pub payloads: Vec<Vec<P>>,
+    /// Segments abandoned as unrecoverable, in the order they were given up.
+    pub lost: Vec<SegmentKey>,
+    /// Whether a compensating re-plan ran.
+    pub replanned: bool,
+}
+
 /// Number of plane payloads held for one level, as the `u32` plane count
 /// the planner speaks. Levels hold at most `num_planes <= 50` payloads, so
 /// the saturating fallback is unreachable.
-fn held(payloads: &[Vec<u8>]) -> u32 {
+fn held<P>(payloads: &[P]) -> u32 {
     u32::try_from(payloads.len()).unwrap_or(u32::MAX)
 }
 
+impl<P> FetchedPlanes<P> {
+    /// Plane counts held per level.
+    pub fn planes(&self) -> Vec<u32> {
+        self.payloads.iter().map(|p| held(p)).collect()
+    }
+}
+
+/// The degradation loop — the one place a plan becomes plane prefixes.
+///
+/// Drains every level of `plan` through `source`, which returns the
+/// *verified* plane or the error that made it unrecoverable (retries are
+/// the source's business: [`fetch_plan_tolerant`] plugs in a
+/// [`FetchExecutor`], `pmrd` the same behind its plane cache). A level that
+/// loses a segment is truncated there; with `cfg.replan`, capped-greedy
+/// rounds then spend extra planes at surviving levels chasing
+/// `requested_bound` — what the caller originally asked for. Decoding the
+/// prefixes, or framing them for the wire, is the caller's sink.
+pub fn fetch_planes_tolerant<P>(
+    manifest: &Compressed,
+    plan: &RetrievalPlan,
+    requested_bound: f64,
+    cfg: &TolerantConfig,
+    mut source: impl FnMut(SegmentKey) -> Result<P, FetchError>,
+) -> Result<FetchedPlanes<P>, PmrError> {
+    manifest.validate_plan(plan)?;
+    if !requested_bound.is_finite() || requested_bound < 0.0 {
+        return Err(PmrError::invalid_config(format!(
+            "requested bound must be finite and >= 0, got {requested_bound}"
+        )));
+    }
+    let levels = manifest.levels();
+    let mut got = FetchedPlanes {
+        payloads: levels.iter().map(|_| Vec::new()).collect(),
+        lost: Vec::new(),
+        replanned: false,
+    };
+    // `caps[l]` shrinks to the achieved prefix length when level `l` loses
+    // a segment — no later round may ask past it.
+    let mut caps: Vec<u32> = levels.iter().map(|l| l.num_planes()).collect();
+    let mut target = plan.planes.clone();
+
+    for round in 0..=cfg.max_replan_rounds {
+        for (l, prefix) in got.payloads.iter_mut().enumerate() {
+            for k in held(prefix)..target[l].min(caps[l]) {
+                match source((l, k)) {
+                    Ok(payload) => prefix.push(payload),
+                    Err(_) => {
+                        // Unrecoverable: truncate this level's prefix here.
+                        got.lost.push((l, k));
+                        caps[l] = k;
+                        break;
+                    }
+                }
+            }
+        }
+        let any_capped_below_target = target.iter().zip(&caps).any(|(&t, &c)| c < t);
+        if !any_capped_below_target || !cfg.replan || round == cfg.max_replan_rounds {
+            break;
+        }
+        // Compensate: keep what we hold, never ask past a dead prefix, and
+        // spend extra planes at surviving levels to chase the bound.
+        let floor = got.planes();
+        let next =
+            greedy_plan_capped(levels, manifest.theory_constants(), requested_bound, &floor, &caps);
+        if next.planes == floor {
+            break; // nothing more the greedy can add
+        }
+        target = next.planes;
+        got.replanned = true;
+    }
+    Ok(got)
+}
+
 /// Execute `plan` against `store` with retries, checksum verification, and
-/// graceful degradation. `requested_bound` is what the caller originally
-/// asked for — it parameterises the compensating re-plan and the degraded
-/// report. Pass a `(hierarchy, placement)` model to account virtual time
-/// and enforce per-tier deadlines.
+/// graceful degradation, then decode what was held into a field under
+/// `exec` (`None` = the artifact's own policy). Pass a `(hierarchy,
+/// placement)` model to account virtual time and enforce per-tier deadlines.
 pub fn fetch_plan_tolerant(
     manifest: &Compressed,
     store: &dyn SegmentStore,
@@ -102,67 +186,20 @@ pub fn fetch_plan_tolerant(
     requested_bound: f64,
     cfg: &TolerantConfig,
     model: Option<(&StorageHierarchy, &Placement)>,
+    exec: Option<ExecPolicy>,
 ) -> Result<TolerantRetrieval, PmrError> {
-    manifest.validate_plan(plan)?;
-    if !requested_bound.is_finite() || requested_bound < 0.0 {
-        return Err(PmrError::invalid_config(format!(
-            "requested bound must be finite and >= 0, got {requested_bound}"
-        )));
-    }
-    let mut exec = match model {
+    let mut fetcher = match model {
         Some((h, p)) => FetchExecutor::with_model(store, cfg.policy.clone(), h, p)?,
         None => FetchExecutor::new(store, cfg.policy.clone()),
     };
+    let got = fetch_planes_tolerant(manifest, plan, requested_bound, cfg, |(l, k)| {
+        fetcher.fetch_verified((l, k), ExpectedSegment::of(manifest.levels()[l].plane_payload(k)))
+    })?;
 
-    let levels = manifest.levels();
-    let nl = levels.len();
-    let mut payloads: Vec<Vec<Vec<u8>>> = vec![Vec::new(); nl];
-    // `caps[l]` shrinks to the achieved prefix length when level `l` loses
-    // a segment — no later round may ask past it.
-    let mut caps: Vec<u32> = levels.iter().map(|l| l.num_planes()).collect();
-    let mut target = plan.planes.clone();
-    let mut lost: Vec<SegmentKey> = Vec::new();
-    let mut replanned = false;
-
-    for round in 0..=cfg.max_replan_rounds {
-        for (l, lvl) in levels.iter().enumerate() {
-            while held(&payloads[l]) < target[l].min(caps[l]) {
-                let k = held(&payloads[l]);
-                let expect = ExpectedSegment::of(lvl.plane_payload(k));
-                match exec.fetch_verified((l, k), expect) {
-                    Ok(bytes) => payloads[l].push(bytes),
-                    Err(_) => {
-                        // Unrecoverable: truncate this level's prefix here.
-                        lost.push((l, k));
-                        caps[l] = k;
-                        break;
-                    }
-                }
-            }
-        }
-        let all_met =
-            payloads.iter().zip(&target).zip(&caps).all(|((p, &t), &c)| held(p) >= t.min(c));
-        debug_assert!(all_met, "fetch loop drains every level to its capped target");
-        let any_capped_below_target = target.iter().zip(&caps).any(|(&t, &c)| c < t);
-        if !any_capped_below_target || !cfg.replan || round == cfg.max_replan_rounds {
-            break;
-        }
-        // Compensate: keep what we hold, never ask past a dead prefix, and
-        // spend extra planes at surviving levels to chase the bound.
-        let floor: Vec<u32> = payloads.iter().map(|p| held(p)).collect();
-        let next =
-            greedy_plan_capped(levels, manifest.theory_constants(), requested_bound, &floor, &caps);
-        if next.planes == floor {
-            break; // nothing more the greedy can add
-        }
-        target = next.planes;
-        replanned = true;
-    }
-
-    let achieved: Vec<u32> = payloads.iter().map(|p| held(p)).collect();
-    let field = manifest.retrieve_from_payloads(&payloads)?;
+    let achieved = got.planes();
+    let field = manifest.retrieve_from_payloads(&got.payloads, exec)?;
     let estimated_error = manifest.estimate_for(&achieved);
-    let degraded = if lost.is_empty() {
+    let degraded = if got.lost.is_empty() {
         None
     } else {
         Some(DegradedRetrieval {
@@ -170,34 +207,17 @@ pub fn fetch_plan_tolerant(
             achievable_bound: estimated_error,
             requested_planes: plan.planes.clone(),
             achieved_planes: achieved.clone(),
-            lost_segments: lost,
-            replanned,
+            lost_segments: got.lost,
+            replanned: got.replanned,
         })
     };
     Ok(TolerantRetrieval {
         field,
         planes: achieved,
         estimated_error,
-        stats: exec.stats().clone(),
+        stats: fetcher.stats().clone(),
         degraded,
     })
-}
-
-/// Plan with the theory estimator at `abs_bound`, then execute tolerantly.
-#[deprecated(
-    since = "0.6.0",
-    note = "use pmr_core::api::retrieve with \
-    Backend::Store, or plan_theory + fetch_plan_tolerant directly"
-)]
-pub fn retrieve_tolerant(
-    manifest: &Compressed,
-    store: &dyn SegmentStore,
-    abs_bound: f64,
-    cfg: &TolerantConfig,
-    model: Option<(&StorageHierarchy, &Placement)>,
-) -> Result<TolerantRetrieval, PmrError> {
-    let plan = manifest.plan_theory(abs_bound);
-    fetch_plan_tolerant(manifest, store, &plan, abs_bound, cfg, model)
 }
 
 #[cfg(test)]
@@ -208,8 +228,7 @@ mod tests {
     use pmr_field::{error::max_abs_error, Shape};
     use pmr_mgard::CompressConfig;
 
-    /// The non-deprecated spelling of `retrieve_tolerant`, local to the
-    /// tests (the public one is a shim for the unified pmr-core API).
+    /// Plan with the theory estimator at `abs_bound`, then execute tolerantly.
     fn rt(
         c: &Compressed,
         store: &dyn SegmentStore,
@@ -217,7 +236,7 @@ mod tests {
         cfg: &TolerantConfig,
         model: Option<(&StorageHierarchy, &Placement)>,
     ) -> Result<TolerantRetrieval, PmrError> {
-        fetch_plan_tolerant(c, store, &c.plan_theory(abs_bound), abs_bound, cfg, model)
+        fetch_plan_tolerant(c, store, &c.plan_theory(abs_bound), abs_bound, cfg, model, None)
     }
 
     fn artifact() -> (Field, Compressed) {
@@ -328,8 +347,9 @@ mod tests {
         let (_, c) = artifact();
         let store = MemStore::from_compressed(&c);
         let bad = RetrievalPlan::from_planes(vec![1; c.num_levels() + 1]);
-        let err = fetch_plan_tolerant(&c, &store, &bad, 0.1, &TolerantConfig::default(), None)
-            .unwrap_err();
+        let err =
+            fetch_plan_tolerant(&c, &store, &bad, 0.1, &TolerantConfig::default(), None, None)
+                .unwrap_err();
         assert!(matches!(err, PmrError::InvalidConfig { .. }));
     }
 

@@ -14,8 +14,7 @@ use pmr_storage::{
 };
 use proptest::prelude::*;
 
-/// The non-deprecated spelling of `retrieve_tolerant` (the public one is a
-/// shim for the unified pmr-core API).
+/// Plan with the theory estimator at `abs_bound`, then execute tolerantly.
 fn retrieve_theory_tolerant(
     c: &Compressed,
     store: &dyn SegmentStore,
@@ -23,7 +22,7 @@ fn retrieve_theory_tolerant(
     cfg: &TolerantConfig,
     model: Option<(&StorageHierarchy, &Placement)>,
 ) -> Result<TolerantRetrieval, PmrError> {
-    fetch_plan_tolerant(c, store, &c.plan_theory(abs_bound), abs_bound, cfg, model)
+    fetch_plan_tolerant(c, store, &c.plan_theory(abs_bound), abs_bound, cfg, model, None)
 }
 
 fn sample(seed: u64) -> (Field, Compressed) {

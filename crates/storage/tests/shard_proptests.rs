@@ -154,6 +154,7 @@ fn probe(c: &Compressed, store: &ShardedStore) -> Result<Vec<(Vec<f64>, Vec<u32>
             bound,
             &TolerantConfig::default(),
             None,
+            None,
         )
         .map_err(|e| format!("probe at rel {rel} failed: {e}"))?;
         out.push((got.field.data().to_vec(), got.planes.clone(), got.degraded.is_some()));
