@@ -15,6 +15,10 @@
 //!   NaN-laced class) and at the codec layer over adversarial coefficient
 //!   arrays (all-zero planes, alternating sign, inf/NaN-laced, subnormal,
 //!   ragged counts that are not a multiple of the 64-lane tile).
+//! * **Batched vs per-line transform bit-identity** — the plane-batched
+//!   kernels behind `decompose_with`/`recompose_with` must reproduce the
+//!   per-line oracle (`decompose`/`recompose`) at every worker count, over
+//!   the full catalogue in both transform modes.
 //! * **Monotonicity** — under the theory planner, a tighter bound never
 //!   fetches fewer bytes (exact: the greedy pick sequence is
 //!   bound-independent, the bound only moves the stopping point), and more
@@ -27,8 +31,8 @@ use crate::fields::{catalogue, FieldClass};
 use crate::sweep::{SWEEP_LEVELS, SWEEP_PLANES};
 use pmr_field::Field;
 use pmr_mgard::{
-    persist, CompressConfig, Compressed, DecodeOptions, ExecPolicy, LevelEncoding, PlaneKernel,
-    RetrievalPlan,
+    persist, CompressConfig, Compressed, DecodeOptions, Decomposer, ExecPolicy, LevelEncoding,
+    PlaneKernel, RetrievalPlan, TransformMode,
 };
 
 fn compress_cfg(threads: usize) -> CompressConfig {
@@ -217,6 +221,50 @@ pub fn check_kernel_identity(seed: u64, failures: &mut Vec<String>) {
     }
 }
 
+/// The plane-batched transform kernels must be bit-identical to the
+/// per-line oracle. Serial-vs-parallel checks compare the kernels with
+/// themselves; this one pins them to `forward_line`/`inverse_line`, on
+/// every catalogue field (non-finite classes included), in both modes, at
+/// 1, 2 and 4 workers.
+///
+/// Two NaNs compare equal whatever their sign and payload: which operand's
+/// NaN an operation on two NaNs returns follows the compiler's operand
+/// order, which differs between a scalar and a vector loop, and the
+/// encoder only asks `is_finite`. Which sites are NaN is compared.
+pub fn check_transform_identity(seed: u64, failures: &mut Vec<String>) {
+    let same = |got: &[f64], want: &[f64]| {
+        got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+    };
+    for (_, field) in catalogue(seed) {
+        for mode in [TransformMode::Interpolation, TransformMode::L2Projection] {
+            let dec = Decomposer::new(field.shape(), SWEEP_LEVELS, mode);
+            let mut coeffs = field.data().to_vec();
+            dec.decompose(&mut coeffs);
+            let mut back = coeffs.clone();
+            dec.recompose(&mut back);
+            for threads in [1, 2, 4] {
+                let exec = ExecPolicy::with_threads(threads);
+                let mut got = field.data().to_vec();
+                dec.decompose_with(&mut got, &exec);
+                if !same(&got, &coeffs) {
+                    failures.push(format!(
+                        "differential: {} {mode:?} decompose_with({threads} threads) differs from the per-line oracle",
+                        field.name()
+                    ));
+                }
+                let mut got = coeffs.clone();
+                dec.recompose_with(&mut got, &exec);
+                if !same(&got, &back) {
+                    failures.push(format!(
+                        "differential: {} {mode:?} recompose_with({threads} threads) differs from the per-line oracle",
+                        field.name()
+                    ));
+                }
+            }
+        }
+    }
+}
+
 /// Monotonicity invariants under the theory planner.
 pub fn check_monotonicity(seed: u64, failures: &mut Vec<String>) {
     for field in finite_corpus(seed) {
@@ -262,6 +310,7 @@ pub fn run_differential(seed: u64) -> Vec<String> {
     let mut failures = Vec::new();
     check_serial_parallel_identity(seed, &mut failures);
     check_kernel_identity(seed, &mut failures);
+    check_transform_identity(seed, &mut failures);
     check_batch_equivalence(seed, &mut failures);
     check_monotonicity(seed, &mut failures);
     failures

@@ -74,11 +74,16 @@ pub fn level_signature(coeffs: &[f64]) -> Vec<f32> {
     sig
 }
 
-/// Per-level signatures of a compressed artifact (decodes each level at
-/// full precision; in production these 38 floats per level would be stored
-/// as metadata at compression time).
-pub fn signatures_of(compressed: &Compressed) -> Vec<Vec<f32>> {
-    compressed.levels().iter().map(|l| level_signature(&l.decode(l.num_planes()))).collect()
+/// Per-level signatures of a compressed artifact. They depend on the stored
+/// planes alone, so the full-precision decode of every level they take is
+/// paid once per artifact: the result is memoised on the artifact
+/// ([`Compressed::level_signatures`]) and every later plan or training
+/// sample reads it from there. (Persisting these 38 floats per level as
+/// metadata at compression time is a format change left for later.)
+pub fn signatures_of(compressed: &Compressed) -> &[Vec<f32>] {
+    compressed.level_signatures(|c| {
+        c.levels().iter().map(|l| level_signature(&l.decode(l.num_planes()))).collect()
+    })
 }
 
 /// E-MGARD hyperparameters.
@@ -174,7 +179,7 @@ pub fn build_samples_with(
         let actual_err = max_abs_error(field.data(), rec.data());
         let level_errs: Vec<f64> =
             compressed.levels().iter().zip(&planes).map(|(l, &p)| l.error_at(p)).collect();
-        out.push(TrainSample { signatures: signatures.clone(), level_errs, actual_err });
+        out.push(TrainSample { signatures: signatures.to_vec(), level_errs, actual_err });
     }
     out
 }
@@ -324,10 +329,11 @@ impl EMgard {
     pub fn predict_constants(&self, compressed: &Compressed) -> Vec<f64> {
         assert_eq!(compressed.num_levels(), self.encoders.len(), "level count mismatch");
         signatures_of(compressed)
-            .into_iter()
+            .iter()
             .zip(compressed.theory_constants())
             .enumerate()
-            .map(|(l, (mut sig, &ceiling))| {
+            .map(|(l, (sig, &ceiling))| {
+                let mut sig = sig.clone();
                 self.standardizers[l].transform_row(&mut sig);
                 let c = self.encoders[l].infer_row(&sig)[0] as f64;
                 c.clamp(1e-6, ceiling)

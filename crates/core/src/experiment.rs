@@ -263,6 +263,44 @@ mod tests {
         assert!(mean_abs < 4.0, "mean abs prediction error {mean_abs}");
     }
 
+    /// The signature memo, asserted on state rather than timing: empty on a
+    /// fresh or freshly loaded artifact, filled by the first
+    /// `signatures_of` with exactly what a full decode gives, carried by
+    /// `clone()`, and invisible in the plans made from it.
+    #[test]
+    fn level_signatures_are_memoised_per_artifact() {
+        use crate::emgard::{level_signature, signatures_of};
+        use crate::framework::{Combined, RetrievalContext, Retriever};
+        use pmr_mgard::persist;
+
+        let cfg = fast_experiment();
+        let (models, _) = train_models((0..3).map(snapshot), &cfg);
+        let combined = Combined { dmgard: models.dmgard, emgard: models.emgard };
+
+        let field = snapshot(4);
+        let fresh = Compressed::compress(&field, &cfg.compress);
+        let bytes = persist::to_bytes(&fresh).expect("serialize");
+        let loaded = persist::from_bytes(&bytes).expect("reload");
+        assert!(fresh.cached_level_signatures().is_none());
+        assert!(loaded.cached_level_signatures().is_none());
+
+        let want: Vec<Vec<f32>> =
+            fresh.levels().iter().map(|l| level_signature(&l.decode(l.num_planes()))).collect();
+        assert_eq!(signatures_of(&fresh), want.as_slice());
+        assert_eq!(fresh.cached_level_signatures(), Some(want.as_slice()));
+        assert_eq!(fresh.clone().cached_level_signatures(), Some(want.as_slice()));
+
+        // One plan from the warm memo, one from an artifact that has to
+        // decode every level first.
+        let feats = crate::features::retrieval_features(&field, &fresh);
+        let abs = fresh.absolute_bound(1e-3);
+        let warm = combined.plan(&RetrievalContext { compressed: &fresh, features: &feats }, abs);
+        let cold = combined.plan(&RetrievalContext { compressed: &loaded, features: &feats }, abs);
+        assert_eq!(warm, cold);
+        assert_eq!(loaded.cached_level_signatures(), Some(want.as_slice()));
+        assert_eq!(persist::to_bytes(&loaded).expect("serialize"), bytes, "memo must not persist");
+    }
+
     #[test]
     fn saving_formula() {
         assert_eq!(saving(100, 60), 0.4);

@@ -11,6 +11,7 @@ use pmr_codec::PlaneKernel;
 use pmr_error::PmrError;
 use pmr_field::{Field, Shape};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Compression parameters.
 ///
@@ -28,9 +29,6 @@ pub struct CompressConfig {
     /// core (see [`crate::exec::ExecPolicy`]).
     #[serde(default)]
     pub threads: usize,
-    /// Strided lines per transform work unit; `0` = auto.
-    #[serde(default)]
-    pub chunk_lines: usize,
     /// Bit-plane codec kernel for the encode/decode hot path; every kernel
     /// is bit-identical (see [`crate::exec::ExecPolicy::kernel`]). Defaults
     /// to [`PlaneKernel::Auto`], so configs persisted before this field
@@ -46,7 +44,6 @@ impl Default for CompressConfig {
             num_planes: DEFAULT_BITPLANES,
             mode: TransformMode::L2Projection,
             threads: AUTO,
-            chunk_lines: AUTO,
             kernel: PlaneKernel::Auto,
         }
     }
@@ -58,10 +55,9 @@ impl CompressConfig {
         CompressConfigBuilder::default()
     }
 
-    /// The execution policy implied by the `threads`/`chunk_lines`/`kernel`
-    /// knobs.
+    /// The execution policy implied by the `threads`/`kernel` knobs.
     pub fn exec(&self) -> ExecPolicy {
-        ExecPolicy { threads: self.threads, chunk_lines: self.chunk_lines, kernel: self.kernel }
+        ExecPolicy { threads: self.threads, kernel: self.kernel }
     }
 }
 
@@ -72,7 +68,6 @@ pub struct CompressConfigBuilder {
     num_planes: Option<u32>,
     mode: Option<TransformMode>,
     threads: Option<usize>,
-    chunk_lines: Option<usize>,
     kernel: Option<PlaneKernel>,
 }
 
@@ -102,12 +97,6 @@ impl CompressConfigBuilder {
         self
     }
 
-    /// Strided lines per transform work unit (must be ≥ 1; omit for auto).
-    pub fn chunk_lines(mut self, chunk_lines: usize) -> Self {
-        self.chunk_lines = Some(chunk_lines);
-        self
-    }
-
     /// Bit-plane codec kernel (omit for runtime auto-detection; every
     /// kernel produces bit-identical artifacts).
     pub fn kernel(mut self, kernel: PlaneKernel) -> Self {
@@ -133,17 +122,11 @@ impl CompressConfigBuilder {
                 "threads must be >= 1 (omit the call for automatic parallelism)",
             ));
         }
-        if self.chunk_lines == Some(0) {
-            return Err(PmrError::invalid_config(
-                "chunk_lines must be >= 1 (omit the call for the automatic chunk size)",
-            ));
-        }
         Ok(CompressConfig {
             levels,
             num_planes,
             mode: self.mode.unwrap_or(defaults.mode),
             threads: self.threads.unwrap_or(AUTO),
-            chunk_lines: self.chunk_lines.unwrap_or(AUTO),
             kernel: self.kernel.unwrap_or(PlaneKernel::Auto),
         })
     }
@@ -181,6 +164,10 @@ pub struct Compressed {
     /// Execution policy used by `retrieve`; runtime-only, not persisted.
     #[serde(skip, default)]
     exec: ExecPolicy,
+    /// Memo behind [`Compressed::level_signatures`]; runtime-only, not
+    /// persisted, carried by `clone()`.
+    #[serde(skip, default)]
+    level_signatures: OnceLock<Vec<Vec<f32>>>,
 }
 
 /// `max - min` over the *finite* values of `field` (0 when none are).
@@ -220,8 +207,7 @@ impl Compressed {
             return None;
         }
         // Level coefficient counts must match the decomposition layout.
-        let expected: Vec<usize> = decomposer.level_indices().iter().map(Vec::len).collect();
-        if levels.iter().zip(&expected).any(|(l, &e)| l.count() != e) {
+        if levels.iter().zip(decomposer.level_counts()).any(|(l, e)| l.count() != e) {
             return None;
         }
         let constants = theory_constants(&decomposer);
@@ -233,13 +219,14 @@ impl Compressed {
             constants,
             value_range,
             exec: ExecPolicy::default(),
+            level_signatures: OnceLock::new(),
         })
     }
 
     /// Decompose, interleave and bit-plane encode `field`.
     ///
-    /// The `threads`/`chunk_lines` knobs of `cfg` drive the parallel data
-    /// path; results are bit-identical regardless of the policy. Small
+    /// The `threads` knob of `cfg` drives the parallel data path; results
+    /// are bit-identical regardless of the policy. Small
     /// fields are processed serially even under a parallel policy (see
     /// [`crate::exec`]).
     pub fn compress(field: &Field, cfg: &CompressConfig) -> Self {
@@ -273,6 +260,7 @@ impl Compressed {
             constants,
             value_range: finite_value_range(field),
             exec: *exec,
+            level_signatures: OnceLock::new(),
         }
     }
 
@@ -343,6 +331,20 @@ impl Compressed {
     /// (loaded artifacts default to automatic parallelism).
     pub fn set_exec(&mut self, exec: ExecPolicy) {
         self.exec = exec;
+    }
+
+    /// One feature vector per level that depends on the stored planes alone
+    /// (`pmr_core::emgard::signatures_of`: a full-precision decode of every
+    /// level), computed by `compute` on first use and kept with this
+    /// artifact and its clones from then on. Not persisted: a loaded
+    /// artifact starts empty.
+    pub fn level_signatures(&self, compute: impl FnOnce(&Self) -> Vec<Vec<f32>>) -> &[Vec<f32>] {
+        self.level_signatures.get_or_init(|| compute(self))
+    }
+
+    /// What [`Compressed::level_signatures`] has memoised so far.
+    pub fn cached_level_signatures(&self) -> Option<&[Vec<f32>]> {
+        self.level_signatures.get().map(Vec::as_slice)
     }
 
     /// Convert a relative error bound to the absolute bound used internally.
@@ -806,20 +808,17 @@ mod tests {
             .num_planes(20)
             .mode(TransformMode::Interpolation)
             .threads(2)
-            .chunk_lines(8)
             .build()
             .expect("valid custom config");
         assert_eq!(cfg.levels, 4);
         assert_eq!(cfg.num_planes, 20);
         assert_eq!(cfg.mode, TransformMode::Interpolation);
         assert_eq!(cfg.threads, 2);
-        assert_eq!(cfg.chunk_lines, 8);
 
         assert!(CompressConfig::builder().levels(0).build().is_err());
         assert!(CompressConfig::builder().num_planes(2).build().is_err());
         assert!(CompressConfig::builder().num_planes(51).build().is_err());
         assert!(CompressConfig::builder().threads(0).build().is_err());
-        assert!(CompressConfig::builder().chunk_lines(0).build().is_err());
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! `L-1` is the finest detail shell. Level `j > 0` holds the details created
 //! at decomposition step `s = (L-1) - j`.
 
+use crate::batched;
 use crate::exec::ExecPolicy;
 use crate::transform::{forward_line, inverse_line, LineScratch};
 use pmr_field::Shape;
@@ -105,34 +106,18 @@ impl Decomposer {
         }
     }
 
-    /// [`Decomposer::decompose`] under an explicit execution policy.
-    ///
-    /// Each `(step, dimension)` phase transforms a set of fully independent
-    /// strided lines; worker threads claim fixed-size chunks of those lines,
-    /// so the parallel result is bit-identical to the serial one.
+    /// [`Decomposer::decompose`] under an explicit execution policy, by the
+    /// plane-batched kernels of [`crate::batched`]: bit-identical to the
+    /// per-line path above at every thread count.
     pub fn decompose_with(&self, data: &mut [f64], exec: &ExecPolicy) {
         assert_eq!(data.len(), self.shape.len(), "data/shape length mismatch");
-        let phases: Vec<(usize, usize)> =
-            (0..self.steps()).flat_map(|s| (0..3).map(move |d| (s, d))).collect();
-        let threads = self.clamp_threads(exec, &phases);
-        if threads <= 1 {
-            self.decompose(data);
-        } else {
-            self.run_phases_parallel(data, &phases, true, exec, threads);
-        }
+        batched::run(data, self, 0..self.steps(), true, exec.resolved_threads());
     }
 
     /// [`Decomposer::recompose`] under an explicit execution policy.
     pub fn recompose_with(&self, data: &mut [f64], exec: &ExecPolicy) {
         assert_eq!(data.len(), self.shape.len(), "data/shape length mismatch");
-        let phases: Vec<(usize, usize)> =
-            (0..self.steps()).rev().flat_map(|s| (0..3).rev().map(move |d| (s, d))).collect();
-        let threads = self.clamp_threads(exec, &phases);
-        if threads <= 1 {
-            self.recompose(data);
-        } else {
-            self.run_phases_parallel(data, &phases, false, exec, threads);
-        }
+        batched::run(data, self, (0..self.steps()).rev(), false, exec.resolved_threads());
     }
 
     /// [`Decomposer::recompose_to_level`] under an explicit execution policy.
@@ -145,15 +130,7 @@ impl Decomposer {
         assert_eq!(data.len(), self.shape.len(), "data/shape length mismatch");
         assert!(target_level < self.levels(), "level out of range");
         let stop_step = self.steps() - target_level;
-        let phases: Vec<(usize, usize)> = (stop_step..self.steps())
-            .rev()
-            .flat_map(|s| (0..3).rev().map(move |d| (s, d)))
-            .collect();
-        let threads = self.clamp_threads(exec, &phases);
-        if threads <= 1 {
-            return self.recompose_to_level(data, target_level);
-        }
-        self.run_phases_parallel(data, &phases, false, exec, threads);
+        batched::run(data, self, (stop_step..self.steps()).rev(), false, exec.resolved_threads());
         self.gather_coarse(data, target_level, stop_step)
     }
 
@@ -255,192 +232,6 @@ impl Decomposer {
         scratch.line = line;
     }
 
-    /// Cap the policy's thread count by the widest phase: extra workers
-    /// beyond one per line chunk only pay startup and barrier costs.
-    fn clamp_threads(&self, exec: &ExecPolicy, phases: &[(usize, usize)]) -> usize {
-        let chunk = exec.resolved_chunk_lines().max(1);
-        let max_chunks = phases
-            .iter()
-            .filter_map(|&(s, d)| self.phase_job(s, d))
-            .map(|j| (j.m1 * j.m2).div_ceil(chunk))
-            .max()
-            .unwrap_or(0);
-        exec.resolved_threads().min(max_chunks)
-    }
-
-    /// Execute a sequence of `(step, dimension)` transform phases across
-    /// `threads` scoped workers, entirely in safe code.
-    ///
-    /// Within one phase every strided line is independent: line `li` owns the
-    /// index set `{base(li) + k * stride}`, and distinct `li` produce disjoint
-    /// sets. Instead of sharing a raw pointer, each phase *splits* the buffer
-    /// into disjoint `&mut` windows with `chunks_mut` so the borrow checker
-    /// proves the disjointness:
-    ///
-    /// - When a line's elements are contiguous enough to fit inside its own
-    ///   `st1`-wide window (the stride-1 dimension of each step), the phase
-    ///   runs **in place**: nested `chunks_mut(st2)` / `chunks_mut(st1)`
-    ///   yields one exclusive window per line.
-    /// - Otherwise lines interleave in memory, and the phase runs **two-pass**
-    ///   through a scratch buffer: pass 1 gathers and transforms every line
-    ///   into a line-contiguous scratch slot (reading the buffer shared),
-    ///   pass 2 scatters scratch back through disjoint element windows.
-    ///
-    /// Work is dealt to threads in fixed `chunk_lines`-sized runs decided
-    /// purely by line index, and each line's transform is self-contained, so
-    /// the assignment of lines to threads cannot affect the result — parallel
-    /// output is bit-identical to serial output.
-    fn run_phases_parallel(
-        &self,
-        data: &mut [f64],
-        phases: &[(usize, usize)],
-        forward: bool,
-        exec: &ExecPolicy,
-        threads: usize,
-    ) {
-        let chunk = exec.resolved_chunk_lines().max(1);
-        let mut scratch_buf: Vec<f64> = Vec::new();
-        for &(s, d) in phases {
-            let Some(j) = self.phase_job(s, d) else {
-                continue;
-            };
-            // A line fits in its own st1 window iff its last element lands
-            // before the next line's base; the slab condition below then
-            // guarantees i2 slabs stay inside their st2 windows too.
-            let line_contained = (j.m - 1) * j.stride < j.st1;
-            let slab_contained = (j.m1 - 1) * j.st1 + (j.m - 1) * j.stride < j.st2;
-            if line_contained && slab_contained {
-                self.phase_in_place(data, j, forward, threads, chunk);
-            } else {
-                self.phase_two_pass(data, j, forward, threads, chunk, &mut scratch_buf);
-            }
-        }
-    }
-
-    /// One transform phase where every line owns a contiguous-enough window:
-    /// split the buffer into per-line `&mut` windows and transform in place.
-    fn phase_in_place(
-        &self,
-        data: &mut [f64],
-        j: PhaseJob,
-        forward: bool,
-        threads: usize,
-        chunk: usize,
-    ) {
-        let mut lines: Vec<&mut [f64]> = Vec::with_capacity(j.m1 * j.m2);
-        for slab in data.chunks_mut(j.st2).take(j.m2) {
-            lines.extend(slab.chunks_mut(j.st1).take(j.m1));
-        }
-        let buckets = deal(lines, threads, chunk);
-        std::thread::scope(|scope| {
-            for bucket in buckets {
-                scope.spawn(move || {
-                    let mut scratch = LineScratch::new();
-                    let mut line = vec![0.0f64; j.m];
-                    for win in bucket {
-                        for (k, v) in line.iter_mut().enumerate() {
-                            *v = win[k * j.stride];
-                        }
-                        if forward {
-                            forward_line(&mut line, self.mode, &mut scratch);
-                        } else {
-                            inverse_line(&mut line, self.mode, &mut scratch);
-                        }
-                        for (k, v) in line.iter().enumerate() {
-                            win[k * j.stride] = *v;
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    /// One transform phase whose lines interleave in memory. Pass 1 gathers
-    /// each line from the (shared, read-only) buffer into a line-contiguous
-    /// scratch slot and transforms it there; pass 2 scatters scratch back
-    /// through disjoint `chunks_mut` element windows.
-    fn phase_two_pass(
-        &self,
-        data: &mut [f64],
-        j: PhaseJob,
-        forward: bool,
-        threads: usize,
-        chunk: usize,
-        scratch_buf: &mut Vec<f64>,
-    ) {
-        let nlines = j.m1 * j.m2;
-        scratch_buf.clear();
-        scratch_buf.resize(nlines * j.m, 0.0);
-
-        // Pass 1: transform every line into its scratch slot.
-        {
-            let data_ro: &[f64] = data;
-            let slots: Vec<(usize, &mut [f64])> = scratch_buf.chunks_mut(j.m).enumerate().collect();
-            let buckets = deal(slots, threads, chunk);
-            std::thread::scope(|scope| {
-                for bucket in buckets {
-                    scope.spawn(move || {
-                        let mut scratch = LineScratch::new();
-                        for (li, slot) in bucket {
-                            let base = (li % j.m1) * j.st1 + (li / j.m1) * j.st2;
-                            for (k, v) in slot.iter_mut().enumerate() {
-                                *v = data_ro[base + k * j.stride];
-                            }
-                            if forward {
-                                forward_line(slot, self.mode, &mut scratch);
-                            } else {
-                                inverse_line(slot, self.mode, &mut scratch);
-                            }
-                        }
-                    });
-                }
-            });
-        }
-
-        // Pass 2: scatter scratch back. Element `k` of every line lands in
-        // the `k`-th stride-wide window (nested inside st2 slabs when the
-        // line stride is not the outermost step of this phase).
-        let scratch_ro: &[f64] = scratch_buf;
-        if j.stride > j.st2 {
-            // Line stride is outermost: window w holds element w of every
-            // line at local offset i1*st1 + i2*st2.
-            let wins: Vec<(usize, &mut [f64])> =
-                data.chunks_mut(j.stride).take(j.m).enumerate().collect();
-            let buckets = deal(wins, threads, chunk);
-            std::thread::scope(|scope| {
-                for bucket in buckets {
-                    scope.spawn(move || {
-                        for (k, win) in bucket {
-                            for li in 0..nlines {
-                                let off = (li % j.m1) * j.st1 + (li / j.m1) * j.st2;
-                                win[off] = scratch_ro[li * j.m + k];
-                            }
-                        }
-                    });
-                }
-            });
-        } else {
-            // st2 is outermost: split into i2 slabs, then element windows
-            // inside each slab; element k of line (i1, i2) sits at i1*st1.
-            let slabs: Vec<(usize, &mut [f64])> =
-                data.chunks_mut(j.st2).take(j.m2).enumerate().collect();
-            let buckets = deal(slabs, threads, chunk);
-            std::thread::scope(|scope| {
-                for bucket in buckets {
-                    scope.spawn(move || {
-                        for (i2, slab) in bucket {
-                            for (k, win) in slab.chunks_mut(j.stride).take(j.m).enumerate() {
-                                for i1 in 0..j.m1 {
-                                    win[i1 * j.st1] = scratch_ro[(i2 * j.m1 + i1) * j.m + k];
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-        }
-    }
-
     /// Coefficient level of the node at `(x, y, z)` under the convention
     /// documented at module level.
     pub fn level_of_node(&self, x: usize, y: usize, z: usize) -> usize {
@@ -473,41 +264,88 @@ impl Decomposer {
         groups
     }
 
-    /// Gather decomposed data into one contiguous coefficient array per
-    /// level (the "interleaver" of the MGARD pipeline).
-    pub fn interleave(&self, data: &[f64]) -> Vec<Vec<f64>> {
-        assert_eq!(data.len(), self.shape.len());
-        self.level_indices().iter().map(|idxs| idxs.iter().map(|&i| data[i]).collect()).collect()
+    /// Number of nodes at each coefficient level — the group lengths of
+    /// [`Decomposer::level_indices`] in closed form: level 0 is the coarsest
+    /// grid, level `j > 0` the nodes of grid `j` that are not in grid `j − 1`.
+    pub fn level_counts(&self) -> Vec<usize> {
+        let mut coarser = 0;
+        (0..self.levels)
+            .map(|level| {
+                let nodes = self.grid_shape_at_level(level).len();
+                let count = nodes - coarser;
+                coarser = nodes;
+                count
+            })
+            .collect()
     }
 
-    /// Scatter per-level coefficient arrays back into a full grid buffer.
-    /// Missing trailing values (never produced by [`interleave`], but
-    /// possible with truncated external input) are rejected.
+    /// Decomposition steps the coordinate `c` stays active for, capped at
+    /// this plan's step count (`0` stays active throughout).
+    fn steps_active(&self, c: usize) -> usize {
+        (c.trailing_zeros() as usize).min(self.steps())
+    }
+
+    /// The grid's x-rows in scan order, each with the number of steps its
+    /// `(y, z)` stays active for and its range of linear indices. Node `x` of
+    /// a row that stays for `r` steps has level
+    /// `steps − min(r, steps_active(x))`, so a row with odd `y` or `z`
+    /// (`r = 0`) lies entirely in the finest level.
+    fn rows_by_step(&self) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + '_ {
+        let [nx, ny, nz] = self.shape.dims();
+        (0..ny * nz).map(move |row| {
+            let stays = self.steps_active(row % ny).min(self.steps_active(row / ny));
+            (stays, row * nx..(row + 1) * nx)
+        })
+    }
+
+    /// Gather decomposed data into one contiguous coefficient array per
+    /// level (the "interleaver" of the MGARD pipeline): the values at
+    /// [`Decomposer::level_indices`], collected in one pass over the rows
+    /// without materialising the index lists.
+    pub fn interleave(&self, data: &[f64]) -> Vec<Vec<f64>> {
+        assert_eq!(data.len(), self.shape.len());
+        let steps = self.steps();
+        let mut levels: Vec<Vec<f64>> =
+            self.level_counts().into_iter().map(Vec::with_capacity).collect();
+        for (row_steps, row) in self.rows_by_step() {
+            if row_steps == 0 {
+                levels[steps].extend_from_slice(&data[row]);
+            } else {
+                for (x, &v) in data[row].iter().enumerate() {
+                    levels[steps - row_steps.min(self.steps_active(x))].push(v);
+                }
+            }
+        }
+        levels
+    }
+
+    /// Scatter per-level coefficient arrays back into a full grid buffer
+    /// (the inverse of [`Decomposer::interleave`]). Arrays of the wrong
+    /// length (never produced by `interleave`, but possible with truncated
+    /// external input) are rejected.
     pub fn deinterleave(&self, levels: &[Vec<f64>]) -> Vec<f64> {
         assert_eq!(levels.len(), self.levels, "level count mismatch");
+        for (group, count) in levels.iter().zip(self.level_counts()) {
+            assert_eq!(group.len(), count, "level size mismatch");
+        }
+        let steps = self.steps();
         let mut data = vec![0.0; self.shape.len()];
-        for (group, idxs) in levels.iter().zip(self.level_indices()) {
-            assert_eq!(group.len(), idxs.len(), "level size mismatch");
-            for (&v, &i) in group.iter().zip(&idxs) {
-                data[i] = v;
+        let mut taken = vec![0usize; self.levels];
+        for (row_steps, row) in self.rows_by_step() {
+            if row_steps == 0 {
+                let from = taken[steps];
+                taken[steps] += row.len();
+                data[row].copy_from_slice(&levels[steps][from..taken[steps]]);
+            } else {
+                for (x, v) in data[row].iter_mut().enumerate() {
+                    let level = steps - row_steps.min(self.steps_active(x));
+                    *v = levels[level][taken[level]];
+                    taken[level] += 1;
+                }
             }
         }
         data
     }
-}
-
-/// Deal work items into per-thread buckets, `chunk` consecutive items at a
-/// time, round-robin. The mapping is a pure function of the item index, so
-/// identical inputs always land on identical buckets regardless of runtime
-/// scheduling; empty buckets are dropped so no idle thread is spawned.
-fn deal<T>(items: Vec<T>, threads: usize, chunk: usize) -> Vec<Vec<T>> {
-    let n = threads.max(1);
-    let mut buckets: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        buckets[(i / chunk) % n].push(item);
-    }
-    buckets.retain(|b| !b.is_empty());
-    buckets
 }
 
 /// Number of active points along a dimension of extent `n` at step `s`:
@@ -620,6 +458,21 @@ mod tests {
     }
 
     #[test]
+    fn level_counts_match_level_indices() {
+        let d1 = [2usize, 3, 5, 8, 9, 16, 17, 33, 64, 100].map(Shape::d1);
+        let d2 = [(5, 9), (8, 8), (17, 33), (30, 7), (33, 3)].map(|(x, y)| Shape::d2(x, y));
+        let d3 =
+            [(9, 9, 9), (17, 17, 17), (8, 12, 20), (33, 5, 2)].map(|(x, y, z)| Shape::d3(x, y, z));
+        for shape in d1.into_iter().chain(d2).chain(d3) {
+            for levels in 1..=7 {
+                let dec = Decomposer::new(shape, levels, TransformMode::L2Projection);
+                let want: Vec<usize> = dec.level_indices().iter().map(Vec::len).collect();
+                assert_eq!(dec.level_counts(), want, "shape={shape} levels={levels}");
+            }
+        }
+    }
+
+    #[test]
     fn level_of_node_convention() {
         let dec = Decomposer::new(Shape::d1(9), 4, TransformMode::Interpolation);
         // steps = 3; node 0 and 8 divisible by 8 -> level 0.
@@ -680,11 +533,7 @@ mod tests {
 
                 let mut serial = orig.clone();
                 dec.decompose(&mut serial);
-                for exec in [
-                    ExecPolicy::with_threads(4),
-                    ExecPolicy { threads: 3, chunk_lines: 1, ..Default::default() },
-                    ExecPolicy { threads: 2, chunk_lines: 5, ..Default::default() },
-                ] {
+                for exec in [1, 2, 3, 4].map(ExecPolicy::with_threads) {
                     let mut par = orig.clone();
                     dec.decompose_with(&mut par, &exec);
                     let same = serial.iter().zip(&par).all(|(a, b)| a.to_bits() == b.to_bits());

@@ -1,12 +1,12 @@
 //! Execution policy for the parallel data path.
 //!
-//! Every hot stage in this crate — the per-dimension multilevel transforms,
-//! bit-plane encoding/decoding, and the batch compress/retrieve APIs — accepts
-//! an [`ExecPolicy`] that says how many worker threads to use and how work is
-//! chunked. The parallel paths are written so their output is *bit-identical*
-//! to the serial paths: strided lines are fully independent, per-chunk error
-//! reductions use `f64::max` (exact, order-independent), and chunk boundaries
-//! are derived from the policy, never from thread scheduling.
+//! Every hot stage in this crate — the multilevel transforms, bit-plane
+//! encoding/decoding, and the batch compress/retrieve APIs — accepts an
+//! [`ExecPolicy`] that says how many worker threads to use. The parallel
+//! paths are written so their output is *bit-identical* to the serial paths:
+//! transform lines are fully independent, per-chunk error reductions use
+//! `f64::max` (exact, order-independent), and work is split by the policy
+//! and the grid geometry, never by thread scheduling.
 
 use pmr_codec::PlaneKernel;
 use serde::{Deserialize, Serialize};
@@ -27,15 +27,11 @@ pub const PARALLEL_MIN_COEFFS: usize = 16_384;
 /// How work is spread across threads.
 ///
 /// `threads == 0` (the [`AUTO`] sentinel and the default) resolves to
-/// [`std::thread::available_parallelism`]; `chunk_lines == 0` resolves to a
-/// fixed default chunk of strided lines per work unit.
+/// [`std::thread::available_parallelism`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecPolicy {
     /// Worker thread count; `0` = one per available core.
     pub threads: usize,
-    /// Strided lines claimed per work unit in the transform passes; `0` =
-    /// auto (currently 16).
-    pub chunk_lines: usize,
     /// Which bit-plane codec kernel the encode/decode stages use. Every
     /// kernel is bit-identical; [`PlaneKernel::Scalar`] keeps the legacy
     /// bit-at-a-time path alive as the differential oracle (and ignores
@@ -47,7 +43,7 @@ pub struct ExecPolicy {
 
 impl Default for ExecPolicy {
     fn default() -> Self {
-        ExecPolicy { threads: AUTO, chunk_lines: AUTO, kernel: PlaneKernel::Auto }
+        ExecPolicy { threads: AUTO, kernel: PlaneKernel::Auto }
     }
 }
 
@@ -57,7 +53,7 @@ impl ExecPolicy {
         ExecPolicy { threads: 1, ..Self::default() }
     }
 
-    /// A policy with an explicit thread count and automatic chunking.
+    /// A policy with an explicit thread count.
     pub fn with_threads(threads: usize) -> Self {
         ExecPolicy { threads, ..Self::default() }
     }
@@ -77,23 +73,14 @@ impl ExecPolicy {
         }
     }
 
-    /// The transform chunk size after resolving the [`AUTO`] sentinel.
-    pub fn resolved_chunk_lines(&self) -> usize {
-        if self.chunk_lines == AUTO {
-            16
-        } else {
-            self.chunk_lines
-        }
-    }
-
     /// Whether this policy runs on the calling thread only.
     pub fn is_serial(&self) -> bool {
         self.resolved_threads() <= 1
     }
 
     /// This policy, demoted to serial when the work is too small to amortise
-    /// thread startup. Chunk boundaries are unaffected, so gating never
-    /// changes results — parallel and serial agree bit-for-bit regardless.
+    /// thread startup. Gating never changes results — parallel and serial
+    /// agree bit-for-bit regardless.
     pub fn gate(&self, work_items: usize, min_items: usize) -> ExecPolicy {
         if work_items < min_items {
             ExecPolicy { threads: 1, ..*self }
@@ -141,7 +128,6 @@ mod tests {
     fn auto_resolves_to_at_least_one() {
         let p = ExecPolicy::default();
         assert!(p.resolved_threads() >= 1);
-        assert!(p.resolved_chunk_lines() >= 1);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! (D-MGARD) or learned constants `C_l` (E-MGARD) through the hooks exposed
 //! by [`retrieve`] and [`compress`].
 
+mod batched;
 pub mod bitplane;
 pub mod checksum;
 pub mod compress;

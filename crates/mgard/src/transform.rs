@@ -82,6 +82,70 @@ fn solve_coarse_mass(b: &mut [f64], cp: &mut Vec<f64>) {
     }
 }
 
+/// The Thomas pivots of [`solve_coarse_mass`] for an `n`-node coarse line.
+/// They depend on `n` alone, so the batched kernels of [`crate::batched`]
+/// compute them once per phase instead of once per line — by the same
+/// expressions, so every solve divides by bit-identical values.
+#[derive(Debug)]
+pub(crate) struct CoarsePivots {
+    /// Pivot `m_i` the forward sweep divides row `i` by.
+    m: Vec<f64>,
+    /// Back-substitution factor `cp_i = OFF_DIAG / m_i`.
+    cp: Vec<f64>,
+}
+
+impl CoarsePivots {
+    pub(crate) fn new(n: usize) -> Self {
+        let mut m: Vec<f64> = Vec::with_capacity(n);
+        let mut cp: Vec<f64> = Vec::with_capacity(n);
+        for i in 0..n {
+            let diag = if i == 0 || i == n - 1 { DIAG_BOUNDARY } else { DIAG_INTERIOR };
+            let pivot = if i == 0 { diag } else { diag - OFF_DIAG * cp[i - 1] };
+            m.push(pivot);
+            cp.push(OFF_DIAG / pivot);
+        }
+        CoarsePivots { m, cp }
+    }
+
+    /// [`solve_coarse_mass`] on `lanes` independent systems at once:
+    /// `b[i * lanes + lane]` is entry `i` of system `lane`. Each entry goes
+    /// through the oracle's operation sequence — divide by the pivot
+    /// included — and no operation crosses lanes, so every system's
+    /// solution is bit-identical to a per-line solve while the inner loops
+    /// run unit-stride over the lanes.
+    #[inline]
+    pub(crate) fn solve_lanes(&self, b: &mut [f64], lanes: usize) {
+        let n = self.m.len();
+        assert_eq!(b.len(), n * lanes, "load/pivot size mismatch");
+        if lanes == 0 {
+            return;
+        }
+        let mut rows = b.chunks_exact_mut(lanes);
+        let Some(mut prev) = rows.next() else {
+            return;
+        };
+        for v in prev.iter_mut() {
+            *v /= self.m[0];
+        }
+        for (cur, &pivot) in rows.zip(&self.m[1..]) {
+            for (c, &p) in cur.iter_mut().zip(prev.iter()) {
+                *c = (*c - OFF_DIAG * p) / pivot;
+            }
+            prev = cur;
+        }
+        let mut rows = b.chunks_exact_mut(lanes).rev();
+        let Some(mut next) = rows.next() else {
+            return;
+        };
+        for (cur, &factor) in rows.zip(self.cp[..n - 1].iter().rev()) {
+            for (c, &z) in cur.iter_mut().zip(next.iter()) {
+                *c -= factor * z;
+            }
+            next = cur;
+        }
+    }
+}
+
 /// Forward transform of one gathered line (`line.len() >= 2`).
 pub fn forward_line(line: &mut [f64], mode: TransformMode, scratch: &mut LineScratch) {
     let m = line.len();
@@ -247,6 +311,32 @@ mod tests {
             solve_coarse_mass(&mut b, &mut cp);
             for i in 0..n {
                 assert!((b[i] - dense[i]).abs() < 1e-10, "n={n} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_solve_is_bit_identical_to_the_per_line_solve() {
+        for n in 1..40usize {
+            for lanes in [1usize, 3, 8] {
+                let system = |lane: usize| -> Vec<f64> {
+                    (0..n).map(|i| ((i * 7 + lane * 13) as f64 * 0.37).sin() * 1e3).collect()
+                };
+                let mut batch = vec![0.0; n * lanes];
+                for lane in 0..lanes {
+                    for (i, v) in system(lane).into_iter().enumerate() {
+                        batch[i * lanes + lane] = v;
+                    }
+                }
+                CoarsePivots::new(n).solve_lanes(&mut batch, lanes);
+                for lane in 0..lanes {
+                    let mut b = system(lane);
+                    solve_coarse_mass(&mut b, &mut Vec::new());
+                    for (i, want) in b.iter().enumerate() {
+                        let got = batch[i * lanes + lane];
+                        assert_eq!(got.to_bits(), want.to_bits(), "n={n} lanes={lanes} i={i}");
+                    }
+                }
             }
         }
     }

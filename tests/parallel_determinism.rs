@@ -19,7 +19,7 @@ fn serial_cfg() -> CompressConfig {
 }
 
 fn parallel_cfg() -> CompressConfig {
-    CompressConfig::builder().threads(4).chunk_lines(3).build().expect("parallel config")
+    CompressConfig::builder().threads(4).build().expect("parallel config")
 }
 
 /// Serial and parallel compression of the same field must produce
