@@ -16,10 +16,9 @@
 //! than raw error norms (`analysis_fidelity` bench).
 
 use pmr_field::Field;
-use serde::{Deserialize, Serialize};
 
 /// A normalised value histogram over `[min, max]` of the analysed field.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     pub min: f64,
     pub max: f64,
@@ -126,7 +125,7 @@ pub fn total_variation(field: &Field) -> f64 {
 }
 
 /// Side-by-side analysis of an original field and an approximation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FidelityReport {
     /// L1 distance between 64-bin histograms.
     pub histogram_l1: f64,

@@ -11,7 +11,7 @@ use crate::report::{escape, Report, Violation};
 use pmr_error::PmrError;
 use std::collections::BTreeSet;
 
-/// Serialize the current violations as a baseline document.
+/// Render the current violations as a baseline document.
 pub fn to_json(report: &Report) -> String {
     let fps: BTreeSet<&str> = report.violations.iter().map(|v| v.fingerprint.as_str()).collect();
     let mut s = String::from("{\n  \"version\": 1,\n  \"fingerprints\": [");

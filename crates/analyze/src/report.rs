@@ -1,7 +1,6 @@
 //! Machine-readable analysis report.
 //!
-//! The JSON is hand-written (the workspace builds offline with no serde
-//! feature surface for this) and **deterministic**: same tree in, same
+//! The JSON is hand-written (the workspace has no third-party crates) and **deterministic**: same tree in, same
 //! findings out — violations and allowed entries are sorted by
 //! `(file, line, lint)`, keys are emitted in fixed order, and each finding
 //! carries a stable FNV-1a fingerprint that survives line drift (it hashes

@@ -48,16 +48,13 @@ const NUM_PLANES: u32 = 32;
 const PREFIXES: [u32; 3] = [8, 16, NUM_PLANES];
 
 /// Deterministic synthetic coefficient field: a smooth multiscale signal with
-/// xorshift noise, so every bit plane carries structure (all-zero planes would
+/// seeded noise, so every bit plane carries structure (all-zero planes would
 /// flatter RLE and overstate throughput).
 fn synth_coeffs(n: usize) -> Vec<f64> {
-    let mut state = 0x243f_6a88_85a3_08d3u64;
+    let mut rng = pmr_rng::Rng::seed_from_u64(0x243f_6a88_85a3_08d3);
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        let noise = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+        let noise = rng.range(-0.5..0.5);
         let x = i as f64;
         let smooth = (x * 0.000_31).sin() * 40.0 + (x * 0.017).cos() * 4.0;
         out.push(smooth + noise);

@@ -1,7 +1,7 @@
 //! Shared harness for the figure/table regeneration benches.
 //!
-//! Every `benches/figNN_*.rs` target is a standalone binary (criterion
-//! harness disabled) that regenerates one table or figure of the paper:
+//! Every `benches/figNN_*.rs` target is a standalone binary (`harness = false`)
+//! that regenerates one table or figure of the paper:
 //! it prints the same series the paper plots and writes a CSV under
 //! `results/`. This crate carries the common plumbing: scaled dataset
 //! configurations, experiment setup, and table/CSV output.

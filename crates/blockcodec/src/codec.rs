@@ -4,10 +4,9 @@ use crate::block::{self, BLOCK_LEN};
 use crate::lifting;
 use pmr_field::{Field, Shape};
 use pmr_mgard::{LevelEncoding, RetrievalPlan};
-use serde::{Deserialize, Serialize};
 
 /// Compression parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockConfig {
     /// Bit-planes in the embedded stream.
     pub num_planes: u32,

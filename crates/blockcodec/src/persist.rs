@@ -17,7 +17,7 @@ fn malformed(detail: &str) -> PmrError {
     PmrError::malformed("block artifact", detail)
 }
 
-/// Serialize an artifact to bytes.
+/// Encode an artifact as bytes.
 ///
 /// Fails with [`PmrError::Corrupt`] if a length no longer fits its `u32`
 /// wire field instead of wrapping it.
@@ -38,7 +38,7 @@ pub fn to_bytes(c: &BlockCompressed) -> Result<Vec<u8>, PmrError> {
     Ok(out)
 }
 
-/// Deserialize an artifact previously produced by [`to_bytes`].
+/// Parse an artifact previously produced by [`to_bytes`].
 pub fn from_bytes(buf: &[u8]) -> Result<BlockCompressed, PmrError> {
     let mut pos = 0usize;
     let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {

@@ -1,34 +1,33 @@
-//! Property tests for the block codec.
+//! Property tests for the block codec, on the seeded case driver
+//! `pmr_rng::cases`: a failure names the test and the case index.
 
 use pmr_blockcodec::{BlockCompressed, BlockConfig};
 use pmr_field::{error::max_abs_error, Field, Shape};
-use proptest::prelude::*;
+use pmr_rng::{cases, Rng};
 
-fn arb_field() -> impl Strategy<Value = Field> {
-    (2usize..14, 2usize..14, 1usize..10, any::<u64>()).prop_map(|(nx, ny, nz, seed)| {
-        Field::from_fn("p", 0, Shape::d3(nx, ny, nz), move |x, y, z| {
-            let h = ((x + 41 * y + 1117 * z) as u64)
-                .wrapping_mul(seed | 1)
-                .wrapping_mul(0x9E3779B97F4A7C15);
-            ((h >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 100.0
-        })
-    })
+fn arb_field(g: &mut Rng) -> Field {
+    let shape = Shape::d3(g.range(2..14), g.range(2..14), g.range(1..10));
+    let data = (0..shape.len()).map(|_| g.range(-50.0..50.0)).collect();
+    Field::new("p", 0, shape, data)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn full_roundtrip_any_shape(field in arb_field()) {
+#[test]
+fn full_roundtrip_any_shape() {
+    cases("full_roundtrip_any_shape", 48, |g| {
+        let field = arb_field(g);
         let c = BlockCompressed::compress(&field, &BlockConfig::default());
         let rec = c.retrieve(c.num_planes());
-        prop_assert_eq!(rec.shape(), field.shape());
+        assert_eq!(rec.shape(), field.shape());
         let scale = field.max_abs().max(1.0);
-        prop_assert!(max_abs_error(field.data(), rec.data()) < 1e-5 * scale);
-    }
+        assert!(max_abs_error(field.data(), rec.data()) < 1e-5 * scale);
+    });
+}
 
-    #[test]
-    fn collected_error_row_bounds_actual(field in arb_field(), b in 0u32..33) {
+#[test]
+fn collected_error_row_bounds_actual() {
+    cases("collected_error_row_bounds_actual", 48, |g| {
+        let field = arb_field(g);
+        let b = g.range(0u32..33);
         let c = BlockCompressed::compress(&field, &BlockConfig::default());
         let rec = c.retrieve(b);
         let err = max_abs_error(field.data(), rec.data());
@@ -37,28 +36,34 @@ proptest! {
         let abs = err.max(1e-300);
         let planned = c.plan(abs * 64.0);
         let rec2 = c.retrieve(planned);
-        prop_assert!(max_abs_error(field.data(), rec2.data()) <= abs * 64.0 * (1.0 + 1e-9));
-    }
+        assert!(max_abs_error(field.data(), rec2.data()) <= abs * 64.0 * (1.0 + 1e-9));
+    });
+}
 
-    #[test]
-    fn plan_is_monotone_in_bound(field in arb_field()) {
-        let c = BlockCompressed::compress(&field, &BlockConfig::default());
+#[test]
+fn plan_is_monotone_in_bound() {
+    cases("plan_is_monotone_in_bound", 48, |g| {
+        let c = BlockCompressed::compress(&arb_field(g), &BlockConfig::default());
         let mut prev = 0u32;
         for rel in [1.0, 1e-2, 1e-4, 1e-6] {
             let b = c.plan(rel * c.value_range().max(1e-12));
-            prop_assert!(b >= prev, "planes must grow as bounds tighten");
+            assert!(b >= prev, "planes must grow as bounds tighten");
             prev = b;
         }
-    }
+    });
+}
 
-    #[test]
-    fn truncation_never_explodes(field in arb_field(), b in 0u32..33) {
+#[test]
+fn truncation_never_explodes() {
+    cases("truncation_never_explodes", 48, |g| {
+        let field = arb_field(g);
+        let b = g.range(0u32..33);
         let c = BlockCompressed::compress(&field, &BlockConfig::default());
         let rec = c.retrieve(b);
-        prop_assert!(rec.data().iter().all(|v| v.is_finite()));
+        assert!(rec.data().iter().all(|v| v.is_finite()));
         // Reconstruction magnitude stays within the transform's gain of
         // the data magnitude.
         let bound = 64.0 * field.max_abs() + 1e-9;
-        prop_assert!(rec.max_abs() <= bound);
-    }
+        assert!(rec.max_abs() <= bound);
+    });
 }

@@ -70,7 +70,7 @@ pub fn decode(encoded: &[u8]) -> Option<Vec<u8>> {
 /// Repeat tokens expand two encoded bytes into up to 130 decoded bytes, so a
 /// few KB of attacker-controlled input can demand hundreds of KB — and a
 /// forged length field upstream can turn that into an allocation bomb.
-/// Deserializers that feed untrusted bytes through this codec must pass the
+/// Parsers that feed untrusted bytes through this codec must pass the
 /// exact size they expect; decoding stops with `None` the moment the output
 /// would exceed `max_len`.
 pub fn decode_bounded(encoded: &[u8], max_len: usize) -> Option<Vec<u8>> {

@@ -37,8 +37,6 @@
 //! `pmr-mgard`, where it routes around the tiles entirely and onto the
 //! legacy bit-at-a-time path kept as the differential oracle.
 
-use serde::{Deserialize, Serialize};
-
 /// Coefficients per tile: one u64 lane per coefficient.
 pub const TILE: usize = 64;
 
@@ -46,8 +44,7 @@ pub const TILE: usize = 64;
 ///
 /// Every variant produces bit-identical artifacts; the knob exists for
 /// differential testing and benchmarking, not output control.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PlaneKernel {
     /// Best detected path: AVX2 on x86_64, NEON on aarch64, SWAR otherwise.
     #[default]
@@ -114,7 +111,7 @@ impl PlaneKernel {
         }
     }
 
-    /// Stable lowercase name (the serde wire form).
+    /// Stable lowercase name.
     pub fn name(self) -> &'static str {
         match self {
             PlaneKernel::Auto => "auto",
@@ -368,25 +365,6 @@ mod tests {
         y
     }
 
-    fn xorshift_tiles(seed: u64, n: usize) -> Vec<[u64; TILE]> {
-        let mut s = seed | 1;
-        let mut next = || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        (0..n)
-            .map(|_| {
-                let mut t = [0u64; TILE];
-                for w in t.iter_mut() {
-                    *w = next();
-                }
-                t
-            })
-            .collect()
-    }
-
     fn adversarial_tiles() -> Vec<[u64; TILE]> {
         let mut tiles = vec![[0u64; TILE], [u64::MAX; TILE]];
         let mut alt = [0u64; TILE];
@@ -402,7 +380,8 @@ mod tests {
             *w = 1 << (63 - i);
         }
         tiles.push(diag);
-        tiles.extend(xorshift_tiles(0x9E37_79B9_7F4A_7C15, 32));
+        let mut rng = pmr_rng::Rng::seed_from_u64(1);
+        tiles.extend((0..32).map(|_| [(); TILE].map(|()| rng.next_u64())));
         tiles
     }
 
@@ -448,45 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn extract_reassemble_roundtrip_full_planes() {
-        for imp in [TileImpl::Simd, TileImpl::Swar] {
-            for b in [1usize, 3, 17, 32, 50, 64] {
-                for tile in xorshift_tiles(b as u64 + 7, 4) {
-                    // Digits must fit in b planes: mask to the low b bits.
-                    let mut digits = tile;
-                    let mask = if b == 64 { u64::MAX } else { (1u64 << b) - 1 };
-                    for d in digits.iter_mut() {
-                        *d &= mask;
-                    }
-                    let mut words = vec![0u64; b];
-                    extract_planes(&digits, b, &mut words, imp);
-                    assert_eq!(reassemble_digits(&words, b, imp), digits, "b={b} {imp:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn plane_prefix_reassembles_truncated_digits() {
-        let b = 24usize;
-        let tile = xorshift_tiles(99, 1)[0];
-        let mut digits = tile;
-        for d in digits.iter_mut() {
-            *d &= (1u64 << b) - 1;
-        }
-        let mut words = vec![0u64; b];
-        extract_planes(&digits, b, &mut words, TileImpl::Swar);
-        for p in 0..=b {
-            let got = reassemble_digits(&words[..p], b, TileImpl::Swar);
-            // Keeping p of b planes keeps digit bits b-1 ..= b-p.
-            let keep = if p == 0 { 0 } else { ((1u64 << p) - 1) << (b - p) };
-            for (g, d) in got.iter().zip(&digits) {
-                assert_eq!(*g, d & keep, "p={p}");
-            }
-        }
-    }
-
-    #[test]
     fn plane_word_matches_bitwriter_layout() {
         // Plane k of the extraction must match the BitWriter-packed bytes of
         // the same plane bits, for a ragged (non-multiple-of-64) count.
@@ -494,12 +434,9 @@ mod tests {
         let b = 12usize;
         let count = 41usize;
         let mut tile = [0u64; TILE];
-        let mut s = 0xDEAD_BEEFu64;
+        let mut rng = pmr_rng::Rng::seed_from_u64(0xDEAD_BEEF);
         for d in tile.iter_mut().take(count) {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            *d = s & ((1 << b) - 1);
+            *d = rng.range(0..1u64 << b);
         }
         let mut words = vec![0u64; b];
         extract_planes(&tile, b, &mut words, TileImpl::Swar);

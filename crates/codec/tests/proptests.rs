@@ -1,7 +1,8 @@
-//! Property tests for the codec layers.
+//! Property tests for the codec layers, on the seeded case driver
+//! `pmr_rng::cases`: a failure names the test and the case index.
 
 use pmr_codec::{bitstream, lossless, negabinary, rle, transpose, PlaneKernel};
-use proptest::prelude::*;
+use pmr_rng::{cases, Rng};
 
 /// Both tile kernels available on this host: the portable SWAR path plus
 /// whatever `Auto` resolves to (the SIMD path when the ISA supports one).
@@ -9,36 +10,57 @@ fn tile_impls() -> Vec<transpose::TileImpl> {
     vec![PlaneKernel::Swar.tile_impl(), PlaneKernel::Auto.tile_impl()]
 }
 
-proptest! {
-    #[test]
-    fn rle_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
-        prop_assert_eq!(rle::decode(&rle::encode(&data)).unwrap(), data);
-    }
+fn arb_tile(g: &mut Rng) -> [u64; 64] {
+    [(); 64].map(|()| g.next_u64())
+}
 
-    #[test]
-    fn rle_roundtrip_runny(runs in proptest::collection::vec((any::<u8>(), 1usize..300), 0..32)) {
+/// The low `b` bits: the codec's own invariant for a `b`-plane encoding.
+fn plane_mask(b: usize) -> u64 {
+    u64::MAX >> (64 - b)
+}
+
+#[test]
+fn rle_roundtrip() {
+    cases("rle_roundtrip", 256, |g| {
+        let data = g.vec(0..4096, Rng::u8);
+        assert_eq!(rle::decode(&rle::encode(&data)).unwrap(), data);
+    });
+}
+
+#[test]
+fn rle_roundtrip_runny() {
+    cases("rle_roundtrip_runny", 256, |g| {
         let mut data = Vec::new();
-        for (b, n) in runs {
-            data.extend(std::iter::repeat_n(b, n));
+        for _ in 0..g.range(0..32) {
+            data.extend(std::iter::repeat_n(g.u8(), g.range(1..300)));
         }
-        prop_assert_eq!(rle::decode(&rle::encode(&data)).unwrap(), data);
-    }
+        assert_eq!(rle::decode(&rle::encode(&data)).unwrap(), data);
+    });
+}
 
-    #[test]
-    fn lossless_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..2048)) {
+#[test]
+fn lossless_roundtrip() {
+    cases("lossless_roundtrip", 256, |g| {
+        let data = g.vec(0..2048, Rng::u8);
         let c = lossless::compress(&data);
-        prop_assert!(c.len() <= data.len() + data.len() / 128 + 8);
-        prop_assert_eq!(lossless::decompress(&c).unwrap(), data);
-    }
+        assert!(c.len() <= data.len() + data.len() / 128 + 8);
+        assert_eq!(lossless::decompress(&c).unwrap(), data);
+    });
+}
 
-    #[test]
-    fn negabinary_roundtrip(v in -(1i64 << 52)..(1i64 << 52)) {
-        prop_assert_eq!(negabinary::from_negabinary(negabinary::to_negabinary(v)), v);
-    }
+#[test]
+fn negabinary_roundtrip() {
+    cases("negabinary_roundtrip", 256, |g| {
+        let v = g.range(-(1i64 << 52)..(1i64 << 52));
+        assert_eq!(negabinary::from_negabinary(negabinary::to_negabinary(v)), v);
+    });
+}
 
-    #[test]
-    fn negabinary_truncation_monotone(v in -(1i64 << 40)..(1i64 << 40)) {
+#[test]
+fn negabinary_truncation_monotone() {
+    cases("negabinary_truncation_monotone", 256, |g| {
         // Keeping more digits never increases the truncation error.
+        let v = g.range(-(1i64 << 40)..(1i64 << 40));
         let nb = negabinary::to_negabinary(v);
         let full_digits = 64;
         let mut prev_err = i64::MAX;
@@ -46,25 +68,32 @@ proptest! {
             let drop = (full_digits - keep) as u32;
             let t = negabinary::from_negabinary(negabinary::truncate_low_digits(nb, drop));
             let err = (v - t).abs();
-            prop_assert!(err <= prev_err.max(err)); // err recorded; strict check below
+            assert!(err <= prev_err.max(err)); // err recorded; strict check below
             if drop == 0 {
-                prop_assert_eq!(err, 0);
+                assert_eq!(err, 0);
             }
             prev_err = prev_err.min(err);
         }
-    }
+    });
+}
 
-    #[test]
-    fn truncation_error_bounded(v in -(1i64 << 40)..(1i64 << 40), drop in 0u32..40) {
+#[test]
+fn truncation_error_bounded() {
+    cases("truncation_error_bounded", 256, |g| {
+        let v = g.range(-(1i64 << 40)..(1i64 << 40));
+        let drop = g.range(0u32..40);
         let (pos, neg) = negabinary::truncation_error_bounds(drop);
         let nb = negabinary::to_negabinary(v);
         let t = negabinary::from_negabinary(negabinary::truncate_low_digits(nb, drop));
         let err = v - t;
-        prop_assert!(-neg <= err && err <= pos, "err={err} bounds=({pos},{neg})");
-    }
+        assert!(-neg <= err && err <= pos, "err={err} bounds=({pos},{neg})");
+    });
+}
 
-    #[test]
-    fn bitstream_roundtrip(bits in proptest::collection::vec(any::<bool>(), 0..512)) {
+#[test]
+fn bitstream_roundtrip() {
+    cases("bitstream_roundtrip", 256, |g| {
+        let bits = g.vec(0..512, Rng::bool);
         let mut w = bitstream::BitWriter::new();
         for &b in &bits {
             w.push(b);
@@ -72,197 +101,186 @@ proptest! {
         let bytes = w.into_bytes();
         let mut r = bitstream::BitReader::new(&bytes);
         for &b in &bits {
-            prop_assert_eq!(r.next_bit(), Some(b));
+            assert_eq!(r.next_bit(), Some(b));
         }
-    }
+    });
+}
 
-    // --- decoders-never-panic: arbitrary bytes must come back as a clean
-    // rejection (None / Err), never a panic or an unbounded allocation. ---
+// --- decoders-never-panic: arbitrary bytes must come back as a clean
+// rejection (None / Err), never a panic or an unbounded allocation. ---
 
-    #[test]
-    fn rle_decode_never_panics(data in proptest::collection::vec(any::<u8>(), 0..2048)) {
+#[test]
+fn rle_decode_never_panics() {
+    cases("rle_decode_never_panics", 256, |g| {
         // Worst-case legal expansion is 130 decoded bytes per 2 encoded.
+        let data = g.vec(0..2048, Rng::u8);
         if let Some(out) = rle::decode(&data) {
-            prop_assert!(out.len() <= data.len().div_ceil(2) * 130);
+            assert!(out.len() <= data.len().div_ceil(2) * 130);
         }
-    }
+    });
+}
 
-    #[test]
-    fn rle_decode_bounded_never_exceeds_cap(
-        data in proptest::collection::vec(any::<u8>(), 0..2048),
-        cap in 0usize..4096,
-    ) {
+#[test]
+fn rle_decode_bounded_never_exceeds_cap() {
+    cases("rle_decode_bounded_never_exceeds_cap", 256, |g| {
+        let data = g.vec(0..2048, Rng::u8);
+        let cap = g.range(0..4096);
         if let Some(out) = rle::decode_bounded(&data, cap) {
-            prop_assert!(out.len() <= cap);
+            assert!(out.len() <= cap);
         }
-    }
+    });
+}
 
-    #[test]
-    fn lossless_decompress_never_panics(data in proptest::collection::vec(any::<u8>(), 0..2048)) {
+#[test]
+fn lossless_decompress_never_panics() {
+    cases("lossless_decompress_never_panics", 256, |g| {
+        let data = g.vec(0..2048, Rng::u8);
         let _ = lossless::decompress_bounded(&data, 1 << 16);
         let _ = lossless::mode_of(&data);
-    }
+    });
+}
 
-    #[test]
-    fn lossless_try_decompress_err_or_exact(
-        data in proptest::collection::vec(any::<u8>(), 0..1024),
-        expected in 0usize..2048,
-    ) {
+#[test]
+fn lossless_try_decompress_err_or_exact() {
+    cases("lossless_try_decompress_err_or_exact", 256, |g| {
+        let data = g.vec(0..1024, Rng::u8);
+        let expected = g.range(0..2048);
         match lossless::try_decompress(&data, expected) {
-            Ok(out) => prop_assert_eq!(out.len(), expected),
-            Err(e) => prop_assert!(e.to_string().contains("malformed")),
+            Ok(out) => assert_eq!(out.len(), expected),
+            Err(e) => assert!(e.to_string().contains("malformed")),
         }
-    }
+    });
+}
 
-    #[test]
-    fn rle_truncation_rejected_cleanly(data in proptest::collection::vec(any::<u8>(), 1..512)) {
-        let enc = rle::encode(&data);
+#[test]
+fn rle_truncation_rejected_cleanly() {
+    cases("rle_truncation_rejected_cleanly", 256, |g| {
+        let enc = rle::encode(&g.vec(1..512, Rng::u8));
         // Every strict prefix either decodes to a (different) valid stream or
         // is rejected with None; the reader never walks off the buffer.
         for cut in 0..enc.len() {
             let _ = rle::decode(&enc[..cut]);
         }
-    }
+    });
+}
 
-    #[test]
-    fn bitreader_never_reads_past_end(data in proptest::collection::vec(any::<u8>(), 0..64)) {
+#[test]
+fn bitreader_never_reads_past_end() {
+    cases("bitreader_never_reads_past_end", 256, |g| {
+        let data = g.vec(0..64, Rng::u8);
         let mut r = bitstream::BitReader::new(&data);
         let mut n = 0usize;
         while r.next_bit().is_some() {
             n += 1;
         }
-        prop_assert_eq!(n, data.len() * 8);
-        prop_assert_eq!(r.next_bit(), None);
-    }
+        assert_eq!(n, data.len() * 8);
+        assert_eq!(r.next_bit(), None);
+    });
+}
 
-    #[test]
-    fn negabinary_total_on_arbitrary_patterns(nb in any::<u64>(), drop in 0u32..128) {
+#[test]
+fn negabinary_total_on_arbitrary_patterns() {
+    cases("negabinary_total_on_arbitrary_patterns", 256, |g| {
         // from_negabinary and truncate accept any 64-bit pattern.
-        let v = negabinary::from_negabinary(nb);
+        let nb = g.next_u64();
+        let drop = g.range(0u32..128);
+        let _ = negabinary::from_negabinary(nb);
         let t = negabinary::truncate_low_digits(nb, drop);
-        prop_assert_eq!(negabinary::truncate_low_digits(t, drop), t);
-        let _ = v;
+        assert_eq!(negabinary::truncate_low_digits(t, drop), t);
+    });
+}
+
+// --- lane-transposed plane kernels: every implementation must be an
+// involution, agree with every other, and invert extraction exactly. ---
+
+fn check_transpose_is_an_involution(orig: [u64; 64]) {
+    for imp in tile_impls() {
+        let mut x = orig;
+        transpose::transpose64(&mut x, imp);
+        transpose::transpose64(&mut x, imp);
+        assert_eq!(x, orig, "{imp:?} is not an involution");
     }
+}
 
-    // --- lane-transposed plane kernels: every implementation must be an
-    // involution, agree with every other, and invert extraction exactly. ---
-
-    #[test]
-    fn transpose_is_an_involution(tile in proptest::collection::vec(any::<u64>(), 64)) {
-        let orig: [u64; 64] = tile.as_slice().try_into().unwrap();
-        for imp in tile_impls() {
-            let mut x = orig;
-            transpose::transpose64(&mut x, imp);
-            transpose::transpose64(&mut x, imp);
-            prop_assert_eq!(x, orig, "{imp:?} is not an involution");
-        }
+fn check_transpose_impls_agree(orig: [u64; 64]) {
+    let mut want = orig;
+    transpose::transpose64_swar(&mut want);
+    for imp in tile_impls() {
+        let mut x = orig;
+        transpose::transpose64(&mut x, imp);
+        assert_eq!(x, want, "{imp:?} disagrees with the SWAR reference");
     }
+}
 
-    #[test]
-    fn transpose_impls_agree(tile in proptest::collection::vec(any::<u64>(), 64)) {
-        let orig: [u64; 64] = tile.as_slice().try_into().unwrap();
-        let mut want = orig;
-        transpose::transpose64_swar(&mut want);
-        for imp in tile_impls() {
-            let mut x = orig;
-            transpose::transpose64(&mut x, imp);
-            prop_assert_eq!(x, want, "{imp:?} disagrees with the SWAR reference");
-        }
+/// `filled` models a ragged tail: the trailing lanes of a partial tile are
+/// zero padding. Digits are masked to `b` planes, the codec's own invariant
+/// for a `b`-plane encoding.
+fn check_extract_reassemble_roundtrip(lanes: [u64; 64], b: usize, filled: usize) {
+    let mut tile = [0u64; 64];
+    for (dst, src) in tile.iter_mut().zip(&lanes).take(filled) {
+        *dst = src & plane_mask(b);
     }
-
-    #[test]
-    fn extract_reassemble_roundtrip(
-        lanes in proptest::collection::vec(any::<u64>(), 64),
-        b in 1usize..=64,
-        filled in 0usize..=64,
-    ) {
-        // `filled` models a ragged tail: the trailing lanes of a partial
-        // tile are zero padding. Digits are masked to `b` planes, the
-        // codec's own invariant for a `b`-plane encoding.
-        let mask = if b == 64 { u64::MAX } else { (1u64 << b) - 1 };
-        let mut tile = [0u64; 64];
-        for (dst, src) in tile.iter_mut().zip(&lanes).take(filled) {
-            *dst = src & mask;
-        }
-        for imp in tile_impls() {
-            let mut words = vec![0u64; b];
-            transpose::extract_planes(&tile, b, &mut words, imp);
-            let back = transpose::reassemble_digits(&words, b, imp);
-            prop_assert_eq!(back, tile, "{imp:?} round trip diverged");
-        }
+    for imp in tile_impls() {
+        let mut words = vec![0u64; b];
+        transpose::extract_planes(&tile, b, &mut words, imp);
+        let back = transpose::reassemble_digits(&words, b, imp);
+        assert_eq!(back, tile, "{imp:?} round trip diverged at b={b}");
     }
+}
 
-    #[test]
-    fn reassemble_prefix_truncates_low_digits(
-        lanes in proptest::collection::vec(any::<u64>(), 64),
-        b in 1usize..=64,
-        keep_frac in 0.0f64..=1.0,
-    ) {
-        // Reassembling only the first `p` plane words must zero exactly the
-        // dropped low digits — the progressive-truncation semantics the
-        // bit-at-a-time decoder implements.
-        let p = ((b as f64) * keep_frac) as usize;
-        let mask = if b == 64 { u64::MAX } else { (1u64 << b) - 1 };
-        let kept = if p == 64 { mask } else { mask & !(mask >> p) };
-        let mut tile = [0u64; 64];
-        for (dst, src) in tile.iter_mut().zip(&lanes) {
-            *dst = src & mask;
-        }
-        for imp in tile_impls() {
-            let mut words = vec![0u64; b];
-            transpose::extract_planes(&tile, b, &mut words, imp);
-            let back = transpose::reassemble_digits(&words[..p], b, imp);
-            for (got, want) in back.iter().zip(&tile) {
-                prop_assert_eq!(*got, want & kept, "{imp:?} prefix {p}/{b} diverged");
-            }
+/// Reassembling only the first `p` plane words must zero exactly the
+/// dropped low digits — the progressive-truncation semantics the
+/// bit-at-a-time decoder implements.
+fn check_reassemble_prefix_truncates_low_digits(lanes: [u64; 64], b: usize, p: usize) {
+    let mask = plane_mask(b);
+    let kept = if p == 64 { mask } else { mask & !(mask >> p) };
+    let tile = lanes.map(|lane| lane & mask);
+    for imp in tile_impls() {
+        let mut words = vec![0u64; b];
+        transpose::extract_planes(&tile, b, &mut words, imp);
+        let back = transpose::reassemble_digits(&words[..p], b, imp);
+        for (got, want) in back.iter().zip(&tile) {
+            assert_eq!(*got, want & kept, "{imp:?} prefix {p}/{b} diverged");
         }
     }
 }
 
-// Deterministic twins of the transpose properties above: the offline proptest
-// stub elides `proptest!` bodies, so these keep the same invariants exercised
-// in every local `cargo test` run (CI additionally runs the randomized form).
+#[test]
+fn transpose_is_an_involution() {
+    cases("transpose_is_an_involution", 256, |g| check_transpose_is_an_involution(arb_tile(g)));
+}
+
+#[test]
+fn transpose_impls_agree() {
+    cases("transpose_impls_agree", 256, |g| check_transpose_impls_agree(arb_tile(g)));
+}
+
+#[test]
+fn extract_reassemble_roundtrip() {
+    cases("extract_reassemble_roundtrip", 256, |g| {
+        check_extract_reassemble_roundtrip(arb_tile(g), g.range(1..=64), g.range(0..=64))
+    });
+}
+
+#[test]
+fn reassemble_prefix_truncates_low_digits() {
+    cases("reassemble_prefix_truncates_low_digits", 256, |g| {
+        let b = g.range(1usize..=64);
+        check_reassemble_prefix_truncates_low_digits(arb_tile(g), b, g.range(0..=b));
+    });
+}
+
+/// The four properties above with `b`, `filled` and the prefix walking every
+/// value rather than drawn.
 #[test]
 fn transpose_properties_on_fixed_corpus() {
-    let mut s = 0x9e37_79b9_7f4a_7c15u64;
-    let mut next = move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    };
+    let mut rng = Rng::seed_from_u64(1);
     for case in 0..64usize {
-        let mut lanes = [0u64; 64];
-        for lane in &mut lanes {
-            *lane = next();
-        }
+        let lanes = arb_tile(&mut rng);
         let b = 1 + case % 64;
-        let filled = (case * 7) % 65;
-        let mask = if b == 64 { u64::MAX } else { (1u64 << b) - 1 };
-        let mut tile = [0u64; 64];
-        for (dst, src) in tile.iter_mut().zip(&lanes).take(filled) {
-            *dst = src & mask;
-        }
-        let mut reference = lanes;
-        transpose::transpose64_swar(&mut reference);
-        for imp in tile_impls() {
-            // Involution + cross-implementation agreement.
-            let mut x = lanes;
-            transpose::transpose64(&mut x, imp);
-            assert_eq!(x, reference, "{imp:?} disagrees with SWAR");
-            transpose::transpose64(&mut x, imp);
-            assert_eq!(x, lanes, "{imp:?} is not an involution");
-            // Round trip and prefix truncation.
-            let mut words = vec![0u64; b];
-            transpose::extract_planes(&tile, b, &mut words, imp);
-            let back = transpose::reassemble_digits(&words, b, imp);
-            assert_eq!(back, tile, "{imp:?} round trip diverged at b={b}");
-            let p = case % (b + 1);
-            let kept = if p == 64 { mask } else { mask & !(mask >> p) };
-            let partial = transpose::reassemble_digits(&words[..p], b, imp);
-            for (got, want) in partial.iter().zip(&tile) {
-                assert_eq!(*got, want & kept, "{imp:?} prefix {p}/{b} diverged");
-            }
-        }
+        check_transpose_is_an_involution(lanes);
+        check_transpose_impls_agree(lanes);
+        check_extract_reassemble_roundtrip(lanes, b, (case * 7) % 65);
+        check_reassemble_prefix_truncates_low_digits(lanes, b, case % (b + 1));
     }
 }

@@ -60,7 +60,9 @@ impl FieldClass {
     }
 }
 
-/// 64-bit xorshift step — the corpus's only randomness source.
+/// 64-bit xorshift step — the only randomness source of this corpus and of
+/// the golden fields, which is why it is not `pmr_rng`: changing it would
+/// regenerate both.
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
@@ -71,7 +73,7 @@ fn xorshift(state: &mut u64) -> u64 {
 }
 
 /// Uniform draw in `[0, 1)` from the xorshift stream.
-fn unit(state: &mut u64) -> f64 {
+pub(crate) fn unit(state: &mut u64) -> f64 {
     (xorshift(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 

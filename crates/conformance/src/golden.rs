@@ -24,6 +24,7 @@
 //! Regenerate with `pmrtool conformance --regen-golden` after an
 //! *intentional* format change, and say so in the commit message.
 
+use crate::fields::unit;
 use crate::json::{parse, Json};
 use crate::sweep::{SWEEP_LEVELS, SWEEP_PLANES};
 use pmr_field::{Field, Shape};
@@ -55,15 +56,6 @@ fn specs() -> [GoldenSpec; 3] {
     ]
 }
 
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
 /// Pure-arithmetic field: a smooth polynomial ridge plus bounded xorshift
 /// noise. Every operation is IEEE-exact — additions, multiplications and
 /// integer bit mixing only — so the data is reproducible to the bit.
@@ -78,8 +70,7 @@ fn golden_field(spec: &GoldenSpec) -> Field {
                 let v = y as f64 / ny.max(2) as f64 - 0.5;
                 let w = z as f64 / nz.max(2) as f64 - 0.5;
                 let ridge = 4.0 * u * u - 2.0 * v * v + u * v * 3.0 + w * (1.0 - w) * 2.0;
-                let noise =
-                    ((xorshift(&mut state) >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 0.25;
+                let noise = (unit(&mut state) - 0.5) * 0.25;
                 data.push(ridge + noise);
             }
         }

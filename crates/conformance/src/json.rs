@@ -61,7 +61,7 @@ impl Json {
         }
     }
 
-    /// Serialize with two-space indentation and a trailing newline.
+    /// Render with two-space indentation and a trailing newline.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);

@@ -16,10 +16,9 @@ use crate::features::{self, NUM_BASE_FEATURES};
 use crate::records::RetrievalRecord;
 use pmr_mgard::RetrievalPlan;
 use pmr_nn::{fit, Activation, Dataset, Loss, Matrix, Mlp, Standardizer, TrainConfig};
-use serde::{Deserialize, Serialize};
 
 /// D-MGARD hyperparameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DMgardConfig {
     /// Hidden-layer widths. The paper uses six fully-connected hidden
     /// layers; the default reproduces that depth at CPU-friendly width.
@@ -67,7 +66,7 @@ impl Default for DMgardConfig {
 }
 
 /// Per-level training diagnostics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingSummary {
     /// Final epoch training loss per level model.
     pub final_losses: Vec<f32>,
@@ -263,7 +262,7 @@ impl DMgard {
         RetrievalPlan::from_planes(self.predict(base_features, err))
     }
 
-    /// Serialize the full stack (models + standardizers).
+    /// Encode the full stack (models + standardizers) as bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(b"PMRD1\0");

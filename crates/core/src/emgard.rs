@@ -22,10 +22,7 @@
 use pmr_field::{error::max_abs_error, Field};
 use pmr_mgard::{Compressed, ExecPolicy, RetrievalPlan};
 use pmr_nn::{Activation, Adam, Loss, Matrix, Mlp, Standardizer};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
+use pmr_rng::Rng;
 
 /// Width of the per-level signature vector.
 pub const SIG_DIM: usize = 38;
@@ -87,7 +84,7 @@ pub fn signatures_of(compressed: &Compressed) -> &[Vec<f32>] {
 }
 
 /// E-MGARD hyperparameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EMgardConfig {
     /// Encoder hidden widths (paper: 2048/512/128/8; scaled default keeps
     /// the depth and the 8-wide latent).
@@ -150,25 +147,25 @@ pub fn build_samples_with(
     seed: u64,
     exec: &ExecPolicy,
 ) -> Vec<TrainSample> {
-    let mut rng = StdRng::seed_from_u64(seed ^ cfg.seed.rotate_left(32));
+    let mut rng = Rng::seed_from_u64(seed ^ cfg.seed.rotate_left(32));
     let signatures = signatures_of(compressed);
     let nl = compressed.num_levels();
     let b = compressed.num_planes();
     let mut out = Vec::with_capacity(cfg.samples_per_artifact);
     for k in 0..cfg.samples_per_artifact {
         let planes: Vec<u32> = if k % 2 == 0 {
-            let rel = 10f64.powf(rng.random_range(-9.0..-0.5));
+            let rel = 10f64.powf(rng.range(-9.0..-0.5));
             let plan = compressed.plan_theory(compressed.absolute_bound(rel));
             // Jitter so the model also sees near-plan neighbourhoods.
             plan.planes
                 .iter()
                 .map(|&p| {
-                    let d = rng.random_range(-2i64..=2);
+                    let d = rng.range(-2i64..=2);
                     (p as i64 + d).clamp(0, b as i64) as u32
                 })
                 .collect()
         } else {
-            (0..nl).map(|_| rng.random_range(0..=b)).collect()
+            (0..nl).map(|_| rng.range(0..=b)).collect()
         };
         let plan = RetrievalPlan::from_planes(planes.clone());
         let opts = pmr_mgard::DecodeOptions::with_exec(*exec);
@@ -262,7 +259,7 @@ impl EMgard {
         let mut history = Vec::with_capacity(cfg.epochs);
         let mut idx: Vec<usize> = (0..samples.len()).collect();
         for epoch in 0..cfg.epochs {
-            idx.shuffle(&mut StdRng::seed_from_u64(cfg.seed.wrapping_add(epoch as u64)));
+            Rng::seed_from_u64(cfg.seed.wrapping_add(epoch as u64)).shuffle(&mut idx);
             let mut epoch_loss = 0.0f64;
             let mut batches = 0usize;
             for chunk in idx.chunks(cfg.batch_size) {
@@ -347,7 +344,7 @@ impl EMgard {
         compressed.plan_with_constants(abs_bound, &constants)
     }
 
-    /// Serialize encoders and standardizers.
+    /// Encode encoders and standardizers as bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(b"PMRE1\0");

@@ -10,7 +10,6 @@ use crate::records::{collect_records_many, RetrievalRecord};
 use pmr_error::PmrError;
 use pmr_field::Field;
 use pmr_mgard::{CompressConfig, Compressed};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one end-to-end experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +93,7 @@ pub fn train_models(
 
 /// One row of the three-way comparison at a single bound on a single
 /// snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonRow {
     pub field_name: String,
     pub timestep: usize,

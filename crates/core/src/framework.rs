@@ -6,7 +6,6 @@ use crate::emgard::EMgard;
 use pmr_error::PmrError;
 use pmr_field::{error, Field};
 use pmr_mgard::{Compressed, RetrievalPlan};
-use serde::{Deserialize, Serialize};
 
 /// Everything a retriever may consult when planning: the compressed
 /// artifact and the snapshot's base feature vector (stored as metadata at
@@ -123,7 +122,7 @@ impl Retriever for AnyRetriever {
 /// This is the row type persisted in experiment records; for the full
 /// retrieval result (field, stats, degradation) see
 /// [`crate::api::RetrievalOutcome`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetrievalSummary {
     pub planes: Vec<u32>,
     /// Bytes fetched (Equation 1).

@@ -8,11 +8,10 @@
 use crate::features;
 use pmr_field::{error::max_abs_error, Field};
 use pmr_mgard::{Compressed, ExecPolicy};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One `(requested bound → plan → achieved error)` observation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetrievalRecord {
     pub field_name: String,
     pub timestep: usize,

@@ -1,67 +1,78 @@
-//! Property tests for the DNN retrieval layer.
+//! Property tests for the DNN retrieval layer, on the seeded case driver
+//! `pmr_rng::cases`: a failure names the test and the case index.
 
 use pmr_core::emgard::{level_signature, SIG_DIM};
 use pmr_core::features;
 use pmr_core::{collect_records, DMgard, EMgard};
 use pmr_field::{Field, Shape};
 use pmr_mgard::{CompressConfig, Compressed};
-use proptest::prelude::*;
+use pmr_rng::{cases, Rng};
 
-fn arb_field() -> impl Strategy<Value = Field> {
-    (4usize..9, any::<u64>(), 0usize..8).prop_map(|(n, seed, t)| {
-        Field::from_fn("p", t, Shape::cube(n), move |x, y, z| {
-            let h = ((x + 37 * y + 1009 * z) as u64)
-                .wrapping_mul(seed | 1)
-                .wrapping_mul(0x9E3779B97F4A7C15);
-            ((h >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 8.0
-        })
-    })
+fn arb_field(g: &mut Rng) -> Field {
+    let shape = Shape::cube(g.range(4..9));
+    let data = (0..shape.len()).map(|_| g.range(-4.0..4.0)).collect();
+    Field::new("p", g.range(0..8), shape, data)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+#[test]
+fn signature_always_well_formed() {
+    cases("signature_always_well_formed", 24, |g| {
+        let sig = level_signature(&g.vec(0..300, |g| g.range(-1e12..1e12)));
+        assert_eq!(sig.len(), SIG_DIM);
+        assert!(sig.iter().all(|v| v.is_finite()));
+    });
+}
 
-    #[test]
-    fn signature_always_well_formed(coeffs in proptest::collection::vec(-1e12f64..1e12, 0..300)) {
-        let sig = level_signature(&coeffs);
-        prop_assert_eq!(sig.len(), SIG_DIM);
-        prop_assert!(sig.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn retrieval_features_are_finite(field in arb_field()) {
+#[test]
+fn retrieval_features_are_finite() {
+    cases("retrieval_features_are_finite", 24, |g| {
+        let field = arb_field(g);
         let c = Compressed::compress(&field, &CompressConfig::default());
         let f = features::retrieval_features(&field, &c);
-        prop_assert_eq!(f.len(), features::NUM_BASE_FEATURES + c.num_levels());
-        prop_assert!(f.iter().all(|v| v.is_finite()));
-    }
+        assert_eq!(f.len(), features::NUM_BASE_FEATURES + c.num_levels());
+        assert!(f.iter().all(|v| v.is_finite()));
+    });
+}
 
-    #[test]
-    fn records_always_respect_bounds(field in arb_field()) {
+#[test]
+fn records_always_respect_bounds() {
+    cases("records_always_respect_bounds", 24, |g| {
+        let field = arb_field(g);
         let c = Compressed::compress(&field, &CompressConfig::default());
         let recs = collect_records(&field, &c, &[1e-5, 1e-3, 1e-1]);
         for r in &recs {
-            prop_assert!(r.achieved_err <= r.abs_bound * (1.0 + 1e-12) ||
-                         // unreachable bounds (below quantization floor) fetch everything
-                         r.planes.iter().zip(c.levels()).all(|(&b, l)| b == l.num_planes()));
-            prop_assert!(r.retrieved_bytes <= c.total_bytes());
+            assert!(
+                r.achieved_err <= r.abs_bound * (1.0 + 1e-12) ||
+                // unreachable bounds (below quantization floor) fetch everything
+                r.planes.iter().zip(c.levels()).all(|(&b, l)| b == l.num_planes())
+            );
+            assert!(r.retrieved_bytes <= c.total_bytes());
         }
-    }
+    });
+}
 
-    #[test]
-    fn dmgard_from_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
-        let _ = DMgard::from_bytes(&bytes);
-    }
+#[test]
+fn dmgard_from_bytes_never_panics() {
+    cases("dmgard_from_bytes_never_panics", 24, |g| {
+        let _ = DMgard::from_bytes(&g.vec(0..400, Rng::u8));
+    });
+}
 
-    #[test]
-    fn emgard_from_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
-        let _ = EMgard::from_bytes(&bytes);
-    }
+#[test]
+fn emgard_from_bytes_never_panics() {
+    cases("emgard_from_bytes_never_panics", 24, |g| {
+        let _ = EMgard::from_bytes(&g.vec(0..400, Rng::u8));
+    });
+}
 
-    #[test]
-    fn chain_input_is_total(err in 0f64..1e9, scale in -30f32..30.0, prev in proptest::collection::vec(0f32..32.0, 0..6)) {
+#[test]
+fn chain_input_is_total() {
+    cases("chain_input_is_total", 24, |g| {
+        let err = g.range(0.0..1e9);
+        let scale = g.range(-30f32..30.0);
+        let prev = g.vec(0..6, |g| g.range(0f32..32.0));
         let x = features::chain_input(&[], err, scale, &prev);
-        prop_assert_eq!(x.len(), 2 + prev.len());
-        prop_assert!(x.iter().all(|v| v.is_finite()));
-    }
+        assert_eq!(x.len(), 2 + prev.len());
+        assert!(x.iter().all(|v| v.is_finite()));
+    });
 }

@@ -5,7 +5,6 @@
 //! tools compute against the data value range.
 
 use crate::field::Field;
-use serde::{Deserialize, Serialize};
 
 /// Maximum absolute pointwise error between two equal-length slices.
 pub fn max_abs_error(original: &[f64], reconstructed: &[f64]) -> f64 {
@@ -53,7 +52,7 @@ pub fn psnr(original: &[f64], reconstructed: &[f64]) -> f64 {
 }
 
 /// A bundle of all error metrics for one reconstruction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorReport {
     pub max_abs: f64,
     pub rmse: f64,

@@ -1,7 +1,6 @@
 //! The owned scalar-field container.
 
 use crate::shape::Shape;
-use serde::{Deserialize, Serialize};
 
 /// A dense, double-precision scalar field produced by a simulation timestep.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(f.get(1, 2, 0), 3.0);
 /// assert_eq!(f.min_max(), (0.0, 6.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Field {
     name: String,
     timestep: usize,

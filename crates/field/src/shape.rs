@@ -1,12 +1,10 @@
 //! Grid shapes and strided indexing for 1-, 2- and 3-dimensional fields.
 
-use serde::{Deserialize, Serialize};
-
 /// The shape of a dense scalar field with up to three dimensions.
 ///
 /// Dimensions are stored as `[nx, ny, nz]`; unused trailing dimensions are 1.
 /// Data layout is row-major with x fastest: `index = x + nx * (y + ny * z)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: [usize; 3],
     /// Number of meaningful dimensions (1, 2 or 3).

@@ -7,10 +7,9 @@
 //! fewer bit-planes).
 
 use crate::field::Field;
-use serde::{Deserialize, Serialize};
 
 /// One-pass(ish) statistical summary of a scalar field.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FieldStats {
     pub min: f64,
     pub max: f64,

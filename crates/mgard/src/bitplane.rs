@@ -29,13 +29,12 @@ use pmr_codec::{
     lossless, negabinary, transpose, TileImpl,
 };
 use pmr_error::{len_u32, PmrError};
-use serde::{Deserialize, Serialize};
 
 /// Default number of bit-planes per coefficient level (the paper's `B`).
 pub const DEFAULT_BITPLANES: u32 = 32;
 
 /// One coefficient level, encoded as progressive bit-planes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LevelEncoding {
     /// Number of coefficients in the level.
     count: usize,
@@ -505,7 +504,7 @@ impl LevelEncoding {
         Ok(out)
     }
 
-    /// Serialize to a self-contained byte buffer (used by the artifact
+    /// Encode as a self-contained byte buffer (used by the artifact
     /// persistence of this crate and by other codecs building on the
     /// bit-plane machinery).
     ///

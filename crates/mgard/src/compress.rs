@@ -10,14 +10,13 @@ use crate::retrieve::{greedy_plan, greedy_plan_budget, plan_size, RetrievalPlan}
 use pmr_codec::PlaneKernel;
 use pmr_error::PmrError;
 use pmr_field::{Field, Shape};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Compression parameters.
 ///
 /// Prefer [`CompressConfig::builder`], which validates the knobs; direct
 /// field construction remains available for backward compatibility.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressConfig {
     /// Number of coefficient levels `L` (clamped to the shape's maximum).
     pub levels: usize,
@@ -27,13 +26,10 @@ pub struct CompressConfig {
     pub mode: TransformMode,
     /// Worker threads for the parallel data path; `0` = one per available
     /// core (see [`crate::exec::ExecPolicy`]).
-    #[serde(default)]
     pub threads: usize,
     /// Bit-plane codec kernel for the encode/decode hot path; every kernel
     /// is bit-identical (see [`crate::exec::ExecPolicy::kernel`]). Defaults
-    /// to [`PlaneKernel::Auto`], so configs persisted before this field
-    /// existed deserialize unchanged.
-    #[serde(default)]
+    /// to [`PlaneKernel::Auto`].
     pub kernel: PlaneKernel,
 }
 
@@ -150,7 +146,7 @@ impl CompressConfigBuilder {
 /// assert!(err <= 1e-3);
 /// assert!(compressed.retrieved_bytes(&plan) <= compressed.total_bytes());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Compressed {
     name: String,
     timestep: usize,
@@ -162,11 +158,9 @@ pub struct Compressed {
     /// assumes ranges are collected during the simulation).
     value_range: f64,
     /// Execution policy used by `retrieve`; runtime-only, not persisted.
-    #[serde(skip, default)]
     exec: ExecPolicy,
     /// Memo behind [`Compressed::level_signatures`]; runtime-only, not
     /// persisted, carried by `clone()`.
-    #[serde(skip, default)]
     level_signatures: OnceLock<Vec<Vec<f32>>>,
 }
 

@@ -16,10 +16,9 @@ use crate::batched;
 use crate::exec::ExecPolicy;
 use crate::transform::{forward_line, inverse_line, LineScratch};
 use pmr_field::Shape;
-use serde::{Deserialize, Serialize};
 
 /// Which multilevel transform to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransformMode {
     /// Pure interpolating hierarchy (details only; coarse values untouched).
     Interpolation,
@@ -30,7 +29,7 @@ pub enum TransformMode {
 }
 
 /// A reusable multilevel decomposition plan for one grid shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Decomposer {
     shape: Shape,
     /// Number of coefficient levels `L` (steps = L - 1).

@@ -9,7 +9,6 @@
 //! and the grid geometry, never by thread scheduling.
 
 use pmr_codec::PlaneKernel;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -28,16 +27,14 @@ pub const PARALLEL_MIN_COEFFS: usize = 16_384;
 ///
 /// `threads == 0` (the [`AUTO`] sentinel and the default) resolves to
 /// [`std::thread::available_parallelism`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecPolicy {
     /// Worker thread count; `0` = one per available core.
     pub threads: usize,
     /// Which bit-plane codec kernel the encode/decode stages use. Every
     /// kernel is bit-identical; [`PlaneKernel::Scalar`] keeps the legacy
     /// bit-at-a-time path alive as the differential oracle (and ignores
-    /// `threads` for the bit-plane stage). Defaults to [`PlaneKernel::Auto`],
-    /// so policies persisted before this field existed deserialize unchanged.
-    #[serde(default)]
+    /// `threads` for the bit-plane stage). Defaults to [`PlaneKernel::Auto`].
     pub kernel: PlaneKernel,
 }
 

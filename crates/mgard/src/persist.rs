@@ -46,7 +46,7 @@ fn malformed(detail: &str) -> PmrError {
     PmrError::malformed("mgard artifact", detail)
 }
 
-/// Serialize an artifact to bytes in the current checksummed format.
+/// Encode an artifact as bytes in the current checksummed format.
 ///
 /// Fails with [`PmrError::Corrupt`] if a length no longer fits its `u32`
 /// wire field — the cast-and-wrap alternative would silently persist an
@@ -81,7 +81,7 @@ pub fn to_bytes(c: &Compressed) -> Result<Vec<u8>, PmrError> {
     Ok(out)
 }
 
-/// Deserialize an artifact previously produced by [`to_bytes`] (either wire
+/// Parse an artifact previously produced by [`to_bytes`] (either wire
 /// version). For `PMRC2` inputs every plane payload is verified against the
 /// stored checksum table; a mismatch is a [`PmrError::Malformed`] naming the
 /// level and plane.

@@ -9,10 +9,9 @@
 //! count `b_l` per level.
 
 use crate::bitplane::LevelEncoding;
-use serde::{Deserialize, Serialize};
 
 /// A retrieval decision: how many planes to fetch from each level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetrievalPlan {
     /// `b_l` per coefficient level.
     pub planes: Vec<u32>,

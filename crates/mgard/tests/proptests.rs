@@ -1,5 +1,7 @@
 //! Property tests for the MGARD-style substrate: transform invertibility,
-//! error-matrix correctness and the soundness of the theory bound.
+//! error-matrix correctness and the soundness of the theory bound — on the
+//! seeded case driver `pmr_rng::cases`: a failure names the test and the
+//! case index.
 
 use pmr_field::{error::max_abs_error, Field, Shape};
 use pmr_mgard::{
@@ -7,87 +9,94 @@ use pmr_mgard::{
     estimate::{estimate_error, theory_constants},
     CompressConfig, Compressed, ExecPolicy, LevelEncoding, PlaneKernel,
 };
-use proptest::prelude::*;
+use pmr_rng::{cases, Rng};
+use std::ops::Range;
 
-fn arb_shape() -> impl Strategy<Value = Shape> {
-    prop_oneof![
-        (2usize..40).prop_map(Shape::d1),
-        (2usize..14, 2usize..14).prop_map(|(a, b)| Shape::d2(a, b)),
-        (2usize..8, 2usize..8, 2usize..8).prop_map(|(a, b, c)| Shape::d3(a, b, c)),
-    ]
+const CASES: u32 = 64;
+
+fn arb_shape(g: &mut Rng) -> Shape {
+    match g.range(0..3) {
+        0 => Shape::d1(g.range(2..40)),
+        1 => Shape::d2(g.range(2..14), g.range(2..14)),
+        _ => Shape::d3(g.range(2..8), g.range(2..8), g.range(2..8)),
+    }
 }
 
-fn arb_mode() -> impl Strategy<Value = TransformMode> {
-    prop_oneof![Just(TransformMode::Interpolation), Just(TransformMode::L2Projection)]
+fn arb_mode(g: &mut Rng) -> TransformMode {
+    g.one_of(&[TransformMode::Interpolation, TransformMode::L2Projection])
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// `n` uniform draws from `range`.
+fn noise(g: &mut Rng, n: usize, range: Range<f64>) -> Vec<f64> {
+    (0..n).map(|_| g.range(range.clone())).collect()
+}
 
-    #[test]
-    fn decompose_recompose_identity(
-        shape in arb_shape(),
-        mode in arb_mode(),
-        levels in 1usize..6,
-        seed in any::<u64>(),
-    ) {
-        let orig: Vec<f64> = (0..shape.len())
-            .map(|i| {
-                let h = (i as u64).wrapping_mul(seed | 1).wrapping_mul(0x9E3779B97F4A7C15);
-                (h >> 11) as f64 / (1u64 << 53) as f64 * 200.0 - 100.0
-            })
-            .collect();
-        let dec = Decomposer::new(shape, levels, mode);
+/// Uniform noise in `[0, 1)` over `shape`.
+fn noise_field(g: &mut Rng, shape: Shape) -> Field {
+    Field::new("p", 0, shape, noise(g, shape.len(), 0.0..1.0))
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max)
+}
+
+#[test]
+fn decompose_recompose_identity() {
+    cases("decompose_recompose_identity", CASES, |g| {
+        let shape = arb_shape(g);
+        let dec = Decomposer::new(shape, g.range(1..6), arb_mode(g));
+        let orig = noise(g, shape.len(), -100.0..100.0);
         let mut data = orig.clone();
         dec.decompose(&mut data);
         dec.recompose(&mut data);
-        let err = orig.iter().zip(&data).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
-        prop_assert!(err < 1e-8, "err={err}");
-    }
+        let err = max_abs_diff(&orig, &data);
+        assert!(err < 1e-8, "err={err}");
+    });
+}
 
-    #[test]
-    fn interleave_partition(shape in arb_shape(), levels in 1usize..6) {
-        let dec = Decomposer::new(shape, levels, TransformMode::Interpolation);
+#[test]
+fn interleave_partition() {
+    cases("interleave_partition", CASES, |g| {
+        let shape = arb_shape(g);
+        let dec = Decomposer::new(shape, g.range(1..6), TransformMode::Interpolation);
         let groups = dec.level_indices();
-        prop_assert_eq!(groups.len(), dec.levels());
+        assert_eq!(groups.len(), dec.levels());
         let mut seen = vec![false; shape.len()];
-        for g in &groups {
-            for &i in g {
-                prop_assert!(!seen[i]);
+        for group in &groups {
+            for &i in group {
+                assert!(!seen[i]);
                 seen[i] = true;
             }
         }
-        prop_assert!(seen.iter().all(|&b| b));
-    }
+        assert!(seen.iter().all(|&b| b));
+    });
+}
 
-    #[test]
-    fn error_row_is_exact(
-        coeffs in proptest::collection::vec(-1e3f64..1e3, 1..200),
-        planes in 4u32..34,
-    ) {
+#[test]
+fn error_row_is_exact() {
+    cases("error_row_is_exact", CASES, |g| {
+        let coeffs = g.vec(1..200, |g| g.range(-1e3..1e3));
+        let planes = g.range(4u32..34);
         let enc = LevelEncoding::encode(&coeffs, planes);
         for b in [0, planes / 2, planes] {
-            let dec = enc.decode(b);
-            let actual = coeffs.iter().zip(&dec).map(|(a, d)| (a - d).abs()).fold(0.0f64, f64::max);
-            prop_assert!((actual - enc.error_at(b)).abs() <= 1e-9 * (1.0 + actual));
+            let actual = max_abs_diff(&coeffs, &enc.decode(b));
+            assert!((actual - enc.error_at(b)).abs() <= 1e-9 * (1.0 + actual));
         }
-    }
+    });
+}
 
-    #[test]
-    fn theory_bound_is_sound(
-        side in 3usize..10,
-        mode in arb_mode(),
-        planes_used in 0u32..16,
-        seed in any::<u64>(),
-    ) {
-        let shape = Shape::cube(side);
-        let dec = Decomposer::new(shape, 4, mode);
-        let orig: Vec<f64> = (0..shape.len())
-            .map(|i| {
-                let h = (i as u64).wrapping_mul(seed | 1).wrapping_mul(0x2545F4914F6CDD1D);
-                ((h >> 12) as f64 / (1u64 << 52) as f64).sin() * 50.0
-            })
-            .collect();
+#[test]
+fn theory_bound_is_sound() {
+    cases("theory_bound_is_sound", CASES, |g| {
+        let shape = Shape::cube(g.range(3..10));
+        let dec = Decomposer::new(shape, 4, arb_mode(g));
+        let planes_used = g.range(0u32..16);
+        let orig: Vec<f64> =
+            noise(g, shape.len(), 0.0..1.0).iter().map(|u| u.sin() * 50.0).collect();
         let mut data = orig.clone();
         dec.decompose(&mut data);
         let levels: Vec<LevelEncoding> =
@@ -99,280 +108,255 @@ proptest! {
         let truncated: Vec<Vec<f64>> = levels.iter().map(|l| l.decode(planes_used)).collect();
         let mut rec = dec.deinterleave(&truncated);
         dec.recompose(&mut rec);
-        let actual = orig.iter().zip(&rec).map(|(a, r)| (a - r).abs()).fold(0.0f64, f64::max);
-        prop_assert!(actual <= est * (1.0 + 1e-9) + 1e-12, "actual={actual} est={est}");
-    }
+        let actual = max_abs_diff(&orig, &rec);
+        assert!(actual <= est * (1.0 + 1e-9) + 1e-12, "actual={actual} est={est}");
+    });
+}
 
-    #[test]
-    fn chunked_transform_matches_unchunked(
-        shape in arb_shape(),
-        mode in arb_mode(),
-        levels in 1usize..6,
-        threads in prop_oneof![Just(1usize), 2usize..6, Just(7usize)],
-        seed in any::<u64>(),
-    ) {
-        let orig: Vec<f64> = (0..shape.len())
-            .map(|i| {
-                let h = (i as u64).wrapping_mul(seed | 1).wrapping_mul(0x9E3779B97F4A7C15);
-                (h >> 11) as f64 / (1u64 << 53) as f64 * 200.0 - 100.0
-            })
-            .collect();
-        let dec = Decomposer::new(shape, levels, mode);
-        let outcome = batched_matches_oracle(&dec, &orig, &[threads]);
-        prop_assert!(outcome.is_ok(), "{outcome:?}");
-    }
+#[test]
+fn chunked_transform_matches_unchunked() {
+    cases("chunked_transform_matches_unchunked", CASES, |g| {
+        let shape = arb_shape(g);
+        let dec = Decomposer::new(shape, g.range(1..6), arb_mode(g));
+        let threads = g.one_of(&[1usize, 2, 3, 4, 5, 7]);
+        let orig = noise(g, shape.len(), -100.0..100.0);
+        check_batched_matches_oracle(&dec, &orig, &[threads]);
+    });
+}
 
-    #[test]
-    fn chunked_encode_matches_unchunked(
-        coeffs in proptest::collection::vec(-1e3f64..1e3, 1..400),
-        planes in 4u32..34,
-        threads in 2usize..6,
-    ) {
+#[test]
+fn chunked_encode_matches_unchunked() {
+    cases("chunked_encode_matches_unchunked", CASES, |g| {
+        let coeffs = g.vec(1..400, |g| g.range(-1e3..1e3));
+        let planes = g.range(4u32..34);
+        let threads = g.range(2usize..6);
         let serial = LevelEncoding::encode(&coeffs, planes);
         let par = LevelEncoding::encode_with(&coeffs, planes, &ExecPolicy::with_threads(threads));
-        prop_assert_eq!(par.to_bytes().unwrap(), serial.to_bytes().unwrap());
-        let serial_row: Vec<u64> = serial.error_row().iter().map(|v| v.to_bits()).collect();
-        let par_row: Vec<u64> = par.error_row().iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(par_row, serial_row);
+        assert_eq!(par.to_bytes().unwrap(), serial.to_bytes().unwrap());
+        assert_eq!(bits(par.error_row()), bits(serial.error_row()));
+    });
+}
+
+// --- SIMD/SWAR tile kernels vs the legacy scalar oracle: encode bytes,
+// error rows and every decode prefix must be bit-identical. ---
+
+const TILED_KERNELS: [PlaneKernel; 3] = [PlaneKernel::Auto, PlaneKernel::Simd, PlaneKernel::Swar];
+
+fn check_tiled_kernels_match_scalar_oracle(coeffs: &[f64], planes: u32, b: u32) {
+    let scalar = ExecPolicy::serial().with_kernel(PlaneKernel::Scalar);
+    let oracle = LevelEncoding::encode_with(coeffs, planes, &scalar);
+    let want = bits(&oracle.decode_with(b, &scalar));
+    for kernel in TILED_KERNELS {
+        let exec = ExecPolicy::serial().with_kernel(kernel);
+        let enc = LevelEncoding::encode_with(coeffs, planes, &exec);
+        assert_eq!(enc.to_bytes().unwrap(), oracle.to_bytes().unwrap());
+        assert_eq!(bits(enc.error_row()), bits(oracle.error_row()));
+        assert_eq!(bits(&enc.decode_with(b, &exec)), want, "kernel {kernel:?} decode({b})");
     }
+}
 
-    // --- SIMD/SWAR tile kernels vs the legacy scalar oracle: encode bytes,
-    // error rows and every decode prefix must be bit-identical. ---
+/// The first `keep` plane payloads of `enc`.
+fn payload_prefix(enc: &LevelEncoding, keep: usize) -> Vec<Vec<u8>> {
+    (0..keep as u32).map(|k| enc.plane_payload(k).to_vec()).collect()
+}
 
-    #[test]
-    fn tiled_kernels_match_scalar_oracle(
-        coeffs in proptest::collection::vec(-1e6f64..1e6, 1..500),
-        planes in 4u32..34,
-        prefix_frac in 0.0f64..=1.0,
-    ) {
-        let scalar = ExecPolicy::serial().with_kernel(PlaneKernel::Scalar);
-        let oracle = LevelEncoding::encode_with(&coeffs, planes, &scalar);
-        let b = (f64::from(planes) * prefix_frac) as u32;
-        let want: Vec<u64> =
-            oracle.decode_with(b, &scalar).iter().map(|v| v.to_bits()).collect();
-        for kernel in [PlaneKernel::Auto, PlaneKernel::Simd, PlaneKernel::Swar] {
-            let exec = ExecPolicy::serial().with_kernel(kernel);
-            let enc = LevelEncoding::encode_with(&coeffs, planes, &exec);
-            prop_assert_eq!(enc.to_bytes().unwrap(), oracle.to_bytes().unwrap());
-            let row: Vec<u64> = enc.error_row().iter().map(|v| v.to_bits()).collect();
-            let oracle_row: Vec<u64> = oracle.error_row().iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(row, oracle_row);
-            let got: Vec<u64> =
-                enc.decode_with(b, &exec).iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(&got, &want);
+/// Truncated, over-long, or bit-flipped plane payloads must come back as Ok
+/// or a clean Err through every kernel — never a panic. The bounded
+/// decompressor is what makes this total.
+fn check_payload_decode_never_panics(enc: &LevelEncoding, keep: usize, cut: usize, corrupt: u8) {
+    let mut payloads = payload_prefix(enc, keep);
+    if let Some(last) = payloads.last_mut() {
+        last.truncate(cut.min(last.len()));
+        if let Some(byte) = last.first_mut() {
+            *byte ^= corrupt;
         }
     }
+    for kernel in [PlaneKernel::Scalar, PlaneKernel::Auto, PlaneKernel::Swar] {
+        let _ = enc.decode_from_payloads_with(&payloads, &ExecPolicy::serial().with_kernel(kernel));
+    }
+}
 
-    #[test]
-    fn payload_decode_never_panics_on_truncation(
-        coeffs in proptest::collection::vec(-1e3f64..1e3, 1..300),
-        planes in 4u32..34,
-        take in 0usize..40,
-        cut in 0usize..4096,
-        corrupt in any::<u8>(),
-    ) {
-        // Truncated, over-long, or bit-flipped plane payloads must come back
-        // as Ok or a clean Err through every kernel — never a panic. The
-        // bounded decompressor is what makes this total.
+/// A valid strict prefix of plane payloads decodes identically through the
+/// scalar assembly and the transposed kernels.
+fn check_payload_prefix_decode_is_kernel_invariant(enc: &LevelEncoding, keep: usize) {
+    let payloads = payload_prefix(enc, keep);
+    let decode = |kernel| {
+        bits(
+            &enc.decode_from_payloads_with(&payloads, &ExecPolicy::serial().with_kernel(kernel))
+                .expect("prefix of a valid artifact decodes"),
+        )
+    };
+    let want = decode(PlaneKernel::Scalar);
+    for kernel in TILED_KERNELS {
+        assert_eq!(decode(kernel), want, "payload decode {kernel:?} diverged at keep={keep}");
+    }
+}
+
+#[test]
+fn tiled_kernels_match_scalar_oracle() {
+    cases("tiled_kernels_match_scalar_oracle", CASES, |g| {
+        let coeffs = g.vec(1..500, |g| g.range(-1e6..1e6));
+        let planes = g.range(4u32..34);
+        check_tiled_kernels_match_scalar_oracle(&coeffs, planes, g.range(0..=planes));
+    });
+}
+
+#[test]
+fn payload_decode_never_panics_on_truncation() {
+    cases("payload_decode_never_panics_on_truncation", CASES, |g| {
+        let coeffs = g.vec(1..300, |g| g.range(-1e3..1e3));
+        let planes = g.range(4u32..34);
+        let keep = g.range(0usize..40).min(planes as usize);
         let enc = LevelEncoding::encode(&coeffs, planes);
-        let mut payloads: Vec<Vec<u8>> =
-            (0..take.min(planes as usize) as u32).map(|k| enc.plane_payload(k).to_vec()).collect();
-        if let Some(last) = payloads.last_mut() {
-            last.truncate(cut.min(last.len()));
-            if let Some(byte) = last.first_mut() {
-                *byte ^= corrupt;
-            }
-        }
-        for kernel in [PlaneKernel::Scalar, PlaneKernel::Auto, PlaneKernel::Swar] {
-            let _ = enc.decode_from_payloads_with(&payloads, &ExecPolicy::serial().with_kernel(kernel));
-        }
-    }
+        check_payload_decode_never_panics(&enc, keep, g.range(0..4096), g.u8());
+    });
+}
 
-    #[test]
-    fn payload_prefix_decode_is_kernel_invariant(
-        coeffs in proptest::collection::vec(-1e4f64..1e4, 1..300),
-        planes in 4u32..34,
-        keep_frac in 0.0f64..=1.0,
-    ) {
-        // A valid strict prefix of plane payloads decodes identically
-        // through the scalar assembly and the transposed kernels.
+#[test]
+fn payload_prefix_decode_is_kernel_invariant() {
+    cases("payload_prefix_decode_is_kernel_invariant", CASES, |g| {
+        let coeffs = g.vec(1..300, |g| g.range(-1e4..1e4));
+        let planes = g.range(4u32..34);
         let enc = LevelEncoding::encode(&coeffs, planes);
-        let keep = (f64::from(planes) * keep_frac) as usize;
-        let payloads: Vec<Vec<u8>> =
-            (0..keep as u32).map(|k| enc.plane_payload(k).to_vec()).collect();
-        let want: Vec<u64> = enc
-            .decode_from_payloads_with(&payloads, &ExecPolicy::serial().with_kernel(PlaneKernel::Scalar))
-            .expect("prefix of a valid artifact decodes")
-            .iter().map(|v| v.to_bits()).collect();
-        for kernel in [PlaneKernel::Auto, PlaneKernel::Simd, PlaneKernel::Swar] {
-            let got: Vec<u64> = enc
-                .decode_from_payloads_with(&payloads, &ExecPolicy::serial().with_kernel(kernel))
-                .expect("prefix of a valid artifact decodes")
-                .iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(&got, &want);
-        }
-    }
+        check_payload_prefix_decode_is_kernel_invariant(&enc, g.range(0..=planes as usize));
+    });
+}
 
-    // --- float edge cases through the negabinary bit-plane path. The NaN
-    // (deterministic twins of the kernel properties live at the bottom of
-    // this file: the offline proptest stub elides `proptest!` bodies, so
-    // local runs still need compiled coverage of the same invariants.)
-    // policy (documented in `bitplane::LevelEncoding::encode`): any level
-    // containing a non-finite value collapses to a zero level. ---
+// --- float edge cases through the negabinary bit-plane path. The NaN
+// policy (documented in `bitplane::LevelEncoding::encode`): any level
+// containing a non-finite value collapses to a zero level. ---
 
-    #[test]
-    fn bitplane_roundtrips_signed_zero_and_subnormals(
-        base in proptest::collection::vec(-1e3f64..1e3, 1..64),
-        planes in 4u32..34,
-        edge_idx in 0usize..64,
-    ) {
-        let mut coeffs = base;
-        let n = coeffs.len();
-        let edges = [0.0, -0.0, f64::MIN_POSITIVE, -f64::MIN_POSITIVE, 5e-324, -5e-324];
-        coeffs[edge_idx % n] = edges[edge_idx % edges.len()];
+#[test]
+fn bitplane_roundtrips_signed_zero_and_subnormals() {
+    cases("bitplane_roundtrips_signed_zero_and_subnormals", CASES, |g| {
+        let mut coeffs = g.vec(1..64, |g| g.range(-1e3..1e3));
+        let planes = g.range(4u32..34);
+        let at = g.range(0..coeffs.len());
+        coeffs[at] = g.one_of(&[0.0, -0.0, f64::MIN_POSITIVE, -f64::MIN_POSITIVE, 5e-324, -5e-324]);
         let enc = LevelEncoding::encode(&coeffs, planes);
         let dec = enc.decode(planes);
-        let actual = coeffs.iter().zip(&dec).map(|(a, d)| (a - d).abs()).fold(0.0f64, f64::max);
-        prop_assert!((actual - enc.error_at(planes)).abs() <= 1e-9 * (1.0 + actual));
-        prop_assert!(dec.iter().all(|v| v.is_finite()));
-    }
+        let actual = max_abs_diff(&coeffs, &dec);
+        assert!((actual - enc.error_at(planes)).abs() <= 1e-9 * (1.0 + actual));
+        assert!(dec.iter().all(|v| v.is_finite()));
+    });
+}
 
-    #[test]
-    fn bitplane_inf_policy_zeroes_the_level(
-        base in proptest::collection::vec(-1e3f64..1e3, 1..64),
-        planes in 4u32..34,
-        edge_idx in 0usize..64,
-        negative in any::<bool>(),
-    ) {
-        let mut coeffs = base;
-        let n = coeffs.len();
-        coeffs[edge_idx % n] = if negative { f64::NEG_INFINITY } else { f64::INFINITY };
+#[test]
+fn bitplane_inf_policy_zeroes_the_level() {
+    cases("bitplane_inf_policy_zeroes_the_level", CASES, |g| {
+        let mut coeffs = g.vec(1..64, |g| g.range(-1e3..1e3));
+        let planes = g.range(4u32..34);
+        let at = g.range(0..coeffs.len());
+        coeffs[at] = g.one_of(&[f64::NEG_INFINITY, f64::INFINITY]);
         let enc = LevelEncoding::encode(&coeffs, planes);
         // Infinite max magnitude -> degenerate level: decodes to zeros at
         // every plane count, with a zero error row.
         for b in [0, planes / 2, planes] {
-            prop_assert!(enc.decode(b).iter().all(|&v| v == 0.0));
-            prop_assert_eq!(enc.error_at(b), 0.0);
+            assert!(enc.decode(b).iter().all(|&v| v == 0.0));
+            assert_eq!(enc.error_at(b), 0.0);
         }
         let bytes = enc.to_bytes().unwrap();
         let (back, used) = LevelEncoding::from_bytes(&bytes).expect("degenerate level persists");
-        prop_assert_eq!(used, bytes.len());
-        prop_assert!(back.decode(planes).iter().all(|&v| v == 0.0));
-    }
+        assert_eq!(used, bytes.len());
+        assert!(back.decode(planes).iter().all(|&v| v == 0.0));
+    });
+}
 
-    #[test]
-    fn bitplane_nan_site_decodes_to_zero(
-        base in proptest::collection::vec(1.0f64..1e3, 2..64),
-        planes in 4u32..34,
-        edge_idx in 0usize..64,
-    ) {
+#[test]
+fn bitplane_nan_site_decodes_to_zero() {
+    cases("bitplane_nan_site_decodes_to_zero", CASES, |g| {
         // NaN among finite values: that site quantizes to 0, decodes to
         // exactly 0.0, and never poisons the error row.
-        let mut coeffs = base;
-        let n = coeffs.len();
-        let idx = edge_idx % n;
+        let mut coeffs = g.vec(2..64, |g| g.range(1.0..1e3));
+        let planes = g.range(4u32..34);
+        let idx = g.range(0..coeffs.len());
         coeffs[idx] = f64::NAN;
         let enc = LevelEncoding::encode(&coeffs, planes);
         let dec = enc.decode(planes);
-        prop_assert_eq!(dec[idx], 0.0);
-        prop_assert!(dec.iter().all(|v| v.is_finite()));
-        prop_assert!(enc.error_row().iter().all(|e| e.is_finite()));
+        assert_eq!(dec[idx], 0.0);
+        assert!(dec.iter().all(|v| v.is_finite()));
+        assert!(enc.error_row().iter().all(|e| e.is_finite()));
         // The artifact persists and round-trips despite the NaN input.
         let bytes = enc.to_bytes().unwrap();
         let (back, used) = LevelEncoding::from_bytes(&bytes).expect("NaN-laced level persists");
-        prop_assert_eq!(used, bytes.len());
-        prop_assert_eq!(back.to_bytes().unwrap(), bytes);
-    }
+        assert_eq!(used, bytes.len());
+        assert_eq!(back.to_bytes().unwrap(), bytes);
+    });
+}
 
-    #[test]
-    fn bitplane_handles_huge_magnitudes(
-        scale_exp in 200i32..308,
-        planes in 4u32..34,
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn bitplane_handles_huge_magnitudes() {
+    cases("bitplane_handles_huge_magnitudes", CASES, |g| {
         // f64::MAX-adjacent magnitudes must not overflow the fixed-point
         // quantizer into non-finite reconstructions.
-        let scale = 10f64.powi(scale_exp);
-        let coeffs: Vec<f64> = (0..48)
-            .map(|i| {
-                let h = (i as u64).wrapping_mul(seed | 1).wrapping_mul(0x9E3779B97F4A7C15);
-                ((h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) * scale
-            })
-            .collect();
+        let scale = 10f64.powi(g.range(200i32..308));
+        let planes = g.range(4u32..34);
+        let coeffs: Vec<f64> = noise(g, 48, -1.0..1.0).iter().map(|u| u * scale).collect();
         let enc = LevelEncoding::encode(&coeffs, planes);
         let dec = enc.decode(planes);
-        prop_assert!(dec.iter().all(|v| v.is_finite()));
+        assert!(dec.iter().all(|v| v.is_finite()));
         let max_abs = coeffs.iter().fold(0.0f64, |m, &c| m.max(c.abs()));
         let quant = max_abs / (1u64 << (planes - 2)) as f64;
-        let actual = coeffs.iter().zip(&dec).map(|(a, d)| (a - d).abs()).fold(0.0f64, f64::max);
-        prop_assert!(actual <= quant * 1.5, "actual={actual} quant={quant}");
-    }
+        let actual = max_abs_diff(&coeffs, &dec);
+        assert!(actual <= quant * 1.5, "actual={actual} quant={quant}");
+    });
+}
 
-    // --- deserializers never panic: arbitrary and corrupted bytes must be
-    // rejected with an error, not unwind or over-allocate. ---
+// --- parsers never panic: arbitrary and corrupted bytes must be rejected
+// with an error, not unwind or over-allocate. ---
 
-    #[test]
-    fn persist_from_bytes_never_panics_on_garbage(
-        data in proptest::collection::vec(any::<u8>(), 0..512),
-    ) {
+#[test]
+fn persist_from_bytes_never_panics_on_garbage() {
+    cases("persist_from_bytes_never_panics_on_garbage", CASES, |g| {
+        let data = g.vec(0..512, Rng::u8);
         let _ = pmr_mgard::persist::from_bytes(&data);
         let _ = LevelEncoding::from_bytes(&data);
-    }
+    });
+}
 
-    #[test]
-    fn persist_from_bytes_never_panics_on_mutations(
-        seed in any::<u64>(),
-        flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..16),
-    ) {
+#[test]
+fn persist_from_bytes_never_panics_on_mutations() {
+    cases("persist_from_bytes_never_panics_on_mutations", CASES, |g| {
         // Mutate a genuine artifact: every result is either a clean parse
         // (payload bytes are not checksummed) or a structured error.
-        let field = Field::from_fn("m", 0, Shape::cube(5), |x, y, z| {
-            let h = ((x + 31 * y + 997 * z) as u64)
-                .wrapping_mul(seed | 1)
-                .wrapping_mul(0x9E3779B97F4A7C15);
-            (h >> 11) as f64 / (1u64 << 53) as f64
-        });
+        let field = noise_field(g, Shape::cube(5));
         let c = Compressed::compress(&field, &CompressConfig { levels: 3, ..Default::default() });
         let mut bytes = pmr_mgard::persist::to_bytes(&c).unwrap();
-        for (pos, val) in flips {
-            let n = bytes.len();
-            bytes[pos % n] ^= val;
+        for _ in 0..g.range(1..16) {
+            let at = g.range(0..bytes.len());
+            bytes[at] ^= g.u8();
         }
         if let Ok(back) = pmr_mgard::persist::from_bytes(&bytes) {
             // Whatever parsed must still be structurally usable.
             let plan = back.plan_full();
             let rec = back.retrieve(&plan);
-            prop_assert_eq!(rec.data().len(), back.shape().len());
+            assert_eq!(rec.data().len(), back.shape().len());
         }
-    }
+    });
+}
 
-    #[test]
-    fn greedy_plan_monotone_in_bound(seed in any::<u64>()) {
-        let shape = Shape::cube(7);
-        let field = Field::from_fn("p", 0, shape, |x, y, z| {
-            let h = ((x + 31 * y + 997 * z) as u64)
-                .wrapping_mul(seed | 1)
-                .wrapping_mul(0x9E3779B97F4A7C15);
-            (h >> 11) as f64 / (1u64 << 53) as f64
-        });
+#[test]
+fn greedy_plan_monotone_in_bound() {
+    cases("greedy_plan_monotone_in_bound", CASES, |g| {
+        let field = noise_field(g, Shape::cube(7));
         let c = Compressed::compress(&field, &CompressConfig::default());
         let mut prev_size = u64::MAX;
         for bound in [1.0, 1e-1, 1e-2, 1e-3, 1e-4] {
             let plan = c.plan_theory(bound);
             let size = c.retrieved_bytes(&plan);
-            prop_assert!(size <= c.total_bytes());
+            assert!(size <= c.total_bytes());
             if prev_size != u64::MAX {
-                prop_assert!(size >= prev_size, "size must grow as bound tightens");
+                assert!(size >= prev_size, "size must grow as bound tightens");
             }
             prev_size = size;
             // Bound respected by the actual reconstruction whenever the
             // estimator claims success.
             if plan.estimated_error <= bound {
                 let rec = c.retrieve(&plan);
-                prop_assert!(max_abs_error(field.data(), rec.data()) <= bound);
+                assert!(max_abs_error(field.data(), rec.data()) <= bound);
             }
         }
-    }
+    });
 }
 
 /// First element whose bits differ. Two NaNs count as equal: with both
@@ -392,11 +376,7 @@ fn first_difference(got: &[f64], want: &[f64]) -> Option<usize> {
 /// `recompose_to_level_with` must reproduce the per-line oracle
 /// (`decompose` / `recompose` / `recompose_to_level`) bit for bit, at each
 /// of `thread_counts`.
-fn batched_matches_oracle(
-    dec: &Decomposer,
-    orig: &[f64],
-    thread_counts: &[usize],
-) -> Result<(), String> {
+fn check_batched_matches_oracle(dec: &Decomposer, orig: &[f64], thread_counts: &[usize]) {
     let mut coeffs = orig.to_vec();
     dec.decompose(&mut coeffs);
     let mut back = coeffs.clone();
@@ -411,36 +391,29 @@ fn batched_matches_oracle(
 
     for &threads in thread_counts {
         let exec = ExecPolicy::with_threads(threads);
-        let diverged = |what: &str, i: usize| {
-            Err(format!(
-                "{what} diverged at {i}: shape={} levels={} mode={:?} threads={threads}",
+        let same = |what: &str, got: &[f64], want: &[f64]| {
+            let diverged = first_difference(got, want);
+            assert!(
+                diverged.is_none(),
+                "{what} diverged at {diverged:?}: shape={} levels={} mode={:?} threads={threads}",
                 dec.shape(),
                 dec.levels(),
                 dec.mode()
-            ))
+            );
         };
         let mut got = orig.to_vec();
         dec.decompose_with(&mut got, &exec);
-        if let Some(i) = first_difference(&got, &coeffs) {
-            return diverged("decompose_with", i);
-        }
+        same("decompose_with", &got, &coeffs);
         let mut got = coeffs.clone();
         dec.recompose_with(&mut got, &exec);
-        if let Some(i) = first_difference(&got, &back) {
-            return diverged("recompose_with", i);
-        }
+        same("recompose_with", &got, &back);
         for (level, (coarse, buffer)) in to_level.iter().enumerate() {
             let mut got = coeffs.clone();
             let got_coarse = dec.recompose_to_level_with(&mut got, level, &exec);
-            if let Some(i) = first_difference(&got_coarse, coarse) {
-                return diverged(&format!("recompose_to_level_with({level})"), i);
-            }
-            if let Some(i) = first_difference(&got, buffer) {
-                return diverged(&format!("recompose_to_level_with({level}) buffer"), i);
-            }
+            same(&format!("recompose_to_level_with({level})"), &got_coarse, coarse);
+            same(&format!("recompose_to_level_with({level}) buffer"), &got, buffer);
         }
     }
-    Ok(())
 }
 
 /// 1-/2-/3-D, odd/even/anisotropic/collapsing, above and below the
@@ -490,21 +463,20 @@ fn interleave_is_the_level_indices_gather() {
     }
 }
 
-/// Deterministic twin of `chunked_transform_matches_unchunked`: every twin
+/// The exhaustive form of `chunked_transform_matches_unchunked`: every twin
 /// shape, every level count, both modes, serial to oversubscribed, laced
 /// inputs.
 #[test]
 fn batched_transform_matches_the_per_line_oracle() {
-    let noise = |i: usize| (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
-    let random = |shape: Shape, edges: &[f64]| -> Vec<f64> {
-        let mut data: Vec<f64> = (0..shape.len())
-            .map(|i| ((noise(i) >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1e3)
-            .collect();
+    let mut rng = Rng::seed_from_u64(1);
+    let mut random = |shape: Shape, edges: &[f64]| -> Vec<f64> {
+        let mut data = noise(&mut rng, shape.len(), -500.0..500.0);
         for (k, i) in (0..shape.len()).step_by(shape.len().div_ceil(41)).enumerate() {
             data[i] = edges[k % edges.len()];
         }
         data
     };
+    let mut signs = Rng::seed_from_u64(2);
     for shape in twin_shapes() {
         // Three inputs, each where a reordered or dropped operation would
         // show. A grid of randomly signed zeros: the sign of a zero is the
@@ -514,7 +486,7 @@ fn batched_transform_matches_the_per_line_oracle() {
         // line it touches and a flooded grid compares equal whatever the
         // kernels do.
         let inputs = [
-            (0..shape.len()).map(|i| if noise(i) >> 63 == 1 { -0.0 } else { 0.0 }).collect(),
+            (0..shape.len()).map(|_| if signs.bool() { -0.0 } else { 0.0 }).collect(),
             random(shape, &[f64::MIN_POSITIVE / 8.0, -f64::MIN_POSITIVE / 1024.0, 5e-324, -0.0]),
             random(shape, &[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]),
         ];
@@ -522,78 +494,27 @@ fn batched_transform_matches_the_per_line_oracle() {
             for mode in [TransformMode::Interpolation, TransformMode::L2Projection] {
                 for levels in 1..=9 {
                     let dec = Decomposer::new(shape, levels, mode);
-                    batched_matches_oracle(&dec, data, &[1, 2, 3, 4, 7])
-                        .unwrap_or_else(|why| panic!("{why}"));
+                    check_batched_matches_oracle(&dec, data, &[1, 2, 3, 4, 7]);
                 }
             }
         }
     }
 }
 
-// Deterministic twins of the kernel-differential properties above (the
-// offline proptest stub elides `proptest!` bodies; CI runs the randomized
-// form with the real crate).
+/// The three kernel properties above on one fixed input, every plane count
+/// and prefix named rather than drawn.
 #[test]
 fn kernel_identity_and_payload_totality_on_fixed_corpus() {
-    let scalar = ExecPolicy::serial().with_kernel(PlaneKernel::Scalar);
-    let kernels = [PlaneKernel::Auto, PlaneKernel::Simd, PlaneKernel::Swar];
     let coeffs: Vec<f64> = (0..333).map(|i| ((i as f64) * 0.73).sin() * 1e4 - (i as f64)).collect();
     for planes in [4u32, 13, 33] {
-        let oracle = LevelEncoding::encode_with(&coeffs, planes, &scalar);
-        for kernel in kernels {
-            let exec = ExecPolicy::serial().with_kernel(kernel);
-            let enc = LevelEncoding::encode_with(&coeffs, planes, &exec);
-            assert_eq!(enc.to_bytes().unwrap(), oracle.to_bytes().unwrap());
-            let row: Vec<u64> = enc.error_row().iter().map(|v| v.to_bits()).collect();
-            let oracle_row: Vec<u64> = oracle.error_row().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(row, oracle_row);
-            for b in [0, planes / 2, planes] {
-                let got: Vec<u64> = enc.decode_with(b, &exec).iter().map(|v| v.to_bits()).collect();
-                let want: Vec<u64> =
-                    oracle.decode_with(b, &scalar).iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want, "kernel {kernel:?} decode({b}) diverged");
-            }
+        for b in [0, planes / 2, planes] {
+            check_tiled_kernels_match_scalar_oracle(&coeffs, planes, b);
         }
-
-        // Valid prefixes decode identically through every kernel; truncated
-        // and bit-flipped payloads return cleanly instead of panicking.
         let enc = LevelEncoding::encode(&coeffs, planes);
         for keep in [0usize, 1, planes as usize / 2, planes as usize] {
-            let payloads: Vec<Vec<u8>> =
-                (0..keep as u32).map(|k| enc.plane_payload(k).to_vec()).collect();
-            let want: Vec<u64> = enc
-                .decode_from_payloads_with(
-                    &payloads,
-                    &ExecPolicy::serial().with_kernel(PlaneKernel::Scalar),
-                )
-                .expect("prefix of a valid artifact decodes")
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            for kernel in kernels {
-                let got: Vec<u64> = enc
-                    .decode_from_payloads_with(&payloads, &ExecPolicy::serial().with_kernel(kernel))
-                    .expect("prefix of a valid artifact decodes")
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
-                assert_eq!(got, want, "payload decode {kernel:?} diverged at keep={keep}");
-            }
-            if keep == 0 {
-                continue;
-            }
-            let mut mangled = payloads;
-            if let Some(last) = mangled.last_mut() {
-                let cut = last.len() / 2;
-                last.truncate(cut);
-                if let Some(byte) = last.first_mut() {
-                    *byte ^= 0x5a;
-                }
-            }
-            for kernel in [PlaneKernel::Scalar, PlaneKernel::Auto, PlaneKernel::Swar] {
-                let _ = enc
-                    .decode_from_payloads_with(&mangled, &ExecPolicy::serial().with_kernel(kernel));
-            }
+            check_payload_prefix_decode_is_kernel_invariant(&enc, keep);
+            let cut = enc.plane_payload(keep.saturating_sub(1) as u32).len() / 2;
+            check_payload_decode_never_panics(&enc, keep, cut, 0x5a);
         }
     }
 }

@@ -1,10 +1,9 @@
 //! Elementwise activation functions.
 
 use crate::tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Activation applied after a linear layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Activation {
     /// `max(x, slope * x)` — the paper's hidden activation for D-MGARD
     /// (slope 0.01 unless configured otherwise).

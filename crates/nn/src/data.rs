@@ -1,13 +1,10 @@
 //! Datasets, feature standardisation and mini-batching.
 
 use crate::tensor::Matrix;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use pmr_rng::Rng;
 
 /// Per-column z-score standardiser fitted on training features.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Standardizer {
     mean: Vec<f32>,
     std: Vec<f32>,
@@ -139,7 +136,7 @@ impl Dataset {
     pub fn shuffle_split(&self, train_frac: f64, seed: u64) -> (Dataset, Dataset) {
         assert!((0.0..=1.0).contains(&train_frac), "fraction out of range");
         let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(&mut StdRng::seed_from_u64(seed));
+        Rng::seed_from_u64(seed).shuffle(&mut idx);
         let cut = ((self.len() as f64 * train_frac).round() as usize)
             .clamp(usize::from(self.len() > 1), self.len());
         let (a, b) = idx.split_at(cut);
@@ -153,7 +150,7 @@ impl Dataset {
     pub fn batches(&self, batch_size: usize, seed: u64) -> Vec<(Matrix, Matrix)> {
         assert!(batch_size > 0, "batch size must be positive");
         let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(&mut StdRng::seed_from_u64(seed));
+        Rng::seed_from_u64(seed).shuffle(&mut idx);
         idx.chunks(batch_size)
             .map(|chunk| (self.x.select_rows(chunk), self.y.select_rows(chunk)))
             .collect()

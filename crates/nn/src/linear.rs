@@ -1,10 +1,7 @@
 //! Fully-connected layer with cached forward state and exact gradients.
 
 use crate::tensor::Matrix;
-use rand::rngs::StdRng;
-use rand::RngExt;
-#[cfg(test)]
-use rand::SeedableRng;
+use pmr_rng::Rng;
 
 /// `y = x W + b` with `W: in × out`.
 #[derive(Debug, Clone)]
@@ -22,11 +19,10 @@ pub struct Linear {
 impl Linear {
     /// Kaiming-uniform initialisation: `U(−√(6/fan_in), √(6/fan_in))`,
     /// biases zero. Appropriate for the ReLU-family activations used here.
-    pub fn new(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Self {
+    pub fn new(fan_in: usize, fan_out: usize, rng: &mut Rng) -> Self {
         assert!(fan_in > 0 && fan_out > 0, "layer dimensions must be positive");
         let bound = (6.0 / fan_in as f32).sqrt();
-        let data: Vec<f32> =
-            (0..fan_in * fan_out).map(|_| rng.random_range(-bound..bound)).collect();
+        let data: Vec<f32> = (0..fan_in * fan_out).map(|_| rng.range(-bound..bound)).collect();
         Linear {
             w: Matrix::from_vec(fan_in, fan_out, data),
             b: vec![0.0; fan_out],
@@ -108,7 +104,7 @@ mod tests {
 
     #[test]
     fn backward_gradient_shapes() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = Rng::seed_from_u64(0);
         let mut l = Linear::new(3, 2, &mut rng);
         let x = Matrix::from_vec(4, 3, (0..12).map(|i| i as f32 * 0.1).collect());
         let _ = l.forward(&x);
@@ -123,12 +119,12 @@ mod tests {
 
     #[test]
     fn initialisation_is_bounded_and_seeded() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         let a = Linear::new(10, 10, &mut rng);
         let bound = (6.0f32 / 10.0).sqrt();
         assert!(a.w.data().iter().all(|v| v.abs() <= bound));
         assert!(a.b.iter().all(|&v| v == 0.0));
-        let mut rng2 = StdRng::seed_from_u64(5);
+        let mut rng2 = Rng::seed_from_u64(5);
         let b = Linear::new(10, 10, &mut rng2);
         assert_eq!(a.w, b.w);
     }
@@ -136,7 +132,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "backward called before forward")]
     fn backward_requires_forward() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = Rng::seed_from_u64(0);
         let mut l = Linear::new(2, 2, &mut rng);
         let dy = Matrix::zeros(1, 2);
         let _ = l.backward(&dy);

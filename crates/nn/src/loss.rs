@@ -6,10 +6,9 @@
 //! bench `ablation_loss` reproduces that comparison.
 
 use crate::tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Loss function over a batch of predictions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Loss {
     /// Mean squared error.
     Mse,

@@ -4,8 +4,7 @@ use crate::activation::Activation;
 use crate::linear::Linear;
 use crate::tensor::Matrix;
 use pmr_error::PmrError;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use pmr_rng::Rng;
 
 /// An MLP: `linear → act → linear → act → … → linear → out_act`.
 #[derive(Debug, Clone)]
@@ -24,7 +23,7 @@ impl Mlp {
     /// `out_act`. Initialisation is deterministic in `seed`.
     pub fn new(sizes: &[usize], hidden_act: Activation, out_act: Activation, seed: u64) -> Self {
         assert!(sizes.len() >= 2, "need at least input and output widths");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let n = sizes.len() - 1;
         let mut layers = Vec::with_capacity(n);
         let mut acts = Vec::with_capacity(n);
@@ -141,7 +140,7 @@ impl Mlp {
         }
     }
 
-    /// Serialize architecture + parameters to a self-contained byte buffer.
+    /// Encode architecture + parameters as a self-contained byte buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(b"PMRN1\0");

@@ -4,10 +4,9 @@ use crate::data::Dataset;
 use crate::loss::Loss;
 use crate::mlp::Mlp;
 use crate::optim::{Adam, LrSchedule, Optimizer};
-use serde::{Deserialize, Serialize};
 
 /// Training hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     pub epochs: usize,
     pub batch_size: usize,

@@ -1,25 +1,17 @@
 //! Deterministic mutational robustness sweep over the PRQ1 codec.
 //!
-//! Starting from a corpus of valid frames, a seeded splitmix64 stream
+//! Starting from a corpus of valid frames, a seeded `pmr_rng::Rng` stream
 //! drives byte flips and truncations; every mutant must decode to either
 //! a clean value or a clean error — never a panic — and the framing layer
 //! must never allocate beyond the frame cap no matter what the length
 //! prefix claims. The seed is a constant, so a failure reproduces exactly.
 
+use pmr_rng::Rng;
 use pmrd::protocol::{
     decode_frame, decode_request, encode_health, encode_health_request, encode_plane,
     encode_report, encode_request, read_frame_limited, write_frame, DatasetHealth, Health, Report,
     Request, ShardHealth, Status, Target, MAX_REQUEST_FRAME,
 };
-
-/// splitmix64: tiny, seedable, and plenty for mutation scheduling.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A corpus of valid frame payloads covering every frame shape.
 fn corpus() -> Vec<Vec<u8>> {
@@ -93,7 +85,7 @@ fn decode_both(payload: &[u8]) {
 
 #[test]
 fn seeded_byte_flips_and_truncations_never_panic() {
-    let mut rng = 0x5EED_CAFE_F00D_u64;
+    let mut rng = Rng::seed_from_u64(0x5EED_CAFE_F00D);
     for frame in corpus() {
         // Every truncation point of every frame.
         for cut in 0..frame.len() {
@@ -102,17 +94,17 @@ fn seeded_byte_flips_and_truncations_never_panic() {
         // 256 seeded single-byte flips plus 64 seeded double mutations.
         for _ in 0..256 {
             let mut m = frame.clone();
-            let at = (splitmix64(&mut rng) as usize) % m.len();
-            m[at] ^= (splitmix64(&mut rng) % 255 + 1) as u8;
+            let at = rng.range(0..m.len());
+            m[at] ^= rng.range(1..=u8::MAX);
             decode_both(&m);
         }
         for _ in 0..64 {
             let mut m = frame.clone();
             for _ in 0..2 {
-                let at = (splitmix64(&mut rng) as usize) % m.len();
-                m[at] = splitmix64(&mut rng) as u8;
+                let at = rng.range(0..m.len());
+                m[at] = rng.u8();
             }
-            let cut = (splitmix64(&mut rng) as usize) % (m.len() + 1);
+            let cut = rng.range(0..=m.len());
             decode_both(&m[..cut]);
         }
     }
@@ -120,7 +112,7 @@ fn seeded_byte_flips_and_truncations_never_panic() {
 
 #[test]
 fn mutated_length_prefixes_never_outgrow_the_frame_cap() {
-    let mut rng = 0xD15E_A5ED_u64;
+    let mut rng = Rng::seed_from_u64(0xD15E_A5ED);
     for frame in corpus() {
         let mut wire = Vec::new();
         write_frame(&mut wire, &frame).expect("write");
@@ -130,8 +122,7 @@ fn mutated_length_prefixes_never_outgrow_the_frame_cap() {
         // never a buffer sized past the cap.
         for _ in 0..512 {
             let mut m = wire.clone();
-            let at = (splitmix64(&mut rng) as usize) % 4;
-            m[at] = splitmix64(&mut rng) as u8;
+            m[rng.range(0..4usize)] = rng.u8();
             let mut cursor = std::io::Cursor::new(m);
             if let Ok(Some(payload)) = read_frame_limited(&mut cursor, MAX_REQUEST_FRAME) {
                 assert!(payload.len() <= MAX_REQUEST_FRAME, "cap violated");

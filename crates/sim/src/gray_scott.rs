@@ -13,12 +13,10 @@
 //! train-on-early / test-on-late protocol needs.
 
 use pmr_field::{Field, Shape};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
+use pmr_rng::Rng;
 
 /// Which species field to extract (paper names: `D_u`, `D_v`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GsSpecies {
     U,
     V,
@@ -35,7 +33,7 @@ impl GsSpecies {
 }
 
 /// Simulation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GrayScottConfig {
     /// Cube side length (paper: 512, here scaled down).
     pub size: usize,
@@ -114,7 +112,7 @@ impl GrayScott {
         let n = shape.len();
         let mut u = vec![1.0; n];
         let mut v = vec![0.0; n];
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = Rng::seed_from_u64(cfg.seed);
 
         let c = cfg.size / 2;
         let r = (cfg.size / 8).max(2);
@@ -122,14 +120,14 @@ impl GrayScott {
             for y in c - r..c + r {
                 for x in c - r..c + r {
                     let i = shape.index(x, y, z);
-                    u[i] = 0.5 + rng.random_range(-0.05..0.05);
-                    v[i] = 0.25 + rng.random_range(-0.05..0.05);
+                    u[i] = 0.5 + rng.range(-0.05..0.05);
+                    v[i] = 0.25 + rng.range(-0.05..0.05);
                 }
             }
         }
         // Tiny broadband noise to break symmetry everywhere.
         for ui in u.iter_mut() {
-            *ui += rng.random_range(-0.01..0.01);
+            *ui += rng.range(-0.01..0.01);
         }
 
         GrayScott { cfg, shape, u, v, scratch_u: vec![0.0; n], scratch_v: vec![0.0; n], steps: 0 }

@@ -23,12 +23,10 @@
 //! fields sharing one simulation configuration.
 
 use pmr_field::{Field, Shape};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
+use pmr_rng::Rng;
 
 /// Which scalar field to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WarpXField {
     /// Magnetic field along x.
     Bx,
@@ -63,7 +61,7 @@ impl WarpXField {
 }
 
 /// Simulation configuration — the knobs of paper Fig. 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WarpXConfig {
     /// Cube side length (paper: 512, scaled in this repo).
     pub size: usize,
@@ -114,15 +112,15 @@ struct Mode {
 }
 
 fn background_modes(cfg: &WarpXConfig, field: WarpXField, scale: f64) -> Vec<Mode> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9E37_79B9) ^ field.id());
+    let mut rng = Rng::seed_from_u64(cfg.seed.wrapping_mul(0x9E37_79B9) ^ field.id());
     (0..6)
         .map(|_| Mode {
-            kx: std::f64::consts::TAU * rng.random_range(1.0..4.0),
-            ky: std::f64::consts::TAU * rng.random_range(1.0..4.0),
-            kz: std::f64::consts::TAU * rng.random_range(1.0..4.0),
-            amp: scale * rng.random_range(0.02..0.08),
-            phase: rng.random_range(0.0..std::f64::consts::TAU),
-            omega: rng.random_range(0.5..3.0),
+            kx: std::f64::consts::TAU * rng.range(1.0..4.0),
+            ky: std::f64::consts::TAU * rng.range(1.0..4.0),
+            kz: std::f64::consts::TAU * rng.range(1.0..4.0),
+            amp: scale * rng.range(0.02..0.08),
+            phase: rng.range(0.0..std::f64::consts::TAU),
+            omega: rng.range(0.5..3.0),
         })
         .collect()
 }

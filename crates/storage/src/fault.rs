@@ -1,8 +1,8 @@
 //! Deterministic, seed-driven fault injection over a [`SegmentStore`].
 //!
 //! Reproducibility is the whole design: every fault decision is a pure
-//! function of `(seed, level, plane, attempt)` via a splitmix64-style mixer,
-//! so a given seed produces a bit-identical fault schedule on every run and
+//! function of `(seed, level, plane, attempt)` via [`pmr_rng::mix`], so a
+//! given seed produces a bit-identical fault schedule on every run and
 //! on every platform — independent of the order segments are fetched in,
 //! because each segment carries its own attempt counter. That is what lets
 //! the conformance suite replay a failing schedule from nothing but its
@@ -16,6 +16,7 @@
 
 use crate::segment::{FetchError, MutableSegmentStore, SegmentKey, SegmentRead, SegmentStore};
 use pmr_error::PmrError;
+use pmr_rng::mix;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -133,13 +134,6 @@ const SALT_TIMEOUT: u64 = 0x8cb9_2ba7_2f3d_8dd7;
 const SALT_TRUNCATE: u64 = 0xaef1_7502_108e_f2d9;
 const SALT_BITFLIP: u64 = 0x6c62_272e_07bb_0142;
 const SALT_SPIKE: u64 = 0x27d4_eb2f_1656_67c5;
-
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A seed-driven fault wrapper around any [`SegmentStore`].
 ///

@@ -16,6 +16,7 @@ use crate::segment::{FetchError, SegmentKey, SegmentStore};
 use crate::{Placement, StorageHierarchy};
 use pmr_error::PmrError;
 use pmr_mgard::checksum::fnv1a64;
+use pmr_rng::mix;
 
 /// Retry schedule: attempts, exponential backoff, deterministic jitter.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,14 +87,11 @@ impl RetryPolicy {
         let exponent = i32::try_from(attempt.saturating_sub(1)).unwrap_or(i32::MAX);
         let raw = self.base_backoff_s * self.multiplier.powi(exponent);
         let capped = raw.min(self.max_backoff_s);
-        // splitmix-style hash of (key, attempt) -> factor in [1-j, 1+j].
-        let mut z = ((key.0 as u64) << 40)
+        // Hash of (key, attempt) -> factor in [1-j, 1+j].
+        let h = mix(((key.0 as u64) << 40)
             .wrapping_add((key.1 as u64) << 20)
-            .wrapping_add(attempt as u64)
-            .wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        let unit = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
+            .wrapping_add(attempt as u64));
+        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
         capped * (1.0 - self.jitter + 2.0 * self.jitter * unit)
     }
 }

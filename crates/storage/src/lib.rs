@@ -18,7 +18,6 @@
 
 use pmr_error::PmrError;
 use pmr_mgard::{Compressed, RetrievalPlan};
-use serde::{Deserialize, Serialize};
 
 pub mod fault;
 pub mod fetch;
@@ -41,7 +40,7 @@ pub use tolerant::{
 };
 
 /// One storage tier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageTier {
     pub name: String,
     /// Per-access latency in seconds.
@@ -79,7 +78,7 @@ impl StorageTier {
 }
 
 /// An ordered set of tiers, fastest first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageHierarchy {
     tiers: Vec<StorageTier>,
 }
@@ -122,7 +121,7 @@ impl StorageHierarchy {
 }
 
 /// Assignment of coefficient levels to tiers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// `level_to_tier[l]` is the tier index of level `l`.
     level_to_tier: Vec<usize>,
@@ -172,7 +171,7 @@ impl Placement {
 
 /// A weighted set of retrieval plans describing how an artifact is
 /// expected to be accessed (e.g. harvested from historical bounds).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessProfile {
     /// `(plan, weight)` pairs; weights need not be normalised.
     pub plans: Vec<(RetrievalPlan, f64)>,
@@ -256,7 +255,7 @@ pub fn try_optimize_placement(
 }
 
 /// Accounted cost of one retrieval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetrievalCost {
     /// Total bytes fetched.
     pub bytes: u64,

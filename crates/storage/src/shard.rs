@@ -20,7 +20,6 @@
 //! directories of crash-safe [`FileStore`]s plus a `shard.meta` text file
 //! describing the topology, all written atomically (temp + rename).
 
-use crate::fault::mix;
 use crate::fetch::ExpectedSegment;
 use crate::segment::{
     FetchError, FileStore, MemStore, MutableSegmentStore, SegmentKey, SegmentRead, SegmentStore,
@@ -28,6 +27,7 @@ use crate::segment::{
 use pmr_error::PmrError;
 use pmr_mgard::checksum::fnv1a64;
 use pmr_mgard::Compressed;
+use pmr_rng::mix;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::Write;

@@ -1,78 +1,82 @@
 //! Property tests for the storage-hierarchy model: the fallible
 //! constructors must reject every invalid input with an error (never a
 //! panic), and cost accounting must stay internally consistent for any
-//! valid placement.
+//! valid placement. On the seeded case driver `pmr_rng::cases`.
 
 use pmr_field::{Field, Shape};
 use pmr_mgard::{CompressConfig, Compressed, RetrievalPlan};
+use pmr_rng::{cases, Rng};
 use pmr_storage::{
     retrieval_cost, try_optimize_placement, AccessProfile, Placement, StorageHierarchy, StorageTier,
 };
-use proptest::prelude::*;
 
-fn sample_compressed(seed: u64) -> Compressed {
-    let field = Field::from_fn("p", 0, Shape::cube(7), move |x, y, z| {
-        let h =
-            ((x + 31 * y + 997 * z) as u64).wrapping_mul(seed | 1).wrapping_mul(0x9E3779B97F4A7C15);
-        (h >> 11) as f64 / (1u64 << 53) as f64
-    });
+const CASES: u32 = 64;
+
+fn sample_compressed(g: &mut Rng) -> Compressed {
+    let shape = Shape::cube(7);
+    let data = (0..shape.len()).map(|_| g.range(0.0..1.0)).collect();
+    let field = Field::new("p", 0, shape, data);
     Compressed::compress(&field, &CompressConfig { levels: 4, ..Default::default() })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn tier_try_new_never_panics(lat in any::<f64>(), bw in any::<f64>()) {
+#[test]
+fn tier_try_new_never_panics() {
+    cases("tier_try_new_never_panics", CASES, |g| {
+        let (lat, bw) = (g.any_f64(), g.any_f64());
         match StorageTier::try_new("t", lat, bw) {
             Ok(_) => {
-                prop_assert!(lat.is_finite() && lat >= 0.0);
-                prop_assert!(bw.is_finite() && bw > 0.0);
+                assert!(lat.is_finite() && lat >= 0.0);
+                assert!(bw.is_finite() && bw > 0.0);
             }
-            Err(e) => prop_assert!(e.to_string().contains("invalid configuration")),
+            Err(e) => assert!(e.to_string().contains("invalid configuration")),
         }
-    }
+    });
+}
 
-    #[test]
-    fn placement_try_new_validates_indices(
-        indices in proptest::collection::vec(any::<usize>(), 0..12),
-        tiers in 1usize..6,
-    ) {
+#[test]
+fn placement_try_new_validates_indices() {
+    cases("placement_try_new_validates_indices", CASES, |g| {
+        let tiers = g.range(1usize..6);
+        // Arbitrary indices are almost never valid, so half the cases draw
+        // near the tier count, where both outcomes occur.
+        let top = if g.bool() { usize::MAX } else { tiers };
+        let indices = g.vec(0..12, |g| g.range(0..=top));
         let h = StorageHierarchy::try_new(
             (0..tiers).map(|i| StorageTier::new(format!("t{i}"), 1e-3, 1e9)).collect(),
-        ).expect("non-empty");
+        )
+        .expect("non-empty");
         let ok = indices.iter().all(|&t| t < tiers);
-        prop_assert_eq!(Placement::try_new(indices, &h).is_ok(), ok);
-    }
+        assert_eq!(Placement::try_new(indices, &h).is_ok(), ok);
+    });
+}
 
-    #[test]
-    fn retrieval_cost_is_internally_consistent(
-        seed in any::<u64>(),
-        tier_choices in proptest::collection::vec(0usize..4, 4),
-        planes in proptest::collection::vec(0u32..33, 4),
-    ) {
-        let c = sample_compressed(seed);
+#[test]
+fn retrieval_cost_is_internally_consistent() {
+    cases("retrieval_cost_is_internally_consistent", CASES, |g| {
+        let c = sample_compressed(g);
+        let tier_choices = (0..4).map(|_| g.range(0usize..4)).collect();
+        let planes = (0..4).map(|_| g.range(0u32..33)).collect();
         let h = StorageHierarchy::summit_like();
         let placement = Placement::try_new(tier_choices, &h).expect("indices in range");
         let plan = RetrievalPlan::from_planes(planes);
         let cost = retrieval_cost(&c, &plan, &h, &placement);
-        prop_assert_eq!(cost.bytes, c.retrieved_bytes(&plan));
+        assert_eq!(cost.bytes, c.retrieved_bytes(&plan));
         let sum: u64 = cost.per_tier.iter().map(|(b, _)| b).sum();
-        prop_assert_eq!(sum, cost.bytes);
+        assert_eq!(sum, cost.bytes);
         let secs: f64 = cost.per_tier.iter().map(|(_, s)| s).sum();
-        prop_assert!((secs - cost.seconds).abs() <= 1e-12 * (1.0 + secs));
+        assert!((secs - cost.seconds).abs() <= 1e-12 * (1.0 + secs));
         // A tier with no bytes pays no latency.
         for (bytes, s) in &cost.per_tier {
-            prop_assert_eq!(*bytes == 0, *s == 0.0);
+            assert_eq!(*bytes == 0, *s == 0.0);
         }
-    }
+    });
+}
 
-    #[test]
-    fn optimizer_output_is_always_feasible(
-        seed in any::<u64>(),
-        cap_scale in 1u64..20,
-    ) {
-        let c = sample_compressed(seed);
+#[test]
+fn optimizer_output_is_always_feasible() {
+    cases("optimizer_output_is_always_feasible", CASES, |g| {
+        let c = sample_compressed(g);
+        let cap_scale = g.range(1u64..20);
         let h = StorageHierarchy::summit_like();
         let profile = AccessProfile::from_bounds(&c, &[c.absolute_bound(1e-3)]);
         let total: u64 = c.total_bytes();
@@ -85,7 +89,7 @@ proptest! {
             used[p.tier_of(l)] += lvl.total_size();
         }
         for (u, cap) in used.iter().zip(&caps) {
-            prop_assert!(u <= cap, "tier over capacity: {u} > {cap}");
+            assert!(u <= cap, "tier over capacity: {u} > {cap}");
         }
-    }
+    });
 }

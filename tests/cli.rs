@@ -182,6 +182,21 @@ fn corrupt_artifact_is_rejected_with_a_readable_message() {
     assert!(stderr.contains("error:"), "panic instead of error? {stderr}");
     assert!(!stderr.contains("panicked"), "decoder panicked on corrupt input: {stderr}");
 
+    // Hostile `.pmrf` headers (`ndim, dx, dy, dz`): a zero extent, and 2^21
+    // per side, whose byte count wraps to 0 and used to match an empty tail.
+    for (tag, header) in [("zero", [1u32, 0, 1, 1]), ("wrap", [3, 1 << 21, 1 << 21, 1 << 21])] {
+        let mut bytes = b"PMRF1\0\0\0".to_vec();
+        bytes.extend(header.iter().flat_map(|v| v.to_le_bytes()));
+        bytes.extend([0u8; 12]); // timestep, empty name, no data
+        let hostile = dir.join(format!("{tag}.pmrf"));
+        std::fs::write(&hostile, &bytes).unwrap();
+        let out =
+            pmrtool().arg("compress").arg(&hostile).arg(dir.join("out.pmrc")).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+        assert!(stderr.contains("error: malformed field"), "{tag}: {stderr}");
+    }
+
     std::fs::remove_dir_all(&dir).ok();
 }
 
