@@ -26,18 +26,20 @@ const TAG_RLE: u8 = 0x01;
 
 /// Compress `data`, picking whichever representation is smaller.
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    let encoded = rle::encode(data);
-    if encoded.len() < data.len() {
-        let mut out = Vec::with_capacity(encoded.len() + 1);
-        out.push(TAG_RLE);
-        out.extend_from_slice(&encoded);
-        out
+    // One buffer, sized for the raw form: the tag goes first and the RLE
+    // stream is written straight behind it, abandoned as soon as it can no
+    // longer beat the input (strictly: nothing beats an empty one).
+    let mut out = Vec::with_capacity(data.len() + 1);
+    out.push(TAG_RLE);
+    let shorter = data.len().checked_sub(1);
+    if shorter.is_some_and(|max_len| rle::encode_into(data, &mut out, max_len)) {
+        out.shrink_to_fit();
     } else {
-        let mut out = Vec::with_capacity(data.len() + 1);
+        out.clear();
         out.push(TAG_RAW);
         out.extend_from_slice(data);
-        out
     }
+    out
 }
 
 /// Decompress a buffer produced by [`compress`]. `None` on malformed input.
@@ -119,6 +121,7 @@ mod tests {
     #[test]
     fn empty_roundtrip() {
         let c = compress(&[]);
+        assert_eq!(c, [TAG_RAW]);
         assert_eq!(decompress(&c).unwrap(), Vec::<u8>::new());
     }
 

@@ -12,11 +12,67 @@
 /// Encode `data` (empty input encodes to empty output).
 pub fn encode(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 4 + 16);
-    let mut i = 0;
+    encode_into(data, &mut out, usize::MAX);
+    out
+}
+
+/// The first index `p >= from` with `data[p] == data[p + 1] == data[p + 2]`,
+/// or `data.len()` when no three equal bytes start at or after `from`.
+///
+/// Eight bytes are tested per step: with `w` the little-endian window at
+/// `i`, byte `j` of `x = w ^ w >> 8` is `d[j] ^ d[j+1]` and byte `j` of
+/// `y = x | x >> 8` is zero exactly when `d[j] == d[j+1] == d[j+2]`, for
+/// `j` in `0..=5` (bytes 6 and 7 lack their neighbours, so the window
+/// advances by 6). The zero-byte test `(y - 0x01..) & !y & 0x80..` can only
+/// be wrong *above* a true zero byte (a borrow), so its lowest hit is exact.
+fn next_triple(data: &[u8], from: usize) -> usize {
+    const LOW6: u64 = 0x0000_FFFF_FFFF_FFFF;
+    let mut i = from;
+    while let Some(window) = data.get(i..i + 8) {
+        let mut wb = [0u8; 8];
+        wb.copy_from_slice(window);
+        let w = u64::from_le_bytes(wb);
+        let x = w ^ w >> 8;
+        let y = (x | x >> 8) | !LOW6;
+        let hit = y.wrapping_sub(0x0101_0101_0101_0101) & !y & 0x8080_8080_8080_8080;
+        if hit != 0 {
+            return i + (hit.trailing_zeros() / 8) as usize;
+        }
+        i += 6;
+    }
+    while i + 2 < data.len() {
+        if data[i] == data[i + 1] && data[i] == data[i + 2] {
+            return i;
+        }
+        i += 1;
+    }
+    data.len()
+}
+
+/// [`encode`], appended to `out` — given up (`false`, with `out` left
+/// partial) once the appended stream would be longer than `max_len` bytes,
+/// so a caller that only wants a stream shorter than its input never grows
+/// the buffer past that.
+///
+/// The scanner does not step through bytes that cannot start a repeat
+/// token: it jumps to the next index where three equal bytes begin
+/// ([`next_triple`]) and only there measures a run. The token stream is the
+/// byte-at-a-time greedy scanner's. That scanner advances by runs of 1 or
+/// 2 until it stands on a run of 3 or more, and it cannot step over the
+/// first triple start `p`: the only way past `p` is a 2-step from `p - 1`,
+/// which needs `d[p-1] == d[p]` — and with `d[p] == d[p+1]` that makes
+/// `p - 1` an earlier triple start. So it lands on `p` exactly, with
+/// everything before `p` pending as literals, which is what happens here.
+pub(crate) fn encode_into(data: &[u8], out: &mut Vec<u8>, max_len: usize) -> bool {
+    let base = out.len();
     // Start index of a pending literal run not yet emitted.
     let mut lit_start = 0;
 
-    let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize, data: &[u8]| {
+    let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize| -> bool {
+        let n = to - from;
+        if out.len() - base + n + n.div_ceil(128) > max_len {
+            return false;
+        }
         let mut s = from;
         while s < to {
             let chunk = (to - s).min(128);
@@ -26,18 +82,30 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
             out.extend_from_slice(&data[s..s + chunk]);
             s += chunk;
         }
+        true
     };
 
-    while i < data.len() {
-        // Measure the run starting at i. Runs cap at 130, so the scan
-        // extends by 16-byte block compares (a pair of word compares after
-        // the optimizer is done) and finishes byte-wise in the block that
-        // breaks the run — same run lengths as the byte-at-a-time scan.
+    loop {
+        let i = next_triple(data, lit_start);
+        if !flush_literals(out, lit_start, i) {
+            return false;
+        }
+        if i == data.len() {
+            return true;
+        }
+        if out.len() - base + 2 > max_len {
+            return false;
+        }
+        // Measure the run starting at i (at least 3 by the search). Runs
+        // cap at 130, so the scan extends by 16-byte block compares (a pair
+        // of word compares after the optimizer is done) and finishes
+        // byte-wise in the block that breaks the run — same run lengths as
+        // the byte-at-a-time scan.
         let b = data[i];
         let rest = &data[i + 1..];
         let limit = rest.len().min(129);
         let pat = [b; 16];
-        let mut ext = 0;
+        let mut ext = 2;
         while ext + 16 <= limit && rest[ext..ext + 16] == pat {
             ext += 16;
         }
@@ -45,19 +113,11 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
             ext += 1;
         }
         let run = 1 + ext;
-        if run >= 3 {
-            flush_literals(&mut out, lit_start, i, data);
-            // `run <= 130` by the scan bound, so `run - 3 <= 127`.
-            out.push(0x80 + u8::try_from(run - 3).unwrap_or(127));
-            out.push(b);
-            i += run;
-            lit_start = i;
-        } else {
-            i += run;
-        }
+        // `3 <= run <= 130` by the search and the scan bound.
+        out.push(0x80 + u8::try_from(run - 3).unwrap_or(127));
+        out.push(b);
+        lit_start = i + run;
     }
-    flush_literals(&mut out, lit_start, data.len(), data);
-    out
 }
 
 /// Decode a buffer produced by [`encode`]. Returns `None` on malformed input.

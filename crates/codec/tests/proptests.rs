@@ -38,6 +38,84 @@ fn rle_roundtrip_runny() {
     });
 }
 
+/// The greedy scanner `rle::encode` must reproduce token for token: measure
+/// the run at every position one byte at a time, emit a repeat token for
+/// three or more, otherwise step over the run and leave it to the literals.
+fn rle_encode_reference(data: &[u8]) -> Vec<u8> {
+    fn flush(out: &mut Vec<u8>, lits: &[u8]) {
+        for chunk in lits.chunks(128) {
+            out.push((chunk.len() - 1) as u8);
+            out.extend_from_slice(chunk);
+        }
+    }
+    let mut out = Vec::new();
+    let (mut i, mut lit_start) = (0, 0);
+    while i < data.len() {
+        let run = data[i..].iter().take(130).take_while(|&&b| b == data[i]).count();
+        if run >= 3 {
+            flush(&mut out, &data[lit_start..i]);
+            out.push(0x80 + (run - 3) as u8);
+            out.push(data[i]);
+            lit_start = i + run;
+        }
+        i += run;
+    }
+    flush(&mut out, &data[lit_start..]);
+    out
+}
+
+#[test]
+fn rle_encode_matches_bytewise_reference() {
+    cases("rle_encode_matches_bytewise_reference", 256, |g| {
+        // A two- or three-letter alphabet makes pairs and triples common;
+        // the full byte range makes them rare.
+        let alphabet = g.one_of(&[2u8, 3, 255]);
+        let mut data = g.vec(0..600, |g| g.u8() % alphabet);
+        for _ in 0..g.range(0..4) {
+            let at = g.range(0..=data.len());
+            let run = std::iter::repeat_n(g.u8() % alphabet, g.range(1..300));
+            data.splice(at..at, run);
+        }
+        assert_eq!(rle::encode(&data), rle_encode_reference(&data));
+    });
+}
+
+#[test]
+fn rle_encode_matches_reference_on_fixed_corpus() {
+    // Every run length around the token thresholds (3 to repeat, 130 to
+    // split), at every offset of the scanner's 8-byte window and beyond
+    // its 6-byte stride, followed by every tail the bytewise finish sees.
+    for run in [1usize, 2, 3, 129, 130, 131, 300] {
+        for offset in 0..16 {
+            for tail in 0..10 {
+                // Lead-in and tail never repeat a byte within 3 and never
+                // touch the run's byte, so the run is the only run.
+                let mut data: Vec<u8> = (0..offset).map(|i| 1 + (i % 5) as u8).collect();
+                data.extend(std::iter::repeat_n(0xEE, run));
+                data.extend((0..tail).map(|i| 0x10 + (i % 5) as u8));
+                assert_eq!(
+                    rle::encode(&data),
+                    rle_encode_reference(&data),
+                    "run {run} at offset {offset} with a {tail}-byte tail"
+                );
+            }
+        }
+    }
+    // Equal pairs that never become triples: aabbaabb…, abbabba…, and a
+    // pair straddling each window boundary.
+    for len in 0..40usize {
+        let pairs: Vec<u8> = (0..len).map(|i| (i / 2 % 2) as u8).collect();
+        assert_eq!(rle::encode(&pairs), rle_encode_reference(&pairs), "pairs, len {len}");
+        let offbeat: Vec<u8> = (0..len).map(|i| u8::from(i % 3 != 0)).collect();
+        assert_eq!(rle::encode(&offbeat), rle_encode_reference(&offbeat), "offbeat, len {len}");
+        for at in 0..len.saturating_sub(1) {
+            let mut lone: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            lone[at + 1] = lone[at];
+            assert_eq!(rle::encode(&lone), rle_encode_reference(&lone), "pair at {at} of {len}");
+        }
+    }
+}
+
 #[test]
 fn lossless_roundtrip() {
     cases("lossless_roundtrip", 256, |g| {

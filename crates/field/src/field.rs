@@ -24,6 +24,40 @@ pub struct Field {
     data: Vec<f64>,
 }
 
+/// `(min, max)` of the values `keep` admits, `(0, 0)` when it admits none;
+/// a NaN is never the smaller or the larger of two values, so it never
+/// counts.
+///
+/// A value that is not admitted reads as the identity of each fold (+inf
+/// for the minimum, -inf for the maximum), so the loop has no branch to
+/// predict; and the smallest and largest of a set do not depend on the order
+/// the set is walked in, so a few independent lanes find the same two
+/// numbers as one running pair, without its chain of dependent compares.
+/// (Only the sign of an extreme that is zero can depend on the order;
+/// `max - min` cannot see it.)
+fn min_max_where(data: &[f64], keep: impl Fn(f64) -> bool) -> (f64, f64) {
+    const LANES: usize = 4;
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    let mut fold = |group: &[f64]| {
+        for ((lo, hi), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(group) {
+            let (below, above) = if keep(v) { (v, v) } else { (f64::INFINITY, f64::NEG_INFINITY) };
+            *lo = if below < *lo { below } else { *lo };
+            *hi = if above > *hi { above } else { *hi };
+        }
+    };
+    let mut groups = data.chunks_exact(LANES);
+    groups.by_ref().for_each(&mut fold);
+    fold(groups.remainder());
+    let lo = lo.iter().fold(f64::INFINITY, |m, &v| if v < m { v } else { m });
+    let hi = hi.iter().fold(f64::NEG_INFINITY, |m, &v| if v > m { v } else { m });
+    if lo > hi {
+        (0.0, 0.0)
+    } else {
+        (lo, hi)
+    }
+}
+
 impl Field {
     /// Create a field from raw data; `data.len()` must equal `shape.len()`.
     pub fn new(name: impl Into<String>, timestep: usize, shape: Shape, data: Vec<f64>) -> Self {
@@ -115,17 +149,13 @@ impl Field {
 
     /// `(min, max)` over all values. Returns `(0, 0)` for empty fields.
     pub fn min_max(&self) -> (f64, f64) {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &v in &self.data {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        if lo > hi {
-            (0.0, 0.0)
-        } else {
-            (lo, hi)
-        }
+        min_max_where(&self.data, |_| true)
+    }
+
+    /// [`Field::min_max`] over the finite values only: `(0, 0)` when there
+    /// are none, and the same pair as `min_max` when all are.
+    pub fn finite_min_max(&self) -> (f64, f64) {
+        min_max_where(&self.data, f64::is_finite)
     }
 
     /// `max - min`; the value range used to convert relative error bounds to
@@ -175,6 +205,41 @@ mod tests {
         assert_eq!(f.value_range(), 7.0);
         assert_eq!(f.max_abs(), 5.0);
         assert_eq!(f.timestep(), 3);
+    }
+
+    /// The running-pair scan `min_max_where` replaced, as the reference.
+    fn min_max_reference(data: &[f64], keep: impl Fn(f64) -> bool) -> (f64, f64) {
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &v in data.iter().filter(|&&v| keep(v)) {
+            lo = lo.min(v);
+            hi = hi.max(v);
+        }
+        if lo > hi {
+            (0.0, 0.0)
+        } else {
+            (lo, hi)
+        }
+    }
+
+    #[test]
+    fn min_max_matches_the_running_pair_on_hostile_values() {
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 5e-324, -1e308];
+        let mut rng = pmr_rng::Rng::seed_from_u64(20);
+        for n in 1..40 {
+            let data: Vec<f64> = (0..n)
+                .map(|_| if rng.bool() { rng.one_of(&specials) } else { rng.range(-3.0..3.0) })
+                .collect();
+            let f = Field::new("t", 0, Shape::d1(n), data);
+            // The range is what is persisted, so it is compared in bits;
+            // the extremes compare as numbers (a zero may change sign).
+            let bits = |(lo, hi): (f64, f64)| (hi - lo).to_bits();
+            let all = min_max_reference(f.data(), |_| true);
+            assert_eq!(f.min_max(), all, "{:?}", f.data());
+            assert_eq!(bits(f.min_max()), bits(all), "{:?}", f.data());
+            let finite = min_max_reference(f.data(), f64::is_finite);
+            assert_eq!(f.finite_min_max(), finite, "{:?}", f.data());
+            assert_eq!(bits(f.finite_min_max()), bits(finite), "{:?}", f.data());
+        }
     }
 
     #[test]

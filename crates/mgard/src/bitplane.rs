@@ -23,7 +23,9 @@
 //! original bit-at-a-time path alive as the differential oracle (it ignores
 //! `threads` for this stage — the oracle is defined serially).
 
-use crate::exec::ExecPolicy;
+use crate::checksum::fnv1a64;
+use crate::encode_kernel::{self, LaneRows, LANES, MAX_PLANES};
+use crate::exec::{for_each_job, ExecPolicy};
 use pmr_codec::{
     bitstream::{BitReader, BitWriter},
     lossless, negabinary, transpose, TileImpl,
@@ -44,6 +46,10 @@ pub struct LevelEncoding {
     step: f64,
     /// Losslessly compressed plane payloads, plane 0 = most significant.
     planes: Vec<Vec<u8>>,
+    /// `fnv1a64` of each payload, computed once where its bytes are made
+    /// (`encode`) or first walked (`from_parts`); `planes` never changes
+    /// afterwards, so the two cannot drift.
+    checksums: Vec<u64>,
     /// Collected error row: `error_row[b]` is the exact max absolute
     /// coefficient error when only the first `b` planes are used
     /// (length `B + 1`; `error_row[0]` = max |c|).
@@ -56,76 +62,10 @@ pub struct LevelEncoding {
 /// (see the degenerate-level branch in [`LevelEncoding::encode`]): a NaN
 /// coefficient quantizes to 0, ±inf never reaches here because the caller
 /// collapses the level first.
-fn quantize(c: f64, step: f64) -> i64 {
+#[inline(always)]
+pub(crate) fn quantize(c: f64, step: f64) -> i64 {
     // lint:allow(lossy_cast): round-then-saturate is the documented NaN/inf quantization policy
     (c / step).round() as i64
-}
-
-/// Quantize/encode one tile-aligned coefficient chunk: fills one packed-bit
-/// segment per plane (`segs[k]`, pre-sized to `coeffs.len().div_ceil(8)`)
-/// and folds the chunk's truncation errors into `row` (length `B + 1`).
-///
-/// Bit-identity with the scalar path: the digits come from the same
-/// `quantize`/`to_negabinary` expressions; plane bits land at the same
-/// MSB-first positions (`word.to_be_bytes()` is exactly the `BitWriter`
-/// layout, and zero-padded tile tails match its zero fill); and the error
-/// accumulator `val`, although held in f64, only ever takes integer values
-/// below 2^51 (`num_planes <= 50`), where f64 addition is exact — so every
-/// `(c - val * step)` matches the scalar `(c - val_i64 as f64 * step)` bit
-/// for bit. The max-merges reorder only `f64::max`, which is associative,
-/// commutative, and NaN-ignoring like the scalar `if err > worst` fold.
-fn encode_chunk_tiled(
-    coeffs: &[f64],
-    num_planes: u32,
-    step: f64,
-    weights_f: &[f64],
-    imp: TileImpl,
-    segs: &mut [Vec<u8>],
-    row: &mut [f64],
-) {
-    let b = num_planes;
-    let bu = b as usize;
-    let seg_len = coeffs.len().div_ceil(8);
-    for (t, chunk) in coeffs.chunks(transpose::TILE).enumerate() {
-        let mut tile = [0u64; transpose::TILE];
-        let mut cval = [0.0f64; transpose::TILE];
-        for ((d, cv), &c) in tile.iter_mut().zip(cval.iter_mut()).zip(chunk) {
-            *d = negabinary::to_negabinary(quantize(c, step));
-            *cv = c;
-        }
-        let mut m0 = row[0];
-        for &c in chunk {
-            m0 = m0.max(c.abs());
-        }
-        row[0] = m0;
-        // Branchless prefix-reconstruction error, one plane across the whole
-        // tile. Padding lanes contribute zero digits and c = 0.0, i.e. a
-        // zero error that never moves the max.
-        let mut val = [0.0f64; transpose::TILE];
-        for ((shift, &w), worst) in (0..b).rev().zip(weights_f).zip(row[1..].iter_mut()) {
-            let wbits = w.to_bits();
-            // Two passes so the accumulate and the max-reduction each
-            // auto-vectorize; `max` is order-independent, so splitting them
-            // keeps the row bit-identical to the scalar oracle.
-            for j in 0..transpose::TILE {
-                let bit = tile[j] >> shift & 1;
-                val[j] += f64::from_bits(wbits & bit.wrapping_neg());
-            }
-            let mut pmax = 0.0f64;
-            for j in 0..transpose::TILE {
-                pmax = pmax.max((cval[j] - val[j] * step).abs());
-            }
-            *worst = worst.max(pmax);
-        }
-        // One transpose yields every plane word of the tile; the plane words
-        // are the bottom `b` rows (see `pmr_codec::transpose` docs).
-        transpose::transpose64(&mut tile, imp);
-        let base = t * 8;
-        let nbytes = (seg_len - base).min(8);
-        for (seg, word) in segs.iter_mut().zip(&tile[transpose::TILE - bu..]) {
-            seg[base..base + nbytes].copy_from_slice(&word.to_be_bytes()[..nbytes]);
-        }
-    }
 }
 
 /// Rebuild the coefficients starting at tile-aligned index `lo` from
@@ -167,12 +107,15 @@ impl LevelEncoding {
 
     /// [`LevelEncoding::encode`] under an explicit execution policy.
     ///
-    /// The parallel path splits the coefficients into tile-aligned chunks
-    /// (multiples of 64, so no tile straddles a worker); each chunk fills
-    /// its own plane byte segments and a private error row, the segments
-    /// concatenate at byte boundaries, and the rows merge with `f64::max`
-    /// — exact and therefore bit-identical to the serial scan. The lossless
-    /// compression pass parallelizes across planes, which are independent.
+    /// There is one tiled encoder; the policy only decides how many workers
+    /// share it. The coefficients split into tile-aligned chunks (multiples
+    /// of 64, so no tile straddles a worker and every non-final chunk packs
+    /// to whole plane bytes); each worker writes its own byte range of the
+    /// final packed planes and raises its own lane maxima, which fold into
+    /// the error row in any order (`encode_kernel`) — bit-identical to the
+    /// serial scan, which is the same code with one chunk. The lossless
+    /// pass, which also takes each payload's checksum, parallelizes across
+    /// planes, which are independent.
     ///
     /// [`PlaneKernel::Scalar`] routes to the original bit-at-a-time encoder
     /// (the differential oracle), which is defined serially and ignores
@@ -180,14 +123,14 @@ impl LevelEncoding {
     pub fn encode_with(coeffs: &[f64], num_planes: u32, exec: &ExecPolicy) -> Self {
         assert!((3..=50).contains(&num_planes), "num_planes out of range");
         let b = num_planes;
-        let max_abs = coeffs.iter().fold(0.0_f64, |m, &c| m.max(c.abs()));
+        let max_abs = encode_kernel::max_abs(coeffs);
 
         if max_abs == 0.0 || !max_abs.is_finite() {
             // Degenerate level: everything quantizes to zero. Planes are
             // all-zero bitstreams (nearly free after RLE).
             //
             // This branch is half of the crate's non-finite policy. The
-            // fold above uses `f64::max`, which *ignores NaN*, so:
+            // maximum above *ignores NaN*, so:
             //
             // * a level containing ±inf has `max_abs = inf` and lands here:
             //   no finite step covers it, the whole level collapses to
@@ -205,20 +148,14 @@ impl LevelEncoding {
             // only. Callers that must preserve non-finite payloads mask
             // them out before compression; the conformance harness pins
             // this contract with NaN/inf-laced fields.
-            let empty_plane = {
-                let mut w = BitWriter::with_capacity(coeffs.len());
-                for _ in 0..coeffs.len() {
-                    w.push(false);
-                }
-                lossless::compress(&w.into_bytes())
-            };
-            return LevelEncoding {
-                count: coeffs.len(),
-                num_planes: b,
-                step: 0.0,
-                planes: vec![empty_plane; b as usize],
-                error_row: vec![0.0; b as usize + 1],
-            };
+            let empty_plane = lossless::compress(&vec![0u8; coeffs.len().div_ceil(8)]);
+            return Self::assemble(
+                coeffs.len(),
+                b,
+                0.0,
+                vec![empty_plane; b as usize],
+                vec![0.0; b as usize + 1],
+            );
         }
 
         // Fixed-point scale: |q| <= 2^(B-2) fits in B negabinary digits.
@@ -228,13 +165,21 @@ impl LevelEncoding {
         if exec.kernel.is_scalar() {
             return Self::encode_scalar(coeffs, b, step);
         }
-        let imp = exec.kernel.tile_impl();
         let threads = exec.resolved_threads();
-        if threads <= 1 || coeffs.len() < 2 * threads {
-            Self::encode_tiled(coeffs, b, step, imp)
-        } else {
-            Self::encode_tiled_parallel(coeffs, b, step, imp, threads)
-        }
+        let threads = if coeffs.len() < 2 * threads { 1 } else { threads };
+        Self::encode_tiled(coeffs, b, step, max_abs, exec.kernel.tile_impl(), threads)
+    }
+
+    /// An encoding of `planes` as given, hashing each once.
+    fn assemble(
+        count: usize,
+        num_planes: u32,
+        step: f64,
+        planes: Vec<Vec<u8>>,
+        error_row: Vec<f64>,
+    ) -> Self {
+        let checksums = planes.iter().map(|p| fnv1a64(p)).collect();
+        LevelEncoding { count, num_planes, step, planes, checksums, error_row }
     }
 
     /// The original bit-at-a-time encoder, kept verbatim as the
@@ -277,78 +222,59 @@ impl LevelEncoding {
             planes.push(lossless::compress(&w.into_bytes()));
         }
 
-        LevelEncoding { count: coeffs.len(), num_planes: b, step, planes, error_row }
+        Self::assemble(coeffs.len(), b, step, planes, error_row)
     }
 
-    /// Serial tiled encode: one pass of [`encode_chunk_tiled`] over the
-    /// whole level, then per-plane lossless compression.
-    fn encode_tiled(coeffs: &[f64], b: u32, step: f64, imp: TileImpl) -> Self {
-        let bu = b as usize;
-        let weights_f: Vec<f64> = (0..b).map(|k| (-2_i64).pow(b - 1 - k) as f64).collect();
-        let seg_len = coeffs.len().div_ceil(8);
-        let mut segs: Vec<Vec<u8>> = vec![vec![0u8; seg_len]; bu];
-        let mut error_row = vec![0.0f64; bu + 1];
-        encode_chunk_tiled(coeffs, b, step, &weights_f, imp, &mut segs, &mut error_row);
-        let planes = segs.iter().map(|s| lossless::compress(s)).collect();
-        LevelEncoding { count: coeffs.len(), num_planes: b, step, planes, error_row }
-    }
-
-    /// Parallel tiled encode; see [`LevelEncoding::encode_with`] for the
-    /// bit-identity argument.
-    fn encode_tiled_parallel(
+    /// The tiled encoder on `threads` workers (`>= 1`); see
+    /// [`LevelEncoding::encode_with`] for the bit-identity argument.
+    fn encode_tiled(
         coeffs: &[f64],
         b: u32,
         step: f64,
+        max_abs: f64,
         imp: TileImpl,
         threads: usize,
     ) -> Self {
         let bu = b as usize;
-        let weights_f: Vec<f64> = (0..b).map(|k| (-2_i64).pow(b - 1 - k) as f64).collect();
+        let weights: Vec<f64> = (0..b).map(|k| (-2_i64).pow(b - 1 - k) as f64).collect();
         // Tile-aligned chunks: no tile straddles a worker, and every
         // non-final chunk packs to a whole number of plane bytes.
         let csize =
             coeffs.len().div_ceil(threads).max(1).div_ceil(transpose::TILE) * transpose::TILE;
         let nchunks = coeffs.len().div_ceil(csize);
-        let mut rows: Vec<Vec<f64>> = vec![vec![0.0f64; bu + 1]; nchunks];
-        let mut segsets: Vec<Vec<Vec<u8>>> =
-            coeffs.chunks(csize).map(|ch| vec![vec![0u8; ch.len().div_ceil(8)]; bu]).collect();
-        std::thread::scope(|scope| {
-            for ((cchunk, segs), row) in
-                coeffs.chunks(csize).zip(segsets.iter_mut()).zip(rows.iter_mut())
-            {
-                let weights_f = &weights_f;
-                scope.spawn(move || encode_chunk_tiled(cchunk, b, step, weights_f, imp, segs, row));
-            }
-        });
-        let mut error_row = vec![0.0f64; bu + 1];
-        for row in &rows {
-            for (e, &r) in error_row.iter_mut().zip(row) {
-                *e = e.max(r);
+        let mut packed: Vec<Vec<u8>> = vec![vec![0u8; coeffs.len().div_ceil(8)]; bu];
+        // ranges[w][k]: worker w's bytes of plane k.
+        let mut ranges: Vec<Vec<&mut [u8]>> =
+            (0..nchunks).map(|_| Vec::with_capacity(bu)).collect();
+        for plane in &mut packed {
+            for (mine, part) in ranges.iter_mut().zip(plane.chunks_mut(csize / 8)) {
+                mine.push(part);
             }
         }
+        let mut lanes: Vec<LaneRows> = vec![[[0.0; LANES]; MAX_PLANES]; nchunks];
+        for_each_job(
+            coeffs.chunks(csize).zip(ranges).zip(lanes.iter_mut()),
+            |((chunk, mut mine), lanes)| {
+                encode_kernel::encode_chunk(chunk, step, &weights, imp, &mut mine, lanes);
+            },
+        );
+        let mut error_row = vec![max_abs; bu + 1];
+        encode_kernel::fold_lanes(&lanes, &mut error_row);
 
-        // Stitch and compress each plane; planes are independent, so they
-        // are distributed across workers whole.
-        let mut planes: Vec<Vec<u8>> = vec![Vec::new(); bu];
-        let expected = coeffs.len().div_ceil(8);
-        let pchunk = bu.div_ceil(threads).max(1);
-        std::thread::scope(|scope| {
-            for (pi, chunk) in planes.chunks_mut(pchunk).enumerate() {
-                let segsets = &segsets;
-                scope.spawn(move || {
-                    for (j, slot) in chunk.iter_mut().enumerate() {
-                        let k = pi * pchunk + j;
-                        let mut buf = Vec::with_capacity(expected);
-                        for segs in segsets {
-                            buf.extend_from_slice(&segs[k]);
-                        }
-                        *slot = lossless::compress(&buf);
-                    }
-                });
+        // Compress and hash each plane, dropping its packed form on the
+        // way; planes are independent, so workers take them whole.
+        let mut done: Vec<(Vec<u8>, u64)> = vec![(Vec::new(), 0); bu];
+        let pchunk = bu.div_ceil(threads);
+        for_each_job(packed.chunks_mut(pchunk).zip(done.chunks_mut(pchunk)), |(packed, done)| {
+            for (raw, slot) in packed.iter_mut().zip(done) {
+                let plane = lossless::compress(&std::mem::take(raw));
+                let sum = fnv1a64(&plane);
+                *slot = (plane, sum);
             }
         });
+        let (planes, checksums) = done.into_iter().unzip();
 
-        LevelEncoding { count: coeffs.len(), num_planes: b, step, planes, error_row }
+        LevelEncoding { count: coeffs.len(), num_planes: b, step, planes, checksums, error_row }
     }
 
     /// Number of coefficients.
@@ -386,6 +312,13 @@ impl LevelEncoding {
     /// `(level, plane)`) from a [`pmr-storage`] segment store.
     pub fn plane_payload(&self, k: u32) -> &[u8] {
         &self.planes[k as usize]
+    }
+
+    /// `fnv1a64` of [`LevelEncoding::plane_payload`]`(k)`, taken when the
+    /// payload was produced or loaded — what persistence writes into the
+    /// checksum table and what a fetched copy of the plane must hash to.
+    pub fn plane_checksum(&self, k: u32) -> u64 {
+        self.checksums[k as usize]
     }
 
     /// Decode the level from *externally fetched* plane payloads instead of
@@ -512,7 +445,19 @@ impl LevelEncoding {
     /// `u32` length field of the wire format — wrapping the length would
     /// write an artifact that deserializes to the wrong bytes.
     pub fn to_bytes(&self) -> Result<Vec<u8>, PmrError> {
-        let mut out = Vec::with_capacity(self.total_size() as usize + 256);
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.write_to(&mut out)?;
+        Ok(out)
+    }
+
+    /// Exactly the number of bytes [`LevelEncoding::write_to`] appends.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let header = 8 + 4 + 8 + 8 * self.error_row.len();
+        header + self.planes.iter().map(|p| 4 + p.len()).sum::<usize>()
+    }
+
+    /// [`LevelEncoding::to_bytes`], appended to `out`.
+    pub(crate) fn write_to(&self, out: &mut Vec<u8>) -> Result<(), PmrError> {
         out.extend_from_slice(&(self.count as u64).to_le_bytes());
         out.extend_from_slice(&self.num_planes.to_le_bytes());
         out.extend_from_slice(&self.step.to_le_bytes());
@@ -523,7 +468,7 @@ impl LevelEncoding {
             out.extend_from_slice(&len_u32(p.len(), "plane payload length")?.to_le_bytes());
             out.extend_from_slice(p);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Inverse of [`LevelEncoding::to_bytes`]: parses and validates,
@@ -587,7 +532,7 @@ impl LevelEncoding {
                 _ => return None,
             }
         }
-        Some(LevelEncoding { count, num_planes, step, planes, error_row })
+        Some(Self::assemble(count, num_planes, step, planes, error_row))
     }
 
     /// Max absolute coefficient error when the first `b` planes are used.
@@ -730,6 +675,22 @@ mod tests {
                 |e: &LevelEncoding| e.error_row().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(row_bits(&par), row_bits(&serial), "{exec:?}");
         }
+    }
+
+    #[test]
+    fn plane_checksums_are_the_payload_digests() {
+        let digests_hold = |e: &LevelEncoding| {
+            (0..e.num_planes()).all(|k| e.plane_checksum(k) == fnv1a64(e.plane_payload(k)))
+        };
+        let coeffs = sample_coeffs(3001);
+        for exec in [ExecPolicy::serial(), ExecPolicy::with_threads(4), scalar_policy()] {
+            let enc = LevelEncoding::encode_with(&coeffs, 30, &exec);
+            assert!(digests_hold(&enc), "{exec:?}");
+            assert!(digests_hold(&enc.clone()), "{exec:?} clone");
+            let (parsed, _) = LevelEncoding::from_bytes(&enc.to_bytes().unwrap()).unwrap();
+            assert!(digests_hold(&parsed), "{exec:?} reparsed");
+        }
+        assert!(digests_hold(&LevelEncoding::encode(&[0.0; 100], 8)), "degenerate level");
     }
 
     #[test]

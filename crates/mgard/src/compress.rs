@@ -173,19 +173,8 @@ pub struct Compressed {
 /// keeps bound conversion meaningful for exactly the sites the error
 /// guarantees cover. Finite fields are unaffected.
 fn finite_value_range(field: &Field) -> f64 {
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &v in field.data() {
-        if v.is_finite() {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-    }
-    if hi >= lo {
-        hi - lo
-    } else {
-        0.0
-    }
+    let (lo, hi) = field.finite_min_max();
+    hi - lo
 }
 
 impl Compressed {

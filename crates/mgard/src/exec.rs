@@ -4,9 +4,9 @@
 //! encoding/decoding, and the batch compress/retrieve APIs — accepts an
 //! [`ExecPolicy`] that says how many worker threads to use. The parallel
 //! paths are written so their output is *bit-identical* to the serial paths:
-//! transform lines are fully independent, per-chunk error reductions use
-//! `f64::max` (exact, order-independent), and work is split by the policy
-//! and the grid geometry, never by thread scheduling.
+//! transform lines are fully independent, per-chunk error reductions keep
+//! the larger of two numbers (exact, order-independent), and work is split
+//! by the policy and the grid geometry, never by thread scheduling.
 
 use pmr_codec::PlaneKernel;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -84,6 +84,25 @@ impl ExecPolicy {
         } else {
             *self
         }
+    }
+}
+
+/// Run `work` on every job — on the calling thread when there is only one,
+/// otherwise each on a scoped thread of its own. The callers split their
+/// data by the policy's thread count, so the job count is the worker count.
+pub(crate) fn for_each_job<J: Send>(
+    jobs: impl ExactSizeIterator<Item = J>,
+    work: impl Fn(J) + Sync,
+) {
+    if jobs.len() <= 1 {
+        jobs.for_each(work);
+    } else {
+        std::thread::scope(|scope| {
+            for job in jobs {
+                let work = &work;
+                scope.spawn(move || work(job));
+            }
+        });
     }
 }
 

@@ -32,6 +32,7 @@ pub mod bitplane;
 pub mod checksum;
 pub mod compress;
 pub mod decompose;
+mod encode_kernel;
 pub mod estimate;
 pub mod exec;
 pub mod persist;

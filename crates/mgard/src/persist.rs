@@ -28,13 +28,12 @@
 //! ```
 
 use crate::bitplane::LevelEncoding;
-use crate::checksum::fnv1a64;
 use crate::compress::Compressed;
 use crate::decompose::{Decomposer, TransformMode};
 use pmr_error::{len_u32, PmrError};
 use pmr_field::Shape;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::Read;
 use std::path::Path;
 
 /// Legacy pre-checksum magic; artifacts with it load without verification.
@@ -52,9 +51,12 @@ fn malformed(detail: &str) -> PmrError {
 /// wire field — the cast-and-wrap alternative would silently persist an
 /// artifact that cannot round-trip.
 pub fn to_bytes(c: &Compressed) -> Result<Vec<u8>, PmrError> {
-    let mut out = Vec::with_capacity(c.total_bytes() as usize + 4096);
-    out.extend_from_slice(MAGIC_V2);
     let name = c.name().as_bytes();
+    let header = MAGIC_V2.len() + 4 + name.len() + 8 + 4 + 3 * 4 + 4 + 1 + 8;
+    let levels: usize =
+        c.levels().iter().map(|l| 4 + 8 * l.num_planes() as usize + l.encoded_len()).sum();
+    let mut out = Vec::with_capacity(header + levels);
+    out.extend_from_slice(MAGIC_V2);
     out.extend_from_slice(&len_u32(name.len(), "field name length")?.to_le_bytes());
     out.extend_from_slice(name);
     out.extend_from_slice(&(c.timestep() as u64).to_le_bytes());
@@ -72,11 +74,11 @@ pub fn to_bytes(c: &Compressed) -> Result<Vec<u8>, PmrError> {
     for lvl in c.levels() {
         out.extend_from_slice(&lvl.num_planes().to_le_bytes());
         for k in 0..lvl.num_planes() {
-            out.extend_from_slice(&fnv1a64(lvl.plane_payload(k)).to_le_bytes());
+            out.extend_from_slice(&lvl.plane_checksum(k).to_le_bytes());
         }
     }
     for lvl in c.levels() {
-        out.extend_from_slice(&lvl.to_bytes()?);
+        lvl.write_to(&mut out)?;
     }
     Ok(out)
 }
@@ -176,29 +178,7 @@ pub fn from_bytes(buf: &[u8]) -> Result<Compressed, PmrError> {
             .ok_or_else(|| PmrError::malformed("mgard artifact", format!("bad level {l}")))?;
         pos += used;
         if let Some(table) = &checksums {
-            let row = &table[l];
-            if row.len() != enc.num_planes() as usize {
-                return Err(PmrError::malformed(
-                    "mgard artifact",
-                    format!(
-                        "checksum table has {} entries at level {l} but the level holds {} planes",
-                        row.len(),
-                        enc.num_planes()
-                    ),
-                ));
-            }
-            for (&expect, k) in row.iter().zip(0..enc.num_planes()) {
-                let got = fnv1a64(enc.plane_payload(k));
-                if got != expect {
-                    return Err(PmrError::malformed(
-                        "mgard artifact",
-                        format!(
-                            "checksum mismatch at level {l} plane {k}: \
-                             stored {expect:#018x}, payload hashes to {got:#018x}"
-                        ),
-                    ));
-                }
-            }
+            verify_checksums(l, &enc, &table[l])?;
         }
         levels.push(enc);
     }
@@ -209,16 +189,42 @@ pub fn from_bytes(buf: &[u8]) -> Result<Compressed, PmrError> {
         .ok_or_else(|| malformed("level layout does not match decomposition"))
 }
 
+/// Check level `l`'s row of the stored checksum table against the digests
+/// `enc` took of its payloads as it was parsed ([`LevelEncoding::plane_checksum`]):
+/// the one hash of the loaded bytes, compared here rather than recomputed.
+fn verify_checksums(l: usize, enc: &LevelEncoding, stored: &[u64]) -> Result<(), PmrError> {
+    if stored.len() != enc.num_planes() as usize {
+        return Err(PmrError::malformed(
+            "mgard artifact",
+            format!(
+                "checksum table has {} entries at level {l} but the level holds {} planes",
+                stored.len(),
+                enc.num_planes()
+            ),
+        ));
+    }
+    for (&expect, k) in stored.iter().zip(0..enc.num_planes()) {
+        let got = enc.plane_checksum(k);
+        if got != expect {
+            return Err(PmrError::malformed(
+                "mgard artifact",
+                format!(
+                    "checksum mismatch at level {l} plane {k}: \
+                     stored {expect:#018x}, payload hashes to {got:#018x}"
+                ),
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Write an artifact to `path`, creating parent directories.
 pub fn save(c: &Compressed, path: &Path) -> Result<(), PmrError> {
-    let io_err = |e: io::Error| PmrError::io_at(path, e);
+    let io_err = |e: std::io::Error| PmrError::io_at(path, e);
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent).map_err(io_err)?;
     }
-    let bytes = to_bytes(c)?;
-    let mut f = io::BufWriter::new(fs::File::create(path).map_err(io_err)?);
-    f.write_all(&bytes).map_err(io_err)?;
-    f.flush().map_err(io_err)
+    fs::write(path, to_bytes(c)?).map_err(io_err)
 }
 
 /// Read an artifact previously written with [`save`].
@@ -303,11 +309,42 @@ mod tests {
         let (_, c) = artifact();
         let bytes = to_bytes(&c).expect("serialize");
         // Flip one bit in the last payload byte of the buffer — deep inside
-        // the final level's plane data, past every header field.
+        // the final level's plane data, past every header field. That plane
+        // is stored raw, so the flipped payload still parses and only its
+        // digest can tell.
         let mut bad = bytes.clone();
         let at = bad.len() - 1;
         bad[at] ^= 0x01;
-        assert!(from_bytes(&bad).is_err(), "payload corruption must not load silently");
+        let err = from_bytes(&bad).unwrap_err().to_string();
+        let (l, k) = (c.num_levels() - 1, c.num_planes() - 1);
+        assert!(err.contains(&format!("checksum mismatch at level {l} plane {k}")), "got: {err}");
+    }
+
+    #[test]
+    fn loaded_levels_carry_their_payload_digests() {
+        use crate::checksum::fnv1a64;
+        let digests_hold = |c: &Compressed| {
+            c.levels().iter().all(|lvl| {
+                (0..lvl.num_planes())
+                    .all(|k| lvl.plane_checksum(k) == fnv1a64(lvl.plane_payload(k)))
+            })
+        };
+        let (_, c) = artifact();
+        assert!(digests_hold(&c));
+        assert!(digests_hold(&from_bytes(&to_bytes(&c).expect("serialize")).expect("roundtrip")));
+        // A PMRC1 blob has no table to check against, but what it loads to
+        // must still know its digests: they are what `to_bytes` writes.
+        let v1 = include_bytes!("../../../tests/golden/poly-1d.legacy-v1.pmr");
+        assert!(digests_hold(&from_bytes(v1).expect("legacy load")));
+    }
+
+    #[test]
+    fn to_bytes_reserves_exactly() {
+        let (_, c) = artifact();
+        let bytes = to_bytes(&c).expect("serialize");
+        assert_eq!(bytes.capacity(), bytes.len());
+        let level = c.levels()[0].to_bytes().expect("serialize");
+        assert_eq!(level.capacity(), level.len());
     }
 
     #[test]

@@ -155,6 +155,36 @@ fn check_tiled_kernels_match_scalar_oracle(coeffs: &[f64], planes: u32, b: u32) 
     }
 }
 
+/// The one tiled encoder at every worker count: counts that straddle tile
+/// (64) *and* worker-chunk (a multiple of 64 per worker) boundaries, with
+/// arbitrary bit patterns planted among ordinary coefficients — NaN sites,
+/// an infinity that collapses the level, magnitudes that move the step.
+#[test]
+fn chunked_tiled_encode_matches_scalar_oracle() {
+    cases("chunked_tiled_encode_matches_scalar_oracle", CASES, |g| {
+        let planted = [g.any_f64(), g.any_f64()];
+        let threads = g.one_of(&[1usize, 2, 3, 7]);
+        let planes = g.one_of(&[3u32, 17, 32, 50]);
+        let kernel = g.one_of(&TILED_KERNELS);
+        // Within 65 of a count that fills every worker's chunk exactly.
+        let count = (g.range(1..4usize) * 64 * threads + g.range(0..131usize)).saturating_sub(65);
+        let mut coeffs = noise(g, count.max(1), -1e3..1e3);
+        for v in planted.into_iter().take(g.range(0..3usize)) {
+            let at = g.range(0..coeffs.len());
+            coeffs[at] = v;
+        }
+        let oracle = LevelEncoding::encode_with(
+            &coeffs,
+            planes,
+            &ExecPolicy::serial().with_kernel(PlaneKernel::Scalar),
+        );
+        let exec = ExecPolicy::with_threads(threads).with_kernel(kernel);
+        let enc = LevelEncoding::encode_with(&coeffs, planes, &exec);
+        assert_eq!(enc.to_bytes().unwrap(), oracle.to_bytes().unwrap(), "{exec:?} n={count}");
+        assert_eq!(bits(enc.error_row()), bits(oracle.error_row()), "{exec:?} n={count}");
+    });
+}
+
 /// The first `keep` plane payloads of `enc`.
 fn payload_prefix(enc: &LevelEncoding, keep: usize) -> Vec<Vec<u8>> {
     (0..keep as u32).map(|k| enc.plane_payload(k).to_vec()).collect()

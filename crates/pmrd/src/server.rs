@@ -195,7 +195,7 @@ impl Daemon {
         let mut coalesced = 0u64;
         let got = fetch_planes_tolerant(manifest, &plan, bound, &self.cfg.tolerant, |(l, k)| {
             let (data, origin) = self.cache.get_or_fetch((entry.id, l, k), || {
-                exec.fetch_verified((l, k), ExpectedSegment::of(levels[l].plane_payload(k)))
+                exec.fetch_verified((l, k), ExpectedSegment::of_plane(&levels[l], k))
             })?;
             match origin {
                 Origin::Hit => cache_hits += 1,

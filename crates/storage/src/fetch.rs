@@ -16,6 +16,7 @@ use crate::segment::{FetchError, SegmentKey, SegmentStore};
 use crate::{Placement, StorageHierarchy};
 use pmr_error::PmrError;
 use pmr_mgard::checksum::fnv1a64;
+use pmr_mgard::LevelEncoding;
 use pmr_rng::mix;
 
 /// Retry schedule: attempts, exponential backoff, deterministic jitter.
@@ -105,8 +106,15 @@ pub struct ExpectedSegment {
 }
 
 impl ExpectedSegment {
+    /// What `payload` itself looks like (hashes it).
     pub fn of(payload: &[u8]) -> Self {
         ExpectedSegment { len: payload.len(), fnv: fnv1a64(payload) }
+    }
+
+    /// What plane `k` of a manifest level must look like: the length and
+    /// the digest the level already carries, so nothing is hashed here.
+    pub fn of_plane(level: &LevelEncoding, k: u32) -> Self {
+        ExpectedSegment { len: level.plane_payload(k).len(), fnv: level.plane_checksum(k) }
     }
 }
 
@@ -310,7 +318,7 @@ mod tests {
     }
 
     fn expect_for(c: &Compressed, key: SegmentKey) -> ExpectedSegment {
-        ExpectedSegment::of(c.levels()[key.0].plane_payload(key.1))
+        ExpectedSegment::of_plane(&c.levels()[key.0], key.1)
     }
 
     #[test]

@@ -152,7 +152,7 @@ fn expected_of(c: &Compressed) -> BTreeMap<SegmentKey, ExpectedSegment> {
     let mut expected = BTreeMap::new();
     for (l, lvl) in c.levels().iter().enumerate() {
         for k in 0..lvl.num_planes() {
-            expected.insert((l, k), ExpectedSegment::of(lvl.plane_payload(k)));
+            expected.insert((l, k), ExpectedSegment::of_plane(lvl, k));
         }
     }
     expected

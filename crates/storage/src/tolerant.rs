@@ -193,7 +193,7 @@ pub fn fetch_plan_tolerant(
         None => FetchExecutor::new(store, cfg.policy.clone()),
     };
     let got = fetch_planes_tolerant(manifest, plan, requested_bound, cfg, |(l, k)| {
-        fetcher.fetch_verified((l, k), ExpectedSegment::of(manifest.levels()[l].plane_payload(k)))
+        fetcher.fetch_verified((l, k), ExpectedSegment::of_plane(&manifest.levels()[l], k))
     })?;
 
     let achieved = got.planes();
