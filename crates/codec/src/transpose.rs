@@ -355,10 +355,10 @@ mod tests {
     /// O(64²) bit-loop reference with the documented convention.
     fn transpose64_ref(x: &[u64; TILE]) -> [u64; TILE] {
         let mut y = [0u64; TILE];
-        for r in 0..TILE {
-            for c in 0..TILE {
-                if x[r] >> (63 - c) & 1 == 1 {
-                    y[c] |= 1 << (63 - r);
+        for (r, &row) in x.iter().enumerate() {
+            for (c, col) in y.iter_mut().enumerate() {
+                if row >> (63 - c) & 1 == 1 {
+                    *col |= 1 << (63 - r);
                 }
             }
         }

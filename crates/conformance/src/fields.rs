@@ -74,7 +74,7 @@ fn xorshift(state: &mut u64) -> u64 {
 
 /// Uniform draw in `[0, 1)` from the xorshift stream.
 pub(crate) fn unit(state: &mut u64) -> f64 {
-    (xorshift(state) >> 11) as f64 / (1u64 << 53) as f64
+    pmr_rng::unit_f64(xorshift(state))
 }
 
 /// Generate one synthetic field of `class` over `shape`, reproducibly from

@@ -429,7 +429,8 @@ fn check_rot_repair(
         for &key in rotted {
             let clean = c.levels()[key.0].plane_payload(key.1);
             for s in store.replicas(key) {
-                let bytes = store.child(s).and_then(|ch| ch.fetch(key).ok()).map(|r| r.bytes);
+                let bytes =
+                    store.child(s).and_then(|ch| ch.fetch(key).ok()).map(|r| r.into_bytes());
                 if bytes.as_deref() != Some(clean) {
                     report.failures.push(format!(
                         "{cell}: replica {s} of {key:?} not restored bit-identically"

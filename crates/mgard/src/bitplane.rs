@@ -31,6 +31,7 @@ use pmr_codec::{
     lossless, negabinary, transpose, TileImpl,
 };
 use pmr_error::{len_u32, PmrError};
+use std::sync::Arc;
 
 /// Default number of bit-planes per coefficient level (the paper's `B`).
 pub const DEFAULT_BITPLANES: u32 = 32;
@@ -45,7 +46,9 @@ pub struct LevelEncoding {
     /// Quantization step: `coefficient ≈ q * step`.
     step: f64,
     /// Losslessly compressed plane payloads, plane 0 = most significant.
-    planes: Vec<Vec<u8>>,
+    /// Shared, not copied, by `clone`: a server's manifest and the
+    /// artifact it was cloned from hold one set of payload bytes.
+    planes: Arc<Vec<Vec<u8>>>,
     /// `fnv1a64` of each payload, computed once where its bytes are made
     /// (`encode`) or first walked (`from_parts`); `planes` never changes
     /// afterwards, so the two cannot drift.
@@ -179,6 +182,7 @@ impl LevelEncoding {
         error_row: Vec<f64>,
     ) -> Self {
         let checksums = planes.iter().map(|p| fnv1a64(p)).collect();
+        let planes = Arc::new(planes);
         LevelEncoding { count, num_planes, step, planes, checksums, error_row }
     }
 
@@ -272,8 +276,8 @@ impl LevelEncoding {
                 *slot = (plane, sum);
             }
         });
-        let (planes, checksums) = done.into_iter().unzip();
-
+        let (planes, checksums): (Vec<_>, _) = done.into_iter().unzip();
+        let planes = Arc::new(planes);
         LevelEncoding { count: coeffs.len(), num_planes: b, step, planes, checksums, error_row }
     }
 
@@ -464,7 +468,7 @@ impl LevelEncoding {
         for &e in &self.error_row {
             out.extend_from_slice(&e.to_le_bytes());
         }
-        for p in &self.planes {
+        for p in self.planes.iter() {
             out.extend_from_slice(&len_u32(p.len(), "plane payload length")?.to_le_bytes());
             out.extend_from_slice(p);
         }

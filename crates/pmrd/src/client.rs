@@ -78,6 +78,11 @@ impl ServedRetrieval {
 }
 
 /// A persistent connection to a pmrd daemon.
+///
+/// The daemon closes a connection that sends nothing for
+/// [`IO_TIMEOUT`](crate::server::IO_TIMEOUT) between requests; the next
+/// request on it fails with a transport error and there is no automatic
+/// reconnect — a caller that idles that long connects again.
 pub struct Client {
     stream: PmrdStream,
 }

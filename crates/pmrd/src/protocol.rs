@@ -31,7 +31,8 @@
 //! detail string.
 
 use pmr_error::PmrError;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
+use std::sync::Arc;
 
 /// Hard ceiling on a single frame, request or response.
 pub const MAX_FRAME: usize = 64 << 20;
@@ -400,13 +401,32 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, PmrError> {
     Ok(Request { tenant, dataset, target, strategy, flags })
 }
 
+/// Bytes of a plane frame before its payload: `u32` frame length, `'P'`,
+/// `u16` level, `u32` plane.
+const PLANE_HEAD: usize = 11;
+
+/// The head of a plane frame, length prefix included — the one place its
+/// layout is written down.
+fn plane_head(level: usize, plane: u32, payload_len: usize) -> Result<[u8; PLANE_HEAD], PmrError> {
+    let lvl = u16::try_from(level).map_err(|_| proto_err("level exceeds u16"))?;
+    let body = payload_len + PLANE_HEAD - 4;
+    let len = u32::try_from(body)
+        .ok()
+        .filter(|_| body <= MAX_FRAME)
+        .ok_or_else(|| proto_err(format!("plane frame of {body} bytes exceeds MAX_FRAME")))?;
+    let mut head = [0u8; PLANE_HEAD];
+    head[..4].copy_from_slice(&len.to_le_bytes());
+    head[4] = b'P';
+    head[5..7].copy_from_slice(&lvl.to_le_bytes());
+    head[7..].copy_from_slice(&plane.to_le_bytes());
+    Ok(head)
+}
+
 /// Serialise a plane frame payload.
 pub fn encode_plane(level: usize, plane: u32, payload: &[u8]) -> Result<Vec<u8>, PmrError> {
-    let lvl = u16::try_from(level).map_err(|_| proto_err("level exceeds u16"))?;
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.push(b'P');
-    put_u16(&mut out, lvl);
-    put_u32(&mut out, plane);
+    let head = plane_head(level, plane, payload.len())?;
+    let mut out = Vec::with_capacity(payload.len() + PLANE_HEAD - 4);
+    out.extend_from_slice(&head[4..]);
     out.extend_from_slice(payload);
     Ok(out)
 }
@@ -577,7 +597,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<Frame, PmrError> {
 
 // ---------------------------------------------------------------- framing
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame: prefix and payload in one vectored write.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(std::io::Error::new(
@@ -585,9 +605,56 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
             format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
         ));
     }
-    let len = payload.len() as u32;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)
+    let len = (payload.len() as u32).to_le_bytes();
+    write_all_vectored(w, &mut [IoSlice::new(&len), IoSlice::new(payload)])
+}
+
+/// Most plane frames one [`write_plane_frames`] call puts in a single
+/// vectored write: two slices a frame, well under the kernel's limit of
+/// 1024 per call.
+pub const MAX_PLANE_RUN: usize = 32;
+
+/// Write each `(level, plane, payload)` as a plane frame — byte for byte
+/// what `write_frame(w, &encode_plane(level, plane, payload)?)` writes —
+/// without copying a payload: the heads are built on the stack and every
+/// run of up to [`MAX_PLANE_RUN`] frames goes out as one vectored write of
+/// `head, payload, head, payload, ...`, resumed after a short write.
+pub fn write_plane_frames(
+    w: &mut impl Write,
+    planes: &[(usize, u32, Arc<Vec<u8>>)],
+) -> std::io::Result<()> {
+    for run in planes.chunks(MAX_PLANE_RUN) {
+        let mut heads = [[0u8; PLANE_HEAD]; MAX_PLANE_RUN];
+        for (head, (level, plane, payload)) in heads.iter_mut().zip(run) {
+            *head = plane_head(*level, *plane, payload.len()).map_err(|e| {
+                std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
+            })?;
+        }
+        let mut slices = [IoSlice::new(&[]); 2 * MAX_PLANE_RUN];
+        for (pair, (head, (_, _, payload))) in slices.chunks_mut(2).zip(heads.iter().zip(run)) {
+            pair[0] = IoSlice::new(head);
+            pair[1] = IoSlice::new(payload);
+        }
+        write_all_vectored(w, &mut slices[..2 * run.len()])?;
+    }
+    Ok(())
+}
+
+/// `write_vectored` until every slice is out, resuming after short writes
+/// (std's `write_all_vectored` is unstable).
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    // Advancing drops the empty slices at the front, so `Ok(0)` below can
+    // only mean the peer takes no more bytes.
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Read one length-prefixed frame under the protocol-wide [`MAX_FRAME`]
@@ -819,6 +886,67 @@ mod tests {
         let huge = (MAX_FRAME as u32 + 1).to_le_bytes();
         let mut cursor = std::io::Cursor::new(huge.to_vec());
         assert!(read_frame(&mut cursor).is_err());
+    }
+
+    /// A peer that takes `1..=most` bytes per call, across slice boundaries.
+    struct ShortWriter {
+        out: Vec<u8>,
+        most: usize,
+        calls: usize,
+    }
+
+    impl Write for ShortWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut room = 1 + self.calls % self.most;
+            let before = self.out.len();
+            for buf in bufs {
+                let n = room.min(buf.len());
+                self.out.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.out.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn vectored_plane_frames_are_the_copied_frames_byte_for_byte() {
+        let payload = |i: usize| -> Vec<u8> {
+            // Empty payloads at both ends and in the middle of a run.
+            let len = if i.is_multiple_of(5) { 0 } else { i * 37 % 300 };
+            (0..len).map(|b| (b * 7 + i) as u8).collect()
+        };
+        for count in [0, 1, 2, MAX_PLANE_RUN, MAX_PLANE_RUN + 1, 2 * MAX_PLANE_RUN + 3] {
+            let planes: Vec<(usize, u32, Arc<Vec<u8>>)> =
+                (0..count).map(|i| (i / 7, (i % 7) as u32, Arc::new(payload(i)))).collect();
+            let mut copied = Vec::new();
+            for (l, k, data) in &planes {
+                write_frame(&mut copied, &encode_plane(*l, *k, data).expect("encode"))
+                    .expect("write");
+            }
+            let mut whole = Vec::new();
+            write_plane_frames(&mut whole, &planes).expect("write to a Vec");
+            assert_eq!(whole, copied, "{count} planes");
+            for most in [1, 2, 10, 11, 12, 4096] {
+                let mut w = ShortWriter { out: Vec::new(), most, calls: 0 };
+                write_plane_frames(&mut w, &planes).expect("short writes are resumed");
+                assert_eq!(w.out, copied, "{count} planes, at most {most} bytes a call");
+            }
+        }
+        // A dead peer is an error, not a spin; an unframeable plane is refused.
+        let one = [(0usize, 0u32, Arc::new(vec![1u8, 2, 3]))];
+        let err = write_plane_frames(&mut [0u8; 5].as_mut_slice(), &one).expect_err("full");
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
+        let far = [(usize::from(u16::MAX) + 1, 0u32, Arc::new(Vec::new()))];
+        assert!(write_plane_frames(&mut Vec::new(), &far).is_err());
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //! ([`pmr_storage::fetch_planes_tolerant`]) with a daemon-level source
 //! and sink: every plane comes through the shared single-flight
 //! [`PlaneCache`] in front of a per-request verifying [`FetchExecutor`],
-//! and the held prefixes go out as wire frames instead of being decoded.
+//! and goes out as a wire frame while the next one is fetched — or, for
+//! [`Daemon::handle_request`], into a `Vec`; the core is the same.
 //! Admission control caps in-flight retrievals globally and per tenant,
-//! answering `Busy` instead of queueing invisibly.
+//! answering `Busy` instead of queueing invisibly; every socket read and
+//! write is bounded by [`IO_TIMEOUT`], so a peer that goes silent or stops
+//! reading costs a worker and a slot for two of those at most.
 
 use crate::admission::{Admission, AdmissionConfig, Permit};
 use crate::cache::{Origin, PlaneCache};
@@ -18,8 +21,8 @@ use crate::corpus::{Corpus, CorpusEntry};
 use crate::protocol::{self, Report, Request, Status, Target, FLAG_NO_PLANES};
 use pmr_core::api::{plan_for_target, requested_bound, RetrievalTarget};
 use pmr_core::Theory;
-use pmr_error::PmrError;
-use pmr_storage::{fetch_planes_tolerant, ExpectedSegment, FetchExecutor, TolerantConfig};
+use pmr_storage::{fetch_planes_tolerant, ExpectedSegment, FetchExecutor, Stopped, TolerantConfig};
+use std::convert::Infallible;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -28,14 +31,26 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// Longest a single socket read or write of a served connection may
+/// block. A response holds its admission slot while it is written, so a
+/// peer that stops reading — or stalls mid-request — is dropped rather than
+/// pinning the slot and the worker; so is a connection that sends nothing
+/// for this long between requests (a client that idles longer reconnects).
+/// A write the deadline cut short comes back as a short count and is
+/// resumed; against a peer that still takes nothing the resumed write
+/// fails at the next deadline, so one that never reads is gone within two.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Daemon knobs.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// Connection-serving worker threads. A worker holds one connection
-    /// until the client closes it, so size this to at least the number of
-    /// concurrent client connections — fewer workers than connections means
-    /// the excess connections queue unserved behind the held ones.
+    /// until the client closes it or [`IO_TIMEOUT`] drops it, so size this to
+    /// at least the number of concurrent client connections — fewer workers
+    /// than connections means the excess connections queue unserved behind
+    /// the held ones.
     pub workers: usize,
     /// Shared plane cache capacity, in payload bytes.
     pub cache_bytes: u64,
@@ -147,10 +162,30 @@ impl Daemon {
         }
     }
 
-    /// Handle one parsed request. Public so in-process tests can exercise
-    /// the exact server path without sockets.
+    /// Handle one parsed request in process, collecting the planes a
+    /// socket would have been sent, in the order it would have been sent
+    /// them. Public so tests and tools can exercise the server path without
+    /// sockets: it is [`Daemon::serve`], the one request core, with a sink
+    /// that cannot fail.
     pub fn handle_request(&self, req: &Request) -> (ServedPlanes, Report) {
-        let reject = |status, detail: String| (Vec::new(), Report::error(status, detail));
+        let mut planes = Vec::new();
+        let Ok(report) = self.serve(req, |l, k, data| {
+            planes.push((l, k, data));
+            Ok::<(), Infallible>(())
+        });
+        (planes, report)
+    }
+
+    /// The request core: admit, plan, and hand every plane to `sink` as it
+    /// lands, then account for what was delivered. `Err` is the sink's own
+    /// error and means the response cannot be finished (the peer is gone);
+    /// every other failure is a `Report` for the peer to read.
+    fn serve<E>(
+        &self,
+        req: &Request,
+        sink: impl FnMut(usize, u32, Arc<Vec<u8>>) -> Result<(), E>,
+    ) -> Result<Report, E> {
+        let reject = |status, detail: String| Ok(Report::error(status, detail));
         if req.strategy != 0 {
             let n = req.strategy;
             return reject(
@@ -170,16 +205,22 @@ impl Daemon {
                 format!("tenant {:?} over admission cap; retry later", req.tenant),
             );
         };
-        self.serve_admitted(entry, &req.target, permit)
-            .unwrap_or_else(|e| reject(Status::Malformed, e.to_string()))
+        match self.serve_admitted(entry, &req.target, permit, sink) {
+            Ok(report) => Ok(report),
+            Err(Stopped::Invalid(e)) => reject(Status::Malformed, e.to_string()),
+            Err(Stopped::Sink(e)) => Err(e),
+        }
     }
 
-    fn serve_admitted(
+    /// Holds `_permit` until the last plane has gone to the sink: a slot is
+    /// a retrieval in progress, and over a socket that includes the writes.
+    fn serve_admitted<E>(
         &self,
         entry: &CorpusEntry,
         target: &Target,
         _permit: Permit,
-    ) -> Result<(ServedPlanes, Report), PmrError> {
+        mut sink: impl FnMut(usize, u32, Arc<Vec<u8>>) -> Result<(), E>,
+    ) -> Result<Report, Stopped<E>> {
         let manifest = &entry.manifest;
         let target = RetrievalTarget::from(target);
         let plan = plan_for_target(manifest, &Theory, &[], &target)?;
@@ -188,82 +229,101 @@ impl Daemon {
         // Source: the shared single-flight cache over a verifying
         // executor. The cache sits above verification, so a hit is never
         // re-hashed; the executor is per-request, so retries and attempts
-        // are accounted to the request that ran them.
+        // are accounted to the request that ran them. The sink runs after
+        // `get_or_fetch` has returned — never under the cache's lock or
+        // while this request leads a flight others wait on.
         let mut exec = FetchExecutor::new(entry.store.as_ref(), self.cfg.tolerant.policy.clone());
         let levels = manifest.levels();
         let mut cache_hits = 0u64;
         let mut coalesced = 0u64;
-        let got = fetch_planes_tolerant(manifest, &plan, bound, &self.cfg.tolerant, |(l, k)| {
-            let (data, origin) = self.cache.get_or_fetch((entry.id, l, k), || {
-                exec.fetch_verified((l, k), ExpectedSegment::of_plane(&levels[l], k))
-            })?;
-            match origin {
-                Origin::Hit => cache_hits += 1,
-                Origin::Coalesced => coalesced += 1,
-                Origin::Fetched => {}
-            }
-            Ok(data)
-        })?;
+        let got = fetch_planes_tolerant(
+            manifest,
+            &plan,
+            bound,
+            &self.cfg.tolerant,
+            |(l, k)| {
+                let (data, origin) = self.cache.get_or_fetch((entry.id, l, k), || {
+                    exec.fetch_verified((l, k), ExpectedSegment::of_plane(&levels[l], k))
+                })?;
+                match origin {
+                    Origin::Hit => cache_hits += 1,
+                    Origin::Coalesced => coalesced += 1,
+                    Origin::Fetched => {}
+                }
+                Ok(data)
+            },
+            |(l, k), data| sink(l, k, data),
+        )?;
 
-        // Sink: the held prefixes as `(level, plane, payload)` frames,
-        // payloads still shared with the cache.
-        let achieved = got.planes();
         let stats = exec.stats();
-        let report = Report {
+        Ok(Report {
             status: Status::Ok,
-            estimated_error: manifest.estimate_for(&achieved),
-            bytes: levels.iter().zip(&achieved).map(|(lvl, &n)| lvl.size_of_first(n)).sum(),
-            planes: achieved,
+            estimated_error: manifest.estimate_for(&got.planes),
+            bytes: levels.iter().zip(&got.planes).map(|(lvl, &n)| lvl.size_of_first(n)).sum(),
+            planes: got.planes,
             lost: got.lost,
             attempts: stats.attempts,
             retries: stats.retries,
             cache_hits,
             coalesced,
             detail: String::new(),
-        };
-        let served = (0..)
-            .zip(got.payloads)
-            .flat_map(|(l, level)| (0..).zip(level).map(move |(k, data)| (l, k, data)));
-        Ok((served.collect(), report))
+        })
     }
 
-    /// Serve one connection until the peer closes it (or a protocol /
-    /// transport error makes the stream unusable).
+    /// Serve one connection until the peer closes it, goes quiet for
+    /// [`IO_TIMEOUT`], or a protocol / transport error makes the stream
+    /// unusable. Plane frames leave as their fetches land: a run of them
+    /// is queued (the `Arc`s the cache holds, nothing copied) and written
+    /// with one vectored write when the next level starts, when the run is
+    /// full, and before the report — so the only per-connection buffer is
+    /// `MAX_PLANE_RUN` queued handles. The admission slot is held while
+    /// planes are fetched and runs written; the last partial run and the
+    /// report follow once the fetch loop, and with it the slot, is done. A
+    /// short write is resumed; a write error — the deadline's `WouldBlock`
+    /// or `TimedOut` included — ends the connection.
     fn serve_connection(&self, stream: &mut PmrdStream) {
+        let mut run: ServedPlanes = Vec::with_capacity(protocol::MAX_PLANE_RUN);
         loop {
             // Requests are tiny; read them under the tight request cap so
             // an unauthenticated peer can never size a MAX_FRAME buffer.
             let frame = match protocol::read_frame_limited(stream, protocol::MAX_REQUEST_FRAME) {
                 Ok(Some(frame)) => frame,
-                Ok(None) | Err(_) => return, // clean EOF or dead transport
+                Ok(None) | Err(_) => return, // clean EOF, deadline, or dead transport
             };
             if protocol::is_health_request(&frame) {
                 let Ok(payload) = protocol::encode_health(&self.health()) else { return };
-                if protocol::write_frame(stream, &payload).is_err() || stream.flush().is_err() {
+                if protocol::write_frame(stream, &payload).is_err() {
                     return;
                 }
                 continue;
             }
-            let response = match protocol::decode_request(&frame) {
+            let report = match protocol::decode_request(&frame) {
                 Ok(req) => {
-                    let (planes, report) = self.handle_request(&req);
                     let send_planes = req.flags & FLAG_NO_PLANES == 0;
-                    (if send_planes { planes } else { Vec::new() }, report)
+                    let served = self.serve(&req, |l, k, data| {
+                        if !send_planes {
+                            return Ok(());
+                        }
+                        if run.last().is_some_and(|&(held, _, _)| held != l) {
+                            send_run(stream, &mut run)?;
+                        }
+                        run.push((l, k, data));
+                        if run.len() == protocol::MAX_PLANE_RUN {
+                            send_run(stream, &mut run)?;
+                        }
+                        Ok::<(), std::io::Error>(())
+                    });
+                    match served {
+                        Ok(report) => report,
+                        Err(_) => return, // the peer stopped reading; the permit is already back
+                    }
                 }
-                Err(e) => (Vec::new(), Report::error(Status::Malformed, e.to_string())),
+                Err(e) => Report::error(Status::Malformed, e.to_string()),
             };
-            let (planes, report) = response;
-            for (l, k, data) in &planes {
-                let Ok(payload) = protocol::encode_plane(*l, *k, data) else { return };
-                if protocol::write_frame(stream, &payload).is_err() {
-                    return;
-                }
-            }
             let Ok(payload) = protocol::encode_report(&report) else { return };
-            if protocol::write_frame(stream, &payload).is_err() {
-                return;
-            }
-            if stream.flush().is_err() {
+            if send_run(stream, &mut run).is_err()
+                || protocol::write_frame(stream, &payload).is_err()
+            {
                 return;
             }
         }
@@ -325,7 +385,12 @@ impl Daemon {
                                 stream.shutdown_both();
                             }
                         }
-                        daemon.serve_connection(&mut stream);
+                        // A stream that cannot take its deadlines is not
+                        // served: without them one stalled peer holds this
+                        // worker for good.
+                        if stream.set_io_timeout(IO_TIMEOUT).is_ok() {
+                            daemon.serve_connection(&mut stream);
+                        }
                         conns.lock().unwrap_or_else(PoisonError::into_inner).remove(&id);
                     }
                     Err(_) => return, // acceptor gone: drain complete
@@ -400,6 +465,21 @@ impl PmrdStream {
         }
     }
 
+    /// Bound every later read and write on this socket to `timeout`.
+    fn set_io_timeout(&self, timeout: Duration) -> std::io::Result<()> {
+        match self {
+            PmrdStream::Tcp(s) => {
+                s.set_read_timeout(Some(timeout))?;
+                s.set_write_timeout(Some(timeout))
+            }
+            #[cfg(unix)]
+            PmrdStream::Unix(s) => {
+                s.set_read_timeout(Some(timeout))?;
+                s.set_write_timeout(Some(timeout))
+            }
+        }
+    }
+
     /// Shut the socket down in both directions, unblocking any thread
     /// mid-read on another handle to it.
     fn shutdown_both(&self) {
@@ -434,6 +514,14 @@ impl Write for PmrdStream {
         }
     }
 
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            PmrdStream::Tcp(s) => s.write_vectored(bufs),
+            #[cfg(unix)]
+            PmrdStream::Unix(s) => s.write_vectored(bufs),
+        }
+    }
+
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             PmrdStream::Tcp(s) => s.flush(),
@@ -441,6 +529,13 @@ impl Write for PmrdStream {
             PmrdStream::Unix(s) => s.flush(),
         }
     }
+}
+
+/// Write the queued run of plane frames, if any, and empty the queue.
+fn send_run(out: &mut impl Write, run: &mut ServedPlanes) -> std::io::Result<()> {
+    let sent = protocol::write_plane_frames(out, run);
+    run.clear();
+    sent
 }
 
 /// Handle to a running daemon's listener and worker threads.

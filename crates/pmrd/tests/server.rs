@@ -562,3 +562,103 @@ fn total_loss_of_a_level_is_served_honestly_like_the_library() {
     let served = degraded_response_matches_library(&field, &c, (finest, 0), 1e-4);
     assert_eq!(served[finest], 0);
 }
+
+/// The socket twin of the two tests above: the segment is lost *after*
+/// the response's first frames have reached the client. The store parks
+/// the doomed fetch until the client has read a plane frame off the
+/// socket, so the interleaving is forced, not hoped for. A frame already
+/// sent stays sent; the report that closes the response is the honest one.
+#[test]
+fn segment_lost_after_the_first_frame_was_sent_is_reported_like_the_library() {
+    use pmrd::protocol::{self, Frame};
+    use std::sync::mpsc;
+
+    struct Parked {
+        inner: MemStore,
+        doomed: SegmentKey,
+        released: Mutex<mpsc::Receiver<()>>,
+    }
+    impl SegmentStore for Parked {
+        fn fetch(&self, key: SegmentKey) -> Result<SegmentRead, FetchError> {
+            if key == self.doomed {
+                self.released.lock().unwrap().recv().expect("the client lets the fetch go");
+            }
+            self.inner.fetch(key)
+        }
+        fn contains(&self, key: SegmentKey) -> bool {
+            self.inner.contains(key)
+        }
+        fn keys(&self) -> Vec<SegmentKey> {
+            self.inner.keys()
+        }
+    }
+
+    let (field, c) = artifact("late-loss");
+    let rel = 1e-3;
+    // Level 0 goes out when level 1's first plane lands; the next fetch is
+    // the doomed one.
+    let doomed: SegmentKey = (1, 1);
+    let plan = c.plan_theory(c.absolute_bound(rel));
+    assert!(plan.planes[1] > 2, "the plan must want more of level 1 than it will get");
+    let store = MemStore::from_compressed(&c).without(&[doomed]);
+    let library = retrieve(
+        &Dataset::new(&c).with_original(&field),
+        &Theory,
+        &RetrievalRequest::rel(rel).measured(),
+        &Backend::Store { store: &store, model: None },
+    )
+    .expect("library retrieval");
+
+    let (release, released) = mpsc::channel();
+    let mut corpus = Corpus::new();
+    corpus.insert(
+        "d",
+        c.clone(),
+        Box::new(Parked { inner: store.clone(), doomed, released: Mutex::new(released) }),
+    );
+    let handle =
+        Daemon::new(corpus, DaemonConfig::default()).spawn_tcp("127.0.0.1:0").expect("bind");
+    let mut socket =
+        std::net::TcpStream::connect(handle.tcp_addr().expect("tcp")).expect("connect");
+    let request = Request {
+        tenant: "t".into(),
+        dataset: "d".into(),
+        target: Target::Rel(rel),
+        strategy: 0,
+        flags: 0,
+    };
+    protocol::write_frame(&mut socket, &protocol::encode_request(&request).expect("encode"))
+        .expect("send");
+
+    let mut planes = Vec::new();
+    let report = loop {
+        let frame = protocol::read_frame(&mut socket).expect("read").expect("a frame");
+        match protocol::decode_frame(&frame).expect("decode") {
+            Frame::Plane(p) => {
+                if planes.is_empty() {
+                    // In hand while the daemon is still parked on the
+                    // segment it is about to lose.
+                    assert_eq!((p.level, p.plane), (0, 0));
+                    release.send(()).expect("daemon is waiting");
+                }
+                planes.push((p.level, p.plane, p.payload));
+            }
+            Frame::Report(report) => break report,
+            Frame::Health(_) => panic!("health frame in a retrieval response"),
+        }
+    };
+    handle.stop();
+
+    let degraded = library.degraded.as_ref().expect("a dead segment must degrade");
+    assert_eq!(report.status, Status::Ok);
+    assert_eq!(report.planes, library.planes);
+    assert_eq!(report.estimated_error, library.estimated_error);
+    assert_eq!(report.lost, degraded.lost_segments);
+    assert_eq!(report.lost, vec![doomed]);
+    assert_eq!(report.planes[1], 1, "level 1 ends where the loss cut it");
+    // The re-plan's planes follow the first round's on the wire.
+    let deeper = report.planes.iter().zip(&plan.planes).skip(2).any(|(&got, &want)| got > want);
+    assert!(deeper, "re-plan should spend planes at surviving levels: {report:?} vs {plan:?}");
+    let over_wire = pmrd::ServedRetrieval { report, planes }.reconstruct(&c).expect("reconstruct");
+    assert_eq!(over_wire.data(), library.field.data());
+}

@@ -120,8 +120,9 @@ pub trait SampleRange<T> {
     fn sample(self, rng: &mut Rng) -> T;
 }
 
-/// The top 53 bits of `raw` in `[0, 1)`.
-fn unit_f64(raw: u64) -> f64 {
+/// The top 53 bits of `raw` in `[0, 1)`: every value is a multiple of
+/// 2^-53, so the map is exact and 1.0 is never returned.
+pub fn unit_f64(raw: u64) -> f64 {
     (raw >> 11) as f64 / (1u64 << 53) as f64
 }
 

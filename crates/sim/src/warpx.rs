@@ -23,7 +23,7 @@
 //! fields sharing one simulation configuration.
 
 use pmr_field::{Field, Shape};
-use pmr_rng::Rng;
+use pmr_rng::{unit_f64, Rng};
 
 /// Which scalar field to generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -133,7 +133,7 @@ fn hash_noise(x: usize, y: usize, z: usize, salt: u64) -> f64 {
         h ^= v.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(h << 6).wrapping_add(h >> 2);
         h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     }
-    (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+    unit_f64(h) * 2.0 - 1.0
 }
 
 /// Generate one field at snapshot `t` (`0 <= t < cfg.snapshots`).

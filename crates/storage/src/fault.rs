@@ -16,7 +16,7 @@
 
 use crate::segment::{FetchError, MutableSegmentStore, SegmentKey, SegmentRead, SegmentStore};
 use pmr_error::PmrError;
-use pmr_rng::mix;
+use pmr_rng::{mix, unit_f64};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -164,15 +164,14 @@ impl<S: SegmentStore> FaultInjector<S> {
 
     /// Uniform roll in `[0, 1)` for a `(kind, key, attempt)` triple.
     fn roll(&self, salt: u64, key: SegmentKey, attempt: u32) -> f64 {
-        let h = mix(self
+        unit_f64(mix(self
             .cfg
             .seed
             .wrapping_mul(0x100_0000_01b3)
             .wrapping_add(salt)
             .wrapping_add((key.0 as u64) << 40)
             .wrapping_add((key.1 as u64) << 20)
-            .wrapping_add(attempt as u64));
-        (h >> 11) as f64 / (1u64 << 53) as f64
+            .wrapping_add(attempt as u64)))
     }
 
     /// Raw entropy for picking fault positions (truncation point, bit index).
@@ -249,18 +248,20 @@ impl<S: SegmentStore> SegmentStore for FaultInjector<S> {
 
         let mut read = self.inner.fetch(key)?;
 
-        if self.roll(SALT_TRUNCATE, key, attempt) < self.cfg.truncate && !read.bytes.is_empty() {
-            let keep = (self.entropy(SALT_TRUNCATE, key, attempt) as usize) % read.bytes.len();
-            read.bytes.truncate(keep);
+        // `bytes_mut` forgets any digest the read carried: what leaves here
+        // corrupted is hashed afresh by whoever verifies it.
+        if self.roll(SALT_TRUNCATE, key, attempt) < self.cfg.truncate && !read.bytes().is_empty() {
+            let keep = (self.entropy(SALT_TRUNCATE, key, attempt) as usize) % read.bytes().len();
+            read.bytes_mut().truncate(keep);
             self.record(key, attempt, FaultKind::Truncate(keep));
         } else if self.roll(SALT_BITFLIP, key, attempt) < self.cfg.bit_flip
-            && !read.bytes.is_empty()
+            && !read.bytes().is_empty()
         {
             let e = self.entropy(SALT_BITFLIP, key, attempt);
-            let byte = (e as usize) % read.bytes.len();
+            let byte = (e as usize) % read.bytes().len();
             // `% 8` bounds the value; the fallback is the modulus cap.
             let bit = u8::try_from((e >> 48) % 8).unwrap_or(7);
-            read.bytes[byte] ^= 1 << bit;
+            read.bytes_mut()[byte] ^= 1 << bit;
             self.record(key, attempt, FaultKind::BitFlip { byte, bit });
         }
         if self.roll(SALT_SPIKE, key, attempt) < self.cfg.latency_spike {
@@ -420,7 +421,7 @@ mod tests {
         let inj = FaultInjector::new(MemStore::from_compressed(&c), FaultConfig::quiet(7)).unwrap();
         for key in inj.keys() {
             let read = inj.fetch(key).unwrap();
-            assert_eq!(read.bytes, c.levels()[key.0].plane_payload(key.1));
+            assert_eq!(read.bytes(), c.levels()[key.0].plane_payload(key.1));
             assert_eq!(read.extra_latency_s, 0.0);
         }
         assert!(inj.log().is_empty());
@@ -435,7 +436,7 @@ mod tests {
             let mut outcomes = Vec::new();
             for key in inj.keys() {
                 for _ in 0..3 {
-                    outcomes.push(inj.fetch(key).map(|r| r.bytes));
+                    outcomes.push(inj.fetch(key).map(|r| r.into_bytes()));
                 }
             }
             (outcomes, inj.log())
@@ -459,13 +460,13 @@ mod tests {
         let mut fw: BTreeMap<SegmentKey, Vec<_>> = BTreeMap::new();
         for &key in &keys {
             for _ in 0..2 {
-                fw.entry(key).or_default().push(forward.fetch(key).map(|r| r.bytes));
+                fw.entry(key).or_default().push(forward.fetch(key).map(|r| r.into_bytes()));
             }
         }
         let mut bw: BTreeMap<SegmentKey, Vec<_>> = BTreeMap::new();
         for &key in keys.iter().rev() {
             for _ in 0..2 {
-                bw.entry(key).or_default().push(backward.fetch(key).map(|r| r.bytes));
+                bw.entry(key).or_default().push(backward.fetch(key).map(|r| r.into_bytes()));
             }
         }
         assert_eq!(fw, bw, "per-segment outcomes must not depend on global fetch order");
@@ -513,7 +514,7 @@ mod tests {
         )
         .unwrap();
         let read = slow.fetch(key).unwrap();
-        assert_eq!(read.bytes, clean);
+        assert_eq!(read.bytes(), clean);
         assert_eq!(read.extra_latency_s, 0.25);
 
         let flap =
@@ -525,7 +526,7 @@ mod tests {
         // Writes pass through even on a dead shard.
         dead.put(key, b"fixed").unwrap();
         assert!(dead.fetch(key).unwrap_err().is_permanent());
-        assert_eq!(dead.into_inner().fetch(key).unwrap().bytes, b"fixed");
+        assert_eq!(dead.into_inner().fetch(key).unwrap().bytes(), b"fixed");
     }
 
     #[test]
@@ -545,8 +546,8 @@ mod tests {
             let read = inj.fetch(key).expect("bit flips still deliver bytes");
             let clean = c.levels()[key.0].plane_payload(key.1);
             if !clean.is_empty() {
-                assert_ne!(read.bytes, clean, "bit flip must corrupt {key:?}");
-                assert_eq!(read.bytes.len(), clean.len());
+                assert_ne!(read.bytes(), clean, "bit flip must corrupt {key:?}");
+                assert_eq!(read.bytes().len(), clean.len());
             }
         }
     }

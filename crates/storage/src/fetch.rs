@@ -12,12 +12,12 @@
 //! tier's deadline is a [`FetchError::Timeout`] even though the backend
 //! "succeeded" — exactly how an HPC reader treats a stuck tape mount.
 
-use crate::segment::{FetchError, SegmentKey, SegmentStore};
+use crate::segment::{FetchError, SegmentKey, SegmentRead, SegmentStore};
 use crate::{Placement, StorageHierarchy};
 use pmr_error::PmrError;
 use pmr_mgard::checksum::fnv1a64;
 use pmr_mgard::LevelEncoding;
-use pmr_rng::mix;
+use pmr_rng::{mix, unit_f64};
 
 /// Retry schedule: attempts, exponential backoff, deterministic jitter.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,8 +92,7 @@ impl RetryPolicy {
         let h = mix(((key.0 as u64) << 40)
             .wrapping_add((key.1 as u64) << 20)
             .wrapping_add(attempt as u64));
-        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-        capped * (1.0 - self.jitter + 2.0 * self.jitter * unit)
+        capped * (1.0 - self.jitter + 2.0 * self.jitter * unit_f64(h))
     }
 }
 
@@ -115,6 +114,12 @@ impl ExpectedSegment {
     /// the digest the level already carries, so nothing is hashed here.
     pub fn of_plane(level: &LevelEncoding, k: u32) -> Self {
         ExpectedSegment { len: level.plane_payload(k).len(), fnv: level.plane_checksum(k) }
+    }
+
+    /// Is `read` this segment? Compares the digest the read carries, which
+    /// hashes the payload only if nobody below has.
+    pub fn matches(&self, read: &mut SegmentRead) -> bool {
+        read.bytes().len() == self.len && read.fnv() == self.fnv
     }
 }
 
@@ -240,11 +245,11 @@ impl<'a> FetchExecutor<'a> {
                     }
                     e
                 }
-                Ok(read) => {
+                Ok(mut read) => {
                     let (cost, deadline) = match timing {
                         Some(t) => (
                             t.latency_s
-                                + read.bytes.len() as f64 / t.bandwidth_bps
+                                + read.bytes().len() as f64 / t.bandwidth_bps
                                 + read.extra_latency_s,
                             t.deadline_s,
                         ),
@@ -253,31 +258,31 @@ impl<'a> FetchExecutor<'a> {
                     if cost > deadline {
                         // Abandon at the deadline; the partial read is waste.
                         self.stats.virtual_time_s += deadline;
-                        self.stats.wasted_bytes += read.bytes.len() as u64;
+                        self.stats.wasted_bytes += read.bytes().len() as u64;
                         FetchError::Timeout { level, plane, elapsed_s: cost, deadline_s: deadline }
                     } else {
                         self.stats.virtual_time_s += cost;
-                        if read.bytes.len() != expect.len {
-                            self.stats.wasted_bytes += read.bytes.len() as u64;
+                        if read.bytes().len() != expect.len {
+                            self.stats.wasted_bytes += read.bytes().len() as u64;
                             FetchError::Corrupt {
                                 level,
                                 plane,
                                 detail: format!(
                                     "read {} bytes, manifest expects {}",
-                                    read.bytes.len(),
+                                    read.bytes().len(),
                                     expect.len
                                 ),
                             }
-                        } else if fnv1a64(&read.bytes) != expect.fnv {
-                            self.stats.wasted_bytes += read.bytes.len() as u64;
+                        } else if read.fnv() != expect.fnv {
+                            self.stats.wasted_bytes += read.bytes().len() as u64;
                             FetchError::Corrupt {
                                 level,
                                 plane,
                                 detail: "payload checksum does not match manifest".to_string(),
                             }
                         } else {
-                            self.stats.bytes += read.bytes.len() as u64;
-                            return Ok(read.bytes);
+                            self.stats.bytes += read.bytes().len() as u64;
+                            return Ok(read.into_bytes());
                         }
                     }
                 }

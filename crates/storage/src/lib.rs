@@ -35,8 +35,8 @@ pub use segment::{
 };
 pub use shard::{ShardConfig, ShardState, ShardStatus, ShardedStore, SHARD_DEAD_AFTER};
 pub use tolerant::{
-    fetch_plan_tolerant, fetch_planes_tolerant, DegradedRetrieval, FetchedPlanes, TolerantConfig,
-    TolerantRetrieval,
+    fetch_plan_tolerant, fetch_planes_tolerant, DegradedRetrieval, FetchedPlanes, Stopped,
+    TolerantConfig, TolerantRetrieval,
 };
 
 /// One storage tier.

@@ -12,7 +12,6 @@ use crate::fetch::ExpectedSegment;
 use crate::segment::{FetchError, MutableSegmentStore, SegmentKey};
 use crate::shard::ShardedStore;
 use pmr_error::PmrError;
-use pmr_mgard::checksum::fnv1a64;
 
 /// Outcome of one verification pass over every replica of every segment.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -117,7 +116,7 @@ fn check_copy(
     }
     let Some(child) = copy_of(store, loc) else { return Err(()) };
     match child.fetch(key) {
-        Ok(read) => Ok(read.bytes.len() == exp.len && fnv1a64(&read.bytes) == exp.fnv),
+        Ok(mut read) => Ok(exp.matches(&mut read)),
         Err(FetchError::Missing { .. }) => Err(()),
         Err(_) => Ok(false),
     }
@@ -189,7 +188,7 @@ pub fn repair(store: &ShardedStore) -> Result<RepairReport, PmrError> {
             continue;
         };
         let payload = match copy_of(store, src).map(|c| c.fetch(a.key)) {
-            Some(Ok(read)) => read.bytes,
+            Some(Ok(read)) => read.into_bytes(),
             // The source verified moments ago; losing it mid-repair makes
             // this segment unrepairable in this pass.
             _ => {
@@ -288,7 +287,7 @@ mod tests {
         let fixed = repair(&store).unwrap();
         assert_eq!(fixed.repaired, 1);
         assert!(fixed.complete());
-        assert_eq!(store.child(victim).unwrap().fetch(key).unwrap().bytes, clean);
+        assert_eq!(store.child(victim).unwrap().fetch(key).unwrap().bytes(), clean);
         assert!(scrub(&store).unwrap().clean());
     }
 
@@ -352,6 +351,6 @@ mod tests {
         assert_eq!(scrub(&store).unwrap().corrupt, 1);
         let fixed = repair(&store).unwrap();
         assert_eq!(fixed.repaired, 1);
-        assert_eq!(store.hot_store().unwrap().fetch(key).unwrap().bytes, clean);
+        assert_eq!(store.hot_store().unwrap().fetch(key).unwrap().bytes(), clean);
     }
 }

@@ -20,7 +20,7 @@ use pmr_mgard::Compressed;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{PoisonError, RwLock};
 
@@ -93,16 +93,60 @@ impl std::error::Error for FetchError {}
 /// extra latency the backend (or an injected fault) charged beyond the
 /// tier's nominal cost. Virtual-clock accounting in the fetch executor adds
 /// this on top of `latency + bytes/bandwidth`.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A read carries the FNV-1a of its payload once someone has it, so each
+/// layer above compares that digest with the manifest's instead of hashing
+/// the same bytes again. The invariant — a carried digest is the digest of
+/// `bytes` — is why both fields are private: the digest is set only by a
+/// backend that has just proved it ([`SegmentRead::proved`], crate-private)
+/// or by hashing the bytes here ([`SegmentRead::fnv`]), and the one mutable
+/// view of the bytes clears it, so a wrapper that alters a payload cannot
+/// forward the digest of what it used to be.
+#[derive(Debug, Clone)]
 pub struct SegmentRead {
-    pub bytes: Vec<u8>,
+    bytes: Vec<u8>,
+    fnv: Option<u64>,
     pub extra_latency_s: f64,
 }
 
 impl SegmentRead {
+    /// A read at nominal cost whose payload nobody has hashed yet.
     pub fn clean(bytes: Vec<u8>) -> Self {
-        SegmentRead { bytes, extra_latency_s: 0.0 }
+        SegmentRead { bytes, fnv: None, extra_latency_s: 0.0 }
     }
+
+    /// A read whose backend has just shown `fnv1a64(bytes) == fnv`.
+    pub(crate) fn proved(bytes: Vec<u8>, fnv: u64) -> Self {
+        SegmentRead { bytes, fnv: Some(fnv), extra_latency_s: 0.0 }
+    }
+
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The payload for altering (fault injection); forgets the digest.
+    pub fn bytes_mut(&mut self) -> &mut Vec<u8> {
+        self.fnv = None;
+        &mut self.bytes
+    }
+
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
+    }
+
+    /// FNV-1a of the payload: the carried digest, else one pass over the
+    /// bytes, carried from then on.
+    pub fn fnv(&mut self) -> u64 {
+        *self.fnv.get_or_insert_with(|| hash(&self.bytes))
+    }
+}
+
+/// Every FNV-1a pass of the read path goes through here, so the unit tests
+/// can count them.
+fn hash(bytes: &[u8]) -> u64 {
+    #[cfg(test)]
+    tests::HASH_PASSES.with(|n| n.set(n.get() + 1));
+    fnv1a64(bytes)
 }
 
 /// A backend serving encoded bit-plane segments.
@@ -242,11 +286,15 @@ fn encode_segment(key: SegmentKey, payload: &[u8]) -> Result<Vec<u8>, PmrError> 
     Ok(buf)
 }
 
+/// Bytes of a segment file before its payload.
+const SEG_HEADER: usize = 26;
+
 /// Validate a raw segment file against the key it is expected to hold and
-/// return the payload slice. `Err` carries a human-readable description of
-/// what is wrong (torn write, bit rot, wrong segment, ...).
-fn verify_segment(buf: &[u8], key: SegmentKey) -> Result<&[u8], String> {
-    if buf.len() < 26 || &buf[..6] != SEG_MAGIC {
+/// return the FNV-1a of its payload (`buf[SEG_HEADER..]`), now proved.
+/// `Err` carries a human-readable description of what is wrong (torn
+/// write, bit rot, wrong segment, ...).
+fn verify_segment(buf: &[u8], key: SegmentKey) -> Result<u64, String> {
+    if buf.len() < SEG_HEADER || &buf[..6] != SEG_MAGIC {
         return Err("bad segment header".to_string());
     }
     let word4 = |at: usize| -> Result<u32, String> {
@@ -267,14 +315,14 @@ fn verify_segment(buf: &[u8], key: SegmentKey) -> Result<&[u8], String> {
         .and_then(|s| s.try_into().ok())
         .ok_or_else(|| "bad segment header".to_string())?;
     let sum = u64::from_le_bytes(sum_bytes);
-    let payload = buf.get(26..).unwrap_or(&[]);
+    let payload = buf.get(SEG_HEADER..).unwrap_or(&[]);
     if payload.len() != len {
         return Err(format!("payload is {} bytes but the header claims {len}", payload.len()));
     }
-    if fnv1a64(payload) != sum {
+    if hash(payload) != sum {
         return Err("payload checksum mismatch".to_string());
     }
-    Ok(payload)
+    Ok(sum)
 }
 
 /// Best-effort-free durability: fsync the directory so the rename that just
@@ -403,23 +451,22 @@ impl FileStore {
 impl SegmentStore for FileStore {
     fn fetch(&self, key: SegmentKey) -> Result<SegmentRead, FetchError> {
         let (level, plane) = key;
-        let path = Self::seg_path(&self.dir, key);
-        let mut buf = Vec::new();
-        match fs::File::open(&path) {
+        // `fs::read` sizes the buffer from the file's length, so the file
+        // is read once into an allocation that never grows.
+        let mut buf = match fs::read(Self::seg_path(&self.dir, key)) {
+            Ok(buf) => buf,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Err(FetchError::Missing { level, plane });
             }
-            Err(e) => {
-                return Err(FetchError::Io { level, plane, detail: e.to_string() });
-            }
-            Ok(mut f) => {
-                if let Err(e) = f.read_to_end(&mut buf) {
-                    return Err(FetchError::Io { level, plane, detail: e.to_string() });
-                }
-            }
-        }
+            Err(e) => return Err(FetchError::Io { level, plane, detail: e.to_string() }),
+        };
         match verify_segment(&buf, key) {
-            Ok(payload) => Ok(SegmentRead::clean(payload.to_vec())),
+            Ok(fnv) => {
+                // The payload stays where it was read: drop the header in
+                // place rather than copying the rest out.
+                buf.drain(..SEG_HEADER);
+                Ok(SegmentRead::proved(buf, fnv))
+            }
             Err(detail) => Err(FetchError::Corrupt { level, plane, detail }),
         }
     }
@@ -461,8 +508,21 @@ impl MutableSegmentStore for FileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ExpectedSegment, FetchExecutor, RetryPolicy, ShardConfig, ShardedStore};
     use pmr_field::{Field, Shape};
     use pmr_mgard::CompressConfig;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// FNV-1a passes [`hash`] has run on this thread.
+        pub(super) static HASH_PASSES: Cell<u32> = const { Cell::new(0) };
+    }
+
+    fn passes_during<T>(f: impl FnOnce() -> T) -> (T, u32) {
+        let before = HASH_PASSES.with(Cell::get);
+        let out = f();
+        (out, HASH_PASSES.with(Cell::get) - before)
+    }
 
     fn artifact() -> Compressed {
         let field = Field::from_fn("seg", 0, Shape::cube(9), |x, y, _| {
@@ -480,7 +540,7 @@ mod tests {
         for (l, lvl) in c.levels().iter().enumerate() {
             for k in 0..lvl.num_planes() {
                 let read = store.fetch((l, k)).unwrap();
-                assert_eq!(read.bytes, lvl.plane_payload(k));
+                assert_eq!(read.bytes(), lvl.plane_payload(k));
                 assert_eq!(read.extra_latency_s, 0.0);
             }
         }
@@ -504,9 +564,9 @@ mod tests {
         store.put((1, 2), b"abc").unwrap();
         store.put((0, 0), b"xyz").unwrap();
         assert_eq!(store.keys(), vec![(0, 0), (1, 2)]);
-        assert_eq!(store.fetch((1, 2)).unwrap().bytes, b"abc");
+        assert_eq!(store.fetch((1, 2)).unwrap().bytes(), b"abc");
         store.put((1, 2), b"replaced").unwrap();
-        assert_eq!(store.fetch((1, 2)).unwrap().bytes, b"replaced");
+        assert_eq!(store.fetch((1, 2)).unwrap().bytes(), b"replaced");
         store.delete((1, 2)).unwrap();
         store.delete((1, 2)).unwrap(); // idempotent
         assert!(!store.contains((1, 2)));
@@ -523,10 +583,45 @@ mod tests {
         for key in store.keys() {
             let a = store.fetch(key).unwrap();
             let b = reopened.fetch(key).unwrap();
-            assert_eq!(a.bytes, b.bytes);
-            assert_eq!(a.bytes, c.levels()[key.0].plane_payload(key.1));
+            assert_eq!(a.bytes(), b.bytes());
+            assert_eq!(a.bytes(), c.levels()[key.0].plane_payload(key.1));
         }
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_segment_is_hashed_once_on_its_way_to_the_reader() {
+        let c = artifact();
+        let dir = std::env::temp_dir().join("pmr_segstore_hash_once_test");
+        fs::remove_dir_all(&dir).ok();
+        // Hot tier, ring replicas and the executor each used to hash the
+        // same bytes; the file's own check is now the only pass.
+        let cfg = ShardConfig::try_new(3, 2).unwrap().with_hot_planes(1);
+        for store in [
+            ShardedStore::write_files(&c, &dir, cfg.clone()).unwrap(),
+            ShardedStore::mem(&c, cfg).unwrap(),
+        ] {
+            let mut exec = FetchExecutor::new(&store, RetryPolicy::default());
+            for key in store.keys() {
+                let expect = ExpectedSegment::of_plane(&c.levels()[key.0], key.1);
+                let (bytes, passes) = passes_during(|| exec.fetch_verified(key, expect));
+                assert_eq!(bytes.unwrap(), c.levels()[key.0].plane_payload(key.1));
+                assert_eq!(passes, 1, "segment {key:?} hashed {passes} times");
+            }
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn touching_the_bytes_forgets_the_digest() {
+        let mut read = SegmentRead::proved(b"abc".to_vec(), fnv1a64(b"abc"));
+        assert_eq!(passes_during(|| read.fnv()), (fnv1a64(b"abc"), 0), "carried, not hashed");
+        read.bytes_mut()[0] ^= 1;
+        assert_eq!(passes_during(|| read.fnv()), (fnv1a64(b"`bc"), 1), "hashed afresh");
+        assert_eq!(passes_during(|| read.fnv()).1, 0, "and carried from then on");
+        read.bytes_mut().truncate(1);
+        assert_eq!(read.fnv(), fnv1a64(b"`"));
+        assert_eq!(SegmentRead::clean(b"abc".to_vec()).fnv(), fnv1a64(b"abc"));
     }
 
     #[test]
@@ -557,7 +652,7 @@ mod tests {
         let payload = c.levels()[0].plane_payload(0);
         store.put((0, 0), payload).unwrap();
         assert!(store.contains((0, 0)));
-        assert_eq!(store.fetch((0, 0)).unwrap().bytes, payload);
+        assert_eq!(store.fetch((0, 0)).unwrap().bytes(), payload);
         // No temp files are left behind after a successful put.
         let leftovers: Vec<_> = fs::read_dir(&dir)
             .unwrap()

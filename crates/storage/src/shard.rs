@@ -25,7 +25,6 @@ use crate::segment::{
     FetchError, FileStore, MemStore, MutableSegmentStore, SegmentKey, SegmentRead, SegmentStore,
 };
 use pmr_error::PmrError;
-use pmr_mgard::checksum::fnv1a64;
 use pmr_mgard::Compressed;
 use pmr_rng::mix;
 use std::collections::{BTreeMap, BTreeSet};
@@ -368,15 +367,17 @@ impl ShardedStore {
     }
 
     /// Verify a replica read against the manifest checksum, if one is
-    /// attached for this key.
+    /// attached for this key. A read that carries its digest (a `FileStore`
+    /// child has just checked it against the file's header) is compared,
+    /// not hashed again.
     fn verified(
         &self,
         read: Result<SegmentRead, FetchError>,
         key: SegmentKey,
     ) -> Result<SegmentRead, FetchError> {
-        let read = read?;
+        let mut read = read?;
         if let Some(exp) = self.expected.get(&key) {
-            if read.bytes.len() != exp.len || fnv1a64(&read.bytes) != exp.fnv {
+            if !exp.matches(&mut read) {
                 return Err(FetchError::Corrupt {
                     level: key.0,
                     plane: key.1,
@@ -616,7 +617,7 @@ mod tests {
             store.kill_shard(dead);
             for key in all_keys(&c) {
                 let read = store.fetch(key).expect("R=2 must survive one dead shard");
-                assert_eq!(read.bytes, c.levels()[key.0].plane_payload(key.1));
+                assert_eq!(read.bytes(), c.levels()[key.0].plane_payload(key.1));
             }
             store.revive_shard(dead);
         }
@@ -636,7 +637,7 @@ mod tests {
             match store.fetch(key) {
                 Ok(read) => {
                     assert!(!on_dead);
-                    assert_eq!(read.bytes, c.levels()[key.0].plane_payload(key.1));
+                    assert_eq!(read.bytes(), c.levels()[key.0].plane_payload(key.1));
                 }
                 Err(err) => {
                     assert!(on_dead);
@@ -663,7 +664,7 @@ mod tests {
         rotted[0] ^= 0x01;
         store.child(primary).unwrap().put(key, &rotted).unwrap();
         let read = store.fetch(key).expect("fallback replica must serve");
-        assert_eq!(read.bytes, clean, "served bytes must come from the good replica");
+        assert_eq!(read.bytes(), clean, "served bytes must come from the good replica");
         let status = store.shard_status();
         assert_eq!(status[primary].corrupt, 1);
     }
@@ -680,7 +681,7 @@ mod tests {
         // Losing the hot copy costs nothing: ring replicas still serve.
         hot.delete((0, 0)).unwrap();
         let read = store.fetch((0, 0)).unwrap();
-        assert_eq!(read.bytes, c.levels()[0].plane_payload(0));
+        assert_eq!(read.bytes(), c.levels()[0].plane_payload(0));
     }
 
     #[test]
@@ -695,7 +696,10 @@ mod tests {
         reopened.attach_manifest(&c);
         assert_eq!(store.keys(), reopened.keys());
         for key in all_keys(&c) {
-            assert_eq!(reopened.fetch(key).unwrap().bytes, c.levels()[key.0].plane_payload(key.1));
+            assert_eq!(
+                reopened.fetch(key).unwrap().bytes(),
+                c.levels()[key.0].plane_payload(key.1)
+            );
         }
         fs::remove_dir_all(&dir).ok();
     }

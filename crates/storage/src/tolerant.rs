@@ -17,6 +17,7 @@ use crate::{Placement, StorageHierarchy};
 use pmr_error::PmrError;
 use pmr_field::Field;
 use pmr_mgard::{greedy_plan_capped, Compressed, ExecPolicy, RetrievalPlan};
+use std::convert::Infallible;
 
 /// Knobs of the tolerant reader.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,29 +84,32 @@ impl TolerantRetrieval {
     }
 }
 
-/// What the degradation loop settled on: the plane prefixes it holds, one
-/// per level, in whatever form the source handed them over.
+/// What the degradation loop settled on. The planes themselves went to the
+/// caller's sink as they landed; this is the account of them.
 #[derive(Debug)]
-pub struct FetchedPlanes<P> {
-    /// `payloads[l][k]` is plane `k` of level `l`.
-    pub payloads: Vec<Vec<P>>,
+pub struct FetchedPlanes {
+    /// Planes delivered per level: the sink holds the prefix `0..planes[l]`
+    /// of level `l`.
+    pub planes: Vec<u32>,
     /// Segments abandoned as unrecoverable, in the order they were given up.
     pub lost: Vec<SegmentKey>,
     /// Whether a compensating re-plan ran.
     pub replanned: bool,
 }
 
-/// Number of plane payloads held for one level, as the `u32` plane count
-/// the planner speaks. Levels hold at most `num_planes <= 50` payloads, so
-/// the saturating fallback is unreachable.
-fn held<P>(payloads: &[P]) -> u32 {
-    u32::try_from(payloads.len()).unwrap_or(u32::MAX)
+/// Why the degradation loop stopped before settling.
+#[derive(Debug)]
+pub enum Stopped<E> {
+    /// The plan or the bound was unusable; nothing was fetched.
+    Invalid(PmrError),
+    /// The sink refused a plane (a socket died, say). Not a storage loss:
+    /// nothing is re-planned around it, the retrieval is simply over.
+    Sink(E),
 }
 
-impl<P> FetchedPlanes<P> {
-    /// Plane counts held per level.
-    pub fn planes(&self) -> Vec<u32> {
-        self.payloads.iter().map(|p| held(p)).collect()
+impl<E> From<PmrError> for Stopped<E> {
+    fn from(e: PmrError) -> Self {
+        Stopped::Invalid(e)
     }
 }
 
@@ -114,40 +118,44 @@ impl<P> FetchedPlanes<P> {
 /// Drains every level of `plan` through `source`, which returns the
 /// *verified* plane or the error that made it unrecoverable (retries are
 /// the source's business: [`fetch_plan_tolerant`] plugs in a
-/// [`FetchExecutor`], `pmrd` the same behind its plane cache). A level that
+/// [`FetchExecutor`], `pmrd` the same behind its plane cache), and hands
+/// each plane to `sink` the moment it lands — level by level, planes
+/// ascending within a level, the planes of a re-plan round after those of
+/// the round before. A plane handed over is never taken back. A level that
 /// loses a segment is truncated there; with `cfg.replan`, capped-greedy
 /// rounds then spend extra planes at surviving levels chasing
-/// `requested_bound` — what the caller originally asked for. Decoding the
-/// prefixes, or framing them for the wire, is the caller's sink.
-pub fn fetch_planes_tolerant<P>(
+/// `requested_bound` — what the caller originally asked for. Collecting
+/// the prefixes for a decode, or writing them to a socket, is the sink.
+pub fn fetch_planes_tolerant<P, E>(
     manifest: &Compressed,
     plan: &RetrievalPlan,
     requested_bound: f64,
     cfg: &TolerantConfig,
     mut source: impl FnMut(SegmentKey) -> Result<P, FetchError>,
-) -> Result<FetchedPlanes<P>, PmrError> {
+    mut sink: impl FnMut(SegmentKey, P) -> Result<(), E>,
+) -> Result<FetchedPlanes, Stopped<E>> {
     manifest.validate_plan(plan)?;
     if !requested_bound.is_finite() || requested_bound < 0.0 {
-        return Err(PmrError::invalid_config(format!(
+        return Err(Stopped::Invalid(PmrError::invalid_config(format!(
             "requested bound must be finite and >= 0, got {requested_bound}"
-        )));
+        ))));
     }
     let levels = manifest.levels();
-    let mut got = FetchedPlanes {
-        payloads: levels.iter().map(|_| Vec::new()).collect(),
-        lost: Vec::new(),
-        replanned: false,
-    };
+    let mut got =
+        FetchedPlanes { planes: vec![0; levels.len()], lost: Vec::new(), replanned: false };
     // `caps[l]` shrinks to the achieved prefix length when level `l` loses
     // a segment — no later round may ask past it.
     let mut caps: Vec<u32> = levels.iter().map(|l| l.num_planes()).collect();
     let mut target = plan.planes.clone();
 
     for round in 0..=cfg.max_replan_rounds {
-        for (l, prefix) in got.payloads.iter_mut().enumerate() {
-            for k in held(prefix)..target[l].min(caps[l]) {
+        for (l, held) in got.planes.iter_mut().enumerate() {
+            for k in *held..target[l].min(caps[l]) {
                 match source((l, k)) {
-                    Ok(payload) => prefix.push(payload),
+                    Ok(payload) => {
+                        sink((l, k), payload).map_err(Stopped::Sink)?;
+                        *held = k + 1;
+                    }
                     Err(_) => {
                         // Unrecoverable: truncate this level's prefix here.
                         got.lost.push((l, k));
@@ -163,10 +171,14 @@ pub fn fetch_planes_tolerant<P>(
         }
         // Compensate: keep what we hold, never ask past a dead prefix, and
         // spend extra planes at surviving levels to chase the bound.
-        let floor = got.planes();
-        let next =
-            greedy_plan_capped(levels, manifest.theory_constants(), requested_bound, &floor, &caps);
-        if next.planes == floor {
+        let next = greedy_plan_capped(
+            levels,
+            manifest.theory_constants(),
+            requested_bound,
+            &got.planes,
+            &caps,
+        );
+        if next.planes == got.planes {
             break; // nothing more the greedy can add
         }
         target = next.planes;
@@ -192,12 +204,28 @@ pub fn fetch_plan_tolerant(
         Some((h, p)) => FetchExecutor::with_model(store, cfg.policy.clone(), h, p)?,
         None => FetchExecutor::new(store, cfg.policy.clone()),
     };
-    let got = fetch_planes_tolerant(manifest, plan, requested_bound, cfg, |(l, k)| {
-        fetcher.fetch_verified((l, k), ExpectedSegment::of_plane(&manifest.levels()[l], k))
+    // Sink: each level's prefix, kept for the one decode below.
+    let mut payloads: Vec<Vec<Vec<u8>>> = vec![Vec::new(); manifest.num_levels()];
+    let got = fetch_planes_tolerant(
+        manifest,
+        plan,
+        requested_bound,
+        cfg,
+        |(l, k)| {
+            fetcher.fetch_verified((l, k), ExpectedSegment::of_plane(&manifest.levels()[l], k))
+        },
+        |(l, _), payload| {
+            payloads[l].push(payload);
+            Ok::<(), Infallible>(())
+        },
+    )
+    .map_err(|stopped| match stopped {
+        Stopped::Invalid(e) => e,
+        Stopped::Sink(never) => match never {},
     })?;
 
-    let achieved = got.planes();
-    let field = manifest.retrieve_from_payloads(&got.payloads, exec)?;
+    let achieved = got.planes;
+    let field = manifest.retrieve_from_payloads(&payloads, exec)?;
     let estimated_error = manifest.estimate_for(&achieved);
     let degraded = if got.lost.is_empty() {
         None
@@ -326,6 +354,72 @@ mod tests {
         assert!(deeper, "re-plan should spend planes at surviving levels: {report:?}");
         let measured = max_abs_error(field.data(), out.field.data());
         assert!(measured <= report.achievable_bound);
+    }
+
+    #[test]
+    fn planes_reach_the_sink_as_they_land_with_replan_rounds_appended() {
+        let (_, c) = artifact();
+        let bound = c.absolute_bound(1e-3);
+        let plan = c.plan_theory(bound);
+        let store = MemStore::from_compressed(&c).without(&[(0, 1)]);
+        let fetched = std::cell::Cell::new(None);
+        let mut delivered = Vec::new();
+        let got = fetch_planes_tolerant(
+            &c,
+            &plan,
+            bound,
+            &TolerantConfig::default(),
+            |key| {
+                fetched.set(Some(key));
+                store.fetch(key)
+            },
+            |key, _read| {
+                // Handed over before the next plane is asked for.
+                assert_eq!(fetched.get(), Some(key));
+                delivered.push(key);
+                Ok::<(), Infallible>(())
+            },
+        )
+        .unwrap();
+        assert!(got.replanned && got.lost == vec![(0, 1)]);
+        // The first round is the plan, level-major, cut short at the loss...
+        let first_round: Vec<SegmentKey> = (0..c.num_levels())
+            .flat_map(|l| (0..if l == 0 { 1 } else { plan.planes[l] }).map(move |k| (l, k)))
+            .collect();
+        assert_eq!(delivered[..first_round.len()], first_round[..]);
+        // ...and what the re-plan bought comes after it, each level still
+        // a gapless ascending prefix when regrouped.
+        assert!(delivered.len() > first_round.len(), "the re-plan must have added planes");
+        let mut held = vec![0u32; c.num_levels()];
+        for (l, k) in delivered {
+            assert_eq!(k, held[l], "level {l} out of order");
+            held[l] += 1;
+        }
+        assert_eq!(held, got.planes);
+    }
+
+    #[test]
+    fn a_refusing_sink_ends_the_retrieval_and_is_not_a_lost_segment() {
+        let (_, c) = artifact();
+        let bound = c.absolute_bound(1e-4);
+        let store = MemStore::from_compressed(&c);
+        let mut fetches = 0;
+        let stopped = fetch_planes_tolerant(
+            &c,
+            &c.plan_theory(bound),
+            bound,
+            &TolerantConfig::default(),
+            |key| {
+                fetches += 1;
+                store.fetch(key)
+            },
+            |key, _read| if key == (1, 0) { Err("peer gone") } else { Ok(()) },
+        )
+        .unwrap_err();
+        assert!(matches!(stopped, Stopped::Sink("peer gone")), "{stopped:?}");
+        // Nothing was fetched after the refusal, let alone re-planned.
+        let through_refusal = c.plan_theory(bound).planes[0] + 1;
+        assert_eq!(fetches, through_refusal);
     }
 
     #[test]

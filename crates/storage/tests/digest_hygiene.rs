@@ -1,0 +1,159 @@
+//! A read may carry its payload's digest up to the layers that compare it
+//! with the manifest's, so they need not hash the bytes again. These tests
+//! pin what that must never cost: a payload that is not the manifest's is
+//! still refused, whoever vouched for its digest and whatever happened to
+//! its bytes on the way up.
+
+use pmr_field::{Field, Shape};
+use pmr_mgard::{CompressConfig, Compressed};
+use pmr_rng::cases;
+use pmr_storage::{
+    ExpectedSegment, FaultConfig, FaultInjector, FaultKind, FetchError, FetchExecutor, FileStore,
+    RetryPolicy, SegmentKey, SegmentStore, ShardConfig, ShardedStore,
+};
+use std::path::PathBuf;
+
+fn artifact() -> Compressed {
+    let field = Field::from_fn("digest", 0, Shape::cube(9), |x, y, z| {
+        ((x as f64) * 0.5).sin() + ((y as f64) * 0.3).cos() * 0.4 + (z as f64) * 0.02
+    });
+    Compressed::compress(&field, &CompressConfig::default())
+}
+
+fn scratch(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("pmr_digest_{test}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+fn expect(c: &Compressed, key: SegmentKey) -> ExpectedSegment {
+    ExpectedSegment::of_plane(&c.levels()[key.0], key.1)
+}
+
+/// Keys whose payloads have bytes to corrupt.
+fn payload_keys(c: &Compressed, store: &dyn SegmentStore) -> Vec<SegmentKey> {
+    store.keys().into_iter().filter(|&(l, k)| !c.levels()[l].plane_payload(k).is_empty()).collect()
+}
+
+#[test]
+fn an_injector_above_file_stores_cannot_pass_a_stale_digest_on() {
+    let c = artifact();
+    let dir = scratch("injector");
+    // File stores prove a digest, the sharded store compares it and hands
+    // the read up with it; the injector then alters the bytes.
+    let cfg = ShardConfig::try_new(3, 2).unwrap().with_hot_planes(1);
+    let always = |truncate: f64, bit_flip: f64| {
+        let sharded = ShardedStore::write_files(&c, &dir, cfg.clone()).unwrap();
+        FaultInjector::new(sharded, FaultConfig { truncate, bit_flip, ..FaultConfig::quiet(3) })
+            .unwrap()
+    };
+    for inj in [always(1.0, 0.0), always(0.0, 1.0)] {
+        let policy = RetryPolicy { max_attempts: 3, ..RetryPolicy::default() };
+        let mut exec = FetchExecutor::new(&inj, policy);
+        for key in payload_keys(&c, &inj) {
+            let err = exec.fetch_verified(key, expect(&c, key)).expect_err("every read is rotted");
+            assert!(matches!(err, FetchError::Corrupt { .. }), "{key:?}: {err}");
+        }
+        assert_eq!(exec.stats().bytes, 0, "no corrupted read may count as verified");
+    }
+    // Half the attempts rotted: whatever is returned is the manifest's.
+    let cfg_half = FaultConfig { truncate: 0.25, bit_flip: 0.25, ..FaultConfig::quiet(4) };
+    let inj =
+        FaultInjector::new(ShardedStore::write_files(&c, &dir, cfg).unwrap(), cfg_half).unwrap();
+    let policy = RetryPolicy { max_attempts: 64, ..RetryPolicy::default() };
+    let mut exec = FetchExecutor::new(&inj, policy);
+    for key in inj.keys() {
+        let bytes = exec.fetch_verified(key, expect(&c, key)).expect("retries find a clean read");
+        assert_eq!(bytes, c.levels()[key.0].plane_payload(key.1));
+    }
+    let rotted = inj
+        .log()
+        .iter()
+        .filter(|e| matches!(e.kind, FaultKind::Truncate(_) | FaultKind::BitFlip { .. }))
+        .count() as u64;
+    assert!(rotted > 0, "the schedule must have corrupted something");
+    assert_eq!(exec.stats().corruptions, rotted, "each rotted read was caught, none slipped by");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_self_consistent_file_with_the_wrong_payload_is_corrupt_against_the_manifest() {
+    let c = artifact();
+    let dir = scratch("forged");
+    let cfg = ShardConfig::try_new(2, 1).unwrap();
+    let store = ShardedStore::write_files(&c, &dir, cfg).unwrap();
+    let key = payload_keys(&c, &store)[0];
+    let mut wrong = c.levels()[key.0].plane_payload(key.1).to_vec();
+    wrong[0] ^= 0x10;
+    // `put` writes a header whose checksum matches the wrong payload: the
+    // file verifies, and its read carries a digest the file store proved.
+    let holder = store.replicas(key)[0];
+    store.child(holder).unwrap().put(key, &wrong).unwrap();
+    assert_eq!(store.child(holder).unwrap().fetch(key).unwrap().bytes(), wrong);
+
+    // With the manifest attached the sharded store refuses the replica...
+    assert!(matches!(store.fetch(key), Err(FetchError::Corrupt { .. })));
+    // ...and without it the executor does, comparing the carried digest.
+    let unattached = ShardedStore::open_dir(&dir).unwrap();
+    assert_eq!(unattached.fetch(key).unwrap().bytes(), wrong, "no manifest, no opinion");
+    for store in [&store, &unattached] {
+        let mut exec = FetchExecutor::new(store, RetryPolicy::default());
+        let err = exec.fetch_verified(key, expect(&c, key)).expect_err("not the manifest's bytes");
+        assert!(matches!(err, FetchError::Corrupt { .. }), "{err}");
+        assert_eq!(exec.stats().corruptions, u64::from(RetryPolicy::default().max_attempts));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Bytes 0..26 of a segment file: magic, level, plane, length, checksum.
+const SEG_HEADER: usize = 26;
+
+#[test]
+fn mutated_segment_files_are_corrupt_or_missing_never_served() {
+    let c = artifact();
+    let dir = scratch("mutated");
+    let store = FileStore::write_from(&c, &dir).unwrap();
+    let keys = store.keys();
+    cases("mutated_segment_files_are_corrupt_or_missing_never_served", 256, |g| {
+        let key = g.one_of(&keys);
+        let path = dir.join(format!("seg_{:03}_{:03}.pmrs", key.0, key.1));
+        let clean = std::fs::read(&path).unwrap();
+        let mut bytes = clean.clone();
+        match g.range(0..8u32) {
+            0 => std::fs::remove_file(&path).unwrap(),
+            1 => bytes.truncate(g.range(0..bytes.len())),
+            2 => bytes.extend((0..g.range(1..9usize)).map(|_| g.u8())),
+            _ => {
+                for _ in 0..g.range(1..5usize) {
+                    // Half the hits land in the header, where every byte
+                    // is load-bearing.
+                    let at =
+                        if g.bool() { g.range(0..SEG_HEADER) } else { g.range(0..bytes.len()) };
+                    bytes[at] = g.u8();
+                }
+            }
+        }
+        if path.exists() {
+            std::fs::write(&path, &bytes).unwrap();
+        }
+        let want = expect(&c, key);
+        match store.fetch(key) {
+            // A mutation can write a byte's old value back.
+            Ok(mut read) => {
+                assert_eq!(bytes, clean, "{key:?}: a changed file was served");
+                assert!(want.matches(&mut read));
+            }
+            Err(FetchError::Corrupt { .. }) => assert_ne!(bytes, clean),
+            Err(FetchError::Missing { .. }) => assert!(!path.exists()),
+            Err(other) => panic!("{key:?}: {other}"),
+        }
+        // Through the verifying executor nothing but the manifest's bytes
+        // ever comes back.
+        let mut exec = FetchExecutor::new(&store, RetryPolicy::default());
+        if let Ok(served) = exec.fetch_verified(key, want) {
+            assert_eq!(served, c.levels()[key.0].plane_payload(key.1));
+        }
+        std::fs::write(&path, &clean).unwrap();
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -97,7 +97,7 @@ fn check_single_corruption_repairs(
     assert!(pre.corrupt + pre.missing > 0, "{kind:?} on {key:?} was invisible to scrub");
     // ...and invisible to readers (the good replica serves).
     let read = store.fetch(key).expect("read-one fallback");
-    assert!(read.bytes == clean, "{kind:?} on {key:?}: fallback served wrong bytes");
+    assert!(read.bytes() == clean, "{kind:?} on {key:?}: fallback served wrong bytes");
 
     // Repair restores every copy bit-identically and scrubs clean.
     let rep = repair(&store).expect("repair");
@@ -106,7 +106,7 @@ fn check_single_corruption_repairs(
     let post = scrub(&store).expect("scrub");
     assert!(post.clean(), "post-repair scrub dirty: {}", post.summary());
     for s in store.replicas(key) {
-        let restored = store.child(s).and_then(|ch| ch.fetch(key).ok()).map(|r| r.bytes);
+        let restored = store.child(s).and_then(|ch| ch.fetch(key).ok()).map(|r| r.into_bytes());
         assert!(
             restored.as_deref() == Some(clean),
             "replica {s} of {key:?} not restored bit-identically"

@@ -130,7 +130,7 @@ fn crash_during_write_leaves_old_or_new_segment_never_torn() {
         std::fs::write(&tmp_name, &encoded_new[..cut]).expect("plant torn tmp");
         let reopened = FileStore::open(&dir).expect("reopen after mid-write crash");
         let read = reopened.fetch(key).expect("old generation must survive");
-        assert_eq!(read.bytes, old, "crash at tmp byte {cut} must leave the old payload");
+        assert_eq!(read.bytes(), old, "crash at tmp byte {cut} must leave the old payload");
         assert!(!tmp_name.exists(), "stale tmp (cut {cut}) must be swept on open");
     }
 
@@ -138,7 +138,7 @@ fn crash_during_write_leaves_old_or_new_segment_never_torn() {
     // the final name and must be served verbatim.
     std::fs::write(&final_name, &encoded_new).expect("complete rename state");
     let reopened = FileStore::open(&dir).expect("reopen after post-rename crash");
-    assert_eq!(reopened.fetch(key).expect("new generation").bytes, new);
+    assert_eq!(reopened.fetch(key).expect("new generation").bytes(), new);
 
     // A torn file under the FINAL name (what a non-atomic writer would
     // leave) is the one state that must never be served: open quarantines
