@@ -12,7 +12,7 @@
 //! standard library (`get`, `len`, `write`, …) are excluded from that
 //! fan-out; they resolve only against the caller's own type.
 
-use crate::config::AnalyzeConfig;
+use crate::config::{in_scope, AnalyzeConfig};
 use crate::parse::{Call, Callee, ParsedFile};
 use crate::report::Violation;
 use std::collections::{BTreeMap, VecDeque};
@@ -108,7 +108,6 @@ pub struct Node {
     pub returns_result: bool,
     pub is_test: bool,
     pub rel_path: String,
-    pub line: usize,
 }
 
 /// The workspace call graph.
@@ -144,7 +143,6 @@ impl CallGraph {
                     returns_result: func.returns_result,
                     is_test: func.is_test,
                     rel_path: f.rel_path.clone(),
-                    line: func.line,
                 });
             }
         }
@@ -209,8 +207,8 @@ impl CallGraph {
             .filter(|&i| {
                 let n = &self.nodes[i];
                 !n.is_test
-                    && cfg.entry_paths.iter().any(|p| n.rel_path.starts_with(p.as_str()))
-                    && cfg.entry_prefixes.iter().any(|p| n.name.starts_with(p.as_str()))
+                    && in_scope(cfg.entry_paths, &n.rel_path)
+                    && cfg.entry_prefixes.iter().any(|p| n.name.starts_with(p))
             })
             .collect()
     }
@@ -427,15 +425,16 @@ fn resolve_path(
     Vec::new()
 }
 
-/// The `panic_reach` lint: every panic-capable site in a function
-/// transitively reachable from a configured entry point, reported at the
-/// site with the shortest entry chain.
+/// The `panic_reach` lint: every panic-capable site in a function under
+/// `panic_paths`, or transitively reachable from a configured entry point
+/// wherever it sits — reported at the site with the shortest entry chain
+/// (just the function itself when only its path puts it in scope).
 pub fn panic_reach(files: &[ParsedFile], graph: &CallGraph, cfg: &AnalyzeConfig) -> Vec<Violation> {
     let entries = graph.entries(cfg);
     let reach = graph.reachable_from(&entries);
     let mut out = Vec::new();
     for (i, node) in graph.nodes.iter().enumerate() {
-        if node.is_test || reach.dist[i].is_none() {
+        if node.is_test || !(in_scope(cfg.panic_paths, &node.rel_path) || reach.dist[i].is_some()) {
             continue;
         }
         let f = &files[node.file];
@@ -445,7 +444,8 @@ pub fn panic_reach(files: &[ParsedFile], graph: &CallGraph, cfg: &AnalyzeConfig)
                 f.rel_path.as_str(),
                 site.line,
                 format!(
-                    "panic-capable `{}` is reachable from retrieval entry points: {}",
+                    "panic-capable `{}` on an error-contract path ({}); return `PmrError` \
+                     instead",
                     site.form,
                     graph.chain(&reach, i)
                 ),
@@ -528,28 +528,43 @@ mod tests {
         let cfg = AnalyzeConfig::default();
         let (files, g) = build(&[
             (
-                "crates/core/src/lib.rs",
-                "pub fn execute() { step(); }\nfn step() { helper(); }\nfn helper(x: Option<u8>) { x.unwrap(); }",
+                "crates/sim/src/lib.rs",
+                "pub fn retrieve() { step(); }\nfn step() { helper(); }\nfn helper(x: Option<u8>) { x.unwrap(); }",
             ),
             // Not reachable from any entry: no finding.
-            ("crates/core/src/other.rs", "fn lonely() { panic!(\"x\"); }"),
+            ("crates/sim/src/other.rs", "fn lonely() { panic!(\"x\"); }"),
         ]);
         let v = panic_reach(&files, &g, &cfg);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].lint, "panic_reach");
-        assert!(v[0].message.contains("pmr_core::execute → pmr_core::step → pmr_core::helper"));
+        assert!(v[0].message.contains("pmr_sim::retrieve → pmr_sim::step → pmr_sim::helper"));
         assert_eq!(v[0].line, 3);
+    }
+
+    #[test]
+    fn panic_reach_reports_every_site_under_panic_paths() {
+        let cfg = AnalyzeConfig::default();
+        let (files, g) = build(&[
+            // core is a `panic_paths` crate: no entry needs to reach the fn.
+            ("crates/core/src/lib.rs", "fn lonely() { panic!(\"x\"); }"),
+            // Scope does not propagate: nn is judged by reachability alone.
+            ("crates/nn/src/lib.rs", "pub fn fit(x: Option<u8>) { x.unwrap(); }"),
+        ]);
+        let v = panic_reach(&files, &g, &cfg);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].file, "crates/core/src/lib.rs");
+        assert!(v[0].message.contains("(pmr_core::lonely)"), "{}", v[0].message);
     }
 
     #[test]
     fn entries_respect_paths_and_prefixes() {
         let cfg = AnalyzeConfig::default();
         let (_, g) = build(&[
-            ("crates/core/src/lib.rs", "pub fn execute() {}\npub fn other() {}"),
-            ("crates/nn/src/lib.rs", "pub fn execute_model() {}"),
+            ("crates/core/src/lib.rs", "pub fn retrieve() {}\npub fn other() {}"),
+            ("crates/nn/src/lib.rs", "pub fn retrieve_model() {}"),
         ]);
         let entries = g.entries(&cfg);
-        // core execute qualifies; core other (name) and nn (path) do not.
-        assert_eq!(entries, vec![node(&g, "pmr_core::execute")]);
+        // core retrieve qualifies; core other (name) and nn (path) do not.
+        assert_eq!(entries, vec![node(&g, "pmr_core::retrieve")]);
     }
 }

@@ -1,8 +1,9 @@
 //! Concurrency-soundness lints on top of the parse/callgraph layers:
 //! `lock_consistency` (RacerD-style GUARDED_BY inference by majority vote),
 //! `atomic_ordering` (per-atomic publication-protocol checks across the
-//! workspace), and `blocking_under_lock` (a configurable blocking-call
-//! taxonomy resolved interprocedurally and checked against live guards).
+//! workspace), and `blocking_under_lock` (a blocking-call taxonomy —
+//! named I/O and wait calls, segment fetches, backoff helpers — resolved
+//! interprocedurally and checked against live guards).
 //!
 //! All three reuse the guard model built for `lock_order` in
 //! [`crate::dataflow`]: the acquisition sites and liveness ranges double as
@@ -13,7 +14,7 @@
 
 use crate::callgraph::{CallGraph, Node};
 use crate::config::AnalyzeConfig;
-use crate::dataflow::{collect_acquisitions, matching_close, Acquisition, BodyScan};
+use crate::dataflow::{matching_close, Acquisition, BodyScan};
 use crate::lexer::TokKind;
 use crate::parse::{Callee, FnInfo, ParsedFile};
 use crate::report::Violation;
@@ -25,33 +26,18 @@ use std::collections::{BTreeMap, BTreeSet};
 /// which suppresses findings rather than inventing them.
 const MAX_ITERS: usize = 20;
 
-/// Run all three concurrency lints. Called from the interprocedural phase
-/// in [`crate::analyze_files`]; findings are routed back into the per-file
-/// suppression pass like every other lint.
-pub fn concurrency_lints(
+/// Run all three concurrency lints over the shared guard model `acqs`
+/// ([`crate::dataflow::acquisitions`]). Acquisitions are collected
+/// workspace-wide because lock context must flow through every call edge.
+pub(crate) fn concurrency_lints(
     files: &[ParsedFile],
     graph: &CallGraph,
     cfg: &AnalyzeConfig,
+    acqs: &[Vec<Acquisition>],
 ) -> Vec<Violation> {
-    // Acquisitions are shared by lock_consistency (held-at-access oracle +
-    // caller context) and blocking_under_lock (live ranges to scan), and
-    // are collected workspace-wide: context must flow through call edges
-    // even when the caller sits outside a lint's reporting scope.
-    let acqs: Vec<Vec<Acquisition>> = graph
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(ni, node)| {
-            if node.is_test {
-                return Vec::new();
-            }
-            collect_acquisitions(&files[node.file], graph, ni)
-        })
-        .collect();
-
-    let mut out = lock_consistency(files, graph, cfg, &acqs);
-    out.extend(atomic_ordering(files, graph, cfg));
-    out.extend(blocking_under_lock(files, graph, cfg, &acqs));
+    let mut out = lock_consistency(files, graph, acqs);
+    out.extend(atomic_ordering(files, graph));
+    out.extend(blocking_under_lock(files, graph, cfg, acqs));
     out
 }
 
@@ -123,17 +109,14 @@ fn entry_lock_context(
 fn lock_consistency(
     files: &[ParsedFile],
     graph: &CallGraph,
-    cfg: &AnalyzeConfig,
     acqs: &[Vec<Acquisition>],
 ) -> Vec<Violation> {
-    let in_scope =
-        |n: &Node| cfg.lock_consistency_paths.iter().any(|px| n.rel_path.starts_with(px.as_str()));
     let entry = entry_lock_context(files, graph, acqs);
 
     // Field identity (`Type.field`) → access observations in node order.
     let mut obs: BTreeMap<String, Vec<(usize, usize, BTreeSet<String>)>> = BTreeMap::new();
     for (ni, node) in graph.nodes.iter().enumerate() {
-        if node.is_test || !in_scope(node) || node.self_type.is_none() {
+        if node.is_test || node.self_type.is_none() {
             continue;
         }
         let f = &files[node.file];
@@ -264,16 +247,6 @@ impl MemOrd {
     fn is_release_write(self) -> bool {
         matches!(self, MemOrd::Release | MemOrd::AcqRel | MemOrd::SeqCst)
     }
-
-    fn name(self) -> &'static str {
-        match self {
-            MemOrd::Relaxed => "Relaxed",
-            MemOrd::Release => "Release",
-            MemOrd::Acquire => "Acquire",
-            MemOrd::AcqRel => "AcqRel",
-            MemOrd::SeqCst => "SeqCst",
-        }
-    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -310,14 +283,11 @@ struct AtomSite {
 /// (Release/SeqCst-written) atomic must not be read `Relaxed`, an
 /// Acquire-read atomic must not be written `Relaxed`, and a CAS failure
 /// ordering must not out-rank the load half of its success ordering.
-/// Pure statistics counters (all-Relaxed, or listed in `counter_fields`)
-/// are exempt by construction or by allowlist.
-fn atomic_ordering(files: &[ParsedFile], graph: &CallGraph, cfg: &AnalyzeConfig) -> Vec<Violation> {
-    let in_scope = |n: &Node| cfg.atomic_paths.iter().any(|px| n.rel_path.starts_with(px.as_str()));
-
+/// Pure statistics counters (all-Relaxed) pass by construction.
+fn atomic_ordering(files: &[ParsedFile], graph: &CallGraph) -> Vec<Violation> {
     let mut atoms: BTreeMap<String, Vec<AtomSite>> = BTreeMap::new();
     for node in &graph.nodes {
-        if node.is_test || !in_scope(node) {
+        if node.is_test {
             continue;
         }
         let f = &files[node.file];
@@ -361,17 +331,8 @@ fn atomic_ordering(files: &[ParsedFile], graph: &CallGraph, cfg: &AnalyzeConfig)
         }
     }
 
-    let counter_ok = |id: &str| {
-        cfg.atomic_counter_fields
-            .iter()
-            .any(|c| id == c.as_str() || id.starts_with(&format!("{c}.")))
-    };
-
     let mut out = Vec::new();
     for (id, sites) in &atoms {
-        if counter_ok(id) {
-            continue;
-        }
         let write_ord = |s: &AtomSite| -> Option<MemOrd> {
             matches!(s.op, AtomOp::Store | AtomOp::Rmw | AtomOp::Cas)
                 .then(|| s.ords.first().copied())
@@ -393,9 +354,7 @@ fn atomic_ordering(files: &[ParsedFile], graph: &CallGraph, cfg: &AnalyzeConfig)
                     format!(
                         "atomic `{id}` is written with release semantics elsewhere but read \
                          here with `Relaxed`; the read does not synchronize with the \
-                         publication — use `Acquire`, or register the field under \
-                         `counter_fields` in [lints.atomic_ordering] if it is a pure \
-                         statistics counter"
+                         publication — use `Acquire`"
                     ),
                     f.snippet(s.line),
                 ));
@@ -407,9 +366,7 @@ fn atomic_ordering(files: &[ParsedFile], graph: &CallGraph, cfg: &AnalyzeConfig)
                     s.line,
                     format!(
                         "atomic `{id}` is read with acquire semantics elsewhere but written \
-                         here with `Relaxed`; the store publishes nothing — use `Release`, \
-                         or register the field under `counter_fields` in \
-                         [lints.atomic_ordering] if it is a pure statistics counter"
+                         here with `Relaxed`; the store publishes nothing — use `Release`"
                     ),
                     f.snippet(s.line),
                 ));
@@ -422,12 +379,11 @@ fn atomic_ordering(files: &[ParsedFile], graph: &CallGraph, cfg: &AnalyzeConfig)
                         f.rel_path.as_str(),
                         s.line,
                         format!(
-                            "`compare_exchange` on `{id}`: failure ordering `{}` is stronger \
-                             than the load half of success ordering `{}`; the failed path \
+                            "`compare_exchange` on `{id}`: failure ordering `{:?}` is stronger \
+                             than the load half of success ordering `{:?}`; the failed path \
                              would synchronize more than the successful one — strengthen \
                              the success ordering",
-                            failure.name(),
-                            success.name()
+                            failure, success
                         ),
                         f.snippet(s.line),
                     ));
@@ -500,21 +456,29 @@ fn resolve_atom_id(
 // ---------------------------------------------------------------------------
 // blocking_under_lock
 
+/// Call names that block without being listed in `blocking_calls`: a
+/// segment fetch (`fetch*`, the atomic RMWs aside) and the retry/backoff
+/// helpers (`*sleep*`, `*retry*`, `*backoff*`) — a guard held across either
+/// stalls every peer for a storage round-trip or a backoff interval.
+fn blocks_by_shape(name: &str) -> bool {
+    (name.starts_with("fetch") && classify_atomic(name).is_none())
+        || ["sleep", "retry", "backoff"].iter().any(|m| name.contains(m))
+}
+
 /// The `blocking_under_lock` lint: flag calls in a guard's live range that
-/// are in the configured blocking-call taxonomy, directly or through any
-/// resolved callee (computed as a reachability fixpoint over the call
-/// graph, carrying the name of the witnessing blocking call).
+/// are in the blocking-call taxonomy (`blocking_calls` by name,
+/// [`blocks_by_shape`] by shape), directly or through any resolved callee
+/// (computed as a reachability fixpoint over the call graph, carrying the
+/// name of the witnessing blocking call).
 fn blocking_under_lock(
     files: &[ParsedFile],
     graph: &CallGraph,
     cfg: &AnalyzeConfig,
     acqs: &[Vec<Acquisition>],
 ) -> Vec<Violation> {
-    let in_scope =
-        |n: &Node| cfg.blocking_paths.iter().any(|px| n.rel_path.starts_with(px.as_str()));
-    let taxonomy: BTreeSet<&str> = cfg.blocking_calls.iter().map(String::as_str).collect();
+    let blocks = |name: &str| cfg.blocking_calls.contains(&name) || blocks_by_shape(name);
 
-    // Direct witness: the first taxonomy call in each non-test body.
+    // Direct witness: the first blocking call in each non-test body.
     let mut witness: Vec<Option<String>> = graph
         .nodes
         .iter()
@@ -526,7 +490,7 @@ fn blocking_under_lock(
             f.fns[node.fn_idx]
                 .calls
                 .iter()
-                .find(|c| taxonomy.contains(c.callee.name()) && !f.in_test(c.ci))
+                .find(|c| blocks(c.callee.name()) && !f.in_test(c.ci))
                 .map(|c| c.callee.name().to_string())
         })
         .collect();
@@ -550,58 +514,39 @@ fn blocking_under_lock(
 
     let mut out = Vec::new();
     for (ni, node) in graph.nodes.iter().enumerate() {
-        if node.is_test || !in_scope(node) {
-            continue;
-        }
         let f = &files[node.file];
         let func = &f.fns[node.fn_idx];
         let call_at: BTreeMap<usize, usize> =
             func.calls.iter().enumerate().map(|(k, c)| (c.ci, k)).collect();
         let mut flagged: BTreeSet<(String, usize)> = BTreeSet::new();
         for a in &acqs[ni] {
-            for ci in (a.ci + 1)..a.live_end {
-                let t = f.ct(ci);
-                // Guard explicitly dropped: liveness truly ends here.
-                if t.is_ident("drop") && a.let_bound {
-                    break;
-                }
+            for ci in a.held(f) {
                 let Some(&k) = call_at.get(&ci) else { continue };
                 let name = func.calls[k].callee.name();
                 if name == "lock" || name == "try_lock" {
                     continue; // acquisitions are lock_order's concern
                 }
-                if taxonomy.contains(name) {
-                    if flagged.insert((a.id.clone(), t.line)) {
-                        out.push(Violation::new(
-                            "blocking_under_lock",
-                            f.rel_path.as_str(),
-                            t.line,
-                            format!(
-                                "blocking call `{name}` while the guard on `{}` is held; \
-                                 drop the guard before blocking",
-                                a.id
-                            ),
-                            f.snippet(t.line),
-                        ));
-                    }
-                    continue;
-                }
-                let targets = &graph.call_targets[ni][k];
-                let hit = targets.iter().find_map(|&tg| witness[tg].as_ref().map(|w| (tg, w)));
-                if let Some((tg, w)) = hit {
-                    if flagged.insert((a.id.clone(), t.line)) {
-                        out.push(Violation::new(
-                            "blocking_under_lock",
-                            f.rel_path.as_str(),
-                            t.line,
-                            format!(
-                                "`{}` reaches blocking call `{w}` while the guard on `{}` \
-                                 is held; drop the guard before calling it",
-                                graph.nodes[tg].qual, a.id
-                            ),
-                            f.snippet(t.line),
-                        ));
-                    }
+                let what = if blocks(name) {
+                    format!("blocking call `{name}`")
+                } else {
+                    let reached = graph.call_targets[ni][k]
+                        .iter()
+                        .find_map(|&tg| witness[tg].as_ref().map(|w| (tg, w)));
+                    let Some((tg, w)) = reached else { continue };
+                    format!("`{}` reaches blocking call `{w}`", graph.nodes[tg].qual)
+                };
+                let line = f.ct(ci).line;
+                if flagged.insert((a.id.clone(), line)) {
+                    out.push(Violation::new(
+                        "blocking_under_lock",
+                        f.rel_path.as_str(),
+                        line,
+                        format!(
+                            "{what} while the guard on `{}` is held; drop the guard first",
+                            a.id
+                        ),
+                        f.snippet(line),
+                    ));
                 }
             }
         }
@@ -614,15 +559,12 @@ mod tests {
     use super::*;
     use crate::parse::parse_file;
 
-    fn run_with(sources: &[(&str, &str)], cfg: &AnalyzeConfig) -> Vec<Violation> {
+    fn run(sources: &[(&str, &str)]) -> Vec<Violation> {
         let mut files: Vec<ParsedFile> = sources.iter().map(|(p, s)| parse_file(p, s)).collect();
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
         let graph = CallGraph::build(&files);
-        concurrency_lints(&files, &graph, cfg)
-    }
-
-    fn run(sources: &[(&str, &str)]) -> Vec<Violation> {
-        run_with(sources, &AnalyzeConfig::default())
+        let acqs = crate::dataflow::acquisitions(&files, &graph);
+        concurrency_lints(&files, &graph, &AnalyzeConfig::default(), &acqs)
     }
 
     fn of<'a>(v: &'a [Violation], lint: &str) -> Vec<&'a Violation> {
@@ -674,21 +616,6 @@ mod tests {
         )]);
         assert!(of(&v, "lock_consistency").is_empty(), "{v:?}");
     }
-
-    #[test]
-    fn lock_consistency_scope_is_respected() {
-        let v = run(&[(
-            "docs/example.rs",
-            "impl Registry {\n\
-             \x20fn add(&self) { let g = self.mu.lock().unwrap_or_default(); self.entries.push(1); }\n\
-             \x20fn count(&self) -> usize { let g = self.mu.lock().unwrap_or_default(); self.entries.len() }\n\
-             \x20fn peek(&self) -> usize { self.entries.len() }\n\
-             }",
-        )]);
-        assert!(of(&v, "lock_consistency").is_empty(), "{v:?}");
-    }
-
-    // -- atomic_ordering ----------------------------------------------------
 
     #[test]
     fn release_store_with_relaxed_load_fires() {
@@ -777,23 +704,6 @@ mod tests {
         assert!(of(&v, "atomic_ordering").is_empty(), "{v:?}");
     }
 
-    #[test]
-    fn counter_fields_allowlist_exempts_the_atom() {
-        let mut cfg = AnalyzeConfig::default();
-        cfg.atomic_counter_fields.push("Flag.ready".into());
-        let v = run_with(
-            &[(
-                "crates/pmrd/src/lib.rs",
-                "impl Flag {\n\
-                 \x20fn publish(&self) { self.ready.store(true, Ordering::Release); }\n\
-                 \x20fn poll(&self) -> bool { self.ready.load(Ordering::Relaxed) }\n\
-                 }",
-            )],
-            &cfg,
-        );
-        assert!(of(&v, "atomic_ordering").is_empty(), "{v:?}");
-    }
-
     // -- blocking_under_lock ------------------------------------------------
 
     #[test]
@@ -850,14 +760,33 @@ mod tests {
     }
 
     #[test]
-    fn blocking_scope_is_respected() {
-        // Default scope is the serving path (pmrd + storage), not codec.
+    fn guard_across_fetch_fires_direct_and_transitive() {
         let v = run(&[(
-            "crates/codec/src/lib.rs",
-            "impl Pool {\n\
-             \x20fn drain(&self) { let g = self.jobs.lock().unwrap_or_default(); g.recv(); }\n\
+            "crates/storage/src/lib.rs",
+            "impl Exec {\n\
+             \x20fn fetch_segment(&self, k: u32) {}\n\
+             \x20fn warm(&self) { self.fetch_segment(2); }\n\
+             \x20fn go(&self) { let g = self.state.lock().unwrap_or_default(); self.fetch_segment(1); }\n\
+             \x20fn via(&self) { let g = self.state.lock().unwrap_or_default(); self.warm(); }\n\
+             \x20fn after(&self) { { let g = self.state.lock().unwrap_or_default(); } self.fetch_segment(1); }\n\
+             \x20fn count(&self) { let g = self.state.lock().unwrap_or_default(); self.hits.fetch_add(1, Ordering::Relaxed); }\n\
              }",
         )]);
-        assert!(of(&v, "blocking_under_lock").is_empty(), "{v:?}");
+        let bl = of(&v, "blocking_under_lock");
+        assert_eq!(bl.iter().map(|v| v.line).collect::<Vec<_>>(), vec![4, 5], "{v:?}");
+        assert!(bl[0].message.contains("`fetch_segment`"), "{}", bl[0].message);
+        assert!(bl[0].message.contains("Exec.state"), "{}", bl[0].message);
+        assert!(bl[1].message.contains("Exec::warm"), "{}", bl[1].message);
+    }
+
+    #[test]
+    fn guard_across_backoff_wait_fires() {
+        let v = run(&[(
+            "crates/storage/src/lib.rs",
+            "fn sleep_ms(n: u64) {}\nimpl S { fn go(&self) { let g = self.a.lock().x(); loop { sleep_ms(5); } } }",
+        )]);
+        let bl = of(&v, "blocking_under_lock");
+        assert_eq!(bl.len(), 1, "{v:?}");
+        assert!(bl[0].message.contains("sleep_ms"), "{}", bl[0].message);
     }
 }

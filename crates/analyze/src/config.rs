@@ -1,563 +1,195 @@
-//! `analyze.toml` — lint scoping and the violation allowlist.
+//! The scope table: which crates each path-scoped lint guards, and the name
+//! lists the interprocedural lints key on. (`unsafe_safety`,
+//! `send_sync_impl` and the lock and atomic lints — `lock_order`,
+//! `lock_consistency`, `atomic_ordering`, `blocking_under_lock` — judge
+//! every file they are given.)
 //!
-//! The workspace builds offline with no TOML dependency, so this module
-//! parses exactly the subset the config uses: `[section]` headers,
-//! `[[allow]]` array-of-table headers, `key = "string"` and
-//! `key = ["a", "b"]` assignments (lists may span multiple lines), and
-//! `#` comments. Anything else is a hard error — a config that silently
-//! half-parses would silently un-gate lints.
+//! [`AnalyzeConfig::default`] is the only table — compiled in, so `pmrtool
+//! analyze` answers the same from any working directory and on any copy of
+//! the sources. The struct is public so fixture tests can narrow a scope
+//! with `..Default::default()`.
 
-use pmr_error::PmrError;
-use std::path::Path;
-
-/// One allowlist entry: suppress `lint` in files under `path`, with a
-/// mandatory human justification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllowEntry {
-    pub lint: String,
-    /// Workspace-relative path prefix (a file or a directory).
-    pub path: String,
-    pub reason: String,
-    /// 1-based `analyze.toml` line of the `[[allow]]` header — where a
-    /// stale-suppression finding points when the entry matches nothing.
-    pub line: usize,
-}
-
-/// Scoping and allowlist for one analysis run.
+/// Scoping for one analysis run.
 ///
 /// Path fields are workspace-relative prefixes; a file is in scope for a
 /// lint when its path starts with any of the lint's prefixes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnalyzeConfig {
-    /// L1 `panic_path`: library code that must route failures through
-    /// `PmrError` instead of panicking.
-    pub panic_paths: Vec<String>,
-    /// L3 `lossy_cast`: crates whose integer arithmetic feeds persisted
+    /// `panic_reach`: library code that must route failures through
+    /// `PmrError` instead of panicking — every panic site in a non-test fn
+    /// here is a finding, reached or not. `crates/rng/src` is listed
+    /// (here, in `cast_paths` and in `nondet_paths`) because it is the one
+    /// random stream, and through pmr-sim and the trained models it feeds
+    /// persisted artifacts.
+    pub panic_paths: &'static [&'static str],
+    /// `lossy_cast`: crates whose integer arithmetic feeds persisted
     /// artifacts and must use checked conversions.
-    pub cast_paths: Vec<String>,
-    /// L4 `nondeterminism`: code that produces artifacts, plans, or fault
+    pub cast_paths: &'static [&'static str],
+    /// `nondeterminism`: code that produces artifacts, plans, or fault
     /// schedules and must be bit-reproducible.
-    pub nondet_paths: Vec<String>,
+    pub nondet_paths: &'static [&'static str],
     /// `panic_reach`: crates whose public entry points anchor the
-    /// interprocedural panic-reachability walk.
-    pub entry_paths: Vec<String>,
-    /// `panic_reach`: function-name prefixes that mark an entry point
-    /// (e.g. `retrieve` matches `retrieve_tolerant`).
-    pub entry_prefixes: Vec<String>,
+    /// reachability walk — a panic site transitively reachable from one is
+    /// a violation even outside `panic_paths`.
+    pub entry_paths: &'static [&'static str],
+    /// `panic_reach`: function-name prefixes that mark an entry point in
+    /// `entry_paths` (e.g. `retrieve` matches `retrieve_tolerant`).
+    pub entry_prefixes: &'static [&'static str],
     /// `error_swallow`: data-path crates where a discarded `Result` is a
     /// contract violation, not a style nit.
-    pub swallow_paths: Vec<String>,
-    /// `lock_order`: where the lock-acquisition graph is built.
-    pub lock_paths: Vec<String>,
+    pub swallow_paths: &'static [&'static str],
     /// `taint_alloc`/`taint_index`/`tainted_arith`: crates that ingest
     /// untrusted wire or disk bytes and must bound every length they read.
-    pub taint_paths: Vec<String>,
+    /// Summaries are computed workspace-wide; findings are scoped here.
+    pub taint_paths: &'static [&'static str],
     /// Taint sources: call names whose return value (and `&mut` out-params)
-    /// carry attacker-controlled bytes or lengths.
-    pub taint_sources: Vec<String>,
+    /// carry attacker-controlled bytes or lengths. `take` is deliberately
+    /// absent — it collides with `std::mem::take`/`Iterator::take`; wire
+    /// consumers go through the typed reads. `pmr_field::io::from_bytes`
+    /// names its header reads `u32_at`/`u64_at` too, so a header-sized
+    /// allocation there is checked like one in `mgard::persist`.
+    pub taint_sources: &'static [&'static str],
     /// Taint sanitizers: call names that bound or validate a value; any
     /// expression containing one is considered clean.
-    pub taint_sanitizers: Vec<String>,
+    pub taint_sanitizers: &'static [&'static str],
     /// `checksum_gate`: crates whose decode paths must verify checksums
     /// before structurally decoding untrusted payloads.
-    pub checksum_paths: Vec<String>,
+    pub checksum_paths: &'static [&'static str],
     /// `checksum_gate`: decode entry points that must not see unverified
     /// tainted payloads.
-    pub decode_fns: Vec<String>,
+    pub decode_fns: &'static [&'static str],
     /// `checksum_gate`: verification calls that gate a decode (directly or
-    /// transitively through a callee).
-    pub verify_fns: Vec<String>,
-    /// `lock_consistency`: where GUARDED_BY inference observes field
-    /// accesses and reports unguarded ones.
-    pub lock_consistency_paths: Vec<String>,
-    /// `atomic_ordering`: where atomic load/store/RMW orderings are
-    /// collected into per-atomic protocols.
-    pub atomic_paths: Vec<String>,
-    /// `atomic_ordering`: atomic identities (`Type.field`, prefix match on
-    /// a trailing `.`) that are pure statistics counters — mixed orderings
-    /// on these are deliberate and exempt.
-    pub atomic_counter_fields: Vec<String>,
-    /// `blocking_under_lock`: the serving-path crates where a blocking
-    /// call under a live guard is a tail-latency bug.
-    pub blocking_paths: Vec<String>,
-    /// `blocking_under_lock`: the blocking-call taxonomy. `Condvar::wait`
-    /// is deliberately absent — it releases the guard while parked.
-    pub blocking_calls: Vec<String>,
-    /// Violations accepted with a written justification.
-    pub allow: Vec<AllowEntry>,
+    /// transitively through a callee). `fnv1a64` is not one: a level takes
+    /// its planes' digests as it is parsed (`LevelEncoding::from_parts`),
+    /// so hashing alone proves nothing — the gate opens where a digest is
+    /// *compared* with the stored one.
+    pub verify_fns: &'static [&'static str],
+    /// `blocking_under_lock`: the blocking-call taxonomy by exact name
+    /// (segment fetches and backoff helpers are matched by name shape, see
+    /// [`crate::concurrency`]). `Condvar::wait` is deliberately absent — it
+    /// releases the guard while parked.
+    pub blocking_calls: &'static [&'static str],
+}
+
+/// Whether `rel_path` lies under any prefix of the scope list `paths`.
+pub(crate) fn in_scope(paths: &[&str], rel_path: &str) -> bool {
+    paths.iter().any(|p| rel_path.starts_with(p))
 }
 
 impl Default for AnalyzeConfig {
     fn default() -> Self {
         AnalyzeConfig {
-            panic_paths: vec![
-                "crates/codec/src".into(),
-                "crates/mgard/src".into(),
-                "crates/storage/src".into(),
-                "crates/blockcodec/src".into(),
-                "crates/core/src".into(),
+            panic_paths: &[
+                "crates/codec/src",
+                "crates/mgard/src",
+                "crates/storage/src",
+                "crates/blockcodec/src",
+                "crates/core/src",
+                "crates/rng/src",
             ],
-            cast_paths: vec![
-                "crates/codec/src".into(),
-                "crates/mgard/src".into(),
-                "crates/storage/src".into(),
+            cast_paths: &[
+                "crates/codec/src",
+                "crates/mgard/src",
+                "crates/storage/src",
+                "crates/blockcodec/src",
+                "crates/rng/src",
             ],
-            nondet_paths: vec![
-                "crates/codec/src".into(),
-                "crates/mgard/src".into(),
-                "crates/storage/src".into(),
-                "crates/blockcodec/src".into(),
-                "crates/core/src".into(),
-                "crates/conformance/src".into(),
+            nondet_paths: &[
+                "crates/codec/src",
+                "crates/mgard/src",
+                "crates/storage/src",
+                "crates/blockcodec/src",
+                "crates/core/src",
+                "crates/conformance/src",
+                "crates/rng/src",
             ],
-            entry_paths: vec![
-                "crates/core/src".into(),
-                "crates/mgard/src".into(),
-                "crates/storage/src".into(),
-                "crates/sim/src".into(),
+            entry_paths: &[
+                "crates/core/src",
+                "crates/mgard/src",
+                "crates/storage/src",
+                "crates/sim/src",
+                "crates/pmrd/src",
+                "crates/codec/src",
             ],
-            entry_prefixes: vec![
-                "compress".into(),
-                "retrieve".into(),
-                "fetch".into(),
-                "execute".into(),
+            entry_prefixes: &[
+                "compress",
+                "retrieve",
+                "fetch",
+                "extract_planes",
+                "reassemble_digits",
+                "transpose64",
             ],
-            swallow_paths: vec![
-                "crates/codec/src".into(),
-                "crates/mgard/src".into(),
-                "crates/storage/src".into(),
-                "crates/blockcodec/src".into(),
-                "crates/core/src".into(),
-                "crates/sim/src".into(),
+            swallow_paths: &[
+                "crates/codec/src",
+                "crates/mgard/src",
+                "crates/storage/src",
+                "crates/blockcodec/src",
+                "crates/core/src",
+                "crates/sim/src",
+                "crates/pmrd/src",
             ],
-            lock_paths: vec!["crates".into(), "src".into()],
-            taint_paths: vec![
-                "crates/pmrd/src".into(),
-                "crates/storage/src".into(),
-                "crates/codec/src".into(),
-                "crates/mgard/src".into(),
+            taint_paths: &[
+                "crates/pmrd/src",
+                "crates/storage/src",
+                "crates/codec/src",
+                "crates/mgard/src",
+                "crates/field/src",
             ],
-            taint_sources: vec![
-                "u8".into(),
-                "u16".into(),
-                "u32".into(),
-                "u64".into(),
-                "f64".into(),
-                // NB: `take` is deliberately absent — it collides with
-                // `std::mem::take`/`Iterator::take` (dogfooding found 8
-                // false positives in mgard's transform loops); every wire
-                // consumer of `Reader::take` goes through the typed
-                // `u16`/`u32`/`u64`/`read_string` sources anyway.
-                "read_string".into(),
-                "read".into(),
-                "read_exact".into(),
-                "read_frame".into(),
-                "read_frame_limited".into(),
-                "u32_at".into(),
-                "u64_at".into(),
-                "f64_at".into(),
+            taint_sources: &[
+                "u8",
+                "u16",
+                "u32",
+                "u64",
+                "f64",
+                "read_string",
+                "read",
+                "read_exact",
+                "read_frame",
+                "read_frame_limited",
+                "u32_at",
+                "u64_at",
+                "f64_at",
             ],
-            taint_sanitizers: vec![
-                "min".into(),
-                "clamp".into(),
-                "len".into(),
-                "len_u32".into(),
-                "decode_bounded".into(),
-                "decompress_bounded".into(),
-                "bounded_count".into(),
-                "try_from".into(),
-                "try_into".into(),
-                "checked_add".into(),
-                "checked_sub".into(),
-                "checked_mul".into(),
-                "checked_shl".into(),
-                "saturating_add".into(),
-                "saturating_sub".into(),
-                "saturating_mul".into(),
-                "verify_segment".into(),
-                "contains".into(),
-                "get".into(),
+            taint_sanitizers: &[
+                "min",
+                "clamp",
+                "len",
+                "len_u32",
+                "decode_bounded",
+                "decompress_bounded",
+                "bounded_count",
+                "try_from",
+                "try_into",
+                "checked_add",
+                "checked_sub",
+                "checked_mul",
+                "checked_shl",
+                "saturating_add",
+                "saturating_sub",
+                "saturating_mul",
+                "verify_segment",
+                "contains",
+                "get",
             ],
-            checksum_paths: vec!["crates/mgard/src".into(), "crates/storage/src".into()],
-            decode_fns: vec!["from_parts".into()],
-            verify_fns: vec!["fnv1a64".into(), "verify_segment".into(), "verify_checksums".into()],
-            lock_consistency_paths: vec!["crates".into(), "src".into()],
-            atomic_paths: vec!["crates".into(), "src".into()],
-            atomic_counter_fields: Vec::new(),
-            blocking_paths: vec!["crates/pmrd/src".into(), "crates/storage/src".into()],
-            blocking_calls: vec![
-                "sleep".into(),
-                "join".into(),
-                "park".into(),
-                "recv".into(),
-                "recv_timeout".into(),
-                "recv_deadline".into(),
-                "sync_all".into(),
-                "sync_data".into(),
-                "read_to_end".into(),
-                "read_exact".into(),
-                "write_all".into(),
-                "accept".into(),
-                "connect".into(),
+            checksum_paths: &["crates/mgard/src", "crates/storage/src"],
+            decode_fns: &["from_parts"],
+            verify_fns: &["verify_segment", "verify_checksums"],
+            blocking_calls: &[
+                "sleep",
+                "join",
+                "park",
+                "recv",
+                "recv_timeout",
+                "recv_deadline",
+                "sync_all",
+                "sync_data",
+                "read_to_end",
+                "read_exact",
+                "write_all",
+                "write_vectored",
+                "accept",
+                "connect",
             ],
-            allow: Vec::new(),
         }
-    }
-}
-
-impl AnalyzeConfig {
-    /// Parse the `analyze.toml` subset. Unknown sections or keys are errors.
-    pub fn parse(text: &str) -> Result<AnalyzeConfig, PmrError> {
-        let mut cfg = AnalyzeConfig::default();
-        let mut section = String::new();
-        let mut pending_allow: Option<AllowEntry> = None;
-        for (lineno, line) in logical_lines(text)? {
-            let line = line.as_str();
-            let err = |msg: String| {
-                PmrError::malformed("analyze.toml", format!("line {}: {msg}", lineno + 1))
-            };
-            if let Some(header) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
-                if header.trim() != "allow" {
-                    return Err(err(format!("unknown array-of-tables [[{header}]]")));
-                }
-                if let Some(entry) = pending_allow.take() {
-                    cfg.push_allow(entry)?;
-                }
-                pending_allow = Some(AllowEntry {
-                    lint: String::new(),
-                    path: String::new(),
-                    reason: String::new(),
-                    line: lineno + 1,
-                });
-                section = "allow".into();
-            } else if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                if let Some(entry) = pending_allow.take() {
-                    cfg.push_allow(entry)?;
-                }
-                section = header.trim().to_string();
-                match section.as_str() {
-                    "lints.panic_path"
-                    | "lints.lossy_cast"
-                    | "lints.nondeterminism"
-                    | "lints.panic_reach"
-                    | "lints.error_swallow"
-                    | "lints.lock_order"
-                    | "lints.taint"
-                    | "lints.checksum_gate"
-                    | "lints.lock_consistency"
-                    | "lints.atomic_ordering"
-                    | "lints.blocking_under_lock" => {}
-                    other => return Err(err(format!("unknown section [{other}]"))),
-                }
-            } else if let Some((key, value)) = line.split_once('=') {
-                let key = key.trim();
-                let value = value.trim();
-                match (section.as_str(), key) {
-                    ("lints.panic_path", "paths") => cfg.panic_paths = parse_list(value, &err)?,
-                    ("lints.lossy_cast", "paths") => cfg.cast_paths = parse_list(value, &err)?,
-                    ("lints.nondeterminism", "paths") => {
-                        cfg.nondet_paths = parse_list(value, &err)?
-                    }
-                    ("lints.panic_reach", "entry_paths") => {
-                        cfg.entry_paths = parse_list(value, &err)?
-                    }
-                    ("lints.panic_reach", "entry_prefixes") => {
-                        cfg.entry_prefixes = parse_list(value, &err)?
-                    }
-                    ("lints.error_swallow", "paths") => {
-                        cfg.swallow_paths = parse_list(value, &err)?
-                    }
-                    ("lints.lock_order", "paths") => cfg.lock_paths = parse_list(value, &err)?,
-                    ("lints.taint", "paths") => cfg.taint_paths = parse_list(value, &err)?,
-                    ("lints.taint", "sources") => cfg.taint_sources = parse_list(value, &err)?,
-                    ("lints.taint", "sanitizers") => {
-                        cfg.taint_sanitizers = parse_list(value, &err)?
-                    }
-                    ("lints.checksum_gate", "paths") => {
-                        cfg.checksum_paths = parse_list(value, &err)?
-                    }
-                    ("lints.checksum_gate", "decode_fns") => {
-                        cfg.decode_fns = parse_list(value, &err)?
-                    }
-                    ("lints.checksum_gate", "verify_fns") => {
-                        cfg.verify_fns = parse_list(value, &err)?
-                    }
-                    ("lints.lock_consistency", "paths") => {
-                        cfg.lock_consistency_paths = parse_list(value, &err)?
-                    }
-                    ("lints.atomic_ordering", "paths") => {
-                        cfg.atomic_paths = parse_list(value, &err)?
-                    }
-                    ("lints.atomic_ordering", "counter_fields") => {
-                        cfg.atomic_counter_fields = parse_list(value, &err)?
-                    }
-                    ("lints.blocking_under_lock", "paths") => {
-                        cfg.blocking_paths = parse_list(value, &err)?
-                    }
-                    ("lints.blocking_under_lock", "blocking_calls") => {
-                        cfg.blocking_calls = parse_list(value, &err)?
-                    }
-                    ("allow", "lint") => {
-                        entry_mut(&mut pending_allow, &err)?.lint = parse_str(value, &err)?
-                    }
-                    ("allow", "path") => {
-                        entry_mut(&mut pending_allow, &err)?.path = parse_str(value, &err)?
-                    }
-                    ("allow", "reason") => {
-                        entry_mut(&mut pending_allow, &err)?.reason = parse_str(value, &err)?
-                    }
-                    (s, k) => return Err(err(format!("unknown key {k} in section [{s}]"))),
-                }
-            } else {
-                return Err(err(format!("unparseable line: {line}")));
-            }
-        }
-        if let Some(entry) = pending_allow.take() {
-            cfg.push_allow(entry)?;
-        }
-        Ok(cfg)
-    }
-
-    /// Load from a file; a missing file yields the built-in defaults.
-    pub fn load(path: &Path) -> Result<AnalyzeConfig, PmrError> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => Self::parse(&text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(AnalyzeConfig::default()),
-            Err(e) => Err(PmrError::io_at(path, e)),
-        }
-    }
-
-    fn push_allow(&mut self, entry: AllowEntry) -> Result<(), PmrError> {
-        if entry.lint.is_empty() || entry.path.is_empty() {
-            return Err(PmrError::malformed(
-                "analyze.toml",
-                "[[allow]] entry needs both `lint` and `path`",
-            ));
-        }
-        if entry.reason.trim().is_empty() {
-            return Err(PmrError::malformed(
-                "analyze.toml",
-                format!(
-                    "[[allow]] entry for {} at {} has no `reason`: every suppression \
-                     must carry a written justification",
-                    entry.lint, entry.path
-                ),
-            ));
-        }
-        self.allow.push(entry);
-        Ok(())
-    }
-}
-
-fn entry_mut<'a>(
-    pending: &'a mut Option<AllowEntry>,
-    err: &dyn Fn(String) -> PmrError,
-) -> Result<&'a mut AllowEntry, PmrError> {
-    pending.as_mut().ok_or_else(|| err("allow key outside [[allow]] table".into()))
-}
-
-/// Fold the physical lines of `text` into logical lines: a line whose
-/// `[` list is still open at end-of-line absorbs the following lines
-/// (joined with a single space) until the brackets balance. The reported
-/// line number is where the logical line started, so errors in a
-/// multi-line list point at the assignment, not its last fragment.
-fn logical_lines(text: &str) -> Result<Vec<(usize, String)>, PmrError> {
-    let mut out: Vec<(usize, String)> = Vec::new();
-    let mut acc = String::new();
-    let mut acc_line = 0usize;
-    let mut depth = 0i64;
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        if depth == 0 {
-            acc_line = lineno;
-            acc.clear();
-        } else {
-            acc.push(' ');
-        }
-        acc.push_str(line);
-        depth += bracket_delta(line);
-        if depth < 0 {
-            return Err(PmrError::malformed(
-                "analyze.toml",
-                format!("line {}: unbalanced ']'", lineno + 1),
-            ));
-        }
-        if depth == 0 {
-            out.push((acc_line, std::mem::take(&mut acc)));
-        }
-    }
-    if depth > 0 {
-        return Err(PmrError::malformed(
-            "analyze.toml",
-            format!("line {}: list opened with '[' is never closed", acc_line + 1),
-        ));
-    }
-    Ok(out)
-}
-
-/// Net `[`/`]` nesting change of one physical line, ignoring brackets
-/// inside `"` strings. Section headers are balanced and contribute 0.
-fn bracket_delta(line: &str) -> i64 {
-    let mut in_str = false;
-    let mut d = 0i64;
-    for c in line.chars() {
-        match c {
-            '"' => in_str = !in_str,
-            '[' if !in_str => d += 1,
-            ']' if !in_str => d -= 1,
-            _ => {}
-        }
-    }
-    d
-}
-
-/// Drop a trailing `# comment`, respecting `"` string boundaries.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-fn parse_str(value: &str, err: &dyn Fn(String) -> PmrError) -> Result<String, PmrError> {
-    value
-        .strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or_else(|| err(format!("expected quoted string, got {value}")))
-}
-
-fn parse_list(value: &str, err: &dyn Fn(String) -> PmrError) -> Result<Vec<String>, PmrError> {
-    let inner = value
-        .strip_prefix('[')
-        .and_then(|v| v.strip_suffix(']'))
-        .ok_or_else(|| err(format!("expected [\"…\", …] list, got {value}")))?;
-    inner.split(',').map(str::trim).filter(|s| !s.is_empty()).map(|s| parse_str(s, err)).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_full_config() {
-        let cfg = AnalyzeConfig::parse(
-            r#"
-# comment
-[lints.panic_path]
-paths = ["crates/a/src", "src"]
-
-[lints.lossy_cast]
-paths = ["crates/a/src"]
-
-[[allow]]
-lint = "send_sync_impl"
-path = "crates/a/src/exec.rs"
-reason = "disjoint line scatter, audited 2026-08"
-"#,
-        )
-        .unwrap();
-        assert_eq!(cfg.panic_paths, vec!["crates/a/src".to_string(), "src".to_string()]);
-        assert_eq!(cfg.cast_paths, vec!["crates/a/src".to_string()]);
-        assert_eq!(cfg.allow.len(), 1);
-        assert_eq!(cfg.allow[0].lint, "send_sync_impl");
-    }
-
-    #[test]
-    fn parses_interprocedural_sections_and_allow_lines() {
-        let cfg = AnalyzeConfig::parse(
-            "[lints.panic_reach]\nentry_paths = [\"crates/core/src\"]\nentry_prefixes = [\"execute\"]\n\n[lints.error_swallow]\npaths = [\"crates/mgard/src\"]\n\n[lints.lock_order]\npaths = [\"crates\"]\n\n[[allow]]\nlint = \"panic_reach\"\npath = \"crates/core/src/lib.rs\"\nreason = \"bootstrap assert\"\n",
-        )
-        .unwrap();
-        assert_eq!(cfg.entry_paths, vec!["crates/core/src".to_string()]);
-        assert_eq!(cfg.entry_prefixes, vec!["execute".to_string()]);
-        assert_eq!(cfg.swallow_paths, vec!["crates/mgard/src".to_string()]);
-        assert_eq!(cfg.lock_paths, vec!["crates".to_string()]);
-        // The [[allow]] header sits on line 11 of the literal above.
-        assert_eq!(cfg.allow[0].line, 11);
-    }
-
-    #[test]
-    fn multi_line_lists_are_joined() {
-        let cfg = AnalyzeConfig::parse(
-            r#"
-[lints.taint]
-paths = [
-    "crates/pmrd/src",   # wire
-    "crates/storage/src",
-]
-sources = ["u32", "take"]
-sanitizers = [
-    "min",
-    "bounded_count",
-]
-
-[lints.checksum_gate]
-paths = ["crates/mgard/src"]
-decode_fns = ["from_parts"]
-verify_fns = ["fnv1a64"]
-"#,
-        )
-        .unwrap();
-        assert_eq!(
-            cfg.taint_paths,
-            vec!["crates/pmrd/src".to_string(), "crates/storage/src".to_string()]
-        );
-        assert_eq!(cfg.taint_sources, vec!["u32".to_string(), "take".to_string()]);
-        assert_eq!(cfg.taint_sanitizers, vec!["min".to_string(), "bounded_count".to_string()]);
-        assert_eq!(cfg.checksum_paths, vec!["crates/mgard/src".to_string()]);
-        assert_eq!(cfg.decode_fns, vec!["from_parts".to_string()]);
-        assert_eq!(cfg.verify_fns, vec!["fnv1a64".to_string()]);
-    }
-
-    #[test]
-    fn parses_concurrency_sections() {
-        let cfg = AnalyzeConfig::parse(
-            "[lints.lock_consistency]\npaths = [\"crates/pmrd/src\"]\n\n\
-             [lints.atomic_ordering]\npaths = [\"crates\"]\ncounter_fields = [\"Counters\"]\n\n\
-             [lints.blocking_under_lock]\npaths = [\"crates/pmrd/src\"]\nblocking_calls = [\"recv\", \"sleep\"]\n",
-        )
-        .unwrap();
-        assert_eq!(cfg.lock_consistency_paths, vec!["crates/pmrd/src".to_string()]);
-        assert_eq!(cfg.atomic_paths, vec!["crates".to_string()]);
-        assert_eq!(cfg.atomic_counter_fields, vec!["Counters".to_string()]);
-        assert_eq!(cfg.blocking_paths, vec!["crates/pmrd/src".to_string()]);
-        assert_eq!(cfg.blocking_calls, vec!["recv".to_string(), "sleep".to_string()]);
-    }
-
-    #[test]
-    fn unclosed_multi_line_list_is_an_error() {
-        let e = AnalyzeConfig::parse("[lints.taint]\npaths = [\n    \"crates\",\n").unwrap_err();
-        assert!(e.to_string().contains("never closed"), "{e}");
-        // The error points at the line that opened the list (line 2).
-        assert!(e.to_string().contains("line 2"), "{e}");
-    }
-
-    #[test]
-    fn allow_without_reason_is_rejected() {
-        let e = AnalyzeConfig::parse("[[allow]]\nlint = \"x\"\npath = \"y\"\n").unwrap_err();
-        assert!(e.to_string().contains("reason"), "{e}");
-    }
-
-    #[test]
-    fn unknown_section_is_rejected() {
-        assert!(AnalyzeConfig::parse("[lints.bogus]\npaths = []\n").is_err());
-        assert!(AnalyzeConfig::parse("[lints.panic_path]\nbogus = \"x\"\n").is_err());
-        assert!(AnalyzeConfig::parse("just text\n").is_err());
-    }
-
-    #[test]
-    fn missing_file_yields_defaults() {
-        let cfg = AnalyzeConfig::load(Path::new("/nonexistent/analyze.toml")).unwrap();
-        assert_eq!(cfg, AnalyzeConfig::default());
-        assert!(cfg.allow.is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! Statement-level dataflow lints on top of the call graph:
 //! `error_swallow` (a `Result` silently dropped on the data path) and
-//! `lock_order` (deadlock-capable lock acquisition patterns).
+//! `lock_order` (lock-acquisition cycles and self-deadlocks).
 //!
 //! Both work on the same per-function body scan: a linear pass that
 //! assigns every code token its enclosing statement start, brace depth,
@@ -11,13 +11,10 @@
 //! skipped, not guessed at.
 
 use crate::callgraph::CallGraph;
-use crate::config::AnalyzeConfig;
+use crate::config::{in_scope, AnalyzeConfig};
 use crate::parse::{Callee, ParsedFile};
 use crate::report::Violation;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Loop-body call names that mark a retry/backoff loop.
-const RETRY_MARKERS: [&str; 3] = ["sleep", "retry", "backoff"];
 
 // ---------------------------------------------------------------------------
 // Shared body scan
@@ -115,9 +112,7 @@ pub fn error_swallow(
 ) -> Vec<Violation> {
     let mut out = Vec::new();
     for (ni, node) in graph.nodes.iter().enumerate() {
-        if node.is_test
-            || !cfg.swallow_paths.iter().any(|px| node.rel_path.starts_with(px.as_str()))
-        {
+        if node.is_test || !in_scope(cfg.swallow_paths, &node.rel_path) {
             continue;
         }
         let f = &files[node.file];
@@ -241,40 +236,31 @@ pub(crate) struct Acquisition {
     pub(crate) let_bound: bool,
 }
 
-/// The `lock_order` lint: cyclic acquisition orders across the workspace,
-/// same-lock re-entry, guards held across `fetch*` calls, and guards held
-/// across retry/backoff loops.
-pub fn lock_order(files: &[ParsedFile], graph: &CallGraph, cfg: &AnalyzeConfig) -> Vec<Violation> {
-    let in_scope = |n: &crate::callgraph::Node| {
-        cfg.lock_paths.iter().any(|px| n.rel_path.starts_with(px.as_str()))
-    };
+impl Acquisition {
+    /// Code indices at which the guard is held: its live range, cut short
+    /// at an explicit `drop` of a named guard.
+    pub(crate) fn held<'a>(&'a self, f: &'a ParsedFile) -> impl Iterator<Item = usize> + 'a {
+        (self.ci + 1..self.live_end)
+            .take_while(move |&ci| !(self.let_bound && f.ct(ci).is_ident("drop")))
+    }
+}
 
-    // Per-node direct acquisitions (order of discovery = source order).
-    let acqs: Vec<Vec<Acquisition>> = graph
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(ni, node)| {
-            if node.is_test || !in_scope(node) {
-                return Vec::new();
-            }
-            collect_acquisitions(&files[node.file], graph, ni)
-        })
-        .collect();
-
-    // Transitive lock sets and fetch-reachability, to fixpoint.
+/// The `lock_order` lint: cyclic acquisition orders across the workspace
+/// and same-lock re-entry, direct or through a callee. (What a guard may
+/// not be held *across* — fetches, backoff waits, blocking I/O — is
+/// `blocking_under_lock` in [`crate::concurrency`].)
+pub(crate) fn lock_order(
+    files: &[ParsedFile],
+    graph: &CallGraph,
+    acqs: &[Vec<Acquisition>],
+) -> Vec<Violation> {
+    // Transitive lock sets, to fixpoint.
     let mut lock_sets: Vec<BTreeSet<String>> =
         acqs.iter().map(|a| a.iter().map(|x| x.id.clone()).collect()).collect();
-    let mut reaches_fetch: Vec<bool> =
-        graph.nodes.iter().map(|n| !n.is_test && n.name.starts_with("fetch")).collect();
     loop {
         let mut changed = false;
         for i in 0..graph.nodes.len() {
             for &m in &graph.edges[i] {
-                if reaches_fetch[m] && !reaches_fetch[i] {
-                    reaches_fetch[i] = true;
-                    changed = true;
-                }
                 if !lock_sets[m].is_empty() {
                     let add: Vec<String> = lock_sets[m]
                         .iter()
@@ -298,21 +284,13 @@ pub fn lock_order(files: &[ParsedFile], graph: &CallGraph, cfg: &AnalyzeConfig) 
     let mut order_edges: BTreeMap<(String, String), (String, usize, String)> = BTreeMap::new();
 
     for (ni, node) in graph.nodes.iter().enumerate() {
-        if node.is_test || !in_scope(node) {
-            continue;
-        }
         let f = &files[node.file];
         let func = &f.fns[node.fn_idx];
         let call_at: BTreeMap<usize, usize> =
             func.calls.iter().enumerate().map(|(k, c)| (c.ci, k)).collect();
 
         for a in &acqs[ni] {
-            for ci in (a.ci + 1)..a.live_end {
-                let t = f.ct(ci);
-                // Guard explicitly dropped: liveness truly ends here.
-                if t.is_ident("drop") && a.let_bound {
-                    break;
-                }
+            for ci in a.held(f) {
                 // Nested direct acquisition.
                 if let Some(b) = acqs[ni].iter().find(|b| b.ci == ci) {
                     if b.id == a.id {
@@ -341,22 +319,6 @@ pub fn lock_order(files: &[ParsedFile], graph: &CallGraph, cfg: &AnalyzeConfig) 
                     continue; // handled as an acquisition (or unresolvable)
                 }
                 let targets = &graph.call_targets[ni][k];
-                // Guard held across a segment fetch (direct or transitive).
-                if callee_name.starts_with("fetch") || targets.iter().any(|&tg| reaches_fetch[tg]) {
-                    let line = f.ct(ci).line;
-                    out.push(Violation::new(
-                        "lock_order",
-                        f.rel_path.as_str(),
-                        line,
-                        format!(
-                            "mutex guard on `{}` is held across segment fetch `{}`; \
-                             drop the guard before I/O",
-                            a.id, callee_name
-                        ),
-                        f.snippet(line),
-                    ));
-                    continue;
-                }
                 // Locks acquired transitively by the callee.
                 for id2 in targets.iter().flat_map(|&tg| lock_sets[tg].iter()) {
                     if *id2 == a.id {
@@ -381,22 +343,6 @@ pub fn lock_order(files: &[ParsedFile], graph: &CallGraph, cfg: &AnalyzeConfig) 
                             f.snippet(f.ct(ci).line),
                         ));
                     }
-                }
-            }
-            // Retry/backoff loop inside the guard's live range.
-            if a.let_bound {
-                if let Some((line, marker)) = retry_loop_in(f, &call_at, a.ci + 1, a.live_end) {
-                    out.push(Violation::new(
-                        "lock_order",
-                        f.rel_path.as_str(),
-                        line,
-                        format!(
-                            "mutex guard on `{}` is held across a retry/backoff loop \
-                             (`{marker}` in the loop body); drop it before waiting",
-                            a.id
-                        ),
-                        f.snippet(line),
-                    ));
                 }
             }
         }
@@ -440,11 +386,23 @@ fn lock_reaches(adj: &BTreeMap<&str, BTreeSet<&str>>, from: &str, to: &str) -> b
     false
 }
 
-pub(crate) fn collect_acquisitions(
-    f: &ParsedFile,
-    graph: &CallGraph,
-    ni: usize,
-) -> Vec<Acquisition> {
+/// Every non-test function's lock acquisitions, indexed like
+/// `graph.nodes` — the guard model `lock_order` and the concurrency lints
+/// share.
+pub(crate) fn acquisitions(files: &[ParsedFile], graph: &CallGraph) -> Vec<Vec<Acquisition>> {
+    (0..graph.nodes.len())
+        .map(|ni| {
+            let node = &graph.nodes[ni];
+            if node.is_test {
+                Vec::new()
+            } else {
+                collect_acquisitions(&files[node.file], graph, ni)
+            }
+        })
+        .collect()
+}
+
+fn collect_acquisitions(f: &ParsedFile, graph: &CallGraph, ni: usize) -> Vec<Acquisition> {
     let node = &graph.nodes[ni];
     let func = &f.fns[node.fn_idx];
     let scan = BodyScan::new(f, func.body);
@@ -506,49 +464,6 @@ pub(crate) fn normalize_lock_id(chain: &str, node: &crate::callgraph::Node) -> S
     format!("{}::{chain}", node.qual)
 }
 
-/// Find a `loop`/`while`/`for` whose body (within `[from, to)`) contains a
-/// retry marker call (`sleep`/`*retry*`/`*backoff*`). Returns the marker
-/// call's line and name.
-fn retry_loop_in(
-    f: &ParsedFile,
-    call_at: &BTreeMap<usize, usize>,
-    from: usize,
-    to: usize,
-) -> Option<(usize, String)> {
-    for ci in from..to {
-        let t = f.ct(ci);
-        if !(t.is_ident("loop") || t.is_ident("while") || t.is_ident("for")) {
-            continue;
-        }
-        // The loop body: first `{` after the keyword, to its match.
-        let open = (ci + 1..to).find(|&cj| f.ct(cj).is_punct('{'))?;
-        let mut depth = 0usize;
-        let mut close = open;
-        for cj in open..f.code.len() {
-            let u = f.ct(cj);
-            if u.is_punct('{') {
-                depth += 1;
-            } else if u.is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    close = cj;
-                    break;
-                }
-            }
-        }
-        for cj in open..close.min(to) {
-            if !call_at.contains_key(&cj) {
-                continue;
-            }
-            let name = f.ct(cj).text.as_str();
-            if RETRY_MARKERS.iter().any(|m| name.contains(m)) {
-                return Some((f.ct(cj).line, name.to_string()));
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,7 +474,8 @@ mod tests {
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
         let graph = CallGraph::build(&files);
         let cfg = AnalyzeConfig::default();
-        (error_swallow(&files, &graph, &cfg), lock_order(&files, &graph, &cfg))
+        let acqs = acquisitions(&files, &graph);
+        (error_swallow(&files, &graph, &cfg), lock_order(&files, &graph, &acqs))
     }
 
     #[test]
@@ -611,26 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn guard_across_fetch_fires() {
-        let (_, lo) = run_both(&[(
-            "crates/storage/src/lib.rs",
-            "impl Exec {\n fn fetch_segment(&self, k: u32) {}\n fn go(&self) { let g = self.state.lock().unwrap_or_default(); self.fetch_segment(1); }\n}",
-        )]);
-        assert_eq!(lo.len(), 1, "{lo:?}");
-        assert!(lo[0].message.contains("held across segment fetch"));
-        assert!(lo[0].message.contains("Exec.state"));
-    }
-
-    #[test]
-    fn guard_dropped_before_fetch_is_clean() {
-        let (_, lo) = run_both(&[(
-            "crates/storage/src/lib.rs",
-            "impl Exec {\n fn fetch_segment(&self, k: u32) {}\n fn go(&self) { { let g = self.state.lock().unwrap_or_default(); } self.fetch_segment(1); }\n}",
-        )]);
-        assert!(lo.is_empty(), "{lo:?}");
-    }
-
-    #[test]
     fn cyclic_lock_order_fires_on_both_edges() {
         let (_, lo) = run_both(&[(
             "crates/core/src/lib.rs",
@@ -657,16 +553,6 @@ mod tests {
         )]);
         assert_eq!(lo.len(), 1);
         assert!(lo[0].message.contains("self-deadlock"));
-    }
-
-    #[test]
-    fn guard_across_retry_loop_fires() {
-        let (_, lo) = run_both(&[(
-            "crates/storage/src/lib.rs",
-            "fn sleep_ms(n: u64) {}\nimpl S { fn go(&self) { let g = self.a.lock().x(); loop { sleep_ms(5); } } }",
-        )]);
-        assert_eq!(lo.len(), 1, "{lo:?}");
-        assert!(lo[0].message.contains("retry/backoff loop"));
     }
 
     #[test]

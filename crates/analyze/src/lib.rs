@@ -8,27 +8,23 @@
 //!
 //! The analysis runs in three phases:
 //!
-//! 1. **Per-file** (parallel, scoped threads): lex, parse the item tree
-//!    ([`parse`]), run the lexical lints ([`lints`]), collect waivers.
+//! 1. **Per-file**: lex, parse the item tree ([`parse`]), run the lexical
+//!    lints ([`lints`]), collect waivers.
 //! 2. **Interprocedural** (whole workspace): build the module-aware call
 //!    graph ([`callgraph`]), run `panic_reach`, `error_swallow`, and
 //!    `lock_order` ([`dataflow`]) over it, the taint lints ([`taint`])
 //!    over per-function summaries computed to fixpoint, and the
 //!    concurrency-soundness lints `lock_consistency`, `atomic_ordering`,
 //!    and `blocking_under_lock` ([`concurrency`]).
-//! 3. **Suppression & staleness**: apply the `analyze.toml` allowlist and
-//!    inline waivers, then flag every suppression that matched nothing as
-//!    a `stale_suppression` hard error.
+//! 3. **Waivers & staleness**: apply the inline `// lint:allow(id): reason`
+//!    waivers, then flag every waiver that matched nothing as a
+//!    `stale_suppression` hard error.
 //!
-//! Run it as `pmrtool analyze [--report out.json] [--sarif out.sarif]
-//! [--diff analyze-baseline.json | --write-baseline <path>]`; it exits
-//! nonzero when any unallowlisted violation exists (or, under `--diff`,
-//! when a violation is missing from the baseline). Scoping and the
-//! allowlist live in `analyze.toml` at the workspace root (see
-//! [`config::AnalyzeConfig`]); the lint catalogue is documented on
-//! [`lints`].
+//! Run it as `pmrtool analyze [--root <dir>] [--report out.json]`; it exits
+//! nonzero when any unwaived violation exists. The scope table is
+//! [`config::AnalyzeConfig::default`]; `pmrtool analyze --explain <id>`
+//! documents each lint ([`lints::EXPLAIN`]).
 
-pub mod baseline;
 pub mod callgraph;
 pub mod concurrency;
 pub mod config;
@@ -37,35 +33,14 @@ pub mod lexer;
 pub mod lints;
 pub mod parse;
 pub mod report;
-pub mod sarif;
 pub mod taint;
 
-pub use config::{AllowEntry, AnalyzeConfig};
-pub use report::{Allowed, Report, Timing, Violation};
+pub use config::AnalyzeConfig;
+pub use report::{Allowed, Report, Violation};
 
-use lints::Waiver;
 use parse::ParsedFile;
 use pmr_error::PmrError;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-
-/// Per-file output of analysis phase 1.
-struct FileOut {
-    parsed: ParsedFile,
-    raw: Vec<Violation>,
-    waivers: Vec<Waiver>,
-}
-
-/// Analyze a set of in-memory sources through the full pipeline (lexical +
-/// interprocedural + staleness). The unit the fixture tests drive.
-pub fn analyze_sources<'a>(
-    sources: impl IntoIterator<Item = (&'a str, &'a str)>,
-    cfg: &AnalyzeConfig,
-) -> Report {
-    let inputs: Vec<(String, String)> =
-        sources.into_iter().map(|(p, s)| (p.to_string(), s.to_string())).collect();
-    analyze_files(inputs, cfg)
-}
 
 /// Lint every Rust source of the workspace at `root`: `src/` and each
 /// `crates/*/src/` tree. Test, bench, and example trees are out of scope by
@@ -80,134 +55,47 @@ pub fn analyze_workspace(root: &Path, cfg: &AnalyzeConfig) -> Result<Report, Pmr
             collect_rs(&member.join("src"), &mut files)?;
         }
     }
-    files.sort();
 
     let mut inputs = Vec::with_capacity(files.len());
     for path in files {
         let src = std::fs::read_to_string(&path).map_err(|e| PmrError::io_at(&path, e))?;
         inputs.push((rel_slash(root, &path), src));
     }
-    let mut report = analyze_files(inputs, cfg);
-    let wall = started.elapsed();
-    let wall_ms = u64::try_from(wall.as_millis()).unwrap_or(u64::MAX);
-    let secs = wall.as_secs_f64();
-    report.timing = Some(Timing {
-        wall_ms,
-        files_per_sec: if secs > 0.0 { report.files_scanned as f64 / secs } else { 0.0 },
-    });
+    let mut report = analyze_sources(inputs.iter().map(|(p, s)| (p.as_str(), s.as_str())), cfg);
+    report.wall_ms = Some(u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX));
     Ok(report)
 }
 
-/// The full three-phase pipeline over `(rel_path, source)` pairs.
-fn analyze_files(mut inputs: Vec<(String, String)>, cfg: &AnalyzeConfig) -> Report {
-    inputs.sort_by(|a, b| a.0.cmp(&b.0));
+/// The full three-phase pipeline over in-memory `(rel_path, source)`
+/// pairs — what [`analyze_workspace`] runs and the fixture tests drive.
+pub fn analyze_sources<'a>(
+    sources: impl IntoIterator<Item = (&'a str, &'a str)>,
+    cfg: &AnalyzeConfig,
+) -> Report {
+    let mut inputs: Vec<(&str, &str)> = sources.into_iter().collect();
+    inputs.sort_by_key(|(path, _)| *path);
 
-    // Phase 1 — per-file work, parallel over contiguous chunks. Results
-    // are reassembled in chunk order, so the outcome is independent of
-    // thread scheduling (and of whether threads are used at all).
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(8)
-        .min(inputs.len().max(1));
-    let phase1 = |pair: &(String, String)| -> FileOut {
-        let parsed = parse::parse_file(&pair.0, &pair.1);
-        let raw = lints::lexical_raw(&parsed, cfg);
-        let waivers = lints::collect_waivers(&parsed.toks);
-        FileOut { parsed, raw, waivers }
-    };
-    let mut outs: Vec<FileOut> = if threads <= 1 {
-        inputs.iter().map(phase1).collect()
-    } else {
-        let chunk = inputs.len().div_ceil(threads);
-        let mut chunk_outs: Vec<Vec<FileOut>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = inputs
-                .chunks(chunk)
-                .map(|files| scope.spawn(move || files.iter().map(phase1).collect::<Vec<_>>()))
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(outs) => chunk_outs.push(outs),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        chunk_outs.into_iter().flatten().collect()
-    };
+    // Phase 1 — per-file work, in path order.
+    let files: Vec<ParsedFile> =
+        inputs.iter().map(|(path, src)| parse::parse_file(path, src)).collect();
+    let mut raw: Vec<Violation> = files.iter().flat_map(|p| lints::lexical_raw(p, cfg)).collect();
 
-    // Phase 2 — interprocedural lints over the whole file set. The call
-    // graph wants a contiguous `&[ParsedFile]`, so split the per-file
-    // outputs apart first; findings are then routed back to their file's
-    // raw list so suppression (phase 3) treats every lint uniformly.
-    let mut parsed_files: Vec<ParsedFile> = Vec::with_capacity(outs.len());
-    let mut raws: Vec<Vec<Violation>> = Vec::with_capacity(outs.len());
-    let mut waivers: Vec<Vec<Waiver>> = Vec::with_capacity(outs.len());
-    for o in outs.drain(..) {
-        parsed_files.push(o.parsed);
-        raws.push(o.raw);
-        waivers.push(o.waivers);
-    }
-    let index_of: BTreeMap<&str, usize> =
-        parsed_files.iter().enumerate().map(|(i, p)| (p.rel_path.as_str(), i)).collect();
-    let graph = callgraph::CallGraph::build(&parsed_files);
-    let mut inter: Vec<Violation> = Vec::new();
-    inter.extend(callgraph::panic_reach(&parsed_files, &graph, cfg));
-    inter.extend(dataflow::error_swallow(&parsed_files, &graph, cfg));
-    inter.extend(dataflow::lock_order(&parsed_files, &graph, cfg));
-    inter.extend(taint::taint_lints(&parsed_files, &graph, cfg));
-    inter.extend(concurrency::concurrency_lints(&parsed_files, &graph, cfg));
-    for v in inter {
-        if let Some(&i) = index_of.get(v.file.as_str()) {
-            raws[i].push(v);
-        }
-    }
+    // Phase 2 — interprocedural lints over the whole file set.
+    let graph = callgraph::CallGraph::build(&files);
+    raw.extend(callgraph::panic_reach(&files, &graph, cfg));
+    raw.extend(dataflow::error_swallow(&files, &graph, cfg));
+    raw.extend(taint::taint_lints(&files, &graph, cfg));
+    let acqs = dataflow::acquisitions(&files, &graph);
+    raw.extend(dataflow::lock_order(&files, &graph, &acqs));
+    raw.extend(concurrency::concurrency_lints(&files, &graph, cfg, &acqs));
 
-    // Phase 3 — suppression with global hit counting, then staleness.
-    let mut report = Report { files_scanned: parsed_files.len(), ..Report::default() };
-    let mut allow_hits = vec![0usize; cfg.allow.len()];
-    for (i, parsed) in parsed_files.iter().enumerate() {
-        let s = lints::apply_suppressions(
-            std::mem::take(&mut raws[i]),
-            &parsed.rel_path,
-            &waivers[i],
-            cfg,
-        );
-        for (k, h) in s.allow_hits.iter().enumerate() {
-            allow_hits[k] += h;
-        }
-        report.violations.extend(s.violations);
-        report.allowed.extend(s.allowed);
-        for (w, hits) in waivers[i].iter().zip(&s.waiver_hits) {
-            if *hits == 0 {
-                report.violations.push(Violation::new(
-                    "stale_suppression",
-                    parsed.rel_path.as_str(),
-                    w.line,
-                    format!(
-                        "inline waiver `lint:allow({})` matches no finding; remove it \
-                         (suppressions must not outlive what they suppress)",
-                        w.lints.join(", ")
-                    ),
-                    parsed.snippet(w.line),
-                ));
-            }
-        }
-    }
-    for (entry, hits) in cfg.allow.iter().zip(&allow_hits) {
-        if *hits == 0 {
-            report.violations.push(Violation::new(
-                "stale_suppression",
-                "analyze.toml",
-                entry.line,
-                format!(
-                    "allowlist entry (lint `{}`, path `{}`) matches no finding; remove it \
-                     (suppressions must not outlive what they suppress)",
-                    entry.lint, entry.path
-                ),
-                format!("[[allow]] lint = \"{}\", path = \"{}\"", entry.lint, entry.path),
-            ));
-        }
+    // Phase 3 — each file's findings meet its waivers, whichever lint
+    // raised them; then staleness.
+    let mut report = Report { files_scanned: files.len(), ..Report::default() };
+    for parsed in &files {
+        let (mine, rest) = raw.into_iter().partition(|v| v.file == parsed.rel_path);
+        raw = rest;
+        lints::apply_waivers(parsed, mine, &mut report);
     }
     report.finalize();
     report
@@ -252,22 +140,16 @@ mod tests {
 
     #[test]
     fn analyze_sources_aggregates_and_sorts() {
-        let cfg = AnalyzeConfig {
-            panic_paths: vec!["crates".into()],
-            cast_paths: vec![],
-            nondet_paths: vec![],
-            ..AnalyzeConfig::default()
-        };
         let report = analyze_sources(
             [
-                ("crates/b/src/lib.rs", "fn f(x: Option<u8>) { x.unwrap(); }"),
-                ("crates/a/src/lib.rs", "fn g() { panic!(\"boom\"); }"),
+                ("crates/mgard/src/lib.rs", "fn f(x: Option<u8>) { x.unwrap(); }"),
+                ("crates/codec/src/lib.rs", "fn g() { panic!(\"boom\"); }"),
             ],
-            &cfg,
+            &AnalyzeConfig::default(),
         );
         assert_eq!(report.files_scanned, 2);
         assert_eq!(report.violations.len(), 2);
-        assert_eq!(report.violations[0].file, "crates/a/src/lib.rs");
+        assert_eq!(report.violations[0].file, "crates/codec/src/lib.rs");
         assert!(!report.is_clean());
     }
 
@@ -276,8 +158,8 @@ mod tests {
         let cfg = AnalyzeConfig::default();
         let sources = [
             (
-                "crates/core/src/lib.rs",
-                "pub fn execute() { helper(); }\nfn helper(x: Option<u8>) { x.unwrap(); }",
+                "crates/sim/src/lib.rs",
+                "pub fn retrieve() { helper(); }\nfn helper(x: Option<u8>) { x.unwrap(); }",
             ),
             (
                 "crates/mgard/src/lib.rs",
@@ -292,23 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn stale_allowlist_entry_is_a_hard_error() {
-        let mut cfg = AnalyzeConfig::default();
-        cfg.allow.push(AllowEntry {
-            lint: "panic_path".into(),
-            path: "crates/nowhere".into(),
-            reason: "left over from a deleted module".into(),
-            line: 7,
-        });
-        let report = analyze_sources([("crates/a/src/lib.rs", "fn ok() {}")], &cfg);
-        assert_eq!(report.count("stale_suppression"), 1);
-        let v = &report.violations[0];
-        assert_eq!(v.file, "analyze.toml");
-        assert_eq!(v.line, 7);
-        assert!(!report.is_clean());
-    }
-
-    #[test]
     fn stale_inline_waiver_is_a_hard_error() {
         let cfg = AnalyzeConfig::default();
         let src = "// lint:allow(lossy_cast): no cast here anymore\nfn ok() {}";
@@ -318,20 +183,13 @@ mod tests {
     }
 
     #[test]
-    fn live_suppressions_are_not_stale() {
-        let mut cfg = AnalyzeConfig::default();
-        cfg.allow.push(AllowEntry {
-            lint: "panic_path".into(),
-            path: "crates/mgard/src".into(),
-            reason: "audited".into(),
-            line: 1,
-        });
-        let src = "fn f(x: Option<u8>) { x.unwrap(); }\n// lint:allow(lossy_cast): bounded\nfn g(k: usize) -> u32 { k as u32 }";
-        let report = analyze_sources([("crates/mgard/src/lib.rs", src)], &cfg);
-        assert_eq!(report.count("stale_suppression"), 0);
+    fn live_waivers_are_not_stale() {
+        let src = "// lint:allow(panic_reach): x is Some by construction\n\
+                   fn f(x: Option<u8>) { x.unwrap(); }\n\
+                   // lint:allow(lossy_cast): bounded\n\
+                   fn g(k: usize) -> u32 { k as u32 }";
+        let report = analyze_sources([("crates/mgard/src/lib.rs", src)], &AnalyzeConfig::default());
         assert_eq!(report.allowed.len(), 2);
-        // x.unwrap() is allowlisted for panic_path… but still reachable?
-        // No entry prefix matches `f`/`g`, so panic_reach stays quiet.
         assert!(report.is_clean(), "{}", report.summary());
     }
 }

@@ -1,6 +1,5 @@
-//! The lint catalogue: lexical lints plus the suppression machinery shared
-//! with the interprocedural passes in [`crate::callgraph`] and
-//! [`crate::dataflow`].
+//! The lint registry, the lexical lints, and the waiver machinery shared
+//! with the interprocedural passes.
 //!
 //! Every lint protects the same thing: the retriever's *error-bound
 //! contract*. A panic mid-retrieval, a silently dropped `Result`, a lock
@@ -9,36 +8,17 @@
 //! the system hand back data whose claimed bound is silently wrong. The
 //! lints are deliberately conservative: they flag *forms* (and, for the
 //! interprocedural ones, call-graph over-approximations), and every
-//! accepted occurrence must carry a written justification, either inline
-//! (`// lint:allow(<id>): reason`) or in `analyze.toml`.
-//!
-//! | id | scope | rule |
-//! |----|-------|------|
-//! | `panic_path` | compress/retrieve/fetch paths | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test code; failures must surface as `PmrError`. Contract `assert!`s on caller invariants are permitted. |
-//! | `panic_reach` | workspace-wide | no panic-capable call transitively reachable from a configured entry point (`compress*`/`retrieve*`/`fetch*`/`execute*`); reported at the panic site with the shortest call chain |
-//! | `error_swallow` | data-path crates | no `let _ = fallible()`, no `.ok();` discarding a `Result`, no bare `fallible();` statement whose `Result` is dropped |
-//! | `lock_order` | workspace-wide | no cyclic lock-acquisition order, no guard re-acquiring its own lock, no guard held across a `fetch*` call or a retry/backoff loop |
-//! | `unsafe_safety` | whole workspace | every `unsafe` carries a `// SAFETY:` comment within the three lines above it |
-//! | `send_sync_impl` | whole workspace | `unsafe impl Send`/`Sync` only in files registered in the allowlist (inline waivers are *not* accepted) |
-//! | `lossy_cast` | codec/mgard/storage | no `as` casts to narrow integers and no evident float→int `as` casts; use `try_from`/checked helpers |
-//! | `nondeterminism` | artifact-producing code | no `SystemTime::now`/`Instant::now`/`thread_rng`/`from_entropy`, no `HashMap`/`HashSet` (iteration order feeds persisted output) |
-//! | `taint_alloc` | wire/disk ingest crates | no untrusted size (wire length, disk header field) reaches `with_capacity`/`reserve`/`vec![…; n]` without a cap or checked sanitizer ([`crate::taint`]) |
-//! | `taint_index` | wire/disk ingest crates | no untrusted offset/length reaches slice indexing, `split_at`, or `copy_from_slice` without a bound check ([`crate::taint`]) |
-//! | `tainted_arith` | wire/disk ingest crates | no unchecked `+`/`*`/`<<` on an untrusted integer that later feeds a size sink; use checked/saturating ops ([`crate::taint`]) |
-//! | `checksum_gate` | persisted-format crates | segment/artifact payloads must be checksum-verified before any decode call sees their bytes ([`crate::taint`]) |
-//! | `lock_consistency` | workspace-wide | GUARDED_BY inference: when a strict majority (≥2) of a field's accesses hold the same guard, every access holding no guard is flagged ([`crate::concurrency`]) |
-//! | `atomic_ordering` | workspace-wide | per-atomic publication protocol: no `Relaxed` read of a release-published atomic, no `Relaxed` store of an acquire-read atomic, no CAS failure ordering stronger than its success load half; pure statistics counters are exempt via `counter_fields` ([`crate::concurrency`]) |
-//! | `blocking_under_lock` | pmrd + storage serving path | no call from the configured blocking taxonomy (sleep/join/recv/fsync/socket I/O), direct or transitive, while a mutex guard is live ([`crate::concurrency`]) |
-//! | `stale_suppression` | config + sources | every `analyze.toml` allowlist entry and every inline waiver must still match at least one finding; dead suppressions are hard errors and cannot themselves be suppressed |
+//! accepted occurrence must carry a written justification inline:
+//! `// lint:allow(<id>): reason`. [`EXPLAIN`] is the one description of
+//! each lint; `pmrtool analyze --explain <id>` prints it.
 
-use crate::config::AnalyzeConfig;
+use crate::config::{in_scope, AnalyzeConfig};
 use crate::lexer::{Tok, TokKind};
-use crate::parse::{parse_file, ParsedFile};
-use crate::report::{Allowed, Violation};
+use crate::parse::ParsedFile;
+use crate::report::{Allowed, Report, Violation};
 
 /// Lint identifiers, in report order.
-pub const LINT_IDS: [&str; 16] = [
-    "panic_path",
+pub const LINT_IDS: [&str; 15] = [
     "panic_reach",
     "error_swallow",
     "lock_order",
@@ -60,25 +40,19 @@ pub const LINT_IDS: [&str; 16] = [
 /// `(id, semantics, known false-positive patterns, waiver guidance)`.
 /// This is the single source the CLI renders; `explain_table_is_exhaustive`
 /// keeps it in lockstep with the registry.
-pub const EXPLAIN: [(&str, &str, &str, &str); 16] = [
-    (
-        "panic_path",
-        "No `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test \
-         code on the configured compress/retrieve/fetch paths; failures must surface as \
-         `PmrError` so the error-bound contract cannot be voided by an abort.",
-        "Contract assertions on caller invariants, and panics in code that is test-only in \
-         practice but not under `#[cfg(test)]`.",
-        "`// lint:allow(panic_path): <why this cannot fire / why aborting is correct>` on or \
-         above the line, or an `[[allow]]` entry in analyze.toml for a whole file.",
-    ),
+pub const EXPLAIN: [(&str, &str, &str, &str); 15] = [
     (
         "panic_reach",
-        "No panic-capable call transitively reachable from a configured entry point \
-         (`compress*`/`retrieve*`/`fetch*`/`execute*`); reported at the panic site with the \
-         shortest call chain.",
+        "No `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in a non-test \
+         fn of the compress/retrieve/fetch crates (`panic_paths`), nor in any fn transitively \
+         reachable from a `compress*`/`retrieve*`/`fetch*`/bit-plane-kernel entry point of \
+         the entry crates; failures must surface as `PmrError` so the error-bound contract \
+         cannot be voided by an abort. Reported at the panic site with the shortest call \
+         chain. Contract `assert!`s on caller invariants are permitted.",
         "Dynamic dispatch is over-approximated (any same-named method may be linked), so a \
          chain through an unrelated impl can be reported.",
-        "`// lint:allow(panic_reach): <invariant making the chain dead>` at the panic site.",
+        "`// lint:allow(panic_reach): <invariant that makes the panic unreachable>` on or \
+         above the panic site.",
     ),
     (
         "error_swallow",
@@ -91,8 +65,9 @@ pub const EXPLAIN: [(&str, &str, &str, &str); 16] = [
     ),
     (
         "lock_order",
-        "No cyclic lock-acquisition order anywhere in the workspace, no guard re-acquiring \
-         its own lock, and no guard held across a `fetch*` call or a retry/backoff loop.",
+        "No cyclic lock-acquisition order anywhere in the workspace and no guard \
+         re-acquiring its own lock, directly or through a callee. (A guard held across a \
+         fetch or a backoff wait is `blocking_under_lock`.)",
         "Guards dropped via a re-bound name (not literal `drop`) may appear live longer than \
          they are.",
         "`// lint:allow(lock_order): <why the order is acyclic / the guard is short>`.",
@@ -106,12 +81,11 @@ pub const EXPLAIN: [(&str, &str, &str, &str); 16] = [
     ),
     (
         "send_sync_impl",
-        "`unsafe impl Send`/`Sync` only in files registered in the analyze.toml allowlist; \
-         inline waivers are refused so the whole asserted-thread-safety surface stays \
-         centrally auditable.",
+        "No `unsafe impl Send`/`Sync`: asserted thread safety is something the compiler \
+         cannot check, and the workspace has no site that needs it.",
         "None known.",
-        "An `[[allow]]` entry in analyze.toml naming the file and the aliasing argument; \
-         inline `lint:allow` is deliberately not accepted.",
+        "Not waivable — share the data through `Arc`/`Mutex`/atomics or scoped threads \
+         instead; a design that truly needs the impl changes this lint in review.",
     ),
     (
         "lossy_cast",
@@ -141,8 +115,8 @@ pub const EXPLAIN: [(&str, &str, &str, &str); 16] = [
         "taint_index",
         "No untrusted offset/length may reach slice indexing, `split_at`, or \
          `copy_from_slice` without a bound check.",
-        "Indices validated through a helper not listed in `sanitizers`; add the helper to \
-         analyze.toml instead of waiving repeatedly.",
+        "Indices validated through a helper not listed in `taint_sanitizers`; add the helper \
+         to `AnalyzeConfig::default()` instead of waiving repeatedly.",
         "`// lint:allow(taint_index): <the check that bounds the index>`.",
     ),
     (
@@ -157,7 +131,7 @@ pub const EXPLAIN: [(&str, &str, &str, &str); 16] = [
         "Segment/artifact payloads must be checksum-verified before any decode entry point \
          sees their bytes, directly or transitively.",
         "Decode paths verified by a function not listed in `verify_fns`.",
-        "Add the verifier to `verify_fns` in analyze.toml, or \
+        "Add the verifier to `verify_fns` in `AnalyzeConfig::default()`, or \
          `// lint:allow(checksum_gate): <where verification happens>`.",
     ),
     (
@@ -179,32 +153,32 @@ pub const EXPLAIN: [(&str, &str, &str, &str); 16] = [
          semantics must not be written `Relaxed`; a `compare_exchange` failure ordering must \
          not out-rank the load half of its success ordering. Local aliases \
          (`let flag = self.killed.get(i)`) are traced one binding back so borrow-then-operate \
-         sites join the field's protocol.",
-        "Pure statistics counters deliberately mixing orderings (register them under \
-         `counter_fields` in [lints.atomic_ordering] — the documented counter category — \
-         instead of waiving each site), and orderings passed through variables, which the \
-         lexical scan cannot see.",
-        "Prefer `counter_fields` for counters; otherwise \
-         `// lint:allow(atomic_ordering): <the happens-before argument>` at the flagged site.",
+         sites join the field's protocol. All-`Relaxed` statistics counters pass by \
+         construction.",
+        "Counters deliberately mixing orderings, and orderings passed through variables, \
+         which the lexical scan cannot see.",
+        "`// lint:allow(atomic_ordering): <the happens-before argument>` at the flagged site.",
     ),
     (
         "blocking_under_lock",
-        "No call from the configured blocking taxonomy (`sleep`, `join`, `recv`, fsync, \
-         socket I/O, …) while a mutex guard is live on the pmrd/storage serving path — \
-         directly or through any resolved callee (interprocedural reachability). A worker \
-         stalled under a lock serializes every peer behind it.",
+        "No blocking call while a mutex guard is live — directly or through any resolved \
+         callee (interprocedural reachability). Blocking means the `blocking_calls` taxonomy \
+         (`sleep`, `join`, `recv`, fsync, socket I/O, …), any segment fetch (a call named \
+         `fetch*`, atomic RMWs aside), and any retry/backoff helper (a call whose name \
+         contains `sleep`, `retry` or `backoff`). A worker stalled under a lock serializes \
+         every peer behind it.",
         "Locks whose entire purpose is to serialize the blocking call (e.g. a shared mpsc \
          receiver where the guard *is* the dequeue permit), and `Condvar::wait`-style calls \
-         that release the guard while parked — `wait` is excluded from the default taxonomy \
-         for exactly that reason.",
+         that release the guard while parked — `wait` is excluded from the taxonomy for \
+         exactly that reason.",
         "`// lint:allow(blocking_under_lock): <why holding the guard across the block is the \
          design>` on or above the flagged line.",
     ),
     (
         "stale_suppression",
-        "Every analyze.toml `[[allow]]` entry and every inline `lint:allow` waiver must \
-         still match at least one finding; dead suppressions are hard errors so rot cannot \
-         accumulate, and this lint can never itself be suppressed.",
+        "Every inline `lint:allow` waiver must still match at least one finding; dead \
+         suppressions are hard errors so rot cannot accumulate, and this lint can never \
+         itself be suppressed.",
         "None known; staleness is computed over the same run that would have matched the \
          suppression.",
         "Not waivable by design — delete the dead suppression instead.",
@@ -221,21 +195,13 @@ pub fn explain(id: &str) -> Option<String> {
     })
 }
 
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 const NARROW_INTS: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
 const WIDE_INTS: [&str; 6] = ["u64", "i64", "u128", "i128", "usize", "isize"];
 const FLOAT_TO_INT_FNS: [&str; 4] = ["round", "floor", "ceil", "trunc"];
 
-/// Outcome of linting one file: hard violations plus suppressed-but-audited
-/// occurrences.
-#[derive(Debug, Default)]
-pub struct FileFindings {
-    pub violations: Vec<Violation>,
-    pub allowed: Vec<Allowed>,
-}
-
-/// Raw (pre-suppression) lexical findings for one file. `rel_path` comes
-/// from the parsed file; scoping matches against it.
+/// Raw (pre-waiver) lexical findings for one file: `unsafe_safety`,
+/// `send_sync_impl`, `lossy_cast`, `nondeterminism`. (Panic sites are
+/// collected by [`crate::parse`] and judged by `panic_reach`.)
 pub fn lexical_raw(p: &ParsedFile, cfg: &AnalyzeConfig) -> Vec<Violation> {
     let rel_path = p.rel_path.as_str();
     let safety_lines: Vec<usize> = p
@@ -246,7 +212,6 @@ pub fn lexical_raw(p: &ParsedFile, cfg: &AnalyzeConfig) -> Vec<Violation> {
         .collect();
 
     let mut raw: Vec<Violation> = Vec::new();
-    let in_scope = |paths: &[String]| paths.iter().any(|px| rel_path.starts_with(px.as_str()));
 
     for ci in 0..p.code.len() {
         let t = p.ct(ci);
@@ -254,38 +219,6 @@ pub fn lexical_raw(p: &ParsedFile, cfg: &AnalyzeConfig) -> Vec<Violation> {
             continue;
         }
         let next = |k: usize| p.code.get(ci + k).map(|&ti| &p.toks[ti]);
-        let prev = |k: usize| ci.checked_sub(k).map(|i| p.ct(i));
-
-        // L1 — panic-capable calls on the compress/retrieve/fetch paths.
-        if in_scope(&cfg.panic_paths) {
-            if PANIC_MACROS.contains(&t.text.as_str()) && next(1).is_some_and(|n| n.is_punct('!')) {
-                raw.push(Violation::new(
-                    "panic_path",
-                    rel_path,
-                    t.line,
-                    format!(
-                        "`{}!` in library code on an error-contract path; return `PmrError` instead",
-                        t.text
-                    ),
-                    p.snippet(t.line),
-                ));
-            }
-            if matches!(t.text.as_str(), "unwrap" | "expect")
-                && prev(1).is_some_and(|pv| pv.is_punct('.'))
-                && next(1).is_some_and(|n| n.is_punct('('))
-            {
-                raw.push(Violation::new(
-                    "panic_path",
-                    rel_path,
-                    t.line,
-                    format!(
-                        "`.{}()` can panic mid-retrieval; route the failure through `PmrError`",
-                        t.text
-                    ),
-                    p.snippet(t.line),
-                ));
-            }
-        }
 
         // L2 — unsafe audit (whole workspace).
         if t.text == "unsafe" {
@@ -313,8 +246,8 @@ pub fn lexical_raw(p: &ParsedFile, cfg: &AnalyzeConfig) -> Vec<Violation> {
                         t.line,
                         format!(
                             "`unsafe impl {name}` asserts thread safety the compiler cannot \
-                             check; the file must be registered in the analyze.toml allowlist \
-                             with a justification"
+                             check; share the data through safe primitives instead (this \
+                             lint cannot be waived)"
                         ),
                         p.snippet(t.line),
                     ));
@@ -323,7 +256,7 @@ pub fn lexical_raw(p: &ParsedFile, cfg: &AnalyzeConfig) -> Vec<Violation> {
         }
 
         // L3 — lossy casts in the codec/artifact crates.
-        if t.text == "as" && in_scope(&cfg.cast_paths) {
+        if t.text == "as" && in_scope(cfg.cast_paths, rel_path) {
             if let Some(target) = next(1).filter(|n| n.kind == TokKind::Ident) {
                 let narrow = NARROW_INTS.contains(&target.text.as_str());
                 let wide = WIDE_INTS.contains(&target.text.as_str());
@@ -351,7 +284,7 @@ pub fn lexical_raw(p: &ParsedFile, cfg: &AnalyzeConfig) -> Vec<Violation> {
         }
 
         // L4 — nondeterminism sources in artifact-producing code.
-        if in_scope(&cfg.nondet_paths) {
+        if in_scope(cfg.nondet_paths, rel_path) {
             let clock = matches!(t.text.as_str(), "SystemTime" | "Instant")
                 && next(1).is_some_and(|n| n.is_punct(':'))
                 && next(2).is_some_and(|n| n.is_punct(':'))
@@ -383,81 +316,43 @@ pub fn lexical_raw(p: &ParsedFile, cfg: &AnalyzeConfig) -> Vec<Violation> {
     raw
 }
 
-/// The suppression outcome for one file, with per-suppression hit counts so
-/// the caller can detect stale entries across the whole workspace.
-#[derive(Debug, Default)]
-pub struct Suppressed {
-    pub violations: Vec<Violation>,
-    pub allowed: Vec<Allowed>,
-    /// Hit count per `cfg.allow` index, for this file's findings.
-    pub allow_hits: Vec<usize>,
-    /// Hit count per entry of the `waivers` slice passed in.
-    pub waiver_hits: Vec<usize>,
-}
-
-/// Split raw findings into violations vs. justified suppressions, counting
-/// every suppression that matched (even redundantly) so dead entries can be
-/// flagged. `stale_suppression` findings are never suppressible: the whole
-/// point is that rot cannot hide itself.
-pub fn apply_suppressions(
-    raw: Vec<Violation>,
-    rel_path: &str,
-    waivers: &[Waiver],
-    cfg: &AnalyzeConfig,
-) -> Suppressed {
-    let mut out = Suppressed {
-        allow_hits: vec![0; cfg.allow.len()],
-        waiver_hits: vec![0; waivers.len()],
-        ..Suppressed::default()
-    };
-    'next_violation: for v in raw {
-        if v.lint == "stale_suppression" {
-            out.violations.push(v);
-            continue;
-        }
-        let mut allow_reason: Option<String> = None;
-        for (i, entry) in cfg.allow.iter().enumerate() {
-            if entry.lint == v.lint && rel_path.starts_with(entry.path.as_str()) {
-                out.allow_hits[i] += 1;
-                allow_reason.get_or_insert_with(|| entry.reason.clone());
-            }
-        }
-        if let Some(reason) = allow_reason {
-            out.allowed.push(Allowed { violation: v, reason });
-            continue 'next_violation;
-        }
-        // Inline waivers never excuse a Send/Sync impl: those must be
-        // centrally registered so the whole unsafe surface is in one file
-        // (an unmatched waiver then fails the run as stale — loudly).
-        let mut waiver_reason: Option<String> = None;
-        if v.lint != "send_sync_impl" {
-            for (i, w) in waivers.iter().enumerate() {
+/// Phase 3 for one file: split its raw findings into `report.violations`
+/// and waived `report.allowed`, then report every waiver that matched
+/// nothing as a `stale_suppression`. `stale_suppression` and
+/// `send_sync_impl` findings are never waivable: rot cannot hide itself,
+/// and asserted thread safety is a design change, not a local exception.
+pub fn apply_waivers(p: &ParsedFile, raw: Vec<Violation>, report: &mut Report) {
+    let waivers = collect_waivers(&p.toks);
+    let mut live = vec![false; waivers.len()];
+    for v in raw {
+        let mut reason: Option<&str> = None;
+        if v.lint != "stale_suppression" && v.lint != "send_sync_impl" {
+            for (w, live) in waivers.iter().zip(&mut live) {
                 if w.lints.iter().any(|l| l == v.lint) && (w.line == v.line || w.line + 1 == v.line)
                 {
-                    out.waiver_hits[i] += 1;
-                    waiver_reason.get_or_insert_with(|| w.reason.clone());
+                    *live = true;
+                    reason.get_or_insert(&w.reason);
                 }
             }
         }
-        if let Some(reason) = waiver_reason {
-            out.allowed.push(Allowed { violation: v, reason });
-            continue 'next_violation;
+        match reason {
+            Some(r) => report.allowed.push(Allowed { violation: v, reason: r.to_string() }),
+            None => report.violations.push(v),
         }
-        out.violations.push(v);
     }
-    out
-}
-
-/// Convenience single-file entry point (fixture tests and simple callers):
-/// parse, run the lexical lints, apply suppressions. Interprocedural lints
-/// and stale-suppression detection need the whole workspace and live in
-/// [`crate::analyze_sources`] / [`crate::analyze_workspace`].
-pub fn lint_file(rel_path: &str, src: &str, cfg: &AnalyzeConfig) -> FileFindings {
-    let parsed = parse_file(rel_path, src);
-    let raw = lexical_raw(&parsed, cfg);
-    let waivers = collect_waivers(&parsed.toks);
-    let s = apply_suppressions(raw, rel_path, &waivers, cfg);
-    FileFindings { violations: s.violations, allowed: s.allowed }
+    for (w, _) in waivers.iter().zip(live).filter(|(_, live)| !live) {
+        report.violations.push(Violation::new(
+            "stale_suppression",
+            p.rel_path.as_str(),
+            w.line,
+            format!(
+                "inline waiver `lint:allow({})` matches no finding; remove it \
+                 (suppressions must not outlive what they suppress)",
+                w.lints.join(", ")
+            ),
+            p.snippet(w.line),
+        ));
+    }
 }
 
 /// Does the `as` at code index `ci` cast an evidently-float expression?
@@ -498,14 +393,13 @@ fn cast_source_is_float(p: &ParsedFile, ci: usize) -> bool {
 
 /// An inline waiver parsed from a comment: `// lint:allow(a, b): reason`.
 /// Covers findings on the comment's own line and the line below it.
-#[derive(Debug, Clone)]
-pub struct Waiver {
-    pub line: usize,
-    pub lints: Vec<String>,
-    pub reason: String,
+struct Waiver {
+    line: usize,
+    lints: Vec<String>,
+    reason: String,
 }
 
-pub fn collect_waivers(toks: &[Tok]) -> Vec<Waiver> {
+fn collect_waivers(toks: &[Tok]) -> Vec<Waiver> {
     let mut out = Vec::new();
     for t in toks {
         if t.is_code() {
@@ -541,22 +435,21 @@ pub fn collect_waivers(toks: &[Tok]) -> Vec<Waiver> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze_sources;
 
-    fn cfg_all() -> AnalyzeConfig {
-        AnalyzeConfig {
-            panic_paths: vec![String::new()],
-            cast_paths: vec![String::new()],
-            nondet_paths: vec![String::new()],
-            ..AnalyzeConfig::default()
-        }
+    fn report_of(rel_path: &str, src: &str, cfg: &AnalyzeConfig) -> Report {
+        analyze_sources([(rel_path, src)], cfg)
     }
 
+    /// Lint `src` with every path-scoped lexical lint switched on.
     fn lints_of(src: &str) -> Vec<&'static str> {
-        lint_file("crates/x/src/lib.rs", src, &cfg_all())
-            .violations
-            .iter()
-            .map(|v| v.lint)
-            .collect()
+        let cfg = AnalyzeConfig {
+            panic_paths: &[""],
+            cast_paths: &[""],
+            nondet_paths: &[""],
+            ..AnalyzeConfig::default()
+        };
+        report_of("crates/x/src/lib.rs", src, &cfg).violations.iter().map(|v| v.lint).collect()
     }
 
     #[test]
@@ -575,9 +468,9 @@ mod tests {
 
     #[test]
     fn panic_forms_fire() {
-        assert_eq!(lints_of("fn f(x: Option<u8>) { x.unwrap(); }"), vec!["panic_path"]);
-        assert_eq!(lints_of("fn f() { panic!(\"boom\"); }"), vec!["panic_path"]);
-        assert_eq!(lints_of("fn f(x: Option<u8>) { x.expect(\"y\"); }"), vec!["panic_path"]);
+        assert_eq!(lints_of("fn f(x: Option<u8>) { x.unwrap(); }"), vec!["panic_reach"]);
+        assert_eq!(lints_of("fn f() { panic!(\"boom\"); }"), vec!["panic_reach"]);
+        assert_eq!(lints_of("fn f(x: Option<u8>) { x.expect(\"y\"); }"), vec!["panic_reach"]);
         // Non-panicking relatives do not fire.
         assert!(lints_of("fn f(x: Option<u8>) -> u8 { x.unwrap_or(0) }").is_empty());
     }
@@ -590,7 +483,7 @@ mod tests {
         assert!(lints_of(src).is_empty());
         // #[cfg(not(test))] guards production code: still linted.
         let src = "#[cfg(not(test))]\nfn g() { x.unwrap(); }\n";
-        assert_eq!(lints_of(src), vec!["panic_path"]);
+        assert_eq!(lints_of(src), vec!["panic_reach"]);
     }
 
     #[test]
@@ -604,12 +497,9 @@ mod tests {
     }
 
     #[test]
-    fn send_sync_impl_needs_allowlist() {
+    fn send_sync_impl_fires() {
         let src = "// SAFETY: disjoint writes\nunsafe impl Send for P {}";
         assert_eq!(lints_of(src), vec!["send_sync_impl"]);
-        // Inline waivers are refused for this lint.
-        let waived = "// SAFETY: x\n// lint:allow(send_sync_impl): nope\nunsafe impl Sync for P {}";
-        assert_eq!(lints_of(waived), vec!["send_sync_impl"]);
         // Other unsafe impls (e.g. of an unsafe trait) pass.
         let other = "// SAFETY: contract upheld\nunsafe impl Searcher for P {}";
         assert!(lints_of(other).is_empty());
@@ -640,52 +530,40 @@ mod tests {
 
     #[test]
     fn inline_waiver_with_reason_suppresses() {
+        let cfg = AnalyzeConfig::default();
         let src = "// lint:allow(lossy_cast): k < 64 planes by construction\nfn f(k: usize) -> u32 { k as u32 }";
-        let f = lint_file("crates/x/src/lib.rs", src, &cfg_all());
-        assert!(f.violations.is_empty());
-        assert_eq!(f.allowed.len(), 1);
-        assert_eq!(f.allowed[0].reason, "k < 64 planes by construction");
+        let r = report_of("crates/mgard/src/lib.rs", src, &cfg);
+        assert!(r.is_clean(), "{}", r.summary());
+        assert_eq!(r.allowed.len(), 1);
+        assert_eq!(r.allowed[0].reason, "k < 64 planes by construction");
         // Same-line waiver works too.
         let src = "fn f(k: usize) -> u32 { k as u32 } // lint:allow(lossy_cast): bounded";
-        assert!(lint_file("crates/x/src/lib.rs", src, &cfg_all()).violations.is_empty());
+        assert!(report_of("crates/mgard/src/lib.rs", src, &cfg).is_clean());
     }
 
     #[test]
     fn waiver_without_reason_is_ignored() {
-        let src = "// lint:allow(lossy_cast)\nfn f(k: usize) -> u32 { k as u32 }";
-        let f = lint_file("crates/x/src/lib.rs", src, &cfg_all());
-        assert_eq!(f.violations.len(), 1);
-    }
-
-    #[test]
-    fn allowlist_entry_suppresses_send_sync() {
-        let mut cfg = cfg_all();
-        cfg.allow.push(crate::config::AllowEntry {
-            lint: "send_sync_impl".into(),
-            path: "crates/x/src".into(),
-            reason: "audited: disjoint element scatter".into(),
-            line: 1,
-        });
-        let src = "// SAFETY: disjoint\nunsafe impl Send for P {}";
-        let f = lint_file("crates/x/src/lib.rs", src, &cfg);
-        assert!(f.violations.is_empty());
-        assert_eq!(f.allowed.len(), 1);
+        assert_eq!(
+            lints_of("// lint:allow(lossy_cast)\nfn f(k: usize) -> u32 { k as u32 }"),
+            vec!["lossy_cast"]
+        );
     }
 
     #[test]
     fn scoping_limits_lints_to_their_paths() {
+        let hot: &[&str] = &["crates/hot"];
         let cfg = AnalyzeConfig {
-            panic_paths: vec!["crates/hot".into()],
-            cast_paths: vec!["crates/hot".into()],
-            nondet_paths: vec!["crates/hot".into()],
+            panic_paths: hot,
+            cast_paths: hot,
+            nondet_paths: hot,
             ..AnalyzeConfig::default()
         };
         let src = "fn f(x: Option<u8>, y: u64) { x.unwrap(); let _ = y as u32; }";
-        assert!(lint_file("crates/cold/src/lib.rs", src, &cfg).violations.is_empty());
-        assert_eq!(lint_file("crates/hot/src/lib.rs", src, &cfg).violations.len(), 2);
+        assert!(report_of("crates/cold/src/lib.rs", src, &cfg).is_clean());
+        assert_eq!(report_of("crates/hot/src/lib.rs", src, &cfg).violations.len(), 2);
         // unsafe_safety is workspace-wide regardless of scoping.
         let u = "fn f() { unsafe { g() } }";
-        assert_eq!(lint_file("crates/cold/src/lib.rs", u, &cfg).violations.len(), 1);
+        assert_eq!(report_of("crates/cold/src/lib.rs", u, &cfg).violations.len(), 1);
     }
 
     #[test]
@@ -695,28 +573,14 @@ mod tests {
     }
 
     #[test]
-    fn suppression_hits_are_counted_per_entry() {
-        let mut cfg = cfg_all();
-        cfg.allow.push(crate::config::AllowEntry {
-            lint: "lossy_cast".into(),
-            path: "crates/x/src".into(),
-            reason: "bounded".into(),
-            line: 1,
-        });
-        cfg.allow.push(crate::config::AllowEntry {
-            lint: "panic_path".into(),
-            path: "crates/other".into(),
-            reason: "never matches here".into(),
-            line: 5,
-        });
-        let src = "// lint:allow(nondeterminism): display only\nfn f(k: usize) -> u32 { let t = SystemTime::now(); k as u32 }";
-        let parsed = parse_file("crates/x/src/lib.rs", src);
-        let raw = lexical_raw(&parsed, &cfg);
-        let waivers = collect_waivers(&parsed.toks);
-        let s = apply_suppressions(raw, "crates/x/src/lib.rs", &waivers, &cfg);
-        assert!(s.violations.is_empty());
-        assert_eq!(s.allowed.len(), 2);
-        assert_eq!(s.allow_hits, vec![1, 0]);
-        assert_eq!(s.waiver_hits, vec![1]);
+    fn waiver_hits_are_counted_per_waiver() {
+        let src = "// lint:allow(nondeterminism): display only\n\
+                   fn f(k: usize) -> u32 { let t = SystemTime::now(); k as u32 }\n\
+                   // lint:allow(lossy_cast): matches nothing on the next line\n";
+        let r = report_of("crates/mgard/src/lib.rs", src, &AnalyzeConfig::default());
+        let lints: Vec<&str> = r.violations.iter().map(|v| v.lint).collect();
+        assert_eq!(lints, vec!["lossy_cast", "stale_suppression"], "{}", r.summary());
+        assert_eq!(r.allowed.len(), 1);
+        assert_eq!(r.allowed[0].violation.lint, "nondeterminism");
     }
 }

@@ -119,7 +119,6 @@ impl Callee {
 pub struct PanicSite {
     /// The form, e.g. `panic!` or `.unwrap()`.
     pub form: String,
-    pub ci: usize,
     pub line: usize,
 }
 
@@ -375,7 +374,7 @@ impl Parser<'_> {
 
         // Panic-capable macros: `panic!(`, `unreachable!(`, ...
         if PANIC_MACROS.contains(&name.as_str()) && next_is('!') && !self.is_test_at(ci) {
-            self.fns[fi].panics.push(PanicSite { form: format!("{name}!"), ci, line });
+            self.fns[fi].panics.push(PanicSite { form: format!("{name}!"), line });
             return;
         }
         if !next_is('(') {
@@ -386,7 +385,7 @@ impl Parser<'_> {
         }
         if prev_is('.') {
             if matches!(name.as_str(), "unwrap" | "expect") && !self.is_test_at(ci) {
-                self.fns[fi].panics.push(PanicSite { form: format!(".{name}()"), ci, line });
+                self.fns[fi].panics.push(PanicSite { form: format!(".{name}()"), line });
             }
             let recv = self.receiver_chain(ci);
             self.fns[fi].calls.push(Call { callee: Callee::Method { name, recv }, ci, line });
@@ -722,8 +721,7 @@ impl Parser<'_> {
 /// Token mask marking test-only regions: the braced body (and attributes)
 /// of any item annotated `#[cfg(test)]`, `#[cfg(any(test, …))]`, or
 /// `#[test]`. `#[cfg(not(test))]` guards production code and is *not*
-/// masked. (Moved here from `lints` so both lexical and interprocedural
-/// passes share one definition.)
+/// masked.
 pub fn test_region_mask(toks: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     let code: Vec<usize> = (0..toks.len()).filter(|&i| toks[i].is_code()).collect();

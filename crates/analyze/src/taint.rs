@@ -2,12 +2,12 @@
 //! size memory, index slices, or be structurally decoded before its
 //! checksum is verified.
 //!
-//! | id | scope | rule |
-//! |----|-------|------|
-//! | `taint_alloc` | `[lints.taint] paths` | a value derived from a taint source reaches `with_capacity`/`reserve`/`resize`/`set_len`/`vec![…; n]` with no sanitizer on the path |
-//! | `taint_index` | `[lints.taint] paths` | a tainted value reaches slice indexing (`buf[..n]`) or `split_at`-family bounds unchecked |
-//! | `tainted_arith` | `[lints.taint] paths` | unchecked `+`/`*`/`<<` on a tainted integer whose result then feeds an allocation or index sink |
-//! | `checksum_gate` | `[lints.checksum_gate] paths` | a configured decode entry point (`from_parts`, …) receives a tainted payload before any configured verify call (`fnv1a64`, …) in the same function |
+//! Four lints share the engine (`--explain` has the contract of each):
+//! `taint_alloc` (sinks `with_capacity`/`reserve`/`resize`/`set_len`/
+//! `vec![…; n]`), `taint_index` (slice indexing and the `split_at` family)
+//! and `tainted_arith` (unchecked `+`/`*`/`<<` feeding either) report in
+//! `taint_paths`; `checksum_gate` (a `decode_fns` call on a tainted payload
+//! before any `verify_fns` call in the same function) in `checksum_paths`.
 //!
 //! The engine is a per-function linear walk plus a workspace fixpoint.
 //! Each function gets a summary — does its return value carry source
@@ -27,7 +27,7 @@
 //! a tainted buffer is clean (it is bounded by memory already received).
 
 use crate::callgraph::CallGraph;
-use crate::config::AnalyzeConfig;
+use crate::config::{in_scope, AnalyzeConfig};
 use crate::dataflow::BodyScan;
 use crate::lexer::TokKind;
 use crate::parse::ParsedFile;
@@ -86,7 +86,7 @@ pub fn taint_lints(files: &[ParsedFile], graph: &CallGraph, cfg: &AnalyzeConfig)
     let mut reaches_verify: Vec<bool> = graph
         .nodes
         .iter()
-        .map(|n| !n.is_test && cfg.verify_fns.iter().any(|v| v == &n.name))
+        .map(|n| !n.is_test && cfg.verify_fns.contains(&n.name.as_str()))
         .collect();
     loop {
         let mut changed = false;
@@ -134,8 +134,8 @@ pub fn taint_lints(files: &[ParsedFile], graph: &CallGraph, cfg: &AnalyzeConfig)
         if node.is_test {
             continue;
         }
-        let taint_scope = cfg.taint_paths.iter().any(|p| node.rel_path.starts_with(p.as_str()));
-        let cks_scope = cfg.checksum_paths.iter().any(|p| node.rel_path.starts_with(p.as_str()));
+        let taint_scope = in_scope(cfg.taint_paths, &node.rel_path);
+        let cks_scope = in_scope(cfg.checksum_paths, &node.rel_path);
         if !taint_scope && !cks_scope {
             continue;
         }
@@ -325,7 +325,7 @@ fn handle_call(
     let name = f.ct(ci).text.clone();
     let Some(close) = close_of(f, ci + 1) else { return };
 
-    if env.cfg.taint_sanitizers.contains(&name) {
+    if env.cfg.taint_sanitizers.contains(&name.as_str()) {
         // A bounded/validated value: receiver chain and plain variable
         // arguments are considered clean from here on.
         let mut j = ci;
@@ -349,7 +349,7 @@ fn handle_call(
         return;
     }
 
-    if env.cfg.taint_sources.contains(&name) {
+    if env.cfg.taint_sources.contains(&name.as_str()) {
         // Source call: `&mut buf` / leading bare-variable arguments are
         // out-params the callee fills with untrusted bytes.
         for cj in (ci + 2)..close {
@@ -393,9 +393,9 @@ fn handle_call(
     // checksum_gate: a verify call (direct or transitive) opens the gate;
     // a decode entry point on a tainted payload before that is a finding.
     let targets = &env.targets[k];
-    if env.cfg.verify_fns.contains(&name) || targets.iter().any(|&tg| reaches_verify[tg]) {
+    if env.cfg.verify_fns.contains(&name.as_str()) || targets.iter().any(|&tg| reaches_verify[tg]) {
         *verified = true;
-    } else if env.cfg.decode_fns.contains(&name) {
+    } else if env.cfg.decode_fns.contains(&name.as_str()) {
         let mask = eval_range(env, taint, ci + 2, close);
         if mask & SOURCE != 0 && !*verified {
             if let Some(out) = emit.as_deref_mut() {
@@ -407,7 +407,7 @@ fn handle_call(
                     format!(
                         "`{name}` decodes an untrusted payload before any checksum \
                          verification; verify (e.g. `{}`) before decoding",
-                        env.cfg.verify_fns.first().map_or("", String::as_str)
+                        env.cfg.verify_fns.first().unwrap_or(&"")
                     ),
                     f.snippet(line),
                 ));
@@ -717,7 +717,7 @@ fn eval_range(env: &Env<'_>, taint: &BTreeMap<String, u64>, from: usize, to: usi
     let to = to.min(f.code.len());
     for cj in from..to {
         if env.call_at.contains_key(&cj)
-            && env.cfg.taint_sanitizers.iter().any(|s| s == &f.ct(cj).text)
+            && env.cfg.taint_sanitizers.contains(&f.ct(cj).text.as_str())
         {
             return 0;
         }
@@ -729,7 +729,7 @@ fn eval_range(env: &Env<'_>, taint: &BTreeMap<String, u64>, from: usize, to: usi
             continue;
         }
         if let Some(&k) = env.call_at.get(&cj) {
-            if env.cfg.taint_sources.iter().any(|s| s == &t.text)
+            if env.cfg.taint_sources.contains(&t.text.as_str())
                 || env.targets[k].iter().any(|&tg| env.summaries[tg].returns_source)
             {
                 mask |= SOURCE;
@@ -951,10 +951,10 @@ mod tests {
             // was dropped from the default sources for colliding with
             // `std::mem::take`/`Iterator::take`.
             "fn from_parts(p: &[u8]) -> u8 { 0 }\n\
-             fn fnv1a64(p: &[u8]) -> u64 { 0 }\n\
+             fn verify_checksums(p: &[u8]) -> u64 { 0 }\n\
              fn bad(r: &mut R) -> u8 { let p = r.read_frame(8).unwrap_or_default(); from_parts(&p) }\n\
              fn good(r: &mut R) -> u8 { let p = r.read_frame(8).unwrap_or_default(); \
-             let _c = fnv1a64(&p); from_parts(&p) }",
+             let _c = verify_checksums(&p); from_parts(&p) }",
         )]);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].lint, "checksum_gate");

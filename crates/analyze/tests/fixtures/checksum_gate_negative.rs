@@ -4,10 +4,7 @@
 pub fn load(buf: &[u8]) -> Option<Artifact> {
     let mut pos = 0usize;
     let len = u64_at(buf, &mut pos)?;
-    let sum = fnv1a64(buf);
-    if sum == 0 {
-        return None;
-    }
+    verify_checksums(buf, len)?;
     let art = Artifact::from_parts(len)?;
     Some(art)
 }

@@ -1,5 +1,7 @@
 //! Positive fixture: a lock-order cycle (`a` before `b` in one function,
-//! `b` before `a` in another) plus a guard held across a segment fetch.
+//! `b` before `a` in another) — `lock_order` — plus a guard held across a
+//! segment fetch and one held across a backoff loop, which the fold made
+//! `blocking_under_lock` findings.
 
 use std::sync::Mutex;
 
@@ -29,4 +31,14 @@ impl Store {
         let g = self.a.lock().unwrap_or_else(|p| p.into_inner());
         self.fetch_segment(*g)
     }
+
+    pub fn held_across_backoff(&self) -> u32 {
+        let g = self.b.lock().unwrap_or_else(|p| p.into_inner());
+        for attempt in 0..3 {
+            backoff_wait(attempt);
+        }
+        *g
+    }
 }
+
+fn backoff_wait(_attempt: u32) {}

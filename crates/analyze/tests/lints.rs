@@ -5,7 +5,7 @@
 //! synthetic workspace-relative paths so the path scoping in
 //! `AnalyzeConfig::default()` applies exactly as it does in the real run.
 
-use pmr_analyze::{analyze_sources, AllowEntry, AnalyzeConfig, Report};
+use pmr_analyze::{analyze_sources, AnalyzeConfig, Report};
 
 /// Lint one fixture as if it lived at `rel_path` in the workspace.
 fn lint(rel_path: &str, src: &str, cfg: &AnalyzeConfig) -> Report {
@@ -20,32 +20,7 @@ fn count_allowed(report: &Report, lint: &str) -> usize {
     report.allowed.iter().filter(|a| a.violation.lint == lint).count()
 }
 
-// ---- L1: panic_path ----
-
-#[test]
-fn panic_path_fires_on_unwrap_expect_and_panic() {
-    let src = include_str!("fixtures/panic_path_positive.rs");
-    let r = lint("crates/mgard/src/fixture.rs", src, &AnalyzeConfig::default());
-    assert_eq!(count(&r, "panic_path"), 3, "unwrap + panic! + expect: {:#?}", r.violations);
-}
-
-#[test]
-fn panic_path_respects_tests_waivers_and_asserts() {
-    let src = include_str!("fixtures/panic_path_negative.rs");
-    let r = lint("crates/mgard/src/fixture.rs", src, &AnalyzeConfig::default());
-    assert_eq!(count(&r, "panic_path"), 0, "spurious: {:#?}", r.violations);
-    // The waived expect is audited, not silently dropped.
-    assert_eq!(count_allowed(&r, "panic_path"), 1);
-}
-
-#[test]
-fn panic_path_is_scoped_to_configured_paths() {
-    let src = include_str!("fixtures/panic_path_positive.rs");
-    let r = lint("crates/nn/src/fixture.rs", src, &AnalyzeConfig::default());
-    assert_eq!(count(&r, "panic_path"), 0, "nn is off the data path");
-}
-
-// ---- L2: unsafe_safety + send_sync_impl ----
+// ---- unsafe_safety + send_sync_impl ----
 
 #[test]
 fn unsafe_without_safety_comment_fires() {
@@ -63,26 +38,15 @@ fn documented_unsafe_is_clean() {
 }
 
 #[test]
-fn send_sync_impl_is_allowlist_only() {
-    // Even an inline waiver must NOT excuse an `unsafe impl Send` — only a
-    // central analyze.toml entry may.
+fn send_sync_impl_fires_and_cannot_be_waived() {
     let src = "// SAFETY: sole owner\n// lint:allow(send_sync_impl): trust me\nunsafe impl Send for H {}\npub struct H(*mut u8);\n";
     let r = lint("crates/nn/src/fixture.rs", src, &AnalyzeConfig::default());
-    assert_eq!(count(&r, "send_sync_impl"), 1, "inline waiver must not apply");
-
-    let mut cfg = AnalyzeConfig::default();
-    cfg.allow.push(AllowEntry {
-        lint: "send_sync_impl".into(),
-        path: "crates/nn/src/fixture.rs".into(),
-        reason: "raw pointer owned exclusively; audited".into(),
-        line: 1,
-    });
-    let r = lint("crates/nn/src/fixture.rs", src, &cfg);
-    assert_eq!(count(&r, "send_sync_impl"), 0);
-    assert_eq!(count_allowed(&r, "send_sync_impl"), 1);
+    assert_eq!(count(&r, "send_sync_impl"), 1, "the waiver must not apply");
+    assert_eq!(count_allowed(&r, "send_sync_impl"), 0);
+    assert_eq!(count(&r, "stale_suppression"), 1, "and, matching nothing, it is stale");
 }
 
-// ---- L3: lossy_cast ----
+// ---- lossy_cast ----
 
 #[test]
 fn lossy_casts_fire_and_widening_does_not() {
@@ -106,7 +70,7 @@ fn lossy_cast_is_scoped_to_codec_crates() {
     assert_eq!(count(&r, "lossy_cast"), 0, "core is not a cast-lint path");
 }
 
-// ---- L4: nondeterminism ----
+// ---- nondeterminism ----
 
 #[test]
 fn nondeterminism_sources_fire() {
@@ -124,26 +88,53 @@ fn ordered_containers_are_clean() {
     assert_eq!(count(&r, "nondeterminism"), 0, "{:#?}", r.violations);
 }
 
-// ---- L5: panic_reach (interprocedural) ----
+// ---- panic_reach (interprocedural; `panic_path` folded in) ----
+
+#[test]
+fn panic_reach_fires_on_every_form_under_panic_paths() {
+    // Fold equivalence: the three sites `panic_path` reported on this
+    // fixture (unwrap, panic!, expect) are `panic_reach` findings now, next
+    // to the reachable one.
+    let src = include_str!("fixtures/panic_reach_positive.rs");
+    let r = lint("crates/mgard/src/fixture.rs", src, &AnalyzeConfig::default());
+    let lines: Vec<usize> =
+        r.violations.iter().filter(|v| v.lint == "panic_reach").map(|v| v.line).collect();
+    assert_eq!(lines, vec![8, 10, 12, 26], "{:#?}", r.violations);
+    assert_eq!(r.violations.len(), 4, "nothing else fires: {:#?}", r.violations);
+}
 
 #[test]
 fn panic_reach_fires_through_the_call_graph() {
     let src = include_str!("fixtures/panic_reach_positive.rs");
-    // `crates/sim/src` is an entry tree but not a panic_path tree, so the
-    // finding below is attributable to reachability alone.
+    // `crates/sim/src` is an entry tree but not a `panic_paths` tree, so
+    // the finding below is attributable to reachability alone.
     let r = lint("crates/sim/src/fixture.rs", src, &AnalyzeConfig::default());
     assert_eq!(count(&r, "panic_reach"), 1, "{:#?}", r.violations);
-    assert_eq!(count(&r, "panic_path"), 0, "sim is off the panic_path scope");
     let v = r.violations.iter().find(|v| v.lint == "panic_reach").expect("finding");
     assert!(v.message.contains("retrieve_snapshot"), "chain names the entry: {}", v.message);
     assert!(v.message.contains("decode_width"), "chain names the sink: {}", v.message);
 }
 
 #[test]
-fn panic_reach_ignores_unreachable_panics() {
+fn panic_reach_is_scoped_to_configured_paths() {
+    let src = include_str!("fixtures/panic_reach_positive.rs");
+    let r = lint("crates/nn/src/fixture.rs", src, &AnalyzeConfig::default());
+    assert_eq!(count(&r, "panic_reach"), 0, "nn is neither a panic path nor an entry tree");
+}
+
+#[test]
+fn panic_reach_respects_tests_waivers_asserts_and_unreachable_panics() {
     let src = include_str!("fixtures/panic_reach_negative.rs");
     let r = lint("crates/sim/src/fixture.rs", src, &AnalyzeConfig::default());
-    assert_eq!(count(&r, "panic_reach"), 0, "{:#?}", r.violations);
+    assert!(r.is_clean(), "spurious: {:#?}", r.violations);
+    // The waived expect is audited, not silently dropped.
+    assert_eq!(count_allowed(&r, "panic_reach"), 1);
+    // On a `panic_paths` tree reachability is not required: the diagnostic
+    // helper's panic is the one finding.
+    let r = lint("crates/mgard/src/fixture.rs", src, &AnalyzeConfig::default());
+    assert_eq!(count(&r, "panic_reach"), 1, "{:#?}", r.violations);
+    assert!(r.violations[0].snippet.contains("diagnostic overflow"), "{:#?}", r.violations);
+    assert_eq!(count_allowed(&r, "panic_reach"), 1);
 }
 
 #[test]
@@ -159,7 +150,7 @@ fn panic_reach_waiver_at_the_panic_site_applies() {
     assert_eq!(count(&r, "stale_suppression"), 0, "waiver matched, not stale");
 }
 
-// ---- L6: error_swallow (interprocedural) ----
+// ---- error_swallow (interprocedural) ----
 
 #[test]
 fn error_swallow_fires_on_all_three_forms() {
@@ -184,37 +175,32 @@ fn error_swallow_is_scoped_to_data_path_crates() {
     assert_eq!(count(&r, "error_swallow"), 0, "nn is off the swallow scope");
 }
 
-// ---- L7: lock_order (interprocedural) ----
+// ---- lock_order (interprocedural) ----
 
 #[test]
-fn lock_order_fires_on_cycle_and_guard_across_fetch() {
+fn lock_order_fires_on_the_cycle_and_blocking_on_fetch_and_backoff() {
     let src = include_str!("fixtures/lock_order_positive.rs");
     let r = lint("crates/storage/src/fixture.rs", src, &AnalyzeConfig::default());
-    // Both directions of the a/b cycle plus the guard held across fetch.
-    assert_eq!(count(&r, "lock_order"), 3, "{:#?}", r.violations);
+    // Both directions of the a/b cycle stay `lock_order`…
+    assert_eq!(count(&r, "lock_order"), 2, "{:#?}", r.violations);
+    // …and the guard held across the fetch and the one held across the
+    // backoff loop, `lock_order` findings before the fold, are reported as
+    // `blocking_under_lock` at the same sites.
+    let blocking: Vec<&str> = r
+        .violations
+        .iter()
+        .filter(|v| v.lint == "blocking_under_lock")
+        .map(|v| v.snippet.as_str())
+        .collect();
+    assert_eq!(blocking, vec!["self.fetch_segment(*g)", "backoff_wait(attempt);"]);
+    assert_eq!(r.violations.len(), 4, "{:#?}", r.violations);
 }
 
 #[test]
 fn lock_order_negative_is_clean() {
     let src = include_str!("fixtures/lock_order_negative.rs");
     let r = lint("crates/storage/src/fixture.rs", src, &AnalyzeConfig::default());
-    assert_eq!(count(&r, "lock_order"), 0, "{:#?}", r.violations);
-}
-
-#[test]
-fn lock_order_allowlist_entry_suppresses_and_is_not_stale() {
-    let src = include_str!("fixtures/lock_order_positive.rs");
-    let mut cfg = AnalyzeConfig::default();
-    cfg.allow.push(AllowEntry {
-        lint: "lock_order".into(),
-        path: "crates/storage/src/fixture.rs".into(),
-        reason: "fixture: known ordering, audited".into(),
-        line: 1,
-    });
-    let r = lint("crates/storage/src/fixture.rs", src, &cfg);
-    assert_eq!(count(&r, "lock_order"), 0, "{:#?}", r.violations);
-    assert_eq!(count_allowed(&r, "lock_order"), 3);
-    assert_eq!(count(&r, "stale_suppression"), 0);
+    assert!(r.is_clean(), "{:#?}", r.violations);
 }
 
 // ---- taint_alloc / taint_index / tainted_arith ----
@@ -314,13 +300,6 @@ fn lock_consistency_negative_is_clean_with_one_waived() {
     assert_eq!(count(&r, "stale_suppression"), 0);
 }
 
-#[test]
-fn lock_consistency_is_scoped_to_configured_paths() {
-    let src = include_str!("fixtures/lock_consistency_positive.rs");
-    let r = lint("docs/example.rs", src, &AnalyzeConfig::default());
-    assert_eq!(count(&r, "lock_consistency"), 0, "docs are off every lint scope");
-}
-
 // ---- atomic_ordering ----
 
 #[test]
@@ -339,16 +318,6 @@ fn atomic_ordering_negative_is_clean_with_one_waived() {
     assert_eq!(count(&r, "atomic_ordering"), 0, "{:#?}", r.violations);
     assert_eq!(count_allowed(&r, "atomic_ordering"), 1, "the waived log-line hint");
     assert_eq!(count(&r, "stale_suppression"), 0);
-}
-
-#[test]
-fn atomic_counter_allowlist_silences_the_whole_atom() {
-    let src = include_str!("fixtures/atomic_ordering_positive.rs");
-    let mut cfg = AnalyzeConfig::default();
-    cfg.atomic_counter_fields.push("Flags.ready".into());
-    let r = lint("crates/pmrd/src/fixture.rs", src, &cfg);
-    // Only the `ready` protocol break is exempted; the other two remain.
-    assert_eq!(count(&r, "atomic_ordering"), 2, "{:#?}", r.violations);
 }
 
 // ---- blocking_under_lock (interprocedural) ----
@@ -372,31 +341,49 @@ fn blocking_under_lock_negative_is_clean_with_one_waived() {
     assert_eq!(count(&r, "stale_suppression"), 0);
 }
 
-#[test]
-fn blocking_under_lock_is_scoped_to_the_serving_path() {
-    let src = include_str!("fixtures/blocking_under_lock_positive.rs");
-    let r = lint("crates/codec/src/fixture.rs", src, &AnalyzeConfig::default());
-    assert_eq!(count(&r, "blocking_under_lock"), 0, "codec is off the serving path");
-}
-
 // ---- stale suppressions ----
 
 #[test]
 fn unmatched_waiver_is_a_stale_suppression_finding() {
-    let src = "// lint:allow(panic_path): nothing panics here anymore\npub fn calm() {}\n";
+    let src = "// lint:allow(panic_reach): nothing panics here anymore\npub fn calm() {}\n";
     let r = lint("crates/mgard/src/fixture.rs", src, &AnalyzeConfig::default());
     assert_eq!(count(&r, "stale_suppression"), 1, "{:#?}", r.violations);
+}
+
+// ---- scope table ----
+
+#[test]
+fn default_scope_paths_exist() {
+    // A renamed crate must not silently un-gate a lint: every path prefix in
+    // the scope table names a directory of this workspace.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let cfg = AnalyzeConfig::default();
+    let tables = [
+        ("panic_paths", cfg.panic_paths),
+        ("cast_paths", cfg.cast_paths),
+        ("nondet_paths", cfg.nondet_paths),
+        ("entry_paths", cfg.entry_paths),
+        ("swallow_paths", cfg.swallow_paths),
+        ("taint_paths", cfg.taint_paths),
+        ("checksum_paths", cfg.checksum_paths),
+    ];
+    for (field, paths) in tables {
+        assert!(!paths.is_empty(), "{field} is empty: the lint is off");
+        for p in paths {
+            assert!(root.join(p).is_dir(), "{field}: `{p}` is not a directory of the workspace");
+        }
+    }
 }
 
 // ---- report plumbing ----
 
 #[test]
 fn summary_and_json_agree_with_violations() {
-    let src = include_str!("fixtures/panic_path_positive.rs");
+    let src = include_str!("fixtures/panic_reach_positive.rs");
     let r = lint("crates/mgard/src/fixture.rs", src, &AnalyzeConfig::default());
     assert!(!r.is_clean());
     let json = r.to_json();
-    assert!(json.contains("\"panic_path\": 3"), "{json}");
+    assert!(json.contains("\"panic_reach\": 4"), "{json}");
     // Serialization is deterministic.
     assert_eq!(json, r.to_json());
 }

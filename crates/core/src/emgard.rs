@@ -171,7 +171,7 @@ pub fn build_samples_with(
         let opts = pmr_mgard::DecodeOptions::with_exec(*exec);
         let rec = compressed
             .decode_plan(&plan, &opts)
-            // lint:allow(panic_path): plane counts are clamped to this artifact's capacity above, so decode_plan cannot fail
+            // lint:allow(panic_reach): plane counts are clamped to this artifact's capacity above, so decode_plan cannot fail
             .expect("sampled plane counts are clamped to the artifact's capacity");
         let actual_err = max_abs_error(field.data(), rec.data());
         let level_errs: Vec<f64> =

@@ -74,7 +74,7 @@ pub fn collect_records_with(
             let opts = pmr_mgard::DecodeOptions::with_exec(*exec);
             let rec = compressed
                 .decode_plan(&plan, &opts)
-                // lint:allow(panic_path): the plan was produced by plan_theory on this same artifact, so decode_plan cannot fail
+                // lint:allow(panic_reach): the plan was produced by plan_theory on this same artifact, so decode_plan cannot fail
                 .expect("theory plan always matches its own artifact");
             max_abs_error(field.data(), rec.data())
         });

@@ -50,13 +50,8 @@ pub struct StorageTier {
 }
 
 impl StorageTier {
-    pub fn new(name: impl Into<String>, latency_s: f64, bandwidth_bps: f64) -> Self {
-        Self::try_new(name, latency_s, bandwidth_bps).expect("invalid tier parameters")
-    }
-
-    /// Fallible form of [`StorageTier::new`]: parameters deserialized from
-    /// untrusted configuration come back as [`PmrError::InvalidConfig`]
-    /// instead of a panic.
+    /// A validated tier: parameters deserialized from untrusted
+    /// configuration come back as [`PmrError::InvalidConfig`], not a panic.
     pub fn try_new(
         name: impl Into<String>,
         latency_s: f64,
@@ -84,11 +79,7 @@ pub struct StorageHierarchy {
 }
 
 impl StorageHierarchy {
-    pub fn new(tiers: Vec<StorageTier>) -> Self {
-        Self::try_new(tiers).expect("hierarchy needs at least one tier")
-    }
-
-    /// Fallible form of [`StorageHierarchy::new`].
+    /// A hierarchy of at least one tier.
     pub fn try_new(tiers: Vec<StorageTier>) -> Result<Self, PmrError> {
         if tiers.is_empty() {
             return Err(PmrError::invalid_config("hierarchy needs at least one tier"));
@@ -99,12 +90,19 @@ impl StorageHierarchy {
     /// A Summit-inspired four-tier hierarchy: node-local NVMe burst buffer,
     /// parallel file system, capacity HDD, and archival tape.
     pub fn summit_like() -> Self {
-        StorageHierarchy::new(vec![
-            StorageTier::new("nvme", 100e-6, 6e9),
-            StorageTier::new("pfs", 1e-3, 2e9),
-            StorageTier::new("hdd", 10e-3, 250e6),
-            StorageTier::new("tape", 30.0, 100e6),
-        ])
+        let tier = |name: &str, latency_s, bandwidth_bps| StorageTier {
+            name: name.to_string(),
+            latency_s,
+            bandwidth_bps,
+        };
+        StorageHierarchy {
+            tiers: vec![
+                tier("nvme", 100e-6, 6e9),
+                tier("pfs", 1e-3, 2e9),
+                tier("hdd", 10e-3, 250e6),
+                tier("tape", 30.0, 100e6),
+            ],
+        }
     }
 
     pub fn tiers(&self) -> &[StorageTier] {
@@ -128,13 +126,8 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// Explicit placement; every tier index must exist in `hierarchy`.
-    pub fn new(level_to_tier: Vec<usize>, hierarchy: &StorageHierarchy) -> Self {
-        Self::try_new(level_to_tier, hierarchy).expect("tier index out of range")
-    }
-
-    /// Fallible form of [`Placement::new`]: placements read from untrusted
-    /// bytes are validated against the hierarchy instead of panicking.
+    /// Explicit placement; every tier index must exist in `hierarchy`, so
+    /// placements read from untrusted bytes are validated, not trusted.
     pub fn try_new(
         level_to_tier: Vec<usize>,
         hierarchy: &StorageHierarchy,
@@ -207,20 +200,8 @@ impl AccessProfile {
 ///
 /// Greedy by heat: levels are sorted by expected fetched bytes and assigned
 /// to the fastest tier that still has capacity for the level's *total*
-/// stored size. Panics if no feasible assignment exists.
-pub fn optimize_placement(
-    compressed: &Compressed,
-    profile: &AccessProfile,
-    hierarchy: &StorageHierarchy,
-    capacities: &[u64],
-) -> Placement {
-    try_optimize_placement(compressed, profile, hierarchy, capacities)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`optimize_placement`]: an infeasible capacity vector
-/// (or one of the wrong length) is an [`PmrError::InvalidConfig`], not a
-/// panic.
+/// stored size. An infeasible capacity vector (or one of the wrong length)
+/// is a [`PmrError::InvalidConfig`].
 pub fn try_optimize_placement(
     compressed: &Compressed,
     profile: &AccessProfile,
@@ -377,13 +358,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tier index out of range")]
-    fn bad_placement_rejected() {
-        let h = StorageHierarchy::summit_like();
-        let _ = Placement::new(vec![0, 9], &h);
-    }
-
-    #[test]
     fn try_constructors_reject_bad_parameters() {
         assert!(StorageTier::try_new("t", -1.0, 1e9).is_err());
         assert!(StorageTier::try_new("t", f64::NAN, 1e9).is_err());
@@ -432,7 +406,7 @@ mod tests {
         let profile =
             AccessProfile::from_bounds(&c, &[c.absolute_bound(1e-3), c.absolute_bound(1e-6)]);
         let caps = vec![u64::MAX; h.len()];
-        let p = optimize_placement(&c, &profile, &h, &caps);
+        let p = try_optimize_placement(&c, &profile, &h, &caps).unwrap();
         // With unlimited capacity everything lands on the fastest tier.
         for l in 0..c.num_levels() {
             assert_eq!(p.tier_of(l), 0);
@@ -448,7 +422,7 @@ mod tests {
         // Fastest tier can hold everything except the largest level.
         let largest = *sizes.iter().max().unwrap();
         let caps = vec![sizes.iter().sum::<u64>() - largest, u64::MAX, u64::MAX, u64::MAX];
-        let p = optimize_placement(&c, &profile, &h, &caps);
+        let p = try_optimize_placement(&c, &profile, &h, &caps).unwrap();
         let biggest_level = sizes.iter().position(|&s| s == largest).unwrap();
         assert_eq!(p.tier_of(biggest_level), 1, "over-capacity level must spill");
         // The placement must be feasible: per-tier sums within caps.
@@ -469,7 +443,7 @@ mod tests {
         // Fast tier only fits a subset.
         let sizes: Vec<u64> = c.levels().iter().map(|l| l.total_size()).collect();
         let caps = vec![sizes.iter().sum::<u64>() / 2, u64::MAX, u64::MAX, u64::MAX];
-        let optimized = optimize_placement(&c, &profile, &h, &caps);
+        let optimized = try_optimize_placement(&c, &profile, &h, &caps).unwrap();
         let naive = Placement::coarse_fast(c.num_levels(), &h);
         let expected_cost = |pl: &Placement| -> f64 {
             profile.plans.iter().map(|(plan, w)| w * retrieval_cost(&c, plan, &h, pl).seconds).sum()
@@ -478,15 +452,5 @@ mod tests {
             expected_cost(&optimized) <= expected_cost(&naive) + 1e-12,
             "optimizer should not be worse than the static heuristic"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "no tier has capacity")]
-    fn infeasible_capacity_panics() {
-        let c = sample_compressed();
-        let h = StorageHierarchy::summit_like();
-        let profile = AccessProfile::from_bounds(&c, &[c.absolute_bound(1e-4)]);
-        let caps = vec![0u64; h.len()];
-        let _ = optimize_placement(&c, &profile, &h, &caps);
     }
 }

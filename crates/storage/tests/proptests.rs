@@ -42,7 +42,9 @@ fn placement_try_new_validates_indices() {
         let top = if g.bool() { usize::MAX } else { tiers };
         let indices = g.vec(0..12, |g| g.range(0..=top));
         let h = StorageHierarchy::try_new(
-            (0..tiers).map(|i| StorageTier::new(format!("t{i}"), 1e-3, 1e9)).collect(),
+            (0..tiers)
+                .map(|i| StorageTier::try_new(format!("t{i}"), 1e-3, 1e9).expect("valid tier"))
+                .collect(),
         )
         .expect("non-empty");
         let ok = indices.iter().all(|&t| t < tiers);

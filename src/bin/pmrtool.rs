@@ -12,8 +12,7 @@
 //! pmrtool faultsim [--grid quick|full] [--seed N] [--report <path>] [--shards]
 //! pmrtool shard <in.pmrc> <out-dir> [--shards N] [--replication R] [--hot-planes H]
 //! pmrtool scrub <dir> --manifest <in.pmrc> [--repair] [--report <path>]
-//! pmrtool analyze [--root <dir>] [--config <analyze.toml>] [--report <path>]
-//!                 [--sarif <path>] [--diff <baseline.json> | --write-baseline <path>]
+//! pmrtool analyze [--root <dir>] [--report <path>]
 //! pmrtool analyze --explain <lint-id>
 //! ```
 //!
@@ -55,8 +54,7 @@ const USAGE: &str = "usage:
   pmrtool faultsim [--grid quick|full] [--seed N] [--report <path>] [--shards]
   pmrtool shard <in.pmrc> <out-dir> [--shards N] [--replication R] [--hot-planes H]
   pmrtool scrub <dir> --manifest <in.pmrc> [--repair] [--report <path>]
-  pmrtool analyze [--root <dir>] [--config <analyze.toml>] [--report <path>]
-                  [--sarif <path>] [--diff <baseline.json> | --write-baseline <path>]
+  pmrtool analyze [--root <dir>] [--report <path>]
   pmrtool analyze --explain <lint-id>
 
 artifact files are self-describing: retrieve/info dispatch on the magic
@@ -486,9 +484,17 @@ fn run_scrub(args: &[String]) -> Result<(), String> {
 }
 
 fn run_analyze(args: &[String]) -> Result<(), String> {
+    // A flag this command does not know must fail, not be ignored: a gate
+    // invoked with an option it silently drops looks like a passing gate.
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !["--root", "--report", "--explain"].contains(&a.as_str()))
+    {
+        return Err(format!("analyze takes --root, --report and --explain, not {unknown}"));
+    }
     if let Some(id) = flag_value(args, "--explain")? {
-        // Rendered from the one doc-comment table in `analyze::lints`, so
-        // the CLI text can never drift from the registered catalogue.
+        // Rendered from `analyze::lints::EXPLAIN`, the one description of
+        // each lint.
         return match analyze::lints::explain(id) {
             Some(text) => {
                 print!("{text}");
@@ -501,45 +507,12 @@ fn run_analyze(args: &[String]) -> Result<(), String> {
         };
     }
     let root = PathBuf::from(flag_value(args, "--root")?.unwrap_or("."));
-    let config_path = match flag_value(args, "--config")? {
-        Some(p) => PathBuf::from(p),
-        None => root.join("analyze.toml"),
-    };
-    let cfg = AnalyzeConfig::load(&config_path).map_err(|e| e.to_string())?;
-    let report = analyze::analyze_workspace(&root, &cfg).map_err(|e| e.to_string())?;
+    let report =
+        analyze::analyze_workspace(&root, &AnalyzeConfig::default()).map_err(|e| e.to_string())?;
     print!("{}", report.summary());
     if let Some(path) = flag_value(args, "--report")? {
         std::fs::write(path, report.to_json()).map_err(|e| format!("write {path}: {e}"))?;
         println!("wrote report to {path}");
-    }
-    if let Some(path) = flag_value(args, "--sarif")? {
-        std::fs::write(path, analyze::sarif::to_sarif(&report))
-            .map_err(|e| format!("write {path}: {e}"))?;
-        println!("wrote SARIF to {path}");
-    }
-    if let Some(path) = flag_value(args, "--write-baseline")? {
-        std::fs::write(path, analyze::baseline::to_json(&report))
-            .map_err(|e| format!("write {path}: {e}"))?;
-        println!("wrote baseline to {path} ({} fingerprint(s))", report.violations.len());
-        return Ok(());
-    }
-    if let Some(path) = flag_value(args, "--diff")? {
-        // Differential gate: fail only on findings absent from the
-        // baseline, so CI blocks new debt while the backlog burns down.
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read baseline {path}: {e}"))?;
-        let base = analyze::baseline::parse(&text).map_err(|e| e.to_string())?;
-        let new = analyze::baseline::new_findings(&report, &base);
-        let known = report.violations.len() - new.len();
-        println!("diff vs {path}: {} new, {known} known", new.len());
-        if new.is_empty() {
-            return Ok(());
-        }
-        for v in &new {
-            eprintln!("NEW: {}:{} [{}] {}", v.file, v.line, v.lint, v.message);
-        }
-        eprintln!("error: {} new static-analysis finding(s) vs baseline", new.len());
-        std::process::exit(1);
     }
     if report.is_clean() {
         Ok(())

@@ -1,6 +1,6 @@
 //! End-to-end tests of the `pmrtool` command-line interface.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn pmrtool() -> Command {
@@ -138,6 +138,11 @@ fn bad_invocations_fail_cleanly() {
     // Missing input file.
     let out = pmrtool().args(["info", "/nonexistent/definitely_missing.pmrc"]).output().unwrap();
     assert!(!out.status.success());
+
+    // `analyze` has one mode: a flag it does not know fails, it is not ignored.
+    let out = pmrtool().args(["analyze", "--diff", "baseline.json"]).output().unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--diff"));
 }
 
 #[test]
@@ -379,7 +384,7 @@ fn shard_and_scrub_roundtrip_detects_and_repairs_rot() {
 #[test]
 fn analyze_reports_violations_with_exit_1_and_stable_json() {
     // Build a miniature workspace with one deliberate violation on a
-    // lint-scoped path and no analyze.toml (defaults apply).
+    // lint-scoped path.
     let dir = tempdir("analyze");
     let src = dir.join("crates/mgard/src");
     std::fs::create_dir_all(&src).unwrap();
@@ -399,233 +404,128 @@ fn analyze_reports_violations_with_exit_1_and_stable_json() {
     let out = run();
     assert_eq!(out.status.code(), Some(1), "violations must exit 1");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("panic_path"), "summary names the lint: {stdout}");
+    assert!(stdout.contains("panic_reach"), "summary names the lint: {stdout}");
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("static-analysis violation"),
         "stderr names the failure"
     );
     let json1 = std::fs::read_to_string(&report).expect("report written even on failure");
-    assert!(json1.contains("\"panic_path\": 1"), "{json1}");
+    assert!(json1.contains("\"panic_reach\": 1"), "{json1}");
     assert!(json1.contains("crates/mgard/src/lib.rs"), "{json1}");
     assert!(json1.contains("\"wall_ms\""), "workspace runs record timing: {json1}");
 
     // The report is byte-stable across runs, timing aside (wall time is
     // the one legitimately volatile field).
-    let strip_timing =
-        |s: &str| s.lines().filter(|l| !l.contains("\"timing\"")).collect::<Vec<_>>().join("\n");
     let out = run();
     assert_eq!(out.status.code(), Some(1));
     let json2 = std::fs::read_to_string(&report).unwrap();
     assert_eq!(strip_timing(&json1), strip_timing(&json2), "analyze report must be deterministic");
 
-    // An allowlist entry flips the run green but keeps the audit trail.
+    // An inline waiver flips the run green but keeps the audit trail.
     std::fs::write(
-        dir.join("analyze.toml"),
-        "[[allow]]\nlint = \"panic_path\"\npath = \"crates/mgard/src/lib.rs\"\nreason = \"fixture\"\n",
+        src.join("lib.rs"),
+        "// lint:allow(panic_reach): fixture\npub fn f(v: &[u8]) -> u8 { *v.first().unwrap() }\n",
     )
     .unwrap();
     let out = run();
-    assert!(
-        out.status.success(),
-        "allowlisted run must pass: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert!(out.status.success(), "waived run must pass: {}", String::from_utf8_lossy(&out.stderr));
     let json3 = std::fs::read_to_string(&report).unwrap();
-    assert!(json3.contains("\"panic_path\": 0"), "{json3}");
+    assert!(json3.contains("\"panic_reach\": 0"), "{json3}");
     assert!(json3.contains("\"reason\": \"fixture\""), "{json3}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn analyze_diff_gates_only_new_findings() {
-    // Baseline workflow: known findings pass the diff gate; a new finding
-    // fails it with exit 1 and a NEW: line naming the violation.
-    let dir = tempdir("analyze_diff");
-    let src = dir.join("crates/mgard/src");
-    std::fs::create_dir_all(&src).unwrap();
-    std::fs::write(src.join("lib.rs"), "pub fn f(v: &[u8]) -> u8 { *v.first().unwrap() }\n")
-        .unwrap();
+/// An analyze report minus its one volatile line.
+fn strip_timing(json: &str) -> String {
+    json.lines().filter(|l| !l.contains("\"timing\"")).collect::<Vec<_>>().join("\n")
+}
 
-    let baseline = dir.join("analyze-baseline.json");
-    let out = pmrtool()
-        .args(["analyze", "--root"])
-        .arg(&dir)
-        .arg("--write-baseline")
-        .arg(&baseline)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "--write-baseline must succeed even with findings: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(std::fs::read_to_string(&baseline).unwrap().contains("\"version\": 1"));
-
-    // Same findings, diffed against the fresh baseline: clean exit.
-    let diff = || {
-        pmrtool()
-            .args(["analyze", "--root"])
-            .arg(&dir)
-            .arg("--diff")
-            .arg(&baseline)
-            .output()
-            .unwrap()
-    };
-    let out = diff();
-    assert!(
-        out.status.success(),
-        "known findings must pass the diff gate: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("0 new, 1 known"));
-
-    // Introduce a second violation: only it should trip the gate.
-    std::fs::write(
-        src.join("extra.rs"),
-        "pub fn g(v: &[u8]) -> u8 { *v.last().expect(\"nonempty\") }\n",
-    )
-    .unwrap();
-    let out = diff();
-    assert_eq!(out.status.code(), Some(1), "a new finding must fail the diff gate");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("NEW:"), "{stderr}");
-    assert!(stderr.contains("extra.rs"), "the new file is named: {stderr}");
-    assert!(!stderr.contains("lib.rs"), "the known finding is not re-reported: {stderr}");
-
-    // A corrupt baseline must fail loudly rather than silently un-gate.
-    std::fs::write(&baseline, "{\"version\": 9}").unwrap();
-    let out = diff();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("baseline"));
-    std::fs::remove_dir_all(&dir).ok();
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let dest = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_tree(&entry.path(), &dest);
+        } else {
+            std::fs::copy(entry.path(), dest).unwrap();
+        }
+    }
 }
 
 #[test]
-fn analyze_diff_gates_only_new_taint_findings() {
-    // Taint findings ride the same baseline/diff machinery as every other
-    // lint: a baselined taint_alloc passes the gate, a new taint_index in
-    // another file fails it — and only the new one is reported.
-    let dir = tempdir("analyze_taint_diff");
-    let src = dir.join("crates/pmrd/src");
-    std::fs::create_dir_all(&src).unwrap();
-    std::fs::write(
-        src.join("lib.rs"),
-        "pub fn alloc_from_wire(r: &mut Reader) -> usize {\n\
-         let n = r.u32() as usize;\n\
-         let v: Vec<u8> = Vec::with_capacity(n);\n\
-         v.len()\n\
-         }\n",
-    )
-    .unwrap();
-
-    let baseline = dir.join("analyze-baseline.json");
-    let out = pmrtool()
-        .args(["analyze", "--root"])
-        .arg(&dir)
-        .arg("--write-baseline")
-        .arg(&baseline)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-
-    let diff = || {
-        pmrtool()
-            .args(["analyze", "--root"])
-            .arg(&dir)
-            .arg("--diff")
-            .arg(&baseline)
-            .output()
-            .unwrap()
-    };
-    let out = diff();
+fn analyze_catches_planted_regressions() {
+    // The analyzer's real catches, replayed: copy the workspace's sources to
+    // a scratch root (no config file exists anywhere — the scope table is in
+    // the binary), plant one regression at a time, expect exit 1 naming the
+    // lint. Each plant is an exact-string replace, so a refactor that moves
+    // an anchor fails here loudly instead of turning a probe into a no-op.
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = tempdir("analyze_planted");
+    copy_tree(&repo.join("src"), &root.join("src"));
+    for member in std::fs::read_dir(repo.join("crates")).unwrap() {
+        let member = member.unwrap();
+        let src = member.path().join("src");
+        if src.is_dir() {
+            copy_tree(&src, &root.join("crates").join(member.file_name()).join("src"));
+        }
+    }
+    let analyze = || pmrtool().args(["analyze", "--root"]).arg(&root).output().unwrap();
+    let out = analyze();
     assert!(
         out.status.success(),
-        "baselined taint finding must pass the gate: {}",
-        String::from_utf8_lossy(&out.stderr)
+        "the unedited copy must be clean:\n{}",
+        String::from_utf8_lossy(&out.stdout)
     );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("0 new, 1 known"));
 
-    std::fs::write(
-        src.join("extra.rs"),
-        "pub fn slice_from_wire(r: &mut Reader, buf: &[u8]) -> u8 {\n\
-         let off = r.u16() as usize;\n\
-         buf[off]\n\
-         }\n",
-    )
-    .unwrap();
-    let out = diff();
-    assert_eq!(out.status.code(), Some(1), "a new taint finding must fail the diff gate");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("NEW:"), "{stderr}");
-    assert!(stderr.contains("taint_index"), "the new lint is named: {stderr}");
-    assert!(stderr.contains("extra.rs"), "{stderr}");
-    assert!(!stderr.contains("lib.rs"), "the known taint_alloc is not re-reported: {stderr}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn analyze_diff_gates_only_new_concurrency_findings() {
-    // Concurrency findings ride the same baseline/diff machinery: a
-    // baselined blocking_under_lock passes the gate, a new atomic_ordering
-    // break in another file fails it — and only the new one is reported.
-    let dir = tempdir("analyze_conc_diff");
-    let src = dir.join("crates/pmrd/src");
-    std::fs::create_dir_all(&src).unwrap();
-    std::fs::write(
-        src.join("lib.rs"),
-        "impl Pool {\n\
-         pub fn drain(&self) -> bool {\n\
-         let g = self.jobs.lock().unwrap_or_else(|p| p.into_inner());\n\
-         let job = g.recv();\n\
-         job.is_ok()\n\
-         }\n\
-         }\n",
-    )
-    .unwrap();
-
-    let baseline = dir.join("analyze-baseline.json");
-    let out = pmrtool()
-        .args(["analyze", "--root"])
-        .arg(&dir)
-        .arg("--write-baseline")
-        .arg(&baseline)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-
-    let diff = || {
-        pmrtool()
-            .args(["analyze", "--root"])
-            .arg(&dir)
-            .arg("--diff")
-            .arg(&baseline)
-            .output()
-            .unwrap()
-    };
-    let out = diff();
-    assert!(
-        out.status.success(),
-        "baselined blocking finding must pass the gate: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("0 new, 1 known"));
-
-    std::fs::write(
-        src.join("extra.rs"),
-        "impl Flag {\n\
-         pub fn publish(&self) { self.ready.store(true, Ordering::Release); }\n\
-         pub fn poll(&self) -> bool { self.ready.load(Ordering::Relaxed) }\n\
-         }\n",
-    )
-    .unwrap();
-    let out = diff();
-    assert_eq!(out.status.code(), Some(1), "a new concurrency finding must fail the gate");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("NEW:"), "{stderr}");
-    assert!(stderr.contains("atomic_ordering"), "the new lint is named: {stderr}");
-    assert!(stderr.contains("extra.rs"), "{stderr}");
-    assert!(!stderr.contains("lib.rs"), "the known blocking finding is not re-reported: {stderr}");
-    std::fs::remove_dir_all(&dir).ok();
+    let probes = [
+        // PR 19: a header field sizes an allocation before the cap.
+        (
+            "crates/field/src/io.rs",
+            "    let points = dx.checked_mul(dy)",
+            "    let early: Vec<u8> = Vec::with_capacity(dx);\n    let points = dx.checked_mul(dy)",
+            "taint_alloc",
+        ),
+        // PR 20: a level is decoded with its digests never compared.
+        (
+            "crates/mgard/src/persist.rs",
+            "            verify_checksums(l, &enc, &table[l])?;\n",
+            "",
+            "checksum_gate",
+        ),
+        // PR 9: a wire count sizes a Vec without the frame cap.
+        (
+            "crates/pmrd/src/protocol.rs",
+            "r.bounded_count(\"plane\")?",
+            "r.u16()? as usize",
+            "taint_alloc",
+        ),
+        // A sleep under the plane-cache lock, in `get_or_fetch`.
+        (
+            "crates/pmrd/src/cache.rs",
+            "        let mut guard = self.lock();\n        guard.inflight.remove(&key);",
+            "        let mut guard = self.lock();\n        \
+             std::thread::sleep(std::time::Duration::from_millis(1));\n        \
+             guard.inflight.remove(&key);",
+            "blocking_under_lock",
+        ),
+    ];
+    for (file, anchor, planted, lint) in probes {
+        let path = root.join(file);
+        let original = std::fs::read_to_string(&path).unwrap();
+        assert!(original.contains(anchor), "anchor moved in {file}: {anchor:?}");
+        std::fs::write(&path, original.replacen(anchor, planted, 1)).unwrap();
+        let out = analyze();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{lint} probe in {file} went silent:\n{stdout}");
+        let finding = format!("{file}:");
+        assert!(
+            stdout.lines().any(|l| l.starts_with(&finding) && l.contains(&format!("[{lint}]"))),
+            "{lint} probe in {file} must be named:\n{stdout}"
+        );
+        std::fs::write(&path, original).unwrap();
+    }
+    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
@@ -651,52 +551,65 @@ fn analyze_fails_on_stale_suppressions() {
     let dir = tempdir("analyze_stale");
     let src = dir.join("crates/mgard/src");
     std::fs::create_dir_all(&src).unwrap();
-    std::fs::write(src.join("lib.rs"), "pub fn calm() {}\n").unwrap();
     std::fs::write(
-        dir.join("analyze.toml"),
-        "[[allow]]\nlint = \"panic_path\"\npath = \"crates/mgard/src/lib.rs\"\nreason = \"nothing panics here anymore\"\n",
+        src.join("lib.rs"),
+        "// lint:allow(panic_reach): nothing panics here anymore\npub fn calm() {}\n",
     )
     .unwrap();
     let out = pmrtool().args(["analyze", "--root"]).arg(&dir).output().unwrap();
-    assert_eq!(out.status.code(), Some(1), "a matching-nothing allowlist entry must fail");
+    assert_eq!(out.status.code(), Some(1), "a waiver that matches nothing must fail");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("stale_suppression"), "{stdout}");
-    assert!(stdout.contains("analyze.toml"), "the finding points at the config: {stdout}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn analyze_writes_sarif() {
-    let dir = tempdir("analyze_sarif");
-    let src = dir.join("crates/mgard/src");
-    std::fs::create_dir_all(&src).unwrap();
-    std::fs::write(src.join("lib.rs"), "pub fn f(v: &[u8]) -> u8 { *v.first().unwrap() }\n")
-        .unwrap();
-    let sarif = dir.join("analyze.sarif");
-    let out = pmrtool()
-        .args(["analyze", "--root"])
-        .arg(&dir)
-        .arg("--sarif")
-        .arg(&sarif)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1), "violations still exit 1 with --sarif");
-    let doc = std::fs::read_to_string(&sarif).expect("SARIF written even on failure");
-    assert!(doc.contains("\"version\": \"2.1.0\""), "{doc}");
-    assert!(doc.contains("\"ruleId\": \"panic_path\""), "{doc}");
-    assert!(doc.contains("pmrFingerprint/v1"), "{doc}");
+    assert!(stdout.contains("crates/mgard/src/lib.rs:1:"), "the finding points at it: {stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn analyze_passes_on_this_workspace() {
     // The repository itself must stay lint-clean under its own analyzer —
-    // the same invariant CI enforces.
-    let root = env!("CARGO_MANIFEST_DIR");
-    let out = pmrtool().args(["analyze", "--root", root]).output().unwrap();
-    assert!(
-        out.status.success(),
-        "workspace has unallowlisted violations:\n{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
+    // the same invariant CI enforces — and the answer must not depend on
+    // where the command is run from: `--root .` at the repo root and
+    // `--root <abs path>` from elsewhere write the same report.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let elsewhere = tempdir("analyze_self");
+    let run = |cwd: &Path, root_arg: &Path, name: &str| {
+        let report = elsewhere.join(name);
+        let out = pmrtool()
+            .current_dir(cwd)
+            .args(["analyze", "--root"])
+            .arg(root_arg)
+            .arg("--report")
+            .arg(&report)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "workspace has unwaived violations:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        strip_timing(&std::fs::read_to_string(&report).unwrap())
+    };
+    let here = run(root, Path::new("."), "here.json");
+    let there = run(&elsewhere, root, "there.json");
+    assert_eq!(here, there, "the report depends on the working directory");
+
+    // The whole waiver surface, pinned in report order: a new inline waiver
+    // is a reviewed edit of this list, never a silent one. (An allowed entry
+    // is one line: `{ "lint": "<id>", "file": "<path>", …, "reason": … }`.)
+    let waived: Vec<(&str, &str)> = here
+        .lines()
+        .filter(|l| l.contains("\"reason\":"))
+        .map(|l| l.split('"').collect::<Vec<_>>())
+        .map(|quoted| (quoted[3], quoted[7]))
+        .collect();
+    let expected = [
+        ("lossy_cast", "crates/codec/src/transpose.rs"),
+        ("panic_reach", "crates/core/src/emgard.rs"),
+        ("panic_reach", "crates/core/src/records.rs"),
+        ("lossy_cast", "crates/mgard/src/bitplane.rs"),
+        ("blocking_under_lock", "crates/pmrd/src/server.rs"),
+        ("error_swallow", "crates/sim/src/cache.rs"),
+    ];
+    assert_eq!(waived, expected);
+    std::fs::remove_dir_all(&elsewhere).ok();
 }

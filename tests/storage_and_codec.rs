@@ -30,8 +30,8 @@ fn tiered_cost_scales_with_accuracy() {
 #[test]
 fn single_tier_hierarchy_matches_bandwidth_model() {
     let (_, c) = artifact();
-    let h = StorageHierarchy::try_new(vec![StorageTier::new("disk", 0.0, 1e6)])
-        .expect("single disk tier is a valid hierarchy");
+    let disk = StorageTier::try_new("disk", 0.0, 1e6).expect("valid tier parameters");
+    let h = StorageHierarchy::try_new(vec![disk]).expect("single disk tier is a valid hierarchy");
     let p = Placement::coarse_fast(c.num_levels(), &h);
     let plan = c.plan_theory(c.absolute_bound(1e-4));
     let cost = retrieval_cost(&c, &plan, &h, &p);
