@@ -13,6 +13,7 @@
 
 use crate::rle;
 use pmr_error::PmrError;
+use std::borrow::Cow;
 
 /// Compression mode chosen for a buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,17 +45,19 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 
 /// Decompress a buffer produced by [`compress`]. `None` on malformed input.
 pub fn decompress(buf: &[u8]) -> Option<Vec<u8>> {
-    decompress_bounded(buf, usize::MAX)
+    decompress_bounded(buf, usize::MAX).map(Cow::into_owned)
 }
 
 /// [`decompress`] with an output-size ceiling; see [`rle::decode_bounded`]
-/// for why callers decoding untrusted bytes must cap the expansion.
-pub fn decompress_bounded(buf: &[u8], max_len: usize) -> Option<Vec<u8>> {
+/// for why callers decoding untrusted bytes must cap the expansion. A raw
+/// payload is its own decoded form, so it comes back borrowed; only RLE
+/// allocates.
+pub fn decompress_bounded(buf: &[u8], max_len: usize) -> Option<Cow<'_, [u8]>> {
     let (&tag, rest) = buf.split_first()?;
     match tag {
-        TAG_RAW if rest.len() <= max_len => Some(rest.to_vec()),
+        TAG_RAW if rest.len() <= max_len => Some(Cow::Borrowed(rest)),
         TAG_RAW => None,
-        TAG_RLE => rle::decode_bounded(rest, max_len),
+        TAG_RLE => rle::decode_bounded(rest, max_len).map(Cow::Owned),
         _ => None,
     }
 }
@@ -82,7 +85,7 @@ pub fn try_decompress(buf: &[u8], expected_len: usize) -> Result<Vec<u8>, PmrErr
             format!("decoded {} bytes, expected {expected_len}", out.len()),
         ));
     }
-    Ok(out)
+    Ok(out.into_owned())
 }
 
 /// Which mode a compressed buffer used (for diagnostics).
@@ -137,6 +140,15 @@ mod tests {
         assert_eq!(mode_of(&c), Some(Lossless::Raw));
         assert_eq!(decompress_bounded(&c, 4).unwrap(), vec![1, 2, 3, 4]);
         assert!(decompress_bounded(&c, 3).is_none());
+    }
+
+    #[test]
+    fn raw_payloads_are_borrowed_rle_payloads_owned() {
+        let raw = compress(&[1, 2, 3, 4]);
+        assert!(matches!(decompress_bounded(&raw, 4), Some(Cow::Borrowed(b)) if b == [1, 2, 3, 4]));
+        let rle = compress(&[0u8; 64]);
+        assert_eq!(mode_of(&rle), Some(Lossless::Rle));
+        assert!(matches!(decompress_bounded(&rle, 64), Some(Cow::Owned(b)) if b == [0u8; 64]));
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //!   kernels behind `decompose_with`/`recompose_with` must reproduce the
 //!   per-line oracle (`decompose`/`recompose`) at every worker count, over
 //!   the full catalogue in both transform modes.
+//! * **Placed vs staged decode bit-identity** — retrieval decodes every
+//!   level straight into one grid; it must equal decoding each level alone
+//!   (scalar oracle), `deinterleave` and recompose, and a mangled payload
+//!   must fail with the same error.
 //! * **Monotonicity** — under the theory planner, a tighter bound never
 //!   fetches fewer bytes (exact: the greedy pick sequence is
 //!   bound-independent, the bound only moves the stopping point), and more
@@ -27,9 +31,10 @@
 //!   truncation error is not pointwise monotone — value 6 = `11010₂̄`
 //!   has err 6 after 0 planes but 10 after 1).
 
-use crate::fields::{catalogue, FieldClass};
+use crate::fields::{catalogue, synthetic, FieldClass};
 use crate::sweep::{SWEEP_LEVELS, SWEEP_PLANES};
-use pmr_field::Field;
+use pmr_error::PmrError;
+use pmr_field::{Field, Shape};
 use pmr_mgard::{
     persist, CompressConfig, Compressed, DecodeOptions, Decomposer, ExecPolicy, LevelEncoding,
     PlaneKernel, RetrievalPlan, TransformMode,
@@ -265,6 +270,130 @@ pub fn check_transform_identity(seed: u64, failures: &mut Vec<String>) {
     }
 }
 
+/// The staged form of retrieval, the oracle of the placed decoder: each
+/// level decoded on its own into an array by the scalar kernel, serially,
+/// scattered by `deinterleave`, then recomposed — in full, or up to the grid
+/// of `coarse_level`. The first level that fails to decode is the error.
+fn staged(
+    c: &Compressed,
+    levels: Result<Vec<Vec<f64>>, PmrError>,
+    coarse_level: Option<usize>,
+) -> Result<Field, PmrError> {
+    let dec = c.decomposer();
+    let mut data = dec.deinterleave(&levels?);
+    let (shape, data) = match coarse_level {
+        None => {
+            dec.recompose_with(&mut data, &ExecPolicy::serial());
+            (dec.shape(), data)
+        }
+        Some(level) => (
+            dec.grid_shape_at_level(level),
+            dec.recompose_to_level_with(&mut data, level, &ExecPolicy::serial()),
+        ),
+    };
+    Ok(Field::new(c.name(), c.timestep(), shape, data))
+}
+
+/// How two retrievals of the same thing differ, if they do: the error
+/// text, or the shape, or the first coefficient whose bits differ.
+fn divergence(got: Result<Field, PmrError>, want: Result<Field, PmrError>) -> Option<String> {
+    match (got, want) {
+        (Ok(got), Ok(want)) if got.shape() != want.shape() => {
+            Some(format!("shape {} vs {}", got.shape(), want.shape()))
+        }
+        (Ok(got), Ok(want)) => {
+            let at = bits(&got).iter().zip(bits(&want)).position(|(g, w)| *g != w)?;
+            Some(format!("value {at}: {:e} vs {:e}", got.data()[at], want.data()[at]))
+        }
+        (Err(got), Err(want)) if got.to_string() == want.to_string() => None,
+        (got, want) => Some(format!("{:?} vs {:?}", got.err(), want.err())),
+    }
+}
+
+/// [`Compressed::decode_plan`] of `planes` under `exec` against the staged
+/// oracle; `None` when they agree bit for bit.
+fn plan_divergence(
+    c: &Compressed,
+    planes: &[u32],
+    coarse_level: Option<usize>,
+    exec: ExecPolicy,
+) -> Option<String> {
+    let plan = RetrievalPlan::from_planes(planes.to_vec());
+    let got = c.decode_plan(&plan, &DecodeOptions { exec: Some(exec), coarse_level });
+    let scalar = ExecPolicy::serial().with_kernel(PlaneKernel::Scalar);
+    let levels = c.levels().iter().zip(planes).enumerate();
+    let levels = levels.map(|(l, (lvl, &b))| {
+        lvl.decode_with(if coarse_level.is_some_and(|c| l > c) { 0 } else { b }, &scalar)
+    });
+    divergence(got, staged(c, Ok(levels.collect()), coarse_level))
+        .map(|why| format!("planes {planes:?} coarse {coarse_level:?} {exec:?}: {why}"))
+}
+
+/// [`Compressed::retrieve_from_payloads`] of `payloads` (one prefix of
+/// plane payloads per level, mangled or not) under `exec` against the
+/// staged oracle: the same field bit for bit, or the same error.
+fn payload_divergence(
+    c: &Compressed,
+    payloads: &[Vec<Vec<u8>>],
+    exec: ExecPolicy,
+) -> Option<String> {
+    let got = c.retrieve_from_payloads(payloads, Some(exec));
+    let scalar = ExecPolicy::serial().with_kernel(PlaneKernel::Scalar);
+    let levels = c.levels().iter().zip(payloads);
+    let levels = levels.map(|(lvl, p)| lvl.decode_from_payloads_with(p, &scalar)).collect();
+    divergence(got, staged(c, levels, None)).map(|why| {
+        let kept: Vec<usize> = payloads.iter().map(Vec::len).collect();
+        format!("payload prefixes {kept:?} {exec:?}: {why}")
+    })
+}
+
+/// The first `planes[l]` own plane payloads of every level.
+fn payload_prefixes(c: &Compressed, planes: &[u32]) -> Vec<Vec<Vec<u8>>> {
+    let levels = c.levels().iter().zip(planes);
+    levels.map(|(lvl, &b)| (0..b).map(|k| lvl.plane_payload(k).to_vec()).collect()).collect()
+}
+
+/// Shapes whose finest level is decoded by several workers under a parallel
+/// policy (it holds more than `PARALLEL_MIN_COEFFS` coefficients), in 1-,
+/// 2- and 3-D: a worker range may start inside a strided run.
+fn above_parallel_gate() -> [Shape; 3] {
+    [Shape::d1(40_000), Shape::d2(210, 190), Shape::cube(33)]
+}
+
+/// The one decode tail — one grid, each level decoded straight into its
+/// positions, then recomposed — must reproduce the staged oracle bit for
+/// bit: over the catalogue (non-finite classes included) and a field on
+/// each shape of `above_parallel_gate`; with no planes, every plane, a
+/// theory plan and a mixed plan; at 1 to 7 workers; in full and to a
+/// coarse grid; through `decode_plan` and through `retrieve_from_payloads`,
+/// where a mangled payload must fail with the staged path's error.
+pub fn check_reconstruct_identity(seed: u64, failures: &mut Vec<String>) {
+    let parallel = above_parallel_gate().map(|s| synthetic(FieldClass::Turbulent, s, seed, 0));
+    for field in catalogue(seed).into_iter().map(|(_, f)| f).chain(parallel) {
+        let c = Compressed::compress(&field, &compress_cfg(1));
+        let full = c.plan_full().planes;
+        let nl = full.len();
+        let mixed: Vec<u32> =
+            full.iter().enumerate().map(|(l, &b)| b * (l as u32 % 2) / 2).collect();
+        let plans = [vec![0; nl], full, c.plan_theory(c.absolute_bound(1e-3)).planes, mixed];
+        for planes in &plans {
+            for exec in [1, 2, 3, 4, 7].map(ExecPolicy::with_threads) {
+                let mut payloads = payload_prefixes(&c, planes);
+                let mut why = plan_divergence(&c, planes, None, exec)
+                    .or_else(|| plan_divergence(&c, planes, Some(nl / 2), exec))
+                    .or_else(|| payload_divergence(&c, &payloads, exec));
+                if let Some(last) = payloads.iter_mut().rev().find_map(|p| p.last_mut()) {
+                    last.truncate(last.len() / 2);
+                    why = why.or_else(|| payload_divergence(&c, &payloads, exec));
+                }
+                if let Some(why) = why {
+                    failures.push(format!("differential: {} placed decode {why}", field.name()));
+                }
+            }
+        }
+    }
+}
+
 /// Monotonicity invariants under the theory planner.
 pub fn check_monotonicity(seed: u64, failures: &mut Vec<String>) {
     for field in finite_corpus(seed) {
@@ -312,6 +441,7 @@ pub fn run_differential(seed: u64) -> Vec<String> {
     check_kernel_identity(seed, &mut failures);
     check_transform_identity(seed, &mut failures);
     check_batch_equivalence(seed, &mut failures);
+    check_reconstruct_identity(seed, &mut failures);
     check_monotonicity(seed, &mut failures);
     failures
 }
@@ -324,5 +454,63 @@ mod tests {
     fn differential_checks_pass_on_seeded_corpus() {
         let failures = run_differential(11);
         assert!(failures.is_empty(), "{failures:?}");
+    }
+
+    /// The catalogue's classes on its shapes, and half the time on a 1-,
+    /// 2- or 3-D shape whose finest level is above the parallel gate, so
+    /// worker ranges cut strided runs; random plans (none, every plane,
+    /// mixed) and coarse grids, every kernel and worker count, truncated
+    /// and mangled payload prefixes.
+    #[test]
+    fn placed_decode_matches_the_staged_oracle() {
+        use crate::fields::corpus_shapes;
+        pmr_rng::cases("placed_decode_matches_the_staged_oracle", 64, |g| {
+            let shape = if g.bool() {
+                g.one_of(&corpus_shapes())
+            } else {
+                g.one_of(&above_parallel_gate())
+            };
+            let field = synthetic(g.one_of(&FieldClass::all()), shape, g.range(0..1000u64), 0);
+            let cfg = CompressConfig {
+                levels: g.range(1..6usize),
+                num_planes: g.one_of(&[5u32, 17, 32]),
+                ..compress_cfg(1)
+            };
+            let c = Compressed::compress(&field, &cfg);
+            let nl = c.num_levels();
+            let b = c.num_planes();
+            let planes: Vec<u32> = match g.range(0..4u32) {
+                0 => vec![0; nl],
+                1 => vec![b; nl],
+                _ => (0..nl)
+                    .map(|_| {
+                        let some = g.range(1..b);
+                        g.one_of(&[0, some, b])
+                    })
+                    .collect(),
+            };
+            let coarse_level = g.bool().then(|| g.range(0..nl));
+            let kernel = g.one_of(&[PlaneKernel::Auto, PlaneKernel::Swar, PlaneKernel::Scalar]);
+            let exec = ExecPolicy::with_threads(g.one_of(&[1, 2, 3, 4, 7])).with_kernel(kernel);
+            if let Some(why) = plan_divergence(&c, &planes, coarse_level, exec) {
+                panic!("{}: {why}", field.name());
+            }
+
+            let kept: Vec<u32> = planes.iter().map(|&p| g.range(0..=p)).collect();
+            let mut payloads = payload_prefixes(&c, &kept);
+            if g.bool() {
+                let level = g.range(0..nl);
+                if let Some(last) = payloads[level].last_mut() {
+                    if g.bool() {
+                        last.truncate(g.range(0..last.len()));
+                    } else {
+                        last[0] ^= g.range(1..=255u8);
+                    }
+                }
+            }
+            if let Some(why) = payload_divergence(&c, &payloads, exec) {
+                panic!("{}: {why}", field.name());
+            }
+        });
     }
 }

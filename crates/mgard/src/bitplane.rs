@@ -24,6 +24,7 @@
 //! `threads` for this stage — the oracle is defined serially).
 
 use crate::checksum::fnv1a64;
+use crate::decompose::{Placer, Run};
 use crate::encode_kernel::{self, LaneRows, LANES, MAX_PLANES};
 use crate::exec::{for_each_job, ExecPolicy};
 use pmr_codec::{
@@ -31,6 +32,8 @@ use pmr_codec::{
     lossless, negabinary, transpose, TileImpl,
 };
 use pmr_error::{len_u32, PmrError};
+use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Default number of bit-planes per coefficient level (the paper's `B`).
@@ -71,35 +74,10 @@ pub(crate) fn quantize(c: f64, step: f64) -> i64 {
     (c / step).round() as i64
 }
 
-/// Rebuild the coefficients starting at tile-aligned index `lo` from
-/// unpacked plane bytes (a prefix of the planes is fine — missing low
-/// planes decode as zero digits). `expected` is the packed byte length of
-/// one full plane, `count.div_ceil(8)`.
-fn tiles_to_coeffs(
-    plane_bytes: &[Vec<u8>],
-    num_planes: u32,
-    step: f64,
-    expected: usize,
-    lo: usize,
-    out: &mut [f64],
-    imp: TileImpl,
-) {
-    debug_assert_eq!(lo % transpose::TILE, 0);
-    let bu = num_planes as usize;
-    for (t, ochunk) in out.chunks_mut(transpose::TILE).enumerate() {
-        let base = (lo + t * transpose::TILE) / 8;
-        let nbytes = (expected - base).min(8);
-        let mut y = [0u64; transpose::TILE];
-        for (yk, pb) in y[transpose::TILE - bu..].iter_mut().zip(plane_bytes) {
-            let mut wb = [0u8; 8];
-            wb[..nbytes].copy_from_slice(&pb[base..base + nbytes]);
-            *yk = u64::from_be_bytes(wb);
-        }
-        transpose::transpose64(&mut y, imp);
-        for (slot, &d) in ochunk.iter_mut().zip(&y) {
-            *slot = negabinary::from_negabinary(d) as f64 * step;
-        }
-    }
+#[cfg(test)]
+thread_local! {
+    /// Tiles `LevelEncoding::place_tiles` has transposed on this thread.
+    pub(crate) static TILES_TRANSPOSED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl LevelEncoding {
@@ -337,56 +315,68 @@ impl LevelEncoding {
         self.decode_from_payloads_with(payloads, &ExecPolicy::serial())
     }
 
-    /// The level decoder — every retrieval path ends here, whether the
-    /// planes are this encoding's own ([`LevelEncoding::decode_with`]) or
-    /// crossed a storage tier or a socket.
-    ///
-    /// Every payload is validated (bounded decompression to exactly one bit
-    /// per coefficient), so a mangled segment comes back as
-    /// [`PmrError::Malformed`] instead of a panic or an oversized
-    /// allocation. Under a parallel policy planes decompress independently,
-    /// then tile-aligned coefficient chunks assemble their digits through
-    /// the transpose kernels — each coefficient is produced by exactly one
-    /// worker, so the output matches serial decoding bit for bit.
-    /// [`PlaneKernel::Scalar`] routes the assembly to the original
-    /// bit-at-a-time loop (the differential oracle, serial by definition).
+    /// The level decoder on its own (`LevelEncoding::decode_placed`) into
+    /// a fresh array, the level's coefficients in order. This dense
+    /// placement is the staged form of retrieval (decode every level, then
+    /// [`crate::Decomposer::deinterleave`]) and stays the differential
+    /// oracle of the placed one.
     pub fn decode_from_payloads_with<P: AsRef<[u8]> + Sync>(
         &self,
         payloads: &[P],
         exec: &ExecPolicy,
     ) -> Result<Vec<f64>, PmrError> {
+        let mut out = vec![0.0; self.count];
+        self.decode_placed(payloads, &[Run::dense(self.count)], &mut out, exec)?;
+        Ok(out)
+    }
+
+    /// The level decoder — every retrieval path ends here, whether the
+    /// planes are this encoding's own ([`LevelEncoding::decode_with`]) or
+    /// crossed a storage tier or a socket. Coefficient `i` goes to the
+    /// `i`-th position of `runs` in `grid`, which must hold `+0.0` there.
+    ///
+    /// Every payload is validated (bounded decompression to exactly one bit
+    /// per coefficient), so a mangled segment comes back as
+    /// [`PmrError::Malformed`] instead of a panic or an oversized
+    /// allocation; raw planes are read where they lie. A level with no
+    /// planes to decode, or a degenerate (`step == 0`) one, decodes to
+    /// `+0.0` everywhere and writes nothing. Under a parallel policy planes
+    /// decompress independently, then tile-aligned coefficient ranges
+    /// assemble their digits through the transpose kernels — each
+    /// coefficient is produced by exactly one worker, so the output matches
+    /// serial decoding bit for bit. [`PlaneKernel::Scalar`] routes the
+    /// assembly to the original bit-at-a-time loop (the differential
+    /// oracle, serial by definition).
+    pub(crate) fn decode_placed<P: AsRef<[u8]> + Sync>(
+        &self,
+        payloads: &[P],
+        runs: &[Run],
+        grid: &mut [f64],
+        exec: &ExecPolicy,
+    ) -> Result<(), PmrError> {
         if payloads.len() > self.num_planes as usize {
             return Err(PmrError::malformed(
                 "plane segment",
                 format!("{} payloads for a {}-plane level", payloads.len(), self.num_planes),
             ));
         }
-        if self.step == 0.0 {
-            return Ok(vec![0.0; self.count]);
+        if self.step == 0.0 || payloads.is_empty() {
+            return Ok(());
         }
         let scalar = exec.kernel.is_scalar();
-        let threads = if scalar || payloads.is_empty() { 1 } else { exec.resolved_threads() };
+        let threads = if scalar { 1 } else { exec.resolved_threads() };
         let threads = if self.count < 2 * threads { 1 } else { threads };
         let expected = self.count.div_ceil(8);
 
-        let unpack = |slots: &mut [Option<Vec<u8>>], payloads: &[P]| {
+        let mut slots: Vec<Option<Cow<'_, [u8]>>> = vec![None; payloads.len()];
+        let pchunk = payloads.len().div_ceil(threads);
+        for_each_job(slots.chunks_mut(pchunk).zip(payloads.chunks(pchunk)), |(slots, payloads)| {
             for (slot, p) in slots.iter_mut().zip(payloads) {
                 *slot = lossless::decompress_bounded(p.as_ref(), expected)
                     .filter(|bytes| bytes.len() == expected);
             }
-        };
-        let mut slots: Vec<Option<Vec<u8>>> = vec![None; payloads.len()];
-        if threads <= 1 {
-            unpack(&mut slots, payloads);
-        } else {
-            let pchunk = payloads.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (s, p) in slots.chunks_mut(pchunk).zip(payloads.chunks(pchunk)) {
-                    scope.spawn(move || unpack(s, p));
-                }
-            });
-        }
-        let plane_bytes: Vec<Vec<u8>> = slots
+        });
+        let plane_bytes: Vec<Cow<'_, [u8]>> = slots
             .into_iter()
             .enumerate()
             .map(|(k, bytes)| {
@@ -409,36 +399,65 @@ impl LevelEncoding {
                     }
                 }
             }
-            return Ok(digits
+            let values: Vec<f64> = digits
                 .into_iter()
                 .map(|nb| negabinary::from_negabinary(nb) as f64 * self.step)
-                .collect());
+                .collect();
+            Placer::new(runs, 0).put(grid, &values);
+            return Ok(());
         }
-        let imp = exec.kernel.tile_impl();
-        let mut out = vec![0.0f64; self.count];
+
         let csize = self.count.div_ceil(threads).max(1).div_ceil(transpose::TILE) * transpose::TILE;
-        let assemble = |ci: usize, chunk: &mut [f64]| {
-            tiles_to_coeffs(
-                &plane_bytes,
-                self.num_planes,
-                self.step,
-                expected,
-                ci * csize,
-                chunk,
-                imp,
-            );
-        };
-        if threads <= 1 {
-            assemble(0, &mut out);
-        } else {
-            std::thread::scope(|scope| {
-                for (ci, chunk) in out.chunks_mut(csize).enumerate() {
-                    let assemble = &assemble;
-                    scope.spawn(move || assemble(ci, chunk));
-                }
-            });
+        let imp = exec.kernel.tile_impl();
+        for_each_job(Placer::split(runs, grid, self.count, csize).into_iter(), |job| {
+            let (coeffs, mut placer, out) = job;
+            self.place_tiles(&plane_bytes, coeffs, &mut placer, out, imp);
+        });
+        Ok(())
+    }
+
+    /// Rebuild the coefficients `coeffs` (starting tile-aligned) from
+    /// unpacked plane bytes (a prefix of the planes is fine — missing low
+    /// planes decode as zero digits) and hand them to `placer`, whose grid
+    /// slice is `out`. A tile whose plane words are all zero decodes to
+    /// `+0.0` everywhere, which the grid already holds: it is skipped,
+    /// transpose and all.
+    fn place_tiles(
+        &self,
+        plane_bytes: &[Cow<'_, [u8]>],
+        coeffs: Range<usize>,
+        placer: &mut Placer<'_>,
+        out: &mut [f64],
+        imp: TileImpl,
+    ) {
+        debug_assert_eq!(coeffs.start % transpose::TILE, 0);
+        let bu = self.num_planes as usize;
+        let expected = self.count.div_ceil(8);
+        let mut values = [0.0f64; transpose::TILE];
+        for lo in coeffs.clone().step_by(transpose::TILE) {
+            let n = (coeffs.end - lo).min(transpose::TILE);
+            let base = lo / 8;
+            let nbytes = (expected - base).min(8);
+            let mut y = [0u64; transpose::TILE];
+            let mut any = 0u64;
+            for (yk, pb) in y[transpose::TILE - bu..].iter_mut().zip(plane_bytes) {
+                let mut wb = [0u8; 8];
+                wb[..nbytes].copy_from_slice(&pb[base..base + nbytes]);
+                *yk = u64::from_be_bytes(wb);
+                any |= *yk;
+            }
+            if any == 0 {
+                placer.skip(n);
+                continue;
+            }
+            #[cfg(test)]
+            TILES_TRANSPOSED.with(|t| t.set(t.get() + 1));
+            transpose::transpose64(&mut y, imp);
+            for (slot, &d) in values.iter_mut().zip(&y[..n]) {
+                *slot = negabinary::from_negabinary(d) as f64 * self.step;
+            }
+            placer.put(out, &values[..n]);
         }
-        Ok(out)
     }
 
     /// Encode as a self-contained byte buffer (used by the artifact
@@ -550,18 +569,26 @@ impl LevelEncoding {
     }
 
     /// [`LevelEncoding::decode`] under an explicit execution policy: the
-    /// level decoder ([`LevelEncoding::decode_from_payloads_with`]) over
-    /// this encoding's own first `b` planes.
+    /// level decoder over this encoding's own first `b` planes, in a fresh
+    /// array (the staged oracle of the placed decode retrieval runs).
+    pub fn decode_with(&self, b: u32, exec: &ExecPolicy) -> Vec<f64> {
+        let mut out = vec![0.0; self.count];
+        self.place_with(b, &[Run::dense(self.count)], &mut out, exec);
+        out
+    }
+
+    /// The level decoder over this encoding's own first `b` planes (clamped
+    /// to `B`), placed along `runs` into `grid` as
+    /// [`LevelEncoding::decode_placed`] does.
     ///
     /// Own planes are a construction invariant — `encode` packs exactly one
     /// bit per coefficient and `from_parts` re-validates persisted planes
     /// the same way — so a failure here is a contract bug, not bad input:
     /// asserted, not routed through `PmrError`.
-    pub fn decode_with(&self, b: u32, exec: &ExecPolicy) -> Vec<f64> {
+    pub(crate) fn place_with(&self, b: u32, runs: &[Run], grid: &mut [f64], exec: &ExecPolicy) {
         let own = &self.planes[..b.min(self.num_planes) as usize];
-        let coeffs = self.decode_from_payloads_with(own, exec).unwrap_or_default();
-        assert_eq!(coeffs.len(), self.count, "own planes violated the construction invariant");
-        coeffs
+        let placed = self.decode_placed(own, runs, grid, exec);
+        assert!(placed.is_ok(), "own planes violated the construction invariant");
     }
 }
 
@@ -707,6 +734,26 @@ mod tests {
             let same = serial.iter().zip(&par).all(|(a, x)| a.to_bits() == x.to_bits());
             assert!(same, "b={b}");
         }
+    }
+
+    #[test]
+    fn only_tiles_with_set_digits_are_transposed() {
+        let transposed = |f: &dyn Fn()| {
+            let before = TILES_TRANSPOSED.with(std::cell::Cell::get);
+            f();
+            TILES_TRANSPOSED.with(std::cell::Cell::get) - before
+        };
+        // One non-zero coefficient in the fourth of 16 tiles.
+        let mut coeffs = vec![0.0; 1000];
+        coeffs[200] = -3.5;
+        let enc = LevelEncoding::encode(&coeffs, 32);
+        for kernel in [PlaneKernel::Auto, PlaneKernel::Swar] {
+            let exec = ExecPolicy::serial().with_kernel(kernel);
+            assert_eq!(transposed(&|| assert_eq!(enc.decode_with(32, &exec), coeffs)), 1);
+            assert_eq!(transposed(&|| assert_eq!(enc.decode_with(0, &exec), vec![0.0; 1000])), 0);
+        }
+        let zero = LevelEncoding::encode(&[0.0; 1000], 32);
+        assert_eq!(transposed(&|| assert_eq!(zero.decode(32), vec![0.0; 1000])), 0);
     }
 
     #[test]

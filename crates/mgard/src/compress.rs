@@ -3,13 +3,14 @@
 //! DNN retrievers plug into.
 
 use crate::bitplane::{LevelEncoding, DEFAULT_BITPLANES};
-use crate::decompose::{Decomposer, TransformMode};
+use crate::decompose::{Decomposer, Run, TransformMode};
 use crate::estimate::{estimate_error, theory_constants};
 use crate::exec::{fan_out, ExecPolicy, AUTO, PARALLEL_MIN_COEFFS, PARALLEL_MIN_POINTS};
 use crate::retrieve::{greedy_plan, greedy_plan_budget, plan_size, RetrievalPlan};
 use pmr_codec::PlaneKernel;
 use pmr_error::PmrError;
 use pmr_field::{Field, Shape};
+use std::convert::Infallible;
 use std::sync::OnceLock;
 
 /// Compression parameters.
@@ -420,16 +421,9 @@ impl Compressed {
                 self.levels.len()
             )));
         }
-        let exec = exec.unwrap_or(self.exec);
-        let coeffs: Vec<Vec<f64>> = self
-            .levels
-            .iter()
-            .zip(payloads)
-            .map(|(l, p)| {
-                l.decode_from_payloads_with(p, &exec.gate(l.count(), PARALLEL_MIN_COEFFS))
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(self.recompose_levels(&coeffs, None, &exec))
+        self.reconstruct(None, &exec.unwrap_or(self.exec), |l, runs, grid, exec| {
+            self.levels[l].decode_placed(&payloads[l], runs, grid, exec)
+        })
     }
 
     /// Bytes fetched under `plan` (the size interpreter).
@@ -485,33 +479,32 @@ impl Compressed {
         coarse_level: Option<usize>,
         exec: &ExecPolicy,
     ) -> Field {
-        let coeffs: Vec<Vec<f64>> = self
-            .levels
-            .iter()
-            .zip(&plan.planes)
-            .enumerate()
-            .map(|(l, (lvl, &b))| {
-                if coarse_level.is_some_and(|target| l > target) {
-                    vec![0.0; lvl.count()]
-                } else {
-                    lvl.decode_with(b, &exec.gate(lvl.count(), PARALLEL_MIN_COEFFS))
-                }
-            })
-            .collect();
-        self.recompose_levels(&coeffs, coarse_level, exec)
+        let Ok(field) = self.reconstruct(coarse_level, exec, |l, runs, grid, exec| {
+            self.levels[l].place_with(plan.planes[l], runs, grid, exec);
+            Ok::<(), Infallible>(())
+        });
+        field
     }
 
     /// The one decode tail — Direct, Store, sessions and pmrd clients all
-    /// end here: deinterleave the per-level coefficients and recompose, to
-    /// the full grid or only up to the grid of `coarse_level` (`0` =
-    /// coarsest).
-    fn recompose_levels(
+    /// end here. One zeroed grid; `place` decodes level `l` straight into
+    /// the grid positions its runs name; then the grid is recomposed, in
+    /// full or only up to the grid of `coarse_level` (`0` = coarsest).
+    /// Levels finer than `coarse_level` are not decoded at all: their
+    /// coefficients stay `+0.0`, what no planes decode to.
+    fn reconstruct<E>(
         &self,
-        coeffs: &[Vec<f64>],
         coarse_level: Option<usize>,
         exec: &ExecPolicy,
-    ) -> Field {
-        let mut data = self.decomposer.deinterleave(coeffs);
+        mut place: impl FnMut(usize, &[Run], &mut [f64], &ExecPolicy) -> Result<(), E>,
+    ) -> Result<Field, E> {
+        let mut data = vec![0.0; self.decomposer.shape().len()];
+        let decoded = coarse_level.map_or(self.levels.len(), |level| level + 1);
+        for (l, (lvl, runs)) in
+            self.levels.iter().zip(self.decomposer.level_runs()).enumerate().take(decoded)
+        {
+            place(l, &runs, &mut data, &exec.gate(lvl.count(), PARALLEL_MIN_COEFFS))?;
+        }
         let gated = exec.gate(data.len(), PARALLEL_MIN_POINTS);
         let (shape, data) = match coarse_level {
             None => {
@@ -523,7 +516,7 @@ impl Compressed {
                 self.decomposer.recompose_to_level_with(&mut data, level, &gated),
             ),
         };
-        Field::new(self.name.clone(), self.timestep, shape, data)
+        Ok(Field::new(self.name.clone(), self.timestep, shape, data))
     }
 }
 
@@ -843,6 +836,50 @@ mod tests {
         assert!(c.decode_plan(&bad, &DecodeOptions::default()).is_err());
         let opts = DecodeOptions::at_level(c.num_levels());
         assert!(c.decode_plan(&plan, &opts).is_err());
+    }
+
+    /// Tiles transposed on this thread while `f` runs.
+    fn tiles_transposed(f: impl FnOnce()) -> u64 {
+        use crate::bitplane::TILES_TRANSPOSED;
+        let before = TILES_TRANSPOSED.with(std::cell::Cell::get);
+        f();
+        TILES_TRANSPOSED.with(std::cell::Cell::get) - before
+    }
+
+    #[test]
+    fn decode_work_follows_the_planes_fetched() {
+        let serial =
+            |coarse_level| DecodeOptions { exec: Some(ExecPolicy::serial()), coarse_level };
+        let tiles = |c: &Compressed, planes: &[u32], coarse_level| {
+            let plan = RetrievalPlan::from_planes(planes.to_vec());
+            tiles_transposed(|| {
+                c.decode_plan(&plan, &serial(coarse_level)).expect("valid plan");
+            })
+        };
+        let c = Compressed::compress(&wave_field(17), &CompressConfig::default());
+        let full = c.plan_full().planes;
+        let nl = c.num_levels();
+
+        // No planes: no level is decoded.
+        assert_eq!(tiles(&c, &vec![0; nl], None), 0);
+        // A level at b = 0 costs nothing: the finest level's share is gone.
+        let mut no_finest = full.clone();
+        no_finest[nl - 1] = 0;
+        let coarse_share = tiles(&c, &no_finest, None);
+        assert!(coarse_share > 0 && coarse_share < tiles(&c, &full, None));
+        // Levels above `coarse_level` are not decoded, whatever the plan.
+        assert_eq!(tiles(&c, &full, Some(nl - 2)), coarse_share);
+        let mut only_coarsest = vec![0; nl];
+        only_coarsest[0] = full[0];
+        assert_eq!(tiles(&c, &full, Some(0)), tiles(&c, &only_coarsest, None));
+
+        // All-zero levels: a constant field's details are exactly zero
+        // under interpolation, so only the coarsest level is decoded.
+        let flat = Field::new("flat", 0, Shape::cube(17), vec![2.5; 17 * 17 * 17]);
+        let cfg = CompressConfig { mode: TransformMode::Interpolation, ..Default::default() };
+        let c = Compressed::compress(&flat, &cfg);
+        let coarsest = c.levels()[0].count().div_ceil(64) as u64;
+        assert_eq!(tiles(&c, &c.plan_full().planes, None), coarsest);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::batched;
 use crate::exec::ExecPolicy;
 use crate::transform::{forward_line, inverse_line, LineScratch};
 use pmr_field::Shape;
+use std::ops::Range;
 
 /// Which multilevel transform to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -299,51 +300,191 @@ impl Decomposer {
 
     /// Gather decomposed data into one contiguous coefficient array per
     /// level (the "interleaver" of the MGARD pipeline): the values at
-    /// [`Decomposer::level_indices`], collected in one pass over the rows
+    /// [`Decomposer::level_indices`], read along `Decomposer::level_runs`
     /// without materialising the index lists.
     pub fn interleave(&self, data: &[f64]) -> Vec<Vec<f64>> {
         assert_eq!(data.len(), self.shape.len());
-        let steps = self.steps();
-        let mut levels: Vec<Vec<f64>> =
-            self.level_counts().into_iter().map(Vec::with_capacity).collect();
-        for (row_steps, row) in self.rows_by_step() {
-            if row_steps == 0 {
-                levels[steps].extend_from_slice(&data[row]);
-            } else {
-                for (x, &v) in data[row].iter().enumerate() {
-                    levels[steps - row_steps.min(self.steps_active(x))].push(v);
+        self.level_runs()
+            .iter()
+            .zip(self.level_counts())
+            .map(|(runs, count)| {
+                let mut level = Vec::with_capacity(count);
+                for run in runs {
+                    let from = &data[run.start..];
+                    if run.stride == 1 {
+                        level.extend_from_slice(&from[..run.count]);
+                    } else {
+                        level.extend(from.iter().step_by(run.stride).take(run.count));
+                    }
                 }
-            }
-        }
-        levels
+                level
+            })
+            .collect()
     }
 
     /// Scatter per-level coefficient arrays back into a full grid buffer
-    /// (the inverse of [`Decomposer::interleave`]). Arrays of the wrong
-    /// length (never produced by `interleave`, but possible with truncated
-    /// external input) are rejected.
+    /// (the inverse of [`Decomposer::interleave`]) along
+    /// `Decomposer::level_runs` — the placement the retrieval decoder
+    /// writes through. Arrays of the wrong length (never produced by
+    /// `interleave`, but possible with truncated external input) are
+    /// rejected.
     pub fn deinterleave(&self, levels: &[Vec<f64>]) -> Vec<f64> {
         assert_eq!(levels.len(), self.levels, "level count mismatch");
         for (group, count) in levels.iter().zip(self.level_counts()) {
             assert_eq!(group.len(), count, "level size mismatch");
         }
-        let steps = self.steps();
         let mut data = vec![0.0; self.shape.len()];
-        let mut taken = vec![0usize; self.levels];
-        for (row_steps, row) in self.rows_by_step() {
-            if row_steps == 0 {
-                let from = taken[steps];
-                taken[steps] += row.len();
-                data[row].copy_from_slice(&levels[steps][from..taken[steps]]);
-            } else {
-                for (x, v) in data[row].iter_mut().enumerate() {
-                    let level = steps - row_steps.min(self.steps_active(x));
-                    *v = levels[level][taken[level]];
-                    taken[level] += 1;
-                }
-            }
+        for (values, runs) in levels.iter().zip(self.level_runs()) {
+            Placer::new(&runs, 0).put(&mut data, values);
         }
         data
+    }
+
+    /// Every level's nodes as strided runs along the x-rows: level `l`'s
+    /// coefficient `i` sits at the `i`-th position of `level_runs()[l]`,
+    /// taken run by run. Runs come in row-major order, so a level's
+    /// positions rise with its coefficient index — the order
+    /// [`Decomposer::level_indices`] pins.
+    ///
+    /// A row whose `(y, z)` stays active for `r` steps holds, for each
+    /// `t < r`, the `x` with exactly `t` trailing zeros at level
+    /// `steps − t`, and the multiples of `2^r` at level `steps − r`.
+    pub(crate) fn level_runs(&self) -> Vec<Vec<Run>> {
+        let steps = self.steps();
+        let nx = self.shape.dim(0);
+        let mut levels = vec![Vec::new(); self.levels];
+        for (stays, row) in self.rows_by_step() {
+            for t in 0..stays {
+                let lead = 1usize << t;
+                if nx > lead {
+                    let count = (nx - lead).div_ceil(2 * lead);
+                    levels[steps - t].push(Run {
+                        start: row.start + lead,
+                        stride: 2 * lead,
+                        count,
+                    });
+                }
+            }
+            let stride = 1usize << stays;
+            levels[steps - stays].push(Run {
+                start: row.start,
+                stride,
+                count: nx.div_ceil(stride),
+            });
+        }
+        levels
+    }
+}
+
+/// `count` grid nodes of one level, `stride` apart from linear index
+/// `start`, all on one x-row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Run {
+    pub start: usize,
+    pub stride: usize,
+    pub count: usize,
+}
+
+impl Run {
+    /// A level laid out on its own: `count` consecutive values from 0.
+    pub(crate) fn dense(count: usize) -> Run {
+        Run { start: 0, stride: 1, count }
+    }
+}
+
+/// A cursor that writes a level's coefficients, in level order, to the
+/// positions its runs name. `out[0]` is grid position `base`, so a worker
+/// can own the slice of the grid its coefficients land in.
+pub(crate) struct Placer<'r> {
+    runs: std::slice::Iter<'r, Run>,
+    base: usize,
+    /// Grid position of the next node, and what is left of its run.
+    at: usize,
+    stride: usize,
+    left: usize,
+}
+
+impl<'r> Placer<'r> {
+    /// A cursor at the first node of `runs`.
+    pub(crate) fn new(runs: &'r [Run], base: usize) -> Self {
+        Placer { runs: runs.iter(), base, at: base, stride: 1, left: 0 }
+    }
+
+    /// Deal the `count` nodes of `runs` out as ranges of `chunk` nodes,
+    /// each with a cursor at its first node and the part of `grid` it
+    /// writes to. A level's positions rise with its node index, so cutting
+    /// `grid` at each range's first position gives every range the one
+    /// stretch its nodes lie in.
+    pub(crate) fn split<'g>(
+        runs: &'r [Run],
+        grid: &'g mut [f64],
+        count: usize,
+        chunk: usize,
+    ) -> Vec<(Range<usize>, Placer<'r>, &'g mut [f64])> {
+        let mut starts = Vec::with_capacity(count.div_ceil(chunk));
+        let (mut r, mut before) = (0, 0);
+        for lo in (0..count).step_by(chunk) {
+            while before + runs[r].count <= lo {
+                before += runs[r].count;
+                r += 1;
+            }
+            starts.push((lo, r, lo - before, runs[r].start + (lo - before) * runs[r].stride));
+        }
+        let mut rest = grid;
+        let mut jobs = Vec::with_capacity(starts.len());
+        for (lo, r, skip, pos) in starts.into_iter().rev() {
+            let (head, mine) = rest.split_at_mut(pos);
+            rest = head;
+            let mut placer = Placer::new(&runs[r..], pos);
+            placer.skip(skip);
+            jobs.push((lo..(lo + chunk).min(count), placer, mine));
+        }
+        jobs
+    }
+
+    /// The number of nodes the cursor can move now (0 once the runs are
+    /// used up), loading the next run when the current one is.
+    fn ready(&mut self) -> usize {
+        while self.left == 0 {
+            let Some(run) = self.runs.next() else { return 0 };
+            (self.at, self.stride, self.left) = (run.start, run.stride, run.count);
+        }
+        self.left
+    }
+
+    /// Move past the next `n` nodes without writing them.
+    pub(crate) fn skip(&mut self, mut n: usize) {
+        while n > 0 {
+            let m = n.min(self.ready());
+            if m == 0 {
+                return;
+            }
+            self.at += m * self.stride;
+            self.left -= m;
+            n -= m;
+        }
+    }
+
+    /// Write `values` to the next `values.len()` nodes.
+    pub(crate) fn put(&mut self, out: &mut [f64], mut values: &[f64]) {
+        while !values.is_empty() {
+            let m = values.len().min(self.ready());
+            if m == 0 {
+                return;
+            }
+            let (now, rest) = values.split_at(m);
+            let from = self.at - self.base;
+            if self.stride == 1 {
+                out[from..from + m].copy_from_slice(now);
+            } else {
+                for (slot, &v) in out[from..].iter_mut().step_by(self.stride).zip(now) {
+                    *slot = v;
+                }
+            }
+            self.at += m * self.stride;
+            self.left -= m;
+            values = rest;
+        }
     }
 }
 
@@ -456,19 +597,88 @@ mod tests {
         assert!(groups[3].len() > groups[2].len());
     }
 
+    /// 1-, 2- and 3-D decomposers, odd, even and anisotropic, at levels
+    /// 1..=7 (clamped where the shape has fewer).
+    fn layouts() -> impl Iterator<Item = Decomposer> {
+        let d1 = [2usize, 3, 5, 8, 9, 16, 17, 33, 64, 100].map(Shape::d1);
+        let d2 = [(5, 9), (8, 8), (17, 33), (30, 7), (33, 3), (1, 9)].map(|(x, y)| Shape::d2(x, y));
+        let d3 = [(9, 9, 9), (17, 17, 17), (8, 12, 20), (33, 5, 2), (2, 3, 17)]
+            .map(|(x, y, z)| Shape::d3(x, y, z));
+        d1.into_iter().chain(d2).chain(d3).flat_map(|shape| {
+            (1..=7).map(move |levels| Decomposer::new(shape, levels, TransformMode::L2Projection))
+        })
+    }
+
     #[test]
     fn level_counts_match_level_indices() {
-        let d1 = [2usize, 3, 5, 8, 9, 16, 17, 33, 64, 100].map(Shape::d1);
-        let d2 = [(5, 9), (8, 8), (17, 33), (30, 7), (33, 3)].map(|(x, y)| Shape::d2(x, y));
-        let d3 =
-            [(9, 9, 9), (17, 17, 17), (8, 12, 20), (33, 5, 2)].map(|(x, y, z)| Shape::d3(x, y, z));
-        for shape in d1.into_iter().chain(d2).chain(d3) {
-            for levels in 1..=7 {
-                let dec = Decomposer::new(shape, levels, TransformMode::L2Projection);
-                let want: Vec<usize> = dec.level_indices().iter().map(Vec::len).collect();
-                assert_eq!(dec.level_counts(), want, "shape={shape} levels={levels}");
+        for dec in layouts() {
+            let want: Vec<usize> = dec.level_indices().iter().map(Vec::len).collect();
+            assert_eq!(dec.level_counts(), want, "shape={} levels={}", dec.shape(), dec.levels());
+        }
+    }
+
+    #[test]
+    fn level_runs_are_level_indices() {
+        for dec in layouts() {
+            let walked: Vec<Vec<usize>> = dec
+                .level_runs()
+                .iter()
+                .map(|runs| {
+                    runs.iter()
+                        .flat_map(|r| (0..r.count).map(move |i| r.start + i * r.stride))
+                        .collect()
+                })
+                .collect();
+            assert_eq!(
+                walked,
+                dec.level_indices(),
+                "shape={} levels={}",
+                dec.shape(),
+                dec.levels()
+            );
+        }
+    }
+
+    #[test]
+    fn split_cursors_write_what_one_cursor_writes() {
+        for dec in layouts().filter(|d| d.levels() > 1) {
+            for (level, runs) in dec.level_runs().iter().enumerate() {
+                let count: usize = runs.iter().map(|r| r.count).sum();
+                let values: Vec<f64> = (1..=count).map(|i| i as f64).collect();
+                let mut want = vec![0.0; dec.shape().len()];
+                Placer::new(runs, 0).put(&mut want, &values);
+                for chunk in [1, 3, 64] {
+                    let mut got = vec![0.0; dec.shape().len()];
+                    for (range, mut cursor, out) in Placer::split(runs, &mut got, count, chunk) {
+                        cursor.put(out, &values[range]);
+                    }
+                    assert_eq!(got, want, "shape={} level={level} chunk={chunk}", dec.shape());
+                }
             }
         }
+    }
+
+    #[test]
+    fn placer_skips_and_writes_across_runs() {
+        let runs = [
+            Run { start: 1, stride: 2, count: 3 },
+            Run { start: 8, stride: 1, count: 2 },
+            Run { start: 12, stride: 3, count: 2 },
+        ];
+        let mut grid = vec![0.0; 16];
+        let mut cursor = Placer::new(&runs, 0);
+        cursor.put(&mut grid, &[1.0, 2.0]);
+        cursor.skip(2);
+        cursor.put(&mut grid, &[3.0, 4.0, 5.0]);
+        let mut want = vec![0.0; 16];
+        (want[1], want[3], want[9], want[12], want[15]) = (1.0, 2.0, 3.0, 4.0, 5.0);
+        assert_eq!(grid, want);
+        // A cursor over a slice starting at grid position 9.
+        let mut tail = vec![0.0; 7];
+        let mut cursor = Placer::new(&runs[1..], 9);
+        cursor.skip(1);
+        cursor.put(&mut tail, &[6.0, 7.0]);
+        assert_eq!(tail, [6.0, 0.0, 0.0, 7.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -464,8 +464,8 @@ fn twin_shapes() -> [Shape; 11] {
     ]
 }
 
-/// `interleave`/`deinterleave` walk the rows with a cursor per level; the
-/// contract they implement is the gather/scatter through `level_indices`.
+/// `interleave`/`deinterleave` walk each level's strided runs; the contract
+/// they implement is the gather/scatter through `level_indices`.
 #[test]
 fn interleave_is_the_level_indices_gather() {
     for shape in twin_shapes() {
