@@ -396,6 +396,10 @@ impl<S: MutableSegmentStore> MutableSegmentStore for ShardFault<S> {
         self.inner.put(key, payload)
     }
 
+    fn put_batch(&self, batch: &[(SegmentKey, &[u8])]) -> Result<(), PmrError> {
+        self.inner.put_batch(batch)
+    }
+
     fn delete(&self, key: SegmentKey) -> Result<(), PmrError> {
         self.inner.delete(key)
     }
