@@ -26,7 +26,8 @@ pub struct AnalyzeConfig {
     /// artifacts and must use checked conversions.
     pub cast_paths: &'static [&'static str],
     /// `nondeterminism`: code that produces artifacts, plans, or fault
-    /// schedules and must be bit-reproducible.
+    /// schedules and must be bit-reproducible. `crates/sim/src` is listed
+    /// because it generates every seeded input field on worker threads.
     pub nondet_paths: &'static [&'static str],
     /// `panic_reach`: crates whose public entry points anchor the
     /// reachability walk — a panic site transitively reachable from one is
@@ -102,6 +103,7 @@ impl Default for AnalyzeConfig {
                 "crates/core/src",
                 "crates/conformance/src",
                 "crates/rng/src",
+                "crates/sim/src",
             ],
             entry_paths: &[
                 "crates/core/src",

@@ -10,7 +10,7 @@
 
 use pmr_codec::PlaneKernel;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Sentinel meaning "let the library pick" for [`ExecPolicy`] knobs.
 pub const AUTO: usize = 0;
@@ -62,9 +62,17 @@ impl ExecPolicy {
     }
 
     /// The thread count after resolving the [`AUTO`] sentinel.
+    ///
+    /// `AUTO` is resolved once per process: the first call asks
+    /// [`std::thread::available_parallelism`], which re-reads the affinity
+    /// mask and cgroup files (tens of microseconds), and every later call
+    /// reuses that answer. Every decode, encode and transform asks several
+    /// times.
     pub fn resolved_threads(&self) -> usize {
+        static AUTO_THREADS: OnceLock<usize> = OnceLock::new();
         if self.threads == AUTO {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            *AUTO_THREADS
+                .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         } else {
             self.threads
         }
@@ -144,6 +152,14 @@ mod tests {
     fn auto_resolves_to_at_least_one() {
         let p = ExecPolicy::default();
         assert!(p.resolved_threads() >= 1);
+    }
+
+    #[test]
+    fn auto_resolves_to_the_same_count_every_call() {
+        let first = ExecPolicy::default().resolved_threads();
+        for _ in 0..100 {
+            assert_eq!(ExecPolicy::default().resolved_threads(), first);
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! On-disk cache for generated datasets.
 //!
-//! Gray-Scott snapshots are expensive to recreate (the simulation must run
-//! from t = 0), and benches/examples/tests request the same snapshots over
-//! and over. The cache stores each `(config, field, timestep)` snapshot as
-//! one file in the `pmr-field` binary format, keyed by the config
-//! fingerprint.
+//! A Gray-Scott snapshot can only be recreated by running the simulation
+//! from t = 0 (about 2.5 ms per Euler step at 97³ on two cores, so 64
+//! snapshots of 10 steps take seconds), and benches/examples/tests request
+//! the same snapshots over and over. A WarpX snapshot is evaluated directly
+//! (about 0.15 s at 129³ on two cores). The cache stores each
+//! `(config, field, timestep)` snapshot as one file in the `pmr-field`
+//! binary format, keyed by the config fingerprint.
 
 use crate::gray_scott::{GrayScott, GrayScottConfig, GsSpecies};
 use crate::warpx::{warpx_field, WarpXConfig, WarpXField};

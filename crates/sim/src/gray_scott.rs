@@ -101,12 +101,22 @@ pub struct GrayScott {
     scratch_v: Vec<f64>,
     /// Integration steps taken so far.
     steps: usize,
+    /// Scoped threads each step runs on (resolved once, at construction).
+    workers: usize,
 }
 
 impl GrayScott {
     /// Initialise: `u = 1`, `v = 0`, with a perturbed seed cube in the
     /// centre plus small seeded noise (the standard Gray-Scott setup).
+    /// Steps run on one worker per core (one below 16,384 points).
     pub fn new(cfg: GrayScottConfig) -> Self {
+        Self::with_workers(cfg, crate::workers_for(cfg.size.pow(3)))
+    }
+
+    /// The same simulation as [`GrayScott::new`], stepped on exactly
+    /// `workers` scoped threads (no size gate). No value depends on
+    /// `workers`; tests use this to pin the split.
+    pub fn with_workers(cfg: GrayScottConfig, workers: usize) -> Self {
         assert!(cfg.size >= 4, "grid too small for the 7-point stencil");
         let shape = Shape::cube(cfg.size);
         let n = shape.len();
@@ -130,7 +140,16 @@ impl GrayScott {
             *ui += rng.range(-0.01..0.01);
         }
 
-        GrayScott { cfg, shape, u, v, scratch_u: vec![0.0; n], scratch_v: vec![0.0; n], steps: 0 }
+        GrayScott {
+            cfg,
+            shape,
+            u,
+            v,
+            scratch_u: vec![0.0; n],
+            scratch_v: vec![0.0; n],
+            steps: 0,
+            workers,
+        }
     }
 
     pub fn config(&self) -> &GrayScottConfig {
@@ -146,54 +165,17 @@ impl GrayScott {
         self.steps
     }
 
-    /// Advance one Euler step.
+    /// Advance one Euler step. Z-slabs of the new state are filled on the
+    /// workers; each reads the whole old state and writes only its slab.
     pub fn step(&mut self) {
         let n = self.cfg.size;
-        let shape = self.shape;
-        let (sx, sy, sz) = (shape.stride(0), shape.stride(1), shape.stride(2));
-        let u = &self.u;
-        let v = &self.v;
-        let nu = &mut self.scratch_u;
-        let nv = &mut self.scratch_v;
-        let GrayScottConfig { feed, kill, du, dv, dt, .. } = self.cfg;
-
-        for z in 0..n {
-            let zm = if z == 0 { n - 1 } else { z - 1 };
-            let zp = if z == n - 1 { 0 } else { z + 1 };
-            for y in 0..n {
-                let ym = if y == 0 { n - 1 } else { y - 1 };
-                let yp = if y == n - 1 { 0 } else { y + 1 };
-                let row = y * sy + z * sz;
-                let row_ym = ym * sy + z * sz;
-                let row_yp = yp * sy + z * sz;
-                let row_zm = y * sy + zm * sz;
-                let row_zp = y * sy + zp * sz;
-                for x in 0..n {
-                    let xm = if x == 0 { n - 1 } else { x - 1 };
-                    let xp = if x == n - 1 { 0 } else { x + 1 };
-                    let i = row + x * sx;
-                    let uc = u[i];
-                    let vc = v[i];
-                    let lap_u = u[row + xm]
-                        + u[row + xp]
-                        + u[row_ym + x]
-                        + u[row_yp + x]
-                        + u[row_zm + x]
-                        + u[row_zp + x]
-                        - 6.0 * uc;
-                    let lap_v = v[row + xm]
-                        + v[row + xp]
-                        + v[row_ym + x]
-                        + v[row_yp + x]
-                        + v[row_zm + x]
-                        + v[row_zp + x]
-                        - 6.0 * vc;
-                    let uvv = uc * vc * vc;
-                    nu[i] = uc + dt * (du * lap_u - uvv + feed * (1.0 - uc));
-                    nv[i] = vc + dt * (dv * lap_v + uvv - (feed + kill) * vc);
-                }
-            }
-        }
+        let per = crate::slab_planes(n, self.workers);
+        let (cfg, u, v) = (&self.cfg, &self.u[..], &self.v[..]);
+        let slabs =
+            self.scratch_u.chunks_mut(per * n * n).zip(self.scratch_v.chunks_mut(per * n * n));
+        crate::for_each_slab((0..).step_by(per).zip(slabs), |z0, (nu, nv)| {
+            step_slab(cfg, u, v, z0, nu, nv)
+        });
         std::mem::swap(&mut self.u, &mut self.scratch_u);
         std::mem::swap(&mut self.v, &mut self.scratch_v);
         self.steps += 1;
@@ -226,12 +208,157 @@ impl GrayScott {
     }
 }
 
+/// One Euler step of the z-planes from `z0` on, written to `nu`/`nv` (whole
+/// planes, `z0` first); `u`/`v` are the whole periodic cube. Each x-row is
+/// its two wrapping end points around a branch-free interior.
+fn step_slab<'a>(
+    cfg: &GrayScottConfig,
+    u: &'a [f64],
+    v: &'a [f64],
+    z0: usize,
+    nu: &mut [f64],
+    nv: &mut [f64],
+) {
+    let n = cfg.size;
+    let down = |i: usize| if i == 0 { n - 1 } else { i - 1 };
+    let up = |i: usize| if i == n - 1 { 0 } else { i + 1 };
+    let rows = nu.chunks_exact_mut(n).zip(nv.chunks_exact_mut(n));
+    for (r, (nu, nv)) in rows.enumerate() {
+        let (y, z) = (r % n, z0 + r / n);
+        // This x-row and its y−1, y+1, z−1, z+1 neighbour rows.
+        let rows_of = |a: &'a [f64]| {
+            [(y, z), (down(y), z), (up(y), z), (y, down(z)), (y, up(z))]
+                .map(|(y, z)| &a[(z * n + y) * n..][..n])
+        };
+        let [uc, uym, uyp, uzm, uzp] = rows_of(u);
+        let [vc, vym, vyp, vzm, vzp] = rows_of(v);
+        let mut end = |x: usize, xm: usize, xp: usize| {
+            let un = [uc[xm], uc[xp], uym[x], uyp[x], uzm[x], uzp[x]];
+            let vn = [vc[xm], vc[xp], vym[x], vyp[x], vzm[x], vzp[x]];
+            (nu[x], nv[x]) = react(cfg, uc[x], vc[x], un, vn);
+        };
+        end(0, n - 1, 1);
+        end(n - 1, n - 2, 0);
+        // The interior reads each neighbour as a shifted window of `n − 2`
+        // points, so no index needs a wrap or a bounds check.
+        let m = n - 2;
+        let win = |a: &'a [f64], from: usize| &a[from..][..m];
+        let un = [win(uc, 0), win(uc, 2), win(uym, 1), win(uyp, 1), win(uzm, 1), win(uzp, 1)];
+        let vn = [win(vc, 0), win(vc, 2), win(vym, 1), win(vyp, 1), win(vzm, 1), win(vzp, 1)];
+        let (uc, vc) = (win(uc, 1), win(vc, 1));
+        let (nu, nv) = (&mut nu[1..][..m], &mut nv[1..][..m]);
+        for x in 0..m {
+            (nu[x], nv[x]) = react(cfg, uc[x], vc[x], un.map(|s| s[x]), vn.map(|s| s[x]));
+        }
+    }
+}
+
+/// The Euler update of one point from its value and its six neighbours
+/// `[x−1, x+1, y−1, y+1, z−1, z+1]`, summed in that order.
+#[inline(always)]
+fn react(cfg: &GrayScottConfig, uc: f64, vc: f64, un: [f64; 6], vn: [f64; 6]) -> (f64, f64) {
+    let GrayScottConfig { feed, kill, du, dv, dt, .. } = *cfg;
+    let lap_u = un[0] + un[1] + un[2] + un[3] + un[4] + un[5] - 6.0 * uc;
+    let lap_v = vn[0] + vn[1] + vn[2] + vn[3] + vn[4] + vn[5] - 6.0 * vc;
+    let uvv = uc * vc * vc;
+    (
+        uc + dt * (du * lap_u - uvv + feed * (1.0 - uc)),
+        vc + dt * (dv * lap_v + uvv - (feed + kill) * vc),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn tiny_cfg() -> GrayScottConfig {
         GrayScottConfig { size: 12, snapshots: 3, steps_per_snapshot: 5, ..Default::default() }
+    }
+
+    impl GrayScott {
+        /// The per-point step, kept verbatim as the reference the
+        /// slab-parallel one must match bit for bit.
+        fn step_oracle(&mut self) {
+            let n = self.cfg.size;
+            let shape = self.shape;
+            let (sx, sy, sz) = (shape.stride(0), shape.stride(1), shape.stride(2));
+            let u = &self.u;
+            let v = &self.v;
+            let nu = &mut self.scratch_u;
+            let nv = &mut self.scratch_v;
+            let GrayScottConfig { feed, kill, du, dv, dt, .. } = self.cfg;
+
+            for z in 0..n {
+                let zm = if z == 0 { n - 1 } else { z - 1 };
+                let zp = if z == n - 1 { 0 } else { z + 1 };
+                for y in 0..n {
+                    let ym = if y == 0 { n - 1 } else { y - 1 };
+                    let yp = if y == n - 1 { 0 } else { y + 1 };
+                    let row = y * sy + z * sz;
+                    let row_ym = ym * sy + z * sz;
+                    let row_yp = yp * sy + z * sz;
+                    let row_zm = y * sy + zm * sz;
+                    let row_zp = y * sy + zp * sz;
+                    for x in 0..n {
+                        let xm = if x == 0 { n - 1 } else { x - 1 };
+                        let xp = if x == n - 1 { 0 } else { x + 1 };
+                        let i = row + x * sx;
+                        let uc = u[i];
+                        let vc = v[i];
+                        let lap_u = u[row + xm]
+                            + u[row + xp]
+                            + u[row_ym + x]
+                            + u[row_yp + x]
+                            + u[row_zm + x]
+                            + u[row_zp + x]
+                            - 6.0 * uc;
+                        let lap_v = v[row + xm]
+                            + v[row + xp]
+                            + v[row_ym + x]
+                            + v[row_yp + x]
+                            + v[row_zm + x]
+                            + v[row_zp + x]
+                            - 6.0 * vc;
+                        let uvv = uc * vc * vc;
+                        nu[i] = uc + dt * (du * lap_u - uvv + feed * (1.0 - uc));
+                        nv[i] = vc + dt * (dv * lap_v + uvv - (feed + kill) * vc);
+                    }
+                }
+            }
+            std::mem::swap(&mut self.u, &mut self.scratch_u);
+            std::mem::swap(&mut self.v, &mut self.scratch_v);
+            self.steps += 1;
+        }
+    }
+
+    fn bits(a: &[f64]) -> Vec<u64> {
+        a.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn matches_the_per_point_oracle_at_every_worker_count() {
+        for size in [4, 5, 12, 17, 33] {
+            let cfg = GrayScottConfig { size, ..Default::default() };
+            let mut want = GrayScott::with_workers(cfg, 1);
+            let mut sims: Vec<GrayScott> = [0, 1, 2, 3, 7]
+                .iter()
+                .map(
+                    |&w| if w == 0 { GrayScott::new(cfg) } else { GrayScott::with_workers(cfg, w) },
+                )
+                .collect();
+            for step in 1..=30 {
+                want.step_oracle();
+                for sim in &mut sims {
+                    sim.step();
+                    assert!(
+                        bits(&sim.u) == bits(&want.u) && bits(&sim.v) == bits(&want.v),
+                        "{size}^3, {} workers, step {step} differs from the oracle",
+                        sim.workers
+                    );
+                    assert_eq!(sim.steps_taken(), step);
+                }
+            }
+        }
     }
 
     #[test]

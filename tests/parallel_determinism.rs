@@ -1,10 +1,15 @@
 //! The parallel data path must be bit-identical to the serial one: same
 //! serialized artifact bytes, same error matrix `Err[l][b]`, same
 //! reconstructed samples — across dimensionalities and above/below the
-//! size gates that demote small inputs to serial execution.
+//! size gates that demote small inputs to serial execution. The same holds
+//! for the data generators that feed it.
 
 use pmr::field::{Field, Shape};
 use pmr::mgard::{persist, retrieve_many, CompressConfig, Compressed, RetrievalPlan};
+use pmr::sim::{
+    warpx_field, warpx_field_with_workers, GrayScott, GrayScottConfig, GsSpecies, WarpXConfig,
+    WarpXField,
+};
 
 fn wavy(shape: Shape) -> Field {
     Field::from_fn("det", 3, shape, |x, y, z| {
@@ -62,6 +67,34 @@ fn parallel_compression_is_bit_identical() {
             let bs: Vec<u64> = rs.data().iter().map(|v| v.to_bits()).collect();
             let bp: Vec<u64> = rp.data().iter().map(|v| v.to_bits()).collect();
             assert_eq!(bs, bp, "reconstructions differ for {shape} at rel {rel}");
+        }
+    }
+}
+
+/// The data generators fill z-slabs on scoped workers; no operation combines
+/// two grid points, so every worker count must give the one-worker field.
+#[test]
+fn generators_are_bit_identical_to_one_worker() {
+    let bits = |a: &[f64]| a.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+
+    let cfg = WarpXConfig { size: 33, snapshots: 8, ..Default::default() };
+    let serial = warpx_field_with_workers(&cfg, WarpXField::Bx, 5, 1);
+    for field in
+        [warpx_field(&cfg, WarpXField::Bx, 5), warpx_field_with_workers(&cfg, WarpXField::Bx, 5, 4)]
+    {
+        assert_eq!(bits(field.data()), bits(serial.data()), "WarpX B_x at 33^3");
+    }
+
+    let cfg = GrayScottConfig { size: 33, ..Default::default() };
+    let mut sims =
+        [GrayScott::with_workers(cfg, 1), GrayScott::new(cfg), GrayScott::with_workers(cfg, 4)];
+    for _ in 0..5 {
+        sims.iter_mut().for_each(GrayScott::step);
+    }
+    for species in [GsSpecies::U, GsSpecies::V] {
+        let serial = bits(sims[0].snapshot(species, 0).data());
+        for sim in &sims[1..] {
+            assert_eq!(bits(sim.snapshot(species, 0).data()), serial, "Gray-Scott at 33^3");
         }
     }
 }
