@@ -17,6 +17,23 @@ use crate::parse::{Call, Callee, ParsedFile};
 use crate::report::Violation;
 use std::collections::{BTreeMap, VecDeque};
 
+/// `panic_reach`: crates whose public entry points anchor the reachability
+/// walk — a panic site transitively reachable from one is a violation even
+/// outside `panic_paths`.
+pub const ENTRY_PATHS: &[&str] = &[
+    "crates/core/src",
+    "crates/mgard/src",
+    "crates/storage/src",
+    "crates/sim/src",
+    "crates/pmrd/src",
+    "crates/codec/src",
+];
+
+/// `panic_reach`: function-name prefixes that mark an entry point in
+/// [`ENTRY_PATHS`] (e.g. `retrieve` matches `retrieve_tolerant`).
+pub const ENTRY_PREFIXES: &[&str] =
+    &["compress", "retrieve", "fetch", "extract_planes", "reassemble_digits", "transpose64"];
+
 /// Method names too generic to fan out to unrelated impls: a call through
 /// an untyped receiver to one of these is left unresolved rather than
 /// over-approximated (exact same-type matches still resolve). The atomic
@@ -202,13 +219,13 @@ impl CallGraph {
     }
 
     /// Entry-point node ids for the panic-reachability walk, sorted.
-    pub fn entries(&self, cfg: &AnalyzeConfig) -> Vec<usize> {
+    pub fn entries(&self) -> Vec<usize> {
         (0..self.nodes.len())
             .filter(|&i| {
                 let n = &self.nodes[i];
                 !n.is_test
-                    && in_scope(cfg.entry_paths, &n.rel_path)
-                    && cfg.entry_prefixes.iter().any(|p| n.name.starts_with(p))
+                    && in_scope(ENTRY_PATHS, &n.rel_path)
+                    && ENTRY_PREFIXES.iter().any(|p| n.name.starts_with(p))
             })
             .collect()
     }
@@ -430,7 +447,7 @@ fn resolve_path(
 /// wherever it sits — reported at the site with the shortest entry chain
 /// (just the function itself when only its path puts it in scope).
 pub fn panic_reach(files: &[ParsedFile], graph: &CallGraph, cfg: &AnalyzeConfig) -> Vec<Violation> {
-    let entries = graph.entries(cfg);
+    let entries = graph.entries();
     let reach = graph.reachable_from(&entries);
     let mut out = Vec::new();
     for (i, node) in graph.nodes.iter().enumerate() {
@@ -558,12 +575,11 @@ mod tests {
 
     #[test]
     fn entries_respect_paths_and_prefixes() {
-        let cfg = AnalyzeConfig::default();
         let (_, g) = build(&[
             ("crates/core/src/lib.rs", "pub fn retrieve() {}\npub fn other() {}"),
             ("crates/nn/src/lib.rs", "pub fn retrieve_model() {}"),
         ]);
-        let entries = g.entries(&cfg);
+        let entries = g.entries();
         // core retrieve qualifies; core other (name) and nn (path) do not.
         assert_eq!(entries, vec![node(&g, "pmr_core::retrieve")]);
     }

@@ -13,7 +13,6 @@
 //! unify, which can only *miss* a protocol pairing, never invent one.
 
 use crate::callgraph::{CallGraph, Node};
-use crate::config::AnalyzeConfig;
 use crate::dataflow::{matching_close, Acquisition, BodyScan};
 use crate::lexer::TokKind;
 use crate::parse::{Callee, FnInfo, ParsedFile};
@@ -32,12 +31,11 @@ const MAX_ITERS: usize = 20;
 pub(crate) fn concurrency_lints(
     files: &[ParsedFile],
     graph: &CallGraph,
-    cfg: &AnalyzeConfig,
     acqs: &[Vec<Acquisition>],
 ) -> Vec<Violation> {
     let mut out = lock_consistency(files, graph, acqs);
     out.extend(atomic_ordering(files, graph));
-    out.extend(blocking_under_lock(files, graph, cfg, acqs));
+    out.extend(blocking_under_lock(files, graph, acqs));
     out
 }
 
@@ -456,7 +454,28 @@ fn resolve_atom_id(
 // ---------------------------------------------------------------------------
 // blocking_under_lock
 
-/// Call names that block without being listed in `blocking_calls`: a
+/// `blocking_under_lock`: the blocking-call taxonomy by exact name (segment
+/// fetches and backoff helpers are matched by name shape, see
+/// [`blocks_by_shape`]). `Condvar::wait` is deliberately absent — it
+/// releases the guard while parked.
+const BLOCKING_CALLS: &[&str] = &[
+    "sleep",
+    "join",
+    "park",
+    "recv",
+    "recv_timeout",
+    "recv_deadline",
+    "sync_all",
+    "sync_data",
+    "read_to_end",
+    "read_exact",
+    "write_all",
+    "write_vectored",
+    "accept",
+    "connect",
+];
+
+/// Call names that block without being listed in [`BLOCKING_CALLS`]: a
 /// segment fetch (`fetch*`, the atomic RMWs aside) and the retry/backoff
 /// helpers (`*sleep*`, `*retry*`, `*backoff*`) — a guard held across either
 /// stalls every peer for a storage round-trip or a backoff interval.
@@ -466,17 +485,16 @@ fn blocks_by_shape(name: &str) -> bool {
 }
 
 /// The `blocking_under_lock` lint: flag calls in a guard's live range that
-/// are in the blocking-call taxonomy (`blocking_calls` by name,
+/// are in the blocking-call taxonomy ([`BLOCKING_CALLS`] by name,
 /// [`blocks_by_shape`] by shape), directly or through any resolved callee
 /// (computed as a reachability fixpoint over the call graph, carrying the
 /// name of the witnessing blocking call).
 fn blocking_under_lock(
     files: &[ParsedFile],
     graph: &CallGraph,
-    cfg: &AnalyzeConfig,
     acqs: &[Vec<Acquisition>],
 ) -> Vec<Violation> {
-    let blocks = |name: &str| cfg.blocking_calls.contains(&name) || blocks_by_shape(name);
+    let blocks = |name: &str| BLOCKING_CALLS.contains(&name) || blocks_by_shape(name);
 
     // Direct witness: the first blocking call in each non-test body.
     let mut witness: Vec<Option<String>> = graph
@@ -564,7 +582,7 @@ mod tests {
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
         let graph = CallGraph::build(&files);
         let acqs = crate::dataflow::acquisitions(&files, &graph);
-        concurrency_lints(&files, &graph, &AnalyzeConfig::default(), &acqs)
+        concurrency_lints(&files, &graph, &acqs)
     }
 
     fn of<'a>(v: &'a [Violation], lint: &str) -> Vec<&'a Violation> {

@@ -11,7 +11,7 @@
 //! skipped, not guessed at.
 
 use crate::callgraph::CallGraph;
-use crate::config::{in_scope, AnalyzeConfig};
+use crate::config::in_scope;
 use crate::parse::{Callee, ParsedFile};
 use crate::report::Violation;
 use std::collections::{BTreeMap, BTreeSet};
@@ -102,17 +102,25 @@ fn expr_start(ci: usize, callee: &Callee) -> Option<usize> {
 // ---------------------------------------------------------------------------
 // error_swallow
 
+/// `error_swallow`: data-path crates where a discarded `Result` is a
+/// contract violation, not a style nit.
+pub const SWALLOW_PATHS: &[&str] = &[
+    "crates/codec/src",
+    "crates/mgard/src",
+    "crates/storage/src",
+    "crates/blockcodec/src",
+    "crates/core/src",
+    "crates/sim/src",
+    "crates/pmrd/src",
+];
+
 /// The `error_swallow` lint: `let _ = fallible()`, `.ok();` with the value
 /// dropped, and bare `fallible();` statements. Resolution comes from the
 /// call graph, so only calls known to return `Result` are flagged.
-pub fn error_swallow(
-    files: &[ParsedFile],
-    graph: &CallGraph,
-    cfg: &AnalyzeConfig,
-) -> Vec<Violation> {
+pub fn error_swallow(files: &[ParsedFile], graph: &CallGraph) -> Vec<Violation> {
     let mut out = Vec::new();
     for (ni, node) in graph.nodes.iter().enumerate() {
-        if node.is_test || !in_scope(cfg.swallow_paths, &node.rel_path) {
+        if node.is_test || !in_scope(SWALLOW_PATHS, &node.rel_path) {
             continue;
         }
         let f = &files[node.file];
@@ -473,9 +481,8 @@ mod tests {
         let mut files: Vec<ParsedFile> = sources.iter().map(|(p, s)| parse_file(p, s)).collect();
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
         let graph = CallGraph::build(&files);
-        let cfg = AnalyzeConfig::default();
         let acqs = acquisitions(&files, &graph);
-        (error_swallow(&files, &graph, &cfg), lock_order(&files, &graph, &acqs))
+        (error_swallow(&files, &graph), lock_order(&files, &graph, &acqs))
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!    `stale_suppression` hard error.
 //!
 //! Run it as `pmrtool analyze [--root <dir>] [--report out.json]`; it exits
-//! nonzero when any unwaived violation exists. The scope table is
-//! [`config::AnalyzeConfig::default`]; `pmrtool analyze --explain <id>`
+//! nonzero when any unwaived violation exists. The scope table is compiled
+//! in: [`config::AnalyzeConfig::default`] for the lexical lints, a `const`
+//! beside every other lint; `pmrtool analyze --explain <id>`
 //! documents each lint ([`lints::EXPLAIN`]).
 
 pub mod callgraph;
@@ -83,11 +84,11 @@ pub fn analyze_sources<'a>(
     // Phase 2 — interprocedural lints over the whole file set.
     let graph = callgraph::CallGraph::build(&files);
     raw.extend(callgraph::panic_reach(&files, &graph, cfg));
-    raw.extend(dataflow::error_swallow(&files, &graph, cfg));
-    raw.extend(taint::taint_lints(&files, &graph, cfg));
+    raw.extend(dataflow::error_swallow(&files, &graph));
+    raw.extend(taint::taint_lints(&files, &graph));
     let acqs = dataflow::acquisitions(&files, &graph);
     raw.extend(dataflow::lock_order(&files, &graph, &acqs));
-    raw.extend(concurrency::concurrency_lints(&files, &graph, cfg, &acqs));
+    raw.extend(concurrency::concurrency_lints(&files, &graph, &acqs));
 
     // Phase 3 — each file's findings meet its waivers, whichever lint
     // raised them; then staleness.

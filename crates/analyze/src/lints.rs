@@ -115,8 +115,8 @@ pub const EXPLAIN: [(&str, &str, &str, &str); 15] = [
         "taint_index",
         "No untrusted offset/length may reach slice indexing, `split_at`, or \
          `copy_from_slice` without a bound check.",
-        "Indices validated through a helper not listed in `taint_sanitizers`; add the helper \
-         to `AnalyzeConfig::default()` instead of waiving repeatedly.",
+        "Indices validated through a helper not listed in `TAINT_SANITIZERS`; add the helper \
+         there (`analyze::taint`) instead of waiving repeatedly.",
         "`// lint:allow(taint_index): <the check that bounds the index>`.",
     ),
     (
@@ -130,8 +130,8 @@ pub const EXPLAIN: [(&str, &str, &str, &str); 15] = [
         "checksum_gate",
         "Segment/artifact payloads must be checksum-verified before any decode entry point \
          sees their bytes, directly or transitively.",
-        "Decode paths verified by a function not listed in `verify_fns`.",
-        "Add the verifier to `verify_fns` in `AnalyzeConfig::default()`, or \
+        "Decode paths verified by a function not listed in `VERIFY_FNS`.",
+        "Add the verifier to `VERIFY_FNS` in `analyze::taint`, or \
          `// lint:allow(checksum_gate): <where verification happens>`.",
     ),
     (
@@ -443,12 +443,7 @@ mod tests {
 
     /// Lint `src` with every path-scoped lexical lint switched on.
     fn lints_of(src: &str) -> Vec<&'static str> {
-        let cfg = AnalyzeConfig {
-            panic_paths: &[""],
-            cast_paths: &[""],
-            nondet_paths: &[""],
-            ..AnalyzeConfig::default()
-        };
+        let cfg = AnalyzeConfig { panic_paths: &[""], cast_paths: &[""], nondet_paths: &[""] };
         report_of("crates/x/src/lib.rs", src, &cfg).violations.iter().map(|v| v.lint).collect()
     }
 
@@ -552,12 +547,7 @@ mod tests {
     #[test]
     fn scoping_limits_lints_to_their_paths() {
         let hot: &[&str] = &["crates/hot"];
-        let cfg = AnalyzeConfig {
-            panic_paths: hot,
-            cast_paths: hot,
-            nondet_paths: hot,
-            ..AnalyzeConfig::default()
-        };
+        let cfg = AnalyzeConfig { panic_paths: hot, cast_paths: hot, nondet_paths: hot };
         let src = "fn f(x: Option<u8>, y: u64) { x.unwrap(); let _ = y as u32; }";
         assert!(report_of("crates/cold/src/lib.rs", src, &cfg).is_clean());
         assert_eq!(report_of("crates/hot/src/lib.rs", src, &cfg).violations.len(), 2);

@@ -27,12 +27,84 @@
 //! a tainted buffer is clean (it is bounded by memory already received).
 
 use crate::callgraph::CallGraph;
-use crate::config::{in_scope, AnalyzeConfig};
+use crate::config::in_scope;
 use crate::dataflow::BodyScan;
 use crate::lexer::TokKind;
 use crate::parse::ParsedFile;
 use crate::report::Violation;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// `taint_alloc`/`taint_index`/`tainted_arith`: crates that ingest
+/// untrusted wire or disk bytes and must bound every length they read.
+/// Summaries are computed workspace-wide; findings are scoped here.
+pub const TAINT_PATHS: &[&str] = &[
+    "crates/pmrd/src",
+    "crates/storage/src",
+    "crates/codec/src",
+    "crates/mgard/src",
+    "crates/field/src",
+];
+
+/// Taint sources: call names whose return value (and `&mut` out-params)
+/// carry attacker-controlled bytes or lengths. `take` is deliberately
+/// absent — it collides with `std::mem::take`/`Iterator::take`; wire
+/// consumers go through the typed reads. `pmr_field::io::from_bytes` names
+/// its header reads `u32_at`/`u64_at` too, so a header-sized allocation
+/// there is checked like one in `mgard::persist`.
+const TAINT_SOURCES: &[&str] = &[
+    "u8",
+    "u16",
+    "u32",
+    "u64",
+    "f64",
+    "read_string",
+    "read",
+    "read_exact",
+    "read_frame",
+    "read_frame_limited",
+    "u32_at",
+    "u64_at",
+    "f64_at",
+];
+
+/// Taint sanitizers: call names that bound or validate a value; any
+/// expression containing one is considered clean.
+const TAINT_SANITIZERS: &[&str] = &[
+    "min",
+    "clamp",
+    "len",
+    "len_u32",
+    "decode_bounded",
+    "decompress_bounded",
+    "bounded_count",
+    "try_from",
+    "try_into",
+    "checked_add",
+    "checked_sub",
+    "checked_mul",
+    "checked_shl",
+    "saturating_add",
+    "saturating_sub",
+    "saturating_mul",
+    "verify_segment",
+    "contains",
+    "get",
+];
+
+/// `checksum_gate`: crates whose decode paths must verify checksums before
+/// structurally decoding untrusted payloads.
+pub const CHECKSUM_PATHS: &[&str] = &["crates/mgard/src", "crates/storage/src"];
+
+/// `checksum_gate`: decode entry points that must not see unverified
+/// tainted payloads.
+const DECODE_FNS: &[&str] = &["from_parts"];
+
+/// `checksum_gate`: verification calls that gate a decode (directly or
+/// transitively through a callee). `fnv1a64` is not one: a level takes its
+/// planes' digests as it is parsed (`LevelEncoding::from_parts`), so hashing
+/// alone proves nothing — the gate opens where a digest is *compared* with
+/// the stored one.
+const VERIFY_FNS: &[&str] = &["verify_segment", "verify_checksums"];
 
 /// Taint-mask bit marking "derived from an untrusted source call".
 const SOURCE: u64 = 1 << 63;
@@ -77,17 +149,13 @@ struct Env<'a> {
     call_at: &'a BTreeMap<usize, usize>,
     targets: &'a [Vec<usize>],
     summaries: &'a [FnTaint],
-    cfg: &'a AnalyzeConfig,
 }
 
 /// Run the four taint lints over the workspace.
-pub fn taint_lints(files: &[ParsedFile], graph: &CallGraph, cfg: &AnalyzeConfig) -> Vec<Violation> {
+pub fn taint_lints(files: &[ParsedFile], graph: &CallGraph) -> Vec<Violation> {
     // Which nodes perform checksum verification, transitively.
-    let mut reaches_verify: Vec<bool> = graph
-        .nodes
-        .iter()
-        .map(|n| !n.is_test && cfg.verify_fns.contains(&n.name.as_str()))
-        .collect();
+    let mut reaches_verify: Vec<bool> =
+        graph.nodes.iter().map(|n| !n.is_test && VERIFY_FNS.contains(&n.name.as_str())).collect();
     loop {
         let mut changed = false;
         for i in 0..graph.nodes.len() {
@@ -116,7 +184,7 @@ pub fn taint_lints(files: &[ParsedFile], graph: &CallGraph, cfg: &AnalyzeConfig)
             if graph.nodes[ni].is_test {
                 continue;
             }
-            let computed = scan_fn(files, graph, cfg, &summaries, &reaches_verify, ni, None);
+            let computed = scan_fn(files, graph, &summaries, &reaches_verify, ni, None);
             if merge(&mut summaries, ni, computed) {
                 changed = true;
             }
@@ -134,13 +202,13 @@ pub fn taint_lints(files: &[ParsedFile], graph: &CallGraph, cfg: &AnalyzeConfig)
         if node.is_test {
             continue;
         }
-        let taint_scope = in_scope(cfg.taint_paths, &node.rel_path);
-        let cks_scope = in_scope(cfg.checksum_paths, &node.rel_path);
+        let taint_scope = in_scope(TAINT_PATHS, &node.rel_path);
+        let cks_scope = in_scope(CHECKSUM_PATHS, &node.rel_path);
         if !taint_scope && !cks_scope {
             continue;
         }
         let mut viols = Vec::new();
-        scan_fn(files, graph, cfg, &summaries, &reaches_verify, ni, Some(&mut viols));
+        scan_fn(files, graph, &summaries, &reaches_verify, ni, Some(&mut viols));
         for v in viols {
             let in_scope = if v.lint == "checksum_gate" { cks_scope } else { taint_scope };
             if in_scope && seen.insert((v.lint, v.file.clone(), v.line)) {
@@ -176,7 +244,6 @@ fn merge(summaries: &mut [FnTaint], ni: usize, computed: FnTaint) -> bool {
 fn scan_fn(
     files: &[ParsedFile],
     graph: &CallGraph,
-    cfg: &AnalyzeConfig,
     summaries: &[FnTaint],
     reaches_verify: &[bool],
     ni: usize,
@@ -188,7 +255,7 @@ fn scan_fn(
     let scan = BodyScan::new(f, func.body);
     let call_at: BTreeMap<usize, usize> =
         func.calls.iter().enumerate().map(|(k, c)| (c.ci, k)).collect();
-    let env = Env { files, f, call_at: &call_at, targets: &graph.call_targets[ni], summaries, cfg };
+    let env = Env { files, f, call_at: &call_at, targets: &graph.call_targets[ni], summaries };
 
     // Variable → taint mask; parameters seed their own bit.
     let mut taint: BTreeMap<String, u64> = BTreeMap::new();
@@ -325,7 +392,7 @@ fn handle_call(
     let name = f.ct(ci).text.clone();
     let Some(close) = close_of(f, ci + 1) else { return };
 
-    if env.cfg.taint_sanitizers.contains(&name.as_str()) {
+    if TAINT_SANITIZERS.contains(&name.as_str()) {
         // A bounded/validated value: receiver chain and plain variable
         // arguments are considered clean from here on.
         let mut j = ci;
@@ -349,7 +416,7 @@ fn handle_call(
         return;
     }
 
-    if env.cfg.taint_sources.contains(&name.as_str()) {
+    if TAINT_SOURCES.contains(&name.as_str()) {
         // Source call: `&mut buf` / leading bare-variable arguments are
         // out-params the callee fills with untrusted bytes.
         for cj in (ci + 2)..close {
@@ -393,9 +460,9 @@ fn handle_call(
     // checksum_gate: a verify call (direct or transitive) opens the gate;
     // a decode entry point on a tainted payload before that is a finding.
     let targets = &env.targets[k];
-    if env.cfg.verify_fns.contains(&name.as_str()) || targets.iter().any(|&tg| reaches_verify[tg]) {
+    if VERIFY_FNS.contains(&name.as_str()) || targets.iter().any(|&tg| reaches_verify[tg]) {
         *verified = true;
-    } else if env.cfg.decode_fns.contains(&name.as_str()) {
+    } else if DECODE_FNS.contains(&name.as_str()) {
         let mask = eval_range(env, taint, ci + 2, close);
         if mask & SOURCE != 0 && !*verified {
             if let Some(out) = emit.as_deref_mut() {
@@ -407,7 +474,7 @@ fn handle_call(
                     format!(
                         "`{name}` decodes an untrusted payload before any checksum \
                          verification; verify (e.g. `{}`) before decoding",
-                        env.cfg.verify_fns.first().unwrap_or(&"")
+                        VERIFY_FNS.first().unwrap_or(&"")
                     ),
                     f.snippet(line),
                 ));
@@ -716,9 +783,7 @@ fn eval_range(env: &Env<'_>, taint: &BTreeMap<String, u64>, from: usize, to: usi
     let f = env.f;
     let to = to.min(f.code.len());
     for cj in from..to {
-        if env.call_at.contains_key(&cj)
-            && env.cfg.taint_sanitizers.contains(&f.ct(cj).text.as_str())
-        {
+        if env.call_at.contains_key(&cj) && TAINT_SANITIZERS.contains(&f.ct(cj).text.as_str()) {
             return 0;
         }
     }
@@ -729,7 +794,7 @@ fn eval_range(env: &Env<'_>, taint: &BTreeMap<String, u64>, from: usize, to: usi
             continue;
         }
         if let Some(&k) = env.call_at.get(&cj) {
-            if env.cfg.taint_sources.contains(&t.text.as_str())
+            if TAINT_SOURCES.contains(&t.text.as_str())
                 || env.targets[k].iter().any(|&tg| env.summaries[tg].returns_source)
             {
                 mask |= SOURCE;
@@ -858,7 +923,7 @@ mod tests {
         let mut files: Vec<ParsedFile> = sources.iter().map(|(p, s)| parse_file(p, s)).collect();
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
         let graph = CallGraph::build(&files);
-        taint_lints(&files, &graph, &AnalyzeConfig::default())
+        taint_lints(&files, &graph)
     }
 
     fn run(src: &str) -> Vec<Violation> {

@@ -362,10 +362,10 @@ fn default_scope_paths_exist() {
         ("panic_paths", cfg.panic_paths),
         ("cast_paths", cfg.cast_paths),
         ("nondet_paths", cfg.nondet_paths),
-        ("entry_paths", cfg.entry_paths),
-        ("swallow_paths", cfg.swallow_paths),
-        ("taint_paths", cfg.taint_paths),
-        ("checksum_paths", cfg.checksum_paths),
+        ("ENTRY_PATHS", pmr_analyze::callgraph::ENTRY_PATHS),
+        ("SWALLOW_PATHS", pmr_analyze::dataflow::SWALLOW_PATHS),
+        ("TAINT_PATHS", pmr_analyze::taint::TAINT_PATHS),
+        ("CHECKSUM_PATHS", pmr_analyze::taint::CHECKSUM_PATHS),
     ];
     for (field, paths) in tables {
         assert!(!paths.is_empty(), "{field} is empty: the lint is off");

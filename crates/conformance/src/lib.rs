@@ -16,12 +16,12 @@
 //! * [`differential`] — serial-vs-parallel bit-identity, batch-vs-per-item
 //!   equivalence, and monotonicity invariants (tighter bound ⇒ no fewer
 //!   bytes; more planes ⇒ no more error in stride aggregate).
-//! * [`faults`] — a seeded fault grid (schedules × seeds × tolerances over
-//!   the corpus) asserting the degraded-retrieval contract: no panic, and
-//!   the reconstruction always satisfies the bound the reader reports.
-//! * [`shard_faults`] — shard-level chaos over the replicated store: dead,
-//!   slow and flapping shards plus single-replica bit rot, asserting R ≥ 2
-//!   invisibility, honest R = 1 degradation and scrub/repair recovery.
+//! * [`faults`] — one seeded fault grid over a flat store and a sharded
+//!   N × R one (per-read schedules, dead/slow/flapping shards, replica bit
+//!   rot × seeds × tolerances over the corpus), every cell judged by one
+//!   oracle, [`check_outcome`]: the reported bound holds, an undegraded
+//!   cell is bit-identical to a healthy decode, and a degraded one is
+//!   reproduced by its achieved planes decoded from healthy payloads.
 //! * [`golden`] — small checked-in compressed blobs whose bytes, plans,
 //!   fetch sizes and achieved-error *bits* must stay identical until the
 //!   format intentionally changes.
@@ -37,15 +37,14 @@ pub mod faults;
 pub mod fields;
 pub mod golden;
 pub mod json;
-pub mod shard_faults;
 pub mod sweep;
 
-pub use faults::{fault_report_json, run_fault_grid, FaultGridConfig, FaultReport, FaultSchedule};
+pub use faults::{
+    check_outcome, fault_report_json, run_fault_grid, FaultGridConfig, FaultReport, FaultSchedule,
+    Verdict,
+};
 pub use fields::{catalogue, sim_slices, synthetic, FieldClass};
 pub use golden::{regenerate as regenerate_golden, verify as verify_golden};
-pub use shard_faults::{
-    run_shard_grid, shard_report_json, ShardFaultKind, ShardFaultReport, ShardGridConfig,
-};
 pub use sweep::{
     run_sweep, ConformanceReport, StrategyReport, SweepConfig, ToleranceGrid, ViolationBudget,
 };

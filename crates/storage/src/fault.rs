@@ -9,10 +9,15 @@
 //! seed, and what makes the determinism tests meaningful.
 //!
 //! Fault taxonomy (checked in this priority order, one fault per attempt):
-//! permanent loss → transient error → timeout → truncated read → bit flip →
-//! latency spike. Truncation and bit flips *return bytes* — the corruption
-//! is only caught downstream by checksum verification, exactly like real
-//! bit rot.
+//! permanent loss → flap → transient error → timeout → truncated read → bit
+//! flip → latency spike. Truncation and bit flips *return bytes* — the
+//! corruption is only caught downstream by checksum verification, exactly
+//! like real bit rot.
+//!
+//! A certain fault makes the injector a whole-store fault domain: wrapped
+//! around one child of a [`crate::ShardedStore`], `latency_spike: 1.0` is a
+//! slow shard and `flap_period` a flapping one (a dead shard is
+//! [`crate::ShardedStore::kill_shard`]).
 
 use crate::segment::{FetchError, MutableSegmentStore, SegmentKey, SegmentRead, SegmentStore};
 use pmr_error::PmrError;
@@ -41,6 +46,10 @@ pub struct FaultConfig {
     pub latency_spike: f64,
     /// Magnitude of an injected latency spike, in seconds.
     pub spike_s: f64,
+    /// A flapping store: each segment's attempts fail as transients in runs
+    /// of `flap_period`, alternating with runs that are served (attempts
+    /// `1..=p` fail, `p+1..=2p` serve, and so on). 0 turns flapping off.
+    pub flap_period: u32,
 }
 
 impl FaultConfig {
@@ -55,20 +64,20 @@ impl FaultConfig {
             bit_flip: 0.0,
             latency_spike: 0.0,
             spike_s: 0.0,
+            flap_period: 0,
         }
     }
 
     /// A moderately hostile tier: occasional transients, rare corruption.
     pub fn flaky(seed: u64) -> Self {
         FaultConfig {
-            seed,
-            permanent: 0.0,
             transient: 0.15,
             timeout: 0.05,
             truncate: 0.05,
             bit_flip: 0.05,
             latency_spike: 0.10,
             spike_s: 0.5,
+            ..FaultConfig::quiet(seed)
         }
     }
 
@@ -112,6 +121,7 @@ pub struct FaultEvent {
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
     PermanentLoss,
+    /// A retryable error: rolled, or a failing run of a flapping store.
     Transient,
     Timeout,
     /// Payload cut to this many bytes.
@@ -228,7 +238,9 @@ impl<S: SegmentStore> SegmentStore for FaultInjector<S> {
             }
             return Err(FetchError::Missing { level, plane });
         }
-        if self.roll(SALT_TRANSIENT, key, attempt) < self.cfg.transient {
+        let period = self.cfg.flap_period;
+        let flapping = period > 0 && ((attempt - 1) / period).is_multiple_of(2);
+        if flapping || self.roll(SALT_TRANSIENT, key, attempt) < self.cfg.transient {
             self.record(key, attempt, FaultKind::Transient);
             return Err(FetchError::Transient {
                 level,
@@ -280,118 +292,9 @@ impl<S: SegmentStore> SegmentStore for FaultInjector<S> {
     }
 }
 
-/// A shard-scoped fault domain: unlike [`FaultInjector`], which rolls dice
-/// per `(segment, attempt)`, a [`ShardFault`] puts the *whole child store*
-/// into one failure mode. Wrapped around one shard of a
-/// [`crate::ShardedStore`], it models the cluster-level failures the
-/// replication layer must absorb: a dead shard, a slow shard, a flapping
-/// shard.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ShardFaultMode {
-    /// Transparent pass-through.
-    Healthy,
-    /// Whole-shard permanent loss: every fetch reports `Missing`.
-    Dead,
-    /// Every read succeeds but is charged this much extra latency.
-    Slow { extra_latency_s: f64 },
-    /// The shard alternates between failing and serving: for each segment,
-    /// the first `period` attempts return `Transient`, the next `period`
-    /// succeed, and so on. Deterministic and fetch-order-independent
-    /// (attempt counters are per segment).
-    Flapping { period: u32 },
-}
-
-impl ShardFaultMode {
-    fn validate(&self) -> Result<(), PmrError> {
-        match *self {
-            ShardFaultMode::Healthy | ShardFaultMode::Dead => Ok(()),
-            ShardFaultMode::Slow { extra_latency_s } => {
-                if !extra_latency_s.is_finite() || extra_latency_s < 0.0 {
-                    return Err(PmrError::invalid_config(format!(
-                        "slow-shard extra latency must be finite and >= 0, got {extra_latency_s}"
-                    )));
-                }
-                Ok(())
-            }
-            ShardFaultMode::Flapping { period } => {
-                if period == 0 {
-                    return Err(PmrError::invalid_config(
-                        "flapping-shard period must be >= 1".to_string(),
-                    ));
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-/// Wraps one child store in a [`ShardFaultMode`]. Implements
-/// [`MutableSegmentStore`] too (writes pass through unfaulted — the fault
-/// model targets the read path, and repair must be able to fix a flapping
-/// shard while it misbehaves).
-pub struct ShardFault<S> {
-    inner: S,
-    mode: ShardFaultMode,
-    attempts: Mutex<BTreeMap<SegmentKey, u32>>,
-}
-
-impl<S: SegmentStore> ShardFault<S> {
-    pub fn new(inner: S, mode: ShardFaultMode) -> Result<Self, PmrError> {
-        mode.validate()?;
-        Ok(ShardFault { inner, mode, attempts: Mutex::new(BTreeMap::new()) })
-    }
-
-    pub fn mode(&self) -> ShardFaultMode {
-        self.mode
-    }
-
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: SegmentStore> SegmentStore for ShardFault<S> {
-    fn fetch(&self, key: SegmentKey) -> Result<SegmentRead, FetchError> {
-        let (level, plane) = key;
-        match self.mode {
-            ShardFaultMode::Healthy => self.inner.fetch(key),
-            ShardFaultMode::Dead => Err(FetchError::Missing { level, plane }),
-            ShardFaultMode::Slow { extra_latency_s } => {
-                let mut read = self.inner.fetch(key)?;
-                read.extra_latency_s += extra_latency_s;
-                Ok(read)
-            }
-            ShardFaultMode::Flapping { period } => {
-                let attempt = {
-                    let mut map = self.attempts.lock().unwrap_or_else(|p| p.into_inner());
-                    let n = map.entry(key).or_insert(0);
-                    *n += 1;
-                    *n
-                };
-                let phase = (attempt - 1) / period.max(1);
-                if phase % 2 == 0 {
-                    Err(FetchError::Transient {
-                        level,
-                        plane,
-                        detail: format!("shard flapping (attempt {attempt})"),
-                    })
-                } else {
-                    self.inner.fetch(key)
-                }
-            }
-        }
-    }
-
-    fn contains(&self, key: SegmentKey) -> bool {
-        self.inner.contains(key)
-    }
-
-    fn keys(&self) -> Vec<SegmentKey> {
-        self.inner.keys()
-    }
-}
-
-impl<S: MutableSegmentStore> MutableSegmentStore for ShardFault<S> {
+/// Writes pass through unfaulted: the fault model targets the read path, and
+/// repair must be able to fix a child store while it misbehaves.
+impl<S: MutableSegmentStore> MutableSegmentStore for FaultInjector<S> {
     fn put(&self, key: SegmentKey, payload: &[u8]) -> Result<(), PmrError> {
         self.inner.put(key, payload)
     }
@@ -503,42 +406,31 @@ mod tests {
     }
 
     #[test]
-    fn shard_fault_modes_behave() {
+    fn whole_store_faults_are_certain_ones() {
         let c = artifact();
         let key = (0usize, 0u32);
         let clean = c.levels()[0].plane_payload(0).to_vec();
+        let inject = |cfg| FaultInjector::new(MemStore::from_compressed(&c), cfg).unwrap();
 
-        let dead = ShardFault::new(MemStore::from_compressed(&c), ShardFaultMode::Dead).unwrap();
+        let dead = inject(FaultConfig { permanent: 1.0, ..FaultConfig::quiet(1) });
         assert!(dead.fetch(key).unwrap_err().is_permanent());
         assert!(dead.contains(key), "contains is a faultless existence probe");
 
-        let slow = ShardFault::new(
-            MemStore::from_compressed(&c),
-            ShardFaultMode::Slow { extra_latency_s: 0.25 },
-        )
-        .unwrap();
+        let slow =
+            inject(FaultConfig { latency_spike: 1.0, spike_s: 0.25, ..FaultConfig::quiet(1) });
         let read = slow.fetch(key).unwrap();
         assert_eq!(read.bytes(), clean);
         assert_eq!(read.extra_latency_s, 0.25);
 
-        let flap =
-            ShardFault::new(MemStore::from_compressed(&c), ShardFaultMode::Flapping { period: 2 })
-                .unwrap();
+        let flap = inject(FaultConfig { flap_period: 2, ..FaultConfig::quiet(1) });
         let outcomes: Vec<bool> = (0..6).map(|_| flap.fetch(key).is_ok()).collect();
         assert_eq!(outcomes, vec![false, false, true, true, false, false]);
+        assert!(flap.fetch((0, 1)).is_err(), "every segment starts its own cycle");
 
-        // Writes pass through even on a dead shard.
+        // Writes pass through even on a dead store.
         dead.put(key, b"fixed").unwrap();
         assert!(dead.fetch(key).unwrap_err().is_permanent());
         assert_eq!(dead.into_inner().fetch(key).unwrap().bytes(), b"fixed");
-    }
-
-    #[test]
-    fn shard_fault_rejects_invalid_modes() {
-        let c = artifact();
-        let store = MemStore::from_compressed(&c);
-        assert!(ShardFault::new(store.clone(), ShardFaultMode::Flapping { period: 0 }).is_err());
-        assert!(ShardFault::new(store, ShardFaultMode::Slow { extra_latency_s: -1.0 }).is_err());
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod segment;
 pub mod shard;
 pub mod tolerant;
 
-pub use fault::{FaultConfig, FaultEvent, FaultInjector, FaultKind, ShardFault, ShardFaultMode};
+pub use fault::{FaultConfig, FaultEvent, FaultInjector, FaultKind};
 pub use fetch::{ExpectedSegment, FetchExecutor, FetchStats, RetryPolicy};
 pub use scrub::{repair, scrub, RepairReport, ScrubReport};
 pub use segment::{

@@ -72,8 +72,11 @@ impl ShardConfig {
     }
 
     pub fn validate(&self) -> Result<(), PmrError> {
-        if self.shards == 0 {
-            return Err(PmrError::invalid_config("shard count must be >= 1"));
+        if self.shards == 0 || self.shards > MAX_SHARDS {
+            return Err(PmrError::invalid_config(format!(
+                "shard count must be in [1, {MAX_SHARDS}], got {}",
+                self.shards
+            )));
         }
         if self.replication == 0 || self.replication > self.shards {
             return Err(PmrError::invalid_config(format!(
@@ -81,12 +84,24 @@ impl ShardConfig {
                 self.shards, self.replication
             )));
         }
-        if self.vnodes == 0 {
-            return Err(PmrError::invalid_config("vnodes per shard must be >= 1"));
+        let ring = self.shards.checked_mul(self.vnodes).filter(|&n| n <= MAX_RING_POINTS);
+        if self.vnodes == 0 || ring.is_none() {
+            return Err(PmrError::invalid_config(format!(
+                "vnodes per shard must be >= 1 with shards x vnodes <= {MAX_RING_POINTS}, \
+                 got {} x {}",
+                self.shards, self.vnodes
+            )));
         }
         Ok(())
     }
 }
+
+/// Most child stores a topology may name. `shard.meta` comes from disk, and
+/// a store allocates per shard.
+const MAX_SHARDS: usize = 1 << 10;
+/// Most `(point, shard)` pairs the placement ring may hold: `shards ×
+/// vnodes`, allocated in one piece.
+const MAX_RING_POINTS: usize = 1 << 20;
 
 /// Observed health of one shard, for the `pmrd` Health op and `scrub`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -569,7 +584,7 @@ fn read_meta(dir: &Path) -> Result<ShardConfig, PmrError> {
         vnodes: get("vnodes")? as usize,
         seed: get("seed")?,
     };
-    cfg.validate()?;
+    cfg.validate().map_err(|e| PmrError::malformed("shard.meta", e.to_string()))?;
     Ok(cfg)
 }
 

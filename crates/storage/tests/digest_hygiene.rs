@@ -4,6 +4,7 @@
 //! still refused, whoever vouched for its digest and whatever happened to
 //! its bytes on the way up.
 
+use pmr_error::PmrError;
 use pmr_field::{Field, Shape};
 use pmr_mgard::{CompressConfig, Compressed};
 use pmr_rng::cases;
@@ -183,6 +184,87 @@ fn mutated_segment_files_are_corrupt_or_missing_never_served() {
             store.put(key, payload).unwrap();
         } else {
             std::fs::write(&log, &clean).unwrap();
+        }
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `shard.meta` is read from disk too. A topology whose ring would not fit
+/// in memory is malformed, not an allocation abort.
+#[test]
+fn a_shard_meta_naming_a_huge_topology_is_malformed() {
+    let c = artifact();
+    let dir = scratch("huge_meta");
+    let cfg = ShardConfig::try_new(3, 2).unwrap().with_hot_planes(1);
+    ShardedStore::write_files(&c, &dir, cfg).unwrap();
+    let meta = dir.join("shard.meta");
+    let clean = std::fs::read_to_string(&meta).unwrap();
+    for (field, value) in [("vnodes", "40000000000"), ("shards", "2000000000000")] {
+        let line = clean.lines().find(|l| l.starts_with(field)).unwrap();
+        std::fs::write(&meta, clean.replace(line, &format!("{field} {value}"))).unwrap();
+        let err = ShardedStore::open_dir(&dir).err().expect("refused");
+        assert!(matches!(err, PmrError::Malformed { .. }), "{field} {value}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Whatever a mutation leaves in `shard.meta`, the corpus either refuses to
+/// open or serves only the manifest's bytes.
+#[test]
+fn mutated_shard_meta_is_refused_or_serves_only_manifest_bytes() {
+    let c = artifact();
+    let dir = scratch("meta");
+    let cfg = ShardConfig::try_new(3, 2).unwrap().with_hot_planes(1);
+    ShardedStore::write_files(&c, &dir, cfg).unwrap();
+    let meta = dir.join("shard.meta");
+    let clean = std::fs::read_to_string(&meta).unwrap();
+    let lines: Vec<&str> = clean.lines().collect();
+    let keys: Vec<SegmentKey> = c
+        .levels()
+        .iter()
+        .enumerate()
+        .flat_map(|(l, lvl)| (0..lvl.num_planes()).map(move |k| (l, k)))
+        .collect();
+    cases("mutated_shard_meta_is_refused_or_serves_only_manifest_bytes", 256, |g| {
+        let mut bytes = clean.clone().into_bytes();
+        match g.range(0..4u32) {
+            0 => bytes.truncate(g.range(0..clean.len())),
+            1 => {
+                for _ in 0..g.range(1..4usize) {
+                    let at = g.range(0..bytes.len());
+                    bytes[at] = g.u8();
+                }
+            }
+            2 => {
+                let at = g.range(0..bytes.len());
+                bytes.splice(at..at, g.next_u64().to_string().into_bytes());
+            }
+            _ => {
+                let line = lines[g.range(1..lines.len())];
+                let field = line.split(' ').next().unwrap();
+                let value = g.one_of(&[
+                    "0",
+                    "1",
+                    "2",
+                    "1024",
+                    "1025",
+                    "1048576",
+                    "40000000000",
+                    "2000000000000",
+                    "18446744073709551615",
+                    "18446744073709551616",
+                    "-1",
+                ]);
+                bytes = clean.replace(line, &format!("{field} {value}")).into_bytes();
+            }
+        }
+        std::fs::write(&meta, &bytes).unwrap();
+        let Ok(mut store) = ShardedStore::open_dir(&dir) else { return };
+        store.attach_manifest(&c);
+        for &key in &keys {
+            if let Ok(read) = store.fetch(key) {
+                assert_eq!(read.bytes(), c.levels()[key.0].plane_payload(key.1), "{key:?}");
+            }
         }
     });
     std::fs::remove_dir_all(&dir).ok();

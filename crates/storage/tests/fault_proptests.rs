@@ -52,6 +52,7 @@ fn no_fault_schedule_breaks_the_reported_bound() {
             bit_flip: g.range(0.0..0.6),
             latency_spike: g.range(0.0..1.0),
             spike_s: 0.01,
+            flap_period: g.range(0..4u32),
         };
         let rel_bound = g.one_of(&[1e-2, 1e-3, 1e-5]);
         let replan = g.bool();

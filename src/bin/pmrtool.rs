@@ -9,7 +9,7 @@
 //! pmrtool info <in.pmrc>
 //! pmrtool conformance [--grid quick|full] [--seed N] [--golden <dir>]
 //!                     [--regen-golden] [--golden-only] [--report <path>]
-//! pmrtool faultsim [--grid quick|full] [--seed N] [--report <path>] [--shards]
+//! pmrtool faultsim [--grid quick|full] [--seed N] [--report <path>]
 //! pmrtool shard <in.pmrc> <out-dir> [--shards N] [--replication R] [--hot-planes H]
 //! pmrtool scrub <dir> --manifest <in.pmrc> [--repair] [--report <path>]
 //! pmrtool analyze [--root <dir>] [--report <path>]
@@ -21,7 +21,7 @@
 
 use pmr::analyze::{self, AnalyzeConfig};
 use pmr::blockcodec::{persist as block_persist, BlockCompressed, BlockConfig};
-use pmr::conformance::{self, FaultGridConfig, ShardGridConfig, SweepConfig};
+use pmr::conformance::{self, FaultGridConfig, SweepConfig};
 use pmr::core::{Backend, Dataset, RetrievalRequest, Theory};
 use pmr::field::io as field_io;
 use pmr::mgard::{persist, CompressConfig, Compressed, TransformMode};
@@ -51,7 +51,7 @@ const USAGE: &str = "usage:
   pmrtool info <in.pmrc>
   pmrtool conformance [--grid quick|full] [--seed N] [--golden <dir>]
                       [--regen-golden] [--golden-only] [--report <path>]
-  pmrtool faultsim [--grid quick|full] [--seed N] [--report <path>] [--shards]
+  pmrtool faultsim [--grid quick|full] [--seed N] [--report <path>]
   pmrtool shard <in.pmrc> <out-dir> [--shards N] [--replication R] [--hot-planes H]
   pmrtool scrub <dir> --manifest <in.pmrc> [--repair] [--report <path>]
   pmrtool analyze [--root <dir>] [--report <path>]
@@ -91,12 +91,11 @@ fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
 }
 
 fn positional<'a>(args: &'a [String], idx: usize, what: &str) -> Result<&'a str, String> {
-    // Every flag of this tool takes a value, so skip flags in pairs.
     let mut found = 0usize;
     let mut i = 0usize;
     while i < args.len() {
         if args[i].starts_with("--") {
-            i += 2;
+            i += if BARE_FLAGS.contains(&args[i].as_str()) { 1 } else { 2 };
             continue;
         }
         if found == idx {
@@ -285,10 +284,21 @@ fn retrieve_block(args: &[String], input: &str, output: &str) -> Result<(), Stri
     Ok(())
 }
 
-/// Is the bare flag present? (All other pmrtool flags take a value; these
-/// two are booleans, so check before value-style parsing.)
+/// The flags that take no value; every other flag takes one.
+const BARE_FLAGS: [&str; 3] = ["--repair", "--regen-golden", "--golden-only"];
+
+/// Is the bare flag (one of [`BARE_FLAGS`]) present?
 fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
+}
+
+/// A flag `cmd` does not know must fail, not be ignored: a gate invoked
+/// with an option it silently drops looks like a passing gate.
+fn only_flags(args: &[String], cmd: &str, known: &[&str]) -> Result<(), String> {
+    match args.iter().find(|a| a.starts_with("--") && !known.contains(&a.as_str())) {
+        Some(unknown) => Err(format!("{cmd} takes {}, not {unknown}", known.join(", "))),
+        None => Ok(()),
+    }
 }
 
 fn run_conformance(args: &[String]) -> Result<(), String> {
@@ -346,14 +356,12 @@ fn run_conformance(args: &[String]) -> Result<(), String> {
 }
 
 fn run_faultsim(args: &[String]) -> Result<(), String> {
+    only_flags(args, "faultsim", &["--grid", "--seed", "--report"])?;
     let grid_name = flag_value(args, "--grid")?.unwrap_or("quick");
     let seed: u64 = match flag_value(args, "--seed")? {
         Some(v) => parse(v, "--seed")?,
         None => 0xFA_017,
     };
-    if has_flag(args, "--shards") {
-        return run_shard_faultsim(args, grid_name, seed);
-    }
     let cfg = match grid_name {
         "quick" => FaultGridConfig::quick(seed),
         "full" => FaultGridConfig::full(seed),
@@ -373,31 +381,6 @@ fn run_faultsim(args: &[String]) -> Result<(), String> {
             eprintln!("FAIL: {f}");
         }
         Err(format!("{} fault-injection check(s) failed", report.failures.len()))
-    }
-}
-
-/// `faultsim --shards`: the shard-level chaos grid (dead, slow and
-/// flapping shards plus single-replica bit rot over replicated stores).
-fn run_shard_faultsim(args: &[String], grid_name: &str, seed: u64) -> Result<(), String> {
-    let cfg = match grid_name {
-        "quick" => ShardGridConfig::quick(seed),
-        "full" => ShardGridConfig::full(seed),
-        other => return Err(format!("unknown grid {other} (quick|full)")),
-    };
-    let report = conformance::run_shard_grid(&cfg);
-    println!("{}", report.summary());
-    if let Some(path) = flag_value(args, "--report")? {
-        std::fs::write(path, conformance::shard_report_json(&report, grid_name, seed))
-            .map_err(|e| format!("write {path}: {e}"))?;
-        println!("wrote report to {path}");
-    }
-    if report.passed() {
-        Ok(())
-    } else {
-        for f in &report.failures {
-            eprintln!("FAIL: {f}");
-        }
-        Err(format!("{} shard-chaos check(s) failed", report.failures.len()))
     }
 }
 
@@ -484,14 +467,7 @@ fn run_scrub(args: &[String]) -> Result<(), String> {
 }
 
 fn run_analyze(args: &[String]) -> Result<(), String> {
-    // A flag this command does not know must fail, not be ignored: a gate
-    // invoked with an option it silently drops looks like a passing gate.
-    if let Some(unknown) = args
-        .iter()
-        .find(|a| a.starts_with("--") && !["--root", "--report", "--explain"].contains(&a.as_str()))
-    {
-        return Err(format!("analyze takes --root, --report and --explain, not {unknown}"));
-    }
+    only_flags(args, "analyze", &["--root", "--report", "--explain"])?;
     if let Some(id) = flag_value(args, "--explain")? {
         // Rendered from `analyze::lints::EXPLAIN`, the one description of
         // each lint.

@@ -278,6 +278,8 @@ fn faultsim_runs_the_quick_grid_and_writes_a_report() {
     let json = std::fs::read_to_string(&report).expect("report written");
     assert!(json.contains("\"grid\": \"quick\""), "{json}");
     assert!(json.contains("\"passed\": true"), "fault grid reported failures: {json}");
+    assert!(json.contains("\"honest_verified\""), "{json}");
+    assert!(json.contains("\"rot_detected\""), "the sharded cells ran: {json}");
 
     // Unknown grid names are rejected cleanly.
     let out = pmrtool().args(["faultsim", "--grid", "bogus"]).output().unwrap();
@@ -287,26 +289,13 @@ fn faultsim_runs_the_quick_grid_and_writes_a_report() {
 }
 
 #[test]
-fn shard_faultsim_runs_the_quick_chaos_grid_and_writes_a_report() {
-    let dir = tempdir("shard_faultsim");
-    let report = dir.join("shard_faults.json");
-    let out = pmrtool()
-        .args(["faultsim", "--shards", "--grid", "quick", "--seed", "23", "--report"])
-        .arg(&report)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "shard faultsim failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("shard chaos grid:"), "missing summary line: {stdout}");
-    let json = std::fs::read_to_string(&report).expect("report written");
-    assert!(json.contains("\"grid\": \"quick\""), "{json}");
-    assert!(json.contains("\"passed\": true"), "shard chaos grid reported failures: {json}");
-    assert!(json.contains("\"honest_verified\""), "{json}");
-    std::fs::remove_dir_all(&dir).ok();
+fn faultsim_rejects_flags_it_does_not_take() {
+    // The sharded cells are part of the one grid: a leftover `--shards`
+    // must fail loudly rather than run the grid without it.
+    let out = pmrtool().args(["faultsim", "--shards", "--grid", "quick"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("not --shards"), "{stderr}");
 }
 
 #[test]
@@ -336,11 +325,11 @@ fn shard_and_scrub_roundtrip_detects_and_repairs_rot() {
     assert!(corpus.join("shard.meta").exists());
     assert!(corpus.join("shard_000").is_dir() && corpus.join("hot").is_dir());
 
-    // A fresh corpus scrubs clean.
+    // A fresh corpus scrubs clean. Flags go first: a bare `--repair` must
+    // not swallow the corpus directory as its value.
     let scrub = |extra: &[&str]| {
         let mut cmd = pmrtool();
-        cmd.arg("scrub").arg(&corpus).arg("--manifest").arg(&artifact);
-        cmd.args(extra);
+        cmd.arg("scrub").args(extra).arg(&corpus).arg("--manifest").arg(&artifact);
         cmd.output().unwrap()
     };
     let out = scrub(&[]);

@@ -6,8 +6,9 @@ mod common;
 
 use std::path::PathBuf;
 
+use pmr::conformance::{check_outcome, Verdict};
 use pmr::core::{retrieve, Backend, Dataset, RetrievalRequest, Theory};
-use pmr::field::{error::max_abs_error, Field, Shape};
+use pmr::field::{Field, Shape};
 use pmr::mgard::{persist, CompressConfig, Compressed};
 use pmr::storage::{FaultConfig, FaultInjector, FileStore, TolerantConfig};
 
@@ -47,17 +48,11 @@ fn file_store_under_injected_faults_honours_reported_bound() {
         let req = RetrievalRequest::abs(bound).with_tolerant(cfg.clone());
         let backend = Backend::Store { store: &inj, model: None };
         let out = retrieve(&Dataset::new(&c), &Theory, &req, &backend).expect("no hard failure");
-        let measured = max_abs_error(field.data(), out.field.data());
-        match &out.degraded {
-            None => assert!(measured <= bound, "seed {seed}: {measured:e} > {bound:e}"),
-            Some(deg) => {
-                assert!(
-                    measured <= deg.achievable_bound,
-                    "seed {seed}: degraded bound dishonest: {measured:e} > {:e}",
-                    deg.achievable_bound
-                );
-                assert!(!deg.lost_segments.is_empty());
-            }
+        let healthy = c.retrieve(&c.plan_theory(bound));
+        check_outcome(&field, &c, bound, &out.field, out.degraded.as_ref(), &healthy)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        if let Some(deg) = &out.degraded {
+            assert!(!deg.lost_segments.is_empty());
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -93,12 +88,9 @@ fn on_disk_corruption_is_caught_and_degrades_honestly() {
     assert!(out.planes[0] <= 1, "level 0 prefix must stop before the corrupt plane");
     let stats = out.stats.as_ref().expect("store path records stats");
     assert!(stats.corruptions > 0, "checksum mismatches must be counted");
-    let measured = max_abs_error(field.data(), out.field.data());
-    assert!(
-        measured <= deg.achievable_bound,
-        "degraded bound dishonest: {measured:e} > {:e}",
-        deg.achievable_bound
-    );
+    let healthy = c.retrieve(&plan);
+    let verdict = check_outcome(&field, &c, bound, &out.field, Some(deg), &healthy);
+    assert_eq!(verdict, Ok(Verdict::HonestVerified));
     std::fs::remove_dir_all(&dir).ok();
 }
 

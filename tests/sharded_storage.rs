@@ -17,6 +17,7 @@
 
 mod common;
 
+use pmr::conformance::{check_outcome, Verdict};
 use pmr::core::{retrieve, Backend, Dataset, RetrievalRequest, Theory};
 use pmr::field::{Field, Shape};
 use pmr::mgard::{persist, CompressConfig, Compressed};
@@ -38,8 +39,9 @@ fn artifact() -> (Field, Compressed) {
 fn r2_survives_any_single_shard_loss_bit_identically_through_backend_store() {
     let (field, c) = artifact();
     let cfg = ShardConfig::try_new(4, 2).expect("4 shards, R=2").with_hot_planes(1);
-    let ds = Dataset::new(&c).with_original(&field);
-    let req = RetrievalRequest::rel(1e-3).measured();
+    let ds = Dataset::new(&c);
+    let req = RetrievalRequest::rel(1e-3);
+    let bound = c.absolute_bound(1e-3);
     let direct = retrieve(&ds, &Theory, &req, &Backend::Direct).expect("direct retrieval");
 
     for dead in 0..4 {
@@ -48,16 +50,9 @@ fn r2_survives_any_single_shard_loss_bit_identically_through_backend_store() {
         let backend = Backend::Store { store: &store, model: None };
         let got = retrieve(&ds, &Theory, &req, &backend)
             .unwrap_or_else(|e| panic!("retrieval with shard {dead} dead failed: {e}"));
-        assert!(
-            !got.is_degraded(),
-            "R=2 must hide the loss of shard {dead}, got {:?}",
-            got.degraded
-        );
-        assert_eq!(
-            got.field.data(),
-            direct.field.data(),
-            "shard {dead} dead: reconstruction differs from Backend::Direct"
-        );
+        let verdict =
+            check_outcome(&field, &c, bound, &got.field, got.degraded.as_ref(), &direct.field);
+        assert_eq!(verdict, Ok(Verdict::BitIdentical), "R=2 must hide the loss of shard {dead}");
         assert_eq!(got.planes, direct.planes, "shard {dead} dead: plane counts diverged");
     }
 }
@@ -66,8 +61,10 @@ fn r2_survives_any_single_shard_loss_bit_identically_through_backend_store() {
 fn r1_shard_loss_degrades_honestly_through_backend_store() {
     let (field, c) = artifact();
     let cfg = ShardConfig::try_new(3, 1).expect("3 shards, R=1");
-    let ds = Dataset::new(&c).with_original(&field);
-    let req = RetrievalRequest::rel(1e-4).measured();
+    let ds = Dataset::new(&c);
+    let req = RetrievalRequest::rel(1e-4);
+    let bound = c.absolute_bound(1e-4);
+    let direct = retrieve(&ds, &Theory, &req, &Backend::Direct).expect("direct");
 
     let mut degraded_seen = 0usize;
     for dead in 0..3 {
@@ -76,27 +73,16 @@ fn r1_shard_loss_degrades_honestly_through_backend_store() {
         let backend = Backend::Store { store: &store, model: None };
         let got = retrieve(&ds, &Theory, &req, &backend)
             .unwrap_or_else(|e| panic!("R=1 retrieval with shard {dead} dead failed: {e}"));
-        let measured = got.achieved_error.expect("measured() requested");
-        match &got.degraded {
-            Some(deg) => {
-                degraded_seen += 1;
-                assert!(
-                    measured <= deg.achievable_bound,
-                    "shard {dead} dead: measured error {measured} exceeds the \
-                     reported achievable bound {}",
-                    deg.achievable_bound
-                );
-                assert!(
-                    deg.achievable_bound >= deg.requested_bound,
-                    "a degraded retrieval cannot claim a tighter bound than requested"
-                );
-            }
-            None => {
-                // The dead shard held nothing this plan needed; the result
-                // must then be indistinguishable from a healthy store.
-                let direct = retrieve(&ds, &Theory, &req, &Backend::Direct).expect("direct");
-                assert_eq!(got.field.data(), direct.field.data());
-            }
+        // Undegraded: the dead shard held nothing this plan needed, and the
+        // result is indistinguishable from a healthy store.
+        check_outcome(&field, &c, bound, &got.field, got.degraded.as_ref(), &direct.field)
+            .unwrap_or_else(|e| panic!("shard {dead} dead: {e}"));
+        if let Some(deg) = &got.degraded {
+            degraded_seen += 1;
+            assert!(
+                deg.achievable_bound >= deg.requested_bound,
+                "a degraded retrieval cannot claim a tighter bound than requested"
+            );
         }
     }
     assert!(
