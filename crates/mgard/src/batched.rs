@@ -30,6 +30,7 @@
 //! split into x-ranges for the y phase.
 
 use crate::decompose::{active_size, Decomposer, TransformMode};
+use crate::exec::{run_jobs, PARALLEL_MIN_POINTS};
 use crate::transform::CoarsePivots;
 use std::ops::Range;
 
@@ -90,7 +91,8 @@ impl Step {
 
 /// Run the decomposition steps `steps` over `data`, forward (decompose,
 /// ascending steps) or inverse (recompose, descending steps), on up to
-/// `threads` workers.
+/// `threads` workers — one for a step whose active grid is smaller than
+/// [`PARALLEL_MIN_POINTS`].
 pub(crate) fn run(
     data: &mut [f64],
     plan: &Decomposer,
@@ -101,6 +103,8 @@ pub(crate) fn run(
     let pass = Pass { forward, l2: plan.mode() == TransformMode::L2Projection };
     for s in steps {
         let step = Step::new(plan.shape().dims(), s, pass.l2);
+        let threads =
+            if step.m.iter().product::<usize>() < PARALLEL_MIN_POINTS { 1 } else { threads };
         if forward {
             inner_phases(data, &step, pass, threads);
             outer_phase(data, &step, pass, threads);
@@ -213,22 +217,6 @@ fn split_even<T>(items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
     let n = items.len();
     let mut items = items.into_iter();
     (0..parts).map(|w| items.by_ref().take(share(n, parts, w).len()).collect()).collect()
-}
-
-/// Run `work` on every job: the first on the calling thread, the others on
-/// scoped threads (joined, panics re-raised, before this returns).
-fn run_jobs<J: Send>(jobs: Vec<J>, work: impl Fn(J) + Sync) {
-    let mut jobs = jobs.into_iter();
-    let Some(first) = jobs.next() else {
-        return;
-    };
-    std::thread::scope(|scope| {
-        let work = &work;
-        for job in jobs {
-            scope.spawn(move || work(job));
-        }
-        work(first);
-    });
 }
 
 /// `d[k·sd] = f(d[k·sd], a[k·sa])` for `k < n`. With unit strides this is

@@ -26,7 +26,7 @@
 use crate::checksum::fnv1a64;
 use crate::decompose::{Placer, Run};
 use crate::encode_kernel::{self, LaneRows, LANES, MAX_PLANES};
-use crate::exec::{for_each_job, ExecPolicy};
+use crate::exec::{run_jobs, ExecPolicy};
 use pmr_codec::{
     bitstream::{BitReader, BitWriter},
     lossless, negabinary, transpose, TileImpl,
@@ -234,7 +234,7 @@ impl LevelEncoding {
             }
         }
         let mut lanes: Vec<LaneRows> = vec![[[0.0; LANES]; MAX_PLANES]; nchunks];
-        for_each_job(
+        run_jobs(
             coeffs.chunks(csize).zip(ranges).zip(lanes.iter_mut()),
             |((chunk, mut mine), lanes)| {
                 encode_kernel::encode_chunk(chunk, step, &weights, imp, &mut mine, lanes);
@@ -247,7 +247,7 @@ impl LevelEncoding {
         // way; planes are independent, so workers take them whole.
         let mut done: Vec<(Vec<u8>, u64)> = vec![(Vec::new(), 0); bu];
         let pchunk = bu.div_ceil(threads);
-        for_each_job(packed.chunks_mut(pchunk).zip(done.chunks_mut(pchunk)), |(packed, done)| {
+        run_jobs(packed.chunks_mut(pchunk).zip(done.chunks_mut(pchunk)), |(packed, done)| {
             for (raw, slot) in packed.iter_mut().zip(done) {
                 let plane = lossless::compress(&std::mem::take(raw));
                 let sum = fnv1a64(&plane);
@@ -370,7 +370,7 @@ impl LevelEncoding {
 
         let mut slots: Vec<Option<Cow<'_, [u8]>>> = vec![None; payloads.len()];
         let pchunk = payloads.len().div_ceil(threads);
-        for_each_job(slots.chunks_mut(pchunk).zip(payloads.chunks(pchunk)), |(slots, payloads)| {
+        run_jobs(slots.chunks_mut(pchunk).zip(payloads.chunks(pchunk)), |(slots, payloads)| {
             for (slot, p) in slots.iter_mut().zip(payloads) {
                 *slot = lossless::decompress_bounded(p.as_ref(), expected)
                     .filter(|bytes| bytes.len() == expected);
@@ -409,7 +409,7 @@ impl LevelEncoding {
 
         let csize = self.count.div_ceil(threads).max(1).div_ceil(transpose::TILE) * transpose::TILE;
         let imp = exec.kernel.tile_impl();
-        for_each_job(Placer::split(runs, grid, self.count, csize).into_iter(), |job| {
+        run_jobs(Placer::split(runs, grid, self.count, csize), |job| {
             let (coeffs, mut placer, out) = job;
             self.place_tiles(&plane_bytes, coeffs, &mut placer, out, imp);
         });
@@ -437,15 +437,22 @@ impl LevelEncoding {
         for lo in coeffs.clone().step_by(transpose::TILE) {
             let n = (coeffs.end - lo).min(transpose::TILE);
             let base = lo / 8;
-            let nbytes = (expected - base).min(8);
             let mut y = [0u64; transpose::TILE];
-            let mut any = 0u64;
-            for (yk, pb) in y[transpose::TILE - bu..].iter_mut().zip(plane_bytes) {
-                let mut wb = [0u8; 8];
-                wb[..nbytes].copy_from_slice(&pb[base..base + nbytes]);
-                *yk = u64::from_be_bytes(wb);
-                any |= *yk;
+            let lanes = y[transpose::TILE - bu..].iter_mut().zip(plane_bytes);
+            if base + 8 <= expected {
+                // Every tile but a level's last: one 8-byte load per plane.
+                for (yk, pb) in lanes {
+                    *yk = pb[base..].first_chunk().map_or(0, |w| u64::from_be_bytes(*w));
+                }
+            } else {
+                let nbytes = expected - base;
+                for (yk, pb) in lanes {
+                    let mut wb = [0u8; 8];
+                    wb[..nbytes].copy_from_slice(&pb[base..expected]);
+                    *yk = u64::from_be_bytes(wb);
+                }
             }
+            let any = y[transpose::TILE - bu..].iter().fold(0, |any, &yk| any | yk);
             if any == 0 {
                 placer.skip(n);
                 continue;

@@ -5,7 +5,7 @@
 use crate::bitplane::{LevelEncoding, DEFAULT_BITPLANES};
 use crate::decompose::{Decomposer, Run, TransformMode};
 use crate::estimate::{estimate_error, theory_constants};
-use crate::exec::{fan_out, ExecPolicy, AUTO, PARALLEL_MIN_COEFFS, PARALLEL_MIN_POINTS};
+use crate::exec::{fan_out, ExecPolicy, AUTO, PARALLEL_MIN_COEFFS};
 use crate::retrieve::{greedy_plan, greedy_plan_budget, plan_size, RetrievalPlan};
 use pmr_codec::PlaneKernel;
 use pmr_error::PmrError;
@@ -222,8 +222,7 @@ impl Compressed {
     pub fn compress_with(field: &Field, cfg: &CompressConfig, exec: &ExecPolicy) -> Self {
         let decomposer = Decomposer::new(field.shape(), cfg.levels, cfg.mode);
         let mut data = field.data().to_vec();
-        let gated = exec.gate(data.len(), PARALLEL_MIN_POINTS);
-        decomposer.decompose_with(&mut data, &gated);
+        decomposer.decompose_with(&mut data, exec);
         let levels: Vec<LevelEncoding> = decomposer
             .interleave(&data)
             .iter()
@@ -505,15 +504,14 @@ impl Compressed {
         {
             place(l, &runs, &mut data, &exec.gate(lvl.count(), PARALLEL_MIN_COEFFS))?;
         }
-        let gated = exec.gate(data.len(), PARALLEL_MIN_POINTS);
         let (shape, data) = match coarse_level {
             None => {
-                self.decomposer.recompose_with(&mut data, &gated);
+                self.decomposer.recompose_with(&mut data, exec);
                 (self.decomposer.shape(), data)
             }
             Some(level) => (
                 self.decomposer.grid_shape_at_level(level),
-                self.decomposer.recompose_to_level_with(&mut data, level, &gated),
+                self.decomposer.recompose_to_level_with(&mut data, level, exec),
             ),
         };
         Ok(Field::new(self.name.clone(), self.timestep, shape, data))

@@ -732,6 +732,28 @@ mod tests {
         roundtrip(shape, 5, TransformMode::L2Projection);
     }
 
+    /// Steps whose active grid reaches `PARALLEL_MIN_POINTS` are split by
+    /// the policy; the smaller ones run on the caller. Both must agree with
+    /// the serial transform.
+    #[test]
+    fn steps_above_the_parallel_gate_split_bit_identically() {
+        use crate::exec::ExecPolicy;
+        let shape = Shape::d2(129, 128);
+        let dec = Decomposer::new(shape, 4, TransformMode::L2Projection);
+        let orig = ramp(shape.len());
+        let mut serial = orig.clone();
+        dec.decompose(&mut serial);
+        for exec in [2, 3].map(ExecPolicy::with_threads) {
+            let mut par = orig.clone();
+            dec.decompose_with(&mut par, &exec);
+            assert!(serial.iter().zip(&par).all(|(a, b)| a.to_bits() == b.to_bits()), "{exec:?}");
+            dec.recompose_with(&mut par, &exec);
+            let mut back = serial.clone();
+            dec.recompose(&mut back);
+            assert!(back.iter().zip(&par).all(|(a, b)| a.to_bits() == b.to_bits()), "{exec:?}");
+        }
+    }
+
     #[test]
     fn parallel_transform_is_bit_identical() {
         use crate::exec::ExecPolicy;

@@ -128,3 +128,38 @@ fn batch_apis_match_individual_calls() {
         assert_eq!(single.name(), batched.name());
     }
 }
+
+/// Artifact bytes and full-bound reconstruction bits of one field.
+fn compress_and_retrieve(field: &Field, cfg: &CompressConfig) -> (Vec<u8>, Vec<u64>) {
+    let c = Compressed::compress(field, cfg);
+    let plan = c.plan_theory(c.absolute_bound(1e-4));
+    let bits = c.retrieve(&plan).data().iter().map(|v| v.to_bits()).collect();
+    (persist::to_bytes(&c).expect("serialize"), bits)
+}
+
+/// Threads that compress and retrieve at the same time share one worker
+/// pool, and a submitter that finds it busy runs its jobs itself. Whoever
+/// runs a job, every artifact and reconstruction must be the serial one.
+#[test]
+fn concurrent_submitters_match_a_serial_run() {
+    let fields = [Shape::d1(40_000), Shape::d2(210, 190), Shape::cube(36)].map(wavy);
+    let serial: Vec<_> = fields.iter().map(|f| compress_and_retrieve(f, &serial_cfg())).collect();
+    std::thread::scope(|scope| {
+        let submitters: Vec<_> = (0..4)
+            .map(|t| {
+                let fields = &fields;
+                scope.spawn(move || {
+                    (0..fields.len())
+                        .map(|k| (t + k) % fields.len())
+                        .map(|i| (i, compress_and_retrieve(&fields[i], &parallel_cfg())))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for submitter in submitters {
+            for (i, got) in submitter.join().expect("submitter thread") {
+                assert!(got == serial[i], "concurrent run differs for {}", fields[i].shape());
+            }
+        }
+    });
+}
