@@ -425,7 +425,7 @@ impl Cell<'_> {
     ) -> Result<(TolerantRetrieval, Vec<FaultEvent>), String> {
         let plan = self.c.plan_theory(bound);
         let fetch = |store: &dyn SegmentStore| {
-            fetch_plan_tolerant(self.c, store, &plan, bound, tolerant, None, None)
+            fetch_plan_tolerant(self.c, store, &plan, bound, tolerant, None)
                 .map_err(|e| format!("hard failure: {e}"))
         };
         match self.path {
@@ -599,10 +599,8 @@ fn check_rot_repair(
 /// [`check_outcome`].
 pub fn run_fault_grid(cfg: &FaultGridConfig) -> FaultReport {
     let mut report = FaultReport::default();
-    let tolerant = TolerantConfig {
-        policy: RetryPolicy { max_attempts: 6, ..RetryPolicy::default() },
-        ..TolerantConfig::default()
-    };
+    let tolerant =
+        TolerantConfig { policy: RetryPolicy { max_attempts: 6 }, ..TolerantConfig::default() };
     let fields = grid_corpus(cfg.seed, cfg.max_fields.max(cfg.shard_fields));
     for (fi, field) in fields.iter().enumerate() {
         let c = compress(field);
@@ -703,8 +701,7 @@ mod tests {
         let store = FaultInjector::new(MemStore::from_compressed(&c), lossy).unwrap();
         let tolerant = TolerantConfig::default();
         let out =
-            fetch_plan_tolerant(&c, &store, &c.plan_theory(bound), bound, &tolerant, None, None)
-                .unwrap();
+            fetch_plan_tolerant(&c, &store, &c.plan_theory(bound), bound, &tolerant, None).unwrap();
         let deg = out.degraded.as_ref().expect("p=0.3 loses planes the plan needs");
         assert_eq!(
             check_outcome(field, &c, bound, &out.field, Some(deg), &healthy),

@@ -22,9 +22,9 @@ use pmr_error::PmrError;
 use pmr_field::{error, Field};
 use pmr_mgard::{Compressed, DecodeOptions, ExecPolicy, RetrievalPlan};
 use pmr_storage::{
-    fetch_plan_tolerant, DegradedRetrieval, FetchStats, Placement, SegmentStore, StorageHierarchy,
-    TolerantConfig,
+    fetch_plan_tolerant, DegradedRetrieval, FetchStats, SegmentStore, TolerantConfig,
 };
+use std::convert::Infallible;
 
 /// An error-bound target, absolute or relative to the field's value range.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -177,16 +177,26 @@ impl<'a> Dataset<'a> {
 
 /// Where the planes come from.
 pub enum Backend<'a> {
-    /// Decode straight out of the in-memory artifact (no I/O model).
+    /// Decode straight out of the in-memory artifact (no I/O).
     Direct,
     /// Fetch through a [`SegmentStore`] with the full fault-tolerance
     /// contract: retries, checksum verification, degraded re-planning.
     Store {
         /// The segment store holding the artifact's plane payloads.
         store: &'a dyn SegmentStore,
-        /// Optional storage-tier latency model for virtual-time accounting.
-        model: Option<(&'a StorageHierarchy, &'a Placement)>,
+        /// Always `None` (an `Infallible` cannot be built) and ignored:
+        /// the field stays only because the end-to-end benchmark
+        /// (`e2e-bench/`) still writes `model: None`, and goes once it
+        /// builds the backend with [`Backend::store`].
+        model: Option<Infallible>,
     },
+}
+
+impl<'a> Backend<'a> {
+    /// The fault-tolerant backend over `store`.
+    pub fn store(store: &'a dyn SegmentStore) -> Self {
+        Backend::Store { store, model: None }
+    }
 }
 
 /// The result of one unified retrieval.
@@ -322,7 +332,7 @@ pub fn retrieve(
             let estimated = compressed.estimate_for(&plan.planes);
             (field, plan.planes.clone(), bytes, estimated, None, None)
         }
-        Backend::Store { store, model } => {
+        Backend::Store { store, .. } => {
             if request.coarse_level.is_some() {
                 return Err(PmrError::invalid_config(
                     "coarse-grid decode is a direct-backend feature".to_string(),
@@ -330,7 +340,7 @@ pub fn retrieve(
             }
             let bound = requested_bound(compressed, &request.target, &plan)?;
             let (tolerant, exec) = (&request.tolerant, request.exec);
-            let t = fetch_plan_tolerant(compressed, *store, &plan, bound, tolerant, *model, exec)?;
+            let t = fetch_plan_tolerant(compressed, *store, &plan, bound, tolerant, exec)?;
             (t.field, t.planes, t.stats.bytes, t.estimated_error, Some(t.stats), t.degraded)
         }
     };
@@ -472,10 +482,10 @@ mod tests {
         let inj = FaultInjector::new(MemStore::from_compressed(&c), faults).unwrap();
         let bound = c.absolute_bound(1e-4);
         let req = RetrievalRequest::abs(bound).measured().with_tolerant(TolerantConfig {
-            policy: RetryPolicy { max_attempts: 64, ..RetryPolicy::default() },
+            policy: RetryPolicy { max_attempts: 64 },
             ..TolerantConfig::default()
         });
-        let backend = Backend::Store { store: &inj, model: None };
+        let backend = Backend::store(&inj);
         let out = retrieve(&ds, &Theory, &req, &backend).expect("tolerant retrieval");
         assert!(!out.is_degraded());
         let stats = out.stats.as_ref().expect("store path records stats");
@@ -490,7 +500,7 @@ mod tests {
         let bound = c.absolute_bound(1e-5);
         let l = c.num_levels() - 1;
         let store = MemStore::from_compressed(&c).without(&[(l, 0)]);
-        let backend = Backend::Store { store: &store, model: None };
+        let backend = Backend::store(&store);
         let out = retrieve(&ds, &Theory, &RetrievalRequest::abs(bound), &backend)
             .expect("degraded retrieval");
         let report = out.degraded.as_ref().expect("loss must degrade");
@@ -504,7 +514,7 @@ mod tests {
         let (_, c) = artifact();
         let ds = Dataset::new(&c);
         let store = MemStore::from_compressed(&c);
-        let backend = Backend::Store { store: &store, model: None };
+        let backend = Backend::store(&store);
         for req in [RetrievalRequest::rel(1e-2), RetrievalRequest::rel(1e-4)] {
             let direct = retrieve(&ds, &Theory, &req, &Backend::Direct).expect("direct");
             let stored = retrieve(&ds, &Theory, &req, &backend).expect("stored");
@@ -524,7 +534,7 @@ mod tests {
         let c = Compressed::compress(&field, &CompressConfig::default());
         let ds = Dataset::new(&c);
         let store = MemStore::from_compressed(&c);
-        let backend = Backend::Store { store: &store, model: None };
+        let backend = Backend::store(&store);
         let direct =
             retrieve(&ds, &Theory, &RetrievalRequest::rel(1e-4), &Backend::Direct).expect("direct");
         let scalar = ExecPolicy::serial().with_kernel(PlaneKernel::Scalar);
@@ -550,7 +560,7 @@ mod tests {
         }
         let (_, c) = artifact();
         let store = MemStore::from_compressed(&c);
-        let backend = Backend::Store { store: &store, model: None };
+        let backend = Backend::store(&store);
         let out = retrieve(&Dataset::new(&c), &Overask, &RetrievalRequest::abs(1e-6), &backend)
             .expect("clamped retrieval");
         assert!(!out.is_degraded());
@@ -565,7 +575,7 @@ mod tests {
         let (_, c) = artifact();
         let ds = Dataset::new(&c);
         let store = MemStore::from_compressed(&c);
-        let backend = Backend::Store { store: &store, model: None };
+        let backend = Backend::store(&store);
         let req = RetrievalRequest::rel(1e-3).at_level(0);
         assert!(retrieve(&ds, &Theory, &req, &backend).is_err());
     }

@@ -188,7 +188,7 @@ fn flaky_store_under_concurrent_load_stays_within_bounds() {
         DaemonConfig {
             workers: 6,
             tolerant: TolerantConfig {
-                policy: RetryPolicy { max_attempts: 64, ..RetryPolicy::default() },
+                policy: RetryPolicy { max_attempts: 64 },
                 ..TolerantConfig::default()
             },
             ..DaemonConfig::default()
@@ -509,7 +509,7 @@ fn degraded_response_matches_library(
         &Dataset::new(c).with_original(field),
         &Theory,
         &RetrievalRequest::rel(rel).measured(),
-        &Backend::Store { store: &store, model: None },
+        &Backend::store(&store),
     )
     .expect("library retrieval");
     let degraded = library.degraded.as_ref().expect("a dead segment must degrade");
@@ -605,7 +605,7 @@ fn segment_lost_after_the_first_frame_was_sent_is_reported_like_the_library() {
         &Dataset::new(&c).with_original(&field),
         &Theory,
         &RetrievalRequest::rel(rel).measured(),
-        &Backend::Store { store: &store, model: None },
+        &Backend::store(&store),
     )
     .expect("library retrieval");
 

@@ -250,12 +250,7 @@ impl<S: SegmentStore> SegmentStore for FaultInjector<S> {
         }
         if self.roll(SALT_TIMEOUT, key, attempt) < self.cfg.timeout {
             self.record(key, attempt, FaultKind::Timeout);
-            return Err(FetchError::Timeout {
-                level,
-                plane,
-                elapsed_s: f64::INFINITY,
-                deadline_s: 0.0,
-            });
+            return Err(FetchError::Timeout { level, plane });
         }
 
         let mut read = self.inner.fetch(key)?;

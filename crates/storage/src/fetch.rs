@@ -1,98 +1,66 @@
 //! Retrying segment fetches under a virtual clock.
 //!
 //! [`FetchExecutor`] drives one [`SegmentStore`] with a [`RetryPolicy`]:
-//! every attempt is charged modelled time (tier latency + bytes/bandwidth +
-//! any injected spike), verified against the manifest's expected length and
-//! FNV-1a checksum, and retried with exponential backoff on retryable
-//! failures. Time is *virtual* — the executor never sleeps, it accounts the
-//! seconds a real reader would have spent, which keeps fault-grid suites
-//! fast and their timing reproducible.
-//!
-//! Deadlines are per tier: an attempt whose modelled time exceeds the
-//! tier's deadline is a [`FetchError::Timeout`] even though the backend
-//! "succeeded" — exactly how an HPC reader treats a stuck tape mount.
+//! every attempt is verified against the manifest's expected length and
+//! FNV-1a checksum and retried with exponential backoff on retryable
+//! failures. Time is *virtual* — the executor never sleeps, it accounts
+//! the backoff a real reader would have waited plus any latency the
+//! backend charged ([`SegmentRead::extra_latency_s`]), which keeps
+//! fault-grid suites fast and their timing reproducible. The executor
+//! never times out on its own; a [`FetchError::Timeout`] comes from the
+//! store.
 
 use crate::segment::{FetchError, SegmentKey, SegmentRead, SegmentStore};
-use crate::{Placement, StorageHierarchy};
 use pmr_error::PmrError;
 use pmr_mgard::checksum::fnv1a64;
 use pmr_mgard::LevelEncoding;
 use pmr_rng::{mix, unit_f64};
 
-/// Retry schedule: attempts, exponential backoff, deterministic jitter.
+/// Backoff before the second attempt, in seconds.
+const BASE_BACKOFF_S: f64 = 0.01;
+/// Multiplier applied per further attempt.
+const BACKOFF_MULTIPLIER: f64 = 2.0;
+/// Backoff ceiling, in seconds.
+const MAX_BACKOFF_S: f64 = 1.0;
+/// Each backoff is scaled by a deterministic factor in
+/// `[1 - JITTER, 1 + JITTER]`.
+const JITTER: f64 = 0.1;
+
+/// Retry schedule: attempts per segment; the backoff between them is
+/// exponential (0.01 s, doubling, capped at 1 s) with ±10 % deterministic
+/// jitter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per segment (>= 1; 1 = no retries).
     pub max_attempts: u32,
-    /// Backoff before the second attempt, in seconds.
-    pub base_backoff_s: f64,
-    /// Multiplier applied per further attempt (>= 1).
-    pub multiplier: f64,
-    /// Backoff ceiling, in seconds.
-    pub max_backoff_s: f64,
-    /// Jitter fraction in `[0, 1]`: each backoff is scaled by a
-    /// deterministic factor in `[1 - jitter, 1 + jitter]`.
-    pub jitter: f64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff_s: 0.01,
-            multiplier: 2.0,
-            max_backoff_s: 1.0,
-            jitter: 0.1,
-        }
+        RetryPolicy { max_attempts: 4 }
     }
 }
 
 impl RetryPolicy {
-    /// Validate the schedule parameters.
-    pub fn try_new(
-        max_attempts: u32,
-        base_backoff_s: f64,
-        multiplier: f64,
-        max_backoff_s: f64,
-        jitter: f64,
-    ) -> Result<Self, PmrError> {
+    /// A policy of `max_attempts` (>= 1) attempts per segment.
+    pub fn try_new(max_attempts: u32) -> Result<Self, PmrError> {
         if max_attempts == 0 {
             return Err(PmrError::invalid_config("max_attempts must be >= 1"));
         }
-        if !base_backoff_s.is_finite() || base_backoff_s < 0.0 {
-            return Err(PmrError::invalid_config(format!(
-                "base_backoff_s must be finite and >= 0, got {base_backoff_s}"
-            )));
-        }
-        if !multiplier.is_finite() || multiplier < 1.0 {
-            return Err(PmrError::invalid_config(format!(
-                "multiplier must be finite and >= 1, got {multiplier}"
-            )));
-        }
-        if !max_backoff_s.is_finite() || max_backoff_s < base_backoff_s {
-            return Err(PmrError::invalid_config(format!(
-                "max_backoff_s must be finite and >= base_backoff_s, got {max_backoff_s}"
-            )));
-        }
-        if !(0.0..=1.0).contains(&jitter) {
-            return Err(PmrError::invalid_config(format!(
-                "jitter must be in [0, 1], got {jitter}"
-            )));
-        }
-        Ok(RetryPolicy { max_attempts, base_backoff_s, multiplier, max_backoff_s, jitter })
+        Ok(RetryPolicy { max_attempts })
     }
 
     /// Backoff charged before attempt `attempt + 1` (so `attempt` >= 1),
     /// with deterministic per-segment jitter.
     pub fn backoff_s(&self, key: SegmentKey, attempt: u32) -> f64 {
         let exponent = i32::try_from(attempt.saturating_sub(1)).unwrap_or(i32::MAX);
-        let raw = self.base_backoff_s * self.multiplier.powi(exponent);
-        let capped = raw.min(self.max_backoff_s);
+        let raw = BASE_BACKOFF_S * BACKOFF_MULTIPLIER.powi(exponent);
+        let capped = raw.min(MAX_BACKOFF_S);
         // Hash of (key, attempt) -> factor in [1-j, 1+j].
         let h = mix(((key.0 as u64) << 40)
             .wrapping_add((key.1 as u64) << 20)
             .wrapping_add(attempt as u64));
-        capped * (1.0 - self.jitter + 2.0 * self.jitter * unit_f64(h))
+        capped * (1.0 - JITTER + 2.0 * JITTER * unit_f64(h))
     }
 }
 
@@ -132,8 +100,7 @@ pub struct FetchStats {
     pub retries: u64,
     /// Payload bytes of *successful, verified* reads.
     pub bytes: u64,
-    /// Payload bytes delivered but discarded (failed verification or
-    /// blew the deadline).
+    /// Payload bytes delivered but discarded (failed verification).
     pub wasted_bytes: u64,
     /// Failed-attempt counts by class.
     pub transients: u64,
@@ -141,68 +108,22 @@ pub struct FetchStats {
     pub corruptions: u64,
     /// Segments abandoned as unrecoverable.
     pub lost_segments: u64,
-    /// Modelled wall time, seconds (fetch + backoff; serial reader).
+    /// Virtual wall time of a serial reader, seconds: the backoff before
+    /// every retry plus the latency the backend charged for each read.
     pub virtual_time_s: f64,
-}
-
-/// Per-tier timing used by the virtual clock. Detached from
-/// [`StorageHierarchy`] so the executor also runs without a tier model
-/// (zero-cost clock, deadline disabled).
-#[derive(Debug, Clone, PartialEq)]
-struct TierTiming {
-    latency_s: f64,
-    bandwidth_bps: f64,
-    deadline_s: f64,
 }
 
 /// Retrying, verifying, time-accounting fetch driver.
 pub struct FetchExecutor<'a> {
     store: &'a dyn SegmentStore,
     policy: RetryPolicy,
-    /// Tier timing per *level* (resolved through the placement), or `None`
-    /// for an unmodelled store.
-    timing: Option<Vec<TierTiming>>,
     stats: FetchStats,
 }
 
-/// Deadline per attempt: generous multiples of the nominal cost so only
-/// injected spikes/timeouts trip it, never an honest read.
-const DEADLINE_LATENCY_FACTOR: f64 = 16.0;
-const DEADLINE_FLOOR_S: f64 = 0.05;
-
 impl<'a> FetchExecutor<'a> {
-    /// Executor without a tier model: attempts cost zero virtual time and
-    /// never hit deadlines (only injected timeouts count).
+    /// An executor over `store` whose clock and counters start at zero.
     pub fn new(store: &'a dyn SegmentStore, policy: RetryPolicy) -> Self {
-        FetchExecutor { store, policy, timing: None, stats: FetchStats::default() }
-    }
-
-    /// Executor with modelled timing: each level's fetches are charged its
-    /// tier's latency and bandwidth, with a per-tier deadline of
-    /// `max(0.05 s, 16 x latency)` per attempt.
-    pub fn with_model(
-        store: &'a dyn SegmentStore,
-        policy: RetryPolicy,
-        hierarchy: &StorageHierarchy,
-        placement: &Placement,
-    ) -> Result<Self, PmrError> {
-        let timing = (0..placement.num_levels())
-            .map(|l| {
-                let t = placement.tier_of(l);
-                let tier = hierarchy.tiers().get(t).ok_or_else(|| {
-                    PmrError::invalid_config(format!(
-                        "placement maps level {l} to tier {t} but the hierarchy has {}",
-                        hierarchy.len()
-                    ))
-                })?;
-                Ok(TierTiming {
-                    latency_s: tier.latency_s,
-                    bandwidth_bps: tier.bandwidth_bps,
-                    deadline_s: (tier.latency_s * DEADLINE_LATENCY_FACTOR).max(DEADLINE_FLOOR_S),
-                })
-            })
-            .collect::<Result<Vec<_>, PmrError>>()?;
-        Ok(FetchExecutor { store, policy, timing: Some(timing), stats: FetchStats::default() })
+        FetchExecutor { store, policy, stats: FetchStats::default() }
     }
 
     /// Accounting so far.
@@ -212,10 +133,6 @@ impl<'a> FetchExecutor<'a> {
 
     pub fn policy(&self) -> &RetryPolicy {
         &self.policy
-    }
-
-    fn timing_for(&self, level: usize) -> Option<&TierTiming> {
-        self.timing.as_ref().and_then(|t| t.get(level))
     }
 
     /// Fetch one segment with retries, verifying against `expect`.
@@ -235,55 +152,31 @@ impl<'a> FetchExecutor<'a> {
                 self.stats.virtual_time_s += self.policy.backoff_s(key, attempt - 1);
             }
             self.stats.attempts += 1;
-            let outcome = self.store.fetch(key);
-            let timing = self.timing_for(level);
-            let err = match outcome {
-                Err(e) => {
-                    // A failed attempt still costs the tier's latency.
-                    if let Some(t) = timing {
-                        self.stats.virtual_time_s += t.latency_s;
-                    }
-                    e
-                }
+            let err = match self.store.fetch(key) {
+                Err(e) => e,
                 Ok(mut read) => {
-                    let (cost, deadline) = match timing {
-                        Some(t) => (
-                            t.latency_s
-                                + read.bytes().len() as f64 / t.bandwidth_bps
-                                + read.extra_latency_s,
-                            t.deadline_s,
-                        ),
-                        None => (read.extra_latency_s, f64::INFINITY),
-                    };
-                    if cost > deadline {
-                        // Abandon at the deadline; the partial read is waste.
-                        self.stats.virtual_time_s += deadline;
+                    self.stats.virtual_time_s += read.extra_latency_s;
+                    if read.bytes().len() != expect.len {
                         self.stats.wasted_bytes += read.bytes().len() as u64;
-                        FetchError::Timeout { level, plane, elapsed_s: cost, deadline_s: deadline }
-                    } else {
-                        self.stats.virtual_time_s += cost;
-                        if read.bytes().len() != expect.len {
-                            self.stats.wasted_bytes += read.bytes().len() as u64;
-                            FetchError::Corrupt {
-                                level,
-                                plane,
-                                detail: format!(
-                                    "read {} bytes, manifest expects {}",
-                                    read.bytes().len(),
-                                    expect.len
-                                ),
-                            }
-                        } else if read.fnv() != expect.fnv {
-                            self.stats.wasted_bytes += read.bytes().len() as u64;
-                            FetchError::Corrupt {
-                                level,
-                                plane,
-                                detail: "payload checksum does not match manifest".to_string(),
-                            }
-                        } else {
-                            self.stats.bytes += read.bytes().len() as u64;
-                            return Ok(read.into_bytes());
+                        FetchError::Corrupt {
+                            level,
+                            plane,
+                            detail: format!(
+                                "read {} bytes, manifest expects {}",
+                                read.bytes().len(),
+                                expect.len
+                            ),
                         }
+                    } else if read.fnv() != expect.fnv {
+                        self.stats.wasted_bytes += read.bytes().len() as u64;
+                        FetchError::Corrupt {
+                            level,
+                            plane,
+                            detail: "payload checksum does not match manifest".to_string(),
+                        }
+                    } else {
+                        self.stats.bytes += read.bytes().len() as u64;
+                        return Ok(read.into_bytes());
                     }
                 }
             };
@@ -345,7 +238,7 @@ mod tests {
         let c = artifact();
         let cfg = FaultConfig { transient: 0.4, ..FaultConfig::quiet(21) };
         let inj = FaultInjector::new(MemStore::from_compressed(&c), cfg).unwrap();
-        let policy = RetryPolicy { max_attempts: 32, ..RetryPolicy::default() };
+        let policy = RetryPolicy { max_attempts: 32 };
         let mut exec = FetchExecutor::new(&inj, policy);
         for key in inj.keys() {
             let bytes = exec.fetch_verified(key, expect_for(&c, key)).unwrap();
@@ -361,7 +254,7 @@ mod tests {
         let c = artifact();
         let cfg = FaultConfig { bit_flip: 0.5, truncate: 0.2, ..FaultConfig::quiet(5) };
         let inj = FaultInjector::new(MemStore::from_compressed(&c), cfg).unwrap();
-        let policy = RetryPolicy { max_attempts: 64, ..RetryPolicy::default() };
+        let policy = RetryPolicy { max_attempts: 64 };
         let mut exec = FetchExecutor::new(&inj, policy);
         for key in inj.keys() {
             let bytes = exec.fetch_verified(key, expect_for(&c, key)).unwrap();
@@ -388,7 +281,7 @@ mod tests {
         let c = artifact();
         let cfg = FaultConfig { transient: 1.0, ..FaultConfig::quiet(1) };
         let inj = FaultInjector::new(MemStore::from_compressed(&c), cfg).unwrap();
-        let policy = RetryPolicy { max_attempts: 3, ..RetryPolicy::default() };
+        let policy = RetryPolicy { max_attempts: 3 };
         let mut exec = FetchExecutor::new(&inj, policy);
         let err = exec.fetch_verified((0, 0), expect_for(&c, (0, 0))).unwrap_err();
         assert!(matches!(err, FetchError::Transient { .. }));
@@ -397,54 +290,62 @@ mod tests {
     }
 
     #[test]
-    fn modelled_time_accumulates_latency_and_spikes() {
+    fn injected_timeouts_are_retried_and_counted() {
         let c = artifact();
-        let h = StorageHierarchy::summit_like();
-        let p = Placement::coarse_fast(c.num_levels(), &h);
-        let store = MemStore::from_compressed(&c);
-        let mut exec = FetchExecutor::with_model(&store, RetryPolicy::default(), &h, &p).unwrap();
-        for key in store.keys() {
-            exec.fetch_verified(key, expect_for(&c, key)).unwrap();
-        }
-        let clean_time = exec.stats().virtual_time_s;
-        assert!(clean_time > 0.0);
-
-        // Latency spikes slow the modelled reader down deterministically.
-        let cfg = FaultConfig { latency_spike: 1.0, spike_s: 0.004, ..FaultConfig::quiet(2) };
+        let cfg = FaultConfig { timeout: 0.5, ..FaultConfig::quiet(9) };
         let inj = FaultInjector::new(MemStore::from_compressed(&c), cfg).unwrap();
-        let mut spiky = FetchExecutor::with_model(&inj, RetryPolicy::default(), &h, &p).unwrap();
+        let mut exec = FetchExecutor::new(&inj, RetryPolicy { max_attempts: 32 });
         for key in inj.keys() {
-            spiky.fetch_verified(key, expect_for(&c, key)).unwrap();
+            let bytes = exec.fetch_verified(key, expect_for(&c, key)).unwrap();
+            assert_eq!(bytes, c.levels()[key.0].plane_payload(key.1));
         }
-        assert!(spiky.stats().virtual_time_s > clean_time);
+        let stats = exec.stats();
+        assert!(stats.timeouts > 0, "p=0.5 over many segments must time out");
+        assert_eq!(stats.retries, stats.timeouts, "a timeout is the only failure");
+        assert_eq!(stats.lost_segments, 0);
+        assert!(stats.virtual_time_s > 0.0, "every retry waits out its backoff");
+    }
+
+    #[test]
+    fn latency_spikes_alone_advance_the_clock() {
+        let c = artifact();
+        let run = |store: &dyn SegmentStore| {
+            let mut exec = FetchExecutor::new(store, RetryPolicy::default());
+            for key in store.keys() {
+                exec.fetch_verified(key, expect_for(&c, key)).unwrap();
+            }
+            exec.stats().clone()
+        };
+        let clean = run(&MemStore::from_compressed(&c));
+        assert_eq!(clean.virtual_time_s, 0.0, "a clean read costs no virtual time");
+
+        let cfg = FaultConfig { latency_spike: 1.0, spike_s: 0.004, ..FaultConfig::quiet(2) };
+        let spiky = run(&FaultInjector::new(MemStore::from_compressed(&c), cfg).unwrap());
+        assert_eq!(spiky.retries, 0, "a spike is not a failure");
+        let expected = 0.004 * spiky.attempts as f64;
+        assert!((spiky.virtual_time_s - expected).abs() < 1e-12, "{}", spiky.virtual_time_s);
     }
 
     #[test]
     fn backoff_grows_and_respects_cap() {
-        let p = RetryPolicy {
-            max_attempts: 8,
-            base_backoff_s: 0.01,
-            multiplier: 2.0,
-            max_backoff_s: 0.05,
-            jitter: 0.0,
-        };
-        assert!((p.backoff_s((0, 0), 1) - 0.01).abs() < 1e-12);
-        assert!((p.backoff_s((0, 0), 2) - 0.02).abs() < 1e-12);
-        assert!((p.backoff_s((0, 0), 7) - 0.05).abs() < 1e-12, "cap must hold");
-        // Jitter stays within its band and is deterministic.
-        let j = RetryPolicy { jitter: 0.5, ..p };
-        let b = j.backoff_s((1, 2), 1);
-        assert!((0.005..=0.015).contains(&b));
-        assert_eq!(b, j.backoff_s((1, 2), 1));
+        let p = RetryPolicy::default();
+        let within = |b: f64, nominal: f64| (0.9 * nominal..=1.1 * nominal).contains(&b);
+        for key in [(0, 0), (1, 2), (7, 31)] {
+            assert!(within(p.backoff_s(key, 1), 0.01), "{}", p.backoff_s(key, 1));
+            assert!(within(p.backoff_s(key, 2), 0.02), "{}", p.backoff_s(key, 2));
+            for attempt in [8, 20, u32::MAX] {
+                assert!(within(p.backoff_s(key, attempt), 1.0), "cap must hold");
+            }
+        }
+        // Jitter is deterministic per (key, attempt) and varies across them.
+        assert_eq!(p.backoff_s((1, 2), 1), p.backoff_s((1, 2), 1));
+        assert_ne!(p.backoff_s((1, 2), 1), p.backoff_s((2, 1), 1));
     }
 
     #[test]
     fn invalid_policies_rejected() {
-        assert!(RetryPolicy::try_new(0, 0.1, 2.0, 1.0, 0.1).is_err());
-        assert!(RetryPolicy::try_new(3, -0.1, 2.0, 1.0, 0.1).is_err());
-        assert!(RetryPolicy::try_new(3, 0.1, 0.5, 1.0, 0.1).is_err());
-        assert!(RetryPolicy::try_new(3, 0.1, 2.0, 0.05, 0.1).is_err());
-        assert!(RetryPolicy::try_new(3, 0.1, 2.0, 1.0, 1.5).is_err());
-        assert!(RetryPolicy::try_new(3, 0.1, 2.0, 1.0, 0.5).is_ok());
+        assert!(RetryPolicy::try_new(0).is_err());
+        assert_eq!(RetryPolicy::try_new(1).unwrap(), RetryPolicy { max_attempts: 1 });
+        assert_eq!(RetryPolicy::try_new(4).unwrap(), RetryPolicy::default());
     }
 }

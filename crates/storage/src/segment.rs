@@ -37,8 +37,8 @@ pub enum FetchError {
     Missing { level: usize, plane: u32 },
     /// A transient I/O error (connection reset, EIO, ...); retryable.
     Transient { level: usize, plane: u32, detail: String },
-    /// The attempt exceeded its deadline; retryable.
-    Timeout { level: usize, plane: u32, elapsed_s: f64, deadline_s: f64 },
+    /// The store gave up on the attempt in time; retryable.
+    Timeout { level: usize, plane: u32 },
     /// Bytes arrived but fail checksum / length verification; retryable
     /// (the next attempt may read a clean replica).
     Corrupt { level: usize, plane: u32, detail: String },
@@ -52,7 +52,7 @@ impl FetchError {
         match *self {
             FetchError::Missing { level, plane }
             | FetchError::Transient { level, plane, .. }
-            | FetchError::Timeout { level, plane, .. }
+            | FetchError::Timeout { level, plane }
             | FetchError::Corrupt { level, plane, .. }
             | FetchError::Io { level, plane, .. } => (level, plane),
         }
@@ -73,11 +73,8 @@ impl fmt::Display for FetchError {
             FetchError::Transient { level, plane, detail } => {
                 write!(f, "transient error fetching ({level},{plane}): {detail}")
             }
-            FetchError::Timeout { level, plane, elapsed_s, deadline_s } => {
-                write!(
-                    f,
-                    "fetch of ({level},{plane}) timed out: {elapsed_s:.4}s > {deadline_s:.4}s"
-                )
+            FetchError::Timeout { level, plane } => {
+                write!(f, "fetch of ({level},{plane}) timed out")
             }
             FetchError::Corrupt { level, plane, detail } => {
                 write!(f, "segment ({level},{plane}) corrupt: {detail}")
@@ -92,9 +89,7 @@ impl fmt::Display for FetchError {
 impl std::error::Error for FetchError {}
 
 /// The result of one successful low-level read: the raw payload plus any
-/// extra latency the backend (or an injected fault) charged beyond the
-/// tier's nominal cost. Virtual-clock accounting in the fetch executor adds
-/// this on top of `latency + bytes/bandwidth`.
+/// latency the backend (or an injected fault) charged for it.
 ///
 /// A read carries the FNV-1a of its payload once someone has it, so each
 /// layer above compares that digest with the manifest's instead of hashing
@@ -108,11 +103,13 @@ impl std::error::Error for FetchError {}
 pub struct SegmentRead {
     bytes: Vec<u8>,
     fnv: Option<u64>,
+    /// Seconds this read cost beyond a clean one (zero unless a fault
+    /// injected a spike); the fetch executor's virtual clock adds it.
     pub extra_latency_s: f64,
 }
 
 impl SegmentRead {
-    /// A read at nominal cost whose payload nobody has hashed yet.
+    /// A read with no extra latency whose payload nobody has hashed yet.
     pub fn clean(bytes: Vec<u8>) -> Self {
         SegmentRead { bytes, fnv: None, extra_latency_s: 0.0 }
     }

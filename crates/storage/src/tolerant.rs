@@ -13,7 +13,6 @@
 
 use crate::fetch::{ExpectedSegment, FetchExecutor, FetchStats, RetryPolicy};
 use crate::segment::{FetchError, SegmentKey, SegmentStore};
-use crate::{Placement, StorageHierarchy};
 use pmr_error::PmrError;
 use pmr_field::Field;
 use pmr_mgard::{greedy_plan_capped, Compressed, ExecPolicy, RetrievalPlan};
@@ -189,21 +188,16 @@ pub fn fetch_planes_tolerant<P, E>(
 
 /// Execute `plan` against `store` with retries, checksum verification, and
 /// graceful degradation, then decode what was held into a field under
-/// `exec` (`None` = the artifact's own policy). Pass a `(hierarchy,
-/// placement)` model to account virtual time and enforce per-tier deadlines.
+/// `exec` (`None` = the artifact's own policy).
 pub fn fetch_plan_tolerant(
     manifest: &Compressed,
     store: &dyn SegmentStore,
     plan: &RetrievalPlan,
     requested_bound: f64,
     cfg: &TolerantConfig,
-    model: Option<(&StorageHierarchy, &Placement)>,
     exec: Option<ExecPolicy>,
 ) -> Result<TolerantRetrieval, PmrError> {
-    let mut fetcher = match model {
-        Some((h, p)) => FetchExecutor::with_model(store, cfg.policy.clone(), h, p)?,
-        None => FetchExecutor::new(store, cfg.policy.clone()),
-    };
+    let mut fetcher = FetchExecutor::new(store, cfg.policy.clone());
     // Sink: each level's prefix, kept for the one decode below.
     let mut payloads: Vec<Vec<Vec<u8>>> = vec![Vec::new(); manifest.num_levels()];
     let got = fetch_planes_tolerant(
@@ -262,9 +256,8 @@ mod tests {
         store: &dyn SegmentStore,
         abs_bound: f64,
         cfg: &TolerantConfig,
-        model: Option<(&StorageHierarchy, &Placement)>,
     ) -> Result<TolerantRetrieval, PmrError> {
-        fetch_plan_tolerant(c, store, &c.plan_theory(abs_bound), abs_bound, cfg, model, None)
+        fetch_plan_tolerant(c, store, &c.plan_theory(abs_bound), abs_bound, cfg, None)
     }
 
     fn artifact() -> (Field, Compressed) {
@@ -280,7 +273,7 @@ mod tests {
         let (field, c) = artifact();
         let store = MemStore::from_compressed(&c);
         let bound = c.absolute_bound(1e-4);
-        let out = rt(&c, &store, bound, &TolerantConfig::default(), None).unwrap();
+        let out = rt(&c, &store, bound, &TolerantConfig::default()).unwrap();
         assert!(!out.is_degraded());
         let direct = c.retrieve(&c.plan_theory(bound));
         assert_eq!(out.field.data(), direct.data());
@@ -295,10 +288,10 @@ mod tests {
         let inj = FaultInjector::new(MemStore::from_compressed(&c), cfg).unwrap();
         let bound = c.absolute_bound(1e-4);
         let tc = TolerantConfig {
-            policy: RetryPolicy { max_attempts: 64, ..RetryPolicy::default() },
+            policy: RetryPolicy { max_attempts: 64 },
             ..TolerantConfig::default()
         };
-        let out = rt(&c, &inj, bound, &tc, None).unwrap();
+        let out = rt(&c, &inj, bound, &tc).unwrap();
         assert!(!out.is_degraded(), "retryable faults must not degrade the result");
         assert!(out.stats.retries > 0, "the schedule should have forced retries");
         assert!(max_abs_error(field.data(), out.field.data()) <= bound);
@@ -315,7 +308,7 @@ mod tests {
         let dead = (l, plan.planes[l].saturating_sub(2).max(1));
         let store = MemStore::from_compressed(&c).without(&[dead]);
         let tc = TolerantConfig { replan: false, ..TolerantConfig::default() };
-        let out = rt(&c, &store, bound, &tc, None).unwrap();
+        let out = rt(&c, &store, bound, &tc).unwrap();
         let report = out.degraded.as_ref().expect("loss must produce a degraded report");
         assert_eq!(report.lost_segments, vec![dead]);
         assert_eq!(report.achieved_planes[l], dead.1, "prefix truncated at the loss");
@@ -341,7 +334,7 @@ mod tests {
         assert!(plan.planes[0] > 2, "plan must lean on level 0 for this bound");
         let dead = (0usize, 1u32);
         let store = MemStore::from_compressed(&c).without(&[dead]);
-        let out = rt(&c, &store, bound, &TolerantConfig::default(), None).unwrap();
+        let out = rt(&c, &store, bound, &TolerantConfig::default()).unwrap();
         let report = out.degraded.as_ref().expect("loss must be reported");
         assert!(report.replanned, "default config should re-plan");
         // Compensation fetched deeper planes at some surviving level.
@@ -429,7 +422,7 @@ mod tests {
         // Plane 0 of the finest level missing: that level contributes nothing.
         let l = c.num_levels() - 1;
         let store = MemStore::from_compressed(&c).without(&[(l, 0)]);
-        let out = rt(&c, &store, bound, &TolerantConfig::default(), None).unwrap();
+        let out = rt(&c, &store, bound, &TolerantConfig::default()).unwrap();
         let report = out.degraded.as_ref().unwrap();
         assert_eq!(report.achieved_planes[l], 0);
         let measured = max_abs_error(field.data(), out.field.data());
@@ -441,9 +434,8 @@ mod tests {
         let (_, c) = artifact();
         let store = MemStore::from_compressed(&c);
         let bad = RetrievalPlan::from_planes(vec![1; c.num_levels() + 1]);
-        let err =
-            fetch_plan_tolerant(&c, &store, &bad, 0.1, &TolerantConfig::default(), None, None)
-                .unwrap_err();
+        let err = fetch_plan_tolerant(&c, &store, &bad, 0.1, &TolerantConfig::default(), None)
+            .unwrap_err();
         assert!(matches!(err, PmrError::InvalidConfig { .. }));
     }
 
@@ -459,7 +451,7 @@ mod tests {
                 ..FaultConfig::quiet(seed)
             };
             let inj = FaultInjector::new(MemStore::from_compressed(&c), cfg).unwrap();
-            let out = rt(&c, &inj, bound, &TolerantConfig::default(), None).unwrap();
+            let out = rt(&c, &inj, bound, &TolerantConfig::default()).unwrap();
             (out.planes.clone(), out.degraded.clone(), out.stats.clone(), inj.log())
         };
         let a = run(1234);
@@ -468,17 +460,5 @@ mod tests {
         assert_eq!(a.1, b.1, "degraded reports must be bit-identical for one seed");
         assert_eq!(a.2, b.2, "fetch stats must be bit-identical for one seed");
         assert_eq!(a.3, b.3, "fault logs must be bit-identical for one seed");
-    }
-
-    #[test]
-    fn modelled_time_reported_for_degraded_runs() {
-        let (_, c) = artifact();
-        let h = StorageHierarchy::summit_like();
-        let p = Placement::coarse_fast(c.num_levels(), &h);
-        let cfg = FaultConfig { transient: 0.3, ..FaultConfig::quiet(5) };
-        let inj = FaultInjector::new(MemStore::from_compressed(&c), cfg).unwrap();
-        let out = rt(&c, &inj, c.absolute_bound(1e-4), &TolerantConfig::default(), Some((&h, &p)))
-            .unwrap();
-        assert!(out.stats.virtual_time_s > 0.0);
     }
 }

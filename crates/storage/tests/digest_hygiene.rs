@@ -49,7 +49,7 @@ fn an_injector_above_file_stores_cannot_pass_a_stale_digest_on() {
             .unwrap()
     };
     for inj in [always(1.0, 0.0), always(0.0, 1.0)] {
-        let policy = RetryPolicy { max_attempts: 3, ..RetryPolicy::default() };
+        let policy = RetryPolicy { max_attempts: 3 };
         let mut exec = FetchExecutor::new(&inj, policy);
         for key in payload_keys(&c, &inj) {
             let err = exec.fetch_verified(key, expect(&c, key)).expect_err("every read is rotted");
@@ -61,7 +61,7 @@ fn an_injector_above_file_stores_cannot_pass_a_stale_digest_on() {
     let cfg_half = FaultConfig { truncate: 0.25, bit_flip: 0.25, ..FaultConfig::quiet(4) };
     let inj =
         FaultInjector::new(ShardedStore::write_files(&c, &dir, cfg).unwrap(), cfg_half).unwrap();
-    let policy = RetryPolicy { max_attempts: 64, ..RetryPolicy::default() };
+    let policy = RetryPolicy { max_attempts: 64 };
     let mut exec = FetchExecutor::new(&inj, policy);
     for key in inj.keys() {
         let bytes = exec.fetch_verified(key, expect(&c, key)).expect("retries find a clean read");

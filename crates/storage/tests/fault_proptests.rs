@@ -11,8 +11,8 @@ use pmr_field::{error::max_abs_error, Field, Shape};
 use pmr_mgard::{CompressConfig, Compressed};
 use pmr_rng::{cases, Rng};
 use pmr_storage::{
-    fetch_plan_tolerant, FaultConfig, FaultInjector, MemStore, Placement, RetryPolicy,
-    SegmentStore, StorageHierarchy, TolerantConfig, TolerantRetrieval,
+    fetch_plan_tolerant, FaultConfig, FaultInjector, FaultKind, MemStore, RetryPolicy,
+    SegmentStore, TolerantConfig, TolerantRetrieval,
 };
 
 const CASES: u32 = 48;
@@ -23,9 +23,8 @@ fn retrieve_theory_tolerant(
     store: &dyn SegmentStore,
     abs_bound: f64,
     cfg: &TolerantConfig,
-    model: Option<(&StorageHierarchy, &Placement)>,
 ) -> Result<TolerantRetrieval, PmrError> {
-    fetch_plan_tolerant(c, store, &c.plan_theory(abs_bound), abs_bound, cfg, model, None)
+    fetch_plan_tolerant(c, store, &c.plan_theory(abs_bound), abs_bound, cfg, None)
 }
 
 fn sample(g: &mut Rng) -> (Field, Compressed) {
@@ -59,7 +58,7 @@ fn no_fault_schedule_breaks_the_reported_bound() {
         let inj = FaultInjector::new(MemStore::from_compressed(&c), cfg).expect("valid config");
         let tc = TolerantConfig { replan, ..TolerantConfig::default() };
         let bound = c.absolute_bound(rel_bound);
-        let out = retrieve_theory_tolerant(&c, &inj, bound, &tc, None).expect("must not fail hard");
+        let out = retrieve_theory_tolerant(&c, &inj, bound, &tc).expect("must not fail hard");
 
         let measured = max_abs_error(field.data(), out.field.data());
         match &out.degraded {
@@ -101,35 +100,45 @@ fn fault_schedules_are_deterministic() {
             let cfg =
                 FaultConfig { permanent, transient, bit_flip, ..FaultConfig::quiet(fault_seed) };
             let inj = FaultInjector::new(MemStore::from_compressed(&c), cfg).unwrap();
-            let out = retrieve_theory_tolerant(&c, &inj, bound, &TolerantConfig::default(), None)
-                .unwrap();
+            let out =
+                retrieve_theory_tolerant(&c, &inj, bound, &TolerantConfig::default()).unwrap();
             (out.planes.clone(), out.degraded.clone(), out.stats.clone(), inj.log())
         };
         assert_eq!(run(), run());
     });
 }
 
-/// With a tier model attached, the virtual clock moves forward and
-/// stats stay consistent — still no panics under faults.
+/// Retries, timeouts and latency spikes move the virtual clock forward
+/// and the stats stay consistent — still no panics under faults.
 #[test]
-fn modelled_runs_account_time_consistently() {
-    cases("modelled_runs_account_time_consistently", CASES, |g| {
+fn faulty_runs_account_time_consistently() {
+    cases("faulty_runs_account_time_consistently", CASES, |g| {
         let (_, c) = sample(g);
-        let h = StorageHierarchy::summit_like();
-        let p = Placement::coarse_fast(c.num_levels(), &h);
-        let cfg = FaultConfig { transient: g.range(0.0..0.5), ..FaultConfig::quiet(g.next_u64()) };
+        let cfg = FaultConfig {
+            transient: g.range(0.0..0.5),
+            timeout: g.range(0.0..0.3),
+            latency_spike: g.range(0.0..1.0),
+            spike_s: 0.01,
+            ..FaultConfig::quiet(g.next_u64())
+        };
         let inj = FaultInjector::new(MemStore::from_compressed(&c), cfg).unwrap();
         let tc = TolerantConfig {
-            policy: RetryPolicy { max_attempts: g.range(1u32..6), ..RetryPolicy::default() },
+            policy: RetryPolicy { max_attempts: g.range(1u32..6) },
             ..TolerantConfig::default()
         };
-        let out = retrieve_theory_tolerant(&c, &inj, c.absolute_bound(1e-3), &tc, Some((&h, &p)))
-            .expect("modelled run must not fail hard");
-        assert!(out.stats.virtual_time_s.is_finite());
-        assert!(out.stats.virtual_time_s >= 0.0);
-        assert!(out.stats.attempts >= out.stats.retries);
-        if out.stats.bytes > 0 {
-            assert!(out.stats.virtual_time_s > 0.0, "fetched bytes must cost time");
+        let out = retrieve_theory_tolerant(&c, &inj, c.absolute_bound(1e-3), &tc)
+            .expect("faulty run must not fail hard");
+        let stats = &out.stats;
+        assert!(stats.virtual_time_s.is_finite());
+        assert!(stats.virtual_time_s >= 0.0);
+        assert!(stats.attempts >= stats.retries);
+        assert!(stats.transients + stats.timeouts + stats.corruptions >= stats.retries);
+        let spikes =
+            inj.log().iter().filter(|e| matches!(e.kind, FaultKind::LatencySpike(_))).count();
+        if stats.retries > 0 || spikes > 0 {
+            assert!(stats.virtual_time_s > 0.0, "retries and spikes must cost time");
+        } else {
+            assert_eq!(stats.virtual_time_s, 0.0, "a clean run costs no time");
         }
     });
 }

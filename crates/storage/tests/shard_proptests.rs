@@ -127,9 +127,8 @@ fn probe(c: &Compressed, store: &ShardedStore) -> Vec<Probe> {
         .map(|rel| {
             let bound = c.absolute_bound(rel);
             let plan = c.plan_theory(bound);
-            let got =
-                fetch_plan_tolerant(c, store, &plan, bound, &TolerantConfig::default(), None, None)
-                    .unwrap_or_else(|e| panic!("probe at rel {rel} failed: {e}"));
+            let got = fetch_plan_tolerant(c, store, &plan, bound, &TolerantConfig::default(), None)
+                .unwrap_or_else(|e| panic!("probe at rel {rel} failed: {e}"));
             (got.field.data().to_vec(), got.planes.clone(), got.degraded.is_some())
         })
         .to_vec()

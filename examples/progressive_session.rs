@@ -9,7 +9,6 @@
 use pmr::field::error::max_abs_error;
 use pmr::mgard::{persist, CompressConfig, Compressed, ProgressiveSession};
 use pmr::sim::{warpx_field, WarpXConfig, WarpXField};
-use pmr::storage::{retrieval_cost, try_optimize_placement, AccessProfile, StorageHierarchy};
 
 fn main() {
     let wcfg = WarpXConfig { size: 33, snapshots: 8, ..Default::default() };
@@ -39,28 +38,6 @@ fn main() {
         let err = max_abs_error(field.data(), approx.data());
         println!("{rel:>10.0e}  {delta:>12}  {:>12}  {err:>12.3e}", session.fetched_bytes());
     }
-
-    // Placement: optimise level->tier assignment for a loose-bound-heavy
-    // access profile on a capacity-constrained hierarchy.
-    let hierarchy = StorageHierarchy::summit_like();
-    let profile = AccessProfile::from_bounds(
-        &reopened,
-        &[reopened.absolute_bound(1e-1), reopened.absolute_bound(1e-2)],
-    );
-    let sizes: u64 = reopened.levels().iter().map(|l| l.total_size()).sum();
-    let caps = vec![sizes / 3, sizes, u64::MAX, u64::MAX];
-    let placement = try_optimize_placement(&reopened, &profile, &hierarchy, &caps)
-        .expect("capacity vector matches the hierarchy");
-    println!("\noptimised placement under a fast-tier capacity of {} bytes:", caps[0]);
-    for l in 0..reopened.num_levels() {
-        println!("  level_{l} -> {}", hierarchy.tiers()[placement.tier_of(l)].name);
-    }
-    let plan = reopened.plan_theory(reopened.absolute_bound(1e-2));
-    let cost = retrieval_cost(&reopened, &plan, &hierarchy, &placement);
-    println!(
-        "retrieval at rel 1e-2 under this placement: {} bytes in {:.4} s",
-        cost.bytes, cost.seconds
-    );
 
     std::fs::remove_file(&path).ok();
 }

@@ -11,8 +11,8 @@
 //! * [`sim`] — Gray-Scott and synthetic WarpX data generators
 //! * [`codec`] — bitstreams, negabinary mapping, lossless RLE
 //! * [`mgard`] — multilevel decomposition + bit-plane progressive compressor
-//! * [`storage`] — storage-tier hierarchy model and fault-tolerant
-//!   segment I/O (retries, checksums, degraded retrieval)
+//! * [`storage`] — fault-tolerant segment I/O (sharded stores with a hot
+//!   tier, retries, checksums, degraded retrieval)
 //! * [`nn`] — from-scratch MLP library (Huber loss, Adam, …)
 //! * [`core`] — D-MGARD and E-MGARD retrievers and the experiment runner
 //! * [`conformance`] — error-bound conformance sweeps, differential checks,

@@ -46,7 +46,7 @@ fn file_store_under_injected_faults_honours_reported_bound() {
         .expect("valid config");
         let bound = c.absolute_bound(1e-3);
         let req = RetrievalRequest::abs(bound).with_tolerant(cfg.clone());
-        let backend = Backend::Store { store: &inj, model: None };
+        let backend = Backend::store(&inj);
         let out = retrieve(&Dataset::new(&c), &Theory, &req, &backend).expect("no hard failure");
         let healthy = c.retrieve(&c.plan_theory(bound));
         check_outcome(&field, &c, bound, &out.field, out.degraded.as_ref(), &healthy)
@@ -80,7 +80,7 @@ fn on_disk_corruption_is_caught_and_degrades_honestly() {
     bytes[span.end - 1] ^= 0x40;
     std::fs::write(&log, &bytes).unwrap();
 
-    let backend = Backend::Store { store: &store, model: None };
+    let backend = Backend::store(&store);
     let out = retrieve(&Dataset::new(&c), &Theory, &RetrievalRequest::abs(bound), &backend)
         .expect("corruption must degrade, not hard-fail");
     let deg = out.degraded.as_ref().expect("unrecoverable corruption degrades the retrieval");

@@ -47,7 +47,7 @@ fn r2_survives_any_single_shard_loss_bit_identically_through_backend_store() {
     for dead in 0..4 {
         let store = ShardedStore::mem(&c, cfg.clone()).expect("sharded mem store");
         store.kill_shard(dead);
-        let backend = Backend::Store { store: &store, model: None };
+        let backend = Backend::store(&store);
         let got = retrieve(&ds, &Theory, &req, &backend)
             .unwrap_or_else(|e| panic!("retrieval with shard {dead} dead failed: {e}"));
         let verdict =
@@ -70,7 +70,7 @@ fn r1_shard_loss_degrades_honestly_through_backend_store() {
     for dead in 0..3 {
         let store = ShardedStore::mem(&c, cfg.clone()).expect("sharded mem store");
         store.kill_shard(dead);
-        let backend = Backend::Store { store: &store, model: None };
+        let backend = Backend::store(&store);
         let got = retrieve(&ds, &Theory, &req, &backend)
             .unwrap_or_else(|e| panic!("R=1 retrieval with shard {dead} dead failed: {e}"));
         // Undegraded: the dead shard held nothing this plan needed, and the
@@ -194,7 +194,7 @@ fn a_corpus_in_the_per_segment_file_layout_is_imported_and_serves_bit_identicall
         for rel in [1e-1, 1e-3, 1e-6] {
             let req = RetrievalRequest::rel(rel);
             let direct = retrieve(&ds, &Theory, &req, &Backend::Direct).expect("direct");
-            let backend = Backend::Store { store: &store, model: None };
+            let backend = Backend::store(&store);
             let got = retrieve(&ds, &Theory, &req, &backend).expect("store retrieval");
             assert!(!got.is_degraded(), "{open} rel {rel}: {:?}", got.degraded);
             assert_eq!(got.field.data(), direct.field.data(), "{open} rel {rel}");
