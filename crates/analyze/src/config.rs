@@ -3,8 +3,8 @@
 //! beside the lint that reads it: [`crate::callgraph::ENTRY_PATHS`] and
 //! [`crate::callgraph::ENTRY_PREFIXES`], [`crate::dataflow::SWALLOW_PATHS`],
 //! the taint lists in [`crate::taint`], and the blocking-call taxonomy in
-//! [`crate::concurrency`]. (`unsafe_safety`, `send_sync_impl` and the lock
-//! and atomic lints judge every file they are given.)
+//! [`crate::concurrency`]. (`unsafe_safety`, `send_sync_impl` and the two
+//! lock lints judge every file they are given.)
 //!
 //! [`AnalyzeConfig::default`] is compiled in, so `pmrtool analyze` answers
 //! the same from any working directory and on any copy of the sources.

@@ -206,7 +206,7 @@ fn first_qual(graph: &CallGraph, targets: &[usize]) -> String {
 }
 
 /// Code index of the `)` matching the `(` at `open`, scanning forward.
-pub(crate) fn matching_close(p: &ParsedFile, open: usize) -> Option<usize> {
+fn matching_close(p: &ParsedFile, open: usize) -> Option<usize> {
     if !p.code.get(open).map(|&ti| &p.toks[ti]).is_some_and(|t| t.is_punct('(')) {
         return None;
     }
@@ -228,8 +228,8 @@ pub(crate) fn matching_close(p: &ParsedFile, open: usize) -> Option<usize> {
 // ---------------------------------------------------------------------------
 // lock_order
 
-/// One lock acquisition site inside a function body. Shared with the
-/// concurrency lints in [`crate::concurrency`], which reuse the same
+/// One lock acquisition site inside a function body. Shared with
+/// `blocking_under_lock` in [`crate::concurrency`], which reuses the same
 /// guard-liveness model.
 pub(crate) struct Acquisition {
     /// Normalized lock identity: `Type.field` for `self.field.lock()`
@@ -395,7 +395,7 @@ fn lock_reaches(adj: &BTreeMap<&str, BTreeSet<&str>>, from: &str, to: &str) -> b
 }
 
 /// Every non-test function's lock acquisitions, indexed like
-/// `graph.nodes` — the guard model `lock_order` and the concurrency lints
+/// `graph.nodes` — the guard model `lock_order` and `blocking_under_lock`
 /// share.
 pub(crate) fn acquisitions(files: &[ParsedFile], graph: &CallGraph) -> Vec<Vec<Acquisition>> {
     (0..graph.nodes.len())
@@ -463,7 +463,7 @@ fn collect_acquisitions(f: &ParsedFile, graph: &CallGraph, ni: usize) -> Vec<Acq
 /// Normalize a receiver chain to a lock identity. `self.field` becomes
 /// `Type.field` (comparable across methods of the type); anything else is
 /// prefixed with the function qual so distinct locals never unify.
-pub(crate) fn normalize_lock_id(chain: &str, node: &crate::callgraph::Node) -> String {
+fn normalize_lock_id(chain: &str, node: &crate::callgraph::Node) -> String {
     if let Some(rest) = chain.strip_prefix("self") {
         if let Some(t) = &node.self_type {
             return format!("{t}{rest}");

@@ -13,9 +13,9 @@
 //! 2. **Interprocedural** (whole workspace): build the module-aware call
 //!    graph ([`callgraph`]), run `panic_reach`, `error_swallow`, and
 //!    `lock_order` ([`dataflow`]) over it, the taint lints ([`taint`])
-//!    over per-function summaries computed to fixpoint, and the
-//!    concurrency-soundness lints `lock_consistency`, `atomic_ordering`,
-//!    and `blocking_under_lock` ([`concurrency`]).
+//!    over per-function summaries computed to fixpoint, and
+//!    `blocking_under_lock` ([`concurrency`]) over `lock_order`'s guard
+//!    model.
 //! 3. **Waivers & staleness**: apply the inline `// lint:allow(id): reason`
 //!    waivers, then flag every waiver that matched nothing as a
 //!    `stale_suppression` hard error.
@@ -88,7 +88,7 @@ pub fn analyze_sources<'a>(
     raw.extend(taint::taint_lints(&files, &graph));
     let acqs = dataflow::acquisitions(&files, &graph);
     raw.extend(dataflow::lock_order(&files, &graph, &acqs));
-    raw.extend(concurrency::concurrency_lints(&files, &graph, &acqs));
+    raw.extend(concurrency::blocking_under_lock(&files, &graph, &acqs));
 
     // Phase 3 — each file's findings meet its waivers, whichever lint
     // raised them; then staleness.

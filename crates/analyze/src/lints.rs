@@ -18,7 +18,7 @@ use crate::parse::ParsedFile;
 use crate::report::{Allowed, Report, Violation};
 
 /// Lint identifiers, in report order.
-pub const LINT_IDS: [&str; 15] = [
+pub const LINT_IDS: [&str; 12] = [
     "panic_reach",
     "error_swallow",
     "lock_order",
@@ -28,10 +28,7 @@ pub const LINT_IDS: [&str; 15] = [
     "nondeterminism",
     "taint_alloc",
     "taint_index",
-    "tainted_arith",
     "checksum_gate",
-    "lock_consistency",
-    "atomic_ordering",
     "blocking_under_lock",
     "stale_suppression",
 ];
@@ -40,7 +37,7 @@ pub const LINT_IDS: [&str; 15] = [
 /// `(id, semantics, known false-positive patterns, waiver guidance)`.
 /// This is the single source the CLI renders; `explain_table_is_exhaustive`
 /// keeps it in lockstep with the registry.
-pub const EXPLAIN: [(&str, &str, &str, &str); 15] = [
+pub const EXPLAIN: [(&str, &str, &str, &str); 12] = [
     (
         "panic_reach",
         "No `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in a non-test \
@@ -106,7 +103,9 @@ pub const EXPLAIN: [(&str, &str, &str, &str); 15] = [
     (
         "taint_alloc",
         "No untrusted size (wire length, disk header field) may reach `with_capacity`, \
-         `reserve`, or `vec![…; n]` without passing a cap or checked sanitizer first.",
+         `reserve`, or `vec![…; n]` without passing a cap or checked sanitizer first. \
+         Unchecked `+`/`*`/`<<` on the size does not launder it: the finding is reported \
+         at the sink.",
         "Sizes produced by arithmetic the engine cannot see through may stay tainted after a \
          manual bound check it does not recognize.",
         "`// lint:allow(taint_alloc): <the bound and where it is enforced>`.",
@@ -120,44 +119,12 @@ pub const EXPLAIN: [(&str, &str, &str, &str); 15] = [
         "`// lint:allow(taint_index): <the check that bounds the index>`.",
     ),
     (
-        "tainted_arith",
-        "No unchecked `+`/`*`/`<<` on an untrusted integer that later feeds a size sink; \
-         overflow on attacker-reachable arithmetic becomes an allocation or slicing bug.",
-        "Arithmetic whose operands are independently bounded small enough not to overflow.",
-        "`// lint:allow(tainted_arith): <why overflow is impossible>`.",
-    ),
-    (
         "checksum_gate",
         "Segment/artifact payloads must be checksum-verified before any decode entry point \
          sees their bytes, directly or transitively.",
         "Decode paths verified by a function not listed in `VERIFY_FNS`.",
         "Add the verifier to `VERIFY_FNS` in `analyze::taint`, or \
          `// lint:allow(checksum_gate): <where verification happens>`.",
-    ),
-    (
-        "lock_consistency",
-        "GUARDED_BY inference: for each `Type.field`, observe which guard is held at every \
-         access (intraprocedural liveness plus a must-held caller-context fixpoint). When a \
-         strict majority — and at least two — of the accesses hold the same guard, accesses \
-         holding no guard are flagged as racy.",
-        "Initialization/teardown paths that run before or after all threads (single-threaded \
-         by construction), and fields reached through local aliases the engine cannot tie \
-         back to `self`.",
-        "`// lint:allow(lock_consistency): <why this path is single-threaded or otherwise \
-         ordered>`.",
-    ),
-    (
-        "atomic_ordering",
-        "Per-atomic publication protocol across the workspace: an atomic written with \
-         release semantics anywhere must not be read `Relaxed`; an atomic read with acquire \
-         semantics must not be written `Relaxed`; a `compare_exchange` failure ordering must \
-         not out-rank the load half of its success ordering. Local aliases \
-         (`let flag = self.killed.get(i)`) are traced one binding back so borrow-then-operate \
-         sites join the field's protocol. All-`Relaxed` statistics counters pass by \
-         construction.",
-        "Counters deliberately mixing orderings, and orderings passed through variables, \
-         which the lexical scan cannot see.",
-        "`// lint:allow(atomic_ordering): <the happens-before argument>` at the flagged site.",
     ),
     (
         "blocking_under_lock",

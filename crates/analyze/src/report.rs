@@ -101,7 +101,7 @@ impl Report {
     /// caller attached one — strip it before byte-comparing two runs).
     pub fn to_json(&self) -> String {
         let mut s = String::new();
-        s.push_str("{\n  \"version\": 3,\n");
+        s.push_str("{\n  \"version\": 4,\n");
         let _ = writeln!(s, "  \"files_scanned\": {},", self.files_scanned);
         if let Some(wall_ms) = self.wall_ms {
             let _ = writeln!(s, "  \"timing\": {{ \"wall_ms\": {wall_ms} }},");

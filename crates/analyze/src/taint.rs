@@ -2,11 +2,11 @@
 //! size memory, index slices, or be structurally decoded before its
 //! checksum is verified.
 //!
-//! Four lints share the engine (`--explain` has the contract of each):
+//! Three lints share the engine (`--explain` has the contract of each):
 //! `taint_alloc` (sinks `with_capacity`/`reserve`/`resize`/`set_len`/
-//! `vec![…; n]`), `taint_index` (slice indexing and the `split_at` family)
-//! and `tainted_arith` (unchecked `+`/`*`/`<<` feeding either) report in
-//! `taint_paths`; `checksum_gate` (a `decode_fns` call on a tainted payload
+//! `vec![…; n]`) and `taint_index` (slice indexing and the `split_at`
+//! family) report in `taint_paths`, at the sink, however the size was
+//! computed; `checksum_gate` (a `decode_fns` call on a tainted payload
 //! before any `verify_fns` call in the same function) in `checksum_paths`.
 //!
 //! The engine is a per-function linear walk plus a workspace fixpoint.
@@ -34,7 +34,7 @@ use crate::parse::ParsedFile;
 use crate::report::Violation;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// `taint_alloc`/`taint_index`/`tainted_arith`: crates that ingest
+/// `taint_alloc`/`taint_index`: crates that ingest
 /// untrusted wire or disk bytes and must bound every length they read.
 /// Summaries are computed workspace-wide; findings are scoped here.
 pub const TAINT_PATHS: &[&str] = &[
@@ -151,7 +151,7 @@ struct Env<'a> {
     summaries: &'a [FnTaint],
 }
 
-/// Run the four taint lints over the workspace.
+/// Run the three taint lints over the workspace.
 pub fn taint_lints(files: &[ParsedFile], graph: &CallGraph) -> Vec<Violation> {
     // Which nodes perform checksum verification, transitively.
     let mut reaches_verify: Vec<bool> =
@@ -262,8 +262,6 @@ fn scan_fn(
     for (i, p) in func.params.iter().take(MAX_PARAMS).enumerate() {
         taint.insert(p.clone(), 1u64 << i);
     }
-    // Variable → line of the unchecked arithmetic that last produced it.
-    let mut arith: BTreeMap<String, usize> = BTreeMap::new();
     let mut summary =
         FnTaint { returns_source: false, sinks: vec![None; func.params.len().min(MAX_PARAMS)] };
     let mut verified = false;
@@ -274,7 +272,7 @@ fn scan_fn(
 
         if t.kind == TokKind::Ident {
             if t.is_ident("let") {
-                handle_let(&env, &scan, ci, &mut taint, &mut arith);
+                handle_let(&env, &scan, ci, &mut taint);
             } else if t.is_ident("return") {
                 let e = stmt_end(&scan, f, scan.stmt_of(ci));
                 if eval_range(&env, &taint, ci + 1, e) & SOURCE != 0 {
@@ -283,7 +281,7 @@ fn scan_fn(
             } else if t.is_ident("for") {
                 handle_for(&env, ci, func.body.1, &mut taint);
             } else if scan.stmt_of(ci) == ci {
-                handle_assign(&env, &scan, ci, &mut taint, &mut arith);
+                handle_assign(&env, &scan, ci, &mut taint);
             }
 
             // `vec![elem; n]` — the repeat count sizes an allocation.
@@ -302,10 +300,7 @@ fn scan_fn(
                             "an allocation size",
                             mask,
                             t.line,
-                            (semi + 1, close),
                             &env,
-                            &taint,
-                            &arith,
                             &mut summary,
                             &mut emit,
                         );
@@ -321,7 +316,6 @@ fn scan_fn(
                     ci,
                     k,
                     &mut taint,
-                    &mut arith,
                     &mut summary,
                     &mut verified,
                     &mut emit,
@@ -331,7 +325,7 @@ fn scan_fn(
         }
 
         // Comparisons bound the compared variable: clear it.
-        clear_on_comparison(f, ci, &mut taint, &mut arith);
+        clear_on_comparison(f, ci, &mut taint);
 
         // Indexing sink: `expr[…]` with a tainted index/range.
         if t.is_punct('[') {
@@ -348,10 +342,7 @@ fn scan_fn(
                         "a slice index/bound",
                         mask,
                         t.line,
-                        (ci + 1, close),
                         &env,
-                        &taint,
-                        &arith,
                         &mut summary,
                         &mut emit,
                     );
@@ -383,7 +374,6 @@ fn handle_call(
     ci: usize,
     k: usize,
     taint: &mut BTreeMap<String, u64>,
-    arith: &mut BTreeMap<String, usize>,
     summary: &mut FnTaint,
     verified: &mut bool,
     emit: &mut Option<&mut Vec<Violation>>,
@@ -398,7 +388,6 @@ fn handle_call(
         let mut j = ci;
         while j >= 2 && f.ct(j - 1).is_punct('.') && f.ct(j - 2).kind == TokKind::Ident {
             taint.remove(&f.ct(j - 2).text);
-            arith.remove(&f.ct(j - 2).text);
             j -= 2;
         }
         for cj in (ci + 2)..close {
@@ -410,7 +399,6 @@ fn handle_call(
                     .is_some_and(|p| p.is_punct('.') || p.is_punct(':'))
             {
                 taint.remove(&u.text);
-                arith.remove(&u.text);
             }
         }
         return;
@@ -443,18 +431,7 @@ fn handle_call(
     };
     if let Some((lint, phrase)) = sinkish {
         let mask = eval_range(env, taint, ci + 2, close);
-        sink_hit(
-            lint,
-            phrase,
-            mask,
-            f.ct(ci).line,
-            (ci + 2, close),
-            env,
-            taint,
-            arith,
-            summary,
-            emit,
-        );
+        sink_hit(lint, phrase, mask, f.ct(ci).line, env, summary, emit);
     }
 
     // checksum_gate: a verify call (direct or transitive) opens the gate;
@@ -525,59 +502,30 @@ fn graph_param_name(env: &Env<'_>, graph: &CallGraph, tg: usize, i: usize) -> St
     env.files[n.file].fns[n.fn_idx].params.get(i).cloned().unwrap_or_else(|| format!("#{i}"))
 }
 
-/// A direct sink saw `mask`: report source taint (as `tainted_arith` when
-/// an unchecked-arithmetic pedigree exists, at the arithmetic site), and
-/// record parameter bits into the function summary.
-#[allow(clippy::too_many_arguments)]
+/// A direct sink saw `mask`: report source taint at the sink, and record
+/// parameter bits into the function summary.
 fn sink_hit(
     lint: &'static str,
     phrase: &str,
     mask: u64,
     line: usize,
-    args: (usize, usize),
     env: &Env<'_>,
-    taint: &BTreeMap<String, u64>,
-    arith: &BTreeMap<String, usize>,
     summary: &mut FnTaint,
     emit: &mut Option<&mut Vec<Violation>>,
 ) {
     let f = env.f;
     if mask & SOURCE != 0 {
         if let Some(out) = emit.as_deref_mut() {
-            // An argument with unchecked-arith pedigree upgrades the
-            // finding to `tainted_arith`, reported where the arithmetic is.
-            let arith_site = (args.0..args.1.min(f.code.len()))
-                .filter_map(|cj| {
-                    let u = f.ct(cj);
-                    (u.kind == TokKind::Ident
-                        && taint.get(&u.text).copied().unwrap_or(0) & SOURCE != 0)
-                        .then(|| arith.get(&u.text).copied())
-                        .flatten()
-                        .map(|l| (u.text.clone(), l))
-                })
-                .next();
-            match arith_site {
-                Some((var, l)) => out.push(Violation::new(
-                    "tainted_arith",
-                    f.rel_path.as_str(),
-                    l,
-                    format!(
-                        "unchecked arithmetic on untrusted `{var}` feeds {phrase} on \
-                         line {line}; use checked/saturating ops or validate the range first"
-                    ),
-                    f.snippet(l),
-                )),
-                None => out.push(Violation::new(
-                    lint,
-                    f.rel_path.as_str(),
-                    line,
-                    format!(
-                        "untrusted input reaches {phrase} with no bound; cap or \
-                         validate it (e.g. `.min(…)` or a checked helper) before use"
-                    ),
-                    f.snippet(line),
-                )),
-            }
+            out.push(Violation::new(
+                lint,
+                f.rel_path.as_str(),
+                line,
+                format!(
+                    "untrusted input reaches {phrase} with no bound; cap or validate it \
+                     (e.g. `.min(…)` or a checked helper) before use"
+                ),
+                f.snippet(line),
+            ));
         }
     }
     let what = format!("{phrase} ({}:{line})", f.rel_path);
@@ -590,13 +538,7 @@ fn sink_hit(
 
 /// `let` bindings, including `if let` / `while let` headers: binders in
 /// the pattern take the taint of the right-hand side.
-fn handle_let(
-    env: &Env<'_>,
-    scan: &BodyScan,
-    ci: usize,
-    taint: &mut BTreeMap<String, u64>,
-    arith: &mut BTreeMap<String, usize>,
-) {
+fn handle_let(env: &Env<'_>, scan: &BodyScan, ci: usize, taint: &mut BTreeMap<String, u64>) {
     let f = env.f;
     let stmt = scan.stmt_of(ci);
     let cond_form = stmt != ci; // `if let …` / `while let …`
@@ -631,7 +573,6 @@ fn handle_let(
         end
     };
     let mask = eval_range(env, taint, eq + 1, rhs_end);
-    let op_line = if mask & SOURCE != 0 { arith_in(f, eq + 1, rhs_end) } else { None };
     for cj in (ci + 1)..pat_end {
         let u = f.ct(cj);
         if u.kind == TokKind::Ident
@@ -639,14 +580,6 @@ fn handle_let(
             && !u.text.chars().next().is_some_and(char::is_uppercase)
         {
             taint.insert(u.text.clone(), mask);
-            match op_line {
-                Some(l) => {
-                    arith.insert(u.text.clone(), l);
-                }
-                None => {
-                    arith.remove(&u.text);
-                }
-            }
         }
     }
 }
@@ -671,13 +604,7 @@ fn handle_for(env: &Env<'_>, ci: usize, body_end: usize, taint: &mut BTreeMap<St
 }
 
 /// Statement-initial `x = …;` / `x += …;` / `x <<= …;` assignments.
-fn handle_assign(
-    env: &Env<'_>,
-    scan: &BodyScan,
-    ci: usize,
-    taint: &mut BTreeMap<String, u64>,
-    arith: &mut BTreeMap<String, usize>,
-) {
+fn handle_assign(env: &Env<'_>, scan: &BodyScan, ci: usize, taint: &mut BTreeMap<String, u64>) {
     let f = env.f;
     let name = f.ct(ci).text.clone();
     if NON_VALUE_WORDS.contains(&name.as_str()) {
@@ -690,46 +617,30 @@ fn handle_assign(
     // `x = rhs;` (not `==`)
     if p1.is_some_and(|t| t.is_punct('=')) && !p2.is_some_and(|t| t.is_punct('=')) {
         let mask = eval_range(env, taint, ci + 2, end);
-        let op = if mask & SOURCE != 0 { arith_in(f, ci + 2, end) } else { None };
-        taint.insert(name.clone(), mask);
-        match op {
-            Some(l) => {
-                arith.insert(name, l);
-            }
-            None => {
-                arith.remove(&name);
-            }
-        }
+        taint.insert(name, mask);
         return;
     }
-    // `x op= rhs;` — compound assignment; `+=`/`*=`/`<<=` are arithmetic.
-    let (rhs_from, is_arith) = if p1.is_some_and(|t| t.is_punct('<'))
+    // `x op= rhs;` — compound assignment: `x` keeps its taint and gains the
+    // right-hand side's.
+    let rhs_from = if p1.is_some_and(|t| t.is_punct('<'))
         && p2.is_some_and(|t| t.is_punct('<'))
         && p3.is_some_and(|t| t.is_punct('='))
     {
-        (ci + 4, true)
+        ci + 4
     } else if p1.is_some_and(|t| "+-*/%&|^".chars().any(|c| t.is_punct(c)))
         && p2.is_some_and(|t| t.is_punct('='))
     {
-        (ci + 3, p1.is_some_and(|t| t.is_punct('+') || t.is_punct('*')))
+        ci + 3
     } else {
         return;
     };
     let mask = taint.get(&name).copied().unwrap_or(0) | eval_range(env, taint, rhs_from, end);
-    taint.insert(name.clone(), mask);
-    if is_arith && mask & SOURCE != 0 {
-        arith.insert(name, f.ct(ci).line);
-    }
+    taint.insert(name, mask);
 }
 
 /// A comparison (`<`, `>`, `<=`, `>=`, `==`, `!=`) bounds the compared
 /// variables: clear their taint. `<<`/`>>`/`->`/`=>` are not comparisons.
-fn clear_on_comparison(
-    f: &ParsedFile,
-    ci: usize,
-    taint: &mut BTreeMap<String, u64>,
-    arith: &mut BTreeMap<String, usize>,
-) {
+fn clear_on_comparison(f: &ParsedFile, ci: usize, taint: &mut BTreeMap<String, u64>) {
     let t = f.ct(ci);
     let next = |k: usize| f.code.get(ci + k).map(|&ti| &f.toks[ti]);
     let prev = ci.checked_sub(1).map(|i| f.ct(i));
@@ -768,7 +679,6 @@ fn clear_on_comparison(
                 let u = &f.toks[ti];
                 if u.kind == TokKind::Ident {
                     taint.remove(&u.text);
-                    arith.remove(&u.text);
                 }
             }
         }
@@ -814,36 +724,6 @@ fn eval_range(env: &Env<'_>, taint: &BTreeMap<String, u64>, from: usize, to: usi
         }
     }
     mask
-}
-
-/// Line of the first binary `+`/`*`/`<<` in `[from, to)`, if any.
-fn arith_in(f: &ParsedFile, from: usize, to: usize) -> Option<usize> {
-    let to = to.min(f.code.len());
-    for cj in from..to {
-        let t = f.ct(cj);
-        if !t.is_punct('+') && !t.is_punct('*') && !t.is_punct('<') {
-            continue;
-        }
-        let prev = cj.checked_sub(1).map(|i| f.ct(i));
-        let binary = prev.is_some_and(|p| {
-            (p.kind == TokKind::Ident && !NON_VALUE_WORDS.contains(&p.text.as_str()))
-                || p.kind == TokKind::Num
-                || p.is_punct(')')
-                || p.is_punct(']')
-                || p.is_punct('?')
-        });
-        if !binary {
-            continue;
-        }
-        if t.is_punct('<') {
-            if f.code.get(cj + 1).is_some_and(|&ti| f.toks[ti].is_punct('<')) {
-                return Some(t.line); // `<<`
-            }
-            continue; // lone `<` is a comparison
-        }
-        return Some(t.line);
-    }
-    None
 }
 
 /// Exclusive end of the statement starting at `s`: its terminating `;`,
@@ -992,12 +872,12 @@ mod tests {
     }
 
     #[test]
-    fn unchecked_arith_upgrades_the_finding() {
+    fn unchecked_arith_is_reported_at_the_sink() {
         let v = run("fn f(r: &mut R) { let n = (r.u16().unwrap_or(0) as usize) * 8;\n\
              let _v: Vec<u8> = Vec::with_capacity(n); }");
         assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].lint, "tainted_arith");
-        assert_eq!(v[0].line, 1, "reported at the arithmetic site");
+        assert_eq!(v[0].lint, "taint_alloc");
+        assert_eq!(v[0].line, 2, "reported at the allocation");
     }
 
     #[test]

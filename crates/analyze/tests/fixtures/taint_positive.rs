@@ -1,5 +1,5 @@
-//! Positive fixture: untrusted wire lengths reach allocation, slicing,
-//! and unchecked arithmetic sinks without any bound. Fed to the analyzer
+//! Positive fixture: untrusted wire lengths reach allocation and slicing
+//! sinks without any bound, directly or through unchecked arithmetic. Fed to the analyzer
 //! under `crates/pmrd/src/…`, where the taint lints are in scope.
 
 /// An uncapped wire length sizes an allocation: `taint_alloc`.
@@ -15,8 +15,8 @@ pub fn slice_from_wire(r: &mut Reader, buf: &[u8]) -> u8 {
     buf[off]
 }
 
-/// Unchecked `*` on a wire length later sizes an allocation: the finding
-/// upgrades to `tainted_arith` and points at the multiplication.
+/// Unchecked `*` on a wire length later sizes an allocation: `taint_alloc`,
+/// reported at the allocation.
 pub fn arith_then_alloc(r: &mut Reader) -> Vec<u8> {
     let n = r.u16() as usize;
     let total = n * 8;

@@ -203,18 +203,21 @@ fn lock_order_negative_is_clean() {
     assert!(r.is_clean(), "{:#?}", r.violations);
 }
 
-// ---- taint_alloc / taint_index / tainted_arith ----
+// ---- taint_alloc / taint_index ----
 
 #[test]
 fn taint_lints_fire_on_unbounded_wire_lengths() {
     let src = include_str!("fixtures/taint_positive.rs");
     let r = lint("crates/pmrd/src/fixture.rs", src, &AnalyzeConfig::default());
-    assert_eq!(count(&r, "taint_alloc"), 1, "{:#?}", r.violations);
+    assert_eq!(count(&r, "taint_alloc"), 2, "{:#?}", r.violations);
     assert_eq!(count(&r, "taint_index"), 1, "{:#?}", r.violations);
-    assert_eq!(count(&r, "tainted_arith"), 1, "{:#?}", r.violations);
-    // The arith finding points at the multiplication, not the sink.
-    let arith = r.violations.iter().find(|v| v.lint == "tainted_arith").expect("arith");
-    assert!(arith.snippet.contains("n * 8"), "{:?}", arith);
+    // Unchecked arithmetic on the length is reported at the sink it feeds.
+    let via_arith = r
+        .violations
+        .iter()
+        .find(|v| v.snippet.contains("Vec::with_capacity(total)"))
+        .expect("the arithmetic-fed allocation");
+    assert_eq!(via_arith.lint, "taint_alloc", "{via_arith:?}");
 }
 
 #[test]
@@ -230,7 +233,6 @@ fn taint_lints_are_scoped_to_ingest_crates() {
     let r = lint("crates/nn/src/fixture.rs", src, &AnalyzeConfig::default());
     assert_eq!(count(&r, "taint_alloc"), 0, "nn does not ingest untrusted bytes");
     assert_eq!(count(&r, "taint_index"), 0);
-    assert_eq!(count(&r, "tainted_arith"), 0);
 }
 
 #[test]
@@ -277,47 +279,6 @@ fn checksum_gate_is_scoped_to_persisted_format_crates() {
     let src = include_str!("fixtures/checksum_gate_positive.rs");
     let r = lint("crates/pmrd/src/fixture.rs", src, &AnalyzeConfig::default());
     assert_eq!(count(&r, "checksum_gate"), 0, "pmrd is not a persisted-format crate");
-}
-
-// ---- lock_consistency (interprocedural) ----
-
-#[test]
-fn lock_consistency_flags_the_unguarded_minority_site() {
-    let src = include_str!("fixtures/lock_consistency_positive.rs");
-    let r = lint("crates/storage/src/fixture.rs", src, &AnalyzeConfig::default());
-    assert_eq!(count(&r, "lock_consistency"), 1, "{:#?}", r.violations);
-    let v = r.violations.iter().find(|v| v.lint == "lock_consistency").expect("finding");
-    assert!(v.message.contains("Registry.mu"), "names the inferred guard: {}", v.message);
-    assert!(v.message.contains("3 of 4"), "states the vote: {}", v.message);
-}
-
-#[test]
-fn lock_consistency_negative_is_clean_with_one_waived() {
-    let src = include_str!("fixtures/lock_consistency_negative.rs");
-    let r = lint("crates/storage/src/fixture.rs", src, &AnalyzeConfig::default());
-    assert_eq!(count(&r, "lock_consistency"), 0, "{:#?}", r.violations);
-    assert_eq!(count_allowed(&r, "lock_consistency"), 1, "the waived startup read");
-    assert_eq!(count(&r, "stale_suppression"), 0);
-}
-
-// ---- atomic_ordering ----
-
-#[test]
-fn atomic_ordering_fires_on_all_three_protocol_breaks() {
-    let src = include_str!("fixtures/atomic_ordering_positive.rs");
-    let r = lint("crates/pmrd/src/fixture.rs", src, &AnalyzeConfig::default());
-    // Relaxed load of a published flag, Relaxed store of an acquire-read
-    // flag, and the inverted CAS failure ordering.
-    assert_eq!(count(&r, "atomic_ordering"), 3, "{:#?}", r.violations);
-}
-
-#[test]
-fn atomic_ordering_negative_is_clean_with_one_waived() {
-    let src = include_str!("fixtures/atomic_ordering_negative.rs");
-    let r = lint("crates/storage/src/fixture.rs", src, &AnalyzeConfig::default());
-    assert_eq!(count(&r, "atomic_ordering"), 0, "{:#?}", r.violations);
-    assert_eq!(count_allowed(&r, "atomic_ordering"), 1, "the waived log-line hint");
-    assert_eq!(count(&r, "stale_suppression"), 0);
 }
 
 // ---- blocking_under_lock (interprocedural) ----

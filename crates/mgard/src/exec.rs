@@ -225,7 +225,7 @@ impl Pool {
 }
 
 impl Shared {
-    fn state(&self) -> MutexGuard<'_, State> {
+    fn lock(&self) -> MutexGuard<'_, State> {
         lock(&self.state)
     }
 
@@ -234,7 +234,7 @@ impl Shared {
     /// flight, the caller runs `task` alone.
     fn offer_task(&self, task: &(dyn Fn() + Sync)) {
         {
-            let mut st = self.state();
+            let mut st = self.lock();
             if st.task.is_some() || st.running > 0 {
                 drop(st);
                 return task();
@@ -260,7 +260,7 @@ impl Shared {
     /// until the pool is dropped.
     fn work_loop(&self) {
         let mut seen = 0;
-        let mut st = self.state();
+        let mut st = self.lock();
         while !st.shutdown {
             let fresh = st.task.filter(|_| st.region != seen);
             let Some(task) = fresh else {
@@ -271,7 +271,7 @@ impl Shared {
             st.running += 1;
             drop(st);
             task();
-            st = self.state();
+            st = self.lock();
             st.running -= 1;
             if st.running == 0 {
                 self.idle.notify_all();
@@ -285,7 +285,7 @@ struct Retract<'a>(&'a Shared);
 
 impl Drop for Retract<'_> {
     fn drop(&mut self) {
-        let mut st = self.0.state();
+        let mut st = self.0.lock();
         st.task = None;
         while st.running > 0 {
             st = self.0.idle.wait(st).unwrap_or_else(PoisonError::into_inner);
@@ -295,7 +295,7 @@ impl Drop for Retract<'_> {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.state().shutdown = true;
+        self.shared.lock().shutdown = true;
         self.shared.wake.notify_all();
         for worker in self.workers.drain(..) {
             // A worker cannot panic: every job runs under `catch_unwind`.

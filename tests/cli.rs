@@ -2,6 +2,7 @@
 
 mod common;
 
+use pmr_analyze::lints::LINT_IDS;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -450,43 +451,152 @@ fn analyze_catches_planted_regressions() {
         String::from_utf8_lossy(&out.stdout)
     );
 
-    let probes = [
+    // Each probe: the file, its exact-string edits, and the lint that must
+    // name the planted bug in that file.
+    type Probe = (&'static str, &'static [(&'static str, &'static str)], &'static str);
+    let probes: &[Probe] = &[
         // PR 19: a header field sizes an allocation before the cap.
         (
             "crates/field/src/io.rs",
-            "    let points = dx.checked_mul(dy)",
-            "    let early: Vec<u8> = Vec::with_capacity(dx);\n    let points = dx.checked_mul(dy)",
+            &[(
+                "    let points = dx.checked_mul(dy)",
+                "    let early: Vec<u8> = Vec::with_capacity(dx);\n    let points = dx.checked_mul(dy)",
+            )],
             "taint_alloc",
         ),
         // PR 20: a level is decoded with its digests never compared.
         (
             "crates/mgard/src/persist.rs",
-            "            verify_checksums(l, &enc, &table[l])?;\n",
-            "",
+            &[("            verify_checksums(l, &enc, &table[l])?;\n", "")],
             "checksum_gate",
         ),
         // PR 9: a wire count sizes a Vec without the frame cap.
         (
             "crates/pmrd/src/protocol.rs",
-            "r.bounded_count(\"plane\")?",
-            "r.u16()? as usize",
+            &[("r.bounded_count(\"plane\")?", "r.u16()? as usize")],
             "taint_alloc",
+        ),
+        // A wire string length slices the frame without the bounds-checked
+        // `take`.
+        (
+            "crates/pmrd/src/protocol.rs",
+            &[("let bytes = self.take(len)?;", "let bytes = &self.buf[self.pos..self.pos + len];")],
+            "taint_index",
         ),
         // A sleep under the plane-cache lock, in `get_or_fetch`.
         (
             "crates/pmrd/src/cache.rs",
-            "        let mut guard = self.lock();\n        guard.inflight.remove(&key);",
-            "        let mut guard = self.lock();\n        \
-             std::thread::sleep(std::time::Duration::from_millis(1));\n        \
-             guard.inflight.remove(&key);",
+            &[(
+                "        let mut guard = self.lock();\n        guard.inflight.remove(&key);",
+                "        let mut guard = self.lock();\n        \
+                 std::thread::sleep(std::time::Duration::from_millis(1));\n        \
+                 guard.inflight.remove(&key);",
+            )],
             "blocking_under_lock",
         ),
+        // A sleep under the worker pool's lock, in `offer_task`.
+        (
+            "crates/mgard/src/exec.rs",
+            &[(
+                "            let mut st = self.lock();\n",
+                "            let mut st = self.lock();\n            \
+                 std::thread::sleep(std::time::Duration::from_millis(1));\n",
+            )],
+            "blocking_under_lock",
+        ),
+        // The pool's lock taken twice in `offer_task`: a self-deadlock.
+        (
+            "crates/mgard/src/exec.rs",
+            &[(
+                "            let mut st = self.lock();\n",
+                "            let mut st = self.lock();\n            let _again = self.lock();\n",
+            )],
+            "lock_order",
+        ),
+        // An AB/BA cycle in `FaultInjector`: `log()` takes `attempts` under
+        // `log`, while `fetch` records a fault under `attempts`.
+        (
+            "crates/storage/src/fault.rs",
+            &[
+                (
+                    "        self.log.lock().unwrap_or_else(|p| p.into_inner()).clone()\n",
+                    "        let log = self.log.lock().unwrap_or_else(|p| p.into_inner());\n        \
+                     let _seen = self.attempts.lock().unwrap_or_else(|p| p.into_inner()).len();\n        \
+                     log.clone()\n",
+                ),
+                (
+                    "            *n += 1;\n",
+                    "            *n += 1;\n            self.record(key, *n, FaultKind::Transient);\n",
+                ),
+            ],
+            "lock_order",
+        ),
+        // A batch result unwrapped in `fan_out` instead of flattened.
+        (
+            "crates/mgard/src/exec.rs",
+            &[("out.into_iter().flatten().collect()", "out.into_iter().map(|s| s.unwrap()).collect()")],
+            "panic_reach",
+        ),
+        // A failed sync of a batch write is dropped, so the batch is acked.
+        (
+            "crates/storage/src/segment.rs",
+            &[(
+                ".and_then(|()| sync(file, true).map_err(io));",
+                ".and_then(|()| {\n                let _ = sync(file, true);\n                Ok(())\n            });",
+            )],
+            "error_swallow",
+        ),
+        // The pool's lifetime-erasing transmute loses its safety argument.
+        (
+            "crates/mgard/src/exec.rs",
+            &[(
+                "            // SAFETY: only the lifetime is erased, and by the above no worker\n\
+                 \x20           // holds or can still take the reference once `task`'s borrow ends.\n",
+                "",
+            )],
+            "unsafe_safety",
+        ),
+        // A pool retraction asserted `Send` by hand.
+        (
+            "crates/mgard/src/exec.rs",
+            &[(
+                "struct Retract<'a>(&'a Shared);\n",
+                "struct Retract<'a>(&'a Shared);\n\n\
+                 // SAFETY: a retraction only touches the pool's mutex.\n\
+                 unsafe impl Send for Retract<'_> {}\n",
+            )],
+            "send_sync_impl",
+        ),
+        // A transpose stage truncated through a `u64 as u8` cast.
+        (
+            "crates/codec/src/transpose.rs",
+            &[(
+                "let t = (x[k] ^ (x[k + j] >> j)) & m;",
+                "let t = u64::from(((x[k] ^ (x[k + j] >> j)) & m) as u8);",
+            )],
+            "lossy_cast",
+        ),
+        // Fault-injection attempt counters in a `HashMap`.
+        (
+            "crates/storage/src/fault.rs",
+            &[("attempts: Mutex<BTreeMap<SegmentKey, u32>>,", "attempts: Mutex<HashMap<SegmentKey, u32>>,")],
+            "nondeterminism",
+        ),
     ];
-    for (file, anchor, planted, lint) in probes {
+    // Every lint proves a catch on this code base; `stale_suppression` has
+    // its own test.
+    for id in LINT_IDS.iter().filter(|&&id| id != "stale_suppression") {
+        assert!(probes.iter().any(|&(.., lint)| lint == *id), "lint {id} has no probe here");
+    }
+    for &(file, edits, lint) in probes {
         let path = root.join(file);
         let original = std::fs::read_to_string(&path).unwrap();
-        assert!(original.contains(anchor), "anchor moved in {file}: {anchor:?}");
-        std::fs::write(&path, original.replacen(anchor, planted, 1)).unwrap();
+        let mut planted = original.clone();
+        for &(anchor, edit) in edits {
+            assert!(planted.contains(anchor), "anchor moved in {file}: {anchor:?}");
+            planted = planted.replacen(anchor, edit, 1);
+        }
+        std::fs::write(&path, planted).unwrap();
         let out = analyze();
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert_eq!(out.status.code(), Some(1), "{lint} probe in {file} went silent:\n{stdout}");
@@ -515,7 +625,7 @@ fn analyze_explain_prints_lint_documentation() {
     assert!(!out.status.success(), "unknown lint ids must fail");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("no_such_lint"), "{stderr}");
-    assert!(stderr.contains("lock_consistency"), "the error lists the known lints: {stderr}");
+    assert!(stderr.contains("checksum_gate"), "the error lists the known lints: {stderr}");
 }
 
 #[test]
