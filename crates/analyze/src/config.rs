@@ -27,7 +27,8 @@ pub struct AnalyzeConfig {
     pub cast_paths: &'static [&'static str],
     /// `nondeterminism`: code that produces artifacts, plans, or fault
     /// schedules and must be bit-reproducible. `crates/sim/src` is listed
-    /// because it generates every seeded input field on worker threads.
+    /// because it generates every seeded input field on worker threads,
+    /// `crates/json/src` because it writes the golden index.
     pub nondet_paths: &'static [&'static str],
 }
 
@@ -61,6 +62,7 @@ impl Default for AnalyzeConfig {
                 "crates/blockcodec/src",
                 "crates/core/src",
                 "crates/conformance/src",
+                "crates/json/src",
                 "crates/rng/src",
                 "crates/sim/src",
             ],

@@ -1,12 +1,13 @@
 //! Machine-readable analysis report.
 //!
-//! The JSON is hand-written (the workspace has no third-party crates) and
-//! **deterministic**: same tree in, same findings out — violations and
-//! allowed entries are sorted by `(file, line, lint)` and keys are emitted
-//! in fixed order. The only environment-dependent field is the optional
-//! `timing` block, which the CLI attaches for humans.
+//! The JSON is a [`Json`] value and **deterministic**: same tree in, same
+//! findings out — violations and allowed entries are sorted by
+//! `(file, line, lint)` and keys are emitted in fixed order. The only
+//! environment-dependent field is the optional `timing` object, which the
+//! CLI attaches for humans.
 
 use crate::lints::LINT_IDS;
+use pmr_json::Json;
 use std::fmt::Write as _;
 
 /// One lint finding.
@@ -97,77 +98,37 @@ impl Report {
         out
     }
 
-    /// The stable JSON document (plus the volatile `timing` block when the
-    /// caller attached one — strip it before byte-comparing two runs).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"version\": 4,\n");
-        let _ = writeln!(s, "  \"files_scanned\": {},", self.files_scanned);
+    /// The stable JSON document (plus the volatile `timing` object when the
+    /// caller attached one — drop it before comparing two runs).
+    pub fn to_json(&self) -> Json {
+        let num = |n: usize| Json::Num(n as f64);
+        let violation = |v: &Violation| {
+            vec![
+                ("lint", Json::str(v.lint)),
+                ("file", Json::str(&v.file)),
+                ("line", num(v.line)),
+                ("message", Json::str(&v.message)),
+                ("snippet", Json::str(&v.snippet)),
+            ]
+        };
+        let mut doc = vec![("version", Json::Num(4.0)), ("files_scanned", num(self.files_scanned))];
         if let Some(wall_ms) = self.wall_ms {
-            let _ = writeln!(s, "  \"timing\": {{ \"wall_ms\": {wall_ms} }},");
+            doc.push(("timing", Json::obj(vec![("wall_ms", Json::Num(wall_ms as f64))])));
         }
-        s.push_str("  \"summary\": {");
-        for (i, lint) in LINT_IDS.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, " \"{lint}\": {}", self.count(lint));
-        }
-        s.push_str(" },\n");
-        s.push_str("  \"violations\": [");
-        write_items(&mut s, &self.violations, |s, v| write_violation(s, v, None));
-        s.push_str("],\n");
-        s.push_str("  \"allowed\": [");
-        write_items(&mut s, &self.allowed, |s, a| {
-            write_violation(s, &a.violation, Some(&a.reason))
+        let summary = LINT_IDS.iter().map(|lint| (*lint, num(self.count(lint)))).collect();
+        doc.push(("summary", Json::obj(summary)));
+        doc.push((
+            "violations",
+            Json::Arr(self.violations.iter().map(|v| Json::obj(violation(v))).collect()),
+        ));
+        let allowed = self.allowed.iter().map(|a| {
+            let mut pairs = violation(&a.violation);
+            pairs.push(("reason", Json::str(&a.reason)));
+            Json::obj(pairs)
         });
-        s.push_str("]\n}\n");
-        s
+        doc.push(("allowed", Json::Arr(allowed.collect())));
+        Json::obj(doc)
     }
-}
-
-fn write_items<T>(s: &mut String, items: &[T], mut one: impl FnMut(&mut String, &T)) {
-    for (i, item) in items.iter().enumerate() {
-        s.push_str(if i == 0 { "\n" } else { ",\n" });
-        s.push_str("    ");
-        one(s, item);
-    }
-    if !items.is_empty() {
-        s.push_str("\n  ");
-    }
-}
-
-fn write_violation(s: &mut String, v: &Violation, reason: Option<&str>) {
-    let _ = write!(
-        s,
-        "{{ \"lint\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\", \"snippet\": \"{}\"",
-        v.lint,
-        escape(&v.file),
-        v.line,
-        escape(&v.message),
-        escape(&v.snippet)
-    );
-    if let Some(r) = reason {
-        let _ = write!(s, ", \"reason\": \"{}\"", escape(r));
-    }
-    s.push_str(" }");
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -188,13 +149,16 @@ mod tests {
         };
         r.finalize();
         assert_eq!(r.violations[0].file, "a.rs");
-        let j1 = r.to_json();
-        let j2 = r.to_json();
-        assert_eq!(j1, j2);
-        assert!(j1.contains("\"summary\""));
-        assert!(j1.contains("\"panic_reach\": 1"));
-        // Embedded quotes are escaped.
-        assert!(j1.contains("\\\"q\\\""));
+        let j = r.to_json();
+        assert_eq!(j, r.to_json());
+        let summary = j.get("summary").expect("summary");
+        assert_eq!(summary.get("panic_reach").and_then(Json::as_usize), Some(1));
+        let first = &j.get("violations").and_then(Json::as_arr).expect("violations")[0];
+        assert_eq!(first.get("file").and_then(Json::as_str), Some("a.rs"));
+        // Embedded quotes survive the write-parse round trip.
+        let text = j.to_pretty();
+        assert!(text.contains("\\\"q\\\""));
+        assert_eq!(pmr_json::parse(&text), Ok(j));
     }
 
     #[test]
@@ -202,16 +166,16 @@ mod tests {
         let mut r = Report::default();
         r.finalize();
         assert!(r.is_clean());
-        assert!(r.to_json().contains("\"violations\": []"));
+        assert_eq!(r.to_json().get("violations"), Some(&Json::Arr(vec![])));
     }
 
     #[test]
     fn timing_is_emitted_only_when_attached() {
         let mut r = Report::default();
         r.finalize();
-        assert!(!r.to_json().contains("timing"));
+        assert!(r.to_json().get("timing").is_none());
         r.wall_ms = Some(12);
         let j = r.to_json();
-        assert!(j.contains("\"wall_ms\": 12"));
+        assert_eq!(j.get("timing").and_then(|t| t.get("wall_ms")), Some(&Json::Num(12.0)));
     }
 }

@@ -18,14 +18,15 @@
 //! - `PMR_CODEC_BENCH_BASELINE` — path to a committed `BENCH_codec.json`;
 //!   when set, the run compares its kernel-vs-scalar speedups against the
 //!   baseline entry with the same size label and exits non-zero on a >10 %
-//!   regression.  Speedup ratios — not absolute GB/s — are compared so the
+//!   regression, or when the baseline lacks that entry or one of its
+//!   speedups.  Speedup ratios — not absolute GB/s — are compared so the
 //!   gate is portable across runner hardware.
 //!
 //! Run with `cargo bench --bench codec_throughput`.
 
 use pmr_codec::transpose;
+use pmr_json::Json;
 use pmr_mgard::{ExecPolicy, LevelEncoding, PlaneKernel};
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -194,83 +195,72 @@ fn bench_size(label: &'static str, n: usize, reps: u32) -> SizeResult {
     SizeResult { label, n, encode_speedup, decode_speedup, runs }
 }
 
-fn fmt_f64_list(vals: impl Iterator<Item = f64>) -> String {
-    let items: Vec<String> = vals.map(|v| format!("{v:.3}")).collect();
-    format!("[{}]", items.join(", "))
+/// `v` rounded to `decimals` places, the precision the committed file carries.
+fn rounded(v: f64, decimals: i32) -> Json {
+    let scale = 10f64.powi(decimals);
+    Json::Num((v * scale).round() / scale)
 }
 
-fn to_json(results: &[SizeResult]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"bench\": \"codec-throughput\",\n");
-    let _ = writeln!(s, "  \"isa\": \"{}\",", transpose::detected_isa().unwrap_or("swar-fallback"));
-    let _ = writeln!(s, "  \"num_planes\": {NUM_PLANES},");
-    s.push_str("  \"runs\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        for (j, run) in r.runs.iter().enumerate() {
-            let planes: Vec<String> = run.plane_bytes.iter().map(u64::to_string).collect();
-            let _ = write!(
-                s,
-                "    {{\"size\": \"{}\", \"n\": {}, \"kernel\": \"{}\", \
-                 \"encode_gbps\": {:.3}, \"decode_gbps\": {:.3}, \
-                 \"encode_s\": {:.4}, \"decode_s\": {:.4}, \
-                 \"prefix_planes\": [{}], \"prefix_gbps\": {}, \
-                 \"plane_bytes\": [{}]}}",
-                r.label,
-                r.n,
-                run.kernel,
-                run.encode_gbps,
-                run.decode_gbps,
-                run.encode_s,
-                run.decode_s,
-                PREFIXES.map(|p| p.to_string()).join(", "),
-                fmt_f64_list(run.prefix_gbps.iter().copied()),
-                planes.join(", "),
-            );
-            let last = i + 1 == results.len() && j + 1 == r.runs.len();
-            s.push_str(if last { "\n" } else { ",\n" });
-        }
-    }
-    s.push_str("  ],\n  \"summary\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"size\": \"{}\", \"kernel\": \"{}\", \
-             \"encode_speedup\": {:.3}, \"decode_speedup\": {:.3}}}",
-            r.label,
-            r.runs.last().map_or("scalar", |run| run.kernel),
-            r.encode_speedup,
-            r.decode_speedup,
-        );
-        s.push_str(if i + 1 == results.len() { "\n" } else { ",\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
+fn to_json(results: &[SizeResult]) -> Json {
+    let runs = results.iter().flat_map(|r| {
+        r.runs.iter().map(|run| {
+            Json::obj(vec![
+                ("size", Json::str(r.label)),
+                ("n", Json::Num(r.n as f64)),
+                ("kernel", Json::str(run.kernel)),
+                ("encode_gbps", rounded(run.encode_gbps, 3)),
+                ("decode_gbps", rounded(run.decode_gbps, 3)),
+                ("encode_s", rounded(run.encode_s, 4)),
+                ("decode_s", rounded(run.decode_s, 4)),
+                ("prefix_planes", Json::Arr(PREFIXES.map(|p| Json::Num(f64::from(p))).into())),
+                ("prefix_gbps", Json::Arr(run.prefix_gbps.map(|g| rounded(g, 3)).into())),
+                (
+                    "plane_bytes",
+                    Json::Arr(run.plane_bytes.iter().map(|&b| Json::Num(b as f64)).collect()),
+                ),
+            ])
+        })
+    });
+    let summary = results.iter().map(|r| {
+        Json::obj(vec![
+            ("size", Json::str(r.label)),
+            ("kernel", Json::str(r.runs.last().map_or("scalar", |run| run.kernel))),
+            ("encode_speedup", rounded(r.encode_speedup, 3)),
+            ("decode_speedup", rounded(r.decode_speedup, 3)),
+        ])
+    });
+    Json::obj(vec![
+        ("bench", Json::str("codec-throughput")),
+        ("isa", Json::str(transpose::detected_isa().unwrap_or("swar-fallback"))),
+        ("num_planes", Json::Num(f64::from(NUM_PLANES))),
+        ("runs", Json::Arr(runs.collect())),
+        ("summary", Json::Arr(summary.collect())),
+    ])
 }
 
-/// Pull `"<key>": <f64>` out of the baseline's summary entry for `label`.
-/// The writer above controls the format, so a positional scan is reliable.
-fn baseline_field(text: &str, label: &str, key: &str) -> Option<f64> {
-    let summary = text.find("\"summary\"")?;
-    let entry = text[summary..].find(&format!("\"size\": \"{label}\""))? + summary;
-    let field = text[entry..].find(&format!("\"{key}\": "))? + entry;
-    let start = field + key.len() + 4;
-    let rest = &text[start..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
+/// Compare each result's kernel-vs-scalar speedups against the baseline's
+/// summary entry with the same size label. A baseline that does not parse,
+/// lacks that entry or lacks one of its speedups is an error, not a pass.
 fn check_regression(results: &[SizeResult], baseline_path: &str) -> Result<(), String> {
     let path = from_repo_root(baseline_path);
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
+    let baseline = pmr_json::parse(&text)
+        .map_err(|e| format!("baseline {} is not JSON: {e}", path.display()))?;
+    let summary = baseline.get("summary").and_then(Json::as_arr).unwrap_or_default();
     for r in results {
+        let entry = summary
+            .iter()
+            .find(|e| e.get("size").and_then(Json::as_str) == Some(r.label))
+            .ok_or_else(|| {
+                format!("baseline {} has no summary entry for {}", path.display(), r.label)
+            })?;
         for (key, current) in
             [("encode_speedup", r.encode_speedup), ("decode_speedup", r.decode_speedup)]
         {
-            let Some(committed) = baseline_field(&text, r.label, key) else {
-                eprintln!("codec_throughput: no baseline entry for {} {key}", r.label);
-                continue;
-            };
+            let committed = entry.get(key).and_then(Json::as_f64).ok_or_else(|| {
+                format!("baseline {} summary entry for {} has no {key}", path.display(), r.label)
+            })?;
             let floor = committed * 0.9;
             if current < floor {
                 return Err(format!(
@@ -305,7 +295,7 @@ fn main() {
         "PMR_CODEC_BENCH_SIZE must be 512cube, 64cube, or both (got {size})"
     );
 
-    let json = to_json(&results);
+    let json = to_json(&results).to_pretty();
     let out = std::env::var("PMR_CODEC_BENCH_OUT").unwrap_or_else(|_| "BENCH_codec.json".into());
     if out == "-" {
         print!("{json}");
@@ -320,7 +310,7 @@ fn main() {
 
     if let Ok(baseline) = std::env::var("PMR_CODEC_BENCH_BASELINE") {
         if let Err(msg) = check_regression(&results, &baseline) {
-            eprintln!("codec_throughput: REGRESSION: {msg}");
+            eprintln!("codec_throughput: gate failed: {msg}");
             std::process::exit(1);
         }
     }

@@ -3,7 +3,7 @@
 use crate::block::{self, BLOCK_LEN};
 use crate::lifting;
 use pmr_field::{Field, Shape};
-use pmr_mgard::{LevelEncoding, RetrievalPlan};
+use pmr_mgard::LevelEncoding;
 
 /// Compression parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -138,12 +138,6 @@ impl BlockCompressed {
             }
         }
         Field::new(self.name.clone(), self.timestep, self.shape, data)
-    }
-
-    /// Expose a [`RetrievalPlan`]-shaped view for tooling that compares
-    /// against the multilevel path (single pseudo-level).
-    pub fn plan_as_retrieval(&self, b: u32) -> RetrievalPlan {
-        RetrievalPlan::from_planes(vec![b])
     }
 
     /// Timestep of the source snapshot.

@@ -19,10 +19,10 @@
 //! re-run from a fresh store to pin seed-determinism.
 
 use crate::fields::{catalogue, FieldClass};
-use crate::json::Json;
 use crate::sweep::{SWEEP_LEVELS, SWEEP_PLANES};
 use pmr_core::{retrieve, Backend, Dataset, RetrievalRequest, Theory};
 use pmr_field::{error::max_abs_error, Field};
+use pmr_json::Json;
 use pmr_mgard::{CompressConfig, Compressed};
 use pmr_storage::{
     fetch_plan_tolerant, repair, scrub, DegradedRetrieval, FaultConfig, FaultEvent, FaultInjector,
@@ -710,7 +710,7 @@ mod tests {
         let off = nudged(field, &out.field);
         assert!(check_outcome(field, &c, bound, &off, Some(deg), &healthy).is_err());
 
-        let json = crate::json::parse(&fault_report_json(&report, "quick", 7)).expect("JSON");
+        let json = pmr_json::parse(&fault_report_json(&report, "quick", 7)).expect("JSON");
         assert_eq!(json.get("grid").and_then(Json::as_str), Some("quick"));
         let inner = json.get("report").expect("report key");
         assert_eq!(

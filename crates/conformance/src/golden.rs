@@ -25,9 +25,9 @@
 //! *intentional* format change, and say so in the commit message.
 
 use crate::fields::unit;
-use crate::json::{parse, Json};
 use crate::sweep::{SWEEP_LEVELS, SWEEP_PLANES};
 use pmr_field::{Field, Shape};
+use pmr_json::{parse, Json};
 use pmr_mgard::{persist, CompressConfig, Compressed, DecodeOptions, ExecPolicy, PlaneKernel};
 use std::path::Path;
 

@@ -25,8 +25,6 @@
 //! * [`golden`] — small checked-in compressed blobs whose bytes, plans,
 //!   fetch sizes and achieved-error *bits* must stay identical until the
 //!   format intentionally changes.
-//! * [`json`] — the dependency-free JSON writer/parser backing the golden
-//!   index and the machine-readable conformance report.
 //!
 //! `pmrtool conformance` drives all of it from the command line; the CI
 //! workflow runs the quick grid per PR and the full 81-bound grid on a
@@ -36,7 +34,6 @@ pub mod differential;
 pub mod faults;
 pub mod fields;
 pub mod golden;
-pub mod json;
 pub mod sweep;
 
 pub use faults::{
@@ -49,7 +46,7 @@ pub use sweep::{
     run_sweep, ConformanceReport, StrategyReport, SweepConfig, ToleranceGrid, ViolationBudget,
 };
 
-use json::Json;
+use pmr_json::Json;
 
 /// Run the conformance sweep *and* the differential checks, folding the
 /// differential failures into the sweep report. This is what the CLI and

@@ -24,13 +24,13 @@
 //! and artifacts survive a byte roundtrip.
 
 use crate::fields::{catalogue, finite_value_range, sim_slices, FieldClass};
-use crate::json::Json;
 use pmr_core::features::retrieval_features;
 use pmr_core::{
-    collect_records_many, sweep_strategy, AnyRetriever, Combined, DMgard, DMgardConfig, EMgard,
-    EMgardConfig, Retriever, SweepPoint, Theory,
+    collect_records_many, sweep_strategy, Combined, DMgard, DMgardConfig, EMgard, EMgardConfig,
+    Retriever, SweepPoint, Theory,
 };
 use pmr_field::Field;
+use pmr_json::Json;
 use pmr_mgard::{persist, CompressConfig, Compressed};
 
 /// Levels every sweep artifact is compressed with. Shared across the whole
@@ -432,11 +432,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> ConformanceReport {
     let (items, nan_laced) = sweep_corpus(cfg);
     let (dmgard, emgard) = train_retrievers(&items);
     let combined = Combined { dmgard: dmgard.clone(), emgard: emgard.clone() };
-    let learned: Vec<AnyRetriever> = vec![
-        AnyRetriever::DMgard(dmgard),
-        AnyRetriever::EMgard(emgard),
-        AnyRetriever::Combined(combined),
-    ];
+    let learned: [&dyn Retriever; 3] = [&dmgard, &emgard, &combined];
 
     let mut failures = Vec::new();
     let mut theory_points: Vec<SweepPoint> = Vec::new();
@@ -478,7 +474,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> ConformanceReport {
             }
         }
         if item.trainable() {
-            for (i, retriever) in learned.iter().enumerate() {
+            for (i, &retriever) in learned.iter().enumerate() {
                 match sweep_strategy(
                     &item.field,
                     &item.compressed,

@@ -43,7 +43,7 @@ fn quick_grid_conformance_passes() {
 fn report_serialises_to_parseable_json() {
     let report = report();
     let text = pmr_conformance::report_json(&report, "quick");
-    let parsed = pmr_conformance::json::parse(&text).expect("report JSON must parse");
+    let parsed = pmr_json::parse(&text).expect("report JSON must parse");
     assert_eq!(parsed.get("grid").and_then(|g| g.as_str()), Some("quick"));
     let inner = parsed.get("report").expect("report object");
     assert_eq!(inner.get("strategies").and_then(|s| s.as_arr()).map(|a| a.len()), Some(4));

@@ -117,11 +117,6 @@ impl ComparisonRow {
     pub fn saving_e(&self) -> f64 {
         saving(self.theory.bytes, self.emgard.bytes)
     }
-
-    /// Saved retrieval fraction of the combined retriever (Equation 8).
-    pub fn saving_c(&self) -> f64 {
-        saving(self.theory.bytes, self.combined.bytes)
-    }
 }
 
 /// `|D_mgard − D_new| / D_mgard` (Equation 8).

@@ -84,39 +84,6 @@ impl Retriever for Combined {
     }
 }
 
-/// A retrieval strategy chosen at runtime: a thin enum adapter over the
-/// [`Retriever`] implementations.
-pub enum AnyRetriever {
-    /// Original MGARD: theory constants + greedy retriever.
-    Theory,
-    /// D-MGARD: predicted plane counts, no estimator, no greedy search.
-    DMgard(DMgard),
-    /// E-MGARD: learned constants + the original greedy retriever.
-    EMgard(EMgard),
-    /// The combined D+E retriever (see [`Combined`]).
-    Combined(Combined),
-}
-
-impl Retriever for AnyRetriever {
-    fn name(&self) -> &str {
-        match self {
-            AnyRetriever::Theory => Theory.name(),
-            AnyRetriever::DMgard(m) => Retriever::name(m),
-            AnyRetriever::EMgard(m) => Retriever::name(m),
-            AnyRetriever::Combined(c) => c.name(),
-        }
-    }
-
-    fn plan(&self, ctx: &RetrievalContext<'_>, abs_bound: f64) -> RetrievalPlan {
-        match self {
-            AnyRetriever::Theory => Theory.plan(ctx, abs_bound),
-            AnyRetriever::DMgard(m) => Retriever::plan(m, ctx, abs_bound),
-            AnyRetriever::EMgard(m) => Retriever::plan(m, ctx, abs_bound),
-            AnyRetriever::Combined(c) => c.plan(ctx, abs_bound),
-        }
-    }
-}
-
 /// The measured summary of executing a plan (planes, bytes, error, PSNR).
 ///
 /// This is the row type persisted in experiment records; for the full
@@ -171,7 +138,7 @@ mod tests {
         let c = Compressed::compress(&field, &CompressConfig::default());
         let feats = retrieval_features(&field, &c);
         let ctx = RetrievalContext { compressed: &c, features: &feats };
-        let r = AnyRetriever::Theory;
+        let r = Theory;
         assert_eq!(r.name(), "MGARD");
         let bound = c.absolute_bound(1e-3);
         let plan = r.plan(&ctx, bound);
@@ -188,7 +155,6 @@ mod tests {
         assert_retriever::<DMgard>();
         assert_retriever::<EMgard>();
         assert_retriever::<Combined>();
-        assert_retriever::<AnyRetriever>();
 
         // Planning through a shared reference from several threads.
         let field = Field::from_fn("t", 0, Shape::cube(9), |x, y, _| {

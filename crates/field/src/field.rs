@@ -129,11 +129,6 @@ impl Field {
         &mut self.data
     }
 
-    /// Consume the field, returning its raw buffer.
-    pub fn into_data(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Value at `(x, y, z)`.
     #[inline]
     pub fn get(&self, x: usize, y: usize, z: usize) -> f64 {
@@ -169,18 +164,6 @@ impl Field {
     /// Largest absolute value in the field.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
-    }
-
-    /// Rename the field (used when deriving training sets).
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
-    /// Re-tag the timestep.
-    pub fn with_timestep(mut self, timestep: usize) -> Self {
-        self.timestep = timestep;
-        self
     }
 }
 

@@ -310,12 +310,6 @@ impl Compressed {
         self.exec
     }
 
-    /// Override the execution policy used by [`Compressed::retrieve`]
-    /// (loaded artifacts default to automatic parallelism).
-    pub fn set_exec(&mut self, exec: ExecPolicy) {
-        self.exec = exec;
-    }
-
     /// One feature vector per level that depends on the stored planes alone
     /// (`pmr_core::emgard::signatures_of`: a full-precision decode of every
     /// level), computed by `compute` on first use and kept with this

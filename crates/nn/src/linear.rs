@@ -79,11 +79,6 @@ impl Linear {
         self.db.fill(0.0);
     }
 
-    /// Drop the cached input (e.g. before persisting).
-    pub fn clear_cache(&mut self) {
-        self.input = None;
-    }
-
     pub fn num_params(&self) -> usize {
         self.w.data().len() + self.b.len()
     }

@@ -52,10 +52,6 @@ impl Mlp {
         self.layers.last().unwrap().fan_out()
     }
 
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     pub fn layers(&self) -> &[Linear] {
         &self.layers
     }

@@ -132,7 +132,7 @@ fn main() {
         }
     }
 
-    let json = reports_to_json(&runs, &args.connect);
+    let json = reports_to_json(&runs, &args.connect).to_pretty();
     match &args.out {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &json) {

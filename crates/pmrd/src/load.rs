@@ -14,6 +14,7 @@
 use crate::client::{Client, ConnectAddr};
 use crate::protocol::{Status, Target, FLAG_NO_PLANES};
 use pmr_error::PmrError;
+use pmr_json::Json;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -195,34 +196,36 @@ pub fn run_load(addr: &ConnectAddr, spec: &LoadSpec) -> Result<LoadReport, PmrEr
     })
 }
 
-/// Render load reports as the repo's hand-rolled benchmark JSON (one
-/// object per offered rate, newline-separated inside a top-level array).
-pub fn reports_to_json(runs: &[LoadReport], label: &str) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"pmrd-load\",\n  \"label\": {label:?},\n"));
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"offered_rps\": {:.1}, \"requests\": {}, \"ok\": {}, \"busy\": {}, \
-             \"degraded\": {}, \"errors\": {}, \"p50_ms\": {:.3}, \"p90_ms\": {:.3}, \
-             \"p99_ms\": {:.3}, \"mean_ms\": {:.3}, \"achieved_rps\": {:.1}}}{}\n",
-            r.offered_rps,
-            r.requests,
-            r.ok,
-            r.busy,
-            r.degraded,
-            r.errors,
-            r.p50_ms,
-            r.p90_ms,
-            r.p99_ms,
-            r.mean_ms,
-            r.achieved_rps,
-            if i + 1 == runs.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// `v` rounded to `decimals` places, the precision the committed file carries.
+fn rounded(v: f64, decimals: i32) -> Json {
+    let scale = 10f64.powi(decimals);
+    Json::Num((v * scale).round() / scale)
+}
+
+/// Render load reports as a benchmark document: one object per offered
+/// rate in `runs`, under the run's `label`.
+pub fn reports_to_json(runs: &[LoadReport], label: &str) -> Json {
+    let count = |n: usize| Json::Num(n as f64);
+    let runs = runs.iter().map(|r| {
+        Json::obj(vec![
+            ("offered_rps", rounded(r.offered_rps, 1)),
+            ("requests", count(r.requests)),
+            ("ok", count(r.ok)),
+            ("busy", count(r.busy)),
+            ("degraded", count(r.degraded)),
+            ("errors", count(r.errors)),
+            ("p50_ms", rounded(r.p50_ms, 3)),
+            ("p90_ms", rounded(r.p90_ms, 3)),
+            ("p99_ms", rounded(r.p99_ms, 3)),
+            ("mean_ms", rounded(r.mean_ms, 3)),
+            ("achieved_rps", rounded(r.achieved_rps, 1)),
+        ])
+    });
+    Json::obj(vec![
+        ("bench", Json::str("pmrd-load")),
+        ("label", Json::str(label)),
+        ("runs", Json::Arr(runs.collect())),
+    ])
 }
 
 #[cfg(test)]
@@ -255,9 +258,17 @@ mod tests {
             mean_ms: 1.5,
             achieved_rps: 49.0,
         }];
-        let json = reports_to_json(&runs, "smoke");
-        assert!(json.contains("\"bench\": \"pmrd-load\""));
-        assert!(json.contains("\"p99_ms\": 3.000"));
-        assert!(json.ends_with("}\n"));
+        let json = pmr_json::parse(&reports_to_json(&runs, "smoke").to_pretty()).expect("parses");
+        assert_eq!(json.get("bench").and_then(Json::as_str), Some("pmrd-load"));
+        let run = &json.get("runs").and_then(Json::as_arr).expect("runs")[0];
+        assert_eq!(run.get("p99_ms").and_then(Json::as_f64), Some(3.0));
+        assert_eq!(run.get("requests").and_then(Json::as_usize), Some(10));
+    }
+
+    #[test]
+    fn a_label_with_control_characters_stays_parsable_json() {
+        let label = "tcp \u{1b}[31mred\u{1b}[0m \"quoted\"\n";
+        let json = pmr_json::parse(&reports_to_json(&[], label).to_pretty()).expect("parses");
+        assert_eq!(json.get("label").and_then(Json::as_str), Some(label));
     }
 }

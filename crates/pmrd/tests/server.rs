@@ -3,6 +3,7 @@
 
 use pmr_core::{retrieve, Backend, Dataset, RetrievalRequest, Theory};
 use pmr_field::{Field, Shape};
+use pmr_json::Json;
 use pmr_mgard::{CompressConfig, Compressed};
 use pmr_storage::{
     FaultConfig, FaultInjector, FetchError, MemStore, RetryPolicy, SegmentKey, SegmentRead,
@@ -367,8 +368,10 @@ fn open_loop_load_run_reports_clean_percentiles() {
     assert_eq!(report.ok + report.busy, 60);
     assert!(report.ok > 0);
     assert!(report.p50_ms.is_finite() && report.p99_ms >= report.p50_ms);
-    let json = pmrd::load::reports_to_json(&[report], "test");
-    assert!(json.contains("\"offered_rps\": 400.0"));
+    let json = pmr_json::parse(&pmrd::load::reports_to_json(&[report], "test").to_pretty())
+        .expect("load report JSON parses");
+    let run = &json.get("runs").and_then(Json::as_arr).expect("runs")[0];
+    assert_eq!(run.get("offered_rps").and_then(Json::as_f64), Some(400.0));
 }
 
 #[test]

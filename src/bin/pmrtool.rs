@@ -418,7 +418,7 @@ fn run_shard(args: &[String]) -> Result<(), String> {
 /// Walk a sharded corpus verifying every replica against the manifest;
 /// with `--repair`, re-replicate damaged or missing copies in place.
 fn run_scrub(args: &[String]) -> Result<(), String> {
-    use pmr::conformance::json::Json;
+    use pmr::json::Json;
     use pmr::storage::ShardedStore;
     let dir = PathBuf::from(positional(args, 0, "sharded corpus directory")?);
     let manifest_path =
@@ -487,7 +487,8 @@ fn run_analyze(args: &[String]) -> Result<(), String> {
         analyze::analyze_workspace(&root, &AnalyzeConfig::default()).map_err(|e| e.to_string())?;
     print!("{}", report.summary());
     if let Some(path) = flag_value(args, "--report")? {
-        std::fs::write(path, report.to_json()).map_err(|e| format!("write {path}: {e}"))?;
+        std::fs::write(path, report.to_json().to_pretty())
+            .map_err(|e| format!("write {path}: {e}"))?;
         println!("wrote report to {path}");
     }
     if report.is_clean() {

@@ -8,6 +8,8 @@
 //! depend on a single crate:
 //!
 //! * [`field`] — field containers, statistics, error metrics
+//! * [`json`] — the JSON value, writer and strict parser every report,
+//!   golden index and benchmark document goes through
 //! * [`sim`] — Gray-Scott and synthetic WarpX data generators
 //! * [`codec`] — bitstreams, negabinary mapping, lossless RLE
 //! * [`mgard`] — multilevel decomposition + bit-plane progressive compressor
@@ -31,6 +33,7 @@ pub use pmr_conformance as conformance;
 pub use pmr_core as core;
 pub use pmr_error::{PmrError, Result as PmrResult};
 pub use pmr_field as field;
+pub use pmr_json as json;
 pub use pmr_mgard as mgard;
 pub use pmr_nn as nn;
 pub use pmr_sim as sim;

@@ -3,6 +3,7 @@
 mod common;
 
 use pmr_analyze::lints::LINT_IDS;
+use pmr_json::Json;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -276,11 +277,16 @@ fn faultsim_runs_the_quick_grid_and_writes_a_report() {
     assert!(out.status.success(), "faultsim failed: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("fault grid:"), "missing summary line: {stdout}");
-    let json = std::fs::read_to_string(&report).expect("report written");
-    assert!(json.contains("\"grid\": \"quick\""), "{json}");
-    assert!(json.contains("\"passed\": true"), "fault grid reported failures: {json}");
-    assert!(json.contains("\"honest_verified\""), "{json}");
-    assert!(json.contains("\"rot_detected\""), "the sharded cells ran: {json}");
+    let json = read_json(&report);
+    assert_eq!(json.get("grid").and_then(Json::as_str), Some("quick"), "{json:?}");
+    let grid = json.get("report").expect("report object");
+    assert_eq!(
+        grid.get("passed"),
+        Some(&Json::Bool(true)),
+        "fault grid reported failures: {json:?}"
+    );
+    assert!(grid.get("honest_verified").and_then(Json::as_usize).is_some(), "{json:?}");
+    assert!(grid.get("rot_detected").and_then(Json::as_usize).is_some(), "the sharded cells ran");
 
     // Unknown grid names are rejected cleanly.
     let out = pmrtool().args(["faultsim", "--grid", "bogus"]).output().unwrap();
@@ -351,8 +357,7 @@ fn shard_and_scrub_roundtrip_detects_and_repairs_rot() {
     let report = dir.join("scrub.json");
     let out = scrub(&["--report", report.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1), "dirty corpus must exit 1");
-    let json = std::fs::read_to_string(&report).unwrap();
-    assert!(json.contains("\"clean\": false"), "{json}");
+    assert_eq!(read_json(&report).get("clean"), Some(&Json::Bool(false)));
 
     // Repair rewrites the replica from the surviving good copy...
     let out = scrub(&["--repair"]);
@@ -395,17 +400,19 @@ fn analyze_reports_violations_with_exit_1_and_stable_json() {
         String::from_utf8_lossy(&out.stderr).contains("static-analysis violation"),
         "stderr names the failure"
     );
-    let json1 = std::fs::read_to_string(&report).expect("report written even on failure");
-    assert!(json1.contains("\"panic_reach\": 1"), "{json1}");
-    assert!(json1.contains("crates/mgard/src/lib.rs"), "{json1}");
-    assert!(json1.contains("\"wall_ms\""), "workspace runs record timing: {json1}");
+    let json1 = read_json(&report);
+    assert_eq!(lint_count(&json1, "panic_reach"), Some(1), "{json1:?}");
+    let violations = json1.get("violations").and_then(Json::as_arr).expect("violations");
+    assert_eq!(violations[0].get("file").and_then(Json::as_str), Some("crates/mgard/src/lib.rs"));
+    let timing = json1.get("timing").and_then(|t| t.get("wall_ms"));
+    assert!(timing.and_then(Json::as_f64).is_some(), "workspace runs record timing: {json1:?}");
 
-    // The report is byte-stable across runs, timing aside (wall time is
-    // the one legitimately volatile field).
+    // The report is the same across runs, timing aside (wall time is the
+    // one legitimately volatile field).
     let out = run();
     assert_eq!(out.status.code(), Some(1));
-    let json2 = std::fs::read_to_string(&report).unwrap();
-    assert_eq!(strip_timing(&json1), strip_timing(&json2), "analyze report must be deterministic");
+    let json2 = read_json(&report);
+    assert_eq!(strip_timing(json1), strip_timing(json2), "analyze report must be deterministic");
 
     // An inline waiver flips the run green but keeps the audit trail.
     std::fs::write(
@@ -415,15 +422,30 @@ fn analyze_reports_violations_with_exit_1_and_stable_json() {
     .unwrap();
     let out = run();
     assert!(out.status.success(), "waived run must pass: {}", String::from_utf8_lossy(&out.stderr));
-    let json3 = std::fs::read_to_string(&report).unwrap();
-    assert!(json3.contains("\"panic_reach\": 0"), "{json3}");
-    assert!(json3.contains("\"reason\": \"fixture\""), "{json3}");
+    let json3 = read_json(&report);
+    assert_eq!(lint_count(&json3, "panic_reach"), Some(0), "{json3:?}");
+    let allowed = json3.get("allowed").and_then(Json::as_arr).expect("allowed");
+    assert_eq!(allowed[0].get("reason").and_then(Json::as_str), Some("fixture"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// An analyze report minus its one volatile line.
-fn strip_timing(json: &str) -> String {
-    json.lines().filter(|l| !l.contains("\"timing\"")).collect::<Vec<_>>().join("\n")
+/// Parse a JSON report the CLI wrote to `path`.
+fn read_json(path: &Path) -> Json {
+    let text = std::fs::read_to_string(path).expect("report written");
+    pmr_json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}\n{text}", path.display()))
+}
+
+/// An analyze report's summary count for `lint`.
+fn lint_count(report: &Json, lint: &str) -> Option<usize> {
+    report.get("summary")?.get(lint)?.as_usize()
+}
+
+/// An analyze report minus its one volatile key, `timing`.
+fn strip_timing(report: Json) -> Json {
+    match report {
+        Json::Obj(pairs) => Json::Obj(pairs.into_iter().filter(|(k, _)| k != "timing").collect()),
+        other => other,
+    }
 }
 
 #[test]
@@ -669,20 +691,25 @@ fn analyze_passes_on_this_workspace() {
             "workspace has unwaived violations:\n{}",
             String::from_utf8_lossy(&out.stdout)
         );
-        strip_timing(&std::fs::read_to_string(&report).unwrap())
+        strip_timing(read_json(&report))
     };
     let here = run(root, Path::new("."), "here.json");
     let there = run(&elsewhere, root, "there.json");
     assert_eq!(here, there, "the report depends on the working directory");
 
     // The whole waiver surface, pinned in report order: a new inline waiver
-    // is a reviewed edit of this list, never a silent one. (An allowed entry
-    // is one line: `{ "lint": "<id>", "file": "<path>", …, "reason": … }`.)
+    // is a reviewed edit of this list, never a silent one.
     let waived: Vec<(&str, &str)> = here
-        .lines()
-        .filter(|l| l.contains("\"reason\":"))
-        .map(|l| l.split('"').collect::<Vec<_>>())
-        .map(|quoted| (quoted[3], quoted[7]))
+        .get("allowed")
+        .and_then(Json::as_arr)
+        .expect("allowed")
+        .iter()
+        .map(|a| {
+            (
+                a.get("lint").and_then(Json::as_str).unwrap(),
+                a.get("file").and_then(Json::as_str).unwrap(),
+            )
+        })
         .collect();
     let expected = [
         ("lossy_cast", "crates/codec/src/transpose.rs"),
