@@ -23,6 +23,10 @@
 //!   level straight into one grid; it must equal decoding each level alone
 //!   (scalar oracle), `deinterleave` and recompose, and a mangled payload
 //!   must fail with the same error.
+//! * **Placed vs staged encode byte-identity** — compression encodes every
+//!   level straight from the decomposed grid; the artifact must equal
+//!   `interleave` followed by encoding each level alone (scalar oracle), at
+//!   every worker count and kernel.
 //! * **Monotonicity** — under the theory planner, a tighter bound never
 //!   fetches fewer bytes (exact: the greedy pick sequence is
 //!   bound-independent, the bound only moves the stopping point), and more
@@ -394,6 +398,64 @@ pub fn check_reconstruct_identity(seed: u64, failures: &mut Vec<String>) {
     }
 }
 
+/// The staged form of compression, the oracle of the placed encoder:
+/// decompose, gather every level into an array of its own (`interleave`),
+/// then encode each alone by the scalar kernel, serially.
+fn staged_levels(field: &Field, cfg: &CompressConfig) -> Vec<LevelEncoding> {
+    let dec = Decomposer::new(field.shape(), cfg.levels, cfg.mode);
+    let mut data = field.data().to_vec();
+    dec.decompose_with(&mut data, &ExecPolicy::serial());
+    let scalar = ExecPolicy::serial().with_kernel(PlaneKernel::Scalar);
+    let levels = dec.interleave(&data);
+    levels
+        .iter()
+        .map(|coeffs| LevelEncoding::encode_with(coeffs, cfg.num_planes, &scalar))
+        .collect()
+}
+
+/// `compress_with` encodes every level straight from the decomposed grid;
+/// it must reproduce the staged oracle byte for byte: over the catalogue
+/// (non-finite classes included) and a field on each shape of
+/// `above_parallel_gate`, at 1 to 7 workers, under every kernel. Each
+/// artifact's `persist::to_bytes` must equal the serial scalar one's, and
+/// that artifact's levels — the only part of it the encoder writes — must
+/// serialize exactly as the staged levels do.
+pub fn check_compress_identity(seed: u64, failures: &mut Vec<String>) {
+    let kernels = [PlaneKernel::Auto, PlaneKernel::Simd, PlaneKernel::Swar, PlaneKernel::Scalar];
+    let cfg = compress_cfg(1);
+    let as_bytes = |c: &Compressed| persist::to_bytes(c).map_err(|e| e.to_string());
+    let level_bytes = |levels: &[LevelEncoding]| -> Vec<_> {
+        levels.iter().map(|l| l.to_bytes().map_err(|e| e.to_string())).collect()
+    };
+    let parallel = above_parallel_gate().map(|s| synthetic(FieldClass::Turbulent, s, seed, 0));
+    for field in catalogue(seed).into_iter().map(|(_, f)| f).chain(parallel) {
+        let oracle = Compressed::compress_with(
+            &field,
+            &cfg,
+            &ExecPolicy::serial().with_kernel(PlaneKernel::Scalar),
+        );
+        if level_bytes(oracle.levels()) != level_bytes(&staged_levels(&field, &cfg)) {
+            failures.push(format!(
+                "differential: {} placed encode differs from interleave + encode_with",
+                field.name()
+            ));
+            continue;
+        }
+        let want = as_bytes(&oracle);
+        for kernel in kernels {
+            for threads in [1, 2, 3, 4, 7] {
+                let exec = ExecPolicy::with_threads(threads).with_kernel(kernel);
+                if as_bytes(&Compressed::compress_with(&field, &cfg, &exec)) != want {
+                    failures.push(format!(
+                        "differential: {} compress {exec:?} differs from the staged oracle",
+                        field.name()
+                    ));
+                }
+            }
+        }
+    }
+}
+
 /// Monotonicity invariants under the theory planner.
 pub fn check_monotonicity(seed: u64, failures: &mut Vec<String>) {
     for field in finite_corpus(seed) {
@@ -442,6 +504,7 @@ pub fn run_differential(seed: u64) -> Vec<String> {
     check_transform_identity(seed, &mut failures);
     check_batch_equivalence(seed, &mut failures);
     check_reconstruct_identity(seed, &mut failures);
+    check_compress_identity(seed, &mut failures);
     check_monotonicity(seed, &mut failures);
     failures
 }

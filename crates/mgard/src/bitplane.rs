@@ -25,7 +25,7 @@
 
 use crate::checksum::fnv1a64;
 use crate::decompose::{Placer, Run};
-use crate::encode_kernel::{self, LaneRows, LANES, MAX_PLANES};
+use crate::encode_kernel::{self, Chunk, LaneRows, LANES, MAX_PLANES};
 use crate::exec::{run_jobs, ExecPolicy};
 use pmr_codec::{
     bitstream::{BitReader, BitWriter},
@@ -86,25 +86,44 @@ impl LevelEncoding {
         Self::encode_with(coeffs, num_planes, &ExecPolicy::serial())
     }
 
-    /// [`LevelEncoding::encode`] under an explicit execution policy.
+    /// [`LevelEncoding::encode`] under an explicit execution policy: the
+    /// level encoder over `coeffs` as one dense run. After
+    /// [`crate::Decomposer::interleave`] it is the staged oracle of the
+    /// in-grid encode compression runs, as `decode_with` is of the placed
+    /// decode.
+    pub fn encode_with(coeffs: &[f64], num_planes: u32, exec: &ExecPolicy) -> Self {
+        Self::encode_placed(coeffs, &[Run::dense(coeffs.len())], num_planes, exec)
+    }
+
+    /// The level encoder — every compression ends here. Coefficient `i` is
+    /// read from the `i`-th position of `runs` in `grid`, so a decomposed
+    /// grid is encoded where it lies, level by level, with no per-level
+    /// copy.
     ///
     /// There is one tiled encoder; the policy only decides how many workers
     /// share it. The coefficients split into tile-aligned chunks (multiples
     /// of 64, so no tile straddles a worker and every non-final chunk packs
-    /// to whole plane bytes); each worker writes its own byte range of the
-    /// final packed planes and raises its own lane maxima, which fold into
-    /// the error row in any order (`encode_kernel`) — bit-identical to the
-    /// serial scan, which is the same code with one chunk. The lossless
+    /// to whole plane bytes), each read through its own cursor skipped to
+    /// the chunk's first coefficient; each worker writes its own byte range
+    /// of the final packed planes and raises its own lane maxima, which fold
+    /// into the error row in any order (`encode_kernel`) — bit-identical to
+    /// the serial scan, which is the same code with one chunk. The lossless
     /// pass, which also takes each payload's checksum, parallelizes across
     /// planes, which are independent.
     ///
-    /// [`PlaneKernel::Scalar`] routes to the original bit-at-a-time encoder
-    /// (the differential oracle), which is defined serially and ignores
-    /// `threads` for this stage.
-    pub fn encode_with(coeffs: &[f64], num_planes: u32, exec: &ExecPolicy) -> Self {
+    /// [`PlaneKernel::Scalar`] gathers the level into an array and runs the
+    /// original bit-at-a-time encoder on it (the differential oracle), which
+    /// is defined serially and ignores `threads` for this stage.
+    pub(crate) fn encode_placed(
+        grid: &[f64],
+        runs: &[Run],
+        num_planes: u32,
+        exec: &ExecPolicy,
+    ) -> Self {
         assert!((3..=50).contains(&num_planes), "num_planes out of range");
         let b = num_planes;
-        let max_abs = encode_kernel::max_abs(coeffs);
+        let count: usize = runs.iter().map(|r| r.count).sum();
+        let max_abs = encode_kernel::max_abs(grid, runs);
 
         if max_abs == 0.0 || !max_abs.is_finite() {
             // Degenerate level: everything quantizes to zero. Planes are
@@ -129,9 +148,9 @@ impl LevelEncoding {
             // only. Callers that must preserve non-finite payloads mask
             // them out before compression; the conformance harness pins
             // this contract with NaN/inf-laced fields.
-            let empty_plane = lossless::compress(&vec![0u8; coeffs.len().div_ceil(8)]);
+            let empty_plane = lossless::compress(&vec![0u8; count.div_ceil(8)]);
             return Self::assemble(
-                coeffs.len(),
+                count,
                 b,
                 0.0,
                 vec![empty_plane; b as usize],
@@ -144,11 +163,11 @@ impl LevelEncoding {
         let step = if step > 0.0 { step } else { f64::MIN_POSITIVE };
 
         if exec.kernel.is_scalar() {
-            return Self::encode_scalar(coeffs, b, step);
+            let mut coeffs = vec![0.0; count];
+            Placer::new(runs, 0).get(grid, &mut coeffs);
+            return Self::encode_scalar(&coeffs, b, step);
         }
-        let threads = exec.resolved_threads();
-        let threads = if coeffs.len() < 2 * threads { 1 } else { threads };
-        Self::encode_tiled(coeffs, b, step, max_abs, exec.kernel.tile_impl(), threads)
+        Self::encode_tiled(grid, runs, count, b, step, max_abs, exec)
     }
 
     /// An encoding of `planes` as given, hashing each once.
@@ -207,24 +226,32 @@ impl LevelEncoding {
         Self::assemble(coeffs.len(), b, step, planes, error_row)
     }
 
-    /// The tiled encoder on `threads` workers (`>= 1`); see
-    /// [`LevelEncoding::encode_with`] for the bit-identity argument.
+    /// The tiled encoder over the `count` coefficients at `runs` in `grid`;
+    /// see [`LevelEncoding::encode_placed`] for the bit-identity argument.
     fn encode_tiled(
-        coeffs: &[f64],
+        grid: &[f64],
+        runs: &[Run],
+        count: usize,
         b: u32,
         step: f64,
         max_abs: f64,
-        imp: TileImpl,
-        threads: usize,
+        exec: &ExecPolicy,
     ) -> Self {
+        let threads = exec.resolved_threads();
+        let threads = if count < 2 * threads { 1 } else { threads };
+        let imp = exec.kernel.tile_impl();
         let bu = b as usize;
         let weights: Vec<f64> = (0..b).map(|k| (-2_i64).pow(b - 1 - k) as f64).collect();
         // Tile-aligned chunks: no tile straddles a worker, and every
         // non-final chunk packs to a whole number of plane bytes.
-        let csize =
-            coeffs.len().div_ceil(threads).max(1).div_ceil(transpose::TILE) * transpose::TILE;
-        let nchunks = coeffs.len().div_ceil(csize);
-        let mut packed: Vec<Vec<u8>> = vec![vec![0u8; coeffs.len().div_ceil(8)]; bu];
+        let csize = count.div_ceil(threads).max(1).div_ceil(transpose::TILE) * transpose::TILE;
+        let chunks = (0..count).step_by(csize).map(|lo| {
+            let mut cursor = Placer::new(runs, 0);
+            cursor.skip(lo);
+            Chunk { grid, cursor, count: csize.min(count - lo) }
+        });
+        let nchunks = count.div_ceil(csize);
+        let mut packed: Vec<Vec<u8>> = vec![vec![0u8; count.div_ceil(8)]; bu];
         // ranges[w][k]: worker w's bytes of plane k.
         let mut ranges: Vec<Vec<&mut [u8]>> =
             (0..nchunks).map(|_| Vec::with_capacity(bu)).collect();
@@ -234,12 +261,9 @@ impl LevelEncoding {
             }
         }
         let mut lanes: Vec<LaneRows> = vec![[[0.0; LANES]; MAX_PLANES]; nchunks];
-        run_jobs(
-            coeffs.chunks(csize).zip(ranges).zip(lanes.iter_mut()),
-            |((chunk, mut mine), lanes)| {
-                encode_kernel::encode_chunk(chunk, step, &weights, imp, &mut mine, lanes);
-            },
-        );
+        run_jobs(chunks.zip(ranges).zip(lanes.iter_mut()), |((chunk, mut mine), lanes)| {
+            encode_kernel::encode_chunk(chunk, step, &weights, imp, &mut mine, lanes);
+        });
         let mut error_row = vec![max_abs; bu + 1];
         encode_kernel::fold_lanes(&lanes, &mut error_row);
 
@@ -256,7 +280,7 @@ impl LevelEncoding {
         });
         let (planes, checksums): (Vec<_>, _) = done.into_iter().unzip();
         let planes = Arc::new(planes);
-        LevelEncoding { count: coeffs.len(), num_planes: b, step, planes, checksums, error_row }
+        LevelEncoding { count, num_planes: b, step, planes, checksums, error_row }
     }
 
     /// Number of coefficients.
@@ -761,6 +785,38 @@ mod tests {
         }
         let zero = LevelEncoding::encode(&[0.0; 1000], 32);
         assert_eq!(transposed(&|| assert_eq!(zero.decode(32), vec![0.0; 1000])), 0);
+    }
+
+    #[test]
+    fn placed_encode_matches_the_dense_oracle() {
+        // Strided and unit runs with ragged counts, so worker ranges start
+        // inside a run; NaN- and inf-laced grids take both non-finite paths.
+        let runs = [
+            Run { start: 3, stride: 2, count: 700 },
+            Run { start: 1404, stride: 1, count: 1300 },
+            Run { start: 2710, stride: 3, count: 760 },
+        ];
+        let mut nan_laced = sample_coeffs(5000);
+        (nan_laced[5], nan_laced[2000]) = (f64::NAN, f64::NAN);
+        let mut inf_laced = sample_coeffs(5000);
+        inf_laced[2713] = f64::NEG_INFINITY;
+        for grid in [sample_coeffs(5000), nan_laced, inf_laced] {
+            let dense: Vec<f64> = runs
+                .iter()
+                .flat_map(|r| (0..r.count).map(move |i| r.start + i * r.stride))
+                .map(|at| grid[at])
+                .collect();
+            let oracle = LevelEncoding::encode_with(&dense, 30, &scalar_policy());
+            let kernels =
+                [PlaneKernel::Auto, PlaneKernel::Simd, PlaneKernel::Swar, PlaneKernel::Scalar];
+            for kernel in kernels {
+                for threads in [1, 2, 3, 4, 7] {
+                    let exec = ExecPolicy::with_threads(threads).with_kernel(kernel);
+                    let placed = LevelEncoding::encode_placed(&grid, &runs, 30, &exec);
+                    assert_eq!(placed.to_bytes().unwrap(), oracle.to_bytes().unwrap(), "{exec:?}");
+                }
+            }
+        }
     }
 
     #[test]

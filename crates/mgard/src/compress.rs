@@ -207,7 +207,10 @@ impl Compressed {
         })
     }
 
-    /// Decompose, interleave and bit-plane encode `field`.
+    /// Decompose `field` in one grid and bit-plane encode every level
+    /// straight from it: the encoder reads each level's coefficients
+    /// through its runs (`Decomposer::level_runs`), so no per-level copy is
+    /// made.
     ///
     /// The `threads` knob of `cfg` drives the parallel data path; results
     /// are bit-identical regardless of the policy. Small
@@ -224,14 +227,12 @@ impl Compressed {
         let mut data = field.data().to_vec();
         decomposer.decompose_with(&mut data, exec);
         let levels: Vec<LevelEncoding> = decomposer
-            .interleave(&data)
+            .level_runs()
             .iter()
-            .map(|coeffs| {
-                LevelEncoding::encode_with(
-                    coeffs,
-                    cfg.num_planes,
-                    &exec.gate(coeffs.len(), PARALLEL_MIN_COEFFS),
-                )
+            .zip(decomposer.level_counts())
+            .map(|(runs, count)| {
+                let exec = exec.gate(count, PARALLEL_MIN_COEFFS);
+                LevelEncoding::encode_placed(&data, runs, cfg.num_planes, &exec)
             })
             .collect();
         let constants = theory_constants(&decomposer);

@@ -249,8 +249,10 @@ impl Decomposer {
     }
 
     /// Linear indices of every node, grouped by coefficient level, each
-    /// group in row-major scan order. The interleaver contract: encoding and
-    /// decoding both traverse these lists.
+    /// group in row-major scan order. The level-order contract: the encoder
+    /// reads and the decoder writes a level's coefficients at these
+    /// positions, in this order, through `Decomposer::level_runs`, which is
+    /// tested against these lists.
     pub fn level_indices(&self) -> Vec<Vec<usize>> {
         let mut groups = vec![Vec::new(); self.levels];
         let sh = self.shape;
@@ -302,6 +304,12 @@ impl Decomposer {
     /// level (the "interleaver" of the MGARD pipeline): the values at
     /// [`Decomposer::level_indices`], read along `Decomposer::level_runs`
     /// without materialising the index lists.
+    ///
+    /// Compression does not call this: the encoder reads every level
+    /// straight from the decomposed grid through the same runs. It stays
+    /// as the staged oracle of that placed encode (`interleave`, then
+    /// [`crate::LevelEncoding::encode_with`] per level, must give the same
+    /// bytes) and is what e2e-bench's traced replay of a compress times.
     pub fn interleave(&self, data: &[f64]) -> Vec<Vec<f64>> {
         assert_eq!(data.len(), self.shape.len());
         self.level_runs()
@@ -372,6 +380,10 @@ impl Decomposer {
                 count: nx.div_ceil(stride),
             });
         }
+        // The encoder holds these beside the grid while it runs.
+        for runs in &mut levels {
+            runs.shrink_to_fit();
+        }
         levels
     }
 }
@@ -392,9 +404,11 @@ impl Run {
     }
 }
 
-/// A cursor that writes a level's coefficients, in level order, to the
-/// positions its runs name. `out[0]` is grid position `base`, so a worker
-/// can own the slice of the grid its coefficients land in.
+/// A cursor over a level's coefficients, in level order, at the positions
+/// its runs name: the decoder writes through it ([`Placer::put`]), the
+/// encoder reads through it ([`Placer::get`]). Slice position `0` is grid
+/// position `base`, so a worker can own the slice of the grid its
+/// coefficients land in.
 pub(crate) struct Placer<'r> {
     runs: std::slice::Iter<'r, Run>,
     base: usize,
@@ -442,49 +456,59 @@ impl<'r> Placer<'r> {
         jobs
     }
 
-    /// The number of nodes the cursor can move now (0 once the runs are
-    /// used up), loading the next run when the current one is.
-    fn ready(&mut self) -> usize {
-        while self.left == 0 {
-            let Some(run) = self.runs.next() else { return 0 };
-            (self.at, self.stride, self.left) = (run.start, run.stride, run.count);
-        }
-        self.left
-    }
-
-    /// Move past the next `n` nodes without writing them.
-    pub(crate) fn skip(&mut self, mut n: usize) {
-        while n > 0 {
-            let m = n.min(self.ready());
-            if m == 0 {
-                return;
+    /// Move over the next `n` nodes (fewer once the runs are used up) a run
+    /// at a time: `f(at, stride, nodes)` for the `nodes.len()` of them that
+    /// lie `stride` apart from grid position `at` and are nodes `nodes` of
+    /// this move. Nodes skipped on the way to a worker's range lie before
+    /// `base`, so `at` is a grid position, not a slice one.
+    fn walk(&mut self, n: usize, mut f: impl FnMut(usize, usize, Range<usize>)) {
+        let mut done = 0;
+        while done < n {
+            while self.left == 0 {
+                let Some(run) = self.runs.next() else { return };
+                (self.at, self.stride, self.left) = (run.start, run.stride, run.count);
             }
+            let m = (n - done).min(self.left);
+            f(self.at, self.stride, done..done + m);
             self.at += m * self.stride;
             self.left -= m;
-            n -= m;
+            done += m;
         }
+    }
+
+    /// Move past the next `n` nodes without touching them.
+    pub(crate) fn skip(&mut self, n: usize) {
+        self.walk(n, |_, _, _| {});
     }
 
     /// Write `values` to the next `values.len()` nodes.
-    pub(crate) fn put(&mut self, out: &mut [f64], mut values: &[f64]) {
-        while !values.is_empty() {
-            let m = values.len().min(self.ready());
-            if m == 0 {
-                return;
-            }
-            let (now, rest) = values.split_at(m);
-            let from = self.at - self.base;
-            if self.stride == 1 {
-                out[from..from + m].copy_from_slice(now);
+    pub(crate) fn put(&mut self, out: &mut [f64], values: &[f64]) {
+        let base = self.base;
+        self.walk(values.len(), |at, stride, nodes| {
+            let (from, now) = (at - base, &values[nodes]);
+            if stride == 1 {
+                out[from..from + now.len()].copy_from_slice(now);
             } else {
-                for (slot, &v) in out[from..].iter_mut().step_by(self.stride).zip(now) {
+                for (slot, &v) in out[from..].iter_mut().step_by(stride).zip(now) {
                     *slot = v;
                 }
             }
-            self.at += m * self.stride;
-            self.left -= m;
-            values = rest;
-        }
+        });
+    }
+
+    /// Read the next `values.len()` nodes of `grid` into `values`.
+    pub(crate) fn get(&mut self, grid: &[f64], values: &mut [f64]) {
+        let base = self.base;
+        self.walk(values.len(), |at, stride, nodes| {
+            let (from, now) = (at - base, &mut values[nodes]);
+            if stride == 1 {
+                now.copy_from_slice(&grid[from..from + now.len()]);
+            } else {
+                for (v, &g) in now.iter_mut().zip(grid[from..].iter().step_by(stride)) {
+                    *v = g;
+                }
+            }
+        });
     }
 }
 
@@ -651,6 +675,26 @@ mod tests {
                     let mut got = vec![0.0; dec.shape().len()];
                     for (range, mut cursor, out) in Placer::split(runs, &mut got, count, chunk) {
                         cursor.put(out, &values[range]);
+                    }
+                    assert_eq!(got, want, "shape={} level={level} chunk={chunk}", dec.shape());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn skipped_cursors_read_what_interleave_gathers() {
+        for dec in layouts().filter(|d| d.levels() > 1) {
+            let data = ramp(dec.shape().len());
+            for (level, (runs, want)) in
+                dec.level_runs().iter().zip(dec.interleave(&data)).enumerate()
+            {
+                for chunk in [1, 3, 64] {
+                    let mut got = vec![0.0; want.len()];
+                    for (lo, out) in (0..want.len()).step_by(chunk).zip(got.chunks_mut(chunk)) {
+                        let mut cursor = Placer::new(runs, 0);
+                        cursor.skip(lo);
+                        cursor.get(&data, out);
                     }
                     assert_eq!(got, want, "shape={} level={level} chunk={chunk}", dec.shape());
                 }

@@ -17,6 +17,7 @@
 //! `pmr_codec::transpose`.
 
 use crate::bitplane::quantize;
+use crate::decompose::{Placer, Run};
 use pmr_codec::{negabinary, transpose, TileImpl};
 
 /// Running maxima kept per plane; coefficient `j` of a tile updates lane
@@ -44,19 +45,27 @@ fn keep_max(m: f64, e: f64) -> f64 {
     }
 }
 
-/// `max |c|` over the coefficients that are not NaN, 0.0 when there are
-/// none — the value of the fold `m.max(c.abs())` from 0.0, and therefore
-/// also `error_row[0]`.
-pub(crate) fn max_abs(coeffs: &[f64]) -> f64 {
+/// `max |c|` over the coefficients at `runs` in `grid` that are not NaN,
+/// 0.0 when there are none — the value of the fold `m.max(c.abs())` from
+/// 0.0, and therefore also `error_row[0]`.
+pub(crate) fn max_abs(grid: &[f64], runs: &[Run]) -> f64 {
     let mut lanes = [0.0f64; LANES];
-    let mut groups = coeffs.chunks_exact(LANES);
-    for group in &mut groups {
-        for (m, &c) in lanes.iter_mut().zip(group) {
-            *m = keep_max(*m, c.abs());
+    for run in runs {
+        let from = &grid[run.start..];
+        if run.stride == 1 {
+            let mut groups = from[..run.count].chunks_exact(LANES);
+            for group in &mut groups {
+                for (m, &c) in lanes.iter_mut().zip(group) {
+                    *m = keep_max(*m, c.abs());
+                }
+            }
+            for (m, &c) in lanes.iter_mut().zip(groups.remainder()) {
+                *m = keep_max(*m, c.abs());
+            }
+        } else {
+            let strided = from.iter().step_by(run.stride).take(run.count);
+            lanes[0] = strided.fold(lanes[0], |m, &c| keep_max(m, c.abs()));
         }
-    }
-    for (m, &c) in lanes.iter_mut().zip(groups.remainder()) {
-        *m = keep_max(*m, c.abs());
     }
     lanes.iter().fold(0.0, |m, &e| keep_max(m, e))
 }
@@ -68,10 +77,19 @@ pub(crate) fn fold_lanes(workers: &[LaneRows], row: &mut [f64]) {
     }
 }
 
-/// Quantize/encode one tile-aligned coefficient chunk: fills this chunk's
-/// byte range of every packed plane (`segs[k]`, `coeffs.len().div_ceil(8)`
-/// bytes of plane `k`) and raises `lanes[k]` by the chunk's truncation
-/// errors with `k + 1` planes kept. `weights[k]` is `(-2)^(B-1-k)`.
+/// One worker's tile-aligned chunk of a level: `count` coefficients, read
+/// from `grid` through `cursor` (at the chunk's first coefficient) a tile at
+/// a time.
+pub(crate) struct Chunk<'g, 'r> {
+    pub grid: &'g [f64],
+    pub cursor: Placer<'r>,
+    pub count: usize,
+}
+
+/// Quantize/encode one chunk: fills its byte range of every packed plane
+/// (`segs[k]`, `count.div_ceil(8)` bytes of plane `k`) and raises
+/// `lanes[k]` by the chunk's truncation errors with `k + 1` planes kept.
+/// `weights[k]` is `(-2)^(B-1-k)`.
 ///
 /// Bit-identity with the scalar path: the digits come from the same
 /// `quantize`/`to_negabinary` expressions; plane bits land at the same
@@ -82,7 +100,7 @@ pub(crate) fn fold_lanes(workers: &[LaneRows], row: &mut [f64]) {
 /// `(c - val * step)` matches the scalar `(c - val_i64 as f64 * step)` bit
 /// for bit. The maxima regroup only [`keep_max`].
 pub(crate) fn encode_chunk(
-    coeffs: &[f64],
+    chunk: Chunk<'_, '_>,
     step: f64,
     weights: &[f64],
     imp: TileImpl,
@@ -92,9 +110,9 @@ pub(crate) fn encode_chunk(
     #[cfg(target_arch = "x86_64")]
     if imp == TileImpl::Simd && std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the AVX2 feature requirement was just verified at runtime.
-        return unsafe { encode_chunk_avx2(coeffs, step, weights, imp, segs, lanes) };
+        return unsafe { encode_chunk_avx2(chunk, step, weights, imp, segs, lanes) };
     }
-    encode_chunk_body(coeffs, step, weights, imp, segs, lanes);
+    encode_chunk_body(chunk, step, weights, imp, segs, lanes);
 }
 
 /// [`encode_chunk_body`] compiled with AVX2 available to the optimizer.
@@ -106,35 +124,37 @@ pub(crate) fn encode_chunk(
 // SAFETY: contract fn — callers must verify AVX2 support (see # Safety above).
 #[target_feature(enable = "avx2")]
 unsafe fn encode_chunk_avx2(
-    coeffs: &[f64],
+    chunk: Chunk<'_, '_>,
     step: f64,
     weights: &[f64],
     imp: TileImpl,
     segs: &mut [&mut [u8]],
     lanes: &mut LaneRows,
 ) {
-    encode_chunk_body(coeffs, step, weights, imp, segs, lanes);
+    encode_chunk_body(chunk, step, weights, imp, segs, lanes);
 }
 
 #[inline(always)]
 fn encode_chunk_body(
-    coeffs: &[f64],
+    chunk: Chunk<'_, '_>,
     step: f64,
     weights: &[f64],
     imp: TileImpl,
     segs: &mut [&mut [u8]],
     lanes: &mut LaneRows,
 ) {
+    let Chunk { grid, mut cursor, count } = chunk;
     let bu = weights.len();
-    let seg_len = coeffs.len().div_ceil(8);
-    for (t, chunk) in coeffs.chunks(transpose::TILE).enumerate() {
+    let seg_len = count.div_ceil(8);
+    for t in 0..count.div_ceil(transpose::TILE) {
         // Padding lanes of a ragged last tile keep zero digits and c = 0.0,
         // i.e. a zero error that never moves a maximum.
-        let mut tile = [0u64; transpose::TILE];
+        let n = (count - t * transpose::TILE).min(transpose::TILE);
         let mut cval = [0.0f64; transpose::TILE];
-        for ((d, cv), &c) in tile.iter_mut().zip(cval.iter_mut()).zip(chunk) {
+        cursor.get(grid, &mut cval[..n]);
+        let mut tile = [0u64; transpose::TILE];
+        for (d, &c) in tile.iter_mut().zip(&cval[..n]) {
             *d = negabinary::to_negabinary(quantize(c, step));
-            *cv = c;
         }
         // Prefix reconstruction, one plane across the whole tile: add the
         // plane's weight where the digit is set (branchless, through the

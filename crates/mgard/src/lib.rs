@@ -6,9 +6,9 @@
 //! Liang et al. SC'21). The pipeline is
 //!
 //! ```text
-//!   field ──decompose──▶ multilevel coefficients ──interleave──▶ per-level 1-D
-//!         ──negabinary bit-plane encode──▶ planes + sizes S[l][k]
-//!         ──collect──▶ error matrix Err[l][b]
+//!   field ──decompose──▶ multilevel coefficients (one grid)
+//!         ──negabinary bit-plane encode, level by level along its runs──▶
+//!         planes + sizes S[l][k] ──collect──▶ error matrix Err[l][b]
 //! ```
 //!
 //! and on retrieval
@@ -17,6 +17,13 @@
 //!   error bound e ──estimator──▶ plane counts b_l ──fetch & decode──▶
 //!   coefficients ──recompose──▶ approximation with max error ≤ e
 //! ```
+//!
+//! Both directions work on one grid: the encoder reads each level's
+//! coefficients where the decomposition left them, through the level's runs,
+//! and the decoder writes them back through the same runs.
+//! `Decomposer::interleave`, which gathers every level into an array of its
+//! own first, is the staged oracle of the read (and the stage e2e-bench's
+//! traced replay times).
 //!
 //! The *theory* estimator bounds the reconstruction error by
 //! `est(b) = Σ_l C_l · Err[l][b_l]` with per-level constants `C_l` derived
