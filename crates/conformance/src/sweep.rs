@@ -24,11 +24,9 @@
 //! and artifacts survive a byte roundtrip.
 
 use crate::fields::{catalogue, finite_value_range, sim_slices, FieldClass};
+use pmr_core::experiment::{train_on, ExperimentConfig};
 use pmr_core::features::retrieval_features;
-use pmr_core::{
-    collect_records_many, sweep_strategy, Combined, DMgard, DMgardConfig, EMgard, EMgardConfig,
-    Retriever, SweepPoint, Theory,
-};
+use pmr_core::{sweep_strategy, DMgardConfig, EMgardConfig, Retriever, SweepPoint, Theory};
 use pmr_field::Field;
 use pmr_json::Json;
 use pmr_mgard::{persist, CompressConfig, Compressed};
@@ -313,12 +311,7 @@ impl SweepItem {
     }
 }
 
-fn sweep_corpus(cfg: &SweepConfig) -> (Vec<SweepItem>, Vec<Field>) {
-    let compress_cfg = CompressConfig {
-        levels: SWEEP_LEVELS,
-        num_planes: SWEEP_PLANES,
-        ..CompressConfig::default()
-    };
+fn sweep_corpus(cfg: &SweepConfig, compress_cfg: &CompressConfig) -> (Vec<SweepItem>, Vec<Field>) {
     let mut items = Vec::new();
     let mut nan_laced = Vec::new();
     let mut fields: Vec<(Option<FieldClass>, Field)> =
@@ -331,7 +324,7 @@ fn sweep_corpus(cfg: &SweepConfig) -> (Vec<SweepItem>, Vec<Field>) {
             nan_laced.push(field);
             continue;
         }
-        let compressed = Compressed::compress(&field, &compress_cfg);
+        let compressed = Compressed::compress(&field, compress_cfg);
         assert_eq!(
             compressed.num_levels(),
             SWEEP_LEVELS,
@@ -344,55 +337,43 @@ fn sweep_corpus(cfg: &SweepConfig) -> (Vec<SweepItem>, Vec<Field>) {
     (items, nan_laced)
 }
 
-/// Train the learned retrievers on the trainable part of the corpus.
-fn train_retrievers(items: &[SweepItem]) -> (DMgard, EMgard) {
-    let train_items: Vec<(&Field, &Compressed)> =
-        items.iter().filter(|i| i.trainable()).map(|i| (&i.field, &i.compressed)).collect();
-    assert!(!train_items.is_empty(), "no trainable artifacts in corpus");
-
-    // Every third of the paper's 81 bounds: enough coverage to train on
-    // without tripling the sweep's runtime.
-    let train_bounds: Vec<f64> = pmr_core::standard_rel_bounds().into_iter().step_by(3).collect();
-    let records: Vec<_> =
-        collect_records_many(&train_items, &train_bounds).into_iter().flatten().collect();
-    let d_cfg = DMgardConfig {
-        hidden: vec![24, 24],
-        train: pmr_nn_train_config(),
-        ..DMgardConfig::default()
-    };
-    let (dmgard, _) = DMgard::train(&records, SWEEP_LEVELS, SWEEP_PLANES, &d_cfg);
-
-    let e_cfg = EMgardConfig {
-        hidden: vec![32, 8],
-        epochs: 60,
-        samples_per_artifact: 16,
-        ..EMgardConfig::default()
-    };
-    let samples: Vec<_> = train_items
-        .iter()
-        .enumerate()
-        .flat_map(|(i, (f, c))| pmr_core::emgard::build_samples(f, c, &e_cfg, 100 + i as u64))
-        .collect();
-    let (emgard, _) = EMgard::train(&samples, &e_cfg);
-    (dmgard, emgard)
-}
-
-fn pmr_nn_train_config() -> pmr_nn::TrainConfig {
-    pmr_nn::TrainConfig { epochs: 60, batch_size: 32, lr: 3e-3, ..Default::default() }
+/// The learned retrievers' training recipe: the sweep's compression, small
+/// networks, and every third of the paper's 81 bounds (enough coverage to
+/// train on without tripling the sweep's runtime).
+fn sweep_experiment() -> ExperimentConfig {
+    let mut dmgard = DMgardConfig { hidden: vec![24, 24], ..DMgardConfig::default() };
+    dmgard.train.epochs = 60;
+    dmgard.train.batch_size = 32;
+    dmgard.train.lr = 3e-3;
+    dmgard.train.seed = 0;
+    ExperimentConfig {
+        compress: CompressConfig {
+            levels: SWEEP_LEVELS,
+            num_planes: SWEEP_PLANES,
+            ..CompressConfig::default()
+        },
+        dmgard,
+        emgard: EMgardConfig {
+            hidden: vec![32, 8],
+            epochs: 60,
+            samples_per_artifact: 16,
+            ..EMgardConfig::default()
+        },
+        train_bounds: pmr_core::standard_rel_bounds().into_iter().step_by(3).collect(),
+    }
 }
 
 /// Robustness checks for the non-finite (NaN/inf-laced) fields: these are
 /// excluded from error conformance — see the module docs — but must never
 /// panic, must reconstruct to finite values, and must survive a byte
 /// roundtrip.
-fn check_nan_robustness(fields: &[Field], failures: &mut Vec<String>) {
-    let compress_cfg = CompressConfig {
-        levels: SWEEP_LEVELS,
-        num_planes: SWEEP_PLANES,
-        ..CompressConfig::default()
-    };
+fn check_nan_robustness(
+    fields: &[Field],
+    compress_cfg: &CompressConfig,
+    failures: &mut Vec<String>,
+) {
     for field in fields {
-        let c = Compressed::compress(field, &compress_cfg);
+        let c = Compressed::compress(field, compress_cfg);
         let full = c.retrieve(&c.plan_full());
         if !full.data().iter().all(|v| v.is_finite()) {
             failures.push(format!(
@@ -429,10 +410,23 @@ fn check_nan_robustness(fields: &[Field], failures: &mut Vec<String>) {
 /// retrievers, sweep every strategy over the tolerance grid, and audit the
 /// results against the soundness contract and the violation budget.
 pub fn run_sweep(cfg: &SweepConfig) -> ConformanceReport {
-    let (items, nan_laced) = sweep_corpus(cfg);
-    let (dmgard, emgard) = train_retrievers(&items);
-    let combined = Combined { dmgard: dmgard.clone(), emgard: emgard.clone() };
-    let learned: [&dyn Retriever; 3] = [&dmgard, &emgard, &combined];
+    let experiment = sweep_experiment();
+    let (items, nan_laced) = sweep_corpus(cfg, &experiment.compress);
+    // The learned retrievers train on the trainable part of the corpus,
+    // each artifact's E-MGARD samples seeded by its place in that part.
+    let train: Vec<(&Field, &Compressed, u64)> = items
+        .iter()
+        .filter(|i| i.trainable())
+        .enumerate()
+        .map(|(i, item)| (&item.field, &item.compressed, 100 + i as u64))
+        .collect();
+    let (combined, _) = train_on(&train, &experiment);
+    // The learned half of the strategy table, each with its rate budget.
+    let learned: [(&dyn Retriever, f64); 3] = [
+        (&combined.dmgard, cfg.budget.dmgard_rate),
+        (&combined.emgard, cfg.budget.emgard_rate),
+        (&combined, cfg.budget.combined_rate),
+    ];
 
     let mut failures = Vec::new();
     let mut theory_points: Vec<SweepPoint> = Vec::new();
@@ -474,7 +468,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> ConformanceReport {
             }
         }
         if item.trainable() {
-            for (i, &retriever) in learned.iter().enumerate() {
+            for (i, &(retriever, _)) in learned.iter().enumerate() {
                 match sweep_strategy(
                     &item.field,
                     &item.compressed,
@@ -499,21 +493,16 @@ pub fn run_sweep(cfg: &SweepConfig) -> ConformanceReport {
         theory_reachable.extend(reachable);
     }
 
-    check_nan_robustness(&nan_laced, &mut failures);
+    check_nan_robustness(&nan_laced, &experiment.compress, &mut failures);
 
     let mut strategies =
         vec![StrategyReport::from_points("MGARD", &theory_points, &theory_reachable)];
-    for (i, retriever) in learned.iter().enumerate() {
+    for (i, &(retriever, rate_budget)) in learned.iter().enumerate() {
         let report = StrategyReport::from_points(
             retriever.name(),
             &learned_points[i],
             &learned_reachable[i],
         );
-        let rate_budget = match retriever.name() {
-            "D-MGARD" => cfg.budget.dmgard_rate,
-            "E-MGARD" => cfg.budget.emgard_rate,
-            _ => cfg.budget.combined_rate,
-        };
         if report.violation_rate() > rate_budget {
             failures.push(format!(
                 "budget: {} violation rate {:.3} exceeds budget {:.3}",

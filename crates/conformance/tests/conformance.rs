@@ -21,11 +21,23 @@ fn quick_grid_conformance_passes() {
     assert!(theory.claimed > 0, "grid must contain reachable bounds");
     assert!(theory.max_overshoot <= 1.0, "claimed theory points may not overshoot");
 
-    // All four strategies swept, each with real coverage.
-    assert_eq!(report.strategies.len(), 4);
-    for s in &report.strategies {
-        assert!(s.points > 0, "{} swept no points", s.strategy);
-    }
+    // All four strategies swept, with seed 1's counts from the table at
+    // `ViolationBudget::default`: a drift in the training recipe moves them.
+    let counts: Vec<_> = report
+        .strategies
+        .iter()
+        .map(|s| (s.strategy.as_str(), s.points, s.claimed, s.reachable, s.violations))
+        .collect();
+    assert_eq!(
+        counts,
+        [
+            ("MGARD", 168, 94, 94, 0),
+            ("D-MGARD", 132, 0, 58, 22),
+            ("E-MGARD", 132, 88, 58, 10),
+            ("DE-MGARD", 132, 88, 58, 17),
+        ],
+        "strategy, points, claimed, reachable, violations"
+    );
 
     // The learned strategies exist to fetch less than theory at comparable
     // accuracy; the corpus-level means should reflect that.

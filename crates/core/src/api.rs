@@ -558,7 +558,7 @@ mod tests {
                 RetrievalPlan::from_planes(vec![u32::MAX; ctx.compressed.num_levels()])
             }
         }
-        let (_, c) = artifact();
+        let (field, c) = artifact();
         let store = MemStore::from_compressed(&c);
         let backend = Backend::store(&store);
         let out = retrieve(&Dataset::new(&c), &Overask, &RetrievalRequest::abs(1e-6), &backend)
@@ -568,6 +568,15 @@ mod tests {
         assert_eq!(out.bytes, c.total_bytes());
         // Full fetch reproduces the quantization-limited reconstruction.
         assert_eq!(out.field.data(), c.retrieve(&c.plan_full()).data());
+
+        // A sweep measures that same clamped plan, as a measured direct
+        // retrieve returns it.
+        let ds = Dataset::new(&c).with_original(&field);
+        let req = RetrievalRequest::abs(1e-6).measured();
+        let direct = retrieve(&ds, &Overask, &req, &Backend::Direct).expect("clamped retrieval");
+        let p = &crate::sweep_strategy(&field, &c, &[], &Overask, &[1e-6]).expect("sweep")[0];
+        assert_eq!((&p.planes, p.bytes), (&direct.planes, direct.bytes));
+        assert_eq!((Some(p.achieved_err), Some(p.psnr)), (direct.achieved_error, direct.psnr));
     }
 
     #[test]

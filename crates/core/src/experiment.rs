@@ -1,12 +1,13 @@
 //! Experiment orchestration: the paper's train-on-early / test-on-late
-//! protocol (§IV-A4) and the three-way retrieval comparison behind
+//! protocol (§IV-A4) and the per-strategy retrieval comparison behind
 //! Figs. 1, 2, 12 and 13.
 
 use crate::dmgard::{DMgard, DMgardConfig};
 use crate::emgard::{build_samples_many, EMgard, EMgardConfig, TrainSample};
 use crate::features;
-use crate::framework::{measure_plan, RetrievalSummary};
+use crate::framework::{Combined, Retriever, Theory};
 use crate::records::{collect_records_many, RetrievalRecord};
+use crate::sweep::{sweep, SweepPoint};
 use pmr_error::PmrError;
 use pmr_field::Field;
 use pmr_mgard::{CompressConfig, Compressed};
@@ -33,78 +34,59 @@ impl ExperimentConfig {
     }
 }
 
-/// Both trained models plus the compression parameters they assume.
-pub struct TrainedModels {
-    pub dmgard: DMgard,
-    pub emgard: EMgard,
-    pub num_levels: usize,
-    pub num_planes: u32,
-}
-
-impl TrainedModels {
-    /// The combined retriever — the paper's closing future-work item:
-    /// D-MGARD supplies the initial plane counts, E-MGARD's learned
-    /// constants check and refine them (grow until the learned estimate
-    /// meets the bound, then shed planes the estimate shows to be
-    /// unnecessary). Recovers most of D-MGARD's bound violations while
-    /// keeping learned-retriever savings.
-    pub fn plan_combined(
-        &self,
-        compressed: &Compressed,
-        features: &[f32],
-        abs_bound: f64,
-    ) -> pmr_mgard::RetrievalPlan {
-        let initial = self.dmgard.predict(features, abs_bound);
-        let constants = self.emgard.predict_constants(compressed);
-        pmr_mgard::retrieve::refine_plan(compressed.levels(), &constants, abs_bound, &initial)
-    }
-}
-
 /// Train D-MGARD and E-MGARD from a stream of training snapshots.
 ///
 /// `fields` yields the training snapshots (paper: the first half of the
-/// timesteps of one field). Each snapshot is compressed once; D-MGARD
-/// records and E-MGARD samples are harvested from the same artifact.
+/// timesteps of one field). Each snapshot is compressed once with
+/// `cfg.compress` and handed to [`train_on`] with its timestep as the
+/// E-MGARD sample seed.
 pub fn train_models(
     fields: impl IntoIterator<Item = Field>,
     cfg: &ExperimentConfig,
-) -> (TrainedModels, Vec<RetrievalRecord>) {
+) -> (Combined, Vec<RetrievalRecord>) {
     let fields: Vec<Field> = fields.into_iter().collect();
-    assert!(!fields.is_empty(), "no training snapshots supplied");
-
-    // Harvesting (compress + sweep bounds + sample plans) dominates
-    // wall-clock; each stage fans out over the snapshots through the batch
-    // APIs, which are bit-identical to their sequential counterparts.
     let artifacts = Compressed::compress_many(&fields, &cfg.compress);
-    let rec_items: Vec<(&Field, &Compressed)> = fields.iter().zip(&artifacts).collect();
-    let records: Vec<RetrievalRecord> =
-        collect_records_many(&rec_items, &cfg.train_bounds).into_iter().flatten().collect();
-    let sample_items: Vec<(&Field, &Compressed, u64)> =
+    let items: Vec<(&Field, &Compressed, u64)> =
         fields.iter().zip(&artifacts).map(|(f, c)| (f, c, f.timestep() as u64)).collect();
-    let esamples: Vec<TrainSample> =
-        build_samples_many(&sample_items, &cfg.emgard).into_iter().flatten().collect();
-
-    let num_levels = artifacts[0].num_levels();
-    let num_planes = artifacts[0].num_planes();
-    let (dmgard, _) = DMgard::train(&records, num_levels, num_planes, &cfg.dmgard);
-    let (emgard, _) = EMgard::train(&esamples, &cfg.emgard);
-    (TrainedModels { dmgard, emgard, num_levels, num_planes }, records)
+    train_on(&items, cfg)
 }
 
-/// One row of the three-way comparison at a single bound on a single
-/// snapshot.
-#[derive(Debug, Clone, PartialEq)]
+/// Train both halves of the [`Combined`] retriever on compressed snapshots,
+/// each `(original, artifact, E-MGARD sample seed)`.
+///
+/// D-MGARD records and E-MGARD samples are harvested from the same
+/// artifacts; the models assume the first artifact's level and plane
+/// counts. Also returns the harvested records.
+pub fn train_on(
+    items: &[(&Field, &Compressed, u64)],
+    cfg: &ExperimentConfig,
+) -> (Combined, Vec<RetrievalRecord>) {
+    assert!(!items.is_empty(), "no training snapshots supplied");
+    // Harvesting (sweep bounds + sample plans) dominates wall-clock; each
+    // stage fans out over the snapshots through the batch APIs, which are
+    // bit-identical to their sequential counterparts.
+    let rec_items: Vec<(&Field, &Compressed)> = items.iter().map(|&(f, c, _)| (f, c)).collect();
+    let records: Vec<RetrievalRecord> =
+        collect_records_many(&rec_items, &cfg.train_bounds).into_iter().flatten().collect();
+    let esamples: Vec<TrainSample> =
+        build_samples_many(items, &cfg.emgard).into_iter().flatten().collect();
+
+    let first = items[0].1;
+    let (dmgard, _) = DMgard::train(&records, first.num_levels(), first.num_planes(), &cfg.dmgard);
+    let (emgard, _) = EMgard::train(&esamples, &cfg.emgard);
+    (Combined { dmgard, emgard }, records)
+}
+
+/// One row of the comparison at a single bound on a single snapshot: one
+/// [`SweepPoint`] per strategy.
+#[derive(Debug, Clone)]
 pub struct ComparisonRow {
-    pub field_name: String,
-    pub timestep: usize,
     pub rel_bound: f64,
-    pub abs_bound: f64,
-    pub theory: RetrievalSummary,
-    pub dmgard: RetrievalSummary,
-    pub emgard: RetrievalSummary,
-    /// The combined D+E retriever (extension; see
-    /// [`TrainedModels::plan_combined`]).
-    pub combined: RetrievalSummary,
+    pub theory: SweepPoint,
+    pub dmgard: SweepPoint,
+    pub emgard: SweepPoint,
+    /// The combined D+E retriever (extension; see [`Combined`]).
+    pub combined: SweepPoint,
 }
 
 impl ComparisonRow {
@@ -127,45 +109,35 @@ pub fn saving(theory_bytes: u64, new_bytes: u64) -> f64 {
     (theory_bytes as f64 - new_bytes as f64).abs() / theory_bytes as f64
 }
 
-/// Run all three retrievers on one snapshot over `rel_bounds`.
+/// Sweep Theory, D-MGARD, E-MGARD and `combined` on one snapshot over
+/// `rel_bounds`, one row per bound.
 ///
 /// Fails when a model produces a plan incompatible with the artifact
 /// (e.g. trained for a different level count).
 pub fn compare_on_field(
     field: &Field,
-    models: &TrainedModels,
+    combined: &Combined,
     cfg: &ExperimentConfig,
     rel_bounds: &[f64],
 ) -> Result<Vec<ComparisonRow>, PmrError> {
     let compressed = Compressed::compress(field, &cfg.compress);
     let feats = features::retrieval_features(field, &compressed);
-    // E-MGARD constants depend only on the artifact, not the bound.
-    let constants = models.emgard.predict_constants(&compressed);
-    rel_bounds
+    let abs_bounds: Vec<f64> = rel_bounds.iter().map(|&r| compressed.absolute_bound(r)).collect();
+    let strategies: [&dyn Retriever; 4] = [&Theory, &combined.dmgard, &combined.emgard, combined];
+    let points = sweep(field, &compressed, &feats, &strategies, &abs_bounds)?;
+    // `sweep` returns one column of `rel_bounds.len()` points per strategy.
+    let at = |strategy: usize, i: usize| points[strategy * rel_bounds.len() + i].clone();
+    Ok(rel_bounds
         .iter()
-        .map(|&rel| {
-            let abs = compressed.absolute_bound(rel);
-            let tplan = compressed.plan_theory(abs);
-            let dplan = models.dmgard.predict_plan(&feats, abs);
-            let eplan = compressed.plan_with_constants(abs, &constants);
-            let cplan = pmr_mgard::retrieve::refine_plan(
-                compressed.levels(),
-                &constants,
-                abs,
-                &dplan.planes,
-            );
-            Ok(ComparisonRow {
-                field_name: field.name().to_string(),
-                timestep: field.timestep(),
-                rel_bound: rel,
-                abs_bound: abs,
-                theory: measure_plan(field, &compressed, &tplan)?,
-                dmgard: measure_plan(field, &compressed, &dplan)?,
-                emgard: measure_plan(field, &compressed, &eplan)?,
-                combined: measure_plan(field, &compressed, &cplan)?,
-            })
+        .enumerate()
+        .map(|(i, &rel_bound)| ComparisonRow {
+            rel_bound,
+            theory: at(0, i),
+            dmgard: at(1, i),
+            emgard: at(2, i),
+            combined: at(3, i),
         })
-        .collect()
+        .collect())
 }
 
 /// Per-level signed prediction errors (`predicted − actual`) of D-MGARD on
@@ -226,7 +198,7 @@ mod tests {
         assert_eq!(rows.len(), 2);
         for row in &rows {
             // Theory always respects the bound.
-            assert!(row.theory.achieved_err <= row.abs_bound);
+            assert!(row.theory.achieved_err <= row.theory.abs_bound);
             // E-MGARD reads no more than the theory baseline.
             assert!(row.emgard.bytes <= row.theory.bytes, "E read more than theory");
             assert!(row.saving_e() >= 0.0);
@@ -237,23 +209,13 @@ mod tests {
             assert!(row.combined.achieved_err.is_finite());
         }
 
-        // plan_combined equals the refine primitive applied to D's plan.
-        let compressed = Compressed::compress(&test, &cfg.compress);
-        let feats = crate::features::retrieval_features(&test, &compressed);
-        let abs = compressed.absolute_bound(1e-3);
-        let direct = models.plan_combined(&compressed, &feats, abs);
-        let initial = models.dmgard.predict(&feats, abs);
-        let constants = models.emgard.predict_constants(&compressed);
-        let manual =
-            pmr_mgard::retrieve::refine_plan(compressed.levels(), &constants, abs, &initial);
-        assert_eq!(direct.planes, manual.planes);
-
         // Prediction errors are small-ish on the training records.
         let per_level = dmgard_prediction_errors(&records, &models.dmgard);
-        assert_eq!(per_level.len(), models.num_levels);
+        let num_levels = models.dmgard.num_levels();
+        assert_eq!(per_level.len(), num_levels);
         let mean_abs: f64 =
             per_level.iter().flat_map(|v| v.iter().map(|e| e.abs() as f64)).sum::<f64>()
-                / (records.len() * models.num_levels) as f64;
+                / (records.len() * num_levels) as f64;
         assert!(mean_abs < 4.0, "mean abs prediction error {mean_abs}");
     }
 
@@ -264,12 +226,11 @@ mod tests {
     #[test]
     fn level_signatures_are_memoised_per_artifact() {
         use crate::emgard::{level_signature, signatures_of};
-        use crate::framework::{Combined, RetrievalContext, Retriever};
+        use crate::framework::RetrievalContext;
         use pmr_mgard::persist;
 
         let cfg = fast_experiment();
-        let (models, _) = train_models((0..3).map(snapshot), &cfg);
-        let combined = Combined { dmgard: models.dmgard, emgard: models.emgard };
+        let (combined, _) = train_models((0..3).map(snapshot), &cfg);
 
         let field = snapshot(4);
         let fresh = Compressed::compress(&field, &cfg.compress);

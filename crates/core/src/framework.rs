@@ -3,8 +3,6 @@
 
 use crate::dmgard::DMgard;
 use crate::emgard::EMgard;
-use pmr_error::PmrError;
-use pmr_field::{error, Field};
 use pmr_mgard::{Compressed, RetrievalPlan};
 
 /// Everything a retriever may consult when planning: the compressed
@@ -84,50 +82,11 @@ impl Retriever for Combined {
     }
 }
 
-/// The measured summary of executing a plan (planes, bytes, error, PSNR).
-///
-/// This is the row type persisted in experiment records; for the full
-/// retrieval result (field, stats, degradation) see
-/// [`crate::api::RetrievalOutcome`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetrievalSummary {
-    pub planes: Vec<u32>,
-    /// Bytes fetched (Equation 1).
-    pub bytes: u64,
-    /// Actual max absolute error of the reconstruction.
-    pub achieved_err: f64,
-    /// PSNR of the reconstruction.
-    pub psnr: f64,
-}
-
-/// Decode `plan` (validated against the artifact) and measure the
-/// reconstruction against `original` — the sweep/record/experiment row.
-pub(crate) fn measure_plan(
-    original: &Field,
-    compressed: &Compressed,
-    plan: &RetrievalPlan,
-) -> Result<RetrievalSummary, PmrError> {
-    if original.shape() != compressed.shape() {
-        return Err(PmrError::invalid_config(format!(
-            "original field shape {:?} does not match artifact shape {:?}",
-            original.shape(),
-            compressed.shape()
-        )));
-    }
-    let field = compressed.decode_plan(plan, &pmr_mgard::DecodeOptions::default())?;
-    Ok(RetrievalSummary {
-        planes: plan.planes.clone(),
-        bytes: compressed.retrieved_bytes(plan),
-        achieved_err: error::max_abs_error(original.data(), field.data()),
-        psnr: error::psnr(original.data(), field.data()),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::features::retrieval_features;
-    use pmr_field::Shape;
+    use pmr_field::{Field, Shape};
     use pmr_mgard::CompressConfig;
 
     #[test]
@@ -137,15 +96,12 @@ mod tests {
         });
         let c = Compressed::compress(&field, &CompressConfig::default());
         let feats = retrieval_features(&field, &c);
-        let ctx = RetrievalContext { compressed: &c, features: &feats };
-        let r = Theory;
-        assert_eq!(r.name(), "MGARD");
+        assert_eq!(Theory.name(), "MGARD");
         let bound = c.absolute_bound(1e-3);
-        let plan = r.plan(&ctx, bound);
-        let outcome = measure_plan(&field, &c, &plan).unwrap();
-        assert!(outcome.achieved_err <= bound);
-        assert!(outcome.bytes > 0);
-        assert!(outcome.psnr > 20.0);
+        let p = &crate::sweep_strategy(&field, &c, &feats, &Theory, &[bound]).unwrap()[0];
+        assert!(p.achieved_err <= bound);
+        assert!(p.bytes > 0);
+        assert!(p.psnr > 20.0);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub use api::{
 };
 pub use dmgard::{DMgard, DMgardConfig};
 pub use emgard::{build_samples_many, EMgard, EMgardConfig};
-pub use framework::{Combined, RetrievalContext, RetrievalSummary, Retriever, Theory};
+pub use framework::{Combined, RetrievalContext, Retriever, Theory};
 pub use pmr_mgard::{ExecPolicy, PlaneKernel};
 pub use records::{collect_records, collect_records_many, standard_rel_bounds, RetrievalRecord};
 pub use sweep::{sweep, sweep_strategy, SweepPoint};

@@ -5,10 +5,14 @@
 //! the reconstruction actually achieved. The driver knows nothing about any
 //! concrete strategy — it speaks only the [`Retriever`] trait — so Theory,
 //! D-MGARD, E-MGARD, the combined retriever, and anything a downstream crate
-//! implements are all swept identically. `pmr-conformance` builds its
-//! violation-rate and overshoot accounting on these points.
+//! implements are all swept identically. Every point is one
+//! [`crate::api::retrieve`] on the direct backend, so a sweep measures
+//! exactly what the product returns. `pmr-conformance` builds its
+//! violation-rate and overshoot accounting on these points, and
+//! [`crate::experiment::compare_on_field`] is a view over them.
 
-use crate::framework::{RetrievalContext, Retriever};
+use crate::api::{retrieve, Backend, Dataset, RetrievalRequest};
+use crate::framework::Retriever;
 use pmr_error::PmrError;
 use pmr_field::Field;
 use pmr_mgard::Compressed;
@@ -29,11 +33,14 @@ pub struct SweepPoint {
     pub estimated_err: f64,
     /// Measured `L∞` error of the reconstruction against the original.
     pub achieved_err: f64,
+    /// PSNR of the reconstruction against the original.
+    pub psnr: f64,
     /// Bytes fetched under the plan.
     pub bytes: u64,
     /// Total compressed size of the artifact.
     pub total_bytes: u64,
-    /// The per-level plane counts the strategy chose.
+    /// The per-level plane counts decoded (the strategy's plan, clamped to
+    /// each level's capacity as [`crate::api::plan_for_target`] does).
     pub planes: Vec<u32>,
 }
 
@@ -84,23 +91,25 @@ pub fn sweep_strategy(
     retriever: &dyn Retriever,
     abs_bounds: &[f64],
 ) -> Result<Vec<SweepPoint>, PmrError> {
-    let ctx = RetrievalContext { compressed, features };
-    let total_bytes = compressed.total_bytes();
+    let dataset = Dataset::new(compressed).with_original(original).with_features(features);
     abs_bounds
         .iter()
         .map(|&abs_bound| {
-            let plan = retriever.plan(&ctx, abs_bound);
-            let m = crate::framework::measure_plan(original, compressed, &plan)?;
+            let request = RetrievalRequest::abs(abs_bound).measured();
+            let out = retrieve(&dataset, retriever, &request, &Backend::Direct)?;
             Ok(SweepPoint {
-                strategy: retriever.name().to_string(),
+                strategy: out.strategy,
                 field_name: original.name().to_string(),
                 timestep: original.timestep(),
                 abs_bound,
-                estimated_err: plan.estimated_error,
-                achieved_err: m.achieved_err,
-                bytes: m.bytes,
-                total_bytes,
-                planes: plan.planes,
+                estimated_err: out.claimed_error,
+                // A measured request always fills both; a missing value
+                // would count as a miss, never as a pass.
+                achieved_err: out.achieved_error.unwrap_or(f64::INFINITY),
+                psnr: out.psnr.unwrap_or(f64::NEG_INFINITY),
+                bytes: out.bytes,
+                total_bytes: compressed.total_bytes(),
+                planes: out.planes,
             })
         })
         .collect()

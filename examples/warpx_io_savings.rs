@@ -45,7 +45,7 @@ fn main() {
         for row in rows {
             println!(
                 "{:>4} {:>9.0e} {:>10} {:>10} {:>10} {:>8.1}% {:>8.1}%",
-                row.timestep,
+                row.theory.timestep,
                 row.rel_bound,
                 row.theory.bytes,
                 row.dmgard.bytes,
