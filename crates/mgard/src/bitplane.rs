@@ -23,7 +23,7 @@
 //! original bit-at-a-time path alive as the differential oracle (it ignores
 //! `threads` for this stage — the oracle is defined serially).
 
-use crate::checksum::fnv1a64;
+use crate::checksum::fnv1a64_lockstep;
 use crate::decompose::{Placer, Run};
 use crate::encode_kernel::{self, Chunk, LaneRows, LANES, MAX_PLANES};
 use crate::exec::{run_jobs, ExecPolicy};
@@ -108,8 +108,8 @@ impl LevelEncoding {
     /// of the final packed planes and raises its own lane maxima, which fold
     /// into the error row in any order (`encode_kernel`) — bit-identical to
     /// the serial scan, which is the same code with one chunk. The lossless
-    /// pass, which also takes each payload's checksum, parallelizes across
-    /// planes, which are independent.
+    /// pass parallelizes across planes, which are independent; each worker
+    /// then takes its share's checksums with `fnv1a64_lockstep`.
     ///
     /// [`PlaneKernel::Scalar`] gathers the level into an array and runs the
     /// original bit-at-a-time encoder on it (the differential oracle), which
@@ -178,7 +178,7 @@ impl LevelEncoding {
         planes: Vec<Vec<u8>>,
         error_row: Vec<f64>,
     ) -> Self {
-        let checksums = planes.iter().map(|p| fnv1a64(p)).collect();
+        let checksums = fnv1a64_lockstep(&planes);
         let planes = Arc::new(planes);
         LevelEncoding { count, num_planes, step, planes, checksums, error_row }
     }
@@ -267,18 +267,19 @@ impl LevelEncoding {
         let mut error_row = vec![max_abs; bu + 1];
         encode_kernel::fold_lanes(&lanes, &mut error_row);
 
-        // Compress and hash each plane, dropping its packed form on the
-        // way; planes are independent, so workers take them whole.
-        let mut done: Vec<(Vec<u8>, u64)> = vec![(Vec::new(), 0); bu];
+        // Compress each plane, dropping its packed form on the way, then
+        // hash the worker's share in lockstep; planes are independent, so
+        // workers take them whole.
+        let mut planes: Vec<Vec<u8>> = vec![Vec::new(); bu];
+        let mut checksums = vec![0u64; bu];
         let pchunk = bu.div_ceil(threads);
-        run_jobs(packed.chunks_mut(pchunk).zip(done.chunks_mut(pchunk)), |(packed, done)| {
-            for (raw, slot) in packed.iter_mut().zip(done) {
-                let plane = lossless::compress(&std::mem::take(raw));
-                let sum = fnv1a64(&plane);
-                *slot = (plane, sum);
+        let shares = packed.chunks_mut(pchunk).zip(planes.chunks_mut(pchunk));
+        run_jobs(shares.zip(checksums.chunks_mut(pchunk)), |((packed, planes), sums)| {
+            for (raw, plane) in packed.iter_mut().zip(planes.iter_mut()) {
+                *plane = lossless::compress(&std::mem::take(raw));
             }
+            sums.copy_from_slice(&fnv1a64_lockstep(planes));
         });
-        let (planes, checksums): (Vec<_>, _) = done.into_iter().unzip();
         let planes = Arc::new(planes);
         LevelEncoding { count, num_planes: b, step, planes, checksums, error_row }
     }
@@ -626,6 +627,7 @@ impl LevelEncoding {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checksum::fnv1a64;
     use pmr_codec::PlaneKernel;
 
     fn sample_coeffs(n: usize) -> Vec<f64> {
@@ -785,6 +787,45 @@ mod tests {
         }
         let zero = LevelEncoding::encode(&[0.0; 1000], 32);
         assert_eq!(transposed(&|| assert_eq!(zero.decode(32), vec![0.0; 1000])), 0);
+    }
+
+    #[test]
+    fn dead_planes_raise_the_row_and_match_the_oracle() {
+        // Six tiles, magnitudes falling two decades a tile, so the small
+        // tiles' digits reach no leading plane. Tile 0 is ±max, exact after
+        // its first planes, so from there the row's entries are the small
+        // tiles' errors, and on their dead planes only the raise puts them
+        // there; the largest of those magnitudes is negative. Tile 3 is
+        // dead in every plane (NaN, −0.0, subnormals); the last is ragged.
+        let mut coeffs: Vec<f64> = sample_coeffs(5 * 64 + 21)
+            .iter()
+            .enumerate()
+            .map(|(i, c)| c * 0.01f64.powi((i / 64) as i32))
+            .collect();
+        for (i, c) in coeffs[..64].iter_mut().enumerate() {
+            *c = if i % 2 == 0 { 3.0 } else { -3.0 };
+        }
+        coeffs[64] = -0.1;
+        let specials = [f64::NAN, -0.0, 5e-324, f64::MIN_POSITIVE / 3.0, -1e-300, 0.0];
+        for (c, &x) in coeffs[3 * 64..4 * 64].iter_mut().zip(specials.iter().cycle()) {
+            *c = x;
+        }
+        let raised = || encode_kernel::DEAD_ROWS_RAISED.with(std::cell::Cell::get);
+        for b in [3u32, 32, 50] {
+            // `to_bytes` carries the error row's bits.
+            let oracle =
+                LevelEncoding::encode_with(&coeffs, b, &scalar_policy()).to_bytes().unwrap();
+            for threads in [1, 2, 3, 7] {
+                let before = raised();
+                let tiled =
+                    LevelEncoding::encode_with(&coeffs, b, &ExecPolicy::with_threads(threads));
+                assert_eq!(tiled.to_bytes().unwrap(), oracle, "b={b} threads={threads}");
+                // Workers count on their own threads; one thread counts here.
+                if threads == 1 {
+                    assert!(raised() > before, "b={b}: no dead row was raised");
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,13 @@ pub(crate) const LANES: usize = 8;
 /// Most planes a level can have (`LevelEncoding::encode` asserts it).
 pub(crate) const MAX_PLANES: usize = 50;
 
+#[cfg(test)]
+thread_local! {
+    /// (tile, plane) error-row updates `encode_chunk_body` has made on this
+    /// thread from a tile's magnitudes instead of its prefix loop.
+    pub(crate) static DEAD_ROWS_RAISED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// One worker's error-row state: `rows[k][j]` is the largest truncation
 /// error seen so far in lane `j` with `k + 1` planes kept. 3.2 kB.
 pub(crate) type LaneRows = [[f64; LANES]; MAX_PLANES];
@@ -134,6 +141,21 @@ unsafe fn encode_chunk_avx2(
     encode_chunk_body(chunk, step, weights, imp, segs, lanes);
 }
 
+/// The kernel behind [`encode_chunk`], one tile at a time.
+///
+/// *Dead planes.* The OR of a tile's 64 digits has `live = 64 −
+/// leading_zeros` significant bits, so none of its digits has a bit set in
+/// the first `B − live` planes. With `k + 1 <= B − live` planes kept, every
+/// prefix of the tile is still zero, and each error the prefix loop would
+/// take is `|c − 0·step|`. That is exactly `|c|`: `0·step` is `+0.0` for
+/// the finite positive step, and `c − +0.0` is `c` for every `c`,
+/// `−0.0`, subnormals and NaN included. So the tile's `|c|` are folded into
+/// [`LANES`] maxima once, those raise each dead row through [`keep_max`],
+/// and the prefix loop runs over the live planes only, from `val = 0`. The
+/// rows see the same multiset of errors as before, and `keep_max` does not
+/// care how a multiset is grouped (DESIGN.md §10): a NaN is dropped
+/// wherever it is met, no `abs` is `−0.0`, and padding lanes add `+0.0`,
+/// which never moves a maximum.
 #[inline(always)]
 fn encode_chunk_body(
     chunk: Chunk<'_, '_>,
@@ -153,14 +175,35 @@ fn encode_chunk_body(
         let mut cval = [0.0f64; transpose::TILE];
         cursor.get(grid, &mut cval[..n]);
         let mut tile = [0u64; transpose::TILE];
+        let mut any = 0u64;
         for (d, &c) in tile.iter_mut().zip(&cval[..n]) {
             *d = negabinary::to_negabinary(quantize(c, step));
+            any |= *d;
         }
-        // Prefix reconstruction, one plane across the whole tile: add the
-        // plane's weight where the digit is set (branchless, through the
-        // bit pattern) and take the error of the prefix so far.
+        let live = (u64::BITS - any.leading_zeros()) as usize;
+        let dead = bu.saturating_sub(live);
+        if dead > 0 {
+            #[cfg(test)]
+            DEAD_ROWS_RAISED.with(|r| r.set(r.get() + dead as u64));
+            let mut mags = [0.0f64; LANES];
+            for cs in cval.chunks_exact(LANES) {
+                for (m, &c) in mags.iter_mut().zip(cs) {
+                    *m = keep_max(*m, c.abs());
+                }
+            }
+            for row in &mut lanes[..dead] {
+                for (m, &a) in row.iter_mut().zip(&mags) {
+                    *m = keep_max(*m, a);
+                }
+            }
+        }
+        // Prefix reconstruction of the live planes, one plane across the
+        // whole tile: add the plane's weight where the digit is set
+        // (branchless, through the bit pattern) and take the error of the
+        // prefix so far.
         let mut val = [0.0f64; transpose::TILE];
-        for ((shift, &w), row) in (0..bu).rev().zip(weights).zip(lanes.iter_mut()) {
+        let live_planes = (0..bu - dead).rev().zip(&weights[dead..]).zip(&mut lanes[dead..]);
+        for ((shift, &w), row) in live_planes {
             let wbits = w.to_bits();
             let mut worst = *row;
             for ((digits, vals), cs) in tile
