@@ -41,6 +41,7 @@ impl Default for AnalyzeConfig {
     fn default() -> Self {
         AnalyzeConfig {
             panic_paths: &[
+                "crates/error/src",
                 "crates/codec/src",
                 "crates/mgard/src",
                 "crates/storage/src",
@@ -49,6 +50,7 @@ impl Default for AnalyzeConfig {
                 "crates/rng/src",
             ],
             cast_paths: &[
+                "crates/error/src",
                 "crates/codec/src",
                 "crates/mgard/src",
                 "crates/storage/src",

@@ -2,8 +2,8 @@
 //! point sees the untrusted payload. Must produce zero findings.
 
 pub fn load(buf: &[u8]) -> Option<Artifact> {
-    let mut pos = 0usize;
-    let len = u64_at(buf, &mut pos)?;
+    let mut r = ByteReader::new(buf, "artifact");
+    let len = r.u64().ok()?;
     verify_checksums(buf, len)?;
     let art = Artifact::from_parts(len)?;
     Some(art)

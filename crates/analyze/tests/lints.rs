@@ -230,8 +230,8 @@ fn sanitized_taint_shapes_are_clean() {
 #[test]
 fn taint_lints_are_scoped_to_ingest_crates() {
     let src = include_str!("fixtures/taint_positive.rs");
-    let r = lint("crates/nn/src/fixture.rs", src, &AnalyzeConfig::default());
-    assert_eq!(count(&r, "taint_alloc"), 0, "nn does not ingest untrusted bytes");
+    let r = lint("crates/analysis/src/fixture.rs", src, &AnalyzeConfig::default());
+    assert_eq!(count(&r, "taint_alloc"), 0, "analysis does not ingest untrusted bytes");
     assert_eq!(count(&r, "taint_index"), 0);
 }
 

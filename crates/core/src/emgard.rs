@@ -19,6 +19,8 @@
 //! over randomly drawn retrieval plans, because target errors span nine
 //! decades.
 
+use crate::dmgard::read_model_pair;
+use pmr_error::{ByteReader, PmrError};
 use pmr_field::{error::max_abs_error, Field};
 use pmr_mgard::{Compressed, ExecPolicy, RetrievalPlan};
 use pmr_nn::{Activation, Adam, Loss, Matrix, Mlp, Standardizer};
@@ -362,36 +364,31 @@ impl EMgard {
 
     /// Inverse of [`EMgard::to_bytes`].
     pub fn from_bytes(buf: &[u8]) -> Option<Self> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-            let s = buf.get(*pos..*pos + n)?;
-            *pos += n;
-            Some(s)
-        };
-        if take(&mut pos, 6)? != b"PMRE1\0" {
-            return None;
+        Self::read(&mut ByteReader::new(buf, "emgard model")).ok()
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Result<Self, PmrError> {
+        if r.take(6)? != b"PMRE1\0" {
+            return Err(r.malformed("bad magic"));
         }
-        let n = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
+        let n = r.u32()? as usize;
         if n == 0 || n > 64 {
-            return None;
+            return Err(r.malformed(format!("{n} levels outside 1..=64")));
         }
         let mut encoders = Vec::with_capacity(n);
         let mut standardizers = Vec::with_capacity(n);
         for _ in 0..n {
-            let ml = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?) as usize;
-            encoders.push(Mlp::from_bytes(take(&mut pos, ml)?)?);
-            let sl = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?) as usize;
-            standardizers.push(Standardizer::from_bytes(take(&mut pos, sl)?)?);
+            let (encoder, standardizer) = read_model_pair(r)?;
+            encoders.push(encoder);
+            standardizers.push(standardizer);
         }
-        if pos != buf.len() {
-            return None;
-        }
-        Some(EMgard { encoders, standardizers })
+        r.done()?;
+        Ok(EMgard { encoders, standardizers })
     }
 
     /// Write the serialized model to `path`, creating parent directories.
-    pub fn save(&self, path: &std::path::Path) -> Result<(), pmr_error::PmrError> {
-        let io_err = |e: std::io::Error| pmr_error::PmrError::io_at(path, e);
+    pub fn save(&self, path: &std::path::Path) -> Result<(), PmrError> {
+        let io_err = |e: std::io::Error| PmrError::io_at(path, e);
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent).map_err(io_err)?;
         }
@@ -399,11 +396,9 @@ impl EMgard {
     }
 
     /// Read a model previously written with [`EMgard::save`].
-    pub fn load(path: &std::path::Path) -> Result<Self, pmr_error::PmrError> {
-        let buf = std::fs::read(path).map_err(|e| pmr_error::PmrError::io_at(path, e))?;
-        EMgard::from_bytes(&buf).ok_or_else(|| {
-            pmr_error::PmrError::malformed("emgard model", "corrupt or truncated model file")
-        })
+    pub fn load(path: &std::path::Path) -> Result<Self, PmrError> {
+        let buf = std::fs::read(path).map_err(|e| PmrError::io_at(path, e))?;
+        Self::read(&mut ByteReader::new(&buf, "emgard model"))
     }
 }
 

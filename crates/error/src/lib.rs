@@ -5,6 +5,10 @@
 //! message and exit nonzero instead of unwinding, and so library callers can
 //! match on the failure class without string-parsing.
 
+mod reader;
+
+pub use reader::ByteReader;
+
 use std::fmt;
 use std::io;
 use std::path::PathBuf;

@@ -132,3 +132,25 @@ fn mutated_length_prefixes_never_outgrow_the_frame_cap() {
         }
     }
 }
+
+#[test]
+fn every_strict_prefix_and_a_trailing_byte_are_rejected() {
+    // Requests, reports and health snapshots end exactly where their last
+    // field does: cutting any byte off or adding one is an error. A plane
+    // frame's payload is the rest of the frame, so only a cut into its
+    // head (`'P'`, `u16` level, `u32` plane) can be detected. The health
+    // probe is a bare magic, matched whole by `is_health_request`.
+    for frame in corpus().into_iter().filter(|f| *f != encode_health_request()) {
+        let request = frame.starts_with(b"PRQ1");
+        let decode =
+            |b: &[u8]| if request { decode_request(b).is_ok() } else { decode_frame(b).is_ok() };
+        assert!(decode(&frame), "the valid frame {frame:?} must decode");
+        let plane = !request && frame[0] == b'P';
+        for cut in 0..if plane { 7 } else { frame.len() } {
+            assert!(!decode(&frame[..cut]), "{cut}-byte prefix of {frame:?} accepted");
+        }
+        let mut longer = frame.clone();
+        longer.push(0);
+        assert_eq!(decode(&longer), plane, "a trailing byte after {frame:?}");
+    }
+}

@@ -495,14 +495,19 @@ fn analyze_catches_planted_regressions() {
         // PR 9: a wire count sizes a Vec without the frame cap.
         (
             "crates/pmrd/src/protocol.rs",
-            &[("r.bounded_count(\"plane\")?", "r.u16()? as usize")],
+            &[(
+                "    if n > MAX_WIRE_LIST {\n        \
+                 return Err(proto_err(format!(\"{what} count {n} exceeds {MAX_WIRE_LIST}\")));\n    \
+                 }\n",
+                "",
+            )],
             "taint_alloc",
         ),
-        // A wire string length slices the frame without the bounds-checked
-        // `take`.
+        // A wire string length slices the frame directly instead of going
+        // through the shared reader's bounds-checked string read.
         (
             "crates/pmrd/src/protocol.rs",
-            &[("let bytes = self.take(len)?;", "let bytes = &self.buf[self.pos..self.pos + len];")],
+            &[("Ok(r.str(len)?.to_owned())", "Ok(String::from_utf8_lossy(&r.rest()[..len]).into_owned())")],
             "taint_index",
         ),
         // A sleep under the plane-cache lock, in `get_or_fetch`.

@@ -1,10 +1,15 @@
 //! Regression tests for the error-path hardening pass: degenerate and
-//! malformed inputs on the compress/retrieve/fetch paths must surface as
-//! `Err`, never as a panic inside library code.
+//! malformed inputs on the compress/retrieve/fetch paths, and truncated or
+//! overlong encodings of every persisted format, must surface as `Err`,
+//! never as a panic inside library code.
 
+use pmr::blockcodec::{persist as block_persist, BlockCompressed, BlockConfig};
 use pmr::core::{retrieve, Backend, Dataset, RetrievalRequest, Theory};
 use pmr::field::{io as field_io, Field, Shape};
-use pmr::mgard::{persist, CompressConfig, Compressed, DecodeOptions, RetrievalPlan};
+use pmr::mgard::{
+    persist, CompressConfig, Compressed, DecodeOptions, LevelEncoding, RetrievalPlan,
+};
+use pmr::nn::{Activation, Matrix, Mlp, Standardizer};
 use pmr::storage::{
     ExpectedSegment, FetchError, FetchExecutor, MemStore, RetryPolicy, SegmentStore,
 };
@@ -15,26 +20,62 @@ fn wave(n: usize) -> Field {
     })
 }
 
+/// `parses` accepts `valid` but rejects, without a panic, every strict
+/// prefix of it and `valid` with one byte appended.
+fn rejects_truncation_and_trailing_bytes(what: &str, valid: &[u8], parses: impl Fn(&[u8]) -> bool) {
+    assert!(parses(valid), "{what}: the valid encoding must parse");
+    for cut in 0..valid.len() {
+        assert!(!parses(&valid[..cut]), "{what}: {cut}-byte prefix of {} accepted", valid.len());
+    }
+    let mut longer = valid.to_vec();
+    longer.push(0);
+    assert!(!parses(&longer), "{what}: a trailing byte was accepted");
+}
+
 #[test]
 fn zero_sized_field_bytes_are_an_error() {
-    // An empty buffer is the ultimate degenerate field file.
-    assert!(field_io::from_bytes(&[]).is_err());
-    // A header that claims data it does not carry must also fail cleanly.
-    let field = wave(5);
-    let bytes = field_io::to_bytes(&field);
-    for cut in [1, 8, bytes.len() / 2, bytes.len() - 1] {
-        assert!(field_io::from_bytes(&bytes[..cut]).is_err(), "truncation at {cut} must fail");
-    }
+    // The empty buffer is the ultimate degenerate field file; no header that
+    // claims data it does not carry parses either.
+    rejects_truncation_and_trailing_bytes("field", &field_io::to_bytes(&wave(5)), |b| {
+        field_io::from_bytes(b).is_ok()
+    });
 }
 
 #[test]
 fn truncated_artifact_bytes_are_an_error() {
-    let c = Compressed::compress(&wave(9), &CompressConfig::default());
-    let bytes = persist::to_bytes(&c).expect("serialize");
-    assert!(persist::from_bytes(&[]).is_err());
-    for cut in [1, 4, 16, bytes.len() / 2, bytes.len() - 1] {
-        assert!(persist::from_bytes(&bytes[..cut]).is_err(), "truncation at {cut} must fail");
-    }
+    let field = wave(9);
+    let c = Compressed::compress(&field, &CompressConfig::default());
+    rejects_truncation_and_trailing_bytes(
+        "mgard artifact",
+        &persist::to_bytes(&c).expect("serialize"),
+        |b| persist::from_bytes(b).is_ok(),
+    );
+    // A level is embedded in other formats, so it reports what it consumed
+    // instead of rejecting what follows it.
+    rejects_truncation_and_trailing_bytes(
+        "level encoding",
+        &c.levels()[1].to_bytes().expect("serialize"),
+        |b| LevelEncoding::from_bytes(b).is_some_and(|(_, used)| used == b.len()),
+    );
+    let block = BlockCompressed::compress(&field, &BlockConfig::default());
+    rejects_truncation_and_trailing_bytes(
+        "block artifact",
+        &block_persist::to_bytes(&block).expect("serialize"),
+        |b| block_persist::from_bytes(b).is_ok(),
+    );
+
+    let mlp = Mlp::new(&[3, 4, 2], Activation::LeakyRelu(0.01), Activation::Identity, 7);
+    rejects_truncation_and_trailing_bytes("mlp model", &mlp.to_bytes(), |b| {
+        Mlp::from_bytes(b).is_some()
+    });
+    let rows = Matrix::from_vec(2, 3, vec![1.0, -2.0, 0.5, 3.0, 4.0, -1.5]);
+    rejects_truncation_and_trailing_bytes(
+        "standardizer",
+        &Standardizer::fit(&rows).to_bytes(),
+        |b| Standardizer::from_bytes(b).is_some(),
+    );
+    // D-MGARD and E-MGARD: `pmr-core`'s proptests, beside their hostile
+    // length fields.
 }
 
 #[test]
