@@ -6,16 +6,19 @@
 //! resolved conservatively — exact type-qualified matches first, then
 //! module-suffix matches, then a uniqueness fallback — with one designed
 //! exception: a method call whose receiver we cannot type (`store.fetch(…)`
-//! through a `dyn SegmentStore`) fans out to *every* workspace impl of that
-//! method, because trait dispatch on the storage path is exactly where
-//! panic-reachability matters most. Methods whose names collide with the
-//! standard library (`get`, `len`, `write`, …) are excluded from that
-//! fan-out; they resolve only against the caller's own type.
+//! through a `dyn SegmentStore`) fans out to every workspace impl of that
+//! method the caller's crate can reach, because trait dispatch on the
+//! storage path is exactly where panic-reachability matters most. A trait
+//! method is reachable from anywhere; an inherent method only from its own
+//! crate and the crates whose `Cargo.toml` depends on it, directly or not
+//! ([`CrateDeps`]). Methods whose names collide with the standard library
+//! (`get`, `len`, `write`, …) are excluded from that fan-out; they resolve
+//! only against the caller's own type.
 
 use crate::config::{in_scope, AnalyzeConfig};
 use crate::parse::{Call, Callee, ParsedFile};
 use crate::report::Violation;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// `panic_reach`: crates whose public entry points anchor the reachability
 /// walk — a panic site transitively reachable from one is a violation even
@@ -122,6 +125,7 @@ pub struct Node {
     pub qual: String,
     pub name: String,
     pub self_type: Option<String>,
+    pub inherent: bool,
     pub returns_result: bool,
     pub is_test: bool,
     pub rel_path: String,
@@ -137,6 +141,78 @@ pub struct CallGraph {
     pub call_targets: Vec<Vec<Vec<usize>>>,
 }
 
+/// The crate a workspace path belongs to: its `crates/<name>` directory,
+/// or `""` for the root package.
+fn crate_of(rel_path: &str) -> &str {
+    match rel_path.strip_prefix("crates/").and_then(|rest| rest.find('/')) {
+        Some(end) => &rel_path[..end + "crates/".len()],
+        None => "",
+    }
+}
+
+/// Which workspace crates each crate's code can call into: itself and
+/// whatever its `Cargo.toml` `[dependencies]` reach, directly or through
+/// other workspace crates. A crate without a manifest reaches only itself.
+#[derive(Debug, Default)]
+pub struct CrateDeps {
+    reach: BTreeMap<String, BTreeSet<String>>,
+}
+
+impl CrateDeps {
+    /// From the `(rel_path, contents)` of each crate's `Cargo.toml`.
+    pub fn from_manifests(manifests: &[(&str, &str)]) -> CrateDeps {
+        let mut dir_of: BTreeMap<String, String> = BTreeMap::new();
+        let mut direct: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        for &(path, src) in manifests {
+            let dir = crate_of(path).to_string();
+            let mut section = "";
+            for line in src.lines().map(str::trim) {
+                if line.starts_with('[') {
+                    section = line;
+                    continue;
+                }
+                let key = line.split(['=', '.', ' ']).next().unwrap_or_default();
+                if key.is_empty() || key.starts_with('#') {
+                    continue;
+                }
+                match section {
+                    "[package]" if key == "name" => {
+                        if let Some(name) = line.split('"').nth(1) {
+                            dir_of.insert(name.to_string(), dir.clone());
+                        }
+                    }
+                    "[dependencies]" => {
+                        direct.entry(dir.clone()).or_default().push(key.to_string())
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let mut reach = BTreeMap::new();
+        for from in direct.keys() {
+            let mut seen: BTreeSet<String> = BTreeSet::new();
+            let mut todo = vec![from.clone()];
+            while let Some(dir) = todo.pop() {
+                for dep in direct.get(&dir).into_iter().flatten() {
+                    if let Some(to) = dir_of.get(dep) {
+                        if seen.insert(to.clone()) {
+                            todo.push(to.clone());
+                        }
+                    }
+                }
+            }
+            reach.insert(from.clone(), seen);
+        }
+        CrateDeps { reach }
+    }
+
+    /// May code at `from` call an inherent method defined at `to`?
+    fn sees(&self, from: &str, to: &str) -> bool {
+        let (from, to) = (crate_of(from), crate_of(to));
+        from == to || self.reach.get(from).is_some_and(|r| r.contains(to))
+    }
+}
+
 /// Multi-source BFS result: distance and parent pointers for shortest
 /// entry→node chains.
 pub struct Reach {
@@ -146,8 +222,9 @@ pub struct Reach {
 
 impl CallGraph {
     /// Build the graph over `files` (already sorted by `rel_path` — node
-    /// and edge order inherit that determinism).
-    pub fn build(files: &[ParsedFile]) -> CallGraph {
+    /// and edge order inherit that determinism), linking untyped method
+    /// calls to inherent methods only where `deps` allows.
+    pub fn build(files: &[ParsedFile], deps: &CrateDeps) -> CallGraph {
         let mut nodes = Vec::new();
         for (fi, f) in files.iter().enumerate() {
             for (k, func) in f.fns.iter().enumerate() {
@@ -157,6 +234,7 @@ impl CallGraph {
                     qual: func.qual(&f.module),
                     name: func.name.clone(),
                     self_type: func.self_type.clone(),
+                    inherent: func.inherent,
                     returns_result: func.returns_result,
                     is_test: func.is_test,
                     rel_path: f.rel_path.clone(),
@@ -194,7 +272,7 @@ impl CallGraph {
             })
             .collect();
 
-        let ix = Indexes { free_by_name, method_by_name, type_method, by_qual, use_maps };
+        let ix = Indexes { free_by_name, method_by_name, type_method, by_qual, use_maps, deps };
 
         let mut edges = vec![Vec::new(); nodes.len()];
         let mut call_targets = vec![Vec::new(); nodes.len()];
@@ -285,6 +363,7 @@ struct Indexes<'a> {
     type_method: BTreeMap<(&'a str, &'a str), Vec<usize>>,
     by_qual: BTreeMap<&'a str, Vec<usize>>,
     use_maps: Vec<BTreeMap<&'a str, &'a [String]>>,
+    deps: &'a CrateDeps,
 }
 
 fn resolve(
@@ -344,14 +423,21 @@ fn resolve_method(
     if COMMON_METHODS.contains(&name) {
         return Vec::new();
     }
-    // Untyped receiver: fan out to every impl of this method name, unless
-    // the name is so widely implemented the fan-out would be noise.
+    // Untyped receiver: fan out to every impl of this method name the
+    // caller's crate can reach, unless the name is so widely implemented
+    // the fan-out would be noise.
+    let from = &nodes[caller].rel_path;
+    let visible: Vec<usize> = candidates
+        .iter()
+        .copied()
+        .filter(|&i| !nodes[i].inherent || ix.deps.sees(from, &nodes[i].rel_path))
+        .collect();
     let mut types: Vec<&str> =
-        candidates.iter().filter_map(|&i| nodes[i].self_type.as_deref()).collect();
+        visible.iter().filter_map(|&i| nodes[i].self_type.as_deref()).collect();
     types.sort_unstable();
     types.dedup();
     if types.len() <= MAX_DISPATCH_FANOUT {
-        candidates.clone()
+        visible
     } else {
         Vec::new()
     }
@@ -481,7 +567,7 @@ mod tests {
     fn build(sources: &[(&str, &str)]) -> (Vec<ParsedFile>, CallGraph) {
         let mut files: Vec<ParsedFile> = sources.iter().map(|(p, s)| parse_file(p, s)).collect();
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-        let graph = CallGraph::build(&files);
+        let graph = CallGraph::build(&files, &CrateDeps::default());
         (files, graph)
     }
 
@@ -515,11 +601,54 @@ mod tests {
             ("crates/a/src/lib.rs", "fn go(s: &dyn Store) { s.fetch(0); }"),
             (
                 "crates/b/src/lib.rs",
-                "impl Mem { fn fetch(&self, k: u32) {} }\nimpl Disk { fn fetch(&self, k: u32) {} }",
+                "impl Store for Mem { fn fetch(&self, k: u32) {} }\n\
+                 impl Store for Disk { fn fetch(&self, k: u32) {} }",
             ),
         ]);
         let go = node(&g, "pmr_a::go");
         assert_eq!(g.edges[go].len(), 2);
+    }
+
+    #[test]
+    fn an_inherent_method_is_reached_only_from_crates_that_depend_on_it() {
+        // `pmr-error` and `pmr-json` share a method name and neither depends
+        // on the other: the reader's `u8` must not reach json's panic.
+        let pmrd = (
+            "crates/pmrd/Cargo.toml",
+            "[package]\nname = \"pmr-pmrd\"\n\n[dependencies]\npmr-error.workspace = true\n",
+        );
+        let error = ("crates/error/Cargo.toml", "[package]\nname = \"pmr-error\"\n");
+        let json = ("crates/json/Cargo.toml", "[package]\nname = \"pmr-json\"\n");
+        let sources = [
+            (
+                "crates/pmrd/src/lib.rs",
+                "pub fn fetch_frame(r: &mut ByteReader) { r.u8(); }\n\
+                 pub fn fetch_list(p: &mut Parser) { p.array(); }",
+            ),
+            (
+                "crates/error/src/lib.rs",
+                "impl ByteReader {\n    pub fn u8(&mut self) { self.buf.array(); }\n}",
+            ),
+            (
+                "crates/json/src/lib.rs",
+                "impl Parser {\n    fn array(&mut self) { panic!(\"bad\"); }\n}",
+            ),
+        ];
+        let cfg = AnalyzeConfig::default();
+        let report = crate::analyze_sources([pmrd, error, json].into_iter().chain(sources), &cfg);
+        assert_eq!(report.count("panic_reach"), 0, "{}", report.summary());
+
+        // Once `pmr-error` depends on `pmr-json`, the call may land there.
+        let error = (
+            "crates/error/Cargo.toml",
+            "[package]\nname = \"pmr-error\"\n[dependencies]\npmr-json = { path = \"../json\" }\n",
+        );
+        let report = crate::analyze_sources([pmrd, error, json].into_iter().chain(sources), &cfg);
+        assert_eq!(report.count("panic_reach"), 1, "{}", report.summary());
+        let v = &report.violations[0];
+        assert_eq!(v.file, "crates/json/src/lib.rs");
+        // Reach is transitive: pmrd calls into json through error's edge.
+        assert!(v.message.contains("(pmr_pmrd::fetch_list → pmr_json::Parser::array)"), "{v:?}");
     }
 
     #[test]

@@ -147,12 +147,13 @@ pub(crate) fn blocking_under_lock(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::callgraph::CrateDeps;
     use crate::parse::parse_file;
 
     fn run(sources: &[(&str, &str)]) -> Vec<Violation> {
         let mut files: Vec<ParsedFile> = sources.iter().map(|(p, s)| parse_file(p, s)).collect();
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-        let graph = CallGraph::build(&files);
+        let graph = CallGraph::build(&files, &CrateDeps::default());
         let acqs = crate::dataflow::acquisitions(&files, &graph);
         blocking_under_lock(&files, &graph, &acqs)
     }

@@ -475,12 +475,13 @@ fn normalize_lock_id(chain: &str, node: &crate::callgraph::Node) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::callgraph::CrateDeps;
     use crate::parse::parse_file;
 
     fn run_both(sources: &[(&str, &str)]) -> (Vec<Violation>, Vec<Violation>) {
         let mut files: Vec<ParsedFile> = sources.iter().map(|(p, s)| parse_file(p, s)).collect();
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-        let graph = CallGraph::build(&files);
+        let graph = CallGraph::build(&files, &CrateDeps::default());
         let acqs = acquisitions(&files, &graph);
         (error_swallow(&files, &graph), lock_order(&files, &graph, &acqs))
     }

@@ -44,17 +44,23 @@ use pmr_error::PmrError;
 use std::path::{Path, PathBuf};
 
 /// Lint every Rust source of the workspace at `root`: `src/` and each
-/// `crates/*/src/` tree. Test, bench, and example trees are out of scope by
-/// construction — the lints guard *library* code on the data path.
+/// `crates/*/src/` tree, read beside each crate's `Cargo.toml`. Test,
+/// bench, and example trees are out of scope by construction — the lints
+/// guard *library* code on the data path.
 pub fn analyze_workspace(root: &Path, cfg: &AnalyzeConfig) -> Result<Report, PmrError> {
     let started = std::time::Instant::now();
     let mut files = Vec::new();
-    collect_rs(&root.join("src"), &mut files)?;
+    let mut members = vec![root.to_path_buf()];
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
-        for member in sorted_dir(&crates_dir)? {
-            collect_rs(&member.join("src"), &mut files)?;
+        members.extend(sorted_dir(&crates_dir)?);
+    }
+    for member in members {
+        let manifest = member.join("Cargo.toml");
+        if manifest.is_file() {
+            files.push(manifest);
         }
+        collect_rs(&member.join("src"), &mut files)?;
     }
 
     let mut inputs = Vec::with_capacity(files.len());
@@ -68,12 +74,15 @@ pub fn analyze_workspace(root: &Path, cfg: &AnalyzeConfig) -> Result<Report, Pmr
 }
 
 /// The full three-phase pipeline over in-memory `(rel_path, source)`
-/// pairs — what [`analyze_workspace`] runs and the fixture tests drive.
+/// pairs — what [`analyze_workspace`] runs and the fixture tests drive. A
+/// pair whose path ends in `Cargo.toml` is a crate manifest, read only for
+/// its dependencies.
 pub fn analyze_sources<'a>(
     sources: impl IntoIterator<Item = (&'a str, &'a str)>,
     cfg: &AnalyzeConfig,
 ) -> Report {
-    let mut inputs: Vec<(&str, &str)> = sources.into_iter().collect();
+    let (manifests, mut inputs): (Vec<_>, Vec<_>) =
+        sources.into_iter().partition(|(path, _)| path.ends_with("Cargo.toml"));
     inputs.sort_by_key(|(path, _)| *path);
 
     // Phase 1 — per-file work, in path order.
@@ -82,7 +91,8 @@ pub fn analyze_sources<'a>(
     let mut raw: Vec<Violation> = files.iter().flat_map(|p| lints::lexical_raw(p, cfg)).collect();
 
     // Phase 2 — interprocedural lints over the whole file set.
-    let graph = callgraph::CallGraph::build(&files);
+    let deps = callgraph::CrateDeps::from_manifests(&manifests);
+    let graph = callgraph::CallGraph::build(&files, &deps);
     raw.extend(callgraph::panic_reach(&files, &graph, cfg));
     raw.extend(dataflow::error_swallow(&files, &graph));
     raw.extend(taint::taint_lints(&files, &graph));

@@ -48,6 +48,9 @@ pub struct FnInfo {
     pub name: String,
     /// The `impl`/`trait` type the fn is defined on, if any.
     pub self_type: Option<String>,
+    /// Defined in an inherent `impl Type` block: callable only as that
+    /// type's method, never through a trait.
+    pub inherent: bool,
     /// Inline `mod` path inside the file (excludes the file module path).
     pub mods: Vec<String>,
     /// 1-based line of the `fn` keyword.
@@ -205,7 +208,8 @@ impl ParsedFile {
 /// What an item header has announced, pending its `{`.
 enum Pending {
     Mod(String),
-    Type(String),
+    /// An `impl`/`trait` block's type, and whether the block is inherent.
+    Type(String, bool),
     Fn(Box<FnHeader>),
     /// `impl` of a type we could not name (e.g. `impl Trait for &mut T`).
     AnonType,
@@ -222,7 +226,7 @@ struct FnHeader {
 /// One open brace on the scope stack.
 enum Frame {
     Mod(String),
-    Type(String),
+    Type(String, bool),
     /// Index into `fns`; body close is recorded on pop.
     Fn(usize),
     Plain,
@@ -304,13 +308,17 @@ impl Parser<'_> {
             if t.is_punct('{') {
                 let frame = match pending.take() {
                     Some(Pending::Mod(m)) => Frame::Mod(m),
-                    Some(Pending::Type(t)) => Frame::Type(t),
+                    Some(Pending::Type(t, inherent)) => Frame::Type(t, inherent),
                     Some(Pending::AnonType) => Frame::Plain,
                     Some(Pending::Fn(h)) => {
-                        let self_type = stack.iter().rev().find_map(|f| match f {
-                            Frame::Type(t) => Some(t.clone()),
-                            _ => None,
-                        });
+                        let (self_type, inherent) = stack
+                            .iter()
+                            .rev()
+                            .find_map(|f| match f {
+                                Frame::Type(t, inherent) => Some((t.clone(), *inherent)),
+                                _ => None,
+                            })
+                            .unzip();
                         let mods = stack
                             .iter()
                             .filter_map(|f| match f {
@@ -321,6 +329,7 @@ impl Parser<'_> {
                         self.fns.push(FnInfo {
                             name: h.name,
                             self_type,
+                            inherent: inherent.unwrap_or(false),
                             mods,
                             line: h.line,
                             is_test: h.is_test,
@@ -593,6 +602,7 @@ impl Parser<'_> {
     /// the code index of the body `{` (or of the `;`/end for bodyless forms).
     fn parse_type_header(&self, ci: usize) -> (Pending, usize) {
         let is_trait = self.ct(ci).is_some_and(|t| t.is_ident("trait"));
+        let mut trait_impl = false;
         let mut j = ci + 1;
         let mut angle = 0usize;
         let mut current: Option<String> = None;
@@ -609,6 +619,7 @@ impl Parser<'_> {
                     // `impl Trait for Type` — the `for` target is the self
                     // type, so discard the trait name seen so far.
                     current = None;
+                    trait_impl = true;
                 } else if t.is_ident("where") {
                     // where-clause: scan to the body brace.
                 } else if t.kind == TokKind::Ident
@@ -628,13 +639,13 @@ impl Parser<'_> {
                         }
                         k += 1;
                     }
-                    return (Pending::Type(name), k);
+                    return (Pending::Type(name, false), k);
                 }
             }
             j += 1;
         }
         match current {
-            Some(name) => (Pending::Type(name), j),
+            Some(name) => (Pending::Type(name, !is_trait && !trait_impl), j),
             None => (Pending::AnonType, j),
         }
     }
@@ -801,6 +812,7 @@ mod tests {
         assert_eq!(p.fns.len(), 2);
         assert_eq!(p.fns[0].name, "fetch");
         assert_eq!(p.fns[0].self_type.as_deref(), Some("Store"));
+        assert!(p.fns[0].inherent);
         assert!(p.fns[0].returns_result);
         assert_eq!(p.fns[0].qual(&p.module), "pmr_x::Store::fetch");
         assert_eq!(p.fns[1].name, "helper");
@@ -812,6 +824,7 @@ mod tests {
     fn trait_impl_records_the_for_type() {
         let p = parse("impl SegmentStore for MemStore {\n fn fetch(&self) {}\n}\n");
         assert_eq!(p.fns[0].self_type.as_deref(), Some("MemStore"));
+        assert!(!p.fns[0].inherent);
     }
 
     #[test]

@@ -862,12 +862,13 @@ fn arg_ranges(f: &ParsedFile, open: usize, close: usize) -> Vec<(usize, usize)> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::callgraph::CrateDeps;
     use crate::parse::parse_file;
 
     fn run_at(sources: &[(&str, &str)]) -> Vec<Violation> {
         let mut files: Vec<ParsedFile> = sources.iter().map(|(p, s)| parse_file(p, s)).collect();
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-        let graph = CallGraph::build(&files);
+        let graph = CallGraph::build(&files, &CrateDeps::default());
         taint_lints(&files, &graph)
     }
 

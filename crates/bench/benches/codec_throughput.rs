@@ -164,7 +164,8 @@ fn bench_size(label: &'static str, n: usize, reps: u32) -> SizeResult {
     let mut kernels: Vec<(PlaneKernel, &'static str)> =
         vec![(PlaneKernel::Scalar, "scalar"), (PlaneKernel::Swar, "swar")];
     if transpose::detected_isa().is_some() {
-        kernels.push((PlaneKernel::Simd, "simd"));
+        // `Auto` takes the SIMD path exactly when an ISA is detected.
+        kernels.push((PlaneKernel::Auto, "simd"));
     }
 
     let mut runs = Vec::new();

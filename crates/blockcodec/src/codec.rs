@@ -223,7 +223,7 @@ mod tests {
         // Re-encoding the (already quantized) stream through each kernel
         // must agree byte-for-byte with the scalar oracle.
         let oracle = pmr_mgard::LevelEncoding::encode_with(&coeffs, enc.num_planes(), &scalar);
-        for kernel in [PlaneKernel::Auto, PlaneKernel::Simd, PlaneKernel::Swar] {
+        for kernel in [PlaneKernel::Auto, PlaneKernel::Swar] {
             let exec = ExecPolicy::serial().with_kernel(kernel);
             let tiled = pmr_mgard::LevelEncoding::encode_with(&coeffs, enc.num_planes(), &exec);
             assert_eq!(tiled.to_bytes().unwrap(), oracle.to_bytes().unwrap());

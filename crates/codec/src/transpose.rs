@@ -32,10 +32,9 @@
 //! * a NEON path on aarch64 (baseline feature on that architecture).
 //!
 //! [`PlaneKernel`] is the user-facing knob: `Auto` picks the best detected
-//! path, `Simd`/`Swar` force one (Simd falls back to Swar when the ISA
-//! lacks the needed features), and `Scalar` is honoured a layer *up*, in
-//! `pmr-mgard`, where it routes around the tiles entirely and onto the
-//! legacy bit-at-a-time path kept as the differential oracle.
+//! path, `Swar` forces the portable one, and `Scalar` is honoured a layer
+//! *up*, in `pmr-mgard`, where it routes around the tiles entirely and onto
+//! the legacy bit-at-a-time path kept as the differential oracle.
 
 /// Coefficients per tile: one u64 lane per coefficient.
 pub const TILE: usize = 64;
@@ -49,9 +48,6 @@ pub enum PlaneKernel {
     /// Best detected path: AVX2 on x86_64, NEON on aarch64, SWAR otherwise.
     #[default]
     Auto,
-    /// Force the `core::arch` SIMD path; falls back to SWAR when the
-    /// running CPU lacks the required features.
-    Simd,
     /// Force the portable u64-SWAR tile path.
     Swar,
     /// The legacy bit-at-a-time path (no tiles at all) — the differential
@@ -70,7 +66,7 @@ pub enum TileImpl {
     Swar,
 }
 
-/// The SIMD ISA the `Auto`/`Simd` kernels would use on this CPU, if any.
+/// The SIMD ISA the `Auto` kernel would use on this CPU, if any.
 pub fn detected_isa() -> Option<&'static str> {
     #[cfg(target_arch = "x86_64")]
     {
@@ -100,7 +96,7 @@ impl PlaneKernel {
     /// because the scalar oracle is honoured a layer up — see the module docs.
     pub fn tile_impl(self) -> TileImpl {
         match self {
-            PlaneKernel::Auto | PlaneKernel::Simd => {
+            PlaneKernel::Auto => {
                 if detected_isa().is_some() {
                     TileImpl::Simd
                 } else {
@@ -115,7 +111,6 @@ impl PlaneKernel {
     pub fn name(self) -> &'static str {
         match self {
             PlaneKernel::Auto => "auto",
-            PlaneKernel::Simd => "simd",
             PlaneKernel::Swar => "swar",
             PlaneKernel::Scalar => "scalar",
         }

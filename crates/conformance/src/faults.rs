@@ -3,20 +3,19 @@
 //!
 //! The fault-tolerant reader in `pmr-storage` promises one thing: whatever
 //! a seeded schedule throws at it — transients, timeouts, truncated reads,
-//! bit flips, lost segments, a dead, slow or flapping shard, a rotted
-//! replica — the retrieval finishes without panicking and the
-//! reconstruction satisfies the bound the reader *reports*. This module
-//! sweeps that promise over the synthetic corpus × {flat `MemStore`,
-//! sharded N × R} × fault schedules × tolerances, and judges every cell with
-//! one oracle, [`check_outcome`]. A schedule's faults come from one
-//! `FaultInjector`: around the whole flat store, or around one victim
-//! shard.
+//! bit flips, lost segments, a dead or flapping shard, a rotted replica —
+//! the retrieval finishes without panicking and the reconstruction
+//! satisfies the bound the reader *reports*. This module sweeps that
+//! promise over the synthetic corpus × {flat `MemStore`, sharded N × R} ×
+//! fault schedules × tolerances, and judges every cell with one oracle,
+//! [`check_outcome`]. A schedule's faults come from one `FaultInjector`:
+//! around the whole flat store, or around one victim shard.
 //!
 //! On top of the oracle, a cell checks what its schedule may cost: a
-//! fault-free store neither retries nor degrades, and neither R ≥ 2 nor a
-//! slow or flapping shard may degrade. Bit-rot cells also run scrub and
-//! repair. The first bound of every (field, store, schedule, seed) group is
-//! re-run from a fresh store to pin seed-determinism.
+//! fault-free store, flat or sharded, neither retries nor degrades, and
+//! neither R ≥ 2 nor a flapping shard may degrade. Bit-rot cells also run
+//! scrub and repair. The first bound of every (field, store, schedule,
+//! seed) group is re-run from a fresh store to pin seed-determinism.
 
 use crate::fields::{catalogue, FieldClass};
 use crate::sweep::{SWEEP_LEVELS, SWEEP_PLANES};
@@ -35,7 +34,7 @@ use pmr_storage::{
 pub enum FaultSchedule {
     /// No faults: the tolerant path must match a healthy decode exactly.
     Clean,
-    /// Retryable noise only (transients, timeouts, latency spikes).
+    /// Retryable noise only (transients, timeouts).
     Flaky,
     /// Corrupting reads (truncations, bit flips) that checksums must catch.
     Corrupting,
@@ -45,8 +44,6 @@ pub enum FaultSchedule {
     Chaos,
     /// One shard is permanently lost (kill switch).
     DeadShard,
-    /// One shard serves correctly but slowly.
-    SlowShard,
     /// One shard alternates between failing and serving.
     FlappingShard,
     /// One replica of several segments is silently corrupted in place.
@@ -63,10 +60,11 @@ impl FaultSchedule {
         FaultSchedule::Chaos,
     ];
 
-    /// The schedules of a sharded store, each against one victim shard.
+    /// The schedules of a sharded store, each against one victim shard
+    /// (`Clean`: the fault-free control).
     pub const SHARDED: [FaultSchedule; 4] = [
         FaultSchedule::DeadShard,
-        FaultSchedule::SlowShard,
+        FaultSchedule::Clean,
         FaultSchedule::FlappingShard,
         FaultSchedule::BitRot,
     ];
@@ -79,7 +77,6 @@ impl FaultSchedule {
             FaultSchedule::Lossy => "lossy",
             FaultSchedule::Chaos => "chaos",
             FaultSchedule::DeadShard => "dead-shard",
-            FaultSchedule::SlowShard => "slow-shard",
             FaultSchedule::FlappingShard => "flapping-shard",
             FaultSchedule::BitRot => "bit-rot",
         }
@@ -92,13 +89,7 @@ impl FaultSchedule {
         let quiet = FaultConfig::quiet(seed);
         match self {
             FaultSchedule::Clean | FaultSchedule::DeadShard | FaultSchedule::BitRot => quiet,
-            FaultSchedule::Flaky => FaultConfig {
-                transient: 0.25,
-                timeout: 0.08,
-                latency_spike: 0.15,
-                spike_s: 0.02,
-                ..quiet
-            },
+            FaultSchedule::Flaky => FaultConfig { transient: 0.25, timeout: 0.08, ..quiet },
             FaultSchedule::Corrupting => FaultConfig { truncate: 0.15, bit_flip: 0.2, ..quiet },
             FaultSchedule::Lossy => FaultConfig { permanent: 0.12, transient: 0.1, ..quiet },
             FaultSchedule::Chaos => FaultConfig {
@@ -107,11 +98,8 @@ impl FaultSchedule {
                 timeout: 0.05,
                 truncate: 0.1,
                 bit_flip: 0.1,
-                latency_spike: 0.1,
-                spike_s: 0.02,
                 ..quiet
             },
-            FaultSchedule::SlowShard => FaultConfig { latency_spike: 1.0, spike_s: 0.005, ..quiet },
             FaultSchedule::FlappingShard => FaultConfig { flap_period: 2, ..quiet },
         }
     }
@@ -368,9 +356,7 @@ impl Cell<'_> {
     /// May the schedule cost data on this store?
     fn may_degrade(&self) -> bool {
         match (self.path, self.schedule) {
-            (_, FaultSchedule::Clean | FaultSchedule::SlowShard | FaultSchedule::FlappingShard) => {
-                false
-            }
+            (_, FaultSchedule::Clean | FaultSchedule::FlappingShard) => false,
             (StorePath::Sharded { replication, .. }, _) => replication < 2,
             (StorePath::Flat, _) => true,
         }
@@ -599,8 +585,7 @@ fn check_rot_repair(
 /// [`check_outcome`].
 pub fn run_fault_grid(cfg: &FaultGridConfig) -> FaultReport {
     let mut report = FaultReport::default();
-    let tolerant =
-        TolerantConfig { policy: RetryPolicy { max_attempts: 6 }, ..TolerantConfig::default() };
+    let tolerant = TolerantConfig { policy: RetryPolicy { max_attempts: 6 } };
     let fields = grid_corpus(cfg.seed, cfg.max_fields.max(cfg.shard_fields));
     for (fi, field) in fields.iter().enumerate() {
         let c = compress(field);

@@ -17,7 +17,7 @@
 //!   equivalence, and monotonicity invariants (tighter bound ⇒ no fewer
 //!   bytes; more planes ⇒ no more error in stride aggregate).
 //! * [`faults`] — one seeded fault grid over a flat store and a sharded
-//!   N × R one (per-read schedules, dead/slow/flapping shards, replica bit
+//!   N × R one (per-read schedules, dead and flapping shards, replica bit
 //!   rot × seeds × tolerances over the corpus), every cell judged by one
 //!   oracle, [`check_outcome`]: the reported bound holds, an undegraded
 //!   cell is bit-identical to a healthy decode, and a degraded one is

@@ -82,7 +82,7 @@ pub struct RetrievalRequest {
     /// Decode only up to this level's grid (`0` = coarsest; direct backend
     /// only).
     pub coarse_level: Option<usize>,
-    /// Retry/re-plan policy for the storage backend.
+    /// Retry policy for the storage backend.
     pub tolerant: TolerantConfig,
 }
 
@@ -481,10 +481,9 @@ mod tests {
         let faults = FaultConfig { transient: 0.3, bit_flip: 0.15, ..FaultConfig::quiet(77) };
         let inj = FaultInjector::new(MemStore::from_compressed(&c), faults).unwrap();
         let bound = c.absolute_bound(1e-4);
-        let req = RetrievalRequest::abs(bound).measured().with_tolerant(TolerantConfig {
-            policy: RetryPolicy { max_attempts: 64 },
-            ..TolerantConfig::default()
-        });
+        let req = RetrievalRequest::abs(bound)
+            .measured()
+            .with_tolerant(TolerantConfig { policy: RetryPolicy { max_attempts: 64 } });
         let backend = Backend::store(&inj);
         let out = retrieve(&ds, &Theory, &req, &backend).expect("tolerant retrieval");
         assert!(!out.is_degraded());

@@ -827,8 +827,7 @@ mod tests {
                 .map(|at| grid[at])
                 .collect();
             let oracle = LevelEncoding::encode_with(&dense, 30, &scalar_policy());
-            let kernels =
-                [PlaneKernel::Auto, PlaneKernel::Simd, PlaneKernel::Swar, PlaneKernel::Scalar];
+            let kernels = [PlaneKernel::Auto, PlaneKernel::Swar, PlaneKernel::Scalar];
             for kernel in kernels {
                 for threads in [1, 2, 3, 4, 7] {
                     let exec = ExecPolicy::with_threads(threads).with_kernel(kernel);
@@ -854,7 +853,7 @@ mod tests {
             let coeffs = sample_coeffs(n);
             for b in [3u32, 17, 32, 50] {
                 let scalar = LevelEncoding::encode_with(&coeffs, b, &scalar_policy());
-                for kernel in [PlaneKernel::Auto, PlaneKernel::Simd, PlaneKernel::Swar] {
+                for kernel in [PlaneKernel::Auto, PlaneKernel::Swar] {
                     let tiled = LevelEncoding::encode_with(
                         &coeffs,
                         b,
@@ -881,7 +880,7 @@ mod tests {
             let enc = LevelEncoding::encode(&coeffs, 32);
             for b in [0u32, 1, 7, 16, 31, 32] {
                 let scalar = enc.decode_with(b, &scalar_policy());
-                for kernel in [PlaneKernel::Auto, PlaneKernel::Simd, PlaneKernel::Swar] {
+                for kernel in [PlaneKernel::Auto, PlaneKernel::Swar] {
                     let tiled = enc.decode_with(b, &ExecPolicy::serial().with_kernel(kernel));
                     let same = scalar.iter().zip(&tiled).all(|(a, x)| a.to_bits() == x.to_bits());
                     assert!(same, "n={n} b={b} {kernel:?}");

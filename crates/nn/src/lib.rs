@@ -32,6 +32,6 @@ pub use data::{Dataset, Standardizer};
 pub use linear::Linear;
 pub use loss::Loss;
 pub use mlp::Mlp;
-pub use optim::{Adam, LrSchedule, Optimizer, Sgd};
+pub use optim::Adam;
 pub use tensor::Matrix;
-pub use train::{fit, fit_with, FitReport, TrainConfig};
+pub use train::{fit, TrainConfig};

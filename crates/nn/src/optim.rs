@@ -1,24 +1,18 @@
-//! Optimizers: Adam (the paper's choice) and SGD with momentum (baseline).
+//! The optimizer: Adam, the paper's choice (§III-C).
 
 use crate::mlp::Mlp;
 
-/// A parameter-update rule.
-pub trait Optimizer {
-    /// Apply one update from the gradients currently stored in `mlp`.
-    fn step(&mut self, mlp: &mut Mlp);
-    /// Override the learning rate (for schedules).
-    fn set_lr(&mut self, lr: f32);
-    /// Current learning rate.
-    fn lr(&self) -> f32;
-}
+/// Exponential decay of the first-moment estimate.
+const BETA1: f32 = 0.9;
+/// Exponential decay of the second-moment estimate.
+const BETA2: f32 = 0.999;
+/// Added to the second-moment root so a step never divides by zero.
+const EPS: f32 = 1e-8;
 
 /// Adam (Kingma & Ba) with bias-corrected moment estimates.
 #[derive(Debug, Clone)]
 pub struct Adam {
-    pub lr: f32,
-    pub beta1: f32,
-    pub beta2: f32,
-    pub eps: f32,
+    lr: f32,
     /// Step counter for bias correction.
     t: u64,
     /// First-moment estimates, flat in the model's parameter order.
@@ -31,7 +25,7 @@ impl Adam {
     /// Standard hyperparameters with the given learning rate.
     pub fn new(lr: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
+        Adam { lr, t: 0, m: Vec::new(), v: Vec::new() }
     }
 
     /// Apply one update from the gradients currently stored in `mlp`.
@@ -42,9 +36,9 @@ impl Adam {
             self.v = vec![0.0; n];
         }
         self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let b1t = 1.0 - BETA1.powi(self.t as i32);
+        let b2t = 1.0 - BETA2.powi(self.t as i32);
+        let lr = self.lr;
         let (m, v) = (&mut self.m, &mut self.v);
         let mut off = 0usize;
         mlp.visit_params(|params, grads| {
@@ -54,115 +48,15 @@ impl Adam {
                 .zip(grads)
                 .zip(m[off..off + grads.len()].iter_mut().zip(&mut v[off..off + grads.len()]))
             {
-                *mi = b1 * *mi + (1.0 - b1) * g;
-                *vi = b2 * *vi + (1.0 - b2) * g * g;
+                *mi = BETA1 * *mi + (1.0 - BETA1) * g;
+                *vi = BETA2 * *vi + (1.0 - BETA2) * g * g;
                 let m_hat = *mi / b1t;
                 let v_hat = *vi / b2t;
-                *p -= lr * m_hat / (v_hat.sqrt() + eps);
+                *p -= lr * m_hat / (v_hat.sqrt() + EPS);
             }
             off += params.len();
         });
         assert_eq!(off, m.len(), "parameter count changed between steps");
-    }
-
-    /// Steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, mlp: &mut Mlp) {
-        Adam::step(self, mlp);
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0);
-        self.lr = lr;
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-}
-
-/// Stochastic gradient descent with classical momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    pub lr: f32,
-    pub momentum: f32,
-    /// Velocity buffers, flat in the model's parameter order.
-    v: Vec<f32>,
-}
-
-impl Sgd {
-    /// Plain SGD (`momentum = 0`).
-    pub fn new(lr: f32) -> Self {
-        Sgd::with_momentum(lr, 0.0)
-    }
-
-    /// SGD with momentum coefficient `momentum` in `[0, 1)`.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Sgd { lr, momentum, v: Vec::new() }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, mlp: &mut Mlp) {
-        if self.v.is_empty() {
-            self.v = vec![0.0; mlp.num_params()];
-        }
-        let (lr, mu) = (self.lr, self.momentum);
-        let v = &mut self.v;
-        let mut off = 0usize;
-        mlp.visit_params(|params, grads| {
-            for ((p, &g), vi) in params.iter_mut().zip(grads).zip(&mut v[off..off + grads.len()]) {
-                *vi = mu * *vi + g;
-                *p -= lr * *vi;
-            }
-            off += params.len();
-        });
-        assert_eq!(off, v.len(), "parameter count changed between steps");
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0);
-        self.lr = lr;
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-}
-
-/// A learning-rate schedule evaluated per epoch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LrSchedule {
-    /// Fixed learning rate.
-    Constant,
-    /// Multiply by `factor` every `every` epochs.
-    StepDecay { every: usize, factor: f32 },
-    /// Cosine annealing from the initial rate down to `min_lr` over the
-    /// full epoch budget.
-    Cosine { min_lr: f32 },
-}
-
-impl LrSchedule {
-    /// The learning rate to use at `epoch` (0-based) of `total` epochs,
-    /// given the configured base rate.
-    pub fn rate_at(&self, base: f32, epoch: usize, total: usize) -> f32 {
-        match *self {
-            LrSchedule::Constant => base,
-            LrSchedule::StepDecay { every, factor } => {
-                base * factor.powi((epoch / every.max(1)) as i32)
-            }
-            LrSchedule::Cosine { min_lr } => {
-                let t = epoch as f32 / total.max(1) as f32;
-                min_lr + 0.5 * (base - min_lr) * (1.0 + (std::f32::consts::PI * t).cos())
-            }
-        }
     }
 }
 
@@ -219,66 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_momentum_converges_on_linear_regression() {
-        let mut mlp = Mlp::new(&[1, 1], Activation::Identity, Activation::Identity, 0);
-        let xs: Vec<f32> = (0..64).map(|i| i as f32 / 32.0 - 1.0).collect();
-        let x = Matrix::from_vec(64, 1, xs.clone());
-        let t = Matrix::from_vec(64, 1, xs.iter().map(|v| -1.5 * v + 0.25).collect());
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        let loss = Loss::Mse;
-        let initial = loss.value(&mlp.forward(&x), &t);
-        for _ in 0..300 {
-            let y = mlp.forward(&x);
-            let g = loss.grad(&y, &t);
-            mlp.zero_grad();
-            mlp.backward(&g);
-            Optimizer::step(&mut opt, &mut mlp);
-        }
-        let final_loss = loss.value(&mlp.forward(&x), &t);
-        assert!(final_loss < initial / 50.0, "initial={initial} final={final_loss}");
-    }
-
-    #[test]
-    fn momentum_accelerates_plain_sgd() {
-        let run = |momentum: f32| {
-            let mut mlp = Mlp::new(&[1, 1], Activation::Identity, Activation::Identity, 3);
-            let xs: Vec<f32> = (0..32).map(|i| i as f32 / 16.0 - 1.0).collect();
-            let x = Matrix::from_vec(32, 1, xs.clone());
-            let t = Matrix::from_vec(32, 1, xs.iter().map(|v| 3.0 * v).collect());
-            let mut opt = Sgd::with_momentum(0.01, momentum);
-            for _ in 0..60 {
-                let y = mlp.forward(&x);
-                let g = Loss::Mse.grad(&y, &t);
-                mlp.zero_grad();
-                mlp.backward(&g);
-                Optimizer::step(&mut opt, &mut mlp);
-            }
-            Loss::Mse.value(&mlp.forward(&x), &t)
-        };
-        assert!(run(0.9) < run(0.0), "momentum should converge faster here");
-    }
-
-    #[test]
-    fn lr_schedules() {
-        let base = 1.0f32;
-        assert_eq!(LrSchedule::Constant.rate_at(base, 50, 100), 1.0);
-        let step = LrSchedule::StepDecay { every: 10, factor: 0.5 };
-        assert_eq!(step.rate_at(base, 0, 100), 1.0);
-        assert_eq!(step.rate_at(base, 10, 100), 0.5);
-        assert_eq!(step.rate_at(base, 25, 100), 0.25);
-        let cos = LrSchedule::Cosine { min_lr: 0.1 };
-        assert!((cos.rate_at(base, 0, 100) - 1.0).abs() < 1e-6);
-        assert!(cos.rate_at(base, 50, 100) < cos.rate_at(base, 10, 100));
-        assert!(cos.rate_at(base, 99, 100) >= 0.1 - 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "momentum must be in")]
-    fn invalid_momentum_rejected() {
-        let _ = Sgd::with_momentum(0.1, 1.0);
-    }
-
-    #[test]
     fn step_counter_advances() {
         let mut mlp = Mlp::new(&[2, 2], Activation::Identity, Activation::Identity, 0);
         let mut opt = Adam::new(0.001);
@@ -289,6 +123,6 @@ mod tests {
         mlp.backward(&g);
         opt.step(&mut mlp);
         opt.step(&mut mlp);
-        assert_eq!(opt.steps(), 2);
+        assert_eq!(opt.t, 2);
     }
 }

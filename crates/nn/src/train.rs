@@ -3,7 +3,7 @@
 use crate::data::Dataset;
 use crate::loss::Loss;
 use crate::mlp::Mlp;
-use crate::optim::{Adam, LrSchedule, Optimizer};
+use crate::optim::Adam;
 
 /// Training hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,79 +64,6 @@ pub fn fit(mlp: &mut Mlp, data: &Dataset, cfg: &TrainConfig) -> Vec<f32> {
     history
 }
 
-/// Mean loss of `mlp` on `data` without updating parameters.
-pub fn evaluate(mlp: &mut Mlp, data: &Dataset, loss: Loss) -> f32 {
-    let pred = mlp.predict(&data.x);
-    loss.value(&pred, &data.y)
-}
-
-/// Result of [`fit_with`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FitReport {
-    /// Mean training loss per epoch actually run.
-    pub train_loss: Vec<f32>,
-    /// Validation loss per epoch (empty when no validation set given).
-    pub val_loss: Vec<f32>,
-    /// Whether early stopping fired before the epoch budget.
-    pub stopped_early: bool,
-}
-
-/// Full-featured training loop: learning-rate schedule, optional
-/// validation tracking and early stopping.
-///
-/// Early stopping fires when the validation loss fails to improve for
-/// `patience` consecutive epochs (requires `validation`).
-pub fn fit_with(
-    mlp: &mut Mlp,
-    data: &Dataset,
-    cfg: &TrainConfig,
-    schedule: LrSchedule,
-    validation: Option<&Dataset>,
-    patience: Option<usize>,
-) -> FitReport {
-    assert!(!data.is_empty(), "cannot train on an empty dataset");
-    assert_eq!(data.x.cols(), mlp.input_dim(), "feature width mismatch");
-    assert_eq!(data.y.cols(), mlp.output_dim(), "target width mismatch");
-    if patience.is_some() {
-        assert!(validation.is_some(), "early stopping requires a validation set");
-    }
-    let mut opt = Adam::new(cfg.lr);
-    let mut report =
-        FitReport { train_loss: Vec::new(), val_loss: Vec::new(), stopped_early: false };
-    let mut best_val = f32::INFINITY;
-    let mut since_best = 0usize;
-    for epoch in 0..cfg.epochs {
-        opt.set_lr(schedule.rate_at(cfg.lr, epoch, cfg.epochs));
-        let mut epoch_loss = 0.0f64;
-        let mut batches = 0usize;
-        for (bx, by) in data.batches(cfg.batch_size, cfg.seed.wrapping_add(epoch as u64)) {
-            let pred = mlp.forward(&bx);
-            epoch_loss += cfg.loss.value(&pred, &by) as f64;
-            let grad = cfg.loss.grad(&pred, &by);
-            mlp.zero_grad();
-            mlp.backward(&grad);
-            Optimizer::step(&mut opt, mlp);
-            batches += 1;
-        }
-        report.train_loss.push((epoch_loss / batches as f64) as f32);
-        if let Some(val) = validation {
-            let v = evaluate(mlp, val, cfg.loss);
-            report.val_loss.push(v);
-            if v < best_val - 1e-7 {
-                best_val = v;
-                since_best = 0;
-            } else {
-                since_best += 1;
-                if patience.is_some_and(|p| since_best >= p) {
-                    report.stopped_early = true;
-                    break;
-                }
-            }
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,7 +86,7 @@ mod tests {
         let history = fit(&mut mlp, &data, &cfg);
         assert_eq!(history.len(), 150);
         assert!(history.last().unwrap() < &(history[0] / 10.0));
-        assert!(evaluate(&mut mlp, &data, Loss::Mae) < 0.05);
+        assert!(Loss::Mae.value(&mlp.predict(&data.x), &data.y) < 0.05);
     }
 
     #[test]
@@ -170,7 +97,7 @@ mod tests {
             Mlp::new(&[1, 16, 16, 1], Activation::LeakyRelu(0.01), Activation::Identity, 3);
         let cfg = TrainConfig { epochs: 200, batch_size: 32, lr: 5e-3, ..Default::default() };
         fit(&mut mlp, &train, &cfg);
-        let test_loss = evaluate(&mut mlp, &test, Loss::Huber(1.0));
+        let test_loss = Loss::Huber(1.0).value(&mlp.predict(&test.x), &test.y);
         assert!(test_loss < 0.01, "test loss {test_loss}");
     }
 
@@ -183,42 +110,6 @@ mod tests {
             fit(&mut mlp, &data, &cfg)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn fit_with_early_stopping_halts() {
-        let data = quadratic_dataset(128);
-        let (train, val) = data.shuffle_split(0.75, 1);
-        let mut mlp = Mlp::new(&[1, 16, 1], Activation::LeakyRelu(0.01), Activation::Identity, 5);
-        let cfg = TrainConfig { epochs: 500, batch_size: 32, lr: 5e-3, ..Default::default() };
-        let report = fit_with(&mut mlp, &train, &cfg, LrSchedule::Constant, Some(&val), Some(10));
-        assert_eq!(report.train_loss.len(), report.val_loss.len());
-        // With 500 epochs and patience 10 it should almost surely stop early.
-        assert!(report.train_loss.len() <= 500);
-        if report.stopped_early {
-            assert!(report.train_loss.len() < 500);
-        }
-    }
-
-    #[test]
-    fn cosine_schedule_trains() {
-        let data = quadratic_dataset(64);
-        let mut mlp = Mlp::new(&[1, 12, 1], Activation::LeakyRelu(0.01), Activation::Identity, 7);
-        let cfg = TrainConfig { epochs: 120, batch_size: 16, lr: 8e-3, ..Default::default() };
-        let report =
-            fit_with(&mut mlp, &data, &cfg, LrSchedule::Cosine { min_lr: 1e-4 }, None, None);
-        assert!(report.train_loss.last().unwrap() < &(report.train_loss[0] / 5.0));
-        assert!(!report.stopped_early);
-        assert!(report.val_loss.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "early stopping requires a validation set")]
-    fn patience_without_validation_rejected() {
-        let data = quadratic_dataset(16);
-        let mut mlp = Mlp::new(&[1, 4, 1], Activation::Relu, Activation::Identity, 0);
-        let cfg = TrainConfig { epochs: 5, batch_size: 8, lr: 1e-3, ..Default::default() };
-        let _ = fit_with(&mut mlp, &data, &cfg, LrSchedule::Constant, None, Some(3));
     }
 
     #[test]

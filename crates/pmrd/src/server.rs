@@ -56,7 +56,7 @@ pub struct DaemonConfig {
     pub cache_bytes: u64,
     /// Admission caps (global and per tenant).
     pub admission: AdmissionConfig,
-    /// Fault-tolerance knobs for the fetch path.
+    /// Retry policy of the fetch path.
     pub tolerant: TolerantConfig,
 }
 
@@ -240,7 +240,6 @@ impl Daemon {
             manifest,
             &plan,
             bound,
-            &self.cfg.tolerant,
             |(l, k)| {
                 let (data, origin) = self.cache.get_or_fetch((entry.id, l, k), || {
                     exec.fetch_verified((l, k), ExpectedSegment::of_plane(&levels[l], k))

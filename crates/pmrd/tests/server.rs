@@ -188,10 +188,7 @@ fn flaky_store_under_concurrent_load_stays_within_bounds() {
         corpus,
         DaemonConfig {
             workers: 6,
-            tolerant: TolerantConfig {
-                policy: RetryPolicy { max_attempts: 64 },
-                ..TolerantConfig::default()
-            },
+            tolerant: TolerantConfig { policy: RetryPolicy { max_attempts: 64 } },
             ..DaemonConfig::default()
         },
     );
@@ -519,7 +516,7 @@ fn degraded_response_matches_library(
 
     let mut corpus = Corpus::new();
     corpus.insert("d", c.clone(), Box::new(store.clone()));
-    // Both sides run the default `TolerantConfig` (`replan: true`).
+    // Both sides run the same degradation loop, re-planning included.
     let handle =
         Daemon::new(corpus, DaemonConfig::default()).spawn_tcp("127.0.0.1:0").expect("bind");
     let mut client =

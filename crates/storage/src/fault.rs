@@ -10,14 +10,12 @@
 //!
 //! Fault taxonomy (checked in this priority order, one fault per attempt):
 //! permanent loss → flap → transient error → timeout → truncated read → bit
-//! flip → latency spike. Truncation and bit flips *return bytes* — the
-//! corruption is only caught downstream by checksum verification, exactly
-//! like real bit rot.
+//! flip. Truncation and bit flips *return bytes* — the corruption is only
+//! caught downstream by checksum verification, exactly like real bit rot.
 //!
 //! A certain fault makes the injector a whole-store fault domain: wrapped
-//! around one child of a [`crate::ShardedStore`], `latency_spike: 1.0` is a
-//! slow shard and `flap_period` a flapping one (a dead shard is
-//! [`crate::ShardedStore::kill_shard`]).
+//! around one child of a [`crate::ShardedStore`], `flap_period` is a
+//! flapping shard (a dead shard is [`crate::ShardedStore::kill_shard`]).
 
 use crate::segment::{FetchError, MutableSegmentStore, SegmentKey, SegmentRead, SegmentStore};
 use pmr_error::PmrError;
@@ -25,8 +23,8 @@ use pmr_rng::{mix, unit_f64};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Probabilities (per attempt, except `permanent` which is per segment) and
-/// magnitudes for the injected fault classes. All probabilities in `[0, 1]`.
+/// Probabilities (per attempt, except `permanent` which is per segment) of
+/// the injected fault classes, all in `[0, 1]`, and the flap period.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Seed of the deterministic schedule.
@@ -41,11 +39,6 @@ pub struct FaultConfig {
     pub truncate: f64,
     /// Per-attempt probability one bit of the payload is flipped.
     pub bit_flip: f64,
-    /// Per-attempt probability of a latency spike (the read succeeds but
-    /// is charged `spike_s` extra seconds).
-    pub latency_spike: f64,
-    /// Magnitude of an injected latency spike, in seconds.
-    pub spike_s: f64,
     /// A flapping store: each segment's attempts fail as transients in runs
     /// of `flap_period`, alternating with runs that are served (attempts
     /// `1..=p` fail, `p+1..=2p` serve, and so on). 0 turns flapping off.
@@ -62,8 +55,6 @@ impl FaultConfig {
             timeout: 0.0,
             truncate: 0.0,
             bit_flip: 0.0,
-            latency_spike: 0.0,
-            spike_s: 0.0,
             flap_period: 0,
         }
     }
@@ -75,13 +66,11 @@ impl FaultConfig {
             timeout: 0.05,
             truncate: 0.05,
             bit_flip: 0.05,
-            latency_spike: 0.10,
-            spike_s: 0.5,
             ..FaultConfig::quiet(seed)
         }
     }
 
-    /// Validate every probability is in `[0, 1]` and the spike is sane.
+    /// Validate every probability is in `[0, 1]`.
     pub fn validate(&self) -> Result<(), PmrError> {
         let probs = [
             ("permanent", self.permanent),
@@ -89,7 +78,6 @@ impl FaultConfig {
             ("timeout", self.timeout),
             ("truncate", self.truncate),
             ("bit_flip", self.bit_flip),
-            ("latency_spike", self.latency_spike),
         ];
         for (name, p) in probs {
             if !(0.0..=1.0).contains(&p) {
@@ -97,12 +85,6 @@ impl FaultConfig {
                     "fault probability {name} must be in [0, 1], got {p}"
                 )));
             }
-        }
-        if !self.spike_s.is_finite() || self.spike_s < 0.0 {
-            return Err(PmrError::invalid_config(format!(
-                "spike_s must be finite and >= 0, got {}",
-                self.spike_s
-            )));
         }
         Ok(())
     }
@@ -131,8 +113,6 @@ pub enum FaultKind {
         byte: usize,
         bit: u8,
     },
-    /// Extra seconds charged to the read.
-    LatencySpike(f64),
 }
 
 // Distinct salts keep the per-kind fault streams independent: hitting the
@@ -143,7 +123,6 @@ const SALT_TRANSIENT: u64 = 0xd1b5_4a32_d192_ed03;
 const SALT_TIMEOUT: u64 = 0x8cb9_2ba7_2f3d_8dd7;
 const SALT_TRUNCATE: u64 = 0xaef1_7502_108e_f2d9;
 const SALT_BITFLIP: u64 = 0x6c62_272e_07bb_0142;
-const SALT_SPIKE: u64 = 0x27d4_eb2f_1656_67c5;
 
 /// A seed-driven fault wrapper around any [`SegmentStore`].
 ///
@@ -207,15 +186,6 @@ impl<S: SegmentStore> FaultInjector<S> {
         self.log.lock().unwrap_or_else(|p| p.into_inner()).clone()
     }
 
-    /// Attempts issued per segment so far.
-    pub fn attempts(&self, key: SegmentKey) -> u32 {
-        *self.attempts.lock().unwrap_or_else(|p| p.into_inner()).get(&key).unwrap_or(&0)
-    }
-
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     pub fn into_inner(self) -> S {
         self.inner
     }
@@ -271,10 +241,6 @@ impl<S: SegmentStore> SegmentStore for FaultInjector<S> {
             read.bytes_mut()[byte] ^= 1 << bit;
             self.record(key, attempt, FaultKind::BitFlip { byte, bit });
         }
-        if self.roll(SALT_SPIKE, key, attempt) < self.cfg.latency_spike {
-            read.extra_latency_s += self.cfg.spike_s;
-            self.record(key, attempt, FaultKind::LatencySpike(self.cfg.spike_s));
-        }
         Ok(read)
     }
 
@@ -324,7 +290,6 @@ mod tests {
         for key in inj.keys() {
             let read = inj.fetch(key).unwrap();
             assert_eq!(read.bytes(), c.levels()[key.0].plane_payload(key.1));
-            assert_eq!(read.extra_latency_s, 0.0);
         }
         assert!(inj.log().is_empty());
     }
@@ -396,7 +361,7 @@ mod tests {
         let store = MemStore::from_compressed(&c);
         let bad = FaultConfig { transient: 1.5, ..FaultConfig::quiet(0) };
         assert!(FaultInjector::new(store.clone(), bad).is_err());
-        let bad = FaultConfig { spike_s: f64::NAN, ..FaultConfig::quiet(0) };
+        let bad = FaultConfig { bit_flip: f64::NAN, ..FaultConfig::quiet(0) };
         assert!(FaultInjector::new(store, bad).is_err());
     }
 
@@ -411,15 +376,10 @@ mod tests {
         assert!(dead.fetch(key).unwrap_err().is_permanent());
         assert!(dead.contains(key), "contains is a faultless existence probe");
 
-        let slow =
-            inject(FaultConfig { latency_spike: 1.0, spike_s: 0.25, ..FaultConfig::quiet(1) });
-        let read = slow.fetch(key).unwrap();
-        assert_eq!(read.bytes(), clean);
-        assert_eq!(read.extra_latency_s, 0.25);
-
         let flap = inject(FaultConfig { flap_period: 2, ..FaultConfig::quiet(1) });
         let outcomes: Vec<bool> = (0..6).map(|_| flap.fetch(key).is_ok()).collect();
         assert_eq!(outcomes, vec![false, false, true, true, false, false]);
+        assert_eq!(flap.fetch(key).unwrap().bytes(), clean, "a served run is the clean payload");
         assert!(flap.fetch((0, 1)).is_err(), "every segment starts its own cycle");
 
         // Writes pass through even on a dead store.

@@ -1,34 +1,17 @@
-//! Retrying segment fetches under a virtual clock.
+//! Retrying, verifying segment fetches.
 //!
 //! [`FetchExecutor`] drives one [`SegmentStore`] with a [`RetryPolicy`]:
 //! every attempt is verified against the manifest's expected length and
-//! FNV-1a checksum and retried with exponential backoff on retryable
-//! failures. Time is *virtual* — the executor never sleeps, it accounts
-//! the backoff a real reader would have waited plus any latency the
-//! backend charged ([`SegmentRead::extra_latency_s`]), which keeps
-//! fault-grid suites fast and their timing reproducible. The executor
-//! never times out on its own; a [`FetchError::Timeout`] comes from the
-//! store.
+//! FNV-1a checksum, and a retryable failure is retried at once until the
+//! policy's attempts run out. The executor never times out on its own; a
+//! [`FetchError::Timeout`] comes from the store.
 
 use crate::segment::{FetchError, SegmentKey, SegmentRead, SegmentStore};
 use pmr_error::PmrError;
 use pmr_mgard::checksum::fnv1a64;
 use pmr_mgard::LevelEncoding;
-use pmr_rng::{mix, unit_f64};
 
-/// Backoff before the second attempt, in seconds.
-const BASE_BACKOFF_S: f64 = 0.01;
-/// Multiplier applied per further attempt.
-const BACKOFF_MULTIPLIER: f64 = 2.0;
-/// Backoff ceiling, in seconds.
-const MAX_BACKOFF_S: f64 = 1.0;
-/// Each backoff is scaled by a deterministic factor in
-/// `[1 - JITTER, 1 + JITTER]`.
-const JITTER: f64 = 0.1;
-
-/// Retry schedule: attempts per segment; the backoff between them is
-/// exponential (0.01 s, doubling, capped at 1 s) with ±10 % deterministic
-/// jitter.
+/// Retry schedule: attempts per segment, retried without waiting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per segment (>= 1; 1 = no retries).
@@ -48,19 +31,6 @@ impl RetryPolicy {
             return Err(PmrError::invalid_config("max_attempts must be >= 1"));
         }
         Ok(RetryPolicy { max_attempts })
-    }
-
-    /// Backoff charged before attempt `attempt + 1` (so `attempt` >= 1),
-    /// with deterministic per-segment jitter.
-    pub fn backoff_s(&self, key: SegmentKey, attempt: u32) -> f64 {
-        let exponent = i32::try_from(attempt.saturating_sub(1)).unwrap_or(i32::MAX);
-        let raw = BASE_BACKOFF_S * BACKOFF_MULTIPLIER.powi(exponent);
-        let capped = raw.min(MAX_BACKOFF_S);
-        // Hash of (key, attempt) -> factor in [1-j, 1+j].
-        let h = mix(((key.0 as u64) << 40)
-            .wrapping_add((key.1 as u64) << 20)
-            .wrapping_add(attempt as u64));
-        capped * (1.0 - JITTER + 2.0 * JITTER * unit_f64(h))
     }
 }
 
@@ -108,12 +78,9 @@ pub struct FetchStats {
     pub corruptions: u64,
     /// Segments abandoned as unrecoverable.
     pub lost_segments: u64,
-    /// Virtual wall time of a serial reader, seconds: the backoff before
-    /// every retry plus the latency the backend charged for each read.
-    pub virtual_time_s: f64,
 }
 
-/// Retrying, verifying, time-accounting fetch driver.
+/// Retrying, verifying fetch driver.
 pub struct FetchExecutor<'a> {
     store: &'a dyn SegmentStore,
     policy: RetryPolicy,
@@ -121,7 +88,7 @@ pub struct FetchExecutor<'a> {
 }
 
 impl<'a> FetchExecutor<'a> {
-    /// An executor over `store` whose clock and counters start at zero.
+    /// An executor over `store` whose counters start at zero.
     pub fn new(store: &'a dyn SegmentStore, policy: RetryPolicy) -> Self {
         FetchExecutor { store, policy, stats: FetchStats::default() }
     }
@@ -129,10 +96,6 @@ impl<'a> FetchExecutor<'a> {
     /// Accounting so far.
     pub fn stats(&self) -> &FetchStats {
         &self.stats
-    }
-
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
     }
 
     /// Fetch one segment with retries, verifying against `expect`.
@@ -149,13 +112,11 @@ impl<'a> FetchExecutor<'a> {
         for attempt in 1..=self.policy.max_attempts {
             if attempt > 1 {
                 self.stats.retries += 1;
-                self.stats.virtual_time_s += self.policy.backoff_s(key, attempt - 1);
             }
             self.stats.attempts += 1;
             let err = match self.store.fetch(key) {
                 Err(e) => e,
                 Ok(mut read) => {
-                    self.stats.virtual_time_s += read.extra_latency_s;
                     if read.bytes().len() != expect.len {
                         self.stats.wasted_bytes += read.bytes().len() as u64;
                         FetchError::Corrupt {
@@ -303,43 +264,6 @@ mod tests {
         assert!(stats.timeouts > 0, "p=0.5 over many segments must time out");
         assert_eq!(stats.retries, stats.timeouts, "a timeout is the only failure");
         assert_eq!(stats.lost_segments, 0);
-        assert!(stats.virtual_time_s > 0.0, "every retry waits out its backoff");
-    }
-
-    #[test]
-    fn latency_spikes_alone_advance_the_clock() {
-        let c = artifact();
-        let run = |store: &dyn SegmentStore| {
-            let mut exec = FetchExecutor::new(store, RetryPolicy::default());
-            for key in store.keys() {
-                exec.fetch_verified(key, expect_for(&c, key)).unwrap();
-            }
-            exec.stats().clone()
-        };
-        let clean = run(&MemStore::from_compressed(&c));
-        assert_eq!(clean.virtual_time_s, 0.0, "a clean read costs no virtual time");
-
-        let cfg = FaultConfig { latency_spike: 1.0, spike_s: 0.004, ..FaultConfig::quiet(2) };
-        let spiky = run(&FaultInjector::new(MemStore::from_compressed(&c), cfg).unwrap());
-        assert_eq!(spiky.retries, 0, "a spike is not a failure");
-        let expected = 0.004 * spiky.attempts as f64;
-        assert!((spiky.virtual_time_s - expected).abs() < 1e-12, "{}", spiky.virtual_time_s);
-    }
-
-    #[test]
-    fn backoff_grows_and_respects_cap() {
-        let p = RetryPolicy::default();
-        let within = |b: f64, nominal: f64| (0.9 * nominal..=1.1 * nominal).contains(&b);
-        for key in [(0, 0), (1, 2), (7, 31)] {
-            assert!(within(p.backoff_s(key, 1), 0.01), "{}", p.backoff_s(key, 1));
-            assert!(within(p.backoff_s(key, 2), 0.02), "{}", p.backoff_s(key, 2));
-            for attempt in [8, 20, u32::MAX] {
-                assert!(within(p.backoff_s(key, attempt), 1.0), "cap must hold");
-            }
-        }
-        // Jitter is deterministic per (key, attempt) and varies across them.
-        assert_eq!(p.backoff_s((1, 2), 1), p.backoff_s((1, 2), 1));
-        assert_ne!(p.backoff_s((1, 2), 1), p.backoff_s((2, 1), 1));
     }
 
     #[test]

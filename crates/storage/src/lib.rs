@@ -5,11 +5,11 @@
 //! planes live in and the reader that fetches them: [`segment`] (the
 //! `(level, plane)`-keyed [`SegmentStore`] trait with in-memory and
 //! file-backed backends), [`fault`] (a deterministic seed-driven
-//! [`FaultInjector`]), [`fetch`] (retry/backoff under a virtual clock with
-//! checksum verification), [`tolerant`] (graceful degradation with honest
-//! re-estimated bounds), [`shard`] (consistent-hash sharding with
-//! replication and the hot tier, the one notion of storage tier here), and
-//! [`scrub`] (manifest-driven verification and repair).
+//! [`FaultInjector`]), [`fetch`] (retries with checksum verification),
+//! [`tolerant`] (graceful degradation with honest re-estimated bounds),
+//! [`shard`] (consistent-hash sharding with replication and the hot tier,
+//! the one notion of storage tier here), and [`scrub`] (manifest-driven
+//! verification and repair).
 
 pub mod fault;
 pub mod fetch;

@@ -88,8 +88,7 @@ impl fmt::Display for FetchError {
 
 impl std::error::Error for FetchError {}
 
-/// The result of one successful low-level read: the raw payload plus any
-/// latency the backend (or an injected fault) charged for it.
+/// The result of one successful low-level read: the raw payload.
 ///
 /// A read carries the FNV-1a of its payload once someone has it, so each
 /// layer above compares that digest with the manifest's instead of hashing
@@ -103,20 +102,17 @@ impl std::error::Error for FetchError {}
 pub struct SegmentRead {
     bytes: Vec<u8>,
     fnv: Option<u64>,
-    /// Seconds this read cost beyond a clean one (zero unless a fault
-    /// injected a spike); the fetch executor's virtual clock adds it.
-    pub extra_latency_s: f64,
 }
 
 impl SegmentRead {
-    /// A read with no extra latency whose payload nobody has hashed yet.
+    /// A read whose payload nobody has hashed yet.
     pub fn clean(bytes: Vec<u8>) -> Self {
-        SegmentRead { bytes, fnv: None, extra_latency_s: 0.0 }
+        SegmentRead { bytes, fnv: None }
     }
 
     /// A read whose backend has just shown `fnv1a64(bytes) == fnv`.
     pub(crate) fn proved(bytes: Vec<u8>, fnv: u64) -> Self {
-        SegmentRead { bytes, fnv: Some(fnv), extra_latency_s: 0.0 }
+        SegmentRead { bytes, fnv: Some(fnv) }
     }
 
     pub fn bytes(&self) -> &[u8] {
@@ -877,7 +873,6 @@ mod tests {
             for k in 0..lvl.num_planes() {
                 let read = store.fetch((l, k)).unwrap();
                 assert_eq!(read.bytes(), lvl.plane_payload(k));
-                assert_eq!(read.extra_latency_s, 0.0);
             }
         }
     }

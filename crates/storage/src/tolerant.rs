@@ -7,9 +7,9 @@
 //! The error contract is then re-established honestly: the theory
 //! estimator (a sound upper bound) is re-run on the planes actually held,
 //! and the result is reported as the *achievable* bound of a
-//! [`DegradedRetrieval`]. Optionally the reader re-plans, spending extra
-//! planes at surviving levels to claw back accuracy the lost segment took
-//! away (the capped greedy planner never asks past a dead level's prefix).
+//! [`DegradedRetrieval`]. The reader then re-plans, spending extra planes
+//! at surviving levels to claw back accuracy the lost segment took away
+//! (the capped greedy planner never asks past a dead level's prefix).
 
 use crate::fetch::{ExpectedSegment, FetchExecutor, FetchStats, RetryPolicy};
 use crate::segment::{FetchError, SegmentKey, SegmentStore};
@@ -18,21 +18,14 @@ use pmr_field::Field;
 use pmr_mgard::{greedy_plan_capped, Compressed, ExecPolicy, RetrievalPlan};
 use std::convert::Infallible;
 
-/// Knobs of the tolerant reader.
-#[derive(Debug, Clone, PartialEq)]
+/// How many compensating re-plan rounds follow the plan's own round.
+const MAX_REPLAN_ROUNDS: u32 = 2;
+
+/// Settings of the tolerant reader.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TolerantConfig {
     /// Retry schedule for each segment.
     pub policy: RetryPolicy,
-    /// After a loss, re-plan to fetch extra planes at surviving levels.
-    pub replan: bool,
-    /// How many re-plan rounds to attempt before settling.
-    pub max_replan_rounds: u32,
-}
-
-impl Default for TolerantConfig {
-    fn default() -> Self {
-        TolerantConfig { policy: RetryPolicy::default(), replan: true, max_replan_rounds: 2 }
-    }
 }
 
 /// The loss report attached to a retrieval that could not fetch its full
@@ -71,7 +64,7 @@ pub struct TolerantRetrieval {
     /// Sound theory estimate for the decoded planes. This is the bound the
     /// reconstruction is guaranteed to satisfy — degraded or not.
     pub estimated_error: f64,
-    /// Fetch accounting (attempts, retries, wasted bytes, virtual time).
+    /// Fetch accounting (attempts, retries, wasted bytes).
     pub stats: FetchStats,
     /// Present iff at least one segment was unrecoverable.
     pub degraded: Option<DegradedRetrieval>,
@@ -121,15 +114,14 @@ impl<E> From<PmrError> for Stopped<E> {
 /// each plane to `sink` the moment it lands — level by level, planes
 /// ascending within a level, the planes of a re-plan round after those of
 /// the round before. A plane handed over is never taken back. A level that
-/// loses a segment is truncated there; with `cfg.replan`, capped-greedy
-/// rounds then spend extra planes at surviving levels chasing
-/// `requested_bound` — what the caller originally asked for. Collecting
+/// loses a segment is truncated there; up to two capped-greedy rounds then
+/// spend extra planes at surviving levels chasing `requested_bound` — what
+/// the caller originally asked for. Collecting
 /// the prefixes for a decode, or writing them to a socket, is the sink.
 pub fn fetch_planes_tolerant<P, E>(
     manifest: &Compressed,
     plan: &RetrievalPlan,
     requested_bound: f64,
-    cfg: &TolerantConfig,
     mut source: impl FnMut(SegmentKey) -> Result<P, FetchError>,
     mut sink: impl FnMut(SegmentKey, P) -> Result<(), E>,
 ) -> Result<FetchedPlanes, Stopped<E>> {
@@ -147,7 +139,7 @@ pub fn fetch_planes_tolerant<P, E>(
     let mut caps: Vec<u32> = levels.iter().map(|l| l.num_planes()).collect();
     let mut target = plan.planes.clone();
 
-    for round in 0..=cfg.max_replan_rounds {
+    for round in 0..=MAX_REPLAN_ROUNDS {
         for (l, held) in got.planes.iter_mut().enumerate() {
             for k in *held..target[l].min(caps[l]) {
                 match source((l, k)) {
@@ -165,7 +157,7 @@ pub fn fetch_planes_tolerant<P, E>(
             }
         }
         let any_capped_below_target = target.iter().zip(&caps).any(|(&t, &c)| c < t);
-        if !any_capped_below_target || !cfg.replan || round == cfg.max_replan_rounds {
+        if !any_capped_below_target || round == MAX_REPLAN_ROUNDS {
             break;
         }
         // Compensate: keep what we hold, never ask past a dead prefix, and
@@ -204,7 +196,6 @@ pub fn fetch_plan_tolerant(
         manifest,
         plan,
         requested_bound,
-        cfg,
         |(l, k)| {
             fetcher.fetch_verified((l, k), ExpectedSegment::of_plane(&manifest.levels()[l], k))
         },
@@ -287,10 +278,7 @@ mod tests {
         let cfg = FaultConfig { transient: 0.3, bit_flip: 0.2, ..FaultConfig::quiet(17) };
         let inj = FaultInjector::new(MemStore::from_compressed(&c), cfg).unwrap();
         let bound = c.absolute_bound(1e-4);
-        let tc = TolerantConfig {
-            policy: RetryPolicy { max_attempts: 64 },
-            ..TolerantConfig::default()
-        };
+        let tc = TolerantConfig { policy: RetryPolicy { max_attempts: 64 } };
         let out = rt(&c, &inj, bound, &tc).unwrap();
         assert!(!out.is_degraded(), "retryable faults must not degrade the result");
         assert!(out.stats.retries > 0, "the schedule should have forced retries");
@@ -300,19 +288,20 @@ mod tests {
     #[test]
     fn lost_segment_truncates_and_reports_honest_bound() {
         let (field, c) = artifact();
-        let bound = c.absolute_bound(1e-5);
+        // The tightest bound the artifact meets: its plan is every plane, so
+        // no surviving level has a plane left to compensate with.
+        let full: Vec<u32> = c.levels().iter().map(|l| l.num_planes()).collect();
+        let bound = c.estimate_for(&full);
         let plan = c.plan_theory(bound);
         // Kill a mid-prefix plane of the last level: everything at and past
         // it is unreachable there.
         let l = c.num_levels() - 1;
         let dead = (l, plan.planes[l].saturating_sub(2).max(1));
         let store = MemStore::from_compressed(&c).without(&[dead]);
-        let tc = TolerantConfig { replan: false, ..TolerantConfig::default() };
-        let out = rt(&c, &store, bound, &tc).unwrap();
+        let out = rt(&c, &store, bound, &TolerantConfig::default()).unwrap();
         let report = out.degraded.as_ref().expect("loss must produce a degraded report");
         assert_eq!(report.lost_segments, vec![dead]);
         assert_eq!(report.achieved_planes[l], dead.1, "prefix truncated at the loss");
-        assert!(!report.replanned);
         // The honest achievable bound holds on the actual reconstruction.
         let measured = max_abs_error(field.data(), out.field.data());
         assert!(
@@ -320,7 +309,39 @@ mod tests {
             "measured {measured} must be within reported {}",
             report.achievable_bound
         );
-        assert!(report.achievable_bound >= bound, "without re-plan the request is missed");
+        assert!(report.achievable_bound > bound, "no re-plan can make up the lost planes");
+        assert!(!report.bound_recovered());
+    }
+
+    #[test]
+    fn replanning_stops_after_two_rounds_though_a_third_would_lose_more() {
+        let field = Field::from_fn("r", 0, Shape::cube(17), |x, y, z| {
+            ((x as f64) * 2.1).sin() * ((y as f64) * 1.7).cos() + ((z as f64) * 2.9).sin()
+        });
+        let c = Compressed::compress(&field, &CompressConfig { levels: 5, ..Default::default() });
+        let bound = c.absolute_bound(1e-1);
+        let plan = RetrievalPlan::from_planes(vec![2; 5]);
+        // The plan's round loses (0, 1), the first re-plan round (2, 8) and
+        // (3, 12), the second (4, 12); a third would go deeper at level 1
+        // and lose (1, 8).
+        let gone = [(0, 1), (1, 8), (2, 8), (3, 12), (4, 12)];
+        let store = MemStore::from_compressed(&c).without(&gone);
+        let out = fetch_plan_tolerant(&c, &store, &plan, bound, &TolerantConfig::default(), None)
+            .unwrap();
+        let report = out.degraded.as_ref().expect("loss must be reported");
+        assert!(report.replanned);
+        assert_eq!(report.lost_segments, [gone[0], gone[2], gone[3], gone[4]]);
+        // The round limit ended it, not the planner: level 1 has room left.
+        let mut caps: Vec<u32> = c.levels().iter().map(|l| l.num_planes()).collect();
+        for &(l, k) in &report.lost_segments {
+            caps[l] = k;
+        }
+        let held = &report.achieved_planes;
+        let next = greedy_plan_capped(c.levels(), c.theory_constants(), bound, held, &caps);
+        assert!(next.planes[1] > held[1], "a third round would ask level 1 for more");
+        assert_eq!(report.achievable_bound, c.estimate_for(held));
+        let measured = max_abs_error(field.data(), out.field.data());
+        assert!(measured <= report.achievable_bound);
     }
 
     #[test]
@@ -361,7 +382,6 @@ mod tests {
             &c,
             &plan,
             bound,
-            &TolerantConfig::default(),
             |key| {
                 fetched.set(Some(key));
                 store.fetch(key)
@@ -401,7 +421,6 @@ mod tests {
             &c,
             &c.plan_theory(bound),
             bound,
-            &TolerantConfig::default(),
             |key| {
                 fetches += 1;
                 store.fetch(key)

@@ -1,6 +1,6 @@
 //! Property tests for the fault-injection subsystem: no seeded fault
 //! schedule — whatever mix of transients, timeouts, truncations, bit flips,
-//! spikes, and permanent losses — may make tolerant retrieval panic, and
+//! flapping, and permanent losses — may make tolerant retrieval panic, and
 //! the reconstruction must always satisfy the bound the retrieval *reports*
 //! (the requested bound when clean, the honest achievable bound when
 //! degraded). Determinism rides along: one seed, one outcome. On the seeded
@@ -11,8 +11,8 @@ use pmr_field::{error::max_abs_error, Field, Shape};
 use pmr_mgard::{CompressConfig, Compressed};
 use pmr_rng::{cases, Rng};
 use pmr_storage::{
-    fetch_plan_tolerant, FaultConfig, FaultInjector, FaultKind, MemStore, RetryPolicy,
-    SegmentStore, TolerantConfig, TolerantRetrieval,
+    fetch_plan_tolerant, FaultConfig, FaultInjector, MemStore, RetryPolicy, SegmentStore,
+    TolerantConfig, TolerantRetrieval,
 };
 
 const CASES: u32 = 48;
@@ -49,16 +49,13 @@ fn no_fault_schedule_breaks_the_reported_bound() {
             timeout: g.range(0.0..0.4),
             truncate: g.range(0.0..0.6),
             bit_flip: g.range(0.0..0.6),
-            latency_spike: g.range(0.0..1.0),
-            spike_s: 0.01,
             flap_period: g.range(0..4u32),
         };
         let rel_bound = g.one_of(&[1e-2, 1e-3, 1e-5]);
-        let replan = g.bool();
         let inj = FaultInjector::new(MemStore::from_compressed(&c), cfg).expect("valid config");
-        let tc = TolerantConfig { replan, ..TolerantConfig::default() };
         let bound = c.absolute_bound(rel_bound);
-        let out = retrieve_theory_tolerant(&c, &inj, bound, &tc).expect("must not fail hard");
+        let out = retrieve_theory_tolerant(&c, &inj, bound, &TolerantConfig::default())
+            .expect("must not fail hard");
 
         let measured = max_abs_error(field.data(), out.field.data());
         match &out.degraded {
@@ -108,37 +105,23 @@ fn fault_schedules_are_deterministic() {
     });
 }
 
-/// Retries, timeouts and latency spikes move the virtual clock forward
-/// and the stats stay consistent — still no panics under faults.
+/// Every retry answers a counted failure and every attempt is counted —
+/// still no panics under faults.
 #[test]
-fn faulty_runs_account_time_consistently() {
-    cases("faulty_runs_account_time_consistently", CASES, |g| {
+fn retries_are_accounted_to_counted_failures() {
+    cases("retries_are_accounted_to_counted_failures", CASES, |g| {
         let (_, c) = sample(g);
         let cfg = FaultConfig {
             transient: g.range(0.0..0.5),
             timeout: g.range(0.0..0.3),
-            latency_spike: g.range(0.0..1.0),
-            spike_s: 0.01,
             ..FaultConfig::quiet(g.next_u64())
         };
         let inj = FaultInjector::new(MemStore::from_compressed(&c), cfg).unwrap();
-        let tc = TolerantConfig {
-            policy: RetryPolicy { max_attempts: g.range(1u32..6) },
-            ..TolerantConfig::default()
-        };
+        let tc = TolerantConfig { policy: RetryPolicy { max_attempts: g.range(1u32..6) } };
         let out = retrieve_theory_tolerant(&c, &inj, c.absolute_bound(1e-3), &tc)
             .expect("faulty run must not fail hard");
         let stats = &out.stats;
-        assert!(stats.virtual_time_s.is_finite());
-        assert!(stats.virtual_time_s >= 0.0);
         assert!(stats.attempts >= stats.retries);
         assert!(stats.transients + stats.timeouts + stats.corruptions >= stats.retries);
-        let spikes =
-            inj.log().iter().filter(|e| matches!(e.kind, FaultKind::LatencySpike(_))).count();
-        if stats.retries > 0 || spikes > 0 {
-            assert!(stats.virtual_time_s > 0.0, "retries and spikes must cost time");
-        } else {
-            assert_eq!(stats.virtual_time_s, 0.0, "a clean run costs no time");
-        }
     });
 }
