@@ -230,11 +230,27 @@ pub fn check_kernel_identity(seed: u64, failures: &mut Vec<String>) {
     }
 }
 
+/// Fields whose x-lines are 2 to 40 points long, odd and even, on 1-, 2-
+/// and 3-D grids: every length the x-line sweeps end differently on (with
+/// or without a last detail), at each of the strided steps the shape has.
+fn x_line_fields(seed: u64) -> Vec<Field> {
+    let mut rng = pmr_rng::Rng::seed_from_u64(seed);
+    (2..=40)
+        .flat_map(|n| [Shape::d1(n), Shape::d2(n, 3), Shape::d3(n, 2, 3)])
+        .map(|shape| {
+            let data = (0..shape.len()).map(|_| rng.range(-500.0..500.0)).collect();
+            Field::new(format!("x-lines {shape}"), 0, shape, data)
+        })
+        .collect()
+}
+
 /// The plane-batched transform kernels must be bit-identical to the
 /// per-line oracle. Serial-vs-parallel checks compare the kernels with
 /// themselves; this one pins them to `forward_line`/`inverse_line`, on
-/// every catalogue field (non-finite classes included), in both modes, at
-/// 1, 2 and 4 workers.
+/// every catalogue field (non-finite classes included) and every
+/// [`x_line_fields`] field (all its levels), in both modes, in both builds
+/// of the kernels — `Swar` selects the baseline one, `Auto` the AVX2 one
+/// where the CPU has AVX2 — at 1, 2 and 4 workers.
 ///
 /// Two NaNs compare equal whatever their sign and payload: which operand's
 /// NaN an operation on two NaNs returns follows the compiler's operand
@@ -244,30 +260,36 @@ pub fn check_transform_identity(seed: u64, failures: &mut Vec<String>) {
     let same = |got: &[f64], want: &[f64]| {
         got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
     };
-    for (_, field) in catalogue(seed) {
+    let fields = catalogue(seed)
+        .into_iter()
+        .map(|(_, field)| (field, SWEEP_LEVELS))
+        .chain(x_line_fields(seed).into_iter().map(|field| (field, usize::MAX)));
+    for (field, levels) in fields {
         for mode in [TransformMode::Interpolation, TransformMode::L2Projection] {
-            let dec = Decomposer::new(field.shape(), SWEEP_LEVELS, mode);
+            let dec = Decomposer::new(field.shape(), levels, mode);
             let mut coeffs = field.data().to_vec();
             dec.decompose(&mut coeffs);
             let mut back = coeffs.clone();
             dec.recompose(&mut back);
-            for threads in [1, 2, 4] {
-                let exec = ExecPolicy::with_threads(threads);
-                let mut got = field.data().to_vec();
-                dec.decompose_with(&mut got, &exec);
-                if !same(&got, &coeffs) {
-                    failures.push(format!(
-                        "differential: {} {mode:?} decompose_with({threads} threads) differs from the per-line oracle",
-                        field.name()
-                    ));
-                }
-                let mut got = coeffs.clone();
-                dec.recompose_with(&mut got, &exec);
-                if !same(&got, &back) {
-                    failures.push(format!(
-                        "differential: {} {mode:?} recompose_with({threads} threads) differs from the per-line oracle",
-                        field.name()
-                    ));
+            for kernel in [PlaneKernel::Swar, PlaneKernel::Auto] {
+                for threads in [1, 2, 4] {
+                    let exec = ExecPolicy::with_threads(threads).with_kernel(kernel);
+                    let mut got = field.data().to_vec();
+                    dec.decompose_with(&mut got, &exec);
+                    if !same(&got, &coeffs) {
+                        failures.push(format!(
+                            "differential: {} {mode:?} decompose_with({threads} threads, {kernel:?}) differs from the per-line oracle",
+                            field.name()
+                        ));
+                    }
+                    let mut got = coeffs.clone();
+                    dec.recompose_with(&mut got, &exec);
+                    if !same(&got, &back) {
+                        failures.push(format!(
+                            "differential: {} {mode:?} recompose_with({threads} threads, {kernel:?}) differs from the per-line oracle",
+                            field.name()
+                        ));
+                    }
                 }
             }
         }

@@ -11,9 +11,11 @@
 //!   become loops over x between rows ([`across`]) — unit-stride and
 //!   auto-vectorised at step 0, stride `2^s` at step `s` — with a
 //!   `ceil(m/2) × m0` load scratch per worker.
-//! * **Lines along x** are transformed in place, [`GROUP`] neighbouring
-//!   rows interleaved through the tridiagonal recurrence so the divides of
-//!   independent lines overlap ([`along`]).
+//! * **Lines along x** are transformed a row at a time by sweeps
+//!   ([`along`]): one pass per row builds its load (predicting first on
+//!   the forward), the lane solve takes [`GROUP`] rows at once, one lane
+//!   each, and one pass per row applies the correction (and, on the
+//!   inverse, un-predicts). No row is gathered.
 //!
 //! Bit-identity with the oracle holds by construction: every element goes
 //! through the oracle's IEEE operation sequence (same expression order,
@@ -21,6 +23,13 @@
 //! the pivots come from the same expressions
 //! ([`CoarsePivots`]), and no operation combines values of different
 //! lines, so neither vector width nor worker count can reorder anything.
+//!
+//! Every job body, and the lane solve it calls, is compiled twice: at the
+//! target's baseline and, on x86_64, under `#[target_feature(enable =
+//! "avx2")]`, entered once per job when the policy's kernel resolves to
+//! [`TileImpl::Simd`] and the runtime probe finds AVX2 — the arrangement
+//! of `encode_kernel::encode_chunk`. Neither build contracts a multiply
+//! and an add, so both are the same IEEE sequence at different widths.
 //!
 //! Parallelism is safe-Rust splitting, not copying. The x and y phases of
 //! a 3-D step run back to back per z-slab (`chunks_mut`) while the slab is
@@ -30,19 +39,23 @@
 //! split into x-ranges for the y phase.
 
 use crate::decompose::{active_size, Decomposer, TransformMode};
-use crate::exec::{run_jobs, PARALLEL_MIN_POINTS};
+use crate::exec::{run_jobs, ExecPolicy, PARALLEL_MIN_POINTS};
 use crate::transform::CoarsePivots;
+use pmr_codec::TileImpl;
 use std::ops::Range;
 
-/// Rows interleaved through one x-line solve: enough independent divides
-/// in flight to cover the divider's latency.
-const GROUP: usize = 8;
+/// Rows whose x-lines share one lane solve: as wide as a y or z solve, so
+/// it runs at the divider's throughput rather than its latency, and small
+/// enough that the rows stay in cache between the sweeps either side.
+const GROUP: usize = 64;
 
 /// What every kernel needs to know about the transform being run.
 #[derive(Clone, Copy)]
 struct Pass {
     forward: bool,
     l2: bool,
+    /// Run the jobs' AVX2 builds, if the CPU has AVX2.
+    simd: bool,
 }
 
 /// Geometry of one decomposition step on a grid whose outermost dimension
@@ -90,17 +103,19 @@ impl Step {
 }
 
 /// Run the decomposition steps `steps` over `data`, forward (decompose,
-/// ascending steps) or inverse (recompose, descending steps), on up to
-/// `threads` workers — one for a step whose active grid is smaller than
-/// [`PARALLEL_MIN_POINTS`].
+/// ascending steps) or inverse (recompose, descending steps), on the
+/// policy's workers — one for a step whose active grid is smaller than
+/// [`PARALLEL_MIN_POINTS`] — in the build its kernel selects.
 pub(crate) fn run(
     data: &mut [f64],
     plan: &Decomposer,
     steps: impl Iterator<Item = usize>,
     forward: bool,
-    threads: usize,
+    exec: &ExecPolicy,
 ) {
-    let pass = Pass { forward, l2: plan.mode() == TransformMode::L2Projection };
+    let l2 = plan.mode() == TransformMode::L2Projection;
+    let pass = Pass { forward, l2, simd: exec.kernel.tile_impl() == TileImpl::Simd };
+    let threads = exec.resolved_threads();
     for s in steps {
         let step = Step::new(plan.shape().dims(), s, pass.l2);
         let threads =
@@ -124,21 +139,45 @@ fn inner_phases(data: &mut [f64], step: &Step, pass: Pass, threads: usize) {
     }
     let units: Vec<&mut [f64]> = step.units(data).collect();
     let workers = threads.clamp(1, units.len());
-    run_jobs(split_even(units, workers), |mut mine: Vec<&mut [f64]>| {
-        let mut scratch = Vec::new();
-        if step.three_d {
-            for slab in mine {
-                let mut rows: Vec<&mut [f64]> =
-                    slab.chunks_mut(step.row_stride()).map(|c| &mut c[..step.nx]).collect();
-                rows_phases(&mut rows, step, with_y, pass, &mut scratch);
-            }
-        } else {
-            rows_phases(&mut mine, step, false, pass, &mut scratch);
+    run_jobs(split_even(units, workers), |mine: Vec<&mut [f64]>| {
+        #[cfg(target_arch = "x86_64")]
+        if pass.simd && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the AVX2 feature requirement was just verified at runtime.
+            return unsafe { inner_job_avx2(mine, step, with_y, pass) };
         }
+        inner_job(mine, step, with_y, pass);
     });
 }
 
+/// [`inner_job`] compiled with AVX2 available to the optimizer.
+///
+/// # Safety
+///
+/// The caller must ensure the running CPU supports AVX2.
+#[cfg(target_arch = "x86_64")]
+// SAFETY: contract fn — callers must verify AVX2 support (see # Safety above).
+#[target_feature(enable = "avx2")]
+unsafe fn inner_job_avx2(mine: Vec<&mut [f64]>, step: &Step, with_y: bool, pass: Pass) {
+    inner_job(mine, step, with_y, pass);
+}
+
+/// One worker's units of [`inner_phases`].
+#[inline(always)]
+fn inner_job(mut mine: Vec<&mut [f64]>, step: &Step, with_y: bool, pass: Pass) {
+    let mut scratch = Vec::new();
+    if step.three_d {
+        for slab in mine {
+            let mut rows: Vec<&mut [f64]> =
+                slab.chunks_mut(step.row_stride()).map(|c| &mut c[..step.nx]).collect();
+            rows_phases(&mut rows, step, with_y, pass, &mut scratch);
+        }
+    } else {
+        rows_phases(&mut mine, step, false, pass, &mut scratch);
+    }
+}
+
 /// x lines of every row in `rows`, and (`with_y`) the y lines across them.
+#[inline(always)]
 fn rows_phases(
     rows: &mut [&mut [f64]],
     step: &Step,
@@ -150,13 +189,8 @@ fn rows_phases(
         across(rows, step.xs, step.m[0], &step.pivots[1], pass, scratch);
     }
     if step.m[0] >= 2 {
-        let (xs, m, pivots) = (step.xs, step.m[0], &step.pivots[0]);
-        let mut groups = rows.chunks_exact_mut(GROUP);
-        for group in &mut groups {
-            along::<GROUP>(group, xs, m, pivots, pass, scratch);
-        }
-        for row in groups.into_remainder() {
-            along::<1>(std::slice::from_mut(row), xs, m, pivots, pass, scratch);
+        for group in rows.chunks_mut(GROUP) {
+            along(group, step.xs, step.m[0], &step.pivots[0], pass, scratch);
         }
     }
     if with_y && pass.forward {
@@ -192,18 +226,55 @@ fn outer_phase(data: &mut [f64], step: &Step, pass: Pass, threads: usize) {
             at = end;
         }
     }
-    run_jobs(jobs, |(range, mut pieces): (Range<usize>, Vec<&mut [f64]>)| {
-        let mut scratch = Vec::new();
-        // 3-D: one batch per active row of the y-range, as wide as the
-        // row's active x points. 2-D: the x-range is the batch.
-        let (batches, width) =
-            if step.three_d { (range.len(), step.m[0]) } else { (1, range.len()) };
-        for batch in 0..batches {
-            let offset = batch * quantum;
-            let mut rows: Vec<&mut [f64]> = pieces.iter_mut().map(|p| &mut p[offset..]).collect();
-            across(&mut rows, step.xs, width, pivots, pass, &mut scratch);
+    run_jobs(jobs, |(range, pieces): (Range<usize>, Vec<&mut [f64]>)| {
+        #[cfg(target_arch = "x86_64")]
+        if pass.simd && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the AVX2 feature requirement was just verified at runtime.
+            return unsafe { outer_job_avx2(range, pieces, step, pivots, quantum, pass) };
         }
+        outer_job(range, pieces, step, pivots, quantum, pass);
     });
+}
+
+/// [`outer_job`] compiled with AVX2 available to the optimizer.
+///
+/// # Safety
+///
+/// The caller must ensure the running CPU supports AVX2.
+#[cfg(target_arch = "x86_64")]
+// SAFETY: contract fn — callers must verify AVX2 support (see # Safety above).
+#[target_feature(enable = "avx2")]
+unsafe fn outer_job_avx2(
+    range: Range<usize>,
+    pieces: Vec<&mut [f64]>,
+    step: &Step,
+    pivots: &CoarsePivots,
+    quantum: usize,
+    pass: Pass,
+) {
+    outer_job(range, pieces, step, pivots, quantum, pass);
+}
+
+/// One worker's range of [`outer_phase`]: the lines through `range` of
+/// every unit, whose pieces are `pieces`.
+#[inline(always)]
+fn outer_job(
+    range: Range<usize>,
+    mut pieces: Vec<&mut [f64]>,
+    step: &Step,
+    pivots: &CoarsePivots,
+    quantum: usize,
+    pass: Pass,
+) {
+    let mut scratch = Vec::new();
+    // 3-D: one batch per active row of the y-range, as wide as the row's
+    // active x points. 2-D: the x-range is the batch.
+    let (batches, width) = if step.three_d { (range.len(), step.m[0]) } else { (1, range.len()) };
+    for batch in 0..batches {
+        let offset = batch * quantum;
+        let mut rows: Vec<&mut [f64]> = pieces.iter_mut().map(|p| &mut p[offset..]).collect();
+        across(&mut rows, step.xs, width, pivots, pass, &mut scratch);
+    }
 }
 
 /// Items `share(n, parts, w)` of `n` go to part `w`: contiguous, in order,
@@ -257,138 +328,282 @@ fn zip3(
 }
 
 /// Transform the `width` lines that run *across* `rows`: line `k` is
-/// `rows[0][k·xs], rows[1][k·xs], …`, one point per row.
+/// `rows[0][k·xs], rows[1][k·xs], …`, one point per row. Like [`along`],
+/// a row is visited once on each side of the solve: the forward predicts a
+/// detail row and at once adds it to the load rows it feeds; the inverse
+/// corrects a coarse row and at once un-predicts the detail row before it.
+#[inline(always)]
 fn across(
     rows: &mut [&mut [f64]],
     xs: usize,
     width: usize,
     pivots: &CoarsePivots,
     pass: Pass,
-    scratch: &mut Vec<f64>,
+    load: &mut Vec<f64>,
 ) {
-    if pass.forward {
-        predict_across(rows, xs, width, true);
-    }
-    if pass.l2 {
-        correct_across(rows, xs, width, pivots, pass.forward, scratch);
-    }
-    if !pass.forward {
-        predict_across(rows, xs, width, false);
-    }
-}
-
-/// `forward_line`'s predict (`inverse_line`'s un-predict) on every odd row.
-fn predict_across(rows: &mut [&mut [f64]], xs: usize, width: usize, forward: bool) {
-    for j in (1..rows.len()).step_by(2) {
-        let (before, rest) = rows.split_at_mut(j);
-        let prev: &[f64] = before[j - 1];
-        let Some((cur, after)) = rest.split_first_mut() else {
-            return;
-        };
-        match (after.first(), forward) {
-            (Some(next), true) => zip3(width, cur, xs, prev, next, xs, |c, a, b| c - 0.5 * (a + b)),
-            (Some(next), false) => {
-                zip3(width, cur, xs, prev, next, xs, |c, a, b| c + 0.5 * (a + b));
-            }
-            (None, true) => zip2(width, cur, xs, prev, xs, |c, a| c - a),
-            (None, false) => zip2(width, cur, xs, prev, xs, |c, a| c + a),
+    if !pass.l2 {
+        for j in (1..rows.len()).step_by(2) {
+            predict_row(rows, j, xs, width, pass.forward);
         }
+        return;
     }
-}
-
-/// The L2 correction of every line across `rows`: load row `i` of the
-/// scratch from the detail rows either side of coarse row `2i`, solve all
-/// `width` systems at once, add (forward) or subtract (inverse).
-fn correct_across(
-    rows: &mut [&mut [f64]],
-    xs: usize,
-    width: usize,
-    pivots: &CoarsePivots,
-    forward: bool,
-    scratch: &mut Vec<f64>,
-) {
-    let coarse = rows.len().div_ceil(2);
-    scratch.clear();
-    scratch.resize(coarse * width, 0.0);
-    for (i, load) in scratch.chunks_exact_mut(width).enumerate() {
-        let left: Option<&[f64]> = if i > 0 { Some(&*rows[2 * i - 1]) } else { None };
-        let right: Option<&[f64]> = rows.get(2 * i + 1).map(|r| &**r);
-        match (left, right) {
-            (Some(l), Some(r)) => {
-                zip3(width, load, 1, l, r, xs, |_, l, r| (0.0 + 0.5 * l) + 0.5 * r);
-            }
-            (Some(d), None) | (None, Some(d)) => zip2(width, load, 1, d, xs, |_, d| 0.0 + 0.5 * d),
-            (None, None) => {}
+    load.clear();
+    load.resize(rows.len().div_ceil(2) * width, 0.0);
+    for (i, b) in load.chunks_exact_mut(width).enumerate() {
+        if pass.forward && 2 * i + 1 < rows.len() {
+            predict_row(rows, 2 * i + 1, xs, width, true);
         }
+        load_row(rows, i, xs, width, b);
     }
-    pivots.solve_lanes(scratch, width);
-    for (i, z) in scratch.chunks_exact(width).enumerate() {
-        if forward {
+    pivots.solve_lanes(load, width, pass.simd);
+    for (i, z) in load.chunks_exact(width).enumerate() {
+        if pass.forward {
             zip2(width, rows[2 * i], xs, z, 1, |c, z| c + z);
         } else {
             zip2(width, rows[2 * i], xs, z, 1, |c, z| c - z);
+            if i > 0 {
+                predict_row(rows, 2 * i - 1, xs, width, false);
+            }
         }
+    }
+    if !pass.forward && rows.len().is_multiple_of(2) {
+        predict_row(rows, rows.len() - 1, xs, width, false);
     }
 }
 
-/// Transform one line *along* each of the `G` rows: `m` points at stride
-/// `xs`, in place, the rows interleaved through the solve.
-fn along<const G: usize>(
+/// `forward_line`'s predict (`inverse_line`'s un-predict) on odd row `j`,
+/// from the coarse rows either side of it (the one before at the end).
+#[inline(always)]
+fn predict_row(rows: &mut [&mut [f64]], j: usize, xs: usize, width: usize, forward: bool) {
+    let (before, rest) = rows.split_at_mut(j);
+    let (Some(prev), Some((cur, after))) = (before.last(), rest.split_first_mut()) else {
+        return;
+    };
+    match (after.first(), forward) {
+        (Some(next), true) => zip3(width, cur, xs, prev, next, xs, |c, a, b| c - 0.5 * (a + b)),
+        (Some(next), false) => zip3(width, cur, xs, prev, next, xs, |c, a, b| c + 0.5 * (a + b)),
+        (None, true) => zip2(width, cur, xs, prev, xs, |c, a| c - a),
+        (None, false) => zip2(width, cur, xs, prev, xs, |c, a| c + a),
+    }
+}
+
+/// Load row `i` of the correction: the oracle's `(0.0 + 0.5·l) + 0.5·r`
+/// from the detail rows either side of coarse row `2i`.
+#[inline(always)]
+fn load_row(rows: &[&mut [f64]], i: usize, xs: usize, width: usize, b: &mut [f64]) {
+    let left: Option<&[f64]> = if i > 0 { Some(&*rows[2 * i - 1]) } else { None };
+    let right: Option<&[f64]> = rows.get(2 * i + 1).map(|r| &**r);
+    match (left, right) {
+        (Some(l), Some(r)) => zip3(width, b, 1, l, r, xs, |_, l, r| (0.0 + 0.5 * l) + 0.5 * r),
+        (Some(d), None) | (None, Some(d)) => zip2(width, b, 1, d, xs, |_, d| 0.0 + 0.5 * d),
+        (None, None) => {}
+    }
+}
+
+/// Transform one line *along* each of `rows`: `m` points at stride `xs`,
+/// in place. One sweep per row on each side of the lane solve: the forward
+/// predicts and builds the load in one pass and adds the correction in a
+/// second; the inverse builds the load in one pass and subtracts the
+/// correction and un-predicts in a second. Row `r` owns lane `r` of `load`.
+#[inline(always)]
+fn along(
     rows: &mut [&mut [f64]],
     xs: usize,
     m: usize,
     pivots: &CoarsePivots,
     pass: Pass,
-    scratch: &mut Vec<f64>,
+    load: &mut Vec<f64>,
 ) {
-    if pass.forward {
+    if xs == 1 {
+        along_points(rows, Unit(m), pivots, pass, load);
+    } else {
+        along_points(rows, Strided(xs, m), pivots, pass, load);
+    }
+}
+
+/// How the sweeps reach a row's points: step 0 walks a plain slice.
+trait Points: Copy {
+    fn of(self, row: &mut [f64]) -> impl Iterator<Item = &mut f64>;
+    fn m(self) -> usize;
+}
+
+/// The first `m` elements of a row.
+#[derive(Clone, Copy)]
+struct Unit(usize);
+
+/// `m` elements of a row, `xs` apart.
+#[derive(Clone, Copy)]
+struct Strided(usize, usize);
+
+impl Points for Unit {
+    #[inline(always)]
+    fn of(self, row: &mut [f64]) -> impl Iterator<Item = &mut f64> {
+        row[..self.0].iter_mut()
+    }
+    fn m(self) -> usize {
+        self.0
+    }
+}
+
+impl Points for Strided {
+    #[inline(always)]
+    fn of(self, row: &mut [f64]) -> impl Iterator<Item = &mut f64> {
+        row.iter_mut().step_by(self.0).take(self.1)
+    }
+    fn m(self) -> usize {
+        self.1
+    }
+}
+
+/// The body of [`along`].
+#[inline(always)]
+fn along_points(
+    rows: &mut [&mut [f64]],
+    points: impl Points,
+    pivots: &CoarsePivots,
+    pass: Pass,
+    load: &mut Vec<f64>,
+) {
+    if !pass.l2 {
         for row in rows.iter_mut() {
-            predict_along(row, xs, m, true);
+            predict_line(points.of(row), pass.forward);
+        }
+        return;
+    }
+    let lanes = rows.len();
+    load.clear();
+    load.resize(points.m().div_ceil(2) * lanes, 0.0);
+    for (r, row) in rows.iter_mut().enumerate() {
+        let lane = load.chunks_exact_mut(lanes).map(|b| &mut b[r]);
+        if pass.forward {
+            predict_load_line(points.of(row), lane);
+        } else {
+            load_line(points.of(row).map(|v| &*v), lane);
         }
     }
-    if pass.l2 {
-        let coarse = m.div_ceil(2);
-        scratch.clear();
-        scratch.resize(coarse * G, 0.0);
-        for (i, load) in scratch.chunks_exact_mut(G).enumerate() {
-            for (b, row) in load.iter_mut().zip(rows.iter()) {
-                let mut acc = 0.0;
-                if i > 0 {
-                    acc += 0.5 * row[(2 * i - 1) * xs];
-                }
-                if 2 * i + 1 < m {
-                    acc += 0.5 * row[(2 * i + 1) * xs];
-                }
-                *b = acc;
-            }
-        }
-        pivots.solve_lanes(scratch, G);
-        for (i, z) in scratch.chunks_exact(G).enumerate() {
-            for (&z, row) in z.iter().zip(rows.iter_mut()) {
-                if pass.forward {
-                    row[2 * i * xs] += z;
-                } else {
-                    row[2 * i * xs] -= z;
-                }
-            }
-        }
-    }
-    if !pass.forward {
-        for row in rows.iter_mut() {
-            predict_along(row, xs, m, false);
+    pivots.solve_lanes(load, lanes, pass.simd);
+    for (r, row) in rows.iter_mut().enumerate() {
+        let lane = load.chunks_exact(lanes).map(|z| &z[r]);
+        if pass.forward {
+            correct_line(points.of(row).step_by(2), lane);
+        } else {
+            uncorrect_unpredict_line(points.of(row), lane);
         }
     }
 }
 
-/// `forward_line`'s predict (`inverse_line`'s un-predict) along one row.
-fn predict_along(row: &mut [f64], xs: usize, m: usize, forward: bool) {
-    for j in (1..m).step_by(2) {
-        let prev = row[(j - 1) * xs];
-        let pred = if j + 1 < m { 0.5 * (prev + row[(j + 1) * xs]) } else { prev };
-        if forward {
-            row[j * xs] -= pred;
-        } else {
-            row[j * xs] += pred;
-        }
+// The per-line sweeps below walk a line `v` of `m >= 2` points as `v[0]`
+// followed by the pairs `(v[2i+1], v[2i+2])`, `i < (m-1)/2` — a detail and
+// the coarse point to its right — and, for even `m`, the last detail
+// `v[m-1]` with no right neighbour. They are the oracle's loops
+// (`forward_line`/`inverse_line`) reordered by point, each element going
+// through the same expression.
+//
+// Load entry `i` of the oracle is `(0.0 + h[i-1]) + h[i]` with `h[j] =
+// 0.5·d[j]`, a missing term left out. Left out at `i = 0` it is the same
+// value as `(0.0 + 0.0) + h[0]`; left out at the last entry of an odd line,
+// the same as `x + (-0.0)` for `x = 0.0 + h`, which is `x` itself (never
+// `-0.0`, a NaN kept). So one carried `left = 0.0 + h[i-1]`, starting at
+// `0.0`, builds every entry with `0.5·d` taken once per detail.
+
+/// `forward_line`'s predict (`inverse_line`'s un-predict) of one line.
+#[inline(always)]
+fn predict_line<'a>(mut v: impl Iterator<Item = &'a mut f64>, forward: bool) {
+    let Some(&mut mut prev) = v.next() else {
+        return;
+    };
+    while let Some(d) = v.next() {
+        let Some(&mut c) = v.next() else {
+            *d = if forward { *d - prev } else { *d + prev };
+            return;
+        };
+        let pred = 0.5 * (prev + c);
+        *d = if forward { *d - pred } else { *d + pred };
+        prev = c;
+    }
+}
+
+/// The forward predict of one line fused with its load: writes the
+/// details and the `⌈m/2⌉` load entries of `lane`.
+#[inline(always)]
+fn predict_load_line<'a, 'b>(
+    mut v: impl Iterator<Item = &'a mut f64>,
+    mut lane: impl Iterator<Item = &'b mut f64>,
+) {
+    let Some(&mut mut prev) = v.next() else {
+        return;
+    };
+    let mut left = 0.0;
+    while let Some(d) = v.next() {
+        let Some(b) = lane.next() else {
+            return;
+        };
+        let Some(&mut c) = v.next() else {
+            *d -= prev;
+            *b = left + 0.5 * *d;
+            return;
+        };
+        *d -= 0.5 * (prev + c);
+        let h = 0.5 * *d;
+        *b = left + h;
+        left = 0.0 + h;
+        prev = c;
+    }
+    if let Some(b) = lane.next() {
+        *b = left;
+    }
+}
+
+/// The inverse's load of one line into `lane`.
+#[inline(always)]
+fn load_line<'a, 'b>(
+    mut v: impl Iterator<Item = &'a f64>,
+    mut lane: impl Iterator<Item = &'b mut f64>,
+) {
+    let mut left = 0.0;
+    v.next();
+    while let Some(&d) = v.next() {
+        let Some(b) = lane.next() else {
+            return;
+        };
+        let h = 0.5 * d;
+        *b = left + h;
+        left = 0.0 + h;
+        v.next();
+    }
+    if let Some(b) = lane.next() {
+        *b = left;
+    }
+}
+
+/// The forward correction of one line's coarse points `c`: `c[i] + z[i]`.
+#[inline(always)]
+fn correct_line<'a, 'b>(c: impl Iterator<Item = &'a mut f64>, lane: impl Iterator<Item = &'b f64>) {
+    for (c, &z) in c.zip(lane) {
+        *c += z;
+    }
+}
+
+/// The inverse's correction and un-predict of one line in one pass: each
+/// coarse point is corrected just before the detail to its left, which
+/// reads it, is un-predicted.
+#[inline(always)]
+fn uncorrect_unpredict_line<'a, 'b>(
+    mut v: impl Iterator<Item = &'a mut f64>,
+    mut lane: impl Iterator<Item = &'b f64>,
+) {
+    let (Some(first), Some(&z)) = (v.next(), lane.next()) else {
+        return;
+    };
+    *first -= z;
+    let mut prev = *first;
+    while let Some(d) = v.next() {
+        let (Some(c), Some(&z)) = (v.next(), lane.next()) else {
+            *d += prev;
+            return;
+        };
+        *c -= z;
+        *d += 0.5 * (prev + *c);
+        prev = *c;
     }
 }

@@ -74,6 +74,20 @@ pub(crate) fn quantize(c: f64, step: f64) -> i64 {
     (c / step).round() as i64
 }
 
+/// `v as f64` for `|v| < 2^51`, in integer adds and one float subtract
+/// that vectorize (x86 has no packed `i64 → f64` below AVX-512): with `M =
+/// 2^52 + 2^51`, the bits of `M` plus `v` are the double `M + v`, exact in
+/// `[2^52, 2^53)` where doubles are the integers, and `(M + v) − M` is `v`
+/// exactly, `+0.0` for 0. A level's digits have at most
+/// `encode_kernel::MAX_PLANES` = 50 negabinary places, whose values lie
+/// within `±2^50`.
+#[inline(always)]
+fn exact_f64(v: i64) -> f64 {
+    const M: f64 = 6_755_399_441_055_744.0;
+    debug_assert!(v.unsigned_abs() < 1 << 51);
+    f64::from_bits(M.to_bits().wrapping_add_signed(v)) - M
+}
+
 #[cfg(test)]
 thread_local! {
     /// Tiles `LevelEncoding::place_tiles` has transposed on this thread.
@@ -447,7 +461,49 @@ impl LevelEncoding {
     /// slice is `out`. A tile whose plane words are all zero decodes to
     /// `+0.0` everywhere, which the grid already holds: it is skipped,
     /// transpose and all.
+    ///
+    /// Compiled twice, like `encode_kernel::encode_chunk`: at the target's
+    /// baseline and, on x86_64, under AVX2, entered when `imp` is
+    /// [`TileImpl::Simd`] and the runtime probe finds AVX2.
     fn place_tiles(
+        &self,
+        plane_bytes: &[Cow<'_, [u8]>],
+        coeffs: Range<usize>,
+        placer: &mut Placer<'_>,
+        out: &mut [f64],
+        imp: TileImpl,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if imp == TileImpl::Simd && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the AVX2 feature requirement was just verified at runtime.
+            return unsafe { self.place_tiles_avx2(plane_bytes, coeffs, placer, out, imp) };
+        }
+        self.place_tiles_body(plane_bytes, coeffs, placer, out, imp);
+    }
+
+    /// [`LevelEncoding::place_tiles_body`] compiled with AVX2 available to
+    /// the optimizer.
+    ///
+    /// # Safety
+    ///
+    /// The caller must ensure the running CPU supports AVX2.
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: contract fn — callers must verify AVX2 support (see # Safety above).
+    #[target_feature(enable = "avx2")]
+    unsafe fn place_tiles_avx2(
+        &self,
+        plane_bytes: &[Cow<'_, [u8]>],
+        coeffs: Range<usize>,
+        placer: &mut Placer<'_>,
+        out: &mut [f64],
+        imp: TileImpl,
+    ) {
+        self.place_tiles_body(plane_bytes, coeffs, placer, out, imp);
+    }
+
+    /// The loop behind [`LevelEncoding::place_tiles`].
+    #[inline(always)]
+    fn place_tiles_body(
         &self,
         plane_bytes: &[Cow<'_, [u8]>],
         coeffs: Range<usize>,
@@ -486,7 +542,7 @@ impl LevelEncoding {
             TILES_TRANSPOSED.with(|t| t.set(t.get() + 1));
             transpose::transpose64(&mut y, imp);
             for (slot, &d) in values.iter_mut().zip(&y[..n]) {
-                *slot = negabinary::from_negabinary(d) as f64 * self.step;
+                *slot = exact_f64(negabinary::from_negabinary(d)) * self.step;
             }
             placer.put(out, &values[..n]);
         }
@@ -884,6 +940,46 @@ mod tests {
                     let tiled = enc.decode_with(b, &ExecPolicy::serial().with_kernel(kernel));
                     let same = scalar.iter().zip(&tiled).all(|(a, x)| a.to_bits() == x.to_bits());
                     assert!(same, "n={n} b={b} {kernel:?}");
+                }
+            }
+        }
+    }
+
+    /// Digits at the ends of the negabinary range — every even place set
+    /// (the largest value), every odd place (the most negative), all of
+    /// them, none — on levels of up to 50 planes decode under every kernel
+    /// and worker count to `from_negabinary(d) as f64 · step`, bit for bit:
+    /// the edge of the range of the decoder's exact `i64 → f64` conversion.
+    #[test]
+    fn extreme_digits_decode_exactly_under_every_kernel() {
+        let n = 300;
+        for planes in [3u32, 17, 49, 50] {
+            let enc = LevelEncoding::encode(&sample_coeffs(n), planes);
+            let b = planes as usize;
+            let even: u64 = (0..b).step_by(2).fold(0, |d, k| d | 1 << k);
+            let odd: u64 = (1..b).step_by(2).fold(0, |d, k| d | 1 << k);
+            let patterns = [even, odd, even | odd, 0, odd, even];
+            let digits: Vec<u64> = (0..n).map(|i| patterns[i % patterns.len()]).collect();
+            // Plane k, most significant first, holds digit place b − 1 − k.
+            let payloads: Vec<Vec<u8>> = (0..b)
+                .map(|k| {
+                    let mut w = BitWriter::new();
+                    for &d in &digits {
+                        w.push(d >> (b - 1 - k) & 1 == 1);
+                    }
+                    lossless::compress(&w.into_bytes())
+                })
+                .collect();
+            let want: Vec<u64> = digits
+                .iter()
+                .map(|&d| (negabinary::from_negabinary(d) as f64 * enc.step).to_bits())
+                .collect();
+            for kernel in [PlaneKernel::Scalar, PlaneKernel::Swar, PlaneKernel::Auto] {
+                for threads in [1, 3] {
+                    let exec = ExecPolicy::with_threads(threads).with_kernel(kernel);
+                    let got = enc.decode_from_payloads_with(&payloads, &exec).unwrap();
+                    let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "planes={planes} {kernel:?} threads={threads}");
                 }
             }
         }

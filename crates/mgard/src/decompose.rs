@@ -111,13 +111,13 @@ impl Decomposer {
     /// per-line path above at every thread count.
     pub fn decompose_with(&self, data: &mut [f64], exec: &ExecPolicy) {
         assert_eq!(data.len(), self.shape.len(), "data/shape length mismatch");
-        batched::run(data, self, 0..self.steps(), true, exec.resolved_threads());
+        batched::run(data, self, 0..self.steps(), true, exec);
     }
 
     /// [`Decomposer::recompose`] under an explicit execution policy.
     pub fn recompose_with(&self, data: &mut [f64], exec: &ExecPolicy) {
         assert_eq!(data.len(), self.shape.len(), "data/shape length mismatch");
-        batched::run(data, self, (0..self.steps()).rev(), false, exec.resolved_threads());
+        batched::run(data, self, (0..self.steps()).rev(), false, exec);
     }
 
     /// [`Decomposer::recompose_to_level`] under an explicit execution policy.
@@ -130,7 +130,7 @@ impl Decomposer {
         assert_eq!(data.len(), self.shape.len(), "data/shape length mismatch");
         assert!(target_level < self.levels(), "level out of range");
         let stop_step = self.steps() - target_level;
-        batched::run(data, self, (stop_step..self.steps()).rev(), false, exec.resolved_threads());
+        batched::run(data, self, (stop_step..self.steps()).rev(), false, exec);
         self.gather_coarse(data, target_level, stop_step)
     }
 

@@ -113,8 +113,36 @@ impl CoarsePivots {
     /// included — and no operation crosses lanes, so every system's
     /// solution is bit-identical to a per-line solve while the inner loops
     /// run unit-stride over the lanes.
-    #[inline]
-    pub(crate) fn solve_lanes(&self, b: &mut [f64], lanes: usize) {
+    ///
+    /// Compiled on its own, twice: at the target's baseline and, on x86_64,
+    /// under AVX2, entered when `simd` is set and the runtime probe finds
+    /// AVX2 — so every caller gets the same code for it.
+    #[inline(never)]
+    pub(crate) fn solve_lanes(&self, b: &mut [f64], lanes: usize, simd: bool) {
+        #[cfg(target_arch = "x86_64")]
+        if simd && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the AVX2 feature requirement was just verified at runtime.
+            return unsafe { self.solve_lanes_avx2(b, lanes) };
+        }
+        self.solve_lanes_body(b, lanes);
+    }
+
+    /// [`CoarsePivots::solve_lanes_body`] compiled with AVX2 available to
+    /// the optimizer.
+    ///
+    /// # Safety
+    ///
+    /// The caller must ensure the running CPU supports AVX2.
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: contract fn — callers must verify AVX2 support (see # Safety above).
+    #[target_feature(enable = "avx2")]
+    unsafe fn solve_lanes_avx2(&self, b: &mut [f64], lanes: usize) {
+        self.solve_lanes_body(b, lanes);
+    }
+
+    /// The sweeps behind [`CoarsePivots::solve_lanes`].
+    #[inline(always)]
+    fn solve_lanes_body(&self, b: &mut [f64], lanes: usize) {
         let n = self.m.len();
         assert_eq!(b.len(), n * lanes, "load/pivot size mismatch");
         if lanes == 0 {
@@ -318,7 +346,9 @@ mod tests {
     #[test]
     fn lane_solve_is_bit_identical_to_the_per_line_solve() {
         for n in 1..40usize {
-            for lanes in [1usize, 3, 8] {
+            for (lanes, simd) in
+                [1usize, 3, 8, 67].into_iter().flat_map(|l| [(l, false), (l, true)])
+            {
                 let system = |lane: usize| -> Vec<f64> {
                     (0..n).map(|i| ((i * 7 + lane * 13) as f64 * 0.37).sin() * 1e3).collect()
                 };
@@ -328,13 +358,17 @@ mod tests {
                         batch[i * lanes + lane] = v;
                     }
                 }
-                CoarsePivots::new(n).solve_lanes(&mut batch, lanes);
+                CoarsePivots::new(n).solve_lanes(&mut batch, lanes, simd);
                 for lane in 0..lanes {
                     let mut b = system(lane);
                     solve_coarse_mass(&mut b, &mut Vec::new());
                     for (i, want) in b.iter().enumerate() {
                         let got = batch[i * lanes + lane];
-                        assert_eq!(got.to_bits(), want.to_bits(), "n={n} lanes={lanes} i={i}");
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "n={n} lanes={lanes} simd={simd} i={i}"
+                        );
                     }
                 }
             }

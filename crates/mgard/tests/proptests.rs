@@ -405,12 +405,17 @@ fn first_difference(got: &[f64], want: &[f64]) -> Option<usize> {
 /// The batched kernels behind `decompose_with` / `recompose_with` /
 /// `recompose_to_level_with` must reproduce the per-line oracle
 /// (`decompose` / `recompose` / `recompose_to_level`) bit for bit, at each
-/// of `thread_counts`.
+/// of `thread_counts`, in both builds of the kernels: `Swar` selects the
+/// baseline one, `Auto` the AVX2 one where the CPU has AVX2.
 fn check_batched_matches_oracle(dec: &Decomposer, orig: &[f64], thread_counts: &[usize]) {
     let mut coeffs = orig.to_vec();
     dec.decompose(&mut coeffs);
     let mut back = coeffs.clone();
     dec.recompose(&mut back);
+    // The input read as coefficients too: a decomposed grid's coarse values
+    // are rarely `-0.0`, so only this shows the inverse's signed zeros.
+    let mut raw_back = orig.to_vec();
+    dec.recompose(&mut raw_back);
     let to_level: Vec<(Vec<f64>, Vec<f64>)> = (0..dec.levels())
         .map(|level| {
             let mut buffer = coeffs.clone();
@@ -419,13 +424,17 @@ fn check_batched_matches_oracle(dec: &Decomposer, orig: &[f64], thread_counts: &
         })
         .collect();
 
-    for &threads in thread_counts {
-        let exec = ExecPolicy::with_threads(threads);
+    let runs = [PlaneKernel::Swar, PlaneKernel::Auto]
+        .into_iter()
+        .flat_map(|kernel| thread_counts.iter().map(move |&threads| (kernel, threads)));
+    for (kernel, threads) in runs {
+        let exec = ExecPolicy::with_threads(threads).with_kernel(kernel);
         let same = |what: &str, got: &[f64], want: &[f64]| {
             let diverged = first_difference(got, want);
             assert!(
                 diverged.is_none(),
-                "{what} diverged at {diverged:?}: shape={} levels={} mode={:?} threads={threads}",
+                "{what} diverged at {diverged:?}: shape={} levels={} mode={:?} threads={threads} \
+                 {kernel:?}",
                 dec.shape(),
                 dec.levels(),
                 dec.mode()
@@ -437,6 +446,9 @@ fn check_batched_matches_oracle(dec: &Decomposer, orig: &[f64], thread_counts: &
         let mut got = coeffs.clone();
         dec.recompose_with(&mut got, &exec);
         same("recompose_with", &got, &back);
+        let mut got = orig.to_vec();
+        dec.recompose_with(&mut got, &exec);
+        same("recompose_with of the input", &got, &raw_back);
         for (level, (coarse, buffer)) in to_level.iter().enumerate() {
             let mut got = coeffs.clone();
             let got_coarse = dec.recompose_to_level_with(&mut got, level, &exec);
@@ -526,6 +538,17 @@ fn batched_transform_matches_the_per_line_oracle() {
                     let dec = Decomposer::new(shape, levels, mode);
                     check_batched_matches_oracle(&dec, data, &[1, 2, 3, 4, 7]);
                 }
+            }
+        }
+    }
+    // Every x-line length from 2 to 40, odd and even, through all of its
+    // strided steps, on 1-, 2- and 3-D grids.
+    for n in 2..=40 {
+        for shape in [Shape::d1(n), Shape::d2(n, 3), Shape::d3(n, 2, 3)] {
+            let data = random(shape, &[-0.0, 5e-324]);
+            for mode in [TransformMode::Interpolation, TransformMode::L2Projection] {
+                let dec = Decomposer::new(shape, Decomposer::max_levels(shape), mode);
+                check_batched_matches_oracle(&dec, &data, &[1, 2]);
             }
         }
     }

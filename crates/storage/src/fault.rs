@@ -9,8 +9,8 @@
 //! seed, and what makes the determinism tests meaningful.
 //!
 //! Fault taxonomy (checked in this priority order, one fault per attempt):
-//! permanent loss → flap → transient error → timeout → truncated read → bit
-//! flip. Truncation and bit flips *return bytes* — the corruption is only
+//! permanent loss → flap → transient error (a timed-out read included) →
+//! truncated read → bit flip. Truncation and bit flips *return bytes* — the corruption is only
 //! caught downstream by checksum verification, exactly like real bit rot.
 //!
 //! A certain fault makes the injector a whole-store fault domain: wrapped
@@ -31,10 +31,9 @@ pub struct FaultConfig {
     pub seed: u64,
     /// Per-segment probability the segment is permanently lost.
     pub permanent: f64,
-    /// Per-attempt probability of a transient error.
+    /// Per-attempt probability of a transient error (a reset connection,
+    /// an `EIO`, a read the store gave up on in time).
     pub transient: f64,
-    /// Per-attempt probability the attempt times out outright.
-    pub timeout: f64,
     /// Per-attempt probability the read returns truncated bytes.
     pub truncate: f64,
     /// Per-attempt probability one bit of the payload is flipped.
@@ -52,7 +51,6 @@ impl FaultConfig {
             seed,
             permanent: 0.0,
             transient: 0.0,
-            timeout: 0.0,
             truncate: 0.0,
             bit_flip: 0.0,
             flap_period: 0,
@@ -60,10 +58,11 @@ impl FaultConfig {
     }
 
     /// A moderately hostile tier: occasional transients, rare corruption.
+    /// The transient rate is `1 − (1 − 0.15)(1 − 0.05)`, what transients at
+    /// 0.15 and time-outs at 0.05 used to fail together.
     pub fn flaky(seed: u64) -> Self {
         FaultConfig {
-            transient: 0.15,
-            timeout: 0.05,
+            transient: 0.1925,
             truncate: 0.05,
             bit_flip: 0.05,
             ..FaultConfig::quiet(seed)
@@ -75,7 +74,6 @@ impl FaultConfig {
         let probs = [
             ("permanent", self.permanent),
             ("transient", self.transient),
-            ("timeout", self.timeout),
             ("truncate", self.truncate),
             ("bit_flip", self.bit_flip),
         ];
@@ -105,7 +103,6 @@ pub enum FaultKind {
     PermanentLoss,
     /// A retryable error: rolled, or a failing run of a flapping store.
     Transient,
-    Timeout,
     /// Payload cut to this many bytes.
     Truncate(usize),
     /// Bit `bit` of byte `byte` flipped.
@@ -120,7 +117,6 @@ pub enum FaultKind {
 // roll of the same attempt.
 const SALT_PERMANENT: u64 = 0x9e37_79b9_7f4a_7c15;
 const SALT_TRANSIENT: u64 = 0xd1b5_4a32_d192_ed03;
-const SALT_TIMEOUT: u64 = 0x8cb9_2ba7_2f3d_8dd7;
 const SALT_TRUNCATE: u64 = 0xaef1_7502_108e_f2d9;
 const SALT_BITFLIP: u64 = 0x6c62_272e_07bb_0142;
 
@@ -217,10 +213,6 @@ impl<S: SegmentStore> SegmentStore for FaultInjector<S> {
                 plane,
                 detail: format!("injected transient (attempt {attempt})"),
             });
-        }
-        if self.roll(SALT_TIMEOUT, key, attempt) < self.cfg.timeout {
-            self.record(key, attempt, FaultKind::Timeout);
-            return Err(FetchError::Timeout { level, plane });
         }
 
         let mut read = self.inner.fetch(key)?;

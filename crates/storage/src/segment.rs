@@ -37,8 +37,6 @@ pub enum FetchError {
     Missing { level: usize, plane: u32 },
     /// A transient I/O error (connection reset, EIO, ...); retryable.
     Transient { level: usize, plane: u32, detail: String },
-    /// The store gave up on the attempt in time; retryable.
-    Timeout { level: usize, plane: u32 },
     /// Bytes arrived but fail checksum / length verification; retryable
     /// (the next attempt may read a clean replica).
     Corrupt { level: usize, plane: u32, detail: String },
@@ -52,7 +50,6 @@ impl FetchError {
         match *self {
             FetchError::Missing { level, plane }
             | FetchError::Transient { level, plane, .. }
-            | FetchError::Timeout { level, plane }
             | FetchError::Corrupt { level, plane, .. }
             | FetchError::Io { level, plane, .. } => (level, plane),
         }
@@ -72,9 +69,6 @@ impl fmt::Display for FetchError {
             }
             FetchError::Transient { level, plane, detail } => {
                 write!(f, "transient error fetching ({level},{plane}): {detail}")
-            }
-            FetchError::Timeout { level, plane } => {
-                write!(f, "fetch of ({level},{plane}) timed out")
             }
             FetchError::Corrupt { level, plane, detail } => {
                 write!(f, "segment ({level},{plane}) corrupt: {detail}")
