@@ -15,14 +15,29 @@
 //! (`get`, `len`, `write`, …) are excluded from that fan-out; they resolve
 //! only against the caller's own type.
 
-use crate::config::{in_scope, AnalyzeConfig};
+use crate::in_scope;
 use crate::parse::{Call, Callee, ParsedFile};
 use crate::report::Violation;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+/// `panic_reach`: library code that must route failures through `PmrError`
+/// instead of panicking — every panic site in a non-test fn here is a
+/// finding, reached or not. `crates/rng/src` is listed because it is the
+/// one random stream, and through pmr-sim and the trained models it feeds
+/// persisted artifacts.
+pub const PANIC_PATHS: &[&str] = &[
+    "crates/error/src",
+    "crates/codec/src",
+    "crates/mgard/src",
+    "crates/storage/src",
+    "crates/blockcodec/src",
+    "crates/core/src",
+    "crates/rng/src",
+];
+
 /// `panic_reach`: crates whose public entry points anchor the reachability
 /// walk — a panic site transitively reachable from one is a violation even
-/// outside `panic_paths`.
+/// outside [`PANIC_PATHS`].
 pub const ENTRY_PATHS: &[&str] = &[
     "crates/core/src",
     "crates/mgard/src",
@@ -126,7 +141,6 @@ pub struct Node {
     pub name: String,
     pub self_type: Option<String>,
     pub inherent: bool,
-    pub returns_result: bool,
     pub is_test: bool,
     pub rel_path: String,
 }
@@ -235,7 +249,6 @@ impl CallGraph {
                     name: func.name.clone(),
                     self_type: func.self_type.clone(),
                     inherent: func.inherent,
-                    returns_result: func.returns_result,
                     is_test: func.is_test,
                     rel_path: f.rel_path.clone(),
                 });
@@ -529,15 +542,15 @@ fn resolve_path(
 }
 
 /// The `panic_reach` lint: every panic-capable site in a function under
-/// `panic_paths`, or transitively reachable from a configured entry point
+/// [`PANIC_PATHS`], or transitively reachable from a configured entry point
 /// wherever it sits — reported at the site with the shortest entry chain
 /// (just the function itself when only its path puts it in scope).
-pub fn panic_reach(files: &[ParsedFile], graph: &CallGraph, cfg: &AnalyzeConfig) -> Vec<Violation> {
+pub fn panic_reach(files: &[ParsedFile], graph: &CallGraph) -> Vec<Violation> {
     let entries = graph.entries();
     let reach = graph.reachable_from(&entries);
     let mut out = Vec::new();
     for (i, node) in graph.nodes.iter().enumerate() {
-        if node.is_test || !(in_scope(cfg.panic_paths, &node.rel_path) || reach.dist[i].is_some()) {
+        if node.is_test || !(in_scope(PANIC_PATHS, &node.rel_path) || reach.dist[i].is_some()) {
             continue;
         }
         let f = &files[node.file];
@@ -634,8 +647,7 @@ mod tests {
                 "impl Parser {\n    fn array(&mut self) { panic!(\"bad\"); }\n}",
             ),
         ];
-        let cfg = AnalyzeConfig::default();
-        let report = crate::analyze_sources([pmrd, error, json].into_iter().chain(sources), &cfg);
+        let report = crate::analyze_sources([pmrd, error, json].into_iter().chain(sources));
         assert_eq!(report.count("panic_reach"), 0, "{}", report.summary());
 
         // Once `pmr-error` depends on `pmr-json`, the call may land there.
@@ -643,7 +655,7 @@ mod tests {
             "crates/error/Cargo.toml",
             "[package]\nname = \"pmr-error\"\n[dependencies]\npmr-json = { path = \"../json\" }\n",
         );
-        let report = crate::analyze_sources([pmrd, error, json].into_iter().chain(sources), &cfg);
+        let report = crate::analyze_sources([pmrd, error, json].into_iter().chain(sources));
         assert_eq!(report.count("panic_reach"), 1, "{}", report.summary());
         let v = &report.violations[0];
         assert_eq!(v.file, "crates/json/src/lib.rs");
@@ -671,7 +683,6 @@ mod tests {
 
     #[test]
     fn panic_reach_reports_transitive_sites_with_chain() {
-        let cfg = AnalyzeConfig::default();
         let (files, g) = build(&[
             (
                 "crates/sim/src/lib.rs",
@@ -680,7 +691,7 @@ mod tests {
             // Not reachable from any entry: no finding.
             ("crates/sim/src/other.rs", "fn lonely() { panic!(\"x\"); }"),
         ]);
-        let v = panic_reach(&files, &g, &cfg);
+        let v = panic_reach(&files, &g);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].lint, "panic_reach");
         assert!(v[0].message.contains("pmr_sim::retrieve → pmr_sim::step → pmr_sim::helper"));
@@ -689,14 +700,13 @@ mod tests {
 
     #[test]
     fn panic_reach_reports_every_site_under_panic_paths() {
-        let cfg = AnalyzeConfig::default();
         let (files, g) = build(&[
-            // core is a `panic_paths` crate: no entry needs to reach the fn.
+            // core is a `PANIC_PATHS` crate: no entry needs to reach the fn.
             ("crates/core/src/lib.rs", "fn lonely() { panic!(\"x\"); }"),
             // Scope does not propagate: nn is judged by reachability alone.
             ("crates/nn/src/lib.rs", "pub fn fit(x: Option<u8>) { x.unwrap(); }"),
         ]);
-        let v = panic_reach(&files, &g, &cfg);
+        let v = panic_reach(&files, &g);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].file, "crates/core/src/lib.rs");
         assert!(v[0].message.contains("(pmr_core::lonely)"), "{}", v[0].message);

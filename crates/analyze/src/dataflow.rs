@@ -1,17 +1,15 @@
-//! Statement-level dataflow lints on top of the call graph:
-//! `error_swallow` (a `Result` silently dropped on the data path) and
-//! `lock_order` (lock-acquisition cycles and self-deadlocks).
+//! Statement-level dataflow on top of the call graph: `lock_order`
+//! (lock-acquisition cycles and self-deadlocks) and the guard model it
+//! shares with `blocking_under_lock`.
 //!
-//! Both work on the same per-function body scan: a linear pass that
-//! assigns every code token its enclosing statement start, brace depth,
-//! and paren/bracket depth. That is enough to answer the questions these
-//! lints ask — "is this call the whole statement?", "is this `let _ =`?",
-//! "how long does this guard live?" — without a full expression parser,
-//! and it degrades conservatively: a construct the scan cannot shape is
-//! skipped, not guessed at.
+//! Both work on one per-function body scan, shared with the taint engine: a
+//! linear pass that assigns every code token its enclosing statement start
+//! and brace depth. That is enough to answer "how long does this guard
+//! live?" without a full expression parser, and it degrades
+//! conservatively: a construct the scan cannot shape is skipped, not
+//! guessed at.
 
 use crate::callgraph::CallGraph;
-use crate::config::in_scope;
 use crate::parse::{Callee, ParsedFile};
 use crate::report::Violation;
 use std::collections::{BTreeMap, BTreeSet};
@@ -84,149 +82,12 @@ impl BodyScan {
     }
 }
 
-/// Walk back from the callee name token to the start of the call's
-/// receiver/path expression, or `None` if the shape isn't a simple
-/// `a.b.name` / `a::b::name` / `name` chain.
-fn expr_start(ci: usize, callee: &Callee) -> Option<usize> {
-    match callee {
-        Callee::Free(_) => Some(ci),
-        Callee::Path(segs) => ci.checked_sub(2 * (segs.len() - 1)),
-        Callee::Method { recv, .. } => {
-            let chain = recv.as_deref()?;
-            let segs = chain.split('.').count();
-            ci.checked_sub(2 * segs)
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// error_swallow
-
-/// `error_swallow`: data-path crates where a discarded `Result` is a
-/// contract violation, not a style nit.
-pub const SWALLOW_PATHS: &[&str] = &[
-    "crates/codec/src",
-    "crates/mgard/src",
-    "crates/storage/src",
-    "crates/blockcodec/src",
-    "crates/core/src",
-    "crates/sim/src",
-    "crates/pmrd/src",
-];
-
-/// The `error_swallow` lint: `let _ = fallible()`, `.ok();` with the value
-/// dropped, and bare `fallible();` statements. Resolution comes from the
-/// call graph, so only calls known to return `Result` are flagged.
-pub fn error_swallow(files: &[ParsedFile], graph: &CallGraph) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (ni, node) in graph.nodes.iter().enumerate() {
-        if node.is_test || !in_scope(SWALLOW_PATHS, &node.rel_path) {
-            continue;
-        }
-        let f = &files[node.file];
-        let func = &f.fns[node.fn_idx];
-        let scan = BodyScan::new(f, func.body);
-        let mut flagged_stmts: BTreeSet<usize> = BTreeSet::new();
-
-        for (k, call) in func.calls.iter().enumerate() {
-            let targets = &graph.call_targets[ni][k];
-            let fallible = targets.iter().any(|&t| graph.nodes[t].returns_result);
-            if !fallible {
-                continue;
-            }
-            let s = scan.stmt_of(call.ci);
-            // `let _ = fallible_expr();` — the binding exists to discard.
-            let is_let_underscore = f.ct(s).is_ident("let")
-                && f.code.get(s + 1).is_some_and(|&ti| f.toks[ti].text == "_")
-                && f.code.get(s + 2).is_some_and(|&ti| f.toks[ti].is_punct('='));
-            if is_let_underscore && flagged_stmts.insert(s) {
-                let line = f.ct(s).line;
-                out.push(Violation::new(
-                    "error_swallow",
-                    f.rel_path.as_str(),
-                    line,
-                    format!(
-                        "`let _ = …` discards the `Result` of `{}`; handle it or propagate with `?`",
-                        first_qual(graph, targets)
-                    ),
-                    f.snippet(line),
-                ));
-                continue;
-            }
-            // Bare `fallible();` statement: the call *is* the statement and
-            // nothing consumes its value.
-            let Some(s0) = expr_start(call.ci, &call.callee) else { continue };
-            if s0 != s {
-                continue;
-            }
-            let Some(close) = matching_close(f, call.ci + 1) else { continue };
-            if f.code.get(close + 1).is_some_and(|&ti| f.toks[ti].is_punct(';'))
-                && flagged_stmts.insert(s)
-            {
-                out.push(Violation::new(
-                    "error_swallow",
-                    f.rel_path.as_str(),
-                    call.line,
-                    format!(
-                        "`{}` returns a `Result` that is silently discarded; use `?` or handle the error",
-                        first_qual(graph, targets)
-                    ),
-                    f.snippet(call.line),
-                ));
-            }
-        }
-
-        // `.ok();` — converts the error to `None` and drops it, no
-        // resolution needed: the form itself is the swallow.
-        for ci in (func.body.0 + 1)..func.body.1 {
-            let t = f.ct(ci);
-            if t.is_ident("ok")
-                && !f.in_test(ci)
-                && ci.checked_sub(1).is_some_and(|i| f.ct(i).is_punct('.'))
-                && f.code.get(ci + 1).is_some_and(|&ti| f.toks[ti].is_punct('('))
-                && f.code.get(ci + 2).is_some_and(|&ti| f.toks[ti].is_punct(')'))
-                && f.code.get(ci + 3).is_some_and(|&ti| f.toks[ti].is_punct(';'))
-                && flagged_stmts.insert(scan.stmt_of(ci))
-            {
-                out.push(Violation::new(
-                    "error_swallow",
-                    f.rel_path.as_str(),
-                    t.line,
-                    "`.ok();` drops the error on the floor; handle it, log it, or propagate with `?`",
-                    f.snippet(t.line),
-                ));
-            }
-        }
-    }
-    out
-}
+// lock_order
 
 fn first_qual(graph: &CallGraph, targets: &[usize]) -> String {
     targets.first().map_or_else(|| "<unresolved>".into(), |&t| graph.nodes[t].qual.clone())
 }
-
-/// Code index of the `)` matching the `(` at `open`, scanning forward.
-fn matching_close(p: &ParsedFile, open: usize) -> Option<usize> {
-    if !p.code.get(open).map(|&ti| &p.toks[ti]).is_some_and(|t| t.is_punct('(')) {
-        return None;
-    }
-    let mut depth = 0usize;
-    for ci in open..p.code.len() {
-        let t = p.ct(ci);
-        if t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(ci);
-            }
-        }
-    }
-    None
-}
-
-// ---------------------------------------------------------------------------
-// lock_order
 
 /// One lock acquisition site inside a function body. Shared with
 /// `blocking_under_lock` in [`crate::concurrency`], which reuses the same
@@ -478,65 +339,17 @@ mod tests {
     use crate::callgraph::CrateDeps;
     use crate::parse::parse_file;
 
-    fn run_both(sources: &[(&str, &str)]) -> (Vec<Violation>, Vec<Violation>) {
+    fn lock_order_of(sources: &[(&str, &str)]) -> Vec<Violation> {
         let mut files: Vec<ParsedFile> = sources.iter().map(|(p, s)| parse_file(p, s)).collect();
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
         let graph = CallGraph::build(&files, &CrateDeps::default());
         let acqs = acquisitions(&files, &graph);
-        (error_swallow(&files, &graph), lock_order(&files, &graph, &acqs))
-    }
-
-    #[test]
-    fn let_underscore_on_fallible_call_fires() {
-        let (es, _) = run_both(&[(
-            "crates/mgard/src/lib.rs",
-            "fn save() -> Result<(), E> { Ok(()) }\nfn go() { let _ = save(); }",
-        )]);
-        assert_eq!(es.len(), 1);
-        assert!(es[0].message.contains("pmr_mgard::save"));
-    }
-
-    #[test]
-    fn bare_discarded_fallible_call_fires() {
-        let (es, _) = run_both(&[(
-            "crates/mgard/src/lib.rs",
-            "fn save() -> Result<(), E> { Ok(()) }\nfn go() { save(); }",
-        )]);
-        assert_eq!(es.len(), 1);
-        assert!(es[0].message.contains("silently discarded"));
-    }
-
-    #[test]
-    fn consumed_or_propagated_results_do_not_fire() {
-        let (es, _) = run_both(&[(
-            "crates/mgard/src/lib.rs",
-            "fn save() -> Result<(), E> { Ok(()) }\nfn go() -> Result<(), E> { save()?; let r = save(); r }",
-        )]);
-        assert!(es.is_empty(), "{es:?}");
-    }
-
-    #[test]
-    fn dot_ok_dropped_fires_infallible_call_does_not() {
-        let (es, _) = run_both(&[(
-            "crates/storage/src/lib.rs",
-            "fn hint() {}\nfn go(file: &File) { file.sync_all().ok(); hint(); }",
-        )]);
-        assert_eq!(es.len(), 1);
-        assert!(es[0].message.contains(".ok()"));
-    }
-
-    #[test]
-    fn swallow_scope_is_respected() {
-        let (es, _) = run_both(&[(
-            "crates/nn/src/lib.rs",
-            "fn save() -> Result<(), E> { Ok(()) }\nfn go() { let _ = save(); }",
-        )]);
-        assert!(es.is_empty());
+        lock_order(&files, &graph, &acqs)
     }
 
     #[test]
     fn cyclic_lock_order_fires_on_both_edges() {
-        let (_, lo) = run_both(&[(
+        let lo = lock_order_of(&[(
             "crates/core/src/lib.rs",
             "impl S {\n fn ab(&self) { let g = self.a.lock().x(); let h = self.b.lock().x(); }\n fn ba(&self) { let g = self.b.lock().x(); let h = self.a.lock().x(); }\n}",
         )]);
@@ -546,7 +359,7 @@ mod tests {
 
     #[test]
     fn consistent_lock_order_is_clean() {
-        let (_, lo) = run_both(&[(
+        let lo = lock_order_of(&[(
             "crates/core/src/lib.rs",
             "impl S {\n fn ab(&self) { let g = self.a.lock().x(); let h = self.b.lock().x(); }\n fn ab2(&self) { let g = self.a.lock().x(); let h = self.b.lock().x(); }\n}",
         )]);
@@ -555,7 +368,7 @@ mod tests {
 
     #[test]
     fn self_deadlock_fires() {
-        let (_, lo) = run_both(&[(
+        let lo = lock_order_of(&[(
             "crates/core/src/lib.rs",
             "impl S { fn go(&self) { let g = self.a.lock().x(); let h = self.a.lock().x(); } }",
         )]);
@@ -565,7 +378,7 @@ mod tests {
 
     #[test]
     fn transitive_lock_through_callee_builds_an_edge() {
-        let (_, lo) = run_both(&[(
+        let lo = lock_order_of(&[(
             "crates/core/src/lib.rs",
             "impl S {\n fn inner(&self) { let g = self.b.lock().x(); }\n fn outer(&self) { let g = self.a.lock().x(); self.inner(); }\n fn rev(&self) { let g = self.b.lock().x(); let h = self.a.lock().x(); }\n}",
         )]);

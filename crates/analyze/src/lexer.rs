@@ -1,11 +1,8 @@
 //! A minimal Rust token scanner.
 //!
-//! The lints in this crate are lexical: they look for panic-capable calls,
-//! `unsafe` keywords without `// SAFETY:` comments, suspicious `as` casts,
-//! and nondeterminism sources. None of that needs a full parse tree — it
-//! needs a token stream that *correctly* skips string literals and keeps
-//! comments (with line numbers) so waivers and SAFETY annotations can be
-//! matched to the code they cover. The workspace builds offline with no
+//! The parser and the lints read a token stream, not a full parse tree: one
+//! that *correctly* skips string literals and keeps comments (with line
+//! numbers) so waivers can be matched to the code they cover. The workspace builds offline with no
 //! `syn`, so this scanner is self-contained; it understands every literal
 //! form the workspace uses (raw strings, byte strings, raw identifiers,
 //! nested block comments, lifetimes vs. char literals).

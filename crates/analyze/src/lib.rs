@@ -11,8 +11,8 @@
 //! 1. **Per-file**: lex, parse the item tree ([`parse`]), run the lexical
 //!    lints ([`lints`]), collect waivers.
 //! 2. **Interprocedural** (whole workspace): build the module-aware call
-//!    graph ([`callgraph`]), run `panic_reach`, `error_swallow`, and
-//!    `lock_order` ([`dataflow`]) over it, the taint lints ([`taint`])
+//!    graph ([`callgraph`]), run `panic_reach` and `lock_order`
+//!    ([`dataflow`]) over it, the taint lints ([`taint`])
 //!    over per-function summaries computed to fixpoint, and
 //!    `blocking_under_lock` ([`concurrency`]) over `lock_order`'s guard
 //!    model.
@@ -22,13 +22,13 @@
 //!
 //! Run it as `pmrtool analyze [--root <dir>] [--report out.json]`; it exits
 //! nonzero when any unwaived violation exists. The scope table is compiled
-//! in: [`config::AnalyzeConfig::default`] for the lexical lints, a `const`
-//! beside every other lint; `pmrtool analyze --explain <id>`
-//! documents each lint ([`lints::EXPLAIN`]).
+//! in, a `const` beside each lint; `pmrtool analyze --explain <id>`
+//! documents each lint ([`lints::EXPLAIN`]). Undocumented `unsafe`, lossy
+//! casts, nondeterminism sources and discarded `Result`s are clippy's and
+//! rustc's, denied at the crate roots (DESIGN.md §8).
 
 pub mod callgraph;
 pub mod concurrency;
-pub mod config;
 pub mod dataflow;
 pub mod lexer;
 pub mod lints;
@@ -36,7 +36,6 @@ pub mod parse;
 pub mod report;
 pub mod taint;
 
-pub use config::AnalyzeConfig;
 pub use report::{Allowed, Report, Violation};
 
 use parse::ParsedFile;
@@ -47,7 +46,7 @@ use std::path::{Path, PathBuf};
 /// `crates/*/src/` tree, read beside each crate's `Cargo.toml`. Test,
 /// bench, and example trees are out of scope by construction — the lints
 /// guard *library* code on the data path.
-pub fn analyze_workspace(root: &Path, cfg: &AnalyzeConfig) -> Result<Report, PmrError> {
+pub fn analyze_workspace(root: &Path) -> Result<Report, PmrError> {
     let started = std::time::Instant::now();
     let mut files = Vec::new();
     let mut members = vec![root.to_path_buf()];
@@ -68,7 +67,7 @@ pub fn analyze_workspace(root: &Path, cfg: &AnalyzeConfig) -> Result<Report, Pmr
         let src = std::fs::read_to_string(&path).map_err(|e| PmrError::io_at(&path, e))?;
         inputs.push((rel_slash(root, &path), src));
     }
-    let mut report = analyze_sources(inputs.iter().map(|(p, s)| (p.as_str(), s.as_str())), cfg);
+    let mut report = analyze_sources(inputs.iter().map(|(p, s)| (p.as_str(), s.as_str())));
     report.wall_ms = Some(u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX));
     Ok(report)
 }
@@ -77,10 +76,7 @@ pub fn analyze_workspace(root: &Path, cfg: &AnalyzeConfig) -> Result<Report, Pmr
 /// pairs — what [`analyze_workspace`] runs and the fixture tests drive. A
 /// pair whose path ends in `Cargo.toml` is a crate manifest, read only for
 /// its dependencies.
-pub fn analyze_sources<'a>(
-    sources: impl IntoIterator<Item = (&'a str, &'a str)>,
-    cfg: &AnalyzeConfig,
-) -> Report {
+pub fn analyze_sources<'a>(sources: impl IntoIterator<Item = (&'a str, &'a str)>) -> Report {
     let (manifests, mut inputs): (Vec<_>, Vec<_>) =
         sources.into_iter().partition(|(path, _)| path.ends_with("Cargo.toml"));
     inputs.sort_by_key(|(path, _)| *path);
@@ -88,13 +84,12 @@ pub fn analyze_sources<'a>(
     // Phase 1 — per-file work, in path order.
     let files: Vec<ParsedFile> =
         inputs.iter().map(|(path, src)| parse::parse_file(path, src)).collect();
-    let mut raw: Vec<Violation> = files.iter().flat_map(|p| lints::lexical_raw(p, cfg)).collect();
+    let mut raw: Vec<Violation> = files.iter().flat_map(lints::send_sync_impl).collect();
 
     // Phase 2 — interprocedural lints over the whole file set.
     let deps = callgraph::CrateDeps::from_manifests(&manifests);
     let graph = callgraph::CallGraph::build(&files, &deps);
-    raw.extend(callgraph::panic_reach(&files, &graph, cfg));
-    raw.extend(dataflow::error_swallow(&files, &graph));
+    raw.extend(callgraph::panic_reach(&files, &graph));
     raw.extend(taint::taint_lints(&files, &graph));
     let acqs = dataflow::acquisitions(&files, &graph);
     raw.extend(dataflow::lock_order(&files, &graph, &acqs));
@@ -110,6 +105,11 @@ pub fn analyze_sources<'a>(
     }
     report.finalize();
     report
+}
+
+/// Whether `rel_path` lies under any prefix of the scope list `paths`.
+pub(crate) fn in_scope(paths: &[&str], rel_path: &str) -> bool {
+    paths.iter().any(|p| rel_path.starts_with(p))
 }
 
 /// Recursively collect `.rs` files under `dir` (missing dirs are fine).
@@ -151,13 +151,10 @@ mod tests {
 
     #[test]
     fn analyze_sources_aggregates_and_sorts() {
-        let report = analyze_sources(
-            [
-                ("crates/mgard/src/lib.rs", "fn f(x: Option<u8>) { x.unwrap(); }"),
-                ("crates/codec/src/lib.rs", "fn g() { panic!(\"boom\"); }"),
-            ],
-            &AnalyzeConfig::default(),
-        );
+        let report = analyze_sources([
+            ("crates/mgard/src/lib.rs", "fn f(x: Option<u8>) { x.unwrap(); }"),
+            ("crates/codec/src/lib.rs", "fn g() { panic!(\"boom\"); }"),
+        ]);
         assert_eq!(report.files_scanned, 2);
         assert_eq!(report.violations.len(), 2);
         assert_eq!(report.violations[0].file, "crates/codec/src/lib.rs");
@@ -166,7 +163,6 @@ mod tests {
 
     #[test]
     fn pipeline_is_deterministic_across_runs() {
-        let cfg = AnalyzeConfig::default();
         let sources = [
             (
                 "crates/sim/src/lib.rs",
@@ -174,21 +170,20 @@ mod tests {
             ),
             (
                 "crates/mgard/src/lib.rs",
-                "fn save() -> Result<(), E> { Ok(()) }\npub fn compress() { let _ = save(); }",
+                "impl S { fn go(&self) { let g = self.a.lock(); let h = self.a.lock(); } }",
             ),
         ];
-        let r1 = analyze_sources(sources, &cfg);
-        let r2 = analyze_sources(sources, &cfg);
+        let r1 = analyze_sources(sources);
+        let r2 = analyze_sources(sources);
         assert_eq!(r1.to_json(), r2.to_json());
         assert_eq!(r1.count("panic_reach"), 1);
-        assert_eq!(r1.count("error_swallow"), 1);
+        assert_eq!(r1.count("lock_order"), 1);
     }
 
     #[test]
     fn stale_inline_waiver_is_a_hard_error() {
-        let cfg = AnalyzeConfig::default();
-        let src = "// lint:allow(lossy_cast): no cast here anymore\nfn ok() {}";
-        let report = analyze_sources([("crates/mgard/src/lib.rs", src)], &cfg);
+        let src = "// lint:allow(panic_reach): nothing panics here anymore\nfn ok() {}";
+        let report = analyze_sources([("crates/mgard/src/lib.rs", src)]);
         assert_eq!(report.count("stale_suppression"), 1);
         assert_eq!(report.violations[0].line, 1);
     }
@@ -197,9 +192,9 @@ mod tests {
     fn live_waivers_are_not_stale() {
         let src = "// lint:allow(panic_reach): x is Some by construction\n\
                    fn f(x: Option<u8>) { x.unwrap(); }\n\
-                   // lint:allow(lossy_cast): bounded\n\
-                   fn g(k: usize) -> u32 { k as u32 }";
-        let report = analyze_sources([("crates/mgard/src/lib.rs", src)], &AnalyzeConfig::default());
+                   // lint:allow(panic_reach): y is Some by construction\n\
+                   fn g(y: Option<u8>) { y.unwrap(); }";
+        let report = analyze_sources([("crates/mgard/src/lib.rs", src)]);
         assert_eq!(report.allowed.len(), 2);
         assert!(report.is_clean(), "{}", report.summary());
     }

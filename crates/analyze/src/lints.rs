@@ -1,31 +1,26 @@
-//! The lint registry, the lexical lints, and the waiver machinery shared
+//! The lint registry, the one lexical lint, and the waiver machinery shared
 //! with the interprocedural passes.
 //!
 //! Every lint protects the same thing: the retriever's *error-bound
-//! contract*. A panic mid-retrieval, a silently dropped `Result`, a lock
-//! held across a segment fetch, a wrapped plane-length cast, or a
-//! nondeterministic fault schedule are not style problems — each one lets
-//! the system hand back data whose claimed bound is silently wrong. The
+//! contract*. A panic mid-retrieval, a lock held across a segment fetch, an
+//! allocation sized by an unchecked wire length, or a plane decoded before
+//! its checksum is compared are not style problems — each one lets the
+//! system hand back data whose claimed bound is silently wrong. The
 //! lints are deliberately conservative: they flag *forms* (and, for the
 //! interprocedural ones, call-graph over-approximations), and every
 //! accepted occurrence must carry a written justification inline:
 //! `// lint:allow(<id>): reason`. [`EXPLAIN`] is the one description of
 //! each lint; `pmrtool analyze --explain <id>` prints it.
 
-use crate::config::{in_scope, AnalyzeConfig};
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::Tok;
 use crate::parse::ParsedFile;
 use crate::report::{Allowed, Report, Violation};
 
 /// Lint identifiers, in report order.
-pub const LINT_IDS: [&str; 12] = [
+pub const LINT_IDS: [&str; 8] = [
     "panic_reach",
-    "error_swallow",
     "lock_order",
-    "unsafe_safety",
     "send_sync_impl",
-    "lossy_cast",
-    "nondeterminism",
     "taint_alloc",
     "taint_index",
     "checksum_gate",
@@ -37,11 +32,11 @@ pub const LINT_IDS: [&str; 12] = [
 /// `(id, semantics, known false-positive patterns, waiver guidance)`.
 /// This is the single source the CLI renders; `explain_table_is_exhaustive`
 /// keeps it in lockstep with the registry.
-pub const EXPLAIN: [(&str, &str, &str, &str); 12] = [
+pub const EXPLAIN: [(&str, &str, &str, &str); 8] = [
     (
         "panic_reach",
         "No `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in a non-test \
-         fn of the compress/retrieve/fetch crates (`panic_paths`), nor in any fn transitively \
+         fn of the compress/retrieve/fetch crates (`PANIC_PATHS`), nor in any fn transitively \
          reachable from a `compress*`/`retrieve*`/`fetch*`/bit-plane-kernel entry point of \
          the entry crates; failures must surface as `PmrError` so the error-bound contract \
          cannot be voided by an abort. Reported at the panic site with the shortest call \
@@ -50,15 +45,6 @@ pub const EXPLAIN: [(&str, &str, &str, &str); 12] = [
          chain through an unrelated impl can be reported.",
         "`// lint:allow(panic_reach): <invariant that makes the panic unreachable>` on or \
          above the panic site.",
-    ),
-    (
-        "error_swallow",
-        "No `let _ = fallible()`, no `.ok();` with the value dropped, and no bare \
-         `fallible();` statement: a discarded `Result` on the data path silently voids the \
-         caller's error bound.",
-        "Shutdown/cleanup paths where the error is genuinely unactionable (waive with that \
-         reasoning, not silence).",
-        "`// lint:allow(error_swallow): <why the error is unactionable here>`.",
     ),
     (
         "lock_order",
@@ -70,35 +56,12 @@ pub const EXPLAIN: [(&str, &str, &str, &str); 12] = [
         "`// lint:allow(lock_order): <why the order is acyclic / the guard is short>`.",
     ),
     (
-        "unsafe_safety",
-        "Every `unsafe` block or impl carries a `// SAFETY:` comment within the three lines \
-         above it.",
-        "None known; the check is purely lexical.",
-        "Write the `// SAFETY:` comment instead of waiving.",
-    ),
-    (
         "send_sync_impl",
         "No `unsafe impl Send`/`Sync`: asserted thread safety is something the compiler \
          cannot check, and the workspace has no site that needs it.",
         "None known.",
         "Not waivable — share the data through `Arc`/`Mutex`/atomics or scoped threads \
          instead; a design that truly needs the impl changes this lint in review.",
-    ),
-    (
-        "lossy_cast",
-        "No `as` casts to narrower integers and no evident float→int `as` casts in the \
-         codec/mgard/storage crates; use `try_from` or checked helpers.",
-        "Values already bounded by construction (e.g. a bit-plane index < 64).",
-        "`// lint:allow(lossy_cast): <the bound that makes the cast lossless>`.",
-    ),
-    (
-        "nondeterminism",
-        "No wall clocks, OS-seeded RNGs, or `HashMap`/`HashSet` in code that produces \
-         persisted artifacts, plans, or fault schedules: byte-identical reruns are part of \
-         the contract.",
-        "Clocks used only for operator-facing logging or latency metrics that never reach an \
-         artifact.",
-        "`// lint:allow(nondeterminism): <why the value never reaches persisted output>`.",
     ),
     (
         "taint_alloc",
@@ -162,122 +125,34 @@ pub fn explain(id: &str) -> Option<String> {
     })
 }
 
-const NARROW_INTS: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
-const WIDE_INTS: [&str; 6] = ["u64", "i64", "u128", "i128", "usize", "isize"];
-const FLOAT_TO_INT_FNS: [&str; 4] = ["round", "floor", "ceil", "trunc"];
-
-/// Raw (pre-waiver) lexical findings for one file: `unsafe_safety`,
-/// `send_sync_impl`, `lossy_cast`, `nondeterminism`. (Panic sites are
-/// collected by [`crate::parse`] and judged by `panic_reach`.)
-pub fn lexical_raw(p: &ParsedFile, cfg: &AnalyzeConfig) -> Vec<Violation> {
-    let rel_path = p.rel_path.as_str();
-    let safety_lines: Vec<usize> = p
-        .toks
-        .iter()
-        .filter(|t| !t.is_code() && t.text.contains("SAFETY:"))
-        .map(|t| t.line)
-        .collect();
-
-    let mut raw: Vec<Violation> = Vec::new();
-
+/// The one lexical lint, `send_sync_impl`: an `unsafe impl Send`/`Sync`
+/// outside test code. (Panic sites are collected by [`crate::parse`] and
+/// judged by `panic_reach`.)
+pub fn send_sync_impl(p: &ParsedFile) -> Vec<Violation> {
+    let mut raw = Vec::new();
     for ci in 0..p.code.len() {
         let t = p.ct(ci);
-        if p.in_test(ci) || t.kind != TokKind::Ident {
+        let next = |k: usize| p.code.get(ci + k).map(|&ti| &p.toks[ti]);
+        if p.in_test(ci) || !t.is_ident("unsafe") || !next(1).is_some_and(|n| n.is_ident("impl")) {
             continue;
         }
-        let next = |k: usize| p.code.get(ci + k).map(|&ti| &p.toks[ti]);
-
-        // L2 — unsafe audit (whole workspace).
-        if t.text == "unsafe" {
-            let documented =
-                safety_lines.iter().any(|&l| l <= t.line && t.line.saturating_sub(l) <= 3);
-            if !documented {
-                raw.push(Violation::new(
-                    "unsafe_safety",
-                    rel_path,
-                    t.line,
-                    "`unsafe` without a `// SAFETY:` comment in the 3 lines above it",
-                    p.snippet(t.line),
-                ));
-            }
-            if next(1).is_some_and(|n| n.is_ident("impl")) {
-                let trait_name = (2..40)
-                    .map_while(&next)
-                    .take_while(|n| !n.is_punct('{') && !n.is_ident("for"))
-                    .find(|n| n.is_ident("Send") || n.is_ident("Sync"))
-                    .map(|n| n.text.clone());
-                if let Some(name) = trait_name {
-                    raw.push(Violation::new(
-                        "send_sync_impl",
-                        rel_path,
-                        t.line,
-                        format!(
-                            "`unsafe impl {name}` asserts thread safety the compiler cannot \
-                             check; share the data through safe primitives instead (this \
-                             lint cannot be waived)"
-                        ),
-                        p.snippet(t.line),
-                    ));
-                }
-            }
-        }
-
-        // L3 — lossy casts in the codec/artifact crates.
-        if t.text == "as" && in_scope(cfg.cast_paths, rel_path) {
-            if let Some(target) = next(1).filter(|n| n.kind == TokKind::Ident) {
-                let narrow = NARROW_INTS.contains(&target.text.as_str());
-                let wide = WIDE_INTS.contains(&target.text.as_str());
-                if narrow || wide {
-                    let float_src = cast_source_is_float(p, ci);
-                    if narrow || float_src {
-                        let kind = if float_src {
-                            "float→int `as` cast saturates and drops fractions silently"
-                        } else {
-                            "integer `as` cast to a narrower type wraps silently"
-                        };
-                        raw.push(Violation::new(
-                            "lossy_cast",
-                            rel_path,
-                            t.line,
-                            format!(
-                                "{kind}; use `try_from`/checked conversion (cast to `{}`)",
-                                target.text
-                            ),
-                            p.snippet(t.line),
-                        ));
-                    }
-                }
-            }
-        }
-
-        // L4 — nondeterminism sources in artifact-producing code.
-        if in_scope(cfg.nondet_paths, rel_path) {
-            let clock = matches!(t.text.as_str(), "SystemTime" | "Instant")
-                && next(1).is_some_and(|n| n.is_punct(':'))
-                && next(2).is_some_and(|n| n.is_punct(':'))
-                && next(3).is_some_and(|n| n.is_ident("now"));
-            let rng = matches!(t.text.as_str(), "thread_rng" | "from_entropy");
-            let hash = matches!(t.text.as_str(), "HashMap" | "HashSet");
-            if clock || rng || hash {
-                let what = if clock {
-                    format!("`{}::now()` makes artifacts differ run to run", t.text)
-                } else if rng {
-                    format!("`{}` seeds from the OS; use an explicit seed", t.text)
-                } else {
-                    format!(
-                        "`{}` iteration order is nondeterministic; use `BTreeMap`/`Vec` \
-                         where order can reach persisted output",
-                        t.text
-                    )
-                };
-                raw.push(Violation::new(
-                    "nondeterminism",
-                    rel_path,
-                    t.line,
-                    what,
-                    p.snippet(t.line),
-                ));
-            }
+        let trait_name = (2..40)
+            .map_while(&next)
+            .take_while(|n| !n.is_punct('{') && !n.is_ident("for"))
+            .find(|n| n.is_ident("Send") || n.is_ident("Sync"))
+            .map(|n| n.text.clone());
+        if let Some(name) = trait_name {
+            raw.push(Violation::new(
+                "send_sync_impl",
+                p.rel_path.as_str(),
+                t.line,
+                format!(
+                    "`unsafe impl {name}` asserts thread safety the compiler cannot check; \
+                     share the data through safe primitives instead (this lint cannot be \
+                     waived)"
+                ),
+                p.snippet(t.line),
+            ));
         }
     }
     raw
@@ -320,42 +195,6 @@ pub fn apply_waivers(p: &ParsedFile, raw: Vec<Violation>, report: &mut Report) {
             p.snippet(w.line),
         ));
     }
-}
-
-/// Does the `as` at code index `ci` cast an evidently-float expression?
-/// Recognizes a float literal (`1.5 as i64`) and a trailing
-/// `.round()/.floor()/.ceil()/.trunc()` call chain.
-fn cast_source_is_float(p: &ParsedFile, ci: usize) -> bool {
-    let Some(i) = ci.checked_sub(1) else { return false };
-    let prev = p.ct(i);
-    if prev.kind == TokKind::Num {
-        let t = &prev.text;
-        return t.contains('.') || t.ends_with("f32") || t.ends_with("f64");
-    }
-    if prev.is_punct(')') {
-        // Walk back over the argument list to the matching `(`.
-        let mut depth = 0usize;
-        let mut j = i;
-        loop {
-            let t = p.ct(j);
-            if t.is_punct(')') {
-                depth += 1;
-            } else if t.is_punct('(') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            let Some(nj) = j.checked_sub(1) else { return false };
-            j = nj;
-        }
-        // `<expr>.round( … ) as` — ident directly before the `(`.
-        if let Some(k) = j.checked_sub(1) {
-            return FLOAT_TO_INT_FNS.contains(&p.ct(k).text.as_str())
-                && k.checked_sub(1).is_some_and(|d| p.ct(d).is_punct('.'));
-        }
-    }
-    false
 }
 
 /// An inline waiver parsed from a comment: `// lint:allow(a, b): reason`.
@@ -404,14 +243,13 @@ mod tests {
     use super::*;
     use crate::analyze_sources;
 
-    fn report_of(rel_path: &str, src: &str, cfg: &AnalyzeConfig) -> Report {
-        analyze_sources([(rel_path, src)], cfg)
+    fn report_of(rel_path: &str, src: &str) -> Report {
+        analyze_sources([(rel_path, src)])
     }
 
-    /// Lint `src` with every path-scoped lexical lint switched on.
+    /// Lint `src` at a path under every path-scoped lint.
     fn lints_of(src: &str) -> Vec<&'static str> {
-        let cfg = AnalyzeConfig { panic_paths: &[""], cast_paths: &[""], nondet_paths: &[""] };
-        report_of("crates/x/src/lib.rs", src, &cfg).violations.iter().map(|v| v.lint).collect()
+        report_of("crates/mgard/src/lib.rs", src).violations.iter().map(|v| v.lint).collect()
     }
 
     #[test]
@@ -443,19 +281,11 @@ mod tests {
         assert!(lints_of(src).is_empty());
         let src = "#[test]\nfn t() { x.unwrap(); }\n";
         assert!(lints_of(src).is_empty());
+        let src = "#[cfg(test)]\nmod tests {\n unsafe impl Send for P {}\n}\n";
+        assert!(lints_of(src).is_empty());
         // #[cfg(not(test))] guards production code: still linted.
         let src = "#[cfg(not(test))]\nfn g() { x.unwrap(); }\n";
         assert_eq!(lints_of(src), vec!["panic_reach"]);
-    }
-
-    #[test]
-    fn unsafe_requires_safety_comment() {
-        assert_eq!(lints_of("fn f() { unsafe { g() } }"), vec!["unsafe_safety"]);
-        let ok = "fn f() {\n // SAFETY: g has no preconditions\n unsafe { g() } }";
-        assert!(lints_of(ok).is_empty());
-        // Comment too far above does not count.
-        let far = "// SAFETY: stale\n\n\n\n\nfn f() { unsafe { g() } }";
-        assert_eq!(lints_of(far), vec!["unsafe_safety"]);
     }
 
     #[test]
@@ -468,76 +298,52 @@ mod tests {
     }
 
     #[test]
-    fn lossy_casts_fire_and_wide_lossless_do_not() {
-        assert_eq!(lints_of("fn f(x: u64) -> u32 { x as u32 }"), vec!["lossy_cast"]);
-        assert_eq!(lints_of("fn f(x: f64) -> i64 { x.round() as i64 }"), vec!["lossy_cast"]);
-        assert_eq!(lints_of("fn f() -> i64 { 1.5 as i64 }"), vec!["lossy_cast"]);
-        // Widening and same-width casts to 64-bit/usize are not flagged.
-        assert!(lints_of("fn f(x: u32) -> u64 { x as u64 }").is_empty());
-        assert!(lints_of("fn f(x: u32) -> usize { x as usize }").is_empty());
-        // Casts to float are fine.
-        assert!(lints_of("fn f(x: usize) -> f64 { x as f64 }").is_empty());
-    }
-
-    #[test]
-    fn nondeterminism_sources_fire() {
-        assert_eq!(lints_of("fn f() { let t = SystemTime::now(); }"), vec!["nondeterminism"]);
-        assert_eq!(lints_of("fn f() { let r = thread_rng(); }"), vec!["nondeterminism"]);
-        assert_eq!(lints_of("use std::collections::HashMap;"), vec!["nondeterminism"]);
-        // Deterministic relatives pass.
-        assert!(lints_of("use std::collections::BTreeMap;").is_empty());
-        // Instant without ::now (e.g. a type in a signature) passes.
-        assert!(lints_of("fn f(t: Instant) {}").is_empty());
-    }
-
-    #[test]
     fn inline_waiver_with_reason_suppresses() {
-        let cfg = AnalyzeConfig::default();
-        let src = "// lint:allow(lossy_cast): k < 64 planes by construction\nfn f(k: usize) -> u32 { k as u32 }";
-        let r = report_of("crates/mgard/src/lib.rs", src, &cfg);
+        let src = "// lint:allow(panic_reach): x is Some by construction\n\
+                   fn f(x: Option<u8>) { x.unwrap(); }";
+        let r = report_of("crates/mgard/src/lib.rs", src);
         assert!(r.is_clean(), "{}", r.summary());
         assert_eq!(r.allowed.len(), 1);
-        assert_eq!(r.allowed[0].reason, "k < 64 planes by construction");
+        assert_eq!(r.allowed[0].reason, "x is Some by construction");
         // Same-line waiver works too.
-        let src = "fn f(k: usize) -> u32 { k as u32 } // lint:allow(lossy_cast): bounded";
-        assert!(report_of("crates/mgard/src/lib.rs", src, &cfg).is_clean());
+        let src = "fn f(x: Option<u8>) { x.unwrap(); } // lint:allow(panic_reach): bounded";
+        assert!(report_of("crates/mgard/src/lib.rs", src).is_clean());
     }
 
     #[test]
     fn waiver_without_reason_is_ignored() {
         assert_eq!(
-            lints_of("// lint:allow(lossy_cast)\nfn f(k: usize) -> u32 { k as u32 }"),
-            vec!["lossy_cast"]
+            lints_of("// lint:allow(panic_reach)\nfn f(x: Option<u8>) { x.unwrap(); }"),
+            vec!["panic_reach"]
         );
     }
 
     #[test]
     fn scoping_limits_lints_to_their_paths() {
-        let hot: &[&str] = &["crates/hot"];
-        let cfg = AnalyzeConfig { panic_paths: hot, cast_paths: hot, nondet_paths: hot };
-        let src = "fn f(x: Option<u8>, y: u64) { x.unwrap(); let _ = y as u32; }";
-        assert!(report_of("crates/cold/src/lib.rs", src, &cfg).is_clean());
-        assert_eq!(report_of("crates/hot/src/lib.rs", src, &cfg).violations.len(), 2);
-        // unsafe_safety is workspace-wide regardless of scoping.
-        let u = "fn f() { unsafe { g() } }";
-        assert_eq!(report_of("crates/cold/src/lib.rs", u, &cfg).violations.len(), 1);
+        let src = "fn f(x: Option<u8>) { x.unwrap(); }";
+        assert!(report_of("crates/nn/src/lib.rs", src).is_clean());
+        assert_eq!(report_of("crates/mgard/src/lib.rs", src).violations.len(), 1);
+        // send_sync_impl is workspace-wide.
+        let u = "unsafe impl Sync for P {}";
+        assert_eq!(report_of("crates/nn/src/lib.rs", u).violations.len(), 1);
     }
 
     #[test]
     fn strings_and_comments_never_fire() {
-        let src = r#"fn f() { let s = "x.unwrap() panic! HashMap"; } // x.unwrap()"#;
+        let src = r#"fn f() { let s = "x.unwrap() panic! unsafe impl Send"; } // x.unwrap()"#;
         assert!(lints_of(src).is_empty());
     }
 
     #[test]
     fn waiver_hits_are_counted_per_waiver() {
-        let src = "// lint:allow(nondeterminism): display only\n\
-                   fn f(k: usize) -> u32 { let t = SystemTime::now(); k as u32 }\n\
-                   // lint:allow(lossy_cast): matches nothing on the next line\n";
-        let r = report_of("crates/mgard/src/lib.rs", src, &AnalyzeConfig::default());
+        let src = "// lint:allow(panic_reach): checked by the caller\n\
+                   fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
+                   // lint:allow(panic_reach): matches nothing on the next line\n\
+                   fn g() {}\n";
+        let r = report_of("crates/mgard/src/lib.rs", src);
         let lints: Vec<&str> = r.violations.iter().map(|v| v.lint).collect();
-        assert_eq!(lints, vec!["lossy_cast", "stale_suppression"], "{}", r.summary());
+        assert_eq!(lints, vec!["stale_suppression"], "{}", r.summary());
         assert_eq!(r.allowed.len(), 1);
-        assert_eq!(r.allowed[0].violation.lint, "nondeterminism");
+        assert_eq!(r.allowed[0].violation.lint, "panic_reach");
     }
 }

@@ -1,9 +1,9 @@
 //! A lightweight Rust item parser built on [`crate::lexer`].
 //!
-//! The interprocedural lints (panic reachability, error-swallowing
-//! dataflow, lock ordering) need more than a token stream: they need to
-//! know *which function* a token belongs to, what that function calls, and
-//! what it returns. This module produces exactly that — a per-file item
+//! The interprocedural lints (panic reachability, taint, lock ordering)
+//! need more than a token stream: they need to know *which function* a
+//! token belongs to and what that function calls. This module produces
+//! exactly that — a per-file item
 //! tree of functions with their call sites, panic-capable sites, and
 //! enclosing module/impl context — without pulling in `syn` (the workspace
 //! builds offline). It is deliberately a *recognizer*, not a full parser:
@@ -57,8 +57,6 @@ pub struct FnInfo {
     pub line: usize,
     /// Inside a `#[cfg(test)]` / `#[test]` region.
     pub is_test: bool,
-    /// The declared return type mentions `Result`.
-    pub returns_result: bool,
     /// Parameter binding names in declaration order (`self` excluded).
     /// Only simple `name: Type` bindings are captured; idents bound inside
     /// tuple/struct patterns are skipped — conservative for the taint
@@ -218,7 +216,6 @@ enum Pending {
 struct FnHeader {
     name: String,
     line: usize,
-    returns_result: bool,
     is_test: bool,
     params: Vec<String>,
 }
@@ -333,7 +330,6 @@ impl Parser<'_> {
                             mods,
                             line: h.line,
                             is_test: h.is_test,
-                            returns_result: h.returns_result,
                             params: h.params,
                             body: (ci, ci),
                             calls: Vec::new(),
@@ -669,10 +665,7 @@ impl Parser<'_> {
                 break;
             } else if t.is_punct('{') || t.is_punct(';') {
                 // Malformed (no arg list); bail where we are.
-                return (
-                    FnHeader { name, line, returns_result: false, is_test, params: Vec::new() },
-                    j,
-                );
+                return (FnHeader { name, line, is_test, params: Vec::new() }, j);
             }
             j += 1;
         }
@@ -702,30 +695,12 @@ impl Parser<'_> {
             }
             j += 1;
         }
-        // Return type region: from after `)` to the body `{`, `;`, or
-        // `where` — `Result` anywhere in it marks the fn fallible.
-        let mut returns_result = false;
+        // Skip the return type and any where clause to the body `{` or `;`.
         j += 1;
-        while let Some(t) = self.ct(j) {
-            if t.is_punct('{') || t.is_punct(';') {
-                break;
-            }
-            if t.is_ident("where") {
-                // Scan the where clause through to the body.
-                while let Some(t) = self.ct(j) {
-                    if t.is_punct('{') || t.is_punct(';') {
-                        break;
-                    }
-                    j += 1;
-                }
-                break;
-            }
-            if t.is_ident("Result") {
-                returns_result = true;
-            }
+        while self.ct(j).is_some_and(|t| !t.is_punct('{') && !t.is_punct(';')) {
             j += 1;
         }
-        (FnHeader { name, line, returns_result, is_test, params }, j)
+        (FnHeader { name, line, is_test, params }, j)
     }
 }
 
@@ -813,11 +788,9 @@ mod tests {
         assert_eq!(p.fns[0].name, "fetch");
         assert_eq!(p.fns[0].self_type.as_deref(), Some("Store"));
         assert!(p.fns[0].inherent);
-        assert!(p.fns[0].returns_result);
         assert_eq!(p.fns[0].qual(&p.module), "pmr_x::Store::fetch");
         assert_eq!(p.fns[1].name, "helper");
         assert!(p.fns[1].self_type.is_none());
-        assert!(!p.fns[1].returns_result);
     }
 
     #[test]

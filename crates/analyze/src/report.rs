@@ -143,7 +143,7 @@ mod tests {
     fn json_is_stable_and_sorted() {
         let mut r = Report {
             files_scanned: 2,
-            violations: vec![v("b.rs", 3, "panic_reach"), v("a.rs", 9, "lossy_cast")],
+            violations: vec![v("b.rs", 3, "panic_reach"), v("a.rs", 9, "lock_order")],
             allowed: vec![],
             wall_ms: None,
         };

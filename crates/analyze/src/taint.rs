@@ -32,8 +32,8 @@
 //! against the planes it holds).
 
 use crate::callgraph::CallGraph;
-use crate::config::in_scope;
 use crate::dataflow::BodyScan;
+use crate::in_scope;
 use crate::lexer::TokKind;
 use crate::parse::ParsedFile;
 use crate::report::Violation;

@@ -1,7 +1,7 @@
 //! Negative fixture: the entry point propagates errors, asserts are
 //! contract checks, the one `expect` it reaches carries a waiver, and the
 //! one bare panic sits in a helper no entry point can reach (so it is quiet
-//! off the `panic_paths` trees, and the only finding on them).
+//! off the `PANIC_PATHS` trees, and the only finding on them).
 
 pub fn retrieve_snapshot(bytes: &[u8]) -> Result<u32, String> {
     budget_for(checked(bytes))

@@ -1,6 +1,6 @@
 //! Positive fixture: direct panic forms in one fn, and a panic two hops
 //! below an entry point. Linted as `crates/mgard/src/fixture.rs` (a
-//! `panic_paths` tree) every marked line fires; linted as
+//! `PANIC_PATHS` tree) every marked line fires; linted as
 //! `crates/sim/src/fixture.rs` (an entry tree only) just the one that
 //! `retrieve_snapshot` reaches does.
 

@@ -22,6 +22,22 @@
 //! and group-tested embedded coding. None of these change the *shape* of
 //! the bytes-vs-error trade-off this baseline exists to exhibit.
 
+// Lossy casts, nondeterminism sources and discarded `Result`s, as
+// scoped to this crate (DESIGN.md §8); test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        unused_must_use,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+    )
+)]
+
 pub mod block;
 pub mod codec;
 pub mod lifting;

@@ -17,6 +17,10 @@ const MAGIC: &[u8; 6] = b"PMRB1\0";
 /// Fails with [`PmrError::Corrupt`] if a length no longer fits its `u32`
 /// wire field instead of wrapping it.
 pub fn to_bytes(c: &BlockCompressed) -> Result<Vec<u8>, PmrError> {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the payloads' total length is the size of memory they occupy"
+    )]
     let mut out = Vec::with_capacity(c.total_bytes() as usize + 1024);
     out.extend_from_slice(MAGIC);
     let name = c.name().as_bytes();

@@ -16,6 +16,22 @@
 //!   (SWAR + runtime-detected AVX2/NEON) that turn per-bit plane slicing
 //!   into whole-word copies. See DESIGN.md §10.
 
+// Lossy casts, nondeterminism sources and discarded `Result`s, as
+// scoped to this crate (DESIGN.md §8); test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        unused_must_use,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+    )
+)]
+
 pub mod bitstream;
 pub mod lossless;
 pub mod negabinary;

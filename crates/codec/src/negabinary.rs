@@ -20,13 +20,13 @@ pub const NEGABINARY_MASK: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 /// comfortably in well under 62 digits.
 #[inline]
 pub fn to_negabinary(v: i64) -> u64 {
-    (v as u64).wrapping_add(NEGABINARY_MASK) ^ NEGABINARY_MASK
+    v.cast_unsigned().wrapping_add(NEGABINARY_MASK) ^ NEGABINARY_MASK
 }
 
 /// Inverse of [`to_negabinary`].
 #[inline]
 pub fn from_negabinary(nb: u64) -> i64 {
-    (nb ^ NEGABINARY_MASK).wrapping_sub(NEGABINARY_MASK) as i64
+    (nb ^ NEGABINARY_MASK).wrapping_sub(NEGABINARY_MASK).cast_signed()
 }
 
 /// Zero the lowest `drop` digits of a negabinary pattern, i.e. keep only the

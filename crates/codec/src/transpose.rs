@@ -188,8 +188,12 @@ unsafe fn transpose64_avx2(x: &mut [u64; TILE]) {
     let mut j = 32usize;
     let mut m: u64 = 0x0000_0000_FFFF_FFFF;
     while j >= 4 {
-        let mv = _mm256_set1_epi64x(m as i64);
-        // lint:allow(lossy_cast): j <= 32 fits losslessly in i32
+        let mv = _mm256_set1_epi64x(m.cast_signed());
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_possible_wrap,
+            reason = "j <= 32 fits losslessly in i32"
+        )]
         let cnt = _mm_cvtsi32_si128(j as i32);
         let mut base = 0usize;
         while base < TILE {
@@ -219,7 +223,7 @@ unsafe fn transpose64_avx2(x: &mut [u64; TILE]) {
     // Partner vector [r2 r3 r0 r1]; t is valid in lanes 0-1 and re-applied
     // shifted to lanes 2-3.
     {
-        let mv = _mm256_set1_epi64x(0x3333_3333_3333_3333_u64 as i64);
+        let mv = _mm256_set1_epi64x(0x3333_3333_3333_3333_u64.cast_signed());
         let sh = _mm256_set_epi64x(2, 2, 0, 0);
         let mut k = 0usize;
         while k < TILE {
@@ -241,7 +245,7 @@ unsafe fn transpose64_avx2(x: &mut [u64; TILE]) {
     // Stage j = 1: pairs (r0,r1) and (r2,r3); partner [r1 r0 r3 r2], t valid
     // in even lanes, re-applied shifted-by-one to odd lanes.
     {
-        let mv = _mm256_set1_epi64x(0x5555_5555_5555_5555_u64 as i64);
+        let mv = _mm256_set1_epi64x(0x5555_5555_5555_5555_u64.cast_signed());
         let sh = _mm256_set_epi64x(1, 0, 1, 0);
         let mut k = 0usize;
         while k < TILE {

@@ -30,6 +30,10 @@
 //! workflow runs the quick grid per PR and the full 81-bound grid on a
 //! schedule.
 
+// Lossy casts, nondeterminism sources and discarded `Result`s, as
+// scoped to this crate (DESIGN.md §8); test code is exempt.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types,))]
+
 pub mod differential;
 pub mod faults;
 pub mod fields;

@@ -16,6 +16,19 @@
 //! retrieval strategies behind one interface, and [`experiment`] orchestrates
 //! the train-on-early / test-on-late evaluation protocol of §IV.
 
+// Lossy casts, nondeterminism sources and discarded `Result`s, as
+// scoped to this crate (DESIGN.md §8); test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        unused_must_use,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+    )
+)]
+
 pub mod api;
 pub mod dmgard;
 pub mod emgard;

@@ -5,6 +5,13 @@
 //! message and exit nonzero instead of unwinding, and so library callers can
 //! match on the failure class without string-parsing.
 
+// Lossy casts, nondeterminism sources and discarded `Result`s, as
+// scoped to this crate (DESIGN.md §8); test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap, clippy::cast_sign_loss,)
+)]
+
 mod reader;
 
 pub use reader::ByteReader;

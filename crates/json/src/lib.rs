@@ -6,6 +6,10 @@
 //! written with `{:?}` (Rust's shortest-roundtrip formatting) so a
 //! write→parse→write cycle is a fixed point.
 
+// Lossy casts, nondeterminism sources and discarded `Result`s, as
+// scoped to this crate (DESIGN.md §8); test code is exempt.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types,))]
+
 use std::fmt::Write as _;
 
 /// A JSON value. Object keys keep insertion order so output is stable.

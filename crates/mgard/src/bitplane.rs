@@ -69,8 +69,11 @@ pub struct LevelEncoding {
 /// coefficient quantizes to 0, ±inf never reaches here because the caller
 /// collapses the level first.
 #[inline(always)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "round-then-saturate is the documented NaN/inf quantization policy"
+)]
 pub(crate) fn quantize(c: f64, step: f64) -> i64 {
-    // lint:allow(lossy_cast): round-then-saturate is the documented NaN/inf quantization policy
     (c / step).round() as i64
 }
 
@@ -597,6 +600,7 @@ impl LevelEncoding {
         if count > (1 << 28) {
             return Err(r.malformed(format!("level of {count} coefficients exceeds 2^28")));
         }
+        #[expect(clippy::cast_possible_truncation, reason = "count <= 2^28, checked above")]
         let count = count as usize;
         let num_planes = r.u32()?;
         if !(3..=50).contains(&num_planes) {

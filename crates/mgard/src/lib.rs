@@ -34,6 +34,22 @@
 //! (D-MGARD) or learned constants `C_l` (E-MGARD) through the hooks exposed
 //! by [`retrieve`] and [`compress`].
 
+// Lossy casts, nondeterminism sources and discarded `Result`s, as
+// scoped to this crate (DESIGN.md §8); test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        unused_must_use,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+    )
+)]
+
 mod batched;
 pub mod bitplane;
 pub mod checksum;

@@ -149,7 +149,7 @@ pub fn read_header(r: &mut ByteReader<'_>) -> Result<(String, usize, Shape), Pmr
         return Err(r.malformed("name length exceeds 4096"));
     }
     let name = r.str(name_len)?.to_owned();
-    let timestep = r.u64()? as usize;
+    let timestep = usize::try_from(r.u64()?).map_err(|_| r.malformed("timestep exceeds usize"))?;
     let ndim = r.u32()? as usize;
     let dx = r.u32()? as usize;
     let dy = r.u32()? as usize;

@@ -12,6 +12,13 @@
 //! latency percentiles per rate. Exits non-zero if any run saw a
 //! protocol or transport error.
 
+// Lossy casts, nondeterminism sources and discarded `Result`s, as
+// scoped to this crate (DESIGN.md §8); test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(unused_must_use, clippy::let_underscore_must_use, clippy::unused_result_ok)
+)]
+
 use pmrd::load::reports_to_json;
 use pmrd::{run_load, ConnectAddr, LoadSpec, Target};
 use std::path::PathBuf;

@@ -15,6 +15,13 @@
 //! kill one shard of every dataset after a delay (degraded-mode chaos
 //! benchmarking). The daemon runs until SIGINT/SIGTERM kills the process.
 
+// Lossy casts, nondeterminism sources and discarded `Result`s, as
+// scoped to this crate (DESIGN.md §8); test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(unused_must_use, clippy::let_underscore_must_use, clippy::unused_result_ok)
+)]
+
 use pmr_storage::ShardConfig;
 use pmrd::{AdmissionConfig, Corpus, Daemon, DaemonConfig, Endpoint};
 use std::path::PathBuf;
@@ -197,7 +204,10 @@ fn main() {
 #[cfg(unix)]
 fn spawn_unix(daemon: &std::sync::Arc<Daemon>, path: &str) -> std::io::Result<pmrd::DaemonHandle> {
     // A stale socket file from a crashed daemon would fail the bind.
-    let _ = std::fs::remove_file(path);
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+        _ => {}
+    }
     daemon.spawn_unix(path)
 }
 

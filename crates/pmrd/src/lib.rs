@@ -24,6 +24,13 @@
 //!
 //! Wire protocol details live in [`protocol`].
 
+// Lossy casts, nondeterminism sources and discarded `Result`s, as
+// scoped to this crate (DESIGN.md §8); test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(unused_must_use, clippy::let_underscore_must_use, clippy::unused_result_ok)
+)]
+
 pub mod admission;
 pub mod cache;
 pub mod client;

@@ -431,6 +431,20 @@ pub enum Endpoint {
     Unix(PathBuf),
 }
 
+impl Endpoint {
+    /// Open and drop one connection: what wakes an acceptor parked in
+    /// `accept` to see the shutdown flag.
+    fn poke(&self) -> std::io::Result<()> {
+        match self {
+            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(drop),
+            #[cfg(unix)]
+            Endpoint::Unix(path) => UnixStream::connect(path).map(drop),
+            #[cfg(not(unix))]
+            Endpoint::Unix(_) => Ok(()),
+        }
+    }
+}
+
 enum Listener {
     Tcp(TcpListener),
     #[cfg(unix)]
@@ -481,6 +495,10 @@ impl PmrdStream {
 
     /// Shut the socket down in both directions, unblocking any thread
     /// mid-read on another handle to it.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "on a live handle this fails only with ENOTCONN, a peer already gone: the state it asks for"
+    )]
     fn shutdown_both(&self) {
         match self {
             PmrdStream::Tcp(s) => {
@@ -562,7 +580,8 @@ impl DaemonHandle {
 
     /// Stop accepting, cut live connections, and join every thread.
     /// Persistent clients see their connection close; an in-flight
-    /// request may still complete its current write.
+    /// request may still complete its current write. A thread that
+    /// panicked re-raises its panic here, once every thread is joined.
     pub fn stop(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Cut connections being served so blocked reads return. Workers
@@ -574,28 +593,32 @@ impl DaemonHandle {
                 conn.shutdown_both();
             }
         }
-        // Unblock the acceptor with a throwaway connection.
-        match &self.endpoint {
-            Endpoint::Tcp(addr) => {
-                let _ = TcpStream::connect(addr);
-            }
-            Endpoint::Unix(path) => {
-                #[cfg(unix)]
-                {
-                    let _ = UnixStream::connect(path);
-                }
-                #[cfg(not(unix))]
-                let _ = path;
-            }
-        }
+        let mut panicked = None;
         if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+            // A throwaway connection wakes the acceptor to see the flag. A
+            // failed connect (descriptors exhausted) is retried: without it
+            // the join below never returns.
+            while self.endpoint.poke().is_err() && !acceptor.is_finished() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            panicked = acceptor.join().err();
         }
         for worker in self.workers.drain(..) {
-            let _ = worker.join();
+            if let Err(panic) = worker.join() {
+                panicked.get_or_insert(panic);
+            }
         }
         if let Endpoint::Unix(path) = &self.endpoint {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "`stop` has no caller to tell; a socket file left behind fails the next bind at this path loudly"
+            )]
             let _ = std::fs::remove_file(path);
+        }
+        // Not while this thread unwinds already (`stop` from a `Drop`): a
+        // second panic would abort the process and lose the first.
+        if let Some(panic) = panicked.filter(|_| !std::thread::panicking()) {
+            std::panic::resume_unwind(panic);
         }
     }
 }

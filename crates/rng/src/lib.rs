@@ -8,6 +8,19 @@
 //! tests run on. The unit tests pin the outputs: changing a range map or the
 //! shuffle order changes every generated field and trained weight.
 
+// Lossy casts, nondeterminism sources and discarded `Result`s, as
+// scoped to this crate (DESIGN.md §8); test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+    )
+)]
+
 use std::ops::{Range, RangeInclusive};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
@@ -151,8 +164,11 @@ impl SampleRange<f32> for Range<f32> {
     }
 }
 
+/// Each type comes with the cast lints its final `as $t` trips: which ones
+/// depends on the type, and an `#[expect]` must be fulfilled by every
+/// instantiation.
 macro_rules! int_ranges {
-    ($($t:ty),*) => {$(
+    ($($t:ty: $($lint:ident),+;)*) => {$(
         impl SampleRange<$t> for Range<$t> {
             fn sample(self, rng: &mut Rng) -> $t {
                 assert!(self.start < self.end, "empty range");
@@ -161,18 +177,29 @@ macro_rules! int_ranges {
         }
 
         impl SampleRange<$t> for RangeInclusive<$t> {
+            #[expect(
+                $(clippy::$lint),+,
+                reason = "lo + below(span) <= hi, so the cast back is lossless"
+            )]
             fn sample(self, rng: &mut Rng) -> $t {
                 let (lo, hi) = self.into_inner();
                 assert!(lo <= hi, "empty range");
-                let span = (hi as i128 - lo as i128) as u128 + 1;
-                // lo + below(span) <= hi, so the cast back is lossless.
-                (lo as i128 + below(rng.next_u64(), span) as i128) as $t
+                let span = (hi as i128 - lo as i128).cast_unsigned() + 1;
+                // below(span) < span <= 2^64 fits an i128.
+                (lo as i128 + below(rng.next_u64(), span).cast_signed()) as $t
             }
         }
     )*};
 }
 
-int_ranges!(u8, u32, u64, usize, i32, i64);
+int_ranges! {
+    u8: cast_possible_truncation, cast_sign_loss;
+    u32: cast_possible_truncation, cast_sign_loss;
+    u64: cast_possible_truncation, cast_sign_loss;
+    usize: cast_sign_loss;
+    i32: cast_possible_truncation;
+    i64: cast_possible_truncation;
+}
 
 /// Run `body` on case `index` of the property `name` — what [`cases`] does
 /// for each index, and how a reported failure is replayed.

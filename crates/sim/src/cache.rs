@@ -61,7 +61,10 @@ impl DatasetCache {
         let f = warpx_field(cfg, field, t);
         // The freshly generated field is returned regardless; the next
         // call simply regenerates on a cache miss.
-        // lint:allow(error_swallow): cache write failures are non-fatal (e.g. read-only media)
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "cache write failures are non-fatal (e.g. read-only media)"
+        )]
         let _ = io::save(&f, &path);
         f
     }

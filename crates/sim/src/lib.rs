@@ -19,6 +19,19 @@
 //! operation combines the values of two grid points, so the worker count
 //! cannot change a value: every field is bit-identical at any count.
 
+// Lossy casts, nondeterminism sources and discarded `Result`s, as
+// scoped to this crate (DESIGN.md §8); test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        unused_must_use,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+    )
+)]
+
 use std::sync::OnceLock;
 
 pub mod cache;

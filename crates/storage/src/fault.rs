@@ -220,6 +220,7 @@ impl<S: SegmentStore> SegmentStore for FaultInjector<S> {
         // `bytes_mut` forgets any digest the read carried: what leaves here
         // corrupted is hashed afresh by whoever verifies it.
         if self.roll(SALT_TRUNCATE, key, attempt) < self.cfg.truncate && !read.bytes().is_empty() {
+            #[expect(clippy::cast_possible_truncation, reason = "any bits of a hash draw do")]
             let keep = (self.entropy(SALT_TRUNCATE, key, attempt) as usize) % read.bytes().len();
             read.bytes_mut().truncate(keep);
             self.record(key, attempt, FaultKind::Truncate(keep));
@@ -227,6 +228,7 @@ impl<S: SegmentStore> SegmentStore for FaultInjector<S> {
             && !read.bytes().is_empty()
         {
             let e = self.entropy(SALT_BITFLIP, key, attempt);
+            #[expect(clippy::cast_possible_truncation, reason = "any bits of a hash draw do")]
             let byte = (e as usize) % read.bytes().len();
             // `% 8` bounds the value; the fallback is the modulus cap.
             let bit = u8::try_from((e >> 48) % 8).unwrap_or(7);

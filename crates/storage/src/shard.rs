@@ -576,12 +576,16 @@ fn read_meta(dir: &Path) -> Result<ShardConfig, PmrError> {
             .copied()
             .ok_or_else(|| PmrError::malformed("shard.meta", format!("missing field {name}")))
     };
+    let get_usize = |name: &str| -> Result<usize, PmrError> {
+        usize::try_from(get(name)?)
+            .map_err(|_| PmrError::malformed("shard.meta", format!("{name} out of range")))
+    };
     let cfg = ShardConfig {
-        shards: get("shards")? as usize,
-        replication: get("replication")? as usize,
+        shards: get_usize("shards")?,
+        replication: get_usize("replication")?,
         hot_planes: u32::try_from(get("hot_planes")?)
             .map_err(|_| PmrError::malformed("shard.meta", "hot_planes out of range"))?,
-        vnodes: get("vnodes")? as usize,
+        vnodes: get_usize("vnodes")?,
         seed: get("seed")?,
     };
     cfg.validate().map_err(|e| PmrError::malformed("shard.meta", e.to_string()))?;

@@ -19,7 +19,7 @@
 //! Field files use the `pmr-field` binary format (`.pmrf`); artifacts the
 //! `pmr-mgard` persistence format (`.pmrc`).
 
-use pmr::analyze::{self, AnalyzeConfig};
+use pmr::analyze;
 use pmr::blockcodec::{persist as block_persist, BlockCompressed, BlockConfig};
 use pmr::conformance::{self, FaultGridConfig, SweepConfig};
 use pmr::core::{Backend, Dataset, RetrievalRequest, Theory};
@@ -483,8 +483,7 @@ fn run_analyze(args: &[String]) -> Result<(), String> {
         };
     }
     let root = PathBuf::from(flag_value(args, "--root")?.unwrap_or("."));
-    let report =
-        analyze::analyze_workspace(&root, &AnalyzeConfig::default()).map_err(|e| e.to_string())?;
+    let report = analyze::analyze_workspace(&root).map_err(|e| e.to_string())?;
     print!("{}", report.summary());
     if let Some(path) = flag_value(args, "--report")? {
         std::fs::write(path, report.to_json().to_pretty())
