@@ -10,7 +10,8 @@ use std::fs;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-const MAGIC: &[u8; 6] = b"PMRB1\0";
+/// The block artifact magic.
+pub const MAGIC: &[u8; 6] = b"PMRB1\0";
 
 /// Encode an artifact as bytes.
 ///

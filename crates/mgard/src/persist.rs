@@ -3,24 +3,20 @@
 //! The format is self-contained and versioned: everything retrieval needs —
 //! plane payloads, the collected error matrix, quantization steps, the
 //! decomposition parameters, the value range — round-trips, so an artifact
-//! written by a producer can be progressively read elsewhere.
-//!
-//! Two wire versions exist. `PMRC2` (current) carries a per-plane FNV-1a
-//! checksum table so bit rot in a payload is detected at load/fetch time
-//! instead of surfacing as silent reconstruction error; `PMRC1` (legacy,
-//! pre-checksum) is still readable — [`from_bytes`] dispatches on the magic —
-//! but no longer written: the pinned `tests/golden/poly-1d.legacy-v1.pmr`
-//! fixture is what keeps the read path honest.
+//! written by a producer can be progressively read elsewhere. A per-plane
+//! FNV-1a checksum table follows the header, and [`from_bytes`] checks every
+//! payload against it, so bit rot is an error at load time instead of silent
+//! reconstruction error.
 //!
 //! ```text
-//! magic "PMRC2\0"            ("PMRC1\0" = legacy, no checksum table)
+//! magic "PMRC2\0"
 //! name        u32 len + UTF-8 bytes
 //! timestep    u64
 //! shape       u32 ndim + 3 x u32 dims
 //! levels L    u32
 //! mode        u8 (0 = Interpolation, 1 = L2Projection)
 //! value_range f64
-//! [v2 only] checksum table, per level:
+//! checksum table, per level:
 //!             u32 num_planes, num_planes x u64 fnv1a64(payload)
 //! per level:  u64 count, u32 num_planes, f64 step,
 //!             (B+1) x f64 error row,
@@ -36,23 +32,21 @@ use std::fs;
 use std::io::Read;
 use std::path::Path;
 
-/// Legacy pre-checksum magic; artifacts with it load without verification.
-pub const MAGIC_V1: &[u8; 6] = b"PMRC1\0";
-/// Current magic: header is followed by a per-plane checksum table.
-pub const MAGIC_V2: &[u8; 6] = b"PMRC2\0";
+/// The artifact magic.
+pub const MAGIC: &[u8; 6] = b"PMRC2\0";
 
-/// Encode an artifact as bytes in the current checksummed format.
+/// Encode an artifact as bytes.
 ///
 /// Fails with [`PmrError::Corrupt`] if a length no longer fits its `u32`
 /// wire field — the cast-and-wrap alternative would silently persist an
 /// artifact that cannot round-trip.
 pub fn to_bytes(c: &Compressed) -> Result<Vec<u8>, PmrError> {
     let name = c.name().as_bytes();
-    let header = MAGIC_V2.len() + 4 + name.len() + 8 + 4 + 3 * 4 + 4 + 1 + 8;
+    let header = MAGIC.len() + 4 + name.len() + 8 + 4 + 3 * 4 + 4 + 1 + 8;
     let levels: usize =
         c.levels().iter().map(|l| 4 + 8 * l.num_planes() as usize + l.encoded_len()).sum();
     let mut out = Vec::with_capacity(header + levels);
-    out.extend_from_slice(MAGIC_V2);
+    out.extend_from_slice(MAGIC);
     out.extend_from_slice(&len_u32(name.len(), "field name length")?.to_le_bytes());
     out.extend_from_slice(name);
     out.extend_from_slice(&(c.timestep() as u64).to_le_bytes());
@@ -79,17 +73,14 @@ pub fn to_bytes(c: &Compressed) -> Result<Vec<u8>, PmrError> {
     Ok(out)
 }
 
-/// Parse an artifact previously produced by [`to_bytes`] (either wire
-/// version). For `PMRC2` inputs every plane payload is verified against the
-/// stored checksum table; a mismatch is a [`PmrError::Malformed`] naming the
-/// level and plane.
+/// Parse an artifact previously produced by [`to_bytes`]. Every plane
+/// payload is verified against the stored checksum table; a mismatch is a
+/// [`PmrError::Malformed`] naming the level and plane.
 pub fn from_bytes(buf: &[u8]) -> Result<Compressed, PmrError> {
     let mut r = ByteReader::new(buf, "mgard artifact");
-    let checksummed = match r.take(6)? {
-        m if m == MAGIC_V1 => false,
-        m if m == MAGIC_V2 => true,
-        _ => return Err(r.malformed("bad magic")),
-    };
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err(r.malformed("bad magic"));
+    }
     let (name, timestep, shape) = read_header(&mut r)?;
     let num_levels = r.u32()? as usize;
     if num_levels == 0 || num_levels > 64 {
@@ -107,33 +98,24 @@ pub fn from_bytes(buf: &[u8]) -> Result<Compressed, PmrError> {
         return Err(r.malformed("stored level count impossible for this shape"));
     }
 
-    let checksums: Option<Vec<Vec<u64>>> = if checksummed {
-        let mut table = Vec::with_capacity(num_levels);
-        for l in 0..num_levels {
-            let planes = r.u32()? as usize;
-            if planes > 256 {
-                return Err(
-                    r.malformed(format!("checksum table claims {planes} planes at level {l}"))
-                );
-            }
-            table.push((0..planes).map(|_| r.u64()).collect::<Result<_, _>>()?);
+    let mut table: Vec<Vec<u64>> = Vec::with_capacity(num_levels);
+    for l in 0..num_levels {
+        let planes = r.u32()? as usize;
+        if planes > 256 {
+            return Err(r.malformed(format!("checksum table claims {planes} planes at level {l}")));
         }
-        Some(table)
-    } else {
-        None
-    };
+        table.push((0..planes).map(|_| r.u64()).collect::<Result<_, _>>()?);
+    }
 
     let mut levels = Vec::with_capacity(num_levels);
-    for l in 0..num_levels {
+    for (l, stored) in table.iter().enumerate() {
         let enc = LevelEncoding::read_from(&mut r).map_err(|e| match e {
             PmrError::Malformed { what, detail } => {
                 PmrError::Malformed { what, detail: format!("level {l}: {detail}") }
             }
             e => e,
         })?;
-        if let Some(table) = &checksums {
-            verify_checksums(l, &enc, &table[l])?;
-        }
+        verify_checksums(l, &enc, stored)?;
         levels.push(enc);
     }
     r.done()?;
@@ -230,7 +212,7 @@ mod tests {
         (field, c)
     }
 
-    /// Byte offset where the checksum table starts for `c` (v2 layout).
+    /// Byte offset where the checksum table starts for `c`.
     fn table_offset(c: &Compressed) -> usize {
         6 + 4 + c.name().len() + 8 + 16 + 4 + 1 + 8
     }
@@ -253,24 +235,6 @@ mod tests {
             assert_eq!(r1.data(), r2.data());
             assert!(max_abs_error(field.data(), r2.data()) <= abs);
         }
-    }
-
-    #[test]
-    fn legacy_v1_blobs_still_load() {
-        let v1 = include_bytes!("../../../tests/golden/poly-1d.legacy-v1.pmr");
-        assert_eq!(&v1[..6], MAGIC_V1);
-        let c = from_bytes(v1).expect("legacy load");
-        // The two wire versions differ only by magic + checksum table.
-        let v2 = to_bytes(&c).expect("serialize");
-        let at = table_offset(&c);
-        let table: usize = c.levels().iter().map(|l| 4 + 8 * l.num_planes() as usize).sum();
-        assert_eq!(&v2[..6], MAGIC_V2);
-        assert_eq!(v2[6..at], v1[6..at]);
-        assert_eq!(v2[at + table..], v1[at..]);
-        // And the upgraded blob retrieves exactly what the legacy one does.
-        let rt = from_bytes(&v2).expect("upgraded load");
-        let plan = c.plan_theory(c.absolute_bound(1e-4));
-        assert_eq!(c.retrieve(&plan).data(), rt.retrieve(&plan).data());
     }
 
     #[test]
@@ -312,10 +276,6 @@ mod tests {
         let (_, c) = artifact();
         assert!(digests_hold(&c));
         assert!(digests_hold(&from_bytes(&to_bytes(&c).expect("serialize")).expect("roundtrip")));
-        // A PMRC1 blob has no table to check against, but what it loads to
-        // must still know its digests: they are what `to_bytes` writes.
-        let v1 = include_bytes!("../../../tests/golden/poly-1d.legacy-v1.pmr");
-        assert!(digests_hold(&from_bytes(v1).expect("legacy load")));
     }
 
     #[test]

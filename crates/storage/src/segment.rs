@@ -15,7 +15,7 @@
 //! synced once, and `open()` verifies every record, skipping torn or rotted
 //! ones and quarantining a torn tail instead of serving or appending after it.
 
-use pmr_error::{len_u32, PmrError};
+use pmr_error::{len_u32, ByteReader, PmrError};
 use pmr_mgard::checksum::fnv1a64;
 use pmr_mgard::Compressed;
 use std::collections::BTreeMap;
@@ -273,12 +273,10 @@ const TOMB_MAGIC: &[u8; 6] = b"PMRT1\0";
 /// Bytes of a record before its payload.
 const SEG_HEADER: usize = 26;
 
-/// The file a [`FileStore`] appends every record to. It takes the extension
-/// of the `PMRS1` records it holds, as the per-segment files before it did.
+/// The file a [`FileStore`] appends every record to.
 const LOG_FILE: &str = "segments.pmrs";
 
-/// Suffix of what open sets aside instead of serving: a segment file of the
-/// one-file-per-segment layout that fails verification, and the torn tail of the log
+/// Suffix of where open sets aside the torn tail of a log
 /// (`segments.pmrs.quarantine`).
 pub const QUARANTINE_SUFFIX: &str = ".quarantine";
 
@@ -302,58 +300,62 @@ fn record_header(
     Ok(head)
 }
 
+/// A record header as [`record_header`] writes it.
+struct Header {
+    /// A segment (`true`) or a tombstone.
+    live: bool,
+    key: SegmentKey,
+    /// Payload length.
+    len: usize,
+    /// FNV-1a of the payload.
+    sum: u64,
+}
+
+impl Header {
+    /// Whether `payload` has the length and checksum this header claims.
+    fn check(&self, payload: &[u8]) -> Result<(), String> {
+        if payload.len() != self.len {
+            return Err(format!(
+                "payload is {} bytes but the header claims {}",
+                payload.len(),
+                self.len
+            ));
+        }
+        if hash(payload) != self.sum {
+            return Err("payload checksum mismatch".to_string());
+        }
+        Ok(())
+    }
+}
+
+/// The header at the front of `rec` and the bytes after it; `None` if `rec`
+/// is shorter than a header or its magic is neither a segment's nor a
+/// tombstone's.
+fn parse_header(rec: &[u8]) -> Option<(Header, &[u8])> {
+    let mut r = ByteReader::new(rec, "segment record");
+    let live = match r.take(SEG_MAGIC.len()).ok()? {
+        m if m == SEG_MAGIC => true,
+        m if m == TOMB_MAGIC => false,
+        _ => return None,
+    };
+    let key = (r.u32().ok()? as usize, r.u32().ok()?);
+    let head = Header { live, key, len: r.u32().ok()? as usize, sum: r.u64().ok()? };
+    Some((head, r.rest()))
+}
+
 /// Validate a raw segment record against the key it is expected to hold
 /// and return the FNV-1a of its payload (`buf[SEG_HEADER..]`), now proved.
 /// `Err` carries a human-readable description of what is wrong (torn
 /// write, bit rot, wrong segment, ...).
 fn verify_segment(buf: &[u8], key: SegmentKey) -> Result<u64, String> {
-    if buf.len() < SEG_HEADER || &buf[..6] != SEG_MAGIC {
+    let Some((head, payload)) = parse_header(buf).filter(|(head, _)| head.live) else {
         return Err("bad segment header".to_string());
-    }
-    let word4 = |at: usize| -> Result<u32, String> {
-        let bytes: [u8; 4] = buf
-            .get(at..at + 4)
-            .and_then(|s| s.try_into().ok())
-            .ok_or_else(|| "bad segment header".to_string())?;
-        Ok(u32::from_le_bytes(bytes))
     };
-    let hdr_level = word4(6)?;
-    let hdr_plane = word4(10)?;
-    if hdr_level as usize != key.0 || hdr_plane != key.1 {
+    if head.key != key {
         return Err("segment header names a different (level, plane)".to_string());
     }
-    let len = word4(14)? as usize;
-    let sum_bytes: [u8; 8] = buf
-        .get(18..26)
-        .and_then(|s| s.try_into().ok())
-        .ok_or_else(|| "bad segment header".to_string())?;
-    let sum = u64::from_le_bytes(sum_bytes);
-    let payload = buf.get(SEG_HEADER..).unwrap_or(&[]);
-    if payload.len() != len {
-        return Err(format!("payload is {} bytes but the header claims {len}", payload.len()));
-    }
-    if hash(payload) != sum {
-        return Err("payload checksum mismatch".to_string());
-    }
-    Ok(sum)
-}
-
-/// Whether `rec` is exactly the tombstone `delete` appends for `key`.
-fn is_tombstone(rec: &[u8], key: SegmentKey) -> bool {
-    record_header(TOMB_MAGIC, key, &[]).is_ok_and(|head| rec == head)
-}
-
-/// Whether a record header at the front of `head` is a segment (`true`) or
-/// a tombstone, and the key and payload length it claims; `None` if the
-/// magic is neither.
-fn parse_header(head: &[u8]) -> Option<(bool, SegmentKey, usize)> {
-    let live = match head.get(..6)? {
-        m if m == SEG_MAGIC => true,
-        m if m == TOMB_MAGIC => false,
-        _ => return None,
-    };
-    let word4 = |at: usize| head.get(at..at + 4)?.try_into().ok().map(u32::from_le_bytes);
-    Some((live, (word4(6)? as usize, word4(10)?), word4(14)? as usize))
+    head.check(payload)?;
+    Ok(head.sum)
 }
 
 /// Every fsync of the store goes through here, so the unit tests can count
@@ -411,11 +413,16 @@ impl Window<'_> {
     /// The record at `at` if it verifies — a segment whose checksum holds,
     /// or a well-formed tombstone — as `(key, payload length, live)`.
     fn record_at(&mut self, at: u64) -> std::io::Result<Option<(SegmentKey, usize, bool)>> {
-        let Some(head) = self.get(at, SEG_HEADER)? else { return Ok(None) };
-        let Some((live, key, len)) = parse_header(head) else { return Ok(None) };
-        let Some(rec) = self.get(at, SEG_HEADER.saturating_add(len))? else { return Ok(None) };
-        let ok = if live { verify_segment(rec, key).is_ok() } else { is_tombstone(rec, key) };
-        Ok(ok.then_some((key, len, live)))
+        let Some((head, _)) = self.get(at, SEG_HEADER)?.and_then(parse_header) else {
+            return Ok(None);
+        };
+        let Some(rec) = self.get(at, SEG_HEADER.saturating_add(head.len))? else {
+            return Ok(None);
+        };
+        // A tombstone is a header over an empty payload.
+        let ok = (head.live || head.len == 0)
+            && head.check(rec.get(SEG_HEADER..).unwrap_or_default()).is_ok();
+        Ok(ok.then_some((head.key, head.len, head.live)))
     }
 
     /// The offset of the first record at or after `from` that verifies.
@@ -507,31 +514,6 @@ fn quarantine_tail(log: &File, path: &Path, from: u64, end: u64) -> Result<(), P
     sync(log, true).map_err(|e| PmrError::io_at(path, e))
 }
 
-/// The segment files (`seg_LLL_PPP.pmrs`) of the one-file-per-segment
-/// layout that preceded the log, in `dir`, sorted by key. Stale `.seg_*.tmp` files — a write that crashed before its
-/// rename, so the old segment is intact — are removed on the way.
-fn per_segment_files(dir: &Path) -> Result<Vec<(SegmentKey, PathBuf)>, PmrError> {
-    let mut files = Vec::new();
-    for entry in fs::read_dir(dir).map_err(|e| PmrError::io_at(dir, e))? {
-        let entry = entry.map_err(|e| PmrError::io_at(dir, e))?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        let path = entry.path();
-        if name.starts_with(".seg_") && name.ends_with(".tmp") {
-            fs::remove_file(&path).map_err(|e| PmrError::io_at(&path, e))?;
-            continue;
-        }
-        let Some(stem) = name.strip_prefix("seg_").and_then(|s| s.strip_suffix(".pmrs")) else {
-            continue;
-        };
-        let Some((l, k)) = stem.split_once('_') else { continue };
-        let (Ok(l), Ok(k)) = (l.parse::<usize>(), k.parse::<u32>()) else { continue };
-        files.push(((l, k), path));
-    }
-    files.sort_unstable();
-    Ok(files)
-}
-
 /// File-backed segment store: every segment of a directory is a record
 /// appended to one `segments.pmrs` log. A record is a 26-byte header
 /// (`"PMRS1\0"`, level, plane, payload length, FNV-1a checksum, all
@@ -545,10 +527,8 @@ fn per_segment_files(dir: &Path) -> Result<Vec<(SegmentKey, PathBuf)>, PmrError>
 /// `segments.pmrs.quarantine` before anything is appended behind it. A fetch
 /// is one positioned read of header and payload, verified again. A write
 /// appends a batch of records and syncs once, so `put` is durable when it
-/// returns. A directory in the earlier layout (one `seg_LLL_PPP.pmrs` file
-/// per segment) is imported into the log on open. Opening a clean log only
-/// reads it: the log is opened for writing by the first append, or by an
-/// open that has a torn tail to cut or files to import.
+/// returns. Opening a clean log only reads it: the log is opened for
+/// writing by the first append, or by an open that has a torn tail to cut.
 #[derive(Debug)]
 pub struct FileStore {
     dir: PathBuf,
@@ -622,13 +602,9 @@ impl FileStore {
     /// Open an existing store directory.
     ///
     /// Every record is verified; torn or rotted ones are not indexed, and a
-    /// torn tail is quarantined and cut off. Per-segment files that verify
-    /// are appended to the log in one synced batch and removed after it;
-    /// those that do not are renamed aside with [`QUARANTINE_SUFFIX`]; stale
-    /// `.tmp` files are removed. A directory with nothing to fix is only
-    /// read.
+    /// torn tail is quarantined and cut off. A log with nothing to fix is
+    /// only read, and no other file of `dir` is touched.
     pub fn open(dir: &Path) -> Result<Self, PmrError> {
-        let old_files = per_segment_files(dir)?;
         let path = dir.join(LOG_FILE);
         let io = |e| PmrError::io_at(&path, e);
         let (log, index, clean_end, end) = match File::open(&path) {
@@ -638,6 +614,8 @@ impl FileStore {
                 (OnceLock::from(log), index, clean_end, end)
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                // No log yet, but the store's directory must exist.
+                fs::metadata(dir).map_err(|e| PmrError::io_at(dir, e))?;
                 (OnceLock::new(), Vec::new(), 0, 0)
             }
             Err(e) => return Err(io(e)),
@@ -646,36 +624,12 @@ impl FileStore {
         if clean_end < end {
             quarantine_tail(appender.file(&path)?, &path, clean_end, end)?;
         }
-        let store = FileStore {
+        Ok(FileStore {
             dir: dir.to_path_buf(),
             log,
             index: RwLock::new(index),
             appender: Mutex::new(appender),
-        };
-        store.import(old_files)?;
-        Ok(store)
-    }
-
-    /// Move per-segment files into the log: those that verify in
-    /// one synced batch, each file removed only after that sync; those that
-    /// do not are renamed aside.
-    fn import(&self, files: Vec<(SegmentKey, PathBuf)>) -> Result<(), PmrError> {
-        let mut good = Vec::with_capacity(files.len());
-        for (key, path) in files {
-            let bytes = fs::read(&path).map_err(|e| PmrError::io_at(&path, e))?;
-            if verify_segment(&bytes, key).is_ok() {
-                good.push((key, path, bytes));
-            } else {
-                fs::rename(&path, quarantined(&path)).map_err(|e| PmrError::io_at(&path, e))?;
-            }
-        }
-        let records: Vec<Record> =
-            good.iter().map(|(key, _, bytes)| (*key, bytes.get(SEG_HEADER..))).collect();
-        self.append(&records)?;
-        for (_, path, _) in &good {
-            fs::remove_file(path).map_err(|e| PmrError::io_at(path, e))?;
-        }
-        Ok(())
+        })
     }
 
     /// Append `records` as one batch, sync it once, then index it. Nothing
@@ -911,6 +865,7 @@ mod tests {
             assert_eq!(a.bytes(), b.bytes());
             assert_eq!(a.bytes(), c.levels()[key.0].plane_payload(key.1));
         }
+        assert!(FileStore::open(&dir.join("missing")).is_err(), "a store directory must exist");
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1040,20 +995,29 @@ mod tests {
         FileStore::write_from(&c, &dir).unwrap();
         let log = dir.join(LOG_FILE);
         let before = fs::read(&log).unwrap();
+        // Files that are not the log are none of open's business.
+        let strays = [".seg_000_000.pmrs.tmp", "seg_000_000.pmrs"];
+        for name in strays {
+            fs::write(dir.join(name), name).unwrap();
+        }
         let mode = |path: &Path, mode| fs::set_permissions(path, fs::Permissions::from_mode(mode));
         mode(&log, 0o444).unwrap();
         mode(&dir, 0o555).unwrap();
-        let store = FileStore::open(&dir);
+        let (store, syncs) = passes(&SYNCS, || FileStore::open(&dir));
         mode(&dir, 0o755).unwrap();
         mode(&log, 0o644).unwrap();
         let store = store.unwrap();
+        assert_eq!(syncs, 0);
         let has_writer = || store.appender.lock().unwrap().file.is_some();
         assert!(!has_writer(), "a clean open holds no write handle");
         for key in store.keys() {
             assert_eq!(store.fetch(key).unwrap().bytes(), c.levels()[key.0].plane_payload(key.1));
         }
         assert_eq!(fs::read(&log).unwrap(), before);
-        assert_eq!(names_in(&dir), [LOG_FILE]);
+        assert_eq!(names_in(&dir), [strays[0], strays[1], LOG_FILE]);
+        for name in strays {
+            assert_eq!(fs::read(dir.join(name)).unwrap(), name.as_bytes());
+        }
         store.put((0, 0), b"x").unwrap();
         assert!(has_writer(), "the first append opens it");
         fs::remove_dir_all(&dir).ok();
@@ -1113,38 +1077,6 @@ mod tests {
         assert_eq!(store.fetch((0, 1)).unwrap().bytes(), big(11));
         assert_eq!(fs::metadata(&log).unwrap().len(), len, "mid-log garbage stays in place");
         assert_eq!(names_in(&dir), [LOG_FILE]);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn open_imports_per_segment_files_and_quarantines_what_fails() {
-        let c = artifact();
-        let dir = scratch("per_file");
-        fs::create_dir_all(&dir).unwrap();
-        // One file per segment, as the earlier layout wrote them.
-        let mut keys = Vec::new();
-        for (l, lvl) in c.levels().iter().enumerate() {
-            for k in 0..lvl.num_planes() {
-                let file = record(SEG_MAGIC, (l, k), lvl.plane_payload(k));
-                fs::write(dir.join(format!("seg_{l:03}_{k:03}.pmrs")), file).unwrap();
-                keys.push((l, k));
-            }
-        }
-        let torn = dir.join("seg_000_000.pmrs");
-        let bytes = fs::read(&torn).unwrap();
-        fs::write(&torn, &bytes[..bytes.len() - 1]).unwrap();
-        let stale = dir.join(".seg_099_099.pmrs.tmp");
-        fs::write(&stale, b"partial").unwrap();
-
-        let (store, syncs) = passes(&SYNCS, || FileStore::open(&dir).unwrap());
-        assert_eq!(syncs, 2, "the new log's directory entry and the imported batch");
-        assert_eq!(store.keys(), keys[1..]);
-        for &(l, k) in &keys[1..] {
-            assert_eq!(store.fetch((l, k)).unwrap().bytes(), c.levels()[l].plane_payload(k));
-        }
-        assert_eq!(names_in(&dir), ["seg_000_000.pmrs.quarantine", LOG_FILE]);
-        drop(store);
-        assert_eq!(FileStore::open(&dir).unwrap().keys(), keys[1..], "imported once");
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -249,9 +249,7 @@ impl ShardedStore {
     }
 
     /// Open a directory written by [`ShardedStore::write_files`]. Each
-    /// shard directory is verified on open (torn records are skipped and a
-    /// torn tail quarantined by [`FileStore::open`], which also imports a
-    /// directory in the earlier one-file-per-segment layout). Attach the
+    /// shard directory is verified on open ([`FileStore::open`]). Attach the
     /// manifest afterwards to enable read-time checksum fallback and `scrub`.
     pub fn open_dir(dir: &Path) -> Result<Self, PmrError> {
         let cfg = read_meta(dir)?;

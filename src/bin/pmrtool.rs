@@ -228,8 +228,8 @@ fn sniff_codec(path: &Path) -> Result<&'static str, String> {
     let mut f = std::fs::File::open(path).map_err(|e| e.to_string())?;
     std::io::Read::read_exact(&mut f, &mut buf).map_err(|e| e.to_string())?;
     match &buf {
-        b"PMRC1\0" | b"PMRC2\0" => Ok("multilevel"),
-        b"PMRB1\0" => Ok("block"),
+        persist::MAGIC => Ok("multilevel"),
+        block_persist::MAGIC => Ok("block"),
         _ => Err("unrecognised artifact magic".into()),
     }
 }

@@ -489,7 +489,7 @@ fn analyze_catches_planted_regressions() {
         // PR 20: a level is decoded with its digests never compared.
         (
             "crates/mgard/src/persist.rs",
-            &[("            verify_checksums(l, &enc, &table[l])?;\n", "")],
+            &[("        verify_checksums(l, &enc, stored)?;\n", "")],
             "checksum_gate",
         ),
         // PR 9: a wire count sizes a Vec without the frame cap.

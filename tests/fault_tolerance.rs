@@ -1,16 +1,18 @@
 //! Fault-tolerant retrieval end to end: file-backed segment stores under
-//! injected faults, on-disk corruption caught by checksums, and
-//! backward-compatible loading of pre-checksum (`PMRC1`) artifacts.
+//! injected faults, on-disk corruption caught by checksums, and no artifact
+//! loaded without them.
 
 mod common;
 
 use std::path::PathBuf;
+use std::process::Command;
 
 use pmr::conformance::{check_outcome, Verdict};
 use pmr::core::{retrieve, Backend, Dataset, RetrievalRequest, Theory};
 use pmr::field::{Field, Shape};
 use pmr::mgard::{persist, CompressConfig, Compressed};
 use pmr::storage::{FaultConfig, FaultInjector, FileStore, TolerantConfig};
+use pmr::PmrError;
 
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pmr_fault_test_{tag}_{}", std::process::id()));
@@ -94,30 +96,26 @@ fn on_disk_corruption_is_caught_and_degrades_honestly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Pre-checksum (`PMRC1`) blobs written before this release still load —
-/// the checked-in legacy golden is the proof — and upgrade to a `PMRC2`
-/// blob that retrieves the very same field.
+/// A pre-checksum `PMRC1` blob — a golden without its checksum table, under
+/// the retired magic — is refused, by the loader and by `pmrtool info`:
+/// no load skips verification.
 #[test]
-fn legacy_v1_golden_artifact_still_loads() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/poly-1d.legacy-v1.pmr");
-    let blob = std::fs::read(&path).expect("legacy fixture checked in");
-    assert_eq!(&blob[..6], b"PMRC1\0");
+fn a_pre_checksum_blob_is_refused() {
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/poly-1d.pmr");
+    let v2 = std::fs::read(&golden).expect("golden checked in");
+    let c = persist::from_bytes(&v2).expect("golden loads");
+    // Magic, name, timestep, shape, level count, mode and value range
+    // precede the table.
+    let at = 6 + 4 + c.name().len() + 8 + 16 + 4 + 1 + 8;
+    let table: usize = c.levels().iter().map(|l| 4 + 8 * l.num_planes() as usize).sum();
+    let v1 = [&b"PMRC1\0"[..], &v2[6..at], &v2[at + table..]].concat();
+    let err = persist::from_bytes(&v1).expect_err("a PMRC1 blob is refused");
+    assert!(matches!(&err, PmrError::Malformed { detail, .. } if detail == "bad magic"), "{err}");
 
-    let c = persist::from_bytes(&blob).expect("v1 blob must keep loading");
-    assert_eq!(c.name(), "poly-1d");
-
-    // The current writer upgrades it to a checksummed v2 blob that also
-    // round-trips (`persist::tests` pins the byte layout of the upgrade).
-    let v2 = persist::to_bytes(&c).expect("serialize");
-    assert_eq!(&v2[..6], b"PMRC2\0");
-    assert!(v2.len() > blob.len(), "v2 adds the checksum table");
-    let reparsed = persist::from_bytes(&v2).expect("v2 round-trip");
-    assert_eq!(persist::to_bytes(&reparsed).unwrap(), v2);
-
-    // And the decoded artifact still honours the theory contract, with the
-    // upgraded blob retrieving exactly what the legacy one does.
-    let bound = c.absolute_bound(1e-3);
-    let plan = c.plan_theory(bound);
-    assert!(plan.estimated_error <= bound);
-    assert_eq!(c.retrieve(&plan).data(), reparsed.retrieve(&plan).data());
+    let dir = tempdir("pmrc1");
+    let path = dir.join("v1.pmrc");
+    std::fs::write(&path, &v1).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_pmrtool")).arg("info").arg(&path).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -12,18 +12,15 @@
 //! * A crash at any byte of a segment append leaves the old generation or
 //!   the new one — never a torn record — and a later append is not lost
 //!   behind the torn tail.
-//!
-//! It also opens a corpus in the earlier one-file-per-segment layout.
 
 mod common;
 
 use pmr::conformance::{check_outcome, Verdict};
 use pmr::core::{retrieve, Backend, Dataset, RetrievalRequest, Theory};
 use pmr::field::{Field, Shape};
-use pmr::mgard::{persist, CompressConfig, Compressed};
+use pmr::mgard::{CompressConfig, Compressed};
 use pmr::storage::{
-    scrub, FileStore, MutableSegmentStore, SegmentStore, ShardConfig, ShardedStore,
-    QUARANTINE_SUFFIX,
+    FileStore, MutableSegmentStore, SegmentStore, ShardConfig, ShardedStore, QUARANTINE_SUFFIX,
 };
 use std::path::Path;
 
@@ -170,43 +167,6 @@ fn crash_during_write_leaves_old_or_new_segment_never_torn() {
             assert_eq!(read.bytes(), &old[i * 100..], "header byte {at}");
         }
         assert_eq!(std::fs::read(&log).unwrap(), rotted, "mid-log rot stays in place");
-    }
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
-fn a_corpus_in_the_per_segment_file_layout_is_imported_and_serves_bit_identically() {
-    // `pmrtool shard --shards 3 --replication 2 --hot-planes 1` output of the
-    // one-file-per-segment layout, over a 9^3 field.
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent-layout");
-    let c = persist::load(&fixture.join("field.pmrc")).expect("fixture manifest");
-    let root = std::env::temp_dir().join(format!("pmr_parent_layout_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let corpus = root.join("corpus");
-    common::copy_tree(&fixture.join("corpus"), &corpus);
-
-    let ds = Dataset::new(&c);
-    for open in ["import", "reopen"] {
-        let mut store = ShardedStore::open_dir(&corpus).expect("open the corpus");
-        store.attach_manifest(&c);
-        let report = scrub(&store).expect("scrub");
-        assert!(report.clean(), "{open}: {}", report.summary());
-        for rel in [1e-1, 1e-3, 1e-6] {
-            let req = RetrievalRequest::rel(rel);
-            let direct = retrieve(&ds, &Theory, &req, &Backend::Direct).expect("direct");
-            let backend = Backend::store(&store);
-            let got = retrieve(&ds, &Theory, &req, &backend).expect("store retrieval");
-            assert!(!got.is_degraded(), "{open} rel {rel}: {:?}", got.degraded);
-            assert_eq!(got.field.data(), direct.field.data(), "{open} rel {rel}");
-            assert_eq!(got.planes, direct.planes, "{open} rel {rel}");
-        }
-    }
-    for sub in ["shard_000", "shard_001", "shard_002", "hot"] {
-        let names: Vec<String> = std::fs::read_dir(corpus.join(sub))
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(names, ["segments.pmrs"], "{sub} holds its log and nothing else");
     }
     let _ = std::fs::remove_dir_all(&root);
 }
