@@ -66,14 +66,6 @@ impl BlockCompressed {
         }
     }
 
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    pub fn shape(&self) -> Shape {
-        self.shape
-    }
-
     /// Bit-planes in the stream.
     pub fn num_planes(&self) -> u32 {
         self.encoding.num_planes()
@@ -140,29 +132,9 @@ impl BlockCompressed {
         Field::new(self.name.clone(), self.timestep, self.shape, data)
     }
 
-    /// Timestep of the source snapshot.
-    pub fn timestep(&self) -> usize {
-        self.timestep
-    }
-
-    /// The embedded plane stream (for persistence).
+    /// The embedded plane stream.
     pub fn encoding(&self) -> &LevelEncoding {
         &self.encoding
-    }
-
-    /// Rebuild from persisted parts (see [`crate::persist`]); validates
-    /// that the coefficient count matches the block layout of `shape`.
-    pub fn from_parts(
-        name: String,
-        timestep: usize,
-        shape: Shape,
-        encoding: LevelEncoding,
-        value_range: f64,
-    ) -> Option<Self> {
-        if encoding.count() != block::num_blocks(shape) * BLOCK_LEN {
-            return None;
-        }
-        Some(BlockCompressed { name, timestep, shape, encoding, value_range })
     }
 }
 

@@ -21,6 +21,9 @@
 //! exponents (one global scale is used), the exact ZFP lifting butterfly,
 //! and group-tested embedded coding. None of these change the *shape* of
 //! the bytes-vs-error trade-off this baseline exists to exhibit.
+//!
+//! The codec is in-memory only: it has no file format, and its one user
+//! outside tests is the `baseline_block` bench.
 
 // Lossy casts, nondeterminism sources and discarded `Result`s, as
 // scoped to this crate (DESIGN.md §8); test code is exempt.
@@ -41,6 +44,5 @@
 pub mod block;
 pub mod codec;
 pub mod lifting;
-pub mod persist;
 
 pub use codec::{BlockCompressed, BlockConfig};

@@ -199,25 +199,6 @@ pub fn sim_slices() -> Vec<Field> {
     vec![gs_field, wx]
 }
 
-/// `max - min` over the finite values only (0 when none are finite).
-/// The bound scale for non-finite classes, where `Field::value_range`
-/// would itself be NaN.
-pub fn finite_value_range(field: &Field) -> f64 {
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &v in field.data() {
-        if v.is_finite() {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-    }
-    if hi >= lo {
-        hi - lo
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,7 +229,8 @@ mod tests {
                 FieldClass::NanLaced => {
                     assert!(field.data().iter().any(|v| v.is_nan()));
                     assert!(field.data().iter().any(|v| v.is_infinite()));
-                    assert!(finite_value_range(&field) > 0.0);
+                    let (lo, hi) = field.finite_min_max();
+                    assert!(hi > lo);
                 }
                 _ => {
                     assert!(field.data().iter().all(|v| v.is_finite()), "{}", class.label());

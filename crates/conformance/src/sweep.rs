@@ -23,7 +23,7 @@
 //! checks: compression never panics, the reconstruction is always finite,
 //! and artifacts survive a byte roundtrip.
 
-use crate::fields::{catalogue, finite_value_range, sim_slices, FieldClass};
+use crate::fields::{catalogue, sim_slices, FieldClass};
 use pmr_core::experiment::{train_on, ExperimentConfig};
 use pmr_core::features::retrieval_features;
 use pmr_core::{sweep_strategy, DMgardConfig, EMgardConfig, Retriever, SweepPoint, Theory};
@@ -280,7 +280,8 @@ impl ConformanceReport {
 /// finite magnitude for constant fields (range 0) so relative bounds stay
 /// meaningful.
 fn bound_scale(field: &Field) -> f64 {
-    let range = finite_value_range(field);
+    let (lo, hi) = field.finite_min_max();
+    let range = hi - lo;
     if range > 0.0 {
         return range;
     }

@@ -13,10 +13,8 @@ use pmr_field::{Field, Shape};
 use std::convert::Infallible;
 use std::sync::OnceLock;
 
-/// Compression parameters.
-///
-/// Prefer [`CompressConfig::builder`], which validates the knobs; direct
-/// field construction remains available for backward compatibility.
+/// Compression parameters. [`CompressConfig::validate`] checks the knobs
+/// a literal can set out of range.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressConfig {
     /// Number of coefficient levels `L` (clamped to the shape's maximum).
@@ -47,85 +45,23 @@ impl Default for CompressConfig {
 }
 
 impl CompressConfig {
-    /// A validating builder over these parameters.
-    pub fn builder() -> CompressConfigBuilder {
-        CompressConfigBuilder::default()
+    /// Reject `levels == 0` and a `num_planes` outside `3..=50`.
+    pub fn validate(&self) -> Result<(), PmrError> {
+        if self.levels == 0 {
+            return Err(PmrError::invalid_config("levels must be >= 1"));
+        }
+        if !(3..=50).contains(&self.num_planes) {
+            return Err(PmrError::invalid_config(format!(
+                "num_planes must lie in 3..=50, got {}",
+                self.num_planes
+            )));
+        }
+        Ok(())
     }
 
     /// The execution policy implied by the `threads`/`kernel` knobs.
     pub fn exec(&self) -> ExecPolicy {
         ExecPolicy { threads: self.threads, kernel: self.kernel }
-    }
-}
-
-/// Builder for [`CompressConfig`] that validates every knob at `build` time.
-#[derive(Debug, Clone, Default)]
-pub struct CompressConfigBuilder {
-    levels: Option<usize>,
-    num_planes: Option<u32>,
-    mode: Option<TransformMode>,
-    threads: Option<usize>,
-    kernel: Option<PlaneKernel>,
-}
-
-impl CompressConfigBuilder {
-    /// Number of coefficient levels `L` (must be ≥ 1; clamped to the shape's
-    /// maximum at compression time).
-    pub fn levels(mut self, levels: usize) -> Self {
-        self.levels = Some(levels);
-        self
-    }
-
-    /// Bit-planes per level `B` (must lie in `3..=50`).
-    pub fn num_planes(mut self, num_planes: u32) -> Self {
-        self.num_planes = Some(num_planes);
-        self
-    }
-
-    /// Multilevel transform variant.
-    pub fn mode(mut self, mode: TransformMode) -> Self {
-        self.mode = Some(mode);
-        self
-    }
-
-    /// Explicit worker thread count (must be ≥ 1; omit for one per core).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Bit-plane codec kernel (omit for runtime auto-detection; every
-    /// kernel produces bit-identical artifacts).
-    pub fn kernel(mut self, kernel: PlaneKernel) -> Self {
-        self.kernel = Some(kernel);
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<CompressConfig, PmrError> {
-        let defaults = CompressConfig::default();
-        let levels = self.levels.unwrap_or(defaults.levels);
-        if levels == 0 {
-            return Err(PmrError::invalid_config("levels must be >= 1"));
-        }
-        let num_planes = self.num_planes.unwrap_or(defaults.num_planes);
-        if !(3..=50).contains(&num_planes) {
-            return Err(PmrError::invalid_config(format!(
-                "num_planes must lie in 3..=50, got {num_planes}"
-            )));
-        }
-        if self.threads == Some(0) {
-            return Err(PmrError::invalid_config(
-                "threads must be >= 1 (omit the call for automatic parallelism)",
-            ));
-        }
-        Ok(CompressConfig {
-            levels,
-            num_planes,
-            mode: self.mode.unwrap_or(defaults.mode),
-            threads: self.threads.unwrap_or(AUTO),
-            kernel: self.kernel.unwrap_or(PlaneKernel::Auto),
-        })
     }
 }
 
@@ -221,7 +157,7 @@ impl Compressed {
     }
 
     /// [`Compressed::compress`] with the execution policy overridden (used by
-    /// the batch APIs to nest snapshot-level and line-level parallelism).
+    /// the batch API to nest snapshot-level and line-level parallelism).
     pub fn compress_with(field: &Field, cfg: &CompressConfig, exec: &ExecPolicy) -> Self {
         let decomposer = Decomposer::new(field.shape(), cfg.levels, cfg.mode);
         let mut data = field.data().to_vec();
@@ -535,23 +471,6 @@ impl DecodeOptions {
     }
 }
 
-/// Execute a batch of retrievals, fanning out across worker threads — one
-/// `(artifact, plan)` pair per worker at a time, each retrieval running
-/// serially inside its worker. Results are identical to calling
-/// [`Compressed::retrieve`] per pair.
-pub fn retrieve_many(items: &[(&Compressed, &RetrievalPlan)]) -> Vec<Field> {
-    let exec = items.first().map_or_else(ExecPolicy::default, |(c, _)| c.exec());
-    let threads = exec.resolved_threads().min(items.len());
-    if threads <= 1 {
-        return items.iter().map(|(c, p)| c.retrieve(p)).collect();
-    }
-    fan_out(threads, items.len(), |i| {
-        let (c, plan) = items[i];
-        assert_eq!(plan.planes.len(), c.levels.len(), "plan/levels mismatch");
-        c.decode_own(plan, None, &ExecPolicy::serial())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -768,26 +687,22 @@ mod tests {
     }
 
     #[test]
-    fn builder_produces_defaults_and_validates() {
-        let cfg = CompressConfig::builder().build().expect("defaults are valid");
-        assert_eq!(cfg, CompressConfig::default());
+    fn validate_accepts_defaults_and_rejects_bad_knobs() {
+        CompressConfig::default().validate().expect("defaults are valid");
+        let cfg = CompressConfig {
+            levels: 4,
+            num_planes: 20,
+            mode: TransformMode::Interpolation,
+            threads: 2,
+            ..Default::default()
+        };
+        cfg.validate().expect("valid custom config");
 
-        let cfg = CompressConfig::builder()
-            .levels(4)
-            .num_planes(20)
-            .mode(TransformMode::Interpolation)
-            .threads(2)
-            .build()
-            .expect("valid custom config");
-        assert_eq!(cfg.levels, 4);
-        assert_eq!(cfg.num_planes, 20);
-        assert_eq!(cfg.mode, TransformMode::Interpolation);
-        assert_eq!(cfg.threads, 2);
-
-        assert!(CompressConfig::builder().levels(0).build().is_err());
-        assert!(CompressConfig::builder().num_planes(2).build().is_err());
-        assert!(CompressConfig::builder().num_planes(51).build().is_err());
-        assert!(CompressConfig::builder().threads(0).build().is_err());
+        assert!(CompressConfig { levels: 0, ..cfg }.validate().is_err());
+        assert!(CompressConfig { num_planes: 2, ..cfg }.validate().is_err());
+        assert!(CompressConfig { num_planes: 51, ..cfg }.validate().is_err());
+        // `threads: 0` is one per core; `pmrtool compress --threads 0` is
+        // refused where the flag is parsed (`tests/cli.rs`).
     }
 
     #[test]
@@ -907,25 +822,5 @@ mod tests {
         // The reconstruction stays finite everywhere.
         let full = back.retrieve(&back.plan_full());
         assert!(full.data().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn retrieve_many_matches_individual_retrieve() {
-        let fields: Vec<Field> = (0..4)
-            .map(|t| {
-                Field::from_fn("batch", t, Shape::cube(9), move |x, y, z| {
-                    ((x * y + z + t) as f64 * 0.13).cos()
-                })
-            })
-            .collect();
-        let cfg = CompressConfig { threads: 4, ..Default::default() };
-        let batch = Compressed::compress_many(&fields, &cfg);
-        let plans: Vec<RetrievalPlan> = batch.iter().map(|c| c.plan_theory(1e-3)).collect();
-        let items: Vec<(&Compressed, &RetrievalPlan)> = batch.iter().zip(&plans).collect();
-        let many = retrieve_many(&items);
-        for ((c, plan), got) in items.iter().zip(&many) {
-            let one = c.retrieve(plan);
-            assert_eq!(one.data(), got.data());
-        }
     }
 }

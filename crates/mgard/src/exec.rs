@@ -1,7 +1,7 @@
 //! Execution policy for the parallel data path, and the pool it runs on.
 //!
 //! Every hot stage in this crate — the multilevel transforms, bit-plane
-//! encoding/decoding, and the batch compress/retrieve APIs — accepts an
+//! encoding/decoding, and the batch compress API — accepts an
 //! [`ExecPolicy`] that says how many worker threads to use. The parallel
 //! paths are written so their output is *bit-identical* to the serial paths:
 //! transform lines are fully independent, per-chunk error reductions keep
@@ -114,7 +114,7 @@ pub(crate) fn run_jobs<J: Send>(jobs: impl IntoIterator<Item = J>, work: impl Fn
 
 /// Map `work` over `0..n` on up to `threads` jobs claiming indices from a
 /// shared cursor; results come back in index order whatever the
-/// scheduling. The outer half of the batch APIs, which run each item under
+/// scheduling. The outer half of the batch API, which runs each item under
 /// a *serial* inner policy.
 pub fn fan_out<T: Send>(threads: usize, n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
@@ -406,7 +406,7 @@ mod tests {
         let field = Field::from_fn("pool", 0, Shape::d1(40_000), |x, _, _| {
             (x as f64 * 0.013).sin() + (x as f64 * 0.0007).cos()
         });
-        let cfg = CompressConfig::builder().threads(3).build().expect("config");
+        let cfg = CompressConfig { threads: 3, ..Default::default() };
         let c = Compressed::compress(&field, &cfg);
         let plan = c.plan_theory(c.absolute_bound(1e-4));
         let bits = |exec: ExecPolicy| -> Vec<u64> {

@@ -64,9 +64,7 @@ pub mod session;
 pub mod transform;
 
 pub use bitplane::{LevelEncoding, DEFAULT_BITPLANES};
-pub use compress::{
-    retrieve_many, CompressConfig, CompressConfigBuilder, Compressed, DecodeOptions,
-};
+pub use compress::{CompressConfig, Compressed, DecodeOptions};
 pub use decompose::{Decomposer, TransformMode};
 pub use estimate::theory_constants;
 pub use exec::ExecPolicy;

@@ -81,7 +81,28 @@ pub fn from_bytes(buf: &[u8]) -> Result<Compressed, PmrError> {
     if r.take(MAGIC.len())? != MAGIC {
         return Err(r.malformed("bad magic"));
     }
-    let (name, timestep, shape) = read_header(&mut r)?;
+    let name_len = r.u32()? as usize;
+    if name_len > 4096 {
+        return Err(r.malformed("name length exceeds 4096"));
+    }
+    let name = r.str(name_len)?.to_owned();
+    let timestep = usize::try_from(r.u64()?).map_err(|_| r.malformed("timestep exceeds usize"))?;
+    let ndim = r.u32()? as usize;
+    let dx = r.u32()? as usize;
+    let dy = r.u32()? as usize;
+    let dz = r.u32()? as usize;
+    // Cap the grid size well below anything a corrupted header could use
+    // to drive an enormous allocation (2^28 points = 2 GiB of f64).
+    let points = dx.checked_mul(dy).and_then(|p| p.checked_mul(dz));
+    if dx == 0 || dy == 0 || dz == 0 || points.is_none_or(|p| p > 1 << 28) {
+        return Err(r.malformed("grid dimensions out of range"));
+    }
+    let shape = match ndim {
+        1 => Shape::d1(dx),
+        2 => Shape::d2(dx, dy),
+        3 => Shape::d3(dx, dy, dz),
+        _ => return Err(r.malformed("ndim must be 1, 2 or 3")),
+    };
     let num_levels = r.u32()? as usize;
     if num_levels == 0 || num_levels > 64 {
         return Err(r.malformed("level count out of range"));
@@ -121,34 +142,6 @@ pub fn from_bytes(buf: &[u8]) -> Result<Compressed, PmrError> {
     r.done()?;
     Compressed::from_parts(name, timestep, decomposer, levels, value_range)
         .ok_or_else(|| r.malformed("level layout does not match decomposition"))
-}
-
-/// The name, timestep and grid shape after an artifact's magic, a layout
-/// the block artifact (`pmr-blockcodec`) shares.
-pub fn read_header(r: &mut ByteReader<'_>) -> Result<(String, usize, Shape), PmrError> {
-    let name_len = r.u32()? as usize;
-    if name_len > 4096 {
-        return Err(r.malformed("name length exceeds 4096"));
-    }
-    let name = r.str(name_len)?.to_owned();
-    let timestep = usize::try_from(r.u64()?).map_err(|_| r.malformed("timestep exceeds usize"))?;
-    let ndim = r.u32()? as usize;
-    let dx = r.u32()? as usize;
-    let dy = r.u32()? as usize;
-    let dz = r.u32()? as usize;
-    // Cap the grid size well below anything a corrupted header could use
-    // to drive an enormous allocation (2^28 points = 2 GiB of f64).
-    let points = dx.checked_mul(dy).and_then(|p| p.checked_mul(dz));
-    if dx == 0 || dy == 0 || dz == 0 || points.is_none_or(|p| p > 1 << 28) {
-        return Err(r.malformed("grid dimensions out of range"));
-    }
-    let shape = match ndim {
-        1 => Shape::d1(dx),
-        2 => Shape::d2(dx, dy),
-        3 => Shape::d3(dx, dy, dz),
-        _ => return Err(r.malformed("ndim must be 1, 2 or 3")),
-    };
-    Ok((name, timestep, shape))
 }
 
 /// Check level `l`'s row of the stored checksum table against the digests

@@ -1000,6 +1000,14 @@ mod tests {
         for name in strays {
             fs::write(dir.join(name), name).unwrap();
         }
+        // Root ignores the modes below, so back-date both mtimes: a write
+        // to the log, or an entry created, deleted or renamed in the
+        // directory, would move one of them to now, whoever runs the test.
+        let past = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1 << 30);
+        for path in [&log, &dir] {
+            File::open(path).unwrap().set_modified(past).unwrap();
+        }
+        let modified = |path: &Path| fs::metadata(path).unwrap().modified().unwrap();
         let mode = |path: &Path, mode| fs::set_permissions(path, fs::Permissions::from_mode(mode));
         mode(&log, 0o444).unwrap();
         mode(&dir, 0o555).unwrap();
@@ -1008,6 +1016,7 @@ mod tests {
         mode(&log, 0o644).unwrap();
         let store = store.unwrap();
         assert_eq!(syncs, 0);
+        assert_eq!((modified(&log), modified(&dir)), (past, past), "open modified the store");
         let has_writer = || store.appender.lock().unwrap().file.is_some();
         assert!(!has_writer(), "a clean open holds no write handle");
         for key in store.keys() {

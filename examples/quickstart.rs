@@ -18,14 +18,11 @@ fn main() {
     let raw_bytes = (field.len() * 8) as u64;
     println!("field: {} points, {} raw bytes", field.len(), raw_bytes);
 
-    // Decompose into 5 coefficient levels x 32 negabinary bit-planes. The
-    // builder validates every knob; `threads` drives the parallel data path
+    // Decompose into 5 coefficient levels x 32 negabinary bit-planes.
+    // `validate` checks the knobs; `threads` drives the parallel data path
     // (results are bit-identical to a serial run).
-    let cfg = CompressConfig::builder()
-        .levels(5)
-        .num_planes(32)
-        .build()
-        .expect("valid compression parameters");
+    let cfg = CompressConfig { levels: 5, num_planes: 32, ..Default::default() };
+    cfg.validate().expect("valid compression parameters");
     let compressed = Compressed::compress(&field, &cfg);
     println!(
         "compressed payload: {} bytes across {} levels x {} planes\n",

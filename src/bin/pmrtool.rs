@@ -20,7 +20,6 @@
 //! `pmr-mgard` persistence format (`.pmrc`).
 
 use pmr::analyze;
-use pmr::blockcodec::{persist as block_persist, BlockCompressed, BlockConfig};
 use pmr::conformance::{self, FaultGridConfig, SweepConfig};
 use pmr::core::{Backend, Dataset, RetrievalRequest, Theory};
 use pmr::field::io as field_io;
@@ -46,7 +45,7 @@ const USAGE: &str = "usage:
   pmrtool gen warpx <dir> [--size N] [--snapshots T] [--field Bx|Ex|Jx]
   pmrtool gen grayscott <dir> [--size N] [--snapshots T] [--species u|v]
   pmrtool compress <in.pmrf> <out.pmrc> [--levels L] [--planes B] [--mode interp|l2]
-                   [--threads N] [--codec multilevel|block]
+                   [--threads N]
   pmrtool retrieve <in.pmrc> <out.pmrf> (--rel <x> | --abs <x> | --budget <bytes>)
   pmrtool info <in.pmrc>
   pmrtool conformance [--grid quick|full] [--seed N] [--golden <dir>]
@@ -55,10 +54,7 @@ const USAGE: &str = "usage:
   pmrtool shard <in.pmrc> <out-dir> [--shards N] [--replication R] [--hot-planes H]
   pmrtool scrub <dir> --manifest <in.pmrc> [--repair] [--report <path>]
   pmrtool analyze [--root <dir>] [--report <path>]
-  pmrtool analyze --explain <lint-id>
-
-artifact files are self-describing: retrieve/info dispatch on the magic
-(multilevel .pmrc vs block-codec .pmrb).";
+  pmrtool analyze --explain <lint-id>";
 
 fn run(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
@@ -163,31 +159,28 @@ fn gen(args: &[String]) -> Result<(), String> {
 fn compress(args: &[String]) -> Result<(), String> {
     let input = positional(args, 0, "input .pmrf")?;
     let output = positional(args, 1, "output .pmrc")?;
-    if let Some(codec) = flag_value(args, "--codec")? {
-        match codec {
-            "multilevel" => {}
-            "block" => return compress_block(args, input, output),
-            other => return Err(format!("unknown codec {other} (multilevel|block)")),
-        }
-    }
-    let mut builder = CompressConfig::builder();
+    let mut cfg = CompressConfig::default();
     if let Some(v) = flag_value(args, "--levels")? {
-        builder = builder.levels(parse(v, "--levels")?);
+        cfg.levels = parse(v, "--levels")?;
     }
     if let Some(v) = flag_value(args, "--planes")? {
-        builder = builder.num_planes(parse(v, "--planes")?);
+        cfg.num_planes = parse(v, "--planes")?;
     }
     if let Some(v) = flag_value(args, "--mode")? {
-        builder = builder.mode(match v {
+        cfg.mode = match v {
             "interp" => TransformMode::Interpolation,
             "l2" => TransformMode::L2Projection,
             other => return Err(format!("unknown mode {other} (interp|l2)")),
-        });
+        };
     }
     if let Some(v) = flag_value(args, "--threads")? {
-        builder = builder.threads(parse(v, "--threads")?);
+        cfg.threads = parse(v, "--threads")?;
+        // The config's `0` means one per core; omitting the flag asks for that.
+        if cfg.threads == 0 {
+            return Err("--threads must be >= 1 (omit it for one per core)".into());
+        }
     }
-    let cfg = builder.build().map_err(|e| e.to_string())?;
+    cfg.validate().map_err(|e| e.to_string())?;
     let field = field_io::load(Path::new(input)).map_err(|e| e.to_string())?;
     let compressed = Compressed::compress(&field, &cfg);
     persist::save(&compressed, Path::new(output)).map_err(|e| e.to_string())?;
@@ -203,43 +196,9 @@ fn compress(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn compress_block(args: &[String], input: &str, output: &str) -> Result<(), String> {
-    let mut cfg = BlockConfig::default();
-    if let Some(v) = flag_value(args, "--planes")? {
-        cfg.num_planes = parse(v, "--planes")?;
-    }
-    let field = field_io::load(Path::new(input)).map_err(|e| e.to_string())?;
-    let compressed = BlockCompressed::compress(&field, &cfg);
-    block_persist::save(&compressed, Path::new(output)).map_err(|e| e.to_string())?;
-    let raw = (field.len() * 8) as f64;
-    println!(
-        "{input} ({} points) -> {output}: {} bytes ({:.1}% of raw), block codec x {} planes",
-        field.len(),
-        compressed.total_bytes(),
-        compressed.total_bytes() as f64 / raw * 100.0,
-        compressed.num_planes()
-    );
-    Ok(())
-}
-
-/// Read the first bytes of an artifact to decide its codec.
-fn sniff_codec(path: &Path) -> Result<&'static str, String> {
-    let mut buf = [0u8; 6];
-    let mut f = std::fs::File::open(path).map_err(|e| e.to_string())?;
-    std::io::Read::read_exact(&mut f, &mut buf).map_err(|e| e.to_string())?;
-    match &buf {
-        persist::MAGIC => Ok("multilevel"),
-        block_persist::MAGIC => Ok("block"),
-        _ => Err("unrecognised artifact magic".into()),
-    }
-}
-
 fn retrieve(args: &[String]) -> Result<(), String> {
     let input = positional(args, 0, "input .pmrc")?;
     let output = positional(args, 1, "output .pmrf")?;
-    if sniff_codec(Path::new(input))? == "block" {
-        return retrieve_block(args, input, output);
-    }
     let compressed = persist::load(Path::new(input)).map_err(|e| e.to_string())?;
     let request = match (
         flag_value(args, "--rel")?,
@@ -261,25 +220,6 @@ fn retrieve(args: &[String]) -> Result<(), String> {
         compressed.total_bytes(),
         out.bytes as f64 / compressed.total_bytes() as f64 * 100.0,
         out.estimated_error
-    );
-    Ok(())
-}
-
-fn retrieve_block(args: &[String], input: &str, output: &str) -> Result<(), String> {
-    let compressed = block_persist::load(Path::new(input)).map_err(|e| e.to_string())?;
-    let abs = match (flag_value(args, "--rel")?, flag_value(args, "--abs")?) {
-        (Some(rel), None) => compressed.value_range() * parse::<f64>(rel, "--rel")?,
-        (None, Some(abs)) => parse(abs, "--abs")?,
-        _ => return Err("exactly one of --rel or --abs is required".into()),
-    };
-    let b = compressed.plan(abs);
-    let field = compressed.retrieve(b);
-    field_io::save(&field, Path::new(output)).map_err(|e| e.to_string())?;
-    println!(
-        "retrieved {} of {} bytes ({} planes) for abs bound {abs:.3e} -> {output}",
-        compressed.bytes_for(b),
-        compressed.total_bytes(),
-        b
     );
     Ok(())
 }
@@ -502,16 +442,6 @@ fn run_analyze(args: &[String]) -> Result<(), String> {
 
 fn info(args: &[String]) -> Result<(), String> {
     let input = positional(args, 0, "input .pmrc")?;
-    if sniff_codec(Path::new(input))? == "block" {
-        let c = block_persist::load(Path::new(input)).map_err(|e| e.to_string())?;
-        println!("artifact: {input} (block codec)");
-        println!("  field:       {} (timestep {})", c.name(), c.timestep());
-        println!("  shape:       {}", c.shape());
-        println!("  planes:      {}", c.num_planes());
-        println!("  payload:     {} bytes", c.total_bytes());
-        println!("  value range: {:.6e}", c.value_range());
-        return Ok(());
-    }
     let c = persist::load(Path::new(input)).map_err(|e| e.to_string())?;
     println!("artifact: {input}");
     println!("  field:       {} (timestep {})", c.name(), c.timestep());

@@ -3,7 +3,6 @@
 //! overlong encodings of every persisted format, must surface as `Err`,
 //! never as a panic inside library code.
 
-use pmr::blockcodec::{persist as block_persist, BlockCompressed, BlockConfig};
 use pmr::core::{retrieve, Backend, Dataset, RetrievalRequest, Theory};
 use pmr::field::{io as field_io, Field, Shape};
 use pmr::mgard::{
@@ -56,12 +55,6 @@ fn truncated_artifact_bytes_are_an_error() {
         "level encoding",
         &c.levels()[1].to_bytes().expect("serialize"),
         |b| LevelEncoding::from_bytes(b).is_some_and(|(_, used)| used == b.len()),
-    );
-    let block = BlockCompressed::compress(&field, &BlockConfig::default());
-    rejects_truncation_and_trailing_bytes(
-        "block artifact",
-        &block_persist::to_bytes(&block).expect("serialize"),
-        |b| block_persist::from_bytes(b).is_ok(),
     );
 
     let mlp = Mlp::new(&[3, 4, 2], Activation::LeakyRelu(0.01), Activation::Identity, 7);

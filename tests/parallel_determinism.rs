@@ -5,7 +5,7 @@
 //! for the data generators that feed it.
 
 use pmr::field::{Field, Shape};
-use pmr::mgard::{persist, retrieve_many, CompressConfig, Compressed, RetrievalPlan};
+use pmr::mgard::{persist, CompressConfig, Compressed};
 use pmr::sim::{
     warpx_field, warpx_field_with_workers, GrayScott, GrayScottConfig, GsSpecies, WarpXConfig,
     WarpXField,
@@ -20,11 +20,11 @@ fn wavy(shape: Shape) -> Field {
 }
 
 fn serial_cfg() -> CompressConfig {
-    CompressConfig::builder().threads(1).build().expect("serial config")
+    CompressConfig { threads: 1, ..Default::default() }
 }
 
 fn parallel_cfg() -> CompressConfig {
-    CompressConfig::builder().threads(4).build().expect("parallel config")
+    CompressConfig { threads: 4, ..Default::default() }
 }
 
 /// Serial and parallel compression of the same field must produce
@@ -99,7 +99,7 @@ fn generators_are_bit_identical_to_one_worker() {
     }
 }
 
-/// The batch APIs must agree exactly with per-snapshot calls.
+/// The batch compress API must agree exactly with per-snapshot calls.
 #[test]
 fn batch_apis_match_individual_calls() {
     let fields: Vec<Field> = (0..5)
@@ -116,16 +116,6 @@ fn batch_apis_match_individual_calls() {
     for (f, c) in fields.iter().zip(&batch) {
         let single = Compressed::compress(f, &cfg);
         assert_eq!(persist::to_bytes(&single).unwrap(), persist::to_bytes(c).unwrap());
-    }
-
-    let plans: Vec<RetrievalPlan> =
-        batch.iter().map(|c| c.plan_theory(c.absolute_bound(1e-4))).collect();
-    let items: Vec<(&Compressed, &RetrievalPlan)> = batch.iter().zip(&plans).collect();
-    let many = retrieve_many(&items);
-    for ((c, plan), batched) in items.iter().zip(&many) {
-        let single = c.retrieve(plan);
-        assert_eq!(single.data(), batched.data());
-        assert_eq!(single.name(), batched.name());
     }
 }
 

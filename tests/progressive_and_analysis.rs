@@ -65,15 +65,3 @@ fn block_and_multilevel_agree_at_high_precision() {
     let d = pmr::field::error::max_abs_error(a.data(), b.data());
     assert!(d < 1e-4 * field.max_abs().max(1.0), "codecs disagree by {d}");
 }
-
-#[test]
-fn artifact_formats_are_mutually_exclusive() {
-    let field = snapshot();
-    let ml = Compressed::compress(&field, &CompressConfig::default());
-    let bc = BlockCompressed::compress(&field, &BlockConfig::default());
-    let ml_bytes = pmr::mgard::persist::to_bytes(&ml).expect("serialize");
-    let bc_bytes = pmr::blockcodec::persist::to_bytes(&bc).expect("serialize");
-    // Cross-parsing must fail cleanly, not alias.
-    assert!(pmr::mgard::persist::from_bytes(&bc_bytes).is_err());
-    assert!(pmr::blockcodec::persist::from_bytes(&ml_bytes).is_err());
-}
