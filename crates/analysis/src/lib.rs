@@ -15,6 +15,8 @@
 //! accuracy-vs-bytes trade-off can be *measured in analysis terms* rather
 //! than raw error norms (`analysis_fidelity` bench).
 
+#![forbid(unsafe_code)]
+
 use pmr_field::Field;
 
 /// A normalised value histogram over `[min, max]` of the analysed field.

@@ -1,4 +1,5 @@
-//! Workspace-wide, module-aware call graph, and the `panic_reach` lint.
+//! Workspace-wide, module-aware call graph, over which the taint lints
+//! compute their per-function summaries.
 //!
 //! Resolution is deliberately *asymmetric* in its approximation: a missed
 //! edge only weakens a lint (a finding not reported), while an invented
@@ -8,49 +9,15 @@
 //! exception: a method call whose receiver we cannot type (`store.fetch(…)`
 //! through a `dyn SegmentStore`) fans out to every workspace impl of that
 //! method the caller's crate can reach, because trait dispatch on the
-//! storage path is exactly where panic-reachability matters most. A trait
+//! storage path is exactly where an unverified payload travels. A trait
 //! method is reachable from anywhere; an inherent method only from its own
 //! crate and the crates whose `Cargo.toml` depends on it, directly or not
 //! ([`CrateDeps`]). Methods whose names collide with the standard library
 //! (`get`, `len`, `write`, …) are excluded from that fan-out; they resolve
 //! only against the caller's own type.
 
-use crate::in_scope;
 use crate::parse::{Call, Callee, ParsedFile};
-use crate::report::Violation;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// `panic_reach`: library code that must route failures through `PmrError`
-/// instead of panicking — every panic site in a non-test fn here is a
-/// finding, reached or not. `crates/rng/src` is listed because it is the
-/// one random stream, and through pmr-sim and the trained models it feeds
-/// persisted artifacts.
-pub const PANIC_PATHS: &[&str] = &[
-    "crates/error/src",
-    "crates/codec/src",
-    "crates/mgard/src",
-    "crates/storage/src",
-    "crates/blockcodec/src",
-    "crates/core/src",
-    "crates/rng/src",
-];
-
-/// `panic_reach`: crates whose public entry points anchor the reachability
-/// walk — a panic site transitively reachable from one is a violation even
-/// outside [`PANIC_PATHS`].
-pub const ENTRY_PATHS: &[&str] = &[
-    "crates/core/src",
-    "crates/mgard/src",
-    "crates/storage/src",
-    "crates/sim/src",
-    "crates/pmrd/src",
-    "crates/codec/src",
-];
-
-/// `panic_reach`: function-name prefixes that mark an entry point in
-/// [`ENTRY_PATHS`] (e.g. `retrieve` matches `retrieve_tolerant`).
-pub const ENTRY_PREFIXES: &[&str] =
-    &["compress", "retrieve", "fetch", "extract_planes", "reassemble_digits", "transpose64"];
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Method names too generic to fan out to unrelated impls: a call through
 /// an untyped receiver to one of these is left unresolved rather than
@@ -227,13 +194,6 @@ impl CrateDeps {
     }
 }
 
-/// Multi-source BFS result: distance and parent pointers for shortest
-/// entry→node chains.
-pub struct Reach {
-    pub dist: Vec<Option<u32>>,
-    parent: Vec<Option<usize>>,
-}
-
 impl CallGraph {
     /// Build the graph over `files` (already sorted by `rel_path` — node
     /// and edge order inherit that determinism), linking untyped method
@@ -307,66 +267,6 @@ impl CallGraph {
             call_targets[i] = per_call;
         }
         CallGraph { nodes, edges, call_targets }
-    }
-
-    /// Entry-point node ids for the panic-reachability walk, sorted.
-    pub fn entries(&self) -> Vec<usize> {
-        (0..self.nodes.len())
-            .filter(|&i| {
-                let n = &self.nodes[i];
-                !n.is_test
-                    && in_scope(ENTRY_PATHS, &n.rel_path)
-                    && ENTRY_PREFIXES.iter().any(|p| n.name.starts_with(p))
-            })
-            .collect()
-    }
-
-    /// Multi-source BFS from `entries` (must be sorted for determinism).
-    pub fn reachable_from(&self, entries: &[usize]) -> Reach {
-        let mut dist = vec![None; self.nodes.len()];
-        let mut parent = vec![None; self.nodes.len()];
-        let mut q = VecDeque::new();
-        for &e in entries {
-            if dist[e].is_none() {
-                dist[e] = Some(0);
-                q.push_back(e);
-            }
-        }
-        while let Some(n) = q.pop_front() {
-            let d = dist[n].unwrap_or(0);
-            for &m in &self.edges[n] {
-                if dist[m].is_none() {
-                    dist[m] = Some(d + 1);
-                    parent[m] = Some(n);
-                    q.push_back(m);
-                }
-            }
-        }
-        Reach { dist, parent }
-    }
-
-    /// The shortest entry→…→`node` chain, rendered as ` → `-joined quals
-    /// (middle elided past five hops).
-    pub fn chain(&self, reach: &Reach, node: usize) -> String {
-        let mut ids = vec![node];
-        let mut cur = node;
-        while let Some(p) = reach.parent[cur] {
-            ids.push(p);
-            cur = p;
-        }
-        ids.reverse();
-        let quals: Vec<&str> = ids.iter().map(|&i| self.nodes[i].qual.as_str()).collect();
-        if quals.len() <= 5 {
-            quals.join(" → ")
-        } else {
-            format!(
-                "{} → {} → … → {} → {}",
-                quals[0],
-                quals[1],
-                quals[quals.len() - 2],
-                quals[quals.len() - 1]
-            )
-        }
     }
 }
 
@@ -541,37 +441,6 @@ fn resolve_path(
     Vec::new()
 }
 
-/// The `panic_reach` lint: every panic-capable site in a function under
-/// [`PANIC_PATHS`], or transitively reachable from a configured entry point
-/// wherever it sits — reported at the site with the shortest entry chain
-/// (just the function itself when only its path puts it in scope).
-pub fn panic_reach(files: &[ParsedFile], graph: &CallGraph) -> Vec<Violation> {
-    let entries = graph.entries();
-    let reach = graph.reachable_from(&entries);
-    let mut out = Vec::new();
-    for (i, node) in graph.nodes.iter().enumerate() {
-        if node.is_test || !(in_scope(PANIC_PATHS, &node.rel_path) || reach.dist[i].is_some()) {
-            continue;
-        }
-        let f = &files[node.file];
-        for site in &f.fns[node.fn_idx].panics {
-            out.push(Violation::new(
-                "panic_reach",
-                f.rel_path.as_str(),
-                site.line,
-                format!(
-                    "panic-capable `{}` on an error-contract path ({}); return `PmrError` \
-                     instead",
-                    site.form,
-                    graph.chain(&reach, i)
-                ),
-                f.snippet(site.line),
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,43 +493,30 @@ mod tests {
 
     #[test]
     fn an_inherent_method_is_reached_only_from_crates_that_depend_on_it() {
-        // `pmr-error` and `pmr-json` share a method name and neither depends
-        // on the other: the reader's `u8` must not reach json's panic.
+        // `pmr-pmrd` depends on `pmr-error` only: its `p.array()` must not
+        // link to `pmr-json`'s inherent method of that name.
         let pmrd = (
             "crates/pmrd/Cargo.toml",
             "[package]\nname = \"pmr-pmrd\"\n\n[dependencies]\npmr-error.workspace = true\n",
         );
-        let error = ("crates/error/Cargo.toml", "[package]\nname = \"pmr-error\"\n");
         let json = ("crates/json/Cargo.toml", "[package]\nname = \"pmr-json\"\n");
         let sources = [
-            (
-                "crates/pmrd/src/lib.rs",
-                "pub fn fetch_frame(r: &mut ByteReader) { r.u8(); }\n\
-                 pub fn fetch_list(p: &mut Parser) { p.array(); }",
-            ),
-            (
-                "crates/error/src/lib.rs",
-                "impl ByteReader {\n    pub fn u8(&mut self) { self.buf.array(); }\n}",
-            ),
-            (
-                "crates/json/src/lib.rs",
-                "impl Parser {\n    fn array(&mut self) { panic!(\"bad\"); }\n}",
-            ),
+            ("crates/json/src/lib.rs", "impl Parser {\n    fn array(&mut self) {}\n}"),
+            ("crates/pmrd/src/lib.rs", "pub fn fetch_list(p: &mut Parser) { p.array(); }"),
         ];
-        let report = crate::analyze_sources([pmrd, error, json].into_iter().chain(sources));
-        assert_eq!(report.count("panic_reach"), 0, "{}", report.summary());
-
-        // Once `pmr-error` depends on `pmr-json`, the call may land there.
+        let edges = |error: (&str, &str)| {
+            let files: Vec<ParsedFile> = sources.iter().map(|(p, s)| parse_file(p, s)).collect();
+            let g = CallGraph::build(&files, &CrateDeps::from_manifests(&[pmrd, error, json]));
+            g.edges[node(&g, "pmr_pmrd::fetch_list")].len()
+        };
+        assert_eq!(edges(("crates/error/Cargo.toml", "[package]\nname = \"pmr-error\"\n")), 0);
+        // Once `pmr-error` depends on `pmr-json`, the call may land there:
+        // reach is transitive.
         let error = (
             "crates/error/Cargo.toml",
             "[package]\nname = \"pmr-error\"\n[dependencies]\npmr-json = { path = \"../json\" }\n",
         );
-        let report = crate::analyze_sources([pmrd, error, json].into_iter().chain(sources));
-        assert_eq!(report.count("panic_reach"), 1, "{}", report.summary());
-        let v = &report.violations[0];
-        assert_eq!(v.file, "crates/json/src/lib.rs");
-        // Reach is transitive: pmrd calls into json through error's edge.
-        assert!(v.message.contains("(pmr_pmrd::fetch_list → pmr_json::Parser::array)"), "{v:?}");
+        assert_eq!(edges(error), 1);
     }
 
     #[test]
@@ -679,47 +535,5 @@ mod tests {
             "impl T { fn get(&self, k: u32) {} fn go(&self) { self.get(1); } }",
         )]);
         assert_eq!(g.edges[node(&g, "pmr_a::T::go")], vec![node(&g, "pmr_a::T::get")]);
-    }
-
-    #[test]
-    fn panic_reach_reports_transitive_sites_with_chain() {
-        let (files, g) = build(&[
-            (
-                "crates/sim/src/lib.rs",
-                "pub fn retrieve() { step(); }\nfn step() { helper(); }\nfn helper(x: Option<u8>) { x.unwrap(); }",
-            ),
-            // Not reachable from any entry: no finding.
-            ("crates/sim/src/other.rs", "fn lonely() { panic!(\"x\"); }"),
-        ]);
-        let v = panic_reach(&files, &g);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].lint, "panic_reach");
-        assert!(v[0].message.contains("pmr_sim::retrieve → pmr_sim::step → pmr_sim::helper"));
-        assert_eq!(v[0].line, 3);
-    }
-
-    #[test]
-    fn panic_reach_reports_every_site_under_panic_paths() {
-        let (files, g) = build(&[
-            // core is a `PANIC_PATHS` crate: no entry needs to reach the fn.
-            ("crates/core/src/lib.rs", "fn lonely() { panic!(\"x\"); }"),
-            // Scope does not propagate: nn is judged by reachability alone.
-            ("crates/nn/src/lib.rs", "pub fn fit(x: Option<u8>) { x.unwrap(); }"),
-        ]);
-        let v = panic_reach(&files, &g);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].file, "crates/core/src/lib.rs");
-        assert!(v[0].message.contains("(pmr_core::lonely)"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn entries_respect_paths_and_prefixes() {
-        let (_, g) = build(&[
-            ("crates/core/src/lib.rs", "pub fn retrieve() {}\npub fn other() {}"),
-            ("crates/nn/src/lib.rs", "pub fn retrieve_model() {}"),
-        ]);
-        let entries = g.entries();
-        // core retrieve qualifies; core other (name) and nn (path) do not.
-        assert_eq!(entries, vec![node(&g, "pmr_core::retrieve")]);
     }
 }

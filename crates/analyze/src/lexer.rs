@@ -1,9 +1,8 @@
 //! A minimal Rust token scanner.
 //!
 //! The parser and the lints read a token stream, not a full parse tree: one
-//! that *correctly* skips string literals and keeps comments (with line
-//! numbers) so waivers can be matched to the code they cover. The workspace builds offline with no
-//! `syn`, so this scanner is self-contained; it understands every literal
+//! that *correctly* skips string literals and comments and keeps line
+//! numbers. The workspace builds offline with no `syn`, so this scanner is self-contained; it understands every literal
 //! form the workspace uses (raw strings, byte strings, raw identifiers,
 //! nested block comments, lifetimes vs. char literals).
 
@@ -22,9 +21,9 @@ pub enum TokKind {
     Lifetime,
     /// Single punctuation character.
     Punct,
-    /// `// …` comment (doc comments included), text kept for waiver lookup.
+    /// `// …` comment (doc comments included).
     LineComment,
-    /// `/* … */` comment (nesting handled), text kept for waiver lookup.
+    /// `/* … */` comment (nesting handled).
     BlockComment,
 }
 

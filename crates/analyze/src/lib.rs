@@ -4,39 +4,34 @@
 //! reconstruction error stays under the user's bound. `pmr-conformance`
 //! checks that guarantee dynamically and `pmr-storage`'s fault machinery
 //! keeps it honest under I/O failure; this crate is the static layer that
-//! keeps whole classes of contract-breaking bugs from landing at all.
+//! keeps hostile bytes from reaching an allocation, an index or a decoder
+//! unchecked.
 //!
-//! The analysis runs in three phases:
+//! The analysis runs in two phases:
 //!
-//! 1. **Per-file**: lex, parse the item tree ([`parse`]), run the lexical
-//!    lints ([`lints`]), collect waivers.
+//! 1. **Per-file**: lex and parse the item tree ([`parse`]).
 //! 2. **Interprocedural** (whole workspace): build the module-aware call
-//!    graph ([`callgraph`]), run `panic_reach` and `lock_order`
-//!    ([`dataflow`]) over it, the taint lints ([`taint`])
-//!    over per-function summaries computed to fixpoint, and
-//!    `blocking_under_lock` ([`concurrency`]) over `lock_order`'s guard
-//!    model.
-//! 3. **Waivers & staleness**: apply the inline `// lint:allow(id): reason`
-//!    waivers, then flag every waiver that matched nothing as a
-//!    `stale_suppression` hard error.
+//!    graph ([`callgraph`]) and run the three taint lints ([`taint`]) over
+//!    per-function summaries computed to fixpoint.
 //!
 //! Run it as `pmrtool analyze [--root <dir>] [--report out.json]`; it exits
-//! nonzero when any unwaived violation exists. The scope table is compiled
-//! in, a `const` beside each lint; `pmrtool analyze --explain <id>`
-//! documents each lint ([`lints::EXPLAIN`]). Undocumented `unsafe`, lossy
+//! nonzero when any violation exists. The scope table is compiled in, a
+//! `const` beside each lint; `pmrtool analyze --explain <id>` documents
+//! each lint ([`lints::EXPLAIN`]). Panics, undocumented `unsafe`, lossy
 //! casts, nondeterminism sources and discarded `Result`s are clippy's and
-//! rustc's, denied at the crate roots (DESIGN.md §8).
+//! rustc's, denied at the crate roots; lock order is the ranked locks' of
+//! `pmr_error::sync` (DESIGN.md §8).
+
+#![forbid(unsafe_code)]
 
 pub mod callgraph;
-pub mod concurrency;
-pub mod dataflow;
 pub mod lexer;
 pub mod lints;
 pub mod parse;
 pub mod report;
 pub mod taint;
 
-pub use report::{Allowed, Report, Violation};
+pub use report::{Report, Violation};
 
 use parse::ParsedFile;
 use pmr_error::PmrError;
@@ -72,37 +67,24 @@ pub fn analyze_workspace(root: &Path) -> Result<Report, PmrError> {
     Ok(report)
 }
 
-/// The full three-phase pipeline over in-memory `(rel_path, source)`
-/// pairs — what [`analyze_workspace`] runs and the fixture tests drive. A
-/// pair whose path ends in `Cargo.toml` is a crate manifest, read only for
-/// its dependencies.
+/// The whole pipeline over in-memory `(rel_path, source)` pairs — what
+/// [`analyze_workspace`] runs and the fixture tests drive. A pair whose path
+/// ends in `Cargo.toml` is a crate manifest, read only for its
+/// dependencies.
 pub fn analyze_sources<'a>(sources: impl IntoIterator<Item = (&'a str, &'a str)>) -> Report {
     let (manifests, mut inputs): (Vec<_>, Vec<_>) =
         sources.into_iter().partition(|(path, _)| path.ends_with("Cargo.toml"));
     inputs.sort_by_key(|(path, _)| *path);
 
-    // Phase 1 — per-file work, in path order.
     let files: Vec<ParsedFile> =
         inputs.iter().map(|(path, src)| parse::parse_file(path, src)).collect();
-    let mut raw: Vec<Violation> = files.iter().flat_map(lints::send_sync_impl).collect();
-
-    // Phase 2 — interprocedural lints over the whole file set.
     let deps = callgraph::CrateDeps::from_manifests(&manifests);
     let graph = callgraph::CallGraph::build(&files, &deps);
-    raw.extend(callgraph::panic_reach(&files, &graph));
-    raw.extend(taint::taint_lints(&files, &graph));
-    let acqs = dataflow::acquisitions(&files, &graph);
-    raw.extend(dataflow::lock_order(&files, &graph, &acqs));
-    raw.extend(concurrency::blocking_under_lock(&files, &graph, &acqs));
-
-    // Phase 3 — each file's findings meet its waivers, whichever lint
-    // raised them; then staleness.
-    let mut report = Report { files_scanned: files.len(), ..Report::default() };
-    for parsed in &files {
-        let (mine, rest) = raw.into_iter().partition(|v| v.file == parsed.rel_path);
-        raw = rest;
-        lints::apply_waivers(parsed, mine, &mut report);
-    }
+    let mut report = Report {
+        files_scanned: files.len(),
+        violations: taint::taint_lints(&files, &graph),
+        wall_ms: None,
+    };
     report.finalize();
     report
 }
@@ -149,53 +131,43 @@ fn rel_slash(root: &Path, path: &Path) -> String {
 mod tests {
     use super::*;
 
+    const ALLOC: &str = "pub fn alloc_from_wire(r: &mut Reader) -> usize {\n\
+                         let n = r.u32() as usize;\n\
+                         let v: Vec<u8> = Vec::with_capacity(n);\n\
+                         v.len()\n}\n";
+    const DECODE: &str = "pub fn load(buf: &[u8]) -> Option<Artifact> {\n\
+                          let mut r = ByteReader::new(buf, \"artifact\");\n\
+                          let len = r.u64().ok()?;\n\
+                          let art = Artifact::from_parts(len)?;\n\
+                          verify_checksums(buf, len)?;\n\
+                          Some(art)\n}\n";
+
     #[test]
     fn analyze_sources_aggregates_and_sorts() {
         let report = analyze_sources([
-            ("crates/mgard/src/lib.rs", "fn f(x: Option<u8>) { x.unwrap(); }"),
-            ("crates/codec/src/lib.rs", "fn g() { panic!(\"boom\"); }"),
+            ("crates/pmrd/src/lib.rs", ALLOC),
+            ("crates/mgard/src/lib.rs", DECODE),
         ]);
         assert_eq!(report.files_scanned, 2);
-        assert_eq!(report.violations.len(), 2);
-        assert_eq!(report.violations[0].file, "crates/codec/src/lib.rs");
+        let found: Vec<(&str, &str)> =
+            report.violations.iter().map(|v| (v.file.as_str(), v.lint)).collect();
+        assert_eq!(
+            found,
+            vec![
+                ("crates/mgard/src/lib.rs", "checksum_gate"),
+                ("crates/pmrd/src/lib.rs", "taint_alloc")
+            ]
+        );
         assert!(!report.is_clean());
     }
 
     #[test]
     fn pipeline_is_deterministic_across_runs() {
-        let sources = [
-            (
-                "crates/sim/src/lib.rs",
-                "pub fn retrieve() { helper(); }\nfn helper(x: Option<u8>) { x.unwrap(); }",
-            ),
-            (
-                "crates/mgard/src/lib.rs",
-                "impl S { fn go(&self) { let g = self.a.lock(); let h = self.a.lock(); } }",
-            ),
-        ];
+        let sources = [("crates/pmrd/src/lib.rs", ALLOC), ("crates/mgard/src/lib.rs", DECODE)];
         let r1 = analyze_sources(sources);
         let r2 = analyze_sources(sources);
         assert_eq!(r1.to_json(), r2.to_json());
-        assert_eq!(r1.count("panic_reach"), 1);
-        assert_eq!(r1.count("lock_order"), 1);
-    }
-
-    #[test]
-    fn stale_inline_waiver_is_a_hard_error() {
-        let src = "// lint:allow(panic_reach): nothing panics here anymore\nfn ok() {}";
-        let report = analyze_sources([("crates/mgard/src/lib.rs", src)]);
-        assert_eq!(report.count("stale_suppression"), 1);
-        assert_eq!(report.violations[0].line, 1);
-    }
-
-    #[test]
-    fn live_waivers_are_not_stale() {
-        let src = "// lint:allow(panic_reach): x is Some by construction\n\
-                   fn f(x: Option<u8>) { x.unwrap(); }\n\
-                   // lint:allow(panic_reach): y is Some by construction\n\
-                   fn g(y: Option<u8>) { y.unwrap(); }";
-        let report = analyze_sources([("crates/mgard/src/lib.rs", src)]);
-        assert_eq!(report.allowed.len(), 2);
-        assert!(report.is_clean(), "{}", report.summary());
+        assert_eq!(r1.count("taint_alloc"), 1);
+        assert_eq!(r1.count("checksum_gate"), 1);
     }
 }

@@ -1,11 +1,9 @@
 //! A lightweight Rust item parser built on [`crate::lexer`].
 //!
-//! The interprocedural lints (panic reachability, taint, lock ordering)
-//! need more than a token stream: they need to know *which function* a
-//! token belongs to and what that function calls. This module produces
-//! exactly that — a per-file item
-//! tree of functions with their call sites, panic-capable sites, and
-//! enclosing module/impl context — without pulling in `syn` (the workspace
+//! The interprocedural taint lints need more than a token stream: they
+//! need to know *which function* a token belongs to and what that function
+//! calls. This module produces exactly that — a per-file item tree of
+//! functions with their call sites and enclosing module/impl context — without pulling in `syn` (the workspace
 //! builds offline). It is deliberately a *recognizer*, not a full parser:
 //! constructs it does not understand are skipped, never mis-attributed,
 //! so the analysis stays conservative (it may miss an edge, it does not
@@ -21,12 +19,10 @@ pub struct ParsedFile {
     /// Module path of the file itself, e.g. `["pmr_mgard", "compress"]`.
     /// Derived from the path: `crates/<dir>/src/foo.rs` → `pmr_<dir>::foo`.
     pub module: Vec<String>,
-    /// The full token stream (comments included, for waiver lookup).
+    /// The full token stream, comments included.
     pub toks: Vec<Tok>,
     /// Indices into `toks` of the code tokens (comments stripped).
     pub code: Vec<usize>,
-    /// Per-`toks`-index mask of `#[cfg(test)]` / `#[test]` regions.
-    pub test_mask: Vec<bool>,
     /// Every function (free fns, methods, trait default methods).
     pub fns: Vec<FnInfo>,
     /// `use` imports: alias → full path segments.
@@ -66,8 +62,6 @@ pub struct FnInfo {
     pub body: (usize, usize),
     /// Calls made inside the body, in source order.
     pub calls: Vec<Call>,
-    /// Direct panic-capable sites inside the body, in source order.
-    pub panics: Vec<PanicSite>,
 }
 
 impl FnInfo {
@@ -113,17 +107,6 @@ impl Callee {
         }
     }
 }
-
-/// A direct panic-capable site: `panic!`-family macro or `.unwrap()` /
-/// `.expect()`.
-#[derive(Debug)]
-pub struct PanicSite {
-    /// The form, e.g. `panic!` or `.unwrap()`.
-    pub form: String,
-    pub line: usize,
-}
-
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
 /// Words that can precede `(` without being a call.
 const NON_CALL_WORDS: [&str; 14] = [
@@ -181,7 +164,6 @@ pub fn parse_file(rel_path: &str, src: &str) -> ParsedFile {
         uses: p.uses,
         toks,
         code,
-        test_mask,
         lines,
     }
 }
@@ -195,11 +177,6 @@ impl ParsedFile {
     /// Trimmed source line `line` (1-based), empty if out of range.
     pub fn snippet(&self, line: usize) -> String {
         self.lines.get(line.saturating_sub(1)).cloned().unwrap_or_default()
-    }
-
-    /// Whether the code token at code index `ci` sits in a test region.
-    pub fn in_test(&self, ci: usize) -> bool {
-        self.code.get(ci).is_some_and(|&ti| self.test_mask[ti])
     }
 }
 
@@ -333,7 +310,6 @@ impl Parser<'_> {
                             params: h.params,
                             body: (ci, ci),
                             calls: Vec::new(),
-                            panics: Vec::new(),
                         });
                         open_fns.push(self.fns.len() - 1);
                         Frame::Fn(self.fns.len() - 1)
@@ -358,7 +334,7 @@ impl Parser<'_> {
                 continue;
             }
 
-            // Inside a fn body: record calls and panic-capable sites.
+            // Inside a fn body: record calls.
             if let Some(&fi) = open_fns.last() {
                 if t.kind == TokKind::Ident {
                     self.scan_site(ci, fi);
@@ -368,7 +344,7 @@ impl Parser<'_> {
         }
     }
 
-    /// Record a call or panic site at ident code-index `ci` for fn `fi`.
+    /// Record a call at ident code-index `ci` for fn `fi`.
     fn scan_site(&mut self, ci: usize, fi: usize) {
         let t = self.ct(ci).expect("caller checked");
         let line = t.line;
@@ -377,11 +353,6 @@ impl Parser<'_> {
         let prev_is =
             |c: char| ci.checked_sub(1).and_then(|i| self.ct(i)).is_some_and(|p| p.is_punct(c));
 
-        // Panic-capable macros: `panic!(`, `unreachable!(`, ...
-        if PANIC_MACROS.contains(&name.as_str()) && next_is('!') && !self.is_test_at(ci) {
-            self.fns[fi].panics.push(PanicSite { form: format!("{name}!"), line });
-            return;
-        }
         if !next_is('(') {
             return;
         }
@@ -389,9 +360,6 @@ impl Parser<'_> {
             return;
         }
         if prev_is('.') {
-            if matches!(name.as_str(), "unwrap" | "expect") && !self.is_test_at(ci) {
-                self.fns[fi].panics.push(PanicSite { form: format!(".{name}()"), line });
-            }
             let recv = self.receiver_chain(ci);
             self.fns[fi].calls.push(Call { callee: Callee::Method { name, recv }, ci, line });
             return;
@@ -817,16 +785,10 @@ mod tests {
     }
 
     #[test]
-    fn panic_sites_are_collected_outside_tests() {
-        let p = parse(
-            "fn f(x: Option<u8>) { x.unwrap(); panic!(\"no\"); }\n#[cfg(test)]\nmod t { fn g(y: Option<u8>) { y.unwrap(); } }\n",
-        );
-        assert_eq!(p.fns[0].panics.len(), 2);
-        assert_eq!(p.fns[0].panics[0].form, ".unwrap()");
-        assert_eq!(p.fns[0].panics[1].form, "panic!");
-        let test_fn = p.fns.iter().find(|f| f.name == "g").expect("parsed");
-        assert!(test_fn.is_test);
-        assert!(test_fn.panics.is_empty());
+    fn test_fns_are_marked() {
+        let p = parse("fn f() {}\n#[cfg(test)]\nmod t { fn g() {} }\n#[test]\nfn h() {}\n");
+        let tests: Vec<bool> = p.fns.iter().map(|f| f.is_test).collect();
+        assert_eq!(tests, vec![false, true, true]);
     }
 
     #[test]
@@ -850,12 +812,13 @@ mod tests {
 
     #[test]
     fn nested_fn_sites_attach_to_the_inner_fn() {
-        let p = parse("fn outer() { fn inner(x: Option<u8>) { x.unwrap(); } inner(None); }");
+        let p = parse("fn outer() { fn inner(x: Option<u8>) { x.take(); } inner(None); }");
         let outer = p.fns.iter().find(|f| f.name == "outer").unwrap();
         let inner = p.fns.iter().find(|f| f.name == "inner").unwrap();
-        assert!(outer.panics.is_empty());
-        assert_eq!(inner.panics.len(), 1);
-        assert!(outer.calls.iter().any(|c| c.callee.name() == "inner"));
+        let names =
+            |f: &FnInfo| f.calls.iter().map(|c| c.callee.name().to_string()).collect::<Vec<_>>();
+        assert_eq!(names(outer), vec!["inner".to_string()]);
+        assert_eq!(names(inner), vec!["take".to_string()]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Machine-readable analysis report.
 //!
 //! The JSON is a [`Json`] value and **deterministic**: same tree in, same
-//! findings out — violations and allowed entries are sorted by
-//! `(file, line, lint)` and keys are emitted in fixed order. The only
+//! findings out — violations are sorted by `(file, line, lint)` and keys
+//! are emitted in fixed order. The only
 //! environment-dependent field is the optional `timing` object, which the
 //! CLI attaches for humans.
 
@@ -42,20 +42,11 @@ impl Violation {
     }
 }
 
-/// A finding suppressed by an inline waiver — kept in the report so the
-/// audit surface stays visible.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Allowed {
-    pub violation: Violation,
-    pub reason: String,
-}
-
 /// The result of analysing a workspace.
 #[derive(Debug, Default)]
 pub struct Report {
     pub files_scanned: usize,
     pub violations: Vec<Violation>,
-    pub allowed: Vec<Allowed>,
     /// Wall time of the run, attached only by [`crate::analyze_workspace`]
     /// (the fixture paths stay byte-stable without it).
     pub wall_ms: Option<u64>,
@@ -64,12 +55,10 @@ pub struct Report {
 impl Report {
     /// Sort contents into the canonical report order.
     pub fn finalize(&mut self) {
-        let key = |v: &Violation| (v.file.clone(), v.line, v.lint);
-        self.violations.sort_by_key(key);
-        self.allowed.sort_by_key(|a| key(&a.violation));
+        self.violations.sort_by_key(|v| (v.file.clone(), v.line, v.lint));
     }
 
-    /// Whether the workspace is clean (no unwaived violations).
+    /// Whether the workspace is clean (no violations).
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
@@ -84,12 +73,7 @@ impl Report {
         let mut out = String::new();
         let _ = writeln!(out, "pmr-analyze: {} files scanned", self.files_scanned);
         for lint in LINT_IDS {
-            let _ = writeln!(
-                out,
-                "  {lint:<16} {:>3} violation(s), {:>3} allowed",
-                self.count(lint),
-                self.allowed.iter().filter(|a| a.violation.lint == lint).count()
-            );
+            let _ = writeln!(out, "  {lint:<16} {:>3} violation(s)", self.count(lint));
         }
         for v in &self.violations {
             let _ = writeln!(out, "{}:{}: [{}] {}", v.file, v.line, v.lint, v.message);
@@ -103,30 +87,21 @@ impl Report {
     pub fn to_json(&self) -> Json {
         let num = |n: usize| Json::Num(n as f64);
         let violation = |v: &Violation| {
-            vec![
+            Json::obj(vec![
                 ("lint", Json::str(v.lint)),
                 ("file", Json::str(&v.file)),
                 ("line", num(v.line)),
                 ("message", Json::str(&v.message)),
                 ("snippet", Json::str(&v.snippet)),
-            ]
+            ])
         };
-        let mut doc = vec![("version", Json::Num(4.0)), ("files_scanned", num(self.files_scanned))];
+        let mut doc = vec![("version", Json::Num(5.0)), ("files_scanned", num(self.files_scanned))];
         if let Some(wall_ms) = self.wall_ms {
             doc.push(("timing", Json::obj(vec![("wall_ms", Json::Num(wall_ms as f64))])));
         }
         let summary = LINT_IDS.iter().map(|lint| (*lint, num(self.count(lint)))).collect();
         doc.push(("summary", Json::obj(summary)));
-        doc.push((
-            "violations",
-            Json::Arr(self.violations.iter().map(|v| Json::obj(violation(v))).collect()),
-        ));
-        let allowed = self.allowed.iter().map(|a| {
-            let mut pairs = violation(&a.violation);
-            pairs.push(("reason", Json::str(&a.reason)));
-            Json::obj(pairs)
-        });
-        doc.push(("allowed", Json::Arr(allowed.collect())));
+        doc.push(("violations", Json::Arr(self.violations.iter().map(violation).collect())));
         Json::obj(doc)
     }
 }
@@ -143,8 +118,7 @@ mod tests {
     fn json_is_stable_and_sorted() {
         let mut r = Report {
             files_scanned: 2,
-            violations: vec![v("b.rs", 3, "panic_reach"), v("a.rs", 9, "lock_order")],
-            allowed: vec![],
+            violations: vec![v("b.rs", 3, "taint_alloc"), v("a.rs", 9, "checksum_gate")],
             wall_ms: None,
         };
         r.finalize();
@@ -152,7 +126,7 @@ mod tests {
         let j = r.to_json();
         assert_eq!(j, r.to_json());
         let summary = j.get("summary").expect("summary");
-        assert_eq!(summary.get("panic_reach").and_then(Json::as_usize), Some(1));
+        assert_eq!(summary.get("taint_alloc").and_then(Json::as_usize), Some(1));
         let first = &j.get("violations").and_then(Json::as_arr).expect("violations")[0];
         assert_eq!(first.get("file").and_then(Json::as_str), Some("a.rs"));
         // Embedded quotes survive the write-parse round trip.

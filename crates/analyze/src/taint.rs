@@ -32,7 +32,6 @@
 //! against the planes it holds).
 
 use crate::callgraph::CallGraph;
-use crate::dataflow::BodyScan;
 use crate::in_scope;
 use crate::lexer::TokKind;
 use crate::parse::ParsedFile;
@@ -789,6 +788,60 @@ fn eval_range(env: &Env<'_>, taint: &BTreeMap<String, u64>, from: usize, to: usi
         }
     }
     mask
+}
+
+/// Per-token structural facts for one function body: a linear pass that
+/// assigns every code token the start of its enclosing statement.
+/// That is enough to bound a statement without a full expression parser,
+/// and a construct the scan cannot shape is skipped, not guessed at.
+struct BodyScan {
+    /// First code index inside the body (just after the opening `{`).
+    off: usize,
+    /// `stmt[ci - off]`: code index where the enclosing statement starts.
+    stmt: Vec<usize>,
+}
+
+impl BodyScan {
+    fn new(p: &ParsedFile, body: (usize, usize)) -> BodyScan {
+        let off = body.0 + 1;
+        let n = body.1.saturating_sub(off);
+        let mut stmt = vec![off; n];
+        let mut pd = 0usize;
+        let mut cur_start = off;
+        let mut cur_pd = 0usize;
+        // Saved (stmt_start, stmt_pd) per enclosing brace.
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        for ci in off..body.1 {
+            let t = p.ct(ci);
+            if t.is_punct('}') {
+                if let Some((s, spd)) = stack.pop() {
+                    cur_start = s;
+                    cur_pd = spd;
+                }
+            }
+            stmt[ci - off] = cur_start;
+            if t.is_punct('{') {
+                stack.push((cur_start, cur_pd));
+                cur_start = ci + 1;
+                cur_pd = pd;
+            } else if t.is_punct('(') || t.is_punct('[') {
+                pd += 1;
+            } else if t.is_punct(')') || t.is_punct(']') {
+                pd = pd.saturating_sub(1);
+            } else if t.is_punct(';') && pd == cur_pd {
+                cur_start = ci + 1;
+            }
+        }
+        BodyScan { off, stmt }
+    }
+
+    fn stmt_of(&self, ci: usize) -> usize {
+        self.stmt.get(ci.wrapping_sub(self.off)).copied().unwrap_or(self.off)
+    }
+
+    fn end(&self) -> usize {
+        self.off + self.stmt.len()
+    }
 }
 
 /// Exclusive end of the statement starting at `s`: its terminating `;`,

@@ -13,6 +13,8 @@
 //! * `PMR_BENCH_TIMESTEPS` — snapshots per field (default 32; paper: 512),
 //! * `PMR_RESULTS_DIR` — where CSVs are written (default `./results`).
 
+#![forbid(unsafe_code)]
+
 pub mod datasets;
 pub mod output;
 pub mod setup;

@@ -25,11 +25,17 @@
 //! The codec is in-memory only: it has no file format, and its one user
 //! outside tests is the `baseline_block` bench.
 
-// Lossy casts, nondeterminism sources and discarded `Result`s, as
-// scoped to this crate (DESIGN.md §8); test code is exempt.
+// Panics, lossy casts, nondeterminism sources and discarded `Result`s,
+// as scoped to this crate (DESIGN.md §8); test code is exempt.
 #![cfg_attr(
     not(test),
     deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
         clippy::cast_possible_truncation,
         clippy::cast_possible_wrap,
         clippy::cast_sign_loss,
@@ -40,6 +46,7 @@
         clippy::unused_result_ok,
     )
 )]
+#![forbid(unsafe_code)]
 
 pub mod block;
 pub mod codec;

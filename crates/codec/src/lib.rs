@@ -16,11 +16,17 @@
 //!   (SWAR + runtime-detected AVX2/NEON) that turn per-bit plane slicing
 //!   into whole-word copies. See DESIGN.md §10.
 
-// Lossy casts, nondeterminism sources and discarded `Result`s, as
-// scoped to this crate (DESIGN.md §8); test code is exempt.
+// Panics, lossy casts, nondeterminism sources and discarded `Result`s,
+// as scoped to this crate (DESIGN.md §8); test code is exempt.
 #![cfg_attr(
     not(test),
     deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
         clippy::cast_possible_truncation,
         clippy::cast_possible_wrap,
         clippy::cast_sign_loss,

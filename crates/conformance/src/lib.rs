@@ -33,6 +33,7 @@
 // Lossy casts, nondeterminism sources and discarded `Result`s, as
 // scoped to this crate (DESIGN.md §8); test code is exempt.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types,))]
+#![forbid(unsafe_code)]
 
 pub mod differential;
 pub mod faults;

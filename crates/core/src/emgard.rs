@@ -171,9 +171,12 @@ pub fn build_samples_with(
         };
         let plan = RetrievalPlan::from_planes(planes.clone());
         let opts = pmr_mgard::DecodeOptions::with_exec(*exec);
+        #[expect(
+            clippy::expect_used,
+            reason = "plane counts are clamped to this artifact's capacity above"
+        )]
         let rec = compressed
             .decode_plan(&plan, &opts)
-            // lint:allow(panic_reach): plane counts are clamped to this artifact's capacity above, so decode_plan cannot fail
             .expect("sampled plane counts are clamped to the artifact's capacity");
         let actual_err = max_abs_error(field.data(), rec.data());
         let level_errs: Vec<f64> =

@@ -16,11 +16,17 @@
 //! retrieval strategies behind one interface, and [`experiment`] orchestrates
 //! the train-on-early / test-on-late evaluation protocol of §IV.
 
-// Lossy casts, nondeterminism sources and discarded `Result`s, as
-// scoped to this crate (DESIGN.md §8); test code is exempt.
+// Panics, lossy casts, nondeterminism sources and discarded `Result`s,
+// as scoped to this crate (DESIGN.md §8); test code is exempt.
 #![cfg_attr(
     not(test),
     deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
         clippy::disallowed_methods,
         clippy::disallowed_types,
         unused_must_use,
@@ -28,6 +34,7 @@
         clippy::unused_result_ok,
     )
 )]
+#![forbid(unsafe_code)]
 
 pub mod api;
 pub mod dmgard;

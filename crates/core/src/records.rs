@@ -72,9 +72,12 @@ pub fn collect_records_with(
         let plan = compressed.plan_theory(abs);
         let achieved = *achieved_cache.entry(plan.planes.clone()).or_insert_with(|| {
             let opts = pmr_mgard::DecodeOptions::with_exec(*exec);
+            #[expect(
+                clippy::expect_used,
+                reason = "plan_theory planned this artifact, so decode_plan cannot fail"
+            )]
             let rec = compressed
                 .decode_plan(&plan, &opts)
-                // lint:allow(panic_reach): the plan was produced by plan_theory on this same artifact, so decode_plan cannot fail
                 .expect("theory plan always matches its own artifact");
             max_abs_error(field.data(), rec.data())
         });

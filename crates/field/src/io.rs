@@ -72,8 +72,8 @@ pub fn from_bytes(buf: &[u8]) -> Result<Field, PmrError> {
     let timestep = r.u64()? as usize;
     let nlen = r.u32()? as usize;
     let name = r.str(nlen)?.to_owned();
-    let data = r.take(data_len)?.chunks_exact(8);
-    let data = data.map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunks"))).collect();
+    let mut samples = ByteReader::new(r.take(data_len)?, "field");
+    let data = (0..data_len / 8).map(|_| samples.f64()).collect::<Result<_, _>>()?;
     r.done()?;
     Ok(Field::new(name, timestep, shape, data))
 }

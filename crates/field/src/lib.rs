@@ -13,6 +13,20 @@
 //! are dense `Vec<f64>` buffers in row-major (x fastest) order, and all the
 //! metric routines are single-pass where possible.
 
+// Panics, as scoped to this crate (DESIGN.md §8); test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+    )
+)]
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod field;
 pub mod io;

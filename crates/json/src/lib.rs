@@ -6,9 +6,22 @@
 //! written with `{:?}` (Rust's shortest-roundtrip formatting) so a
 //! write→parse→write cycle is a fixed point.
 
-// Lossy casts, nondeterminism sources and discarded `Result`s, as
-// scoped to this crate (DESIGN.md §8); test code is exempt.
-#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types,))]
+// Panics, lossy casts, nondeterminism sources and discarded `Result`s,
+// as scoped to this crate (DESIGN.md §8); test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+    )
+)]
+#![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
 
@@ -154,7 +167,7 @@ fn write_escaped(out: &mut String, s: &str) {
 /// Parse a JSON document. Strict: rejects trailing garbage, trailing
 /// commas, and unknown escapes, with a byte offset in the error message.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -165,6 +178,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -224,8 +238,9 @@ impl Parser<'_> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number at byte {start}"))
+        let bad = || format!("bad number at byte {start}");
+        let text = self.text.get(start..self.pos).ok_or_else(bad)?;
+        text.parse::<f64>().map(Json::Num).map_err(|_| bad())
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -263,10 +278,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
+                    // Consume one UTF-8 scalar: `pos` is on a char boundary
+                    // of the input, which is a `str`.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| "invalid utf-8".to_string())?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

@@ -14,10 +14,11 @@
 //! started on first use), so no region starts an OS thread.
 
 use pmr_codec::PlaneKernel;
+use pmr_error::sync::{rank, Condvar, Mutex};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 /// Sentinel meaning "let the library pick" for [`ExecPolicy`] knobs.
@@ -118,7 +119,7 @@ pub(crate) fn run_jobs<J: Send>(jobs: impl IntoIterator<Item = J>, work: impl Fn
 /// a *serial* inner policy.
 pub fn fan_out<T: Send>(threads: usize, n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let slots = Mutex::new(&mut out);
+    let slots = Mutex::new(rank::FAN_OUT_SLOTS, &mut out);
     let next = AtomicUsize::new(0);
     run_jobs(0..threads.max(1).min(n), |_| loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -126,7 +127,7 @@ pub fn fan_out<T: Send>(threads: usize, n: usize, work: impl Fn(usize) -> T + Sy
             break;
         }
         let item = work(i);
-        lock(&slots)[i] = Some(item);
+        slots.lock()[i] = Some(item);
     });
     let filled: Vec<T> = out.into_iter().flatten().collect();
     // The cursor hands out every index exactly once; a hole is a dispatch
@@ -140,13 +141,6 @@ pub fn fan_out<T: Send>(threads: usize, n: usize, work: impl Fn(usize) -> T + Sy
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| Pool::start("pmr-mgard-pool", ExecPolicy::default().resolved_threads() - 1))
-}
-
-/// A mutex guard, poisoned or not. Nothing here panics while holding one:
-/// jobs run under `catch_unwind`, and the pool's own state is never locked
-/// across a job.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Parked worker threads that serve one parallel region at a time.
@@ -187,7 +181,7 @@ impl Pool {
     /// if need be.
     fn start(name: &str, workers: usize) -> Pool {
         let shared = Arc::new(Shared {
-            state: Mutex::default(),
+            state: Mutex::new(rank::POOL, State::default()),
             wake: Condvar::new(),
             idle: Condvar::new(),
         });
@@ -207,34 +201,30 @@ impl Pool {
         if jobs.len() < 2 || self.workers.is_empty() {
             return jobs.into_iter().for_each(work);
         }
-        let queue = Mutex::new(jobs.into_iter());
-        let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-        let claim = || lock(&queue).next();
+        let queue = Mutex::new(rank::REGION_QUEUE, jobs.into_iter());
+        let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(rank::REGION_PANIC, None);
+        let claim = || queue.lock().next();
         let task = || {
             while let Some(job) = claim() {
                 if let Err(panic) = catch_unwind(AssertUnwindSafe(|| work(job))) {
-                    lock(&panicked).get_or_insert(panic);
+                    panicked.lock().get_or_insert(panic);
                 }
             }
         };
         self.shared.offer_task(&task);
-        if let Some(panic) = panicked.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        if let Some(panic) = panicked.into_inner() {
             resume_unwind(panic);
         }
     }
 }
 
 impl Shared {
-    fn lock(&self) -> MutexGuard<'_, State> {
-        lock(&self.state)
-    }
-
     /// Run `task` on the calling thread and on every worker that wakes in
     /// time; return once no worker is inside it. If a region is already in
     /// flight, the caller runs `task` alone.
     fn offer_task(&self, task: &(dyn Fn() + Sync)) {
         {
-            let mut st = self.lock();
+            let mut st = self.state.lock();
             if st.task.is_some() || st.running > 0 {
                 drop(st);
                 return task();
@@ -260,18 +250,18 @@ impl Shared {
     /// until the pool is dropped.
     fn work_loop(&self) {
         let mut seen = 0;
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         while !st.shutdown {
             let fresh = st.task.filter(|_| st.region != seen);
             let Some(task) = fresh else {
-                st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st = self.wake.wait(st);
                 continue;
             };
             seen = st.region;
             st.running += 1;
             drop(st);
             task();
-            st = self.lock();
+            st = self.state.lock();
             st.running -= 1;
             if st.running == 0 {
                 self.idle.notify_all();
@@ -285,17 +275,17 @@ struct Retract<'a>(&'a Shared);
 
 impl Drop for Retract<'_> {
     fn drop(&mut self) {
-        let mut st = self.0.lock();
+        let mut st = self.0.state.lock();
         st.task = None;
         while st.running > 0 {
-            st = self.0.idle.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st = self.0.idle.wait(st);
         }
     }
 }
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.lock().shutdown = true;
+        self.shared.state.lock().shutdown = true;
         self.shared.wake.notify_all();
         for worker in self.workers.drain(..) {
             // A worker cannot panic: every job runs under `catch_unwind`.
@@ -441,10 +431,10 @@ mod tests {
         let workers = ExecPolicy::default().resolved_threads() - 1;
         run_jobs(0..2, |_| {});
         assert_eq!(pool_threads(), workers);
-        let runners = Mutex::new(std::collections::HashSet::new());
+        let runners = std::sync::Mutex::new(std::collections::HashSet::new());
         for _ in 0..1000 {
             run_jobs(0..4, |_| {
-                lock(&runners).insert(std::thread::current().id());
+                runners.lock().expect("runners").insert(std::thread::current().id());
             });
         }
         assert_eq!(pool_threads(), workers, "a region started a thread");

@@ -18,6 +18,20 @@
 //! * [`train`] — the mini-batch training loop,
 //! * model persistence via [`mlp::Mlp::to_bytes`] / [`mlp::Mlp::from_bytes`].
 
+// Panics, as scoped to this crate (DESIGN.md §8); test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+    )
+)]
+#![forbid(unsafe_code)]
+
 pub mod activation;
 pub mod data;
 pub mod linear;

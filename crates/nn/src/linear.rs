@@ -64,6 +64,11 @@ impl Linear {
     }
 
     /// Backward pass: given `dY`, set `dw`/`db` and return `dX`.
+    #[expect(
+        clippy::expect_used,
+        reason = "a backward pass before any forward pass is a caller bug, as are the shape \
+                  mismatches asserted below"
+    )]
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
         let x = self.input.as_ref().expect("backward called before forward");
         assert_eq!(dy.rows(), x.rows(), "batch size mismatch");

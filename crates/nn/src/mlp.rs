@@ -48,6 +48,7 @@ impl Mlp {
         self.layers[0].fan_in()
     }
 
+    #[expect(clippy::unwrap_used, reason = "both constructors assert at least one layer")]
     pub fn output_dim(&self) -> usize {
         self.layers.last().unwrap().fan_out()
     }

@@ -7,8 +7,9 @@
 //! — the client receives a `Busy` report and decides when to retry,
 //! rather than queueing invisibly inside the daemon.
 
+use pmr_error::sync::{rank, Mutex};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// Admission caps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +49,7 @@ pub struct Permit {
 
 impl Drop for Permit {
     fn drop(&mut self) {
-        let mut g = self.counts.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut g = self.counts.lock();
         g.total = g.total.saturating_sub(1);
         if let Some(n) = g.per_tenant.get_mut(&self.tenant) {
             *n = n.saturating_sub(1);
@@ -61,13 +62,13 @@ impl Drop for Permit {
 
 impl Admission {
     pub fn new(cfg: AdmissionConfig) -> Self {
-        Admission { cfg, counts: Arc::new(Mutex::new(Counts::default())) }
+        Admission { cfg, counts: Arc::new(Mutex::new(rank::ADMISSION, Counts::default())) }
     }
 
     /// Try to admit one retrieval for `tenant`. `None` means over a cap —
     /// the caller should answer `Busy`.
     pub fn try_acquire(&self, tenant: &str) -> Option<Permit> {
-        let mut g = self.counts.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut g = self.counts.lock();
         let tenant_inflight = g.per_tenant.get(tenant).copied().unwrap_or(0);
         if g.total >= self.cfg.max_inflight || tenant_inflight >= self.cfg.max_inflight_per_tenant {
             g.rejected += 1;
@@ -80,12 +81,12 @@ impl Admission {
 
     /// Requests turned away since daemon start.
     pub fn rejected(&self) -> u64 {
-        self.counts.lock().unwrap_or_else(PoisonError::into_inner).rejected
+        self.counts.lock().rejected
     }
 
     /// Retrievals currently in flight.
     pub fn inflight(&self) -> usize {
-        self.counts.lock().unwrap_or_else(PoisonError::into_inner).total
+        self.counts.lock().total
     }
 }
 

@@ -14,8 +14,9 @@
 //! own retry budget) — a fault in one request's fetch never poisons the
 //! others, they just fall back to fetching themselves.
 
+use pmr_error::sync::{rank, Condvar, Mutex};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// `(dataset id, level, plane)` — the cache address of one payload.
 pub type PlaneKey = (u32, usize, u32);
@@ -111,11 +112,11 @@ pub struct PlaneCache {
 impl PlaneCache {
     /// A cache holding at most `capacity` payload bytes.
     pub fn new(capacity: u64) -> Self {
-        PlaneCache { state: Mutex::new(State::default()), cv: Condvar::new(), capacity }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        PlaneCache {
+            state: Mutex::new(rank::PLANE_CACHE, State::default()),
+            cv: Condvar::new(),
+            capacity,
+        }
     }
 
     /// Fetch `key` through the cache: serve a resident copy, wait on an
@@ -128,7 +129,7 @@ impl PlaneCache {
         fetch: impl FnOnce() -> Result<Vec<u8>, E>,
     ) -> Result<(Arc<Vec<u8>>, Origin), E> {
         let mut waited = false;
-        let mut guard = self.lock();
+        let mut guard = self.state.lock();
         loop {
             if let Some(data) = guard.touch(key) {
                 if waited {
@@ -142,7 +143,7 @@ impl PlaneCache {
             }
             if guard.inflight.contains(&key) {
                 waited = true;
-                guard = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+                guard = self.cv.wait(guard);
                 continue;
             }
             // Become the leader for this key.
@@ -154,7 +155,7 @@ impl PlaneCache {
 
         let outcome = fetch();
 
-        let mut guard = self.lock();
+        let mut guard = self.state.lock();
         guard.inflight.remove(&key);
         match outcome {
             Ok(bytes) => {
@@ -175,7 +176,7 @@ impl PlaneCache {
 
     /// Current aggregate counters.
     pub fn stats(&self) -> CacheStats {
-        let g = self.lock();
+        let g = self.state.lock();
         CacheStats {
             hits: g.hits,
             misses: g.misses,
@@ -190,6 +191,23 @@ impl PlaneCache {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    #[test]
+    fn a_fetch_runs_with_the_cache_lock_released() {
+        // The fetch calls back into the cache it fills. Run under the cache
+        // lock, it would take that lock's rank again: a panic in debug
+        // builds, a deadlock in release ones.
+        let cache = PlaneCache::new(64);
+        let (data, origin) = cache
+            .get_or_fetch::<()>((0, 0, 0), || {
+                assert_eq!(cache.stats().misses, 1);
+                let (inner, _) = cache.get_or_fetch((0, 0, 1), || Ok(vec![2; 4]))?;
+                Ok(inner.iter().map(|b| b + 1).collect())
+            })
+            .expect("fetch");
+        assert_eq!((data.as_slice(), origin), (&[3u8; 4][..], Origin::Fetched));
+        assert_eq!(cache.stats().misses, 2);
+    }
 
     #[test]
     fn hit_after_miss_and_lru_eviction() {

@@ -24,12 +24,23 @@
 //!
 //! Wire protocol details live in [`protocol`].
 
-// Lossy casts, nondeterminism sources and discarded `Result`s, as
-// scoped to this crate (DESIGN.md §8); test code is exempt.
+// Panics, lossy casts, nondeterminism sources and discarded `Result`s,
+// as scoped to this crate (DESIGN.md §8); test code is exempt.
 #![cfg_attr(
     not(test),
-    deny(unused_must_use, clippy::let_underscore_must_use, clippy::unused_result_ok)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        unused_must_use,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+    )
 )]
+#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod cache;

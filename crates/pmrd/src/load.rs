@@ -13,10 +13,11 @@
 
 use crate::client::{Client, ConnectAddr};
 use crate::protocol::{Status, Target, FLAG_NO_PLANES};
+use pmr_error::sync::{rank, Mutex};
 use pmr_error::PmrError;
 use pmr_json::Json;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One load run's shape.
@@ -106,7 +107,7 @@ pub fn run_load(addr: &ConnectAddr, spec: &LoadSpec) -> Result<LoadReport, PmrEr
     }
     let connections = spec.connections.clamp(1, spec.requests.max(1));
     let next = Arc::new(AtomicUsize::new(0));
-    let tally = Arc::new(Mutex::new(Tally::default()));
+    let tally = Arc::new(Mutex::new(rank::LOAD_TALLY, Tally::default()));
     let flags = if spec.report_only { FLAG_NO_PLANES } else { 0 };
     let epoch = Instant::now();
     let started = Instant::now();
@@ -119,7 +120,7 @@ pub fn run_load(addr: &ConnectAddr, spec: &LoadSpec) -> Result<LoadReport, PmrEr
                 let mut client = match Client::connect(addr) {
                     Ok(c) => c,
                     Err(_) => {
-                        let mut t = tally.lock().unwrap_or_else(PoisonError::into_inner);
+                        let mut t = tally.lock();
                         // Count every request this connection would have
                         // served as an error — a refused connect must not
                         // silently shrink the run.
@@ -143,7 +144,7 @@ pub fn run_load(addr: &ConnectAddr, spec: &LoadSpec) -> Result<LoadReport, PmrEr
                     let outcome = client.retrieve_with(tenant, dataset, target, 0, flags);
                     // From the *scheduled* start: schedule slip counts.
                     let latency_ms = scheduled.elapsed().as_secs_f64() * 1e3;
-                    let mut t = tally.lock().unwrap_or_else(PoisonError::into_inner);
+                    let mut t = tally.lock();
                     match outcome {
                         Ok(served) => match served.report.status {
                             Status::Ok => {
@@ -169,8 +170,7 @@ pub fn run_load(addr: &ConnectAddr, spec: &LoadSpec) -> Result<LoadReport, PmrEr
     let elapsed_s = started.elapsed().as_secs_f64().max(1e-9);
     let mut t = Arc::try_unwrap(tally)
         .map_err(|_| PmrError::invalid_config("load worker leaked its tally handle".to_string()))?
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
+        .into_inner();
     // total_cmp: a NaN latency (from a clock glitch) must sort to a defined
     // position, not (as `partial_cmp(..).unwrap_or(Equal)` would) compare
     // Equal to everything and silently scramble the percentile order.

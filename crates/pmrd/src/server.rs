@@ -21,6 +21,7 @@ use crate::corpus::{Corpus, CorpusEntry};
 use crate::protocol::{self, Report, Request, Status, Target, FLAG_NO_PLANES};
 use pmr_core::api::{plan_for_target, requested_bound, RetrievalTarget};
 use pmr_core::Theory;
+use pmr_error::sync::{rank, Mutex};
 use pmr_storage::{fetch_planes_tolerant, ExpectedSegment, FetchExecutor, Stopped, TolerantConfig};
 use std::convert::Infallible;
 use std::io::{Read, Write};
@@ -29,7 +30,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -351,10 +352,11 @@ impl Daemon {
         endpoint: Endpoint,
     ) -> std::io::Result<DaemonHandle> {
         let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: ConnRegistry = Arc::new(Mutex::new(std::collections::BTreeMap::new()));
+        let conns: ConnRegistry =
+            Arc::new(Mutex::new(rank::DAEMON_CONNS, std::collections::BTreeMap::new()));
         let next_conn = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let (tx, rx) = mpsc::channel::<PmrdStream>();
-        let rx = Arc::new(Mutex::new(rx));
+        let rx = Arc::new(Mutex::new(rank::DAEMON_QUEUE, rx));
         let mut workers = Vec::with_capacity(self.cfg.workers.max(1));
         for _ in 0..self.cfg.workers.max(1) {
             let daemon = Arc::clone(self);
@@ -364,8 +366,9 @@ impl Daemon {
             let shutdown = Arc::clone(&shutdown);
             workers.push(std::thread::spawn(move || loop {
                 let next = {
-                    let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-                    // lint:allow(blocking_under_lock): the guard IS the dequeue permit — mpsc::Receiver is single-consumer, so exactly one worker may sit in recv(); nothing else ever takes this lock
+                    // The guard is the dequeue permit: `mpsc::Receiver` has
+                    // one consumer, so one worker at a time waits in `recv`.
+                    let guard = rx.lock();
                     guard.recv()
                 };
                 match next {
@@ -379,7 +382,7 @@ impl Daemon {
                         // race with a concurrent sweep.
                         let id = next_conn.fetch_add(1, Ordering::SeqCst);
                         if let Ok(handle) = stream.try_clone_handle() {
-                            conns.lock().unwrap_or_else(PoisonError::into_inner).insert(id, handle);
+                            conns.lock().insert(id, handle);
                             if shutdown.load(Ordering::SeqCst) {
                                 stream.shutdown_both();
                             }
@@ -390,7 +393,7 @@ impl Daemon {
                         if stream.set_io_timeout(IO_TIMEOUT).is_ok() {
                             daemon.serve_connection(&mut stream);
                         }
-                        conns.lock().unwrap_or_else(PoisonError::into_inner).remove(&id);
+                        conns.lock().remove(&id);
                     }
                     Err(_) => return, // acceptor gone: drain complete
                 }
@@ -588,7 +591,7 @@ impl DaemonHandle {
         // that pick a queued connection up after this sweep see the flag
         // and drop it unserved.
         {
-            let conns = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
+            let conns = self.conns.lock();
             for conn in conns.values() {
                 conn.shutdown_both();
             }

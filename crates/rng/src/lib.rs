@@ -8,11 +8,17 @@
 //! tests run on. The unit tests pin the outputs: changing a range map or the
 //! shuffle order changes every generated field and trained weight.
 
-// Lossy casts, nondeterminism sources and discarded `Result`s, as
-// scoped to this crate (DESIGN.md §8); test code is exempt.
+// Panics, lossy casts, nondeterminism sources and discarded `Result`s,
+// as scoped to this crate (DESIGN.md §8); test code is exempt.
 #![cfg_attr(
     not(test),
     deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
         clippy::cast_possible_truncation,
         clippy::cast_possible_wrap,
         clippy::cast_sign_loss,
@@ -20,6 +26,7 @@
         clippy::disallowed_types,
     )
 )]
+#![forbid(unsafe_code)]
 
 use std::ops::{Range, RangeInclusive};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

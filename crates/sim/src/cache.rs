@@ -73,16 +73,19 @@ impl DatasetCache {
     /// `cfg.snapshots` is simulated once and all snapshots are stored.
     pub fn gray_scott(&self, cfg: &GrayScottConfig, species: GsSpecies, t: usize) -> Field {
         assert!(t < cfg.snapshots, "timestep {t} out of range");
-        let path = self.path_for(&cfg.fingerprint(), species.field_name(), t);
-        if let Ok(f) = io::load(&path) {
+        let fp = cfg.fingerprint();
+        if let Ok(f) = io::load(&self.path_for(&fp, species.field_name(), t)) {
             return f;
         }
-        self.ensure_gray_scott(cfg);
-        io::load(&path).expect("snapshot must exist after simulation")
+        let mut sim = GrayScott::new(*cfg);
+        (0..=t).for_each(|s| self.advance_and_store(&mut sim, &fp, s));
+        let field = sim.snapshot(species, t);
+        (t + 1..cfg.snapshots).for_each(|s| self.advance_and_store(&mut sim, &fp, s));
+        field
     }
 
-    /// Run the Gray-Scott simulation and persist every snapshot that is not
-    /// already on disk.
+    /// Run the Gray-Scott simulation and store every snapshot, unless all
+    /// are on disk already.
     pub fn ensure_gray_scott(&self, cfg: &GrayScottConfig) {
         let fp = cfg.fingerprint();
         let missing = (0..cfg.snapshots).any(|t| {
@@ -92,12 +95,23 @@ impl DatasetCache {
         if !missing {
             return;
         }
-        GrayScott::new(*cfg).run(|t, u, v| {
-            io::save(&u, &self.path_for(&fp, GsSpecies::U.field_name(), t))
-                .expect("cache write failed");
-            io::save(&v, &self.path_for(&fp, GsSpecies::V.field_name(), t))
-                .expect("cache write failed");
-        });
+        let mut sim = GrayScott::new(*cfg);
+        (0..cfg.snapshots).for_each(|t| self.advance_and_store(&mut sim, &fp, t));
+    }
+
+    /// Step `sim` on to snapshot `t` and store both species of it.
+    fn advance_and_store(&self, sim: &mut GrayScott, fp: &str, t: usize) {
+        sim.advance_snapshot();
+        for species in [GsSpecies::U, GsSpecies::V] {
+            // As for WarpX, a failed write is not fatal (e.g. read-only
+            // media): the next request for the snapshot simulates again.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "cache write failures are non-fatal"
+            )]
+            let _ =
+                io::save(&sim.snapshot(species, t), &self.path_for(fp, species.field_name(), t));
+        }
     }
 }
 

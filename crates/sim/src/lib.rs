@@ -19,11 +19,17 @@
 //! operation combines the values of two grid points, so the worker count
 //! cannot change a value: every field is bit-identical at any count.
 
-// Lossy casts, nondeterminism sources and discarded `Result`s, as
-// scoped to this crate (DESIGN.md §8); test code is exempt.
+// Panics, lossy casts, nondeterminism sources and discarded `Result`s,
+// as scoped to this crate (DESIGN.md §8); test code is exempt.
 #![cfg_attr(
     not(test),
     deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
         clippy::disallowed_methods,
         clippy::disallowed_types,
         unused_must_use,
@@ -31,6 +37,7 @@
         clippy::unused_result_ok,
     )
 )]
+#![forbid(unsafe_code)]
 
 use std::sync::OnceLock;
 

@@ -18,10 +18,10 @@
 //! flapping shard (a dead shard is [`crate::ShardedStore::kill_shard`]).
 
 use crate::segment::{FetchError, MutableSegmentStore, SegmentKey, SegmentRead, SegmentStore};
+use pmr_error::sync::{rank, Mutex};
 use pmr_error::PmrError;
 use pmr_rng::{mix, unit_f64};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Probabilities (per attempt, except `permanent` which is per segment) of
 /// the injected fault classes, all in `[0, 1]`, and the flap period.
@@ -142,8 +142,8 @@ impl<S: SegmentStore> FaultInjector<S> {
         Ok(FaultInjector {
             inner,
             cfg,
-            attempts: Mutex::new(BTreeMap::new()),
-            log: Mutex::new(Vec::new()),
+            attempts: Mutex::new(rank::FAULT_ATTEMPTS, BTreeMap::new()),
+            log: Mutex::new(rank::FAULT_LOG, Vec::new()),
         })
     }
 
@@ -170,16 +170,13 @@ impl<S: SegmentStore> FaultInjector<S> {
             .wrapping_add(attempt as u64))
     }
 
-    // Lock-poison recovery below is sound: both tables hold plain data, and
-    // the panic that poisoned them propagates through the thread that
-    // caused it regardless.
     fn record(&self, key: SegmentKey, attempt: u32, kind: FaultKind) {
-        self.log.lock().unwrap_or_else(|p| p.into_inner()).push(FaultEvent { key, attempt, kind });
+        self.log.lock().push(FaultEvent { key, attempt, kind });
     }
 
     /// The faults injected so far, in fetch order.
     pub fn log(&self) -> Vec<FaultEvent> {
-        self.log.lock().unwrap_or_else(|p| p.into_inner()).clone()
+        self.log.lock().clone()
     }
 
     pub fn into_inner(self) -> S {
@@ -190,7 +187,7 @@ impl<S: SegmentStore> FaultInjector<S> {
 impl<S: SegmentStore> SegmentStore for FaultInjector<S> {
     fn fetch(&self, key: SegmentKey) -> Result<SegmentRead, FetchError> {
         let attempt = {
-            let mut map = self.attempts.lock().unwrap_or_else(|p| p.into_inner());
+            let mut map = self.attempts.lock();
             let n = map.entry(key).or_insert(0);
             *n += 1;
             *n

@@ -11,11 +11,17 @@
 //! the one notion of storage tier here), and [`scrub`] (manifest-driven
 //! verification and repair).
 
-// Lossy casts, nondeterminism sources and discarded `Result`s, as
-// scoped to this crate (DESIGN.md §8); test code is exempt.
+// Panics, lossy casts, nondeterminism sources and discarded `Result`s,
+// as scoped to this crate (DESIGN.md §8); test code is exempt.
 #![cfg_attr(
     not(test),
     deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
         clippy::cast_possible_truncation,
         clippy::cast_possible_wrap,
         clippy::cast_sign_loss,
@@ -26,6 +32,7 @@
         clippy::unused_result_ok,
     )
 )]
+#![forbid(unsafe_code)]
 
 pub mod fault;
 pub mod fetch;

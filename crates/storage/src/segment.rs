@@ -15,6 +15,7 @@
 //! synced once, and `open()` verifies every record, skipping torn or rotted
 //! ones and quarantining a torn tail instead of serving or appending after it.
 
+use pmr_error::sync::{rank, Mutex, RwLock};
 use pmr_error::{len_u32, ByteReader, PmrError};
 use pmr_mgard::checksum::fnv1a64;
 use pmr_mgard::Compressed;
@@ -24,7 +25,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::OnceLock;
 
 /// `(level, plane)` — the address of one encoded bit-plane.
 pub type SegmentKey = (usize, u32);
@@ -192,19 +193,28 @@ pub trait MutableSegmentStore: SegmentStore {
 ///
 /// The zero-I/O backend for simulation and tests; wrap it in a
 /// [`crate::FaultInjector`] to model flaky tiers deterministically.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MemStore {
     segments: RwLock<BTreeMap<SegmentKey, Vec<u8>>>,
 }
 
 impl Clone for MemStore {
     fn clone(&self) -> Self {
-        let map = self.segments.read().unwrap_or_else(PoisonError::into_inner).clone();
-        MemStore { segments: RwLock::new(map) }
+        MemStore::with(self.segments.read().clone())
+    }
+}
+
+impl Default for MemStore {
+    fn default() -> Self {
+        MemStore::with(BTreeMap::new())
     }
 }
 
 impl MemStore {
+    fn with(segments: BTreeMap<SegmentKey, Vec<u8>>) -> Self {
+        MemStore { segments: RwLock::new(rank::MEM_SEGMENTS, segments) }
+    }
+
     /// An empty store; fill it with [`MutableSegmentStore::put`].
     pub fn new() -> Self {
         MemStore::default()
@@ -218,13 +228,13 @@ impl MemStore {
                 segments.insert((l, k), lvl.plane_payload(k).to_vec());
             }
         }
-        MemStore { segments: RwLock::new(segments) }
+        MemStore::with(segments)
     }
 
     /// Remove segments, modelling permanent loss (e.g. a dead tier).
     pub fn without(self, lost: &[SegmentKey]) -> Self {
         {
-            let mut map = self.segments.write().unwrap_or_else(PoisonError::into_inner);
+            let mut map = self.segments.write();
             for key in lost {
                 map.remove(key);
             }
@@ -235,7 +245,7 @@ impl MemStore {
 
 impl SegmentStore for MemStore {
     fn fetch(&self, key: SegmentKey) -> Result<SegmentRead, FetchError> {
-        let map = self.segments.read().unwrap_or_else(PoisonError::into_inner);
+        let map = self.segments.read();
         match map.get(&key) {
             Some(bytes) => Ok(SegmentRead::clean(bytes.clone())),
             None => Err(FetchError::Missing { level: key.0, plane: key.1 }),
@@ -243,22 +253,22 @@ impl SegmentStore for MemStore {
     }
 
     fn contains(&self, key: SegmentKey) -> bool {
-        self.segments.read().unwrap_or_else(PoisonError::into_inner).contains_key(&key)
+        self.segments.read().contains_key(&key)
     }
 
     fn keys(&self) -> Vec<SegmentKey> {
-        self.segments.read().unwrap_or_else(PoisonError::into_inner).keys().copied().collect()
+        self.segments.read().keys().copied().collect()
     }
 }
 
 impl MutableSegmentStore for MemStore {
     fn put(&self, key: SegmentKey, payload: &[u8]) -> Result<(), PmrError> {
-        self.segments.write().unwrap_or_else(PoisonError::into_inner).insert(key, payload.to_vec());
+        self.segments.write().insert(key, payload.to_vec());
         Ok(())
     }
 
     fn delete(&self, key: SegmentKey) -> Result<(), PmrError> {
-        self.segments.write().unwrap_or_else(PoisonError::into_inner).remove(&key);
+        self.segments.write().remove(&key);
         Ok(())
     }
 }
@@ -559,11 +569,9 @@ impl Appender {
             Some(file) => file,
             None => {
                 let io = |e| PmrError::io_at(path, e);
-                // `OpenOptions::open` by path: `pmrtool analyze` resolves a
-                // bare `.open` under this guard to `FileStore::open`.
                 let mut options = OpenOptions::new();
                 options.read(true).write(true);
-                match OpenOptions::open(options.clone().create_new(true), path) {
+                match options.clone().create_new(true).open(path) {
                     Ok(file) => {
                         if let Some(dir) = path.parent() {
                             sync_dir(dir)?;
@@ -571,7 +579,7 @@ impl Appender {
                         file
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                        OpenOptions::open(&options, path).map_err(io)?
+                        options.open(path).map_err(io)?
                     }
                     Err(e) => return Err(io(e)),
                 }
@@ -627,8 +635,8 @@ impl FileStore {
         Ok(FileStore {
             dir: dir.to_path_buf(),
             log,
-            index: RwLock::new(index),
-            appender: Mutex::new(appender),
+            index: RwLock::new(rank::SEGMENT_INDEX, index),
+            appender: Mutex::new(rank::SEGMENT_APPENDER, appender),
         })
     }
 
@@ -641,12 +649,11 @@ impl FileStore {
         }
         let path = self.dir.join(LOG_FILE);
         let io = |e| PmrError::io_at(&path, e);
-        let mut appender = self.appender.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut appender = self.appender.lock();
         let start = appender.end;
         let reach = records
             .iter()
             .fold(start, |at, (_, p)| at + (SEG_HEADER + p.map_or(0, <[u8]>::len)) as u64);
-        // lint:allow(blocking_under_lock): the first append opens the log, and a log it creates has its directory entry synced, once per store
         let file = appender.file(&path)?;
         let (mut at, mut placed) = (start, Vec::with_capacity(records.len()));
         let written = records
@@ -662,7 +669,6 @@ impl FileStore {
                 at += (SEG_HEADER + body.len()) as u64;
                 Ok(())
             })
-            // lint:allow(blocking_under_lock): the guard exists to serialize appends through their sync; readers never take it
             .and_then(|()| sync(file, true).map_err(io));
         if let Err(e) = written {
             // Records of a failed batch left in place would outlive it: a
@@ -675,7 +681,7 @@ impl FileStore {
             return Err(e);
         }
         appender.end = at;
-        let mut index = self.index.write().unwrap_or_else(PoisonError::into_inner);
+        let mut index = self.index.write();
         for (key, rec) in placed {
             match (index.binary_search_by_key(&key, |e| e.0), rec) {
                 (Ok(i), Some((offset, len))) => index[i] = (key, offset, len),
@@ -691,7 +697,7 @@ impl FileStore {
 
     /// Offset and payload length of `key`'s live record.
     fn locate(&self, key: SegmentKey) -> Option<(u64, usize)> {
-        let index = self.index.read().unwrap_or_else(PoisonError::into_inner);
+        let index = self.index.read();
         let i = index.binary_search_by_key(&key, |e| e.0).ok()?;
         index.get(i).map(|&(_, at, len)| (at, len))
     }
@@ -753,7 +759,7 @@ impl SegmentStore for FileStore {
     }
 
     fn keys(&self) -> Vec<SegmentKey> {
-        let index = self.index.read().unwrap_or_else(PoisonError::into_inner);
+        let index = self.index.read();
         index.iter().map(|e| e.0).collect()
     }
 }
@@ -1017,7 +1023,7 @@ mod tests {
         let store = store.unwrap();
         assert_eq!(syncs, 0);
         assert_eq!((modified(&log), modified(&dir)), (past, past), "open modified the store");
-        let has_writer = || store.appender.lock().unwrap().file.is_some();
+        let has_writer = || store.appender.lock().file.is_some();
         assert!(!has_writer(), "a clean open holds no write handle");
         for key in store.keys() {
             assert_eq!(store.fetch(key).unwrap().bytes(), c.levels()[key.0].plane_payload(key.1));

@@ -19,11 +19,14 @@
 //! * [`core`] — D-MGARD and E-MGARD retrievers and the experiment runner
 //! * [`conformance`] — error-bound conformance sweeps, differential checks,
 //!   and golden-artifact verification (`pmrtool conformance`)
-//! * [`analyze`] — workspace static analysis: domain lints guarding the
-//!   error-bound contract (`pmrtool analyze`)
+//! * [`analyze`] — workspace static analysis: the taint lints guarding the
+//!   error-bound contract against hostile bytes (`pmrtool analyze`); panics,
+//!   `unsafe` and lock order are clippy's, rustc's and `pmr_error::sync`'s
 //!
 //! See the repository `README.md` for a quickstart and `DESIGN.md` for the
 //! system inventory.
+
+#![forbid(unsafe_code)]
 
 pub use pmr_analysis as analysis;
 pub use pmr_analyze as analyze;

@@ -380,12 +380,16 @@ fn shard_and_scrub_roundtrip_detects_and_repairs_rot() {
 #[test]
 fn analyze_reports_violations_with_exit_1_and_stable_json() {
     // Build a miniature workspace with one deliberate violation on a
-    // lint-scoped path.
+    // lint-scoped path: a wire length sizes an allocation unchecked.
     let dir = tempdir("analyze");
-    let src = dir.join("crates/mgard/src");
+    let src = dir.join("crates/pmrd/src");
     std::fs::create_dir_all(&src).unwrap();
-    std::fs::write(src.join("lib.rs"), "pub fn f(v: &[u8]) -> u8 { *v.first().unwrap() }\n")
-        .unwrap();
+    std::fs::write(
+        src.join("lib.rs"),
+        "pub fn f(r: &mut Reader) -> usize {\n    let n = r.u32() as usize;\n    \
+         Vec::<u8>::with_capacity(n).len()\n}\n",
+    )
+    .unwrap();
 
     let report = dir.join("analyze.json");
     let run = || {
@@ -400,15 +404,18 @@ fn analyze_reports_violations_with_exit_1_and_stable_json() {
     let out = run();
     assert_eq!(out.status.code(), Some(1), "violations must exit 1");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("panic_reach"), "summary names the lint: {stdout}");
+    assert!(
+        stdout.contains("crates/pmrd/src/lib.rs:3: [taint_alloc]"),
+        "summary names it: {stdout}"
+    );
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("static-analysis violation"),
         "stderr names the failure"
     );
     let json1 = read_json(&report);
-    assert_eq!(lint_count(&json1, "panic_reach"), Some(1), "{json1:?}");
+    assert_eq!(lint_count(&json1, "taint_alloc"), Some(1), "{json1:?}");
     let violations = json1.get("violations").and_then(Json::as_arr).expect("violations");
-    assert_eq!(violations[0].get("file").and_then(Json::as_str), Some("crates/mgard/src/lib.rs"));
+    assert_eq!(violations[0].get("file").and_then(Json::as_str), Some("crates/pmrd/src/lib.rs"));
     let timing = json1.get("timing").and_then(|t| t.get("wall_ms"));
     assert!(timing.and_then(Json::as_f64).is_some(), "workspace runs record timing: {json1:?}");
 
@@ -418,19 +425,6 @@ fn analyze_reports_violations_with_exit_1_and_stable_json() {
     assert_eq!(out.status.code(), Some(1));
     let json2 = read_json(&report);
     assert_eq!(strip_timing(json1), strip_timing(json2), "analyze report must be deterministic");
-
-    // An inline waiver flips the run green but keeps the audit trail.
-    std::fs::write(
-        src.join("lib.rs"),
-        "// lint:allow(panic_reach): fixture\npub fn f(v: &[u8]) -> u8 { *v.first().unwrap() }\n",
-    )
-    .unwrap();
-    let out = run();
-    assert!(out.status.success(), "waived run must pass: {}", String::from_utf8_lossy(&out.stderr));
-    let json3 = read_json(&report);
-    assert_eq!(lint_count(&json3, "panic_reach"), Some(0), "{json3:?}");
-    let allowed = json3.get("allowed").and_then(Json::as_arr).expect("allowed");
-    assert_eq!(allowed[0].get("reason").and_then(Json::as_str), Some("fixture"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -515,78 +509,13 @@ fn analyze_catches_planted_regressions() {
             &[("Ok(r.str(len)?.to_owned())", "Ok(String::from_utf8_lossy(&r.rest()[..len]).into_owned())")],
             "taint_index",
         ),
-        // A sleep under the plane-cache lock, in `get_or_fetch`.
-        (
-            "crates/pmrd/src/cache.rs",
-            &[(
-                "        let mut guard = self.lock();\n        guard.inflight.remove(&key);",
-                "        let mut guard = self.lock();\n        \
-                 std::thread::sleep(std::time::Duration::from_millis(1));\n        \
-                 guard.inflight.remove(&key);",
-            )],
-            "blocking_under_lock",
-        ),
-        // A sleep under the worker pool's lock, in `offer_task`.
-        (
-            "crates/mgard/src/exec.rs",
-            &[(
-                "            let mut st = self.lock();\n",
-                "            let mut st = self.lock();\n            \
-                 std::thread::sleep(std::time::Duration::from_millis(1));\n",
-            )],
-            "blocking_under_lock",
-        ),
-        // The pool's lock taken twice in `offer_task`: a self-deadlock.
-        (
-            "crates/mgard/src/exec.rs",
-            &[(
-                "            let mut st = self.lock();\n",
-                "            let mut st = self.lock();\n            let _again = self.lock();\n",
-            )],
-            "lock_order",
-        ),
-        // An AB/BA cycle in `FaultInjector`: `log()` takes `attempts` under
-        // `log`, while `fetch` records a fault under `attempts`.
-        (
-            "crates/storage/src/fault.rs",
-            &[
-                (
-                    "        self.log.lock().unwrap_or_else(|p| p.into_inner()).clone()\n",
-                    "        let log = self.log.lock().unwrap_or_else(|p| p.into_inner());\n        \
-                     let _seen = self.attempts.lock().unwrap_or_else(|p| p.into_inner()).len();\n        \
-                     log.clone()\n",
-                ),
-                (
-                    "            *n += 1;\n",
-                    "            *n += 1;\n            self.record(key, *n, FaultKind::Transient);\n",
-                ),
-            ],
-            "lock_order",
-        ),
-        // A batch result unwrapped in `fan_out` instead of flattened.
-        (
-            "crates/mgard/src/exec.rs",
-            &[("out.into_iter().flatten().collect()", "out.into_iter().map(|s| s.unwrap()).collect()")],
-            "panic_reach",
-        ),
-        // A pool retraction asserted `Send` by hand.
-        (
-            "crates/mgard/src/exec.rs",
-            &[(
-                "struct Retract<'a>(&'a Shared);\n",
-                "struct Retract<'a>(&'a Shared);\n\n\
-                 // SAFETY: a retraction only touches the pool's mutex.\n\
-                 unsafe impl Send for Retract<'_> {}\n",
-            )],
-            "send_sync_impl",
-        ),
     ];
-    // Every lint proves a catch on this code base; `stale_suppression` has
-    // its own test. The probes of the checks handed to clippy and rustc
-    // (undocumented `unsafe`, lossy casts, nondeterminism, discarded
-    // `Result`s) are `tools/clippy_probes.sh`'s.
-    for id in LINT_IDS.iter().filter(|&&id| id != "stale_suppression") {
-        assert!(probes.iter().any(|&(.., lint)| lint == *id), "lint {id} has no probe here");
+    // Every lint proves a catch on this code base. The probes of the checks
+    // handed to the toolchain (panics, undocumented `unsafe`, lossy casts,
+    // nondeterminism, discarded `Result`s, lock order) are
+    // `tools/probes.sh`'s.
+    for id in LINT_IDS {
+        assert!(probes.iter().any(|&(.., lint)| lint == id), "lint {id} has no probe here");
     }
     for &(file, edits, lint) in probes {
         let path = root.join(file);
@@ -613,37 +542,20 @@ fn analyze_catches_planted_regressions() {
 #[test]
 fn analyze_explain_prints_lint_documentation() {
     // One doc table drives --explain; each entry renders semantics, known
-    // false-positive patterns, and the waiver syntax.
-    let out = pmrtool().args(["analyze", "--explain", "blocking_under_lock"]).output().unwrap();
+    // false-positive patterns, and how to resolve a finding.
+    let out = pmrtool().args(["analyze", "--explain", "taint_alloc"]).output().unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("What it checks"), "{stdout}");
     assert!(stdout.contains("Known false-positive patterns"), "{stdout}");
-    assert!(stdout.contains("lint:allow(blocking_under_lock)"), "{stdout}");
+    assert!(stdout.contains("How to resolve a finding"), "{stdout}");
+    assert!(stdout.contains("TAINT_SANITIZERS"), "{stdout}");
 
     let out = pmrtool().args(["analyze", "--explain", "no_such_lint"]).output().unwrap();
     assert!(!out.status.success(), "unknown lint ids must fail");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("no_such_lint"), "{stderr}");
     assert!(stderr.contains("checksum_gate"), "the error lists the known lints: {stderr}");
-}
-
-#[test]
-fn analyze_fails_on_stale_suppressions() {
-    let dir = tempdir("analyze_stale");
-    let src = dir.join("crates/mgard/src");
-    std::fs::create_dir_all(&src).unwrap();
-    std::fs::write(
-        src.join("lib.rs"),
-        "// lint:allow(panic_reach): nothing panics here anymore\npub fn calm() {}\n",
-    )
-    .unwrap();
-    let out = pmrtool().args(["analyze", "--root"]).arg(&dir).output().unwrap();
-    assert_eq!(out.status.code(), Some(1), "a waiver that matches nothing must fail");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("stale_suppression"), "{stdout}");
-    assert!(stdout.contains("crates/mgard/src/lib.rs:1:"), "the finding points at it: {stdout}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -666,7 +578,7 @@ fn analyze_passes_on_this_workspace() {
             .unwrap();
         assert!(
             out.status.success(),
-            "workspace has unwaived violations:\n{}",
+            "workspace has violations:\n{}",
             String::from_utf8_lossy(&out.stdout)
         );
         strip_timing(read_json(&report))
@@ -675,27 +587,14 @@ fn analyze_passes_on_this_workspace() {
     let there = run(&elsewhere, root, "there.json");
     assert_eq!(here, there, "the report depends on the working directory");
 
-    // The whole waiver surface, pinned in report order: a new inline waiver
-    // is a reviewed edit of this list, never a silent one.
-    let waived: Vec<(&str, &str)> = here
-        .get("allowed")
-        .and_then(Json::as_arr)
-        .expect("allowed")
-        .iter()
-        .map(|a| {
-            (
-                a.get("lint").and_then(Json::as_str).unwrap(),
-                a.get("file").and_then(Json::as_str).unwrap(),
-            )
-        })
-        .collect();
-    let expected = [
-        ("panic_reach", "crates/core/src/emgard.rs"),
-        ("panic_reach", "crates/core/src/records.rs"),
-        ("blocking_under_lock", "crates/pmrd/src/server.rs"),
-        ("blocking_under_lock", "crates/storage/src/segment.rs"),
-        ("blocking_under_lock", "crates/storage/src/segment.rs"),
-    ];
-    assert_eq!(waived, expected);
+    // The catalogue is the three taint lints, and none of them fires.
+    let summary = here.get("summary").expect("summary");
+    let lints: Vec<(&str, usize)> = match summary {
+        Json::Obj(pairs) => {
+            pairs.iter().map(|(k, v)| (k.as_str(), v.as_usize().unwrap())).collect()
+        }
+        other => panic!("summary is not an object: {other:?}"),
+    };
+    assert_eq!(lints, [("taint_alloc", 0), ("taint_index", 0), ("checksum_gate", 0)]);
     std::fs::remove_dir_all(&elsewhere).ok();
 }
