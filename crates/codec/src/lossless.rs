@@ -129,12 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn bad_tag_rejected() {
-        assert!(decompress(&[0x7F, 1, 2, 3]).is_none());
-        assert!(decompress(&[]).is_none());
-    }
-
-    #[test]
     fn bounded_raw_respects_cap() {
         let c = compress(&[1, 2, 3, 4]);
         assert_eq!(mode_of(&c), Some(Lossless::Raw));

@@ -188,17 +188,6 @@ fn bitstream_roundtrip() {
 // rejection (None / Err), never a panic or an unbounded allocation. ---
 
 #[test]
-fn rle_decode_never_panics() {
-    cases("rle_decode_never_panics", 256, |g| {
-        // Worst-case legal expansion is 130 decoded bytes per 2 encoded.
-        let data = g.vec(0..2048, Rng::u8);
-        if let Some(out) = rle::decode(&data) {
-            assert!(out.len() <= data.len().div_ceil(2) * 130);
-        }
-    });
-}
-
-#[test]
 fn rle_decode_bounded_never_exceeds_cap() {
     cases("rle_decode_bounded_never_exceeds_cap", 256, |g| {
         let data = g.vec(0..2048, Rng::u8);
@@ -210,15 +199,6 @@ fn rle_decode_bounded_never_exceeds_cap() {
 }
 
 #[test]
-fn lossless_decompress_never_panics() {
-    cases("lossless_decompress_never_panics", 256, |g| {
-        let data = g.vec(0..2048, Rng::u8);
-        let _ = lossless::decompress_bounded(&data, 1 << 16);
-        let _ = lossless::mode_of(&data);
-    });
-}
-
-#[test]
 fn lossless_try_decompress_err_or_exact() {
     cases("lossless_try_decompress_err_or_exact", 256, |g| {
         let data = g.vec(0..1024, Rng::u8);
@@ -226,18 +206,6 @@ fn lossless_try_decompress_err_or_exact() {
         match lossless::try_decompress(&data, expected) {
             Ok(out) => assert_eq!(out.len(), expected),
             Err(e) => assert!(e.to_string().contains("malformed")),
-        }
-    });
-}
-
-#[test]
-fn rle_truncation_rejected_cleanly() {
-    cases("rle_truncation_rejected_cleanly", 256, |g| {
-        let enc = rle::encode(&g.vec(1..512, Rng::u8));
-        // Every strict prefix either decodes to a (different) valid stream or
-        // is rejected with None; the reader never walks off the buffer.
-        for cut in 0..enc.len() {
-            let _ = rle::decode(&enc[..cut]);
         }
     });
 }

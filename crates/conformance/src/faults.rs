@@ -273,6 +273,19 @@ pub enum Verdict {
     HonestVerified,
 }
 
+/// The bound check of every oracle: `out` has `original`'s shape, and its
+/// measured `L∞` error against `original` is within `reported`.
+pub fn within_reported_bound(original: &Field, out: &Field, reported: f64) -> Result<(), String> {
+    if out.shape() != original.shape() {
+        return Err(format!("{} reconstructed as {}", original.shape(), out.shape()));
+    }
+    let measured = max_abs_error(original.data(), out.data());
+    if measured > reported {
+        return Err(format!("measured error {measured:e} exceeds the reported bound {reported:e}"));
+    }
+    Ok(())
+}
+
 /// The reported-bound oracle, for every path that retrieves under faults.
 ///
 /// `out` is what a reader returned for `requested_bound` with its
@@ -299,10 +312,7 @@ pub fn check_outcome(
     let full = c.plan_full();
     let reported =
         degraded.map_or(requested_bound.max(full.estimated_error), |d| d.achievable_bound);
-    let measured = max_abs_error(original.data(), out.data());
-    if measured > reported {
-        return Err(format!("measured error {measured:e} exceeds the reported bound {reported:e}"));
-    }
+    within_reported_bound(original, out, reported)?;
     let Some(deg) = degraded else {
         if out.data() != healthy.data() {
             return Err("undegraded output differs from the healthy decode".to_string());

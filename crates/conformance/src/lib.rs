@@ -25,6 +25,9 @@
 //! * [`golden`] — small checked-in compressed blobs whose bytes, plans,
 //!   fetch sizes and achieved-error *bits* must stay identical until the
 //!   format intentionally changes.
+//! * [`hostile`] — one hostile-input oracle for every parser of untrusted
+//!   bytes (prefixes, a trailing byte, extreme counts under an allocation
+//!   cap, every single-bit flip), with [`heap`]'s test allocator.
 //!
 //! `pmrtool conformance` drives all of it from the command line; the CI
 //! workflow runs the quick grid per PR and the full 81-bound grid on a
@@ -33,17 +36,20 @@
 // Lossy casts, nondeterminism sources and discarded `Result`s, as
 // scoped to this crate (DESIGN.md §8); test code is exempt.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types,))]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod differential;
 pub mod faults;
 pub mod fields;
 pub mod golden;
+#[expect(unsafe_code, reason = "a global allocator is an `unsafe impl GlobalAlloc`")]
+pub mod heap;
+pub mod hostile;
 pub mod sweep;
 
 pub use faults::{
-    check_outcome, fault_report_json, run_fault_grid, FaultGridConfig, FaultReport, FaultSchedule,
-    Verdict,
+    check_outcome, fault_report_json, run_fault_grid, within_reported_bound, FaultGridConfig,
+    FaultReport, FaultSchedule, Verdict,
 };
 pub use fields::{catalogue, sim_slices, synthetic, FieldClass};
 pub use golden::{regenerate as regenerate_golden, verify as verify_golden};

@@ -287,11 +287,8 @@ impl DMgard {
     }
 
     /// Inverse of [`DMgard::to_bytes`].
-    pub fn from_bytes(buf: &[u8]) -> Option<Self> {
-        Self::read(&mut ByteReader::new(buf, "dmgard model")).ok()
-    }
-
-    fn read(r: &mut ByteReader<'_>) -> Result<Self, PmrError> {
+    pub fn from_bytes(buf: &[u8]) -> Result<Self, PmrError> {
+        let r = &mut ByteReader::new(buf, "dmgard model");
         if r.take(6)? != b"PMRD1\0" {
             return Err(r.malformed("bad magic"));
         }
@@ -327,20 +324,20 @@ impl DMgard {
     /// Read a stack previously written with [`DMgard::save`].
     pub fn load(path: &std::path::Path) -> Result<Self, PmrError> {
         let buf = std::fs::read(path).map_err(|e| PmrError::io_at(path, e))?;
-        Self::read(&mut ByteReader::new(&buf, "dmgard model"))
+        Self::from_bytes(&buf)
     }
 }
 
 /// One persisted `(model, standardizer)` pair as both learned planners
 /// write it: a `u64` length and the [`Mlp`] bytes, then a `u64` length and
-/// the [`Standardizer`] bytes.
+/// the [`Standardizer`] bytes. A blob that does not parse is refused with
+/// its own error, which names the model or the standardizer.
 pub(crate) fn read_model_pair(r: &mut ByteReader<'_>) -> Result<(Mlp, Standardizer), PmrError> {
     // A length past `usize` is past the end of any buffer: `take` refuses it.
     let n = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
-    let model = Mlp::from_bytes(r.take(n)?).ok_or_else(|| r.malformed("bad mlp model"))?;
+    let model = Mlp::from_bytes(r.take(n)?)?;
     let n = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
-    let standardizer =
-        Standardizer::from_bytes(r.take(n)?).ok_or_else(|| r.malformed("bad standardizer"))?;
+    let standardizer = Standardizer::from_bytes(r.take(n)?)?;
     Ok((model, standardizer))
 }
 
@@ -425,7 +422,7 @@ mod tests {
         let rt = DMgard::from_bytes(&bytes).expect("roundtrip");
         let f = &records[0].features;
         assert_eq!(model.predict(f, 1e-3), rt.predict(f, 1e-3));
-        assert!(DMgard::from_bytes(&bytes[..10]).is_none());
+        assert!(DMgard::from_bytes(&bytes[..10]).is_err());
     }
 
     #[test]

@@ -366,11 +366,8 @@ impl EMgard {
     }
 
     /// Inverse of [`EMgard::to_bytes`].
-    pub fn from_bytes(buf: &[u8]) -> Option<Self> {
-        Self::read(&mut ByteReader::new(buf, "emgard model")).ok()
-    }
-
-    fn read(r: &mut ByteReader<'_>) -> Result<Self, PmrError> {
+    pub fn from_bytes(buf: &[u8]) -> Result<Self, PmrError> {
+        let r = &mut ByteReader::new(buf, "emgard model");
         if r.take(6)? != b"PMRE1\0" {
             return Err(r.malformed("bad magic"));
         }
@@ -401,7 +398,7 @@ impl EMgard {
     /// Read a model previously written with [`EMgard::save`].
     pub fn load(path: &std::path::Path) -> Result<Self, PmrError> {
         let buf = std::fs::read(path).map_err(|e| PmrError::io_at(path, e))?;
-        Self::read(&mut ByteReader::new(&buf, "emgard model"))
+        Self::from_bytes(&buf)
     }
 }
 
@@ -481,7 +478,7 @@ mod tests {
         let a = model.predict_constants(&c);
         let b = rt.predict_constants(&c);
         assert_eq!(a, b);
-        assert!(EMgard::from_bytes(b"garbage").is_none());
+        assert!(EMgard::from_bytes(b"garbage").is_err());
     }
 
     /// Finite-difference check of the custom training gradient: the loss is

@@ -1,12 +1,11 @@
 //! Property tests for the DNN retrieval layer, on the seeded case driver
 //! `pmr_rng::cases`: a failure names the test and the case index.
 
-use pmr_core::emgard::{build_samples, level_signature, SIG_DIM};
+use pmr_core::collect_records;
+use pmr_core::emgard::{level_signature, SIG_DIM};
 use pmr_core::features;
-use pmr_core::{collect_records, DMgard, DMgardConfig, EMgard, EMgardConfig};
 use pmr_field::{Field, Shape};
 use pmr_mgard::{CompressConfig, Compressed};
-use pmr_nn::TrainConfig;
 use pmr_rng::{cases, Rng};
 
 fn arb_field(g: &mut Rng) -> Field {
@@ -50,65 +49,6 @@ fn records_always_respect_bounds() {
             assert!(r.retrieved_bytes <= c.total_bytes());
         }
     });
-}
-
-/// The bytes of a small trained D-MGARD and E-MGARD: random bytes stop at
-/// the magic, so the hostile-input tests below start from these.
-fn trained_model_bytes() -> (Vec<u8>, Vec<u8>) {
-    let field = Field::from_fn("m", 0, Shape::cube(9), |x, y, z| {
-        ((x as f64) * 0.3).sin() + ((y + z) as f64 * 0.2).cos()
-    });
-    let c = Compressed::compress(&field, &CompressConfig { levels: 3, ..Default::default() });
-    let records = collect_records(&field, &c, &[1e-3, 1e-1]);
-    let dcfg = DMgardConfig {
-        hidden: vec![4],
-        train: TrainConfig { epochs: 1, ..Default::default() },
-        ..Default::default()
-    };
-    let (d, _) = DMgard::train(&records, c.num_levels(), c.num_planes(), &dcfg);
-    let ecfg =
-        EMgardConfig { hidden: vec![4], epochs: 1, samples_per_artifact: 4, ..Default::default() };
-    let (e, _) = EMgard::train(&build_samples(&field, &c, &ecfg, 0), &ecfg);
-    (d.to_bytes(), e.to_bytes())
-}
-
-/// A D-MGARD/E-MGARD parser against hostile variants of `valid`, whose
-/// first model length sits at `first`: a `u64::MAX` model or standardizer
-/// length, every strict prefix and a trailing byte are rejected; random
-/// bytes, hostile lengths and flipped bytes never panic.
-fn rejects_hostile_model_bytes(name: &str, valid: &[u8], first: usize, parses: fn(&[u8]) -> bool) {
-    let model_len = u64::from_le_bytes(valid[first..first + 8].try_into().expect("8 bytes"));
-    let lengths = [first, first + 8 + usize::try_from(model_len).expect("model length")];
-    let with_length = |at: usize, len: u64| {
-        let mut bytes = valid.to_vec();
-        bytes[at..at + 8].copy_from_slice(&len.to_le_bytes());
-        bytes
-    };
-    assert!(parses(valid) && !parses(&[valid, &[0]].concat()), "{name}: exact length only");
-    assert!((0..valid.len()).all(|cut| !parses(&valid[..cut])), "{name}: a prefix parsed");
-    assert!(lengths.iter().all(|&at| !parses(&with_length(at, u64::MAX))), "{name}: u64::MAX");
-    cases(name, 24, |g| {
-        let _ = parses(&g.vec(0..400, Rng::u8));
-        let hostile = [u64::MAX - g.range(0u64..64), g.next_u64(), g.range(0u64..1 << 16)];
-        let _ = parses(&with_length(lengths[g.range(0..2usize)], hostile[g.range(0..3usize)]));
-        let mut flipped = valid.to_vec();
-        flipped[g.range(0..valid.len())] ^= g.range(1..=u8::MAX);
-        let _ = parses(&flipped);
-    });
-}
-
-#[test]
-fn dmgard_from_bytes_never_panics() {
-    let (valid, _) = trained_model_bytes();
-    let parses = |b: &[u8]| DMgard::from_bytes(b).is_some();
-    rejects_hostile_model_bytes("dmgard_from_bytes_never_panics", &valid, 16, parses);
-}
-
-#[test]
-fn emgard_from_bytes_never_panics() {
-    let (_, valid) = trained_model_bytes();
-    let parses = |b: &[u8]| EMgard::from_bytes(b).is_some();
-    rejects_hostile_model_bytes("emgard_from_bytes_never_panics", &valid, 10, parses);
 }
 
 #[test]

@@ -75,53 +75,3 @@ fn shape_index_bijective() {
     check(4, 1, 1); // the shape of `recorded_4x1x1`
     cases("shape_index_bijective", 256, |g| check(g.range(1..8), g.range(1..8), g.range(1..8)));
 }
-
-// --- `from_bytes` is total: hostile bytes are an `Err`, never a panic or a
-// header-sized allocation. ---
-
-#[test]
-fn from_bytes_rejects_hostile_headers() {
-    // A valid 2x2 field with the header's `ndim, dx, dy, dz` replaced.
-    let with_header = |header: [u32; 4]| {
-        let mut bytes = io::to_bytes(&Field::new("", 0, Shape::d2(2, 2), vec![0.0; 4]));
-        for (dst, v) in bytes[8..24].chunks_exact_mut(4).zip(header) {
-            dst.copy_from_slice(&v.to_le_bytes());
-        }
-        bytes
-    };
-    assert!(io::from_bytes(&with_header([2, 2, 2, 1])).is_ok());
-    for (header, why) in [
-        // A zero extent used to reach `Shape::d1`'s assert.
-        ([1, 0, 1, 1], "out of range"),
-        // 2^21 per side: the byte count wrapped to 0 in release, an empty
-        // data section matched it, and allocating 2^63 points overflowed.
-        ([3, 1 << 21, 1 << 21, 1 << 21], "out of range"),
-        ([3, 1 << 10, 1 << 10, 1 << 10], "out of range"),
-        ([1, 2, 2, 1], "beyond ndim"),
-        ([2, 2, 1, 2], "beyond ndim"),
-        ([0, 2, 2, 1], "bad ndim"),
-        ([4, 2, 2, 1], "bad ndim"),
-    ] {
-        let err = io::from_bytes(&with_header(header)[..36]).unwrap_err().to_string();
-        assert!(err.contains(why), "{header:?}: {err}");
-    }
-}
-
-#[test]
-fn from_bytes_never_panics_on_mutations() {
-    cases("from_bytes_never_panics_on_mutations", 256, |g| {
-        let mut bytes = io::to_bytes(&arb_field(g));
-        for _ in 0..g.range(1..6) {
-            // Half the hits land in the 36-byte header, where every byte
-            // is load-bearing.
-            let at = if g.bool() { g.range(0..36) } else { g.range(0..bytes.len()) };
-            bytes[at] = g.u8();
-        }
-        if g.bool() {
-            bytes.truncate(g.range(0..bytes.len()));
-        }
-        if let Ok(back) = io::from_bytes(&bytes) {
-            assert_eq!(back.data().len(), back.shape().len());
-        }
-    });
-}

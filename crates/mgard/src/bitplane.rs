@@ -587,10 +587,10 @@ impl LevelEncoding {
 
     /// Inverse of [`LevelEncoding::to_bytes`]: parses and validates,
     /// returning the encoding and the number of bytes consumed.
-    pub fn from_bytes(buf: &[u8]) -> Option<(Self, usize)> {
+    pub fn from_bytes(buf: &[u8]) -> Result<(Self, usize), PmrError> {
         let mut r = ByteReader::new(buf, "level encoding");
-        let enc = Self::read_from(&mut r).ok()?;
-        Some((enc, r.pos()))
+        let enc = Self::read_from(&mut r)?;
+        Ok((enc, r.pos()))
     }
 
     /// [`LevelEncoding::from_bytes`] at `r`'s position, for the formats

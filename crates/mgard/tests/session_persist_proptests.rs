@@ -41,29 +41,6 @@ fn persistence_roundtrip_any_artifact() {
 }
 
 #[test]
-fn persistence_never_panics_on_garbage() {
-    cases("persistence_never_panics_on_garbage", CASES, |g| {
-        // Must reject or parse, never panic.
-        let _ = persist::from_bytes(&g.vec(0..512, Rng::u8));
-    });
-}
-
-#[test]
-fn persistence_never_panics_on_mutations() {
-    cases("persistence_never_panics_on_mutations", CASES, |g| {
-        let c = Compressed::compress(&arb_field(g), &CompressConfig::default());
-        let mut bytes = persist::to_bytes(&c).expect("encode");
-        let idx = g.range(0..bytes.len());
-        bytes[idx] = g.u8();
-        if let Ok(rt) = persist::from_bytes(&bytes) {
-            // If the mutation survived validation it must still be usable.
-            let plan = rt.plan_full();
-            let _ = rt.retrieved_bytes(&plan);
-        }
-    });
-}
-
-#[test]
 fn session_monotone_and_consistent() {
     cases("session_monotone_and_consistent", CASES, |g| {
         let c = Compressed::compress(&arb_field(g), &CompressConfig::default());

@@ -1,7 +1,7 @@
 //! Datasets, feature standardisation and mini-batching.
 
 use crate::tensor::Matrix;
-use pmr_error::ByteReader;
+use pmr_error::{ByteReader, PmrError};
 use pmr_rng::Rng;
 
 /// Per-column z-score standardiser fitted on training features.
@@ -94,14 +94,14 @@ impl Standardizer {
     }
 
     /// Inverse of [`Standardizer::to_bytes`].
-    pub fn from_bytes(buf: &[u8]) -> Option<Self> {
+    pub fn from_bytes(buf: &[u8]) -> Result<Self, PmrError> {
         let mut r = ByteReader::new(buf, "standardizer");
-        let dim = r.u32().ok()? as usize;
-        let mut floats = || (0..dim).map(|_| r.f32()).collect::<Result<Vec<f32>, _>>().ok();
+        let dim = r.u32()? as usize;
+        let mut floats = || (0..dim).map(|_| r.f32()).collect::<Result<Vec<f32>, _>>();
         let mean = floats()?;
         let std = floats()?;
-        r.done().ok()?;
-        Some(Standardizer { mean, std })
+        r.done()?;
+        Ok(Standardizer { mean, std })
     }
 }
 
@@ -197,7 +197,7 @@ mod tests {
         let s = Standardizer::fit(&x);
         let rt = Standardizer::from_bytes(&s.to_bytes()).unwrap();
         assert_eq!(s, rt);
-        assert!(Standardizer::from_bytes(&[1, 2, 3]).is_none());
+        assert!(Standardizer::from_bytes(&[1, 2, 3]).is_err());
     }
 
     #[test]

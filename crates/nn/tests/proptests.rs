@@ -10,35 +10,6 @@ fn arb_matrix(g: &mut Rng, max_r: usize, max_c: usize) -> Matrix {
 }
 
 #[test]
-fn mlp_from_bytes_never_panics() {
-    cases("mlp_from_bytes_never_panics", 256, |g| {
-        let _ = Mlp::from_bytes(&g.vec(0..600, Rng::u8));
-    });
-}
-
-#[test]
-fn mlp_bytes_mutation_never_panics() {
-    cases("mlp_bytes_mutation_never_panics", 256, |g| {
-        let mlp = Mlp::new(&[3, 4, 2], Activation::Relu, Activation::Identity, g.next_u64());
-        let mut bytes = mlp.to_bytes();
-        let i = g.range(0..bytes.len());
-        bytes[i] = g.u8();
-        if let Some(mut rt) = Mlp::from_bytes(&bytes) {
-            if rt.input_dim() == 3 {
-                let _ = rt.predict_row(&[0.1, 0.2, 0.3]);
-            }
-        }
-    });
-}
-
-#[test]
-fn standardizer_from_bytes_never_panics() {
-    cases("standardizer_from_bytes_never_panics", 256, |g| {
-        let _ = Standardizer::from_bytes(&g.vec(0..256, Rng::u8));
-    });
-}
-
-#[test]
 fn standardizer_roundtrip_rows() {
     cases("standardizer_roundtrip_rows", 256, |g| {
         let m = arb_matrix(g, 12, 6);

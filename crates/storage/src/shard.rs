@@ -551,6 +551,11 @@ fn write_meta(dir: &Path, cfg: &ShardConfig) -> Result<(), PmrError> {
 fn read_meta(dir: &Path) -> Result<ShardConfig, PmrError> {
     let path = dir.join("shard.meta");
     let body = fs::read_to_string(&path).map_err(|e| PmrError::io_at(&path, e))?;
+    // `write_meta` ends every line, the last included: a file without its
+    // final newline was cut short.
+    let body = body
+        .strip_suffix('\n')
+        .ok_or_else(|| PmrError::malformed("shard.meta", "cut short: no final newline"))?;
     let mut lines = body.lines();
     if lines.next() != Some(META_MAGIC) {
         return Err(PmrError::malformed("shard.meta", "bad magic"));

@@ -12,14 +12,11 @@
 //! pmrtool faultsim [--grid quick|full] [--seed N] [--report <path>]
 //! pmrtool shard <in.pmrc> <out-dir> [--shards N] [--replication R] [--hot-planes H]
 //! pmrtool scrub <dir> --manifest <in.pmrc> [--repair] [--report <path>]
-//! pmrtool analyze [--root <dir>] [--report <path>]
-//! pmrtool analyze --explain <lint-id>
 //! ```
 //!
 //! Field files use the `pmr-field` binary format (`.pmrf`); artifacts the
 //! `pmr-mgard` persistence format (`.pmrc`).
 
-use pmr::analyze;
 use pmr::conformance::{self, FaultGridConfig, SweepConfig};
 use pmr::core::{Backend, Dataset, RetrievalRequest, Theory};
 use pmr::field::io as field_io;
@@ -52,9 +49,7 @@ const USAGE: &str = "usage:
                       [--regen-golden] [--golden-only] [--report <path>]
   pmrtool faultsim [--grid quick|full] [--seed N] [--report <path>]
   pmrtool shard <in.pmrc> <out-dir> [--shards N] [--replication R] [--hot-planes H]
-  pmrtool scrub <dir> --manifest <in.pmrc> [--repair] [--report <path>]
-  pmrtool analyze [--root <dir>] [--report <path>]
-  pmrtool analyze --explain <lint-id>";
+  pmrtool scrub <dir> --manifest <in.pmrc> [--repair] [--report <path>]";
 
 fn run(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
@@ -66,7 +61,6 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("faultsim") => run_faultsim(&args[1..]),
         Some("shard") => run_shard(&args[1..]),
         Some("scrub") => run_scrub(&args[1..]),
-        Some("analyze") => run_analyze(&args[1..]),
         _ => Err("missing or unknown subcommand".into()),
     }
 }
@@ -404,40 +398,6 @@ fn run_scrub(args: &[String]) -> Result<(), String> {
         std::process::exit(1);
     }
     Ok(())
-}
-
-fn run_analyze(args: &[String]) -> Result<(), String> {
-    only_flags(args, "analyze", &["--root", "--report", "--explain"])?;
-    if let Some(id) = flag_value(args, "--explain")? {
-        // Rendered from `analyze::lints::EXPLAIN`, the one description of
-        // each lint.
-        return match analyze::lints::explain(id) {
-            Some(text) => {
-                print!("{text}");
-                Ok(())
-            }
-            None => Err(format!(
-                "unknown lint id `{id}`; known lints: {}",
-                analyze::lints::LINT_IDS.join(", ")
-            )),
-        };
-    }
-    let root = PathBuf::from(flag_value(args, "--root")?.unwrap_or("."));
-    let report = analyze::analyze_workspace(&root).map_err(|e| e.to_string())?;
-    print!("{}", report.summary());
-    if let Some(path) = flag_value(args, "--report")? {
-        std::fs::write(path, report.to_json().to_pretty())
-            .map_err(|e| format!("write {path}: {e}"))?;
-        println!("wrote report to {path}");
-    }
-    if report.is_clean() {
-        Ok(())
-    } else {
-        // A lint failure is a normal, well-formatted outcome, not a CLI
-        // usage error — exit 1 without dumping the usage banner.
-        eprintln!("error: {} static-analysis violation(s)", report.violations.len());
-        std::process::exit(1);
-    }
 }
 
 fn info(args: &[String]) -> Result<(), String> {

@@ -18,10 +18,8 @@
 //! * [`nn`] — from-scratch MLP library (Huber loss, Adam, …)
 //! * [`core`] — D-MGARD and E-MGARD retrievers and the experiment runner
 //! * [`conformance`] — error-bound conformance sweeps, differential checks,
-//!   and golden-artifact verification (`pmrtool conformance`)
-//! * [`analyze`] — workspace static analysis: the taint lints guarding the
-//!   error-bound contract against hostile bytes (`pmrtool analyze`); panics,
-//!   `unsafe` and lock order are clippy's, rustc's and `pmr_error::sync`'s
+//!   golden-artifact verification (`pmrtool conformance`), and the
+//!   hostile-input oracle every parser of untrusted bytes is held to
 //!
 //! See the repository `README.md` for a quickstart and `DESIGN.md` for the
 //! system inventory.
@@ -29,7 +27,6 @@
 #![forbid(unsafe_code)]
 
 pub use pmr_analysis as analysis;
-pub use pmr_analyze as analyze;
 pub use pmr_blockcodec as blockcodec;
 pub use pmr_codec as codec;
 pub use pmr_conformance as conformance;

@@ -2,7 +2,6 @@
 
 mod common;
 
-use pmr_analyze::lints::LINT_IDS;
 use pmr_json::Json;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -148,8 +147,8 @@ fn bad_invocations_fail_cleanly() {
     let out = pmrtool().args(["info", "/nonexistent/definitely_missing.pmrc"]).output().unwrap();
     assert!(!out.status.success());
 
-    // `analyze` has one mode: a flag it does not know fails, it is not ignored.
-    let out = pmrtool().args(["analyze", "--diff", "baseline.json"]).output().unwrap();
+    // A flag a subcommand does not know fails, it is not ignored.
+    let out = pmrtool().args(["faultsim", "--diff", "baseline.json"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--diff"));
 }
@@ -377,224 +376,7 @@ fn shard_and_scrub_roundtrip_detects_and_repairs_rot() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn analyze_reports_violations_with_exit_1_and_stable_json() {
-    // Build a miniature workspace with one deliberate violation on a
-    // lint-scoped path: a wire length sizes an allocation unchecked.
-    let dir = tempdir("analyze");
-    let src = dir.join("crates/pmrd/src");
-    std::fs::create_dir_all(&src).unwrap();
-    std::fs::write(
-        src.join("lib.rs"),
-        "pub fn f(r: &mut Reader) -> usize {\n    let n = r.u32() as usize;\n    \
-         Vec::<u8>::with_capacity(n).len()\n}\n",
-    )
-    .unwrap();
-
-    let report = dir.join("analyze.json");
-    let run = || {
-        pmrtool()
-            .args(["analyze", "--root"])
-            .arg(&dir)
-            .arg("--report")
-            .arg(&report)
-            .output()
-            .unwrap()
-    };
-    let out = run();
-    assert_eq!(out.status.code(), Some(1), "violations must exit 1");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("crates/pmrd/src/lib.rs:3: [taint_alloc]"),
-        "summary names it: {stdout}"
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("static-analysis violation"),
-        "stderr names the failure"
-    );
-    let json1 = read_json(&report);
-    assert_eq!(lint_count(&json1, "taint_alloc"), Some(1), "{json1:?}");
-    let violations = json1.get("violations").and_then(Json::as_arr).expect("violations");
-    assert_eq!(violations[0].get("file").and_then(Json::as_str), Some("crates/pmrd/src/lib.rs"));
-    let timing = json1.get("timing").and_then(|t| t.get("wall_ms"));
-    assert!(timing.and_then(Json::as_f64).is_some(), "workspace runs record timing: {json1:?}");
-
-    // The report is the same across runs, timing aside (wall time is the
-    // one legitimately volatile field).
-    let out = run();
-    assert_eq!(out.status.code(), Some(1));
-    let json2 = read_json(&report);
-    assert_eq!(strip_timing(json1), strip_timing(json2), "analyze report must be deterministic");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Parse a JSON report the CLI wrote to `path`.
 fn read_json(path: &Path) -> Json {
     let text = std::fs::read_to_string(path).expect("report written");
     pmr_json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}\n{text}", path.display()))
-}
-
-/// An analyze report's summary count for `lint`.
-fn lint_count(report: &Json, lint: &str) -> Option<usize> {
-    report.get("summary")?.get(lint)?.as_usize()
-}
-
-/// An analyze report minus its one volatile key, `timing`.
-fn strip_timing(report: Json) -> Json {
-    match report {
-        Json::Obj(pairs) => Json::Obj(pairs.into_iter().filter(|(k, _)| k != "timing").collect()),
-        other => other,
-    }
-}
-
-#[test]
-fn analyze_catches_planted_regressions() {
-    // The analyzer's real catches, replayed: copy the workspace's sources to
-    // a scratch root (no config file exists anywhere — the scope table is in
-    // the binary), plant one regression at a time, expect exit 1 naming the
-    // lint. Each plant is an exact-string replace, so a refactor that moves
-    // an anchor fails here loudly instead of turning a probe into a no-op.
-    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = tempdir("analyze_planted");
-    common::copy_tree(&repo.join("src"), &root.join("src"));
-    for member in std::fs::read_dir(repo.join("crates")).unwrap() {
-        let member = member.unwrap();
-        let src = member.path().join("src");
-        if src.is_dir() {
-            common::copy_tree(&src, &root.join("crates").join(member.file_name()).join("src"));
-        }
-    }
-    let analyze = || pmrtool().args(["analyze", "--root"]).arg(&root).output().unwrap();
-    let out = analyze();
-    assert!(
-        out.status.success(),
-        "the unedited copy must be clean:\n{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-
-    // Each probe: the file, its exact-string edits, and the lint that must
-    // name the planted bug in that file.
-    type Probe = (&'static str, &'static [(&'static str, &'static str)], &'static str);
-    let probes: &[Probe] = &[
-        // PR 19: a header field sizes an allocation before the cap.
-        (
-            "crates/field/src/io.rs",
-            &[(
-                "    let points = dx.checked_mul(dy)",
-                "    let early: Vec<u8> = Vec::with_capacity(dx);\n    let points = dx.checked_mul(dy)",
-            )],
-            "taint_alloc",
-        ),
-        // PR 20: a level is decoded with its digests never compared.
-        (
-            "crates/mgard/src/persist.rs",
-            &[("        verify_checksums(l, &enc, stored)?;\n", "")],
-            "checksum_gate",
-        ),
-        // PR 9: a wire count sizes a Vec without the frame cap.
-        (
-            "crates/pmrd/src/protocol.rs",
-            &[(
-                "    if n > MAX_WIRE_LIST {\n        \
-                 return Err(proto_err(format!(\"{what} count {n} exceeds {MAX_WIRE_LIST}\")));\n    \
-                 }\n",
-                "",
-            )],
-            "taint_alloc",
-        ),
-        // A wire string length slices the frame directly instead of going
-        // through the shared reader's bounds-checked string read.
-        (
-            "crates/pmrd/src/protocol.rs",
-            &[("Ok(r.str(len)?.to_owned())", "Ok(String::from_utf8_lossy(&r.rest()[..len]).into_owned())")],
-            "taint_index",
-        ),
-    ];
-    // Every lint proves a catch on this code base. The probes of the checks
-    // handed to the toolchain (panics, undocumented `unsafe`, lossy casts,
-    // nondeterminism, discarded `Result`s, lock order) are
-    // `tools/probes.sh`'s.
-    for id in LINT_IDS {
-        assert!(probes.iter().any(|&(.., lint)| lint == id), "lint {id} has no probe here");
-    }
-    for &(file, edits, lint) in probes {
-        let path = root.join(file);
-        let original = std::fs::read_to_string(&path).unwrap();
-        let mut planted = original.clone();
-        for &(anchor, edit) in edits {
-            assert!(planted.contains(anchor), "anchor moved in {file}: {anchor:?}");
-            planted = planted.replacen(anchor, edit, 1);
-        }
-        std::fs::write(&path, planted).unwrap();
-        let out = analyze();
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert_eq!(out.status.code(), Some(1), "{lint} probe in {file} went silent:\n{stdout}");
-        let finding = format!("{file}:");
-        assert!(
-            stdout.lines().any(|l| l.starts_with(&finding) && l.contains(&format!("[{lint}]"))),
-            "{lint} probe in {file} must be named:\n{stdout}"
-        );
-        std::fs::write(&path, original).unwrap();
-    }
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
-fn analyze_explain_prints_lint_documentation() {
-    // One doc table drives --explain; each entry renders semantics, known
-    // false-positive patterns, and how to resolve a finding.
-    let out = pmrtool().args(["analyze", "--explain", "taint_alloc"]).output().unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("What it checks"), "{stdout}");
-    assert!(stdout.contains("Known false-positive patterns"), "{stdout}");
-    assert!(stdout.contains("How to resolve a finding"), "{stdout}");
-    assert!(stdout.contains("TAINT_SANITIZERS"), "{stdout}");
-
-    let out = pmrtool().args(["analyze", "--explain", "no_such_lint"]).output().unwrap();
-    assert!(!out.status.success(), "unknown lint ids must fail");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("no_such_lint"), "{stderr}");
-    assert!(stderr.contains("checksum_gate"), "the error lists the known lints: {stderr}");
-}
-
-#[test]
-fn analyze_passes_on_this_workspace() {
-    // The repository itself must stay lint-clean under its own analyzer —
-    // the same invariant CI enforces — and the answer must not depend on
-    // where the command is run from: `--root .` at the repo root and
-    // `--root <abs path>` from elsewhere write the same report.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let elsewhere = tempdir("analyze_self");
-    let run = |cwd: &Path, root_arg: &Path, name: &str| {
-        let report = elsewhere.join(name);
-        let out = pmrtool()
-            .current_dir(cwd)
-            .args(["analyze", "--root"])
-            .arg(root_arg)
-            .arg("--report")
-            .arg(&report)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "workspace has violations:\n{}",
-            String::from_utf8_lossy(&out.stdout)
-        );
-        strip_timing(read_json(&report))
-    };
-    let here = run(root, Path::new("."), "here.json");
-    let there = run(&elsewhere, root, "there.json");
-    assert_eq!(here, there, "the report depends on the working directory");
-
-    // The catalogue is the three taint lints, and none of them fires.
-    let summary = here.get("summary").expect("summary");
-    let lints: Vec<(&str, usize)> = match summary {
-        Json::Obj(pairs) => {
-            pairs.iter().map(|(k, v)| (k.as_str(), v.as_usize().unwrap())).collect()
-        }
-        other => panic!("summary is not an object: {other:?}"),
-    };
-    assert_eq!(lints, [("taint_alloc", 0), ("taint_index", 0), ("checksum_gate", 0)]);
-    std::fs::remove_dir_all(&elsewhere).ok();
 }

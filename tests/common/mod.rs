@@ -1,7 +1,6 @@
 //! Helpers shared by the integration tests.
 
 use std::ops::Range;
-use std::path::Path;
 
 /// Bytes of a `segments.pmrs` record before its payload: magic (`"PMRS1\0"`
 /// for a segment, `"PMRT1\0"` for a tombstone), level, plane and payload
@@ -22,19 +21,4 @@ pub fn segment_records(log: &[u8]) -> Vec<((usize, u32), Range<usize>)> {
         at = end;
     }
     records
-}
-
-/// Copy the directory tree at `from` to `to`.
-#[allow(dead_code)] // not every test crate that includes this module copies trees
-pub fn copy_tree(from: &Path, to: &Path) {
-    std::fs::create_dir_all(to).unwrap();
-    for entry in std::fs::read_dir(from).unwrap() {
-        let entry = entry.unwrap();
-        let dest = to.join(entry.file_name());
-        if entry.file_type().unwrap().is_dir() {
-            copy_tree(&entry.path(), &dest);
-        } else {
-            std::fs::copy(entry.path(), dest).unwrap();
-        }
-    }
 }

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
-# Prove that the toolchain catches what it is trusted with. Each probe plants
-# one plausible bug into a scratch copy of the workspace, one at a time, and
-# fails unless
+# Prove that the toolchain and the tests catch what they are trusted with.
+# Each probe plants one plausible bug into a scratch copy of the workspace,
+# one at a time, and fails unless
 #  - `cargo clippy -D warnings` fails naming the lint in the planted file (a
 #    panic, an undocumented `unsafe`, a lossy cast, a nondeterministic
 #    container, a discarded `Result`), or
 #  - `cargo test` of the planted crate fails with the ranked locks' panic (a
-#    lock taken out of rank order, `pmr_error::sync`).
+#    lock taken out of rank order, `pmr_error::sync`), or
+#  - the hostile-input oracle (`cargo test -p pmr-conformance --test
+#    hostile`) fails with a `hostile: ` line (a header-sized allocation, an
+#    unverified payload, an unbounded wire count, an unchecked slice).
 # Each plant is an exact-string edit, so a moved anchor fails loudly instead
 # of turning a probe into a no-op.   tools/probes.sh
 set -euo pipefail
@@ -86,6 +89,30 @@ plant_rank() {
     echo "probes: lock-rank panic caught in $file"
 }
 
+# plant_oracle FILE ANCHOR REPLACEMENT [ANCHOR REPLACEMENT]...: an
+# over-cap abort counts as the oracle's failure too.
+plant_oracle() {
+    local file="$1"
+    shift
+    edit "$file" "$@"
+    local status=0
+    (cd "$work" && RUST_BACKTRACE=0 cargo test -q -p pmr-conformance --test hostile \
+        >"$work/out" 2>&1) || status=$?
+    restore "$file"
+    if [ "$status" -eq 0 ]; then
+        echo "probes: hostile-input probe in $file went silent" >&2
+        exit 1
+    fi
+    local line
+    if ! line="$(grep -m1 -A1 "hostile: " "$work/out" | sed 's/^.*hostile: /hostile: /')"; then
+        echo "probes: the oracle failed on the probe in $file without a hostile: line" >&2
+        cat "$work/out" >&2
+        exit 1
+    fi
+    echo "probes: hostile-input oracle caught the probe in $file:"
+    echo "$line"
+}
+
 # The pool's lifetime-erasing transmute loses its safety argument.
 plant crates/mgard/src/exec.rs clippy::undocumented_unsafe_blocks pmr-mgard \
     "            // SAFETY: only the lifetime is erased, and by the above no worker
@@ -137,7 +164,32 @@ plant_rank crates/storage/src/fault.rs pmr-storage \
             self.record(key, *n, FaultKind::Transient);
 "
 
+# A field file's header sizes an allocation before the grid is checked.
+plant_oracle crates/field/src/io.rs \
+    "    let points = dx.checked_mul(dy)" \
+    "    let early: Vec<u8> = Vec::with_capacity(dx);
+    let points = dx.checked_mul(dy)"
+
+# A level is loaded with its digests never compared.
+plant_oracle crates/mgard/src/persist.rs \
+    "        verify_checksums(l, &enc, stored)?;
+" ""
+
+# A wire count sizes a list without the protocol's bound.
+plant_oracle crates/pmrd/src/protocol.rs \
+    "    if n > MAX_WIRE_LIST {
+        return Err(proto_err(format!(\"{what} count {n} exceeds {MAX_WIRE_LIST}\")));
+    }
+" ""
+
+# A wire string length slices the frame directly instead of going through
+# the shared reader's bounds-checked string read.
+plant_oracle crates/pmrd/src/protocol.rs \
+    "Ok(r.str(len)?.to_owned())" \
+    "Ok(String::from_utf8_lossy(&r.rest()[..len]).into_owned())"
+
 # The unplanted copy is clean, so each failure above is the plant's.
 (cd "$work" && cargo clippy -q -p pmr-mgard -p pmr-codec -p pmr-storage -- -D warnings)
 (cd "$work" && cargo test -q -p pmr-mgard -p pmr-storage --lib >/dev/null)
-echo "probes: 7 probes caught, unplanted copy clean"
+(cd "$work" && cargo test -q -p pmr-conformance --test hostile >/dev/null)
+echo "probes: 11 probes caught, unplanted copy clean"
