@@ -12,8 +12,8 @@
 //! * every strict prefix, and the instance with one trailing byte, is
 //!   refused;
 //! * each length or count field, set to 0 and to its width's maximum, is
-//!   refused or decodes, without any single allocation over the format's
-//!   cap;
+//!   refused or decodes, without any single allocation over the cap (64
+//!   bytes per input byte plus 64 KiB);
 //! * every single-bit flip inside a covered range is refused; outside them
 //!   a flip may be refused or decode.
 //!
@@ -87,8 +87,7 @@ enum Outcome<T> {
 impl<T> Format<T> {
     /// `decode` over the clean instance `clean`, with no covered range, no
     /// count field and no predicate. The cap on any single allocation of a
-    /// decode is 64 bytes per input byte plus 64 KiB unless [`Format::cap`]
-    /// sets another.
+    /// decode is 64 bytes per input byte plus 64 KiB.
     pub fn new(
         name: &'static str,
         clean: Vec<u8>,
@@ -120,12 +119,6 @@ impl<T> Format<T> {
     /// A length or count field, driven to 0 and to its maximum.
     pub fn count(mut self, count: Count) -> Self {
         self.counts.push(count);
-        self
-    }
-
-    /// Cap any single allocation of a decode at `bytes` instead.
-    pub fn cap(mut self, bytes: usize) -> Self {
-        self.cap = bytes;
         self
     }
 

@@ -41,6 +41,11 @@ impl<'a> ByteReader<'a> {
         self.pos
     }
 
+    /// Bytes not yet read.
+    pub fn left(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
+    }
+
     /// The next `n` bytes.
     #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
@@ -57,8 +62,11 @@ impl<'a> ByteReader<'a> {
 
     #[cold]
     fn truncated(&self, n: usize) -> PmrError {
-        let left = self.buf.len().saturating_sub(self.pos);
-        self.malformed(format!("truncated: {n} bytes wanted at offset {}, {left} left", self.pos))
+        self.malformed(format!(
+            "truncated: {n} bytes wanted at offset {}, {} left",
+            self.pos,
+            self.left()
+        ))
     }
 
     /// One byte.
@@ -124,7 +132,7 @@ impl<'a> ByteReader<'a> {
     /// Succeeds only at the end of the buffer: trailing bytes are malformed.
     #[inline]
     pub fn done(&self) -> Result<()> {
-        match self.buf.len().saturating_sub(self.pos) {
+        match self.left() {
             0 => Ok(()),
             n => Err(self.malformed(format!("{n} trailing byte(s)"))),
         }

@@ -33,11 +33,34 @@ use pmr_codec::{
 };
 use pmr_error::{len_u32, ByteReader, PmrError};
 use std::borrow::Cow;
+use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::Arc;
 
 /// Default number of bit-planes per coefficient level (the paper's `B`).
 pub const DEFAULT_BITPLANES: u32 = 32;
+
+/// A grid slot the level decoder writes one coefficient into: an `f64` of
+/// an initialised array, or a `MaybeUninit<f64>` of the grid
+/// `Compressed::reconstruct` fills without zeroing it first.
+pub(crate) trait Slot: Copy + Send {
+    /// The slot holding `v`.
+    fn of(v: f64) -> Self;
+}
+
+impl Slot for f64 {
+    #[inline(always)]
+    fn of(v: f64) -> Self {
+        v
+    }
+}
+
+impl Slot for MaybeUninit<f64> {
+    #[inline(always)]
+    fn of(v: f64) -> Self {
+        MaybeUninit::new(v)
+    }
+}
 
 /// One coefficient level, encoded as progressive bit-planes.
 #[derive(Debug, Clone)]
@@ -375,25 +398,28 @@ impl LevelEncoding {
     /// The level decoder — every retrieval path ends here, whether the
     /// planes are this encoding's own ([`LevelEncoding::decode_with`]) or
     /// crossed a storage tier or a socket. Coefficient `i` goes to the
-    /// `i`-th position of `runs` in `grid`, which must hold `+0.0` there.
+    /// `i`-th position of `runs` in `grid`. On `Ok`, every one of those
+    /// positions has been written, whatever it held before (the grid
+    /// `Compressed::reconstruct` fills is never zeroed); no other position
+    /// is touched.
     ///
     /// Every payload is validated (bounded decompression to exactly one bit
     /// per coefficient), so a mangled segment comes back as
     /// [`PmrError::Malformed`] instead of a panic or an oversized
     /// allocation; raw planes are read where they lie. A level with no
     /// planes to decode, or a degenerate (`step == 0`) one, decodes to
-    /// `+0.0` everywhere and writes nothing. Under a parallel policy planes
-    /// decompress independently, then tile-aligned coefficient ranges
+    /// `+0.0` everywhere, written like any all-zero tile. Under a parallel
+    /// policy planes decompress independently, then tile-aligned coefficient ranges
     /// assemble their digits through the transpose kernels — each
     /// coefficient is produced by exactly one worker, so the output matches
     /// serial decoding bit for bit. [`PlaneKernel::Scalar`] routes the
     /// assembly to the original bit-at-a-time loop (the differential
     /// oracle, serial by definition).
-    pub(crate) fn decode_placed<P: AsRef<[u8]> + Sync>(
+    pub(crate) fn decode_placed<P: AsRef<[u8]> + Sync, T: Slot>(
         &self,
         payloads: &[P],
         runs: &[Run],
-        grid: &mut [f64],
+        grid: &mut [T],
         exec: &ExecPolicy,
     ) -> Result<(), PmrError> {
         if payloads.len() > self.num_planes as usize {
@@ -402,16 +428,14 @@ impl LevelEncoding {
                 format!("{} payloads for a {}-plane level", payloads.len(), self.num_planes),
             ));
         }
-        if self.step == 0.0 || payloads.is_empty() {
-            return Ok(());
-        }
+        let payloads = if self.step == 0.0 { &payloads[..0] } else { payloads };
         let scalar = exec.kernel.is_scalar();
         let threads = if scalar { 1 } else { exec.resolved_threads() };
         let threads = if self.count < 2 * threads { 1 } else { threads };
         let expected = self.count.div_ceil(8);
 
         let mut slots: Vec<Option<Cow<'_, [u8]>>> = vec![None; payloads.len()];
-        let pchunk = payloads.len().div_ceil(threads);
+        let pchunk = payloads.len().div_ceil(threads).max(1);
         run_jobs(slots.chunks_mut(pchunk).zip(payloads.chunks(pchunk)), |(slots, payloads)| {
             for (slot, p) in slots.iter_mut().zip(payloads) {
                 *slot = lossless::decompress_bounded(p.as_ref(), expected)
@@ -441,9 +465,9 @@ impl LevelEncoding {
                     }
                 }
             }
-            let values: Vec<f64> = digits
+            let values: Vec<T> = digits
                 .into_iter()
-                .map(|nb| negabinary::from_negabinary(nb) as f64 * self.step)
+                .map(|nb| T::of(negabinary::from_negabinary(nb) as f64 * self.step))
                 .collect();
             Placer::new(runs, 0).put(grid, &values);
             return Ok(());
@@ -462,18 +486,17 @@ impl LevelEncoding {
     /// unpacked plane bytes (a prefix of the planes is fine — missing low
     /// planes decode as zero digits) and hand them to `placer`, whose grid
     /// slice is `out`. A tile whose plane words are all zero decodes to
-    /// `+0.0` everywhere, which the grid already holds: it is skipped,
-    /// transpose and all.
+    /// `+0.0` everywhere: it is written as such without a transpose.
     ///
     /// Compiled twice, like `encode_kernel::encode_chunk`: at the target's
     /// baseline and, on x86_64, under AVX2, entered when `imp` is
     /// [`TileImpl::Simd`] and the runtime probe finds AVX2.
-    fn place_tiles(
+    fn place_tiles<T: Slot>(
         &self,
         plane_bytes: &[Cow<'_, [u8]>],
         coeffs: Range<usize>,
         placer: &mut Placer<'_>,
-        out: &mut [f64],
+        out: &mut [T],
         imp: TileImpl,
     ) {
         #[cfg(target_arch = "x86_64")]
@@ -493,12 +516,12 @@ impl LevelEncoding {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: contract fn — callers must verify AVX2 support (see # Safety above).
     #[target_feature(enable = "avx2")]
-    unsafe fn place_tiles_avx2(
+    unsafe fn place_tiles_avx2<T: Slot>(
         &self,
         plane_bytes: &[Cow<'_, [u8]>],
         coeffs: Range<usize>,
         placer: &mut Placer<'_>,
-        out: &mut [f64],
+        out: &mut [T],
         imp: TileImpl,
     ) {
         self.place_tiles_body(plane_bytes, coeffs, placer, out, imp);
@@ -506,18 +529,18 @@ impl LevelEncoding {
 
     /// The loop behind [`LevelEncoding::place_tiles`].
     #[inline(always)]
-    fn place_tiles_body(
+    fn place_tiles_body<T: Slot>(
         &self,
         plane_bytes: &[Cow<'_, [u8]>],
         coeffs: Range<usize>,
         placer: &mut Placer<'_>,
-        out: &mut [f64],
+        out: &mut [T],
         imp: TileImpl,
     ) {
         debug_assert_eq!(coeffs.start % transpose::TILE, 0);
         let bu = self.num_planes as usize;
         let expected = self.count.div_ceil(8);
-        let mut values = [0.0f64; transpose::TILE];
+        let mut values = [T::of(0.0); transpose::TILE];
         for lo in coeffs.clone().step_by(transpose::TILE) {
             let n = (coeffs.end - lo).min(transpose::TILE);
             let base = lo / 8;
@@ -538,14 +561,14 @@ impl LevelEncoding {
             }
             let any = y[transpose::TILE - bu..].iter().fold(0, |any, &yk| any | yk);
             if any == 0 {
-                placer.skip(n);
+                placer.fill(out, n, T::of(0.0));
                 continue;
             }
             #[cfg(test)]
             TILES_TRANSPOSED.with(|t| t.set(t.get() + 1));
             transpose::transpose64(&mut y, imp);
             for (slot, &d) in values.iter_mut().zip(&y[..n]) {
-                *slot = exact_f64(negabinary::from_negabinary(d)) * self.step;
+                *slot = T::of(exact_f64(negabinary::from_negabinary(d)) * self.step);
             }
             placer.put(out, &values[..n]);
         }
@@ -656,7 +679,13 @@ impl LevelEncoding {
     /// bit per coefficient and `read_from` re-validates persisted planes
     /// the same way — so a failure here is a contract bug, not bad input:
     /// asserted, not routed through `PmrError`.
-    pub(crate) fn place_with(&self, b: u32, runs: &[Run], grid: &mut [f64], exec: &ExecPolicy) {
+    pub(crate) fn place_with<T: Slot>(
+        &self,
+        b: u32,
+        runs: &[Run],
+        grid: &mut [T],
+        exec: &ExecPolicy,
+    ) {
         let own = &self.planes[..b.min(self.num_planes) as usize];
         let placed = self.decode_placed(own, runs, grid, exec);
         assert!(placed.is_ok(), "own planes violated the construction invariant");

@@ -11,6 +11,7 @@ use pmr_codec::PlaneKernel;
 use pmr_error::PmrError;
 use pmr_field::{Field, Shape};
 use std::convert::Infallible;
+use std::mem::MaybeUninit;
 use std::sync::OnceLock;
 
 /// Compression parameters. [`CompressConfig::validate`] checks the knobs
@@ -417,24 +418,51 @@ impl Compressed {
     }
 
     /// The one decode tail — Direct, Store, sessions and pmrd clients all
-    /// end here. One zeroed grid; `place` decodes level `l` straight into
-    /// the grid positions its runs name; then the grid is recomposed, in
-    /// full or only up to the grid of `coarse_level` (`0` = coarsest).
-    /// Levels finer than `coarse_level` are not decoded at all: their
-    /// coefficients stay `+0.0`, what no planes decode to.
+    /// end here. `place` decodes level `l` straight into the grid positions
+    /// its runs name (it is `LevelEncoding::decode_placed` or
+    /// `LevelEncoding::place_with`); then the grid is recomposed, in full
+    /// or only up to the grid of `coarse_level` (`0` = coarsest). Levels
+    /// finer than `coarse_level` decode no planes: their coefficients are
+    /// `+0.0`.
+    ///
+    /// The grid is the spare capacity of a fresh `Vec`, never zeroed: each
+    /// level's decode writes every node of its runs, and the levels' runs
+    /// partition the grid, so every value is written exactly once. A debug
+    /// build fills the grid with [`UNWRITTEN`] first and asserts that none
+    /// is left, so every retrieving test checks that the decode wrote every
+    /// node.
     fn reconstruct<E>(
         &self,
         coarse_level: Option<usize>,
         exec: &ExecPolicy,
-        mut place: impl FnMut(usize, &[Run], &mut [f64], &ExecPolicy) -> Result<(), E>,
+        mut place: impl FnMut(usize, &[Run], &mut [MaybeUninit<f64>], &ExecPolicy) -> Result<(), E>,
     ) -> Result<Field, E> {
-        let mut data = vec![0.0; self.decomposer.shape().len()];
-        let decoded = coarse_level.map_or(self.levels.len(), |level| level + 1);
-        for (l, (lvl, runs)) in
-            self.levels.iter().zip(self.decomposer.level_runs()).enumerate().take(decoded)
-        {
-            place(l, &runs, &mut data, &exec.gate(lvl.count(), PARALLEL_MIN_COEFFS))?;
+        let n = self.decomposer.shape().len();
+        let mut data = Vec::with_capacity(n);
+        let grid = &mut data.spare_capacity_mut()[..n];
+        if cfg!(debug_assertions) {
+            grid.fill(MaybeUninit::new(UNWRITTEN));
         }
+        let decoded = coarse_level.map_or(self.levels.len(), |level| level + 1);
+        for (l, (lvl, runs)) in self.levels.iter().zip(self.decomposer.level_runs()).enumerate() {
+            let exec = exec.gate(lvl.count(), PARALLEL_MIN_COEFFS);
+            if l < decoded {
+                place(l, &runs, grid, &exec)?;
+            } else {
+                lvl.place_with(0, &runs, grid, &exec);
+            }
+        }
+        // SAFETY: `grid` is the first `n` slots of `data`'s capacity. The
+        // levels' runs partition `0..n`: they walk `level_indices`
+        // (`level_runs_are_level_indices`), which puts every node in exactly
+        // one level. Every level went through `decode_placed`, which on `Ok`
+        // writes every node of the runs it is given, and an `Err` has
+        // returned above. So all `n` values are initialised.
+        unsafe { data.set_len(n) };
+        debug_assert!(
+            data.iter().all(|v| v.to_bits() != UNWRITTEN.to_bits()),
+            "decode left grid nodes unwritten"
+        );
         let (shape, data) = match coarse_level {
             None => {
                 self.decomposer.recompose_with(&mut data, exec);
@@ -448,6 +476,11 @@ impl Compressed {
         Ok(Field::new(self.name.clone(), self.timestep, shape, data))
     }
 }
+
+/// What a debug build fills the grid with before [`Compressed::reconstruct`]
+/// decodes into it: a NaN no decode produces, since decode writes only
+/// `+0.0` and integer × step products of a finite step.
+const UNWRITTEN: f64 = f64::from_bits(0x7ff8_dead_beef_0bad);
 
 /// Per-call options for [`Compressed::decode_plan`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -788,6 +821,70 @@ mod tests {
         let c = Compressed::compress(&flat, &cfg);
         let coarsest = c.levels()[0].count().div_ceil(64) as u64;
         assert_eq!(tiles(&c, &c.plan_full().planes, None), coarsest);
+    }
+
+    /// The staged oracle of the unzeroed grid: each level decoded into a
+    /// zeroed array of its own, scattered by `deinterleave` into a zeroed
+    /// grid, then recomposed, in full or up to `coarse_level`.
+    fn staged_bits(c: &Compressed, levels: &[Vec<f64>], coarse_level: Option<usize>) -> Vec<u64> {
+        let dec = c.decomposer();
+        let mut data = dec.deinterleave(levels);
+        let exec = ExecPolicy::serial();
+        let data = match coarse_level {
+            None => {
+                dec.recompose_with(&mut data, &exec);
+                data
+            }
+            Some(level) => dec.recompose_to_level_with(&mut data, level, &exec),
+        };
+        data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_path_matches_the_staged_decode() {
+        let bits = |f: &Field| f.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // A constant field's details are degenerate (`step == 0`) levels
+        // under interpolation; the wave's level 1 fetches no planes.
+        let flat = Field::new("flat", 0, Shape::cube(9), vec![2.5; 9 * 9 * 9]);
+        let interp = CompressConfig { mode: TransformMode::Interpolation, ..Default::default() };
+        let cases = [(flat, interp), (wave_field(9), CompressConfig::default())];
+        for (field, cfg) in cases {
+            let c = Compressed::compress(&field, &cfg);
+            let nl = c.num_levels();
+            let mut planes = c.plan_full().planes;
+            planes[1] = 0;
+            if field.name() == "flat" {
+                assert!(c.levels()[1..].iter().all(|l| l.error_row()[0] == 0.0));
+            }
+            let plan = RetrievalPlan::from_planes(planes.clone());
+            let own: Vec<Vec<f64>> =
+                c.levels().iter().zip(&planes).map(|(l, &b)| l.decode(b)).collect();
+            let want = staged_bits(&c, &own, None);
+
+            // Direct, under the serial and the default policy.
+            assert_eq!(bits(&c.retrieve(&plan)), want, "{}: direct", field.name());
+            let serial = DecodeOptions::with_exec(ExecPolicy::serial());
+            assert_eq!(bits(&c.decode_plan(&plan, &serial).expect("valid")), want);
+            // A coarse grid: levels above it decode no planes.
+            for level in [0, nl / 2] {
+                let coarse: Vec<Vec<f64>> = (own.iter().enumerate())
+                    .map(|(l, v)| if l > level { vec![0.0; v.len()] } else { v.clone() })
+                    .collect();
+                let got = c.decode_plan(&plan, &DecodeOptions::at_level(level)).expect("valid");
+                assert_eq!(bits(&got), staged_bits(&c, &coarse, Some(level)), "coarse {level}");
+            }
+            // Fetched payloads: level 1 an empty prefix, every other level
+            // (the flat field's degenerate ones too) all of its planes.
+            let payloads: Vec<Vec<&[u8]>> = (c.levels().iter().zip(&planes))
+                .map(|(l, &b)| (0..b).map(|k| l.plane_payload(k)).collect())
+                .collect();
+            let got = c.retrieve_from_payloads(&payloads, None).expect("own payloads");
+            assert_eq!(bits(&got), want, "{}: payloads", field.name());
+            // A session holding the same planes.
+            let mut session = crate::ProgressiveSession::new(&c);
+            session.refine_to_plan(&plan).expect("valid");
+            assert_eq!(bits(&session.current_field()), want, "{}: session", field.name());
+        }
     }
 
     #[test]

@@ -429,12 +429,12 @@ impl<'r> Placer<'r> {
     /// writes to. A level's positions rise with its node index, so cutting
     /// `grid` at each range's first position gives every range the one
     /// stretch its nodes lie in.
-    pub(crate) fn split<'g>(
+    pub(crate) fn split<'g, T>(
         runs: &'r [Run],
-        grid: &'g mut [f64],
+        grid: &'g mut [T],
         count: usize,
         chunk: usize,
-    ) -> Vec<(Range<usize>, Placer<'r>, &'g mut [f64])> {
+    ) -> Vec<(Range<usize>, Placer<'r>, &'g mut [T])> {
         let mut starts = Vec::with_capacity(count.div_ceil(chunk));
         let (mut r, mut before) = (0, 0);
         for lo in (0..count).step_by(chunk) {
@@ -482,7 +482,7 @@ impl<'r> Placer<'r> {
     }
 
     /// Write `values` to the next `values.len()` nodes.
-    pub(crate) fn put(&mut self, out: &mut [f64], values: &[f64]) {
+    pub(crate) fn put<T: Copy>(&mut self, out: &mut [T], values: &[T]) {
         let base = self.base;
         self.walk(values.len(), |at, stride, nodes| {
             let (from, now) = (at - base, &values[nodes]);
@@ -490,6 +490,21 @@ impl<'r> Placer<'r> {
                 out[from..from + now.len()].copy_from_slice(now);
             } else {
                 for (slot, &v) in out[from..].iter_mut().step_by(stride).zip(now) {
+                    *slot = v;
+                }
+            }
+        });
+    }
+
+    /// Write `v` to the next `n` nodes.
+    pub(crate) fn fill<T: Copy>(&mut self, out: &mut [T], n: usize, v: T) {
+        let base = self.base;
+        self.walk(n, |at, stride, nodes| {
+            let from = at - base;
+            if stride == 1 {
+                out[from..from + nodes.len()].fill(v);
+            } else {
+                for slot in out[from..].iter_mut().step_by(stride).take(nodes.len()) {
                     *slot = v;
                 }
             }
@@ -723,6 +738,13 @@ mod tests {
         cursor.skip(1);
         cursor.put(&mut tail, &[6.0, 7.0]);
         assert_eq!(tail, [6.0, 0.0, 0.0, 7.0, 0.0, 0.0, 0.0]);
+        // A fill writes every node of the runs and nothing else.
+        let mut grid = vec![0.0; 16];
+        Placer::new(&runs, 0).fill(&mut grid, 7, -1.0);
+        let nodes = [1, 3, 5, 8, 9, 12, 15];
+        for (at, v) in grid.iter().enumerate() {
+            assert_eq!(*v, if nodes.contains(&at) { -1.0 } else { 0.0 }, "node {at}");
+        }
     }
 
     #[test]

@@ -70,8 +70,9 @@ pub(crate) fn max_abs(grid: &[f64], runs: &[Run]) -> f64 {
                 *m = keep_max(*m, c.abs());
             }
         } else {
-            let strided = from.iter().step_by(run.stride).take(run.count);
-            lanes[0] = strided.fold(lanes[0], |m, &c| keep_max(m, c.abs()));
+            for (i, &c) in from.iter().step_by(run.stride).take(run.count).enumerate() {
+                lanes[i % LANES] = keep_max(lanes[i % LANES], c.abs());
+            }
         }
     }
     lanes.iter().fold(0.0, |m, &e| keep_max(m, e))
@@ -226,5 +227,28 @@ fn encode_chunk_body(
         for (seg, word) in segs.iter_mut().zip(&tile[transpose::TILE - bu..]) {
             seg[base..base + nbytes].copy_from_slice(&word.to_be_bytes()[..nbytes]);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn strided_max_abs_is_the_plain_fold() {
+        let mut grid: Vec<f64> =
+            (0..203).map(|i| (i as f64 * 0.71).sin() * (i % 13) as f64).collect();
+        grid[4] = f64::NAN;
+        grid[10] = -0.0;
+        grid[46] = -20.0; // the largest magnitude on the run, in lane 23 % 8
+        grid[47] = 99.0; // off the run
+        let nodes = [Run { start: 0, stride: 2, count: 102 }];
+        let plain = |g: &[f64]| g.iter().step_by(2).fold(0.0f64, |m, &c| m.max(c.abs()));
+        assert_eq!(max_abs(&grid, &nodes).to_bits(), plain(&grid).to_bits());
+        assert_eq!(max_abs(&grid, &nodes), 20.0);
+        // NaN and `-0.0` alone: `+0.0`, as the fold from `0.0` gives.
+        let blank: Vec<f64> = (0..203).map(|i| if i % 4 == 0 { f64::NAN } else { -0.0 }).collect();
+        assert_eq!(max_abs(&blank, &nodes).to_bits(), plain(&blank).to_bits());
+        assert_eq!(plain(&blank).to_bits(), 0.0f64.to_bits());
     }
 }

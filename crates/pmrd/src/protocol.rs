@@ -276,8 +276,9 @@ fn read_string(r: &mut ByteReader<'_>) -> Result<String, PmrError> {
 }
 
 /// A `u16`-counted list of `item`s. The count is bounded by
-/// [`MAX_WIRE_LIST`], so a hostile count can never size an oversized
-/// allocation.
+/// [`MAX_WIRE_LIST`]. Every item takes at least one byte, so no more are
+/// reserved than the frame has bytes left: a hostile count sizes nothing
+/// the frame does not hold.
 fn read_list<'a, T>(
     r: &mut ByteReader<'a>,
     what: &str,
@@ -287,7 +288,7 @@ fn read_list<'a, T>(
     if n > MAX_WIRE_LIST {
         return Err(proto_err(format!("{what} count {n} exceeds {MAX_WIRE_LIST}")));
     }
-    let mut list = Vec::with_capacity(n);
+    let mut list = Vec::with_capacity(n.min(r.left()));
     for _ in 0..n {
         list.push(item(r)?);
     }
@@ -902,21 +903,25 @@ mod tests {
 
     #[test]
     fn hostile_list_counts_are_protocol_errors() {
-        // Request with a plane count above MAX_WIRE_LIST: refused before
-        // any element is read (or allocated for).
-        let mut req = Vec::new();
-        req.extend_from_slice(&REQ_MAGIC);
-        put_str(&mut req, "t").expect("tenant");
-        put_str(&mut req, "d").expect("dataset");
-        req.push(3); // Target::Planes
-        put_u16(&mut req, (MAX_WIRE_LIST + 1) as u16);
-        let err = decode_request(&req).expect_err("hostile count");
+        // A request listing MAX_WIRE_LIST well-formed planes decodes; one
+        // more is refused by the bound, not by running out of bytes.
+        let request = |n| Request {
+            tenant: "t".into(),
+            dataset: "d".into(),
+            target: Target::Planes(vec![7; n]),
+            strategy: 0,
+            flags: 0,
+        };
+        let at = encode_request(&request(MAX_WIRE_LIST)).expect("encode");
+        assert_eq!(decode_request(&at).expect("at the bound"), request(MAX_WIRE_LIST));
+        let over = encode_request(&request(MAX_WIRE_LIST + 1)).expect("encode");
+        let err = decode_request(&over).expect_err("past the bound");
         assert!(err.to_string().contains("exceeds"), "{err}");
 
-        // Same for the report path: a planes count past the cap.
-        let mut rep = encode_report(&Report {
+        // Same for the report path.
+        let report = |n| Report {
             status: Status::Ok,
-            planes: vec![1],
+            planes: vec![1; n],
             estimated_error: 0.5,
             bytes: 10,
             lost: Vec::new(),
@@ -925,11 +930,10 @@ mod tests {
             cache_hits: 0,
             coalesced: 0,
             detail: String::new(),
-        })
-        .expect("encode");
-        // planes count field sits right after tag + status byte.
-        let cnt = (MAX_WIRE_LIST + 1) as u16;
-        rep[2..4].copy_from_slice(&cnt.to_le_bytes());
-        assert!(decode_frame(&rep).is_err());
+        };
+        assert!(decode_frame(&encode_report(&report(MAX_WIRE_LIST)).expect("encode")).is_ok());
+        let over = encode_report(&report(MAX_WIRE_LIST + 1)).expect("encode");
+        let err = decode_frame(&over).expect_err("past the bound");
+        assert!(err.to_string().contains("exceeds"), "{err}");
     }
 }

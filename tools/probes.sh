@@ -5,11 +5,14 @@
 #  - `cargo clippy -D warnings` fails naming the lint in the planted file (a
 #    panic, an undocumented `unsafe`, a lossy cast, a nondeterministic
 #    container, a discarded `Result`), or
-#  - `cargo test` of the planted crate fails with the ranked locks' panic (a
-#    lock taken out of rank order, `pmr_error::sync`), or
+#  - `cargo test` of the planted crate's library fails with a named message:
+#    the ranked locks' panic (a lock taken out of rank order,
+#    `pmr_error::sync`), the unwritten-grid check of `Compressed::reconstruct`
+#    (a decode that leaves grid nodes unwritten), or the protocol test of the
+#    wire-list bound (an unbounded wire count), or
 #  - the hostile-input oracle (`cargo test -p pmr-conformance --test
 #    hostile`) fails with a `hostile: ` line (a header-sized allocation, an
-#    unverified payload, an unbounded wire count, an unchecked slice).
+#    unverified payload, an unchecked slice).
 # Each plant is an exact-string edit, so a moved anchor fails loudly instead
 # of turning a probe into a no-op.   tools/probes.sh
 set -euo pipefail
@@ -69,25 +72,28 @@ plant() {
     echo "probes: $lint caught in $file"
 }
 
-# plant_rank FILE PACKAGE ANCHOR REPLACEMENT [ANCHOR REPLACEMENT]...
-plant_rank() {
-    local file="$1" pkg="$2"
-    shift 2
+# plant_test FILE PACKAGE NEEDLE ANCHOR REPLACEMENT [ANCHOR REPLACEMENT]...:
+# `cargo test` of the package's library must fail with NEEDLE in its output.
+plant_test() {
+    local file="$1" pkg="$2" needle="$3"
+    shift 3
     edit "$file" "$@"
     local status=0
     (cd "$work" && cargo test -q -p "$pkg" --lib >"$work/out" 2>&1) || status=$?
     restore "$file"
     if [ "$status" -eq 0 ]; then
-        echo "probes: lock-rank probe in $file went silent" >&2
+        echo "probes: test probe in $file went silent" >&2
         exit 1
     fi
-    if ! grep -q "taken while this thread holds rank" "$work/out"; then
-        echo "probes: cargo test -p $pkg failed on the probe in $file without a rank panic" >&2
+    if ! grep -qF -- "$needle" "$work/out"; then
+        echo "probes: cargo test -p $pkg failed on the probe in $file without \"$needle\"" >&2
         cat "$work/out" >&2
         exit 1
     fi
-    echo "probes: lock-rank panic caught in $file"
+    echo "probes: \"$needle\" caught in $file"
 }
+
+rank_panic="taken while this thread holds rank"
 
 # plant_oracle FILE ANCHOR REPLACEMENT [ANCHOR REPLACEMENT]...: an
 # over-cap abort counts as the oracle's failure too.
@@ -145,7 +151,7 @@ plant crates/mgard/src/exec.rs clippy::unwrap_used pmr-mgard \
     "out.into_iter().map(|s| s.unwrap()).collect()"
 
 # The pool's lock taken twice in `offer_task`: a self-deadlock.
-plant_rank crates/mgard/src/exec.rs pmr-mgard \
+plant_test crates/mgard/src/exec.rs pmr-mgard "$rank_panic" \
     "            let mut st = self.state.lock();
 " "            let mut st = self.state.lock();
             let _again = self.state.lock();
@@ -153,7 +159,7 @@ plant_rank crates/mgard/src/exec.rs pmr-mgard \
 
 # An AB/BA cycle in `FaultInjector`: `log()` takes `attempts` under `log`,
 # while `fetch` records a fault under `attempts`.
-plant_rank crates/storage/src/fault.rs pmr-storage \
+plant_test crates/storage/src/fault.rs pmr-storage "$rank_panic" \
     "        self.log.lock().clone()
 " "        let log = self.log.lock();
         let _seen = self.attempts.lock().len();
@@ -175,8 +181,14 @@ plant_oracle crates/mgard/src/persist.rs \
     "        verify_checksums(l, &enc, stored)?;
 " ""
 
-# A wire count sizes a list without the protocol's bound.
-plant_oracle crates/pmrd/src/protocol.rs \
+# All-zero tiles skipped, as when the grid was zeroed first: the nodes
+# they hold are never written.
+plant_test crates/mgard/src/bitplane.rs pmr-mgard "decode left grid nodes unwritten" \
+    "placer.fill(out, n, T::of(0.0));" \
+    "placer.skip(n);"
+
+# A wire list without the protocol's bound on its count.
+plant_test crates/pmrd/src/protocol.rs pmrd "hostile_list_counts_are_protocol_errors" \
     "    if n > MAX_WIRE_LIST {
         return Err(proto_err(format!(\"{what} count {n} exceeds {MAX_WIRE_LIST}\")));
     }
@@ -190,6 +202,6 @@ plant_oracle crates/pmrd/src/protocol.rs \
 
 # The unplanted copy is clean, so each failure above is the plant's.
 (cd "$work" && cargo clippy -q -p pmr-mgard -p pmr-codec -p pmr-storage -- -D warnings)
-(cd "$work" && cargo test -q -p pmr-mgard -p pmr-storage --lib >/dev/null)
+(cd "$work" && cargo test -q -p pmr-mgard -p pmr-storage -p pmrd --lib >/dev/null)
 (cd "$work" && cargo test -q -p pmr-conformance --test hostile >/dev/null)
-echo "probes: 11 probes caught, unplanted copy clean"
+echo "probes: 12 probes caught, unplanted copy clean"
