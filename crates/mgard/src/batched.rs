@@ -10,7 +10,14 @@
 //!   same contiguous run of memory, so predict, load, solve and correction
 //!   become loops over x between rows ([`across`]) — unit-stride and
 //!   auto-vectorised at step 0, stride `2^s` at step `s` — with a
-//!   `ceil(m/2) × m0` load scratch per worker.
+//!   `ceil(m/2) × m0` load scratch per worker. A batch of lines takes two
+//!   sweeps over its rows, one per sweep of the tridiagonal solve: the
+//!   ascending one predicts (forward), builds each load row and eliminates
+//!   it against the row before ([`CoarsePivots::eliminate_row`]); the
+//!   descending one back-substitutes each load row
+//!   ([`CoarsePivots::substitute_row`]), corrects the coarse row it
+//!   belongs to and (inverse) un-predicts the detail row after it. A row
+//!   is thus read once per sweep rather than once per stage.
 //! * **Lines along x** are transformed a row at a time by sweeps
 //!   ([`along`]): one pass per row builds its load (predicting first on
 //!   the forward), the lane solve takes [`GROUP`] rows at once, one lane
@@ -23,6 +30,9 @@
 //! the pivots come from the same expressions
 //! ([`CoarsePivots`]), and no operation combines values of different
 //! lines, so neither vector width nor worker count can reorder anything.
+//! Fusing stages into sweeps moves only when an element's operations run
+//! relative to *other* elements'; each still reads only values the oracle
+//! has already finished when it runs (see [`across`]).
 //!
 //! Every job body, and the lane solve it calls, is compiled twice: at the
 //! target's baseline and, on x86_64, under `#[target_feature(enable =
@@ -328,10 +338,22 @@ fn zip3(
 }
 
 /// Transform the `width` lines that run *across* `rows`: line `k` is
-/// `rows[0][k·xs], rows[1][k·xs], …`, one point per row. Like [`along`],
-/// a row is visited once on each side of the solve: the forward predicts a
-/// detail row and at once adds it to the load rows it feeds; the inverse
-/// corrects a coarse row and at once un-predicts the detail row before it.
+/// `rows[0][k·xs], rows[1][k·xs], …`, one point per row. Two sweeps over
+/// the rows, one per sweep of the Thomas solve:
+///
+/// * **ascending**, coarse row `i` at a time: the forward first predicts
+///   detail row `2i+1`; then load row `i` is built from the details either
+///   side of coarse row `2i` and at once eliminated against load row `i−1`;
+/// * **descending**: load row `i` is back-substituted from row `i+1`, and
+///   coarse row `2i` corrected by it; the inverse then un-predicts detail
+///   row `2i+1`, whose coarse neighbours `2i` and `2i+2` are final by then.
+///
+/// Every element still takes the oracle's operations in the oracle's order:
+/// a detail is predicted before any load reads it, a load row is complete
+/// before it is eliminated, a solve row is final before it corrects, and
+/// an un-predict reads only corrected rows. Only the interleaving of
+/// *different* elements' operations moves, and no operation reads a value
+/// a later one writes.
 #[inline(always)]
 fn across(
     rows: &mut [&mut [f64]],
@@ -349,30 +371,34 @@ fn across(
     }
     load.clear();
     load.resize(rows.len().div_ceil(2) * width, 0.0);
+    let mut prev: Option<&mut [f64]> = None;
     for (i, b) in load.chunks_exact_mut(width).enumerate() {
-        if pass.forward && 2 * i + 1 < rows.len() {
+        if pass.forward {
             predict_row(rows, 2 * i + 1, xs, width, true);
         }
         load_row(rows, i, xs, width, b);
+        pivots.eliminate_row(i, b, prev.as_deref());
+        prev = Some(b);
     }
-    pivots.solve_lanes(load, width, pass.simd);
-    for (i, z) in load.chunks_exact(width).enumerate() {
+    let mut next: Option<&mut [f64]> = None;
+    for (i, z) in load.chunks_exact_mut(width).enumerate().rev() {
+        if let Some(next) = next.as_deref() {
+            pivots.substitute_row(i, z, next);
+        }
         if pass.forward {
             zip2(width, rows[2 * i], xs, z, 1, |c, z| c + z);
         } else {
             zip2(width, rows[2 * i], xs, z, 1, |c, z| c - z);
-            if i > 0 {
-                predict_row(rows, 2 * i - 1, xs, width, false);
-            }
+            predict_row(rows, 2 * i + 1, xs, width, false);
         }
-    }
-    if !pass.forward && rows.len().is_multiple_of(2) {
-        predict_row(rows, rows.len() - 1, xs, width, false);
+        next = Some(z);
     }
 }
 
 /// `forward_line`'s predict (`inverse_line`'s un-predict) on odd row `j`,
-/// from the coarse rows either side of it (the one before at the end).
+/// from the coarse rows either side of it (the one before at the end). A
+/// `j` one past the last row, after an odd line's last coarse row, is a
+/// no-op.
 #[inline(always)]
 fn predict_row(rows: &mut [&mut [f64]], j: usize, xs: usize, width: usize, forward: bool) {
     let (before, rest) = rows.split_at_mut(j);

@@ -143,33 +143,51 @@ impl CoarsePivots {
     /// The sweeps behind [`CoarsePivots::solve_lanes`].
     #[inline(always)]
     fn solve_lanes_body(&self, b: &mut [f64], lanes: usize) {
-        let n = self.m.len();
-        assert_eq!(b.len(), n * lanes, "load/pivot size mismatch");
+        assert_eq!(b.len(), self.m.len() * lanes, "load/pivot size mismatch");
         if lanes == 0 {
             return;
         }
-        let mut rows = b.chunks_exact_mut(lanes);
-        let Some(mut prev) = rows.next() else {
-            return;
-        };
-        for v in prev.iter_mut() {
-            *v /= self.m[0];
+        let mut prev: Option<&mut [f64]> = None;
+        for (i, cur) in b.chunks_exact_mut(lanes).enumerate() {
+            self.eliminate_row(i, cur, prev.as_deref());
+            prev = Some(cur);
         }
-        for (cur, &pivot) in rows.zip(&self.m[1..]) {
-            for (c, &p) in cur.iter_mut().zip(prev.iter()) {
-                *c = (*c - OFF_DIAG * p) / pivot;
+        let mut next: Option<&mut [f64]> = None;
+        for (i, cur) in b.chunks_exact_mut(lanes).enumerate().rev() {
+            if let Some(next) = next.as_deref() {
+                self.substitute_row(i, cur, next);
             }
-            prev = cur;
+            next = Some(cur);
         }
-        let mut rows = b.chunks_exact_mut(lanes).rev();
-        let Some(mut next) = rows.next() else {
-            return;
-        };
-        for (cur, &factor) in rows.zip(self.cp[..n - 1].iter().rev()) {
-            for (c, &z) in cur.iter_mut().zip(next.iter()) {
-                *c -= factor * z;
+    }
+
+    /// The forward sweep's step on row `i` of the lanes' systems, `prev`
+    /// being row `i − 1` already eliminated (`None` for the first row):
+    /// `cur / m_0`, then `(cur − OFF_DIAG·prev) / m_i`.
+    #[inline(always)]
+    pub(crate) fn eliminate_row(&self, i: usize, cur: &mut [f64], prev: Option<&[f64]>) {
+        let pivot = self.m[i];
+        match prev {
+            None => {
+                for c in cur {
+                    *c /= pivot;
+                }
             }
-            next = cur;
+            Some(prev) => {
+                for (c, &p) in cur.iter_mut().zip(prev) {
+                    *c = (*c - OFF_DIAG * p) / pivot;
+                }
+            }
+        }
+    }
+
+    /// The back substitution's step on row `i` (any but the last), `next`
+    /// being row `i + 1` already solved: `cur − cp_i·next`.
+    #[inline(always)]
+    pub(crate) fn substitute_row(&self, i: usize, cur: &mut [f64], next: &[f64]) {
+        let factor = self.cp[i];
+        for (c, &z) in cur.iter_mut().zip(next) {
+            *c -= factor * z;
         }
     }
 }

@@ -508,10 +508,20 @@ fn batched_transform_matches_the_per_line_oracle() {
             }
         }
     }
-    // Every x-line length from 2 to 40, odd and even, through all of its
-    // strided steps, on 1-, 2- and 3-D grids.
+    // Every line length from 2 to 40, odd and even, through all of its
+    // strided steps: x lines on 1-, 2- and 3-D grids, y lines on 2- and
+    // 3-D grids, z lines. The ends of the y/z sweeps are where a reordered
+    // row step would show: the first coarse row, and the last detail row,
+    // which has no right neighbour when the length is even.
     for n in 2..=40 {
-        for shape in [Shape::d1(n), Shape::d2(n, 3), Shape::d3(n, 2, 3)] {
+        for shape in [
+            Shape::d1(n),
+            Shape::d2(n, 3),
+            Shape::d3(n, 2, 3),
+            Shape::d2(3, n),
+            Shape::d3(3, n, 2),
+            Shape::d3(2, 3, n),
+        ] {
             let data = random(shape, &[-0.0, 5e-324]);
             for mode in [TransformMode::Interpolation, TransformMode::L2Projection] {
                 let dec = Decomposer::new(shape, Decomposer::max_levels(shape), mode);

@@ -745,8 +745,8 @@ impl SegmentStore for FileStore {
         }
         match verify_segment(&buf, key) {
             Ok(fnv) => {
-                // The payload stays where it was read: drop the header in
-                // place rather than copying the rest out.
+                // Drop the header inside the read buffer: the payload is
+                // shifted down by one memmove, with no second allocation.
                 buf.drain(..SEG_HEADER);
                 Ok(SegmentRead::proved(buf, fnv))
             }

@@ -8,8 +8,10 @@
 #  - `cargo test` of the planted crate's library fails with a named message:
 #    the ranked locks' panic (a lock taken out of rank order,
 #    `pmr_error::sync`), the unwritten-grid check of `Compressed::reconstruct`
-#    (a decode that leaves grid nodes unwritten), or the protocol test of the
-#    wire-list bound (an unbounded wire count), or
+#    (a decode that leaves grid nodes unwritten), the batched transform's
+#    bit-identity with the per-line one (a row step of a y/z sweep out of
+#    order), or the protocol test of the wire-list bound (an unbounded wire
+#    count), or
 #  - the hostile-input oracle (`cargo test -p pmr-conformance --test
 #    hostile`) fails with a `hostile: ` line (a header-sized allocation, an
 #    unverified payload, an unchecked slice).
@@ -187,6 +189,28 @@ plant_test crates/mgard/src/bitplane.rs pmr-mgard "decode left grid nodes unwrit
     "placer.fill(out, n, T::of(0.0));" \
     "placer.skip(n);"
 
+# The forward's ascending sweep builds a load row before predicting the
+# detail row it reads.
+plant_test crates/mgard/src/batched.rs pmr-mgard "decompose diverged" \
+    "            predict_row(rows, 2 * i + 1, xs, width, true);
+        }
+        load_row(rows, i, xs, width, b);
+" "            load_row(rows, i, xs, width, b);
+            predict_row(rows, 2 * i + 1, xs, width, true);
+        } else {
+            load_row(rows, i, xs, width, b);
+        }
+"
+
+# The inverse's descending sweep un-predicts a detail row before the coarse
+# row it reads is corrected.
+plant_test crates/mgard/src/batched.rs pmr-mgard "recompose diverged" \
+    "            zip2(width, rows[2 * i], xs, z, 1, |c, z| c - z);
+            predict_row(rows, 2 * i + 1, xs, width, false);
+" "            predict_row(rows, 2 * i + 1, xs, width, false);
+            zip2(width, rows[2 * i], xs, z, 1, |c, z| c - z);
+"
+
 # A wire list without the protocol's bound on its count.
 plant_test crates/pmrd/src/protocol.rs pmrd "hostile_list_counts_are_protocol_errors" \
     "    if n > MAX_WIRE_LIST {
@@ -204,4 +228,4 @@ plant_oracle crates/pmrd/src/protocol.rs \
 (cd "$work" && cargo clippy -q -p pmr-mgard -p pmr-codec -p pmr-storage -- -D warnings)
 (cd "$work" && cargo test -q -p pmr-mgard -p pmr-storage -p pmrd --lib >/dev/null)
 (cd "$work" && cargo test -q -p pmr-conformance --test hostile >/dev/null)
-echo "probes: 12 probes caught, unplanted copy clean"
+echo "probes: 14 probes caught, unplanted copy clean"
