@@ -70,9 +70,8 @@ fn finite_corpus(seed: u64) -> Vec<Field> {
 /// Serial and parallel execution must be bit-identical end to end.
 pub fn check_serial_parallel_identity(seed: u64, failures: &mut Vec<String>) {
     for field in finite_corpus(seed) {
-        let serial = Compressed::compress_with(&field, &compress_cfg(1), &ExecPolicy::serial());
-        let parallel =
-            Compressed::compress_with(&field, &compress_cfg(4), &ExecPolicy::with_threads(4));
+        let serial = Compressed::compress(&field, &compress_cfg(1));
+        let parallel = Compressed::compress(&field, &compress_cfg(4));
         // Compare as `Result<_, String>` so a serialization failure on one
         // side also reads as a divergence instead of aborting the sweep.
         let serial_bytes = persist::to_bytes(&serial).map_err(|e| e.to_string());
@@ -134,8 +133,8 @@ pub fn check_kernel_identity(seed: u64, failures: &mut Vec<String>) {
     // End-to-end over the catalogue — kernel invariance must hold on
     // non-finite inputs too, so no `is_finite` filter here.
     for (_, field) in catalogue(seed) {
-        let cfg = compress_cfg(1);
-        let oracle = Compressed::compress_with(&field, &cfg, &scalar_exec);
+        let cfg = CompressConfig { kernel: PlaneKernel::Scalar, ..compress_cfg(1) };
+        let oracle = Compressed::compress(&field, &cfg);
         let oracle_bytes = persist::to_bytes(&oracle).map_err(|e| e.to_string());
         let plan = oracle.plan_theory(oracle.absolute_bound(1e-4));
         let oracle_out = oracle
@@ -143,7 +142,7 @@ pub fn check_kernel_identity(seed: u64, failures: &mut Vec<String>) {
             .expect("theory plan matches its artifact");
         for kernel in kernels {
             let exec = ExecPolicy::serial().with_kernel(kernel);
-            let tiled = Compressed::compress_with(&field, &cfg, &exec);
+            let tiled = Compressed::compress(&field, &CompressConfig { kernel, ..cfg });
             if persist::to_bytes(&tiled).map_err(|e| e.to_string()) != oracle_bytes {
                 failures.push(format!(
                     "differential: {} {} kernel artifact differs from scalar oracle",
@@ -234,7 +233,7 @@ fn x_line_fields(seed: u64) -> Vec<Field> {
 /// per-line oracle. Serial-vs-parallel checks compare the kernels with
 /// themselves; this one pins them to `forward_line`/`inverse_line`, on
 /// every catalogue field (non-finite classes included) and every
-/// [`x_line_fields`] field (all its levels), in both modes, in both builds
+/// `x_line_fields` field (all its levels), in both modes, in both builds
 /// of the kernels — `Swar` selects the baseline one, `Auto` the AVX2 one
 /// where the CPU has AVX2 — at 1, 2 and 4 workers.
 ///
@@ -421,7 +420,7 @@ fn staged_levels(field: &Field, cfg: &CompressConfig) -> Vec<LevelEncoding> {
         .collect()
 }
 
-/// `compress_with` encodes every level straight from the decomposed grid;
+/// `compress` encodes every level straight from the decomposed grid;
 /// it must reproduce the staged oracle byte for byte: over the catalogue
 /// (non-finite classes included) and a field on each shape of
 /// `above_parallel_gate`, at 1 to 7 workers, under every kernel. Each
@@ -437,11 +436,8 @@ pub fn check_compress_identity(seed: u64, failures: &mut Vec<String>) {
     };
     let parallel = above_parallel_gate().map(|s| synthetic(FieldClass::Turbulent, s, seed, 0));
     for field in catalogue(seed).into_iter().map(|(_, f)| f).chain(parallel) {
-        let oracle = Compressed::compress_with(
-            &field,
-            &cfg,
-            &ExecPolicy::serial().with_kernel(PlaneKernel::Scalar),
-        );
+        let oracle =
+            Compressed::compress(&field, &CompressConfig { kernel: PlaneKernel::Scalar, ..cfg });
         if level_bytes(oracle.levels()) != level_bytes(&staged_levels(&field, &cfg)) {
             failures.push(format!(
                 "differential: {} placed encode differs from interleave + encode_with",
@@ -452,11 +448,12 @@ pub fn check_compress_identity(seed: u64, failures: &mut Vec<String>) {
         let want = as_bytes(&oracle);
         for kernel in kernels {
             for threads in [1, 2, 3, 4, 7] {
-                let exec = ExecPolicy::with_threads(threads).with_kernel(kernel);
-                if as_bytes(&Compressed::compress_with(&field, &cfg, &exec)) != want {
+                let cfg = CompressConfig { threads, kernel, ..cfg };
+                if as_bytes(&Compressed::compress(&field, &cfg)) != want {
                     failures.push(format!(
-                        "differential: {} compress {exec:?} differs from the staged oracle",
-                        field.name()
+                        "differential: {} compress {:?} differs from the staged oracle",
+                        field.name(),
+                        cfg.exec()
                     ));
                 }
             }

@@ -441,7 +441,7 @@ impl Cell<'_> {
     ) -> Result<(TolerantRetrieval, Vec<FaultEvent>), String> {
         let plan = self.c.plan_theory(bound);
         let fetch = |store: &dyn SegmentStore| {
-            fetch_plan_tolerant(self.c, store, &plan, bound, tolerant, None)
+            fetch_plan_tolerant(self.c, store, &plan, bound, tolerant)
                 .map_err(|e| format!("hard failure: {e}"))
         };
         match self.path {
@@ -758,8 +758,7 @@ mod tests {
         let lossy = FaultConfig { permanent: 0.3, ..FaultConfig::quiet(5) };
         let store = FaultInjector::new(MemStore::from_compressed(&c), lossy).unwrap();
         let tolerant = TolerantConfig::default();
-        let out =
-            fetch_plan_tolerant(&c, &store, &c.plan_theory(bound), bound, &tolerant, None).unwrap();
+        let out = fetch_plan_tolerant(&c, &store, &c.plan_theory(bound), bound, &tolerant).unwrap();
         let deg = out.degraded.as_ref().expect("p=0.3 loses planes the plan needs");
         assert_eq!(
             check_outcome(field, &c, bound, &out.field, Some(deg), &healthy),

@@ -87,7 +87,7 @@ fn compress_golden(field: &Field) -> Compressed {
         threads: 1,
         ..CompressConfig::default()
     };
-    Compressed::compress_with(field, &cfg, &ExecPolicy::serial())
+    Compressed::compress(field, &cfg)
 }
 
 fn probe_json(field: &Field, c: &Compressed) -> Json {

@@ -15,7 +15,7 @@
 use pmr_conformance::heap::TestAlloc;
 use pmr_field::Field;
 use pmr_mgard::exec::PARALLEL_MIN_COEFFS;
-use pmr_mgard::{CompressConfig, Compressed, Decomposer, ExecPolicy};
+use pmr_mgard::{CompressConfig, Compressed, Decomposer};
 use pmr_sim::warpx::{warpx_field, WarpXConfig, WarpXField};
 
 #[global_allocator]
@@ -23,12 +23,12 @@ static HEAP: TestAlloc = TestAlloc::new();
 
 const MIB: f64 = (1 << 20) as f64;
 
-/// The transient peak of compressing `field` under `exec` and the heap the
+/// The transient peak of compressing `field` under `cfg` and the heap the
 /// returned artifact keeps, both in bytes.
-fn measure(field: &Field, cfg: &CompressConfig, exec: &ExecPolicy) -> (usize, usize) {
+fn measure(field: &Field, cfg: &CompressConfig) -> (usize, usize) {
     let before = HEAP.live();
     HEAP.reset_peak();
-    let c = Compressed::compress_with(field, cfg, exec);
+    let c = Compressed::compress(field, cfg);
     let transient = HEAP.peak() - before;
     let kept = HEAP.live() - before;
     drop(c);
@@ -46,11 +46,12 @@ fn compress_holds_one_grid_and_one_level_of_packed_planes() {
     let grid = field.len() * std::mem::size_of::<f64>();
     let packed = cfg.num_planes as usize * finest.div_ceil(8);
 
-    for exec in [ExecPolicy::serial(), ExecPolicy::default()] {
+    for cfg in [CompressConfig { threads: 1, ..cfg }, cfg] {
         // The first parallel compress starts the worker pool; measure the
         // steady state.
-        drop(Compressed::compress_with(&field, &cfg, &exec));
-        let (transient, kept) = measure(&field, &cfg, &exec);
+        drop(Compressed::compress(&field, &cfg));
+        let (transient, kept) = measure(&field, &cfg);
+        let exec = cfg.exec();
         let bound = (grid + packed + kept) * 105 / 100;
         eprintln!(
             "{exec:?}: transient {:.2} MiB, bound {:.2} MiB (grid {:.2}, packed planes {:.2}, \

@@ -1,7 +1,9 @@
 //! The unified retrieval API: one `RetrievalRequest → RetrievalOutcome`
-//! entry point over every retrieval surface — direct decode, per-call
-//! execution policies, coarse-grid decode, error measurement, byte-budget
-//! planning, and the fault-tolerant storage path. Callers (and `pmrd`, whose
+//! entry point over every retrieval surface — direct decode, coarse-grid
+//! decode, error measurement, byte-budget planning, and the fault-tolerant
+//! storage path. Every decode runs under the artifact's own execution
+//! policy, set once by the `CompressConfig` it was compressed with
+//! ([`Compressed::exec`]); a request carries none. Callers (and `pmrd`, whose
 //! wire protocol is deliberately the same shape) state *what* they want:
 //!
 //! ```text
@@ -20,7 +22,7 @@
 use crate::framework::{RetrievalContext, Retriever};
 use pmr_error::PmrError;
 use pmr_field::{error, Field};
-use pmr_mgard::{Compressed, DecodeOptions, ExecPolicy, RetrievalPlan};
+use pmr_mgard::{Compressed, DecodeOptions, RetrievalPlan};
 use pmr_storage::{
     fetch_plan_tolerant, DegradedRetrieval, FetchStats, SegmentStore, TolerantConfig,
 };
@@ -66,16 +68,13 @@ pub enum RetrievalTarget {
     PlaneSet(Vec<u32>),
 }
 
-/// A complete description of one retrieval: the target plus execution and
+/// A complete description of one retrieval: the target plus decode and
 /// measurement options. Construct with the shorthand constructors and
 /// chain the builder-style modifiers.
 #[derive(Debug, Clone)]
 pub struct RetrievalRequest {
     /// What to optimise for.
     pub target: RetrievalTarget,
-    /// Execution-policy override for the decode (`None` = the artifact's
-    /// own policy), on either backend.
-    pub exec: Option<ExecPolicy>,
     /// Measure achieved error and PSNR against the original field
     /// (requires [`Dataset::original`]).
     pub measure: bool,
@@ -91,7 +90,6 @@ impl RetrievalRequest {
     pub fn new(target: RetrievalTarget) -> Self {
         RetrievalRequest {
             target,
-            exec: None,
             measure: false,
             coarse_level: None,
             tolerant: TolerantConfig::default(),
@@ -121,12 +119,6 @@ impl RetrievalRequest {
     /// Measure achieved error and PSNR against the dataset's original.
     pub fn measured(mut self) -> Self {
         self.measure = true;
-        self
-    }
-
-    /// Override the execution policy for the decode.
-    pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
-        self.exec = Some(exec);
         self
     }
 
@@ -326,7 +318,7 @@ pub fn retrieve(
 
     let (field, planes, bytes, estimated, stats, degraded) = match backend {
         Backend::Direct => {
-            let opts = DecodeOptions { exec: request.exec, coarse_level: request.coarse_level };
+            let opts = DecodeOptions { exec: None, coarse_level: request.coarse_level };
             let field = compressed.decode_plan(&plan, &opts)?;
             let bytes = compressed.retrieved_bytes(&plan);
             let estimated = compressed.estimate_for(&plan.planes);
@@ -339,8 +331,7 @@ pub fn retrieve(
                 ));
             }
             let bound = requested_bound(compressed, &request.target, &plan)?;
-            let (tolerant, exec) = (&request.tolerant, request.exec);
-            let t = fetch_plan_tolerant(compressed, *store, &plan, bound, tolerant, exec)?;
+            let t = fetch_plan_tolerant(compressed, *store, &plan, bound, &request.tolerant)?;
             (t.field, t.planes, t.stats.bytes, t.estimated_error, Some(t.stats), t.degraded)
         }
     };
@@ -530,17 +521,22 @@ mod tests {
         let field = Field::from_fn("api", 0, Shape::cube(33), |x, y, z| {
             ((x as f64) * 0.3).sin() + ((y as f64) * 0.2).cos() * 0.4 + (z as f64) * 0.01
         });
-        let c = Compressed::compress(&field, &CompressConfig::default());
-        let ds = Dataset::new(&c);
-        let store = MemStore::from_compressed(&c);
-        let backend = Backend::store(&store);
-        let direct =
-            retrieve(&ds, &Theory, &RetrievalRequest::rel(1e-4), &Backend::Direct).expect("direct");
-        let scalar = ExecPolicy::serial().with_kernel(PlaneKernel::Scalar);
-        for exec in [scalar, ExecPolicy::with_threads(4)] {
-            let req = RetrievalRequest::rel(1e-4).with_exec(exec);
-            let stored = retrieve(&ds, &Theory, &req, &backend).expect("stored");
-            assert_eq!(stored.field.data(), direct.field.data(), "{exec:?}");
+        let request = RetrievalRequest::rel(1e-4);
+        let direct = retrieve(
+            &Dataset::new(&Compressed::compress(&field, &CompressConfig::default())),
+            &Theory,
+            &request,
+            &Backend::Direct,
+        )
+        .expect("direct");
+        let scalar =
+            CompressConfig { threads: 1, kernel: PlaneKernel::Scalar, ..Default::default() };
+        for cfg in [scalar, CompressConfig { threads: 4, ..Default::default() }] {
+            let c = Compressed::compress(&field, &cfg);
+            let store = MemStore::from_compressed(&c);
+            let stored = retrieve(&Dataset::new(&c), &Theory, &request, &Backend::store(&store))
+                .expect("stored");
+            assert_eq!(stored.field.data(), direct.field.data(), "{:?}", cfg.exec());
         }
     }
 

@@ -30,7 +30,7 @@ pub struct DMgardConfig {
     pub train: TrainConfig,
     /// Chain the per-level models (CMOR, paper Fig. 6). When `false`, each
     /// level trains an independent MLP without the `b_0..b_{l-1}` inputs —
-    /// the baseline the paper argues against (cited as [22]); kept for the
+    /// the baseline the paper argues against (cited as \[22\]); kept for the
     /// `ablation_chain` bench.
     pub chained: bool,
     /// Also feed the scale-invariant field statistics (skewness, kurtosis,

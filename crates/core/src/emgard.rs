@@ -22,7 +22,7 @@
 use crate::dmgard::read_model_pair;
 use pmr_error::{ByteReader, PmrError};
 use pmr_field::{error::max_abs_error, Field};
-use pmr_mgard::{Compressed, ExecPolicy, RetrievalPlan};
+use pmr_mgard::{Compressed, DecodeOptions, ExecPolicy, RetrievalPlan};
 use pmr_nn::{Activation, Adam, Loss, Matrix, Mlp, Standardizer};
 use pmr_rng::Rng;
 
@@ -137,18 +137,6 @@ pub fn build_samples(
     cfg: &EMgardConfig,
     seed: u64,
 ) -> Vec<TrainSample> {
-    build_samples_with(field, compressed, cfg, seed, &ExecPolicy::default())
-}
-
-/// [`build_samples`] with an explicit execution policy for the plan
-/// reconstructions it draws.
-pub fn build_samples_with(
-    field: &Field,
-    compressed: &Compressed,
-    cfg: &EMgardConfig,
-    seed: u64,
-    exec: &ExecPolicy,
-) -> Vec<TrainSample> {
     let mut rng = Rng::seed_from_u64(seed ^ cfg.seed.rotate_left(32));
     let signatures = signatures_of(compressed);
     let nl = compressed.num_levels();
@@ -170,13 +158,12 @@ pub fn build_samples_with(
             (0..nl).map(|_| rng.range(0..=b)).collect()
         };
         let plan = RetrievalPlan::from_planes(planes.clone());
-        let opts = pmr_mgard::DecodeOptions::with_exec(*exec);
         #[expect(
             clippy::expect_used,
             reason = "plane counts are clamped to this artifact's capacity above"
         )]
         let rec = compressed
-            .decode_plan(&plan, &opts)
+            .decode_plan(&plan, &DecodeOptions::default())
             .expect("sampled plane counts are clamped to the artifact's capacity");
         let actual_err = max_abs_error(field.data(), rec.data());
         let level_errs: Vec<f64> =
@@ -186,24 +173,15 @@ pub fn build_samples_with(
     out
 }
 
-/// Draw training samples from many `(field, compressed, seed)` triples,
-/// fanning the snapshots out over worker threads.
-///
-/// Each worker runs its reconstructions under a serial inner policy —
-/// snapshot-level parallelism already saturates the cores, and serial
-/// execution is bit-identical to parallel, so the result equals calling
-/// [`build_samples`] per snapshot in order.
+/// Draw training samples from many `(field, compressed, seed)` triples:
+/// one [`build_samples`] per snapshot, fanned out over the cores, in order.
 pub fn build_samples_many(
     items: &[(&Field, &Compressed, u64)],
     cfg: &EMgardConfig,
 ) -> Vec<Vec<TrainSample>> {
-    let threads = ExecPolicy::default().resolved_threads().min(items.len());
-    if threads <= 1 {
-        return items.iter().map(|&(f, c, s)| build_samples(f, c, cfg, s)).collect();
-    }
-    pmr_mgard::exec::fan_out(threads, items.len(), |i| {
+    pmr_mgard::exec::fan_out(ExecPolicy::default().resolved_threads(), items.len(), |i| {
         let (field, compressed, seed) = items[i];
-        build_samples_with(field, compressed, cfg, seed, &ExecPolicy::serial())
+        build_samples(field, compressed, cfg, seed)
     })
 }
 

@@ -7,7 +7,7 @@ use crate::emgard::{build_samples_many, EMgard, EMgardConfig, TrainSample};
 use crate::features;
 use crate::framework::{Combined, Retriever, Theory};
 use crate::records::{collect_records_many, RetrievalRecord};
-use crate::sweep::{sweep, SweepPoint};
+use crate::sweep::{sweep_strategy, SweepPoint};
 use pmr_error::PmrError;
 use pmr_field::Field;
 use pmr_mgard::{CompressConfig, Compressed};
@@ -123,19 +123,16 @@ pub fn compare_on_field(
     let compressed = Compressed::compress(field, &cfg.compress);
     let feats = features::retrieval_features(field, &compressed);
     let abs_bounds: Vec<f64> = rel_bounds.iter().map(|&r| compressed.absolute_bound(r)).collect();
-    let strategies: [&dyn Retriever; 4] = [&Theory, &combined.dmgard, &combined.emgard, combined];
-    let points = sweep(field, &compressed, &feats, &strategies, &abs_bounds)?;
-    // `sweep` returns one column of `rel_bounds.len()` points per strategy.
-    let at = |strategy: usize, i: usize| points[strategy * rel_bounds.len() + i].clone();
-    Ok(rel_bounds
-        .iter()
-        .enumerate()
-        .map(|(i, &rel_bound)| ComparisonRow {
-            rel_bound,
-            theory: at(0, i),
-            dmgard: at(1, i),
-            emgard: at(2, i),
-            combined: at(3, i),
+    let column = |r: &dyn Retriever| sweep_strategy(field, &compressed, &feats, r, &abs_bounds);
+    let (theory, dmgard) = (column(&Theory)?, column(&combined.dmgard)?);
+    let (emgard, both) = (column(&combined.emgard)?, column(combined)?);
+    Ok((0..rel_bounds.len())
+        .map(|i| ComparisonRow {
+            rel_bound: rel_bounds[i],
+            theory: theory[i].clone(),
+            dmgard: dmgard[i].clone(),
+            emgard: emgard[i].clone(),
+            combined: both[i].clone(),
         })
         .collect())
 }

@@ -53,4 +53,4 @@ pub use emgard::{build_samples_many, EMgard, EMgardConfig};
 pub use framework::{Combined, RetrievalContext, Retriever, Theory};
 pub use pmr_mgard::{ExecPolicy, PlaneKernel};
 pub use records::{collect_records, collect_records_many, standard_rel_bounds, RetrievalRecord};
-pub use sweep::{sweep, sweep_strategy, SweepPoint};
+pub use sweep::{sweep_strategy, SweepPoint};

@@ -51,17 +51,6 @@ pub fn collect_records(
     compressed: &Compressed,
     rel_bounds: &[f64],
 ) -> Vec<RetrievalRecord> {
-    collect_records_with(field, compressed, rel_bounds, &ExecPolicy::default())
-}
-
-/// [`collect_records`] with an explicit execution policy for the
-/// reconstructions the bound sweep performs.
-pub fn collect_records_with(
-    field: &Field,
-    compressed: &Compressed,
-    rel_bounds: &[f64],
-    exec: &ExecPolicy,
-) -> Vec<RetrievalRecord> {
     let base = features::retrieval_features(field, compressed);
     // BTreeMap keeps the cache's iteration order deterministic; records are
     // training inputs, so their production must not depend on hash order.
@@ -70,17 +59,9 @@ pub fn collect_records_with(
     for &rel in rel_bounds {
         let abs = compressed.absolute_bound(rel);
         let plan = compressed.plan_theory(abs);
-        let achieved = *achieved_cache.entry(plan.planes.clone()).or_insert_with(|| {
-            let opts = pmr_mgard::DecodeOptions::with_exec(*exec);
-            #[expect(
-                clippy::expect_used,
-                reason = "plan_theory planned this artifact, so decode_plan cannot fail"
-            )]
-            let rec = compressed
-                .decode_plan(&plan, &opts)
-                .expect("theory plan always matches its own artifact");
-            max_abs_error(field.data(), rec.data())
-        });
+        let achieved = *achieved_cache
+            .entry(plan.planes.clone())
+            .or_insert_with(|| max_abs_error(field.data(), compressed.retrieve(&plan).data()));
         let retrieved_bytes = compressed.retrieved_bytes(&plan);
         out.push(RetrievalRecord {
             field_name: field.name().to_string(),
@@ -96,24 +77,15 @@ pub fn collect_records_with(
     out
 }
 
-/// Harvest records from many `(field, compressed)` pairs, fanning the
-/// snapshots out over worker threads.
-///
-/// Workers reconstruct under a serial inner policy (snapshot-level
-/// parallelism already saturates the cores, and serial execution is
-/// bit-identical to parallel), so the result equals calling
-/// [`collect_records`] per snapshot in order.
+/// Harvest records from many `(field, compressed)` pairs: one
+/// [`collect_records`] per snapshot, fanned out over the cores, in order.
 pub fn collect_records_many(
     items: &[(&Field, &Compressed)],
     rel_bounds: &[f64],
 ) -> Vec<Vec<RetrievalRecord>> {
-    let threads = ExecPolicy::default().resolved_threads().min(items.len());
-    if threads <= 1 {
-        return items.iter().map(|&(f, c)| collect_records(f, c, rel_bounds)).collect();
-    }
-    pmr_mgard::exec::fan_out(threads, items.len(), |i| {
+    pmr_mgard::exec::fan_out(ExecPolicy::default().resolved_threads(), items.len(), |i| {
         let (field, compressed) = items[i];
-        collect_records_with(field, compressed, rel_bounds, &ExecPolicy::serial())
+        collect_records(field, compressed, rel_bounds)
     })
 }
 

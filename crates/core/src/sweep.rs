@@ -115,21 +115,6 @@ pub fn sweep_strategy(
         .collect()
 }
 
-/// Sweep every strategy over `abs_bounds` for a single artifact.
-pub fn sweep(
-    original: &Field,
-    compressed: &Compressed,
-    features: &[f32],
-    retrievers: &[&dyn Retriever],
-    abs_bounds: &[f64],
-) -> Result<Vec<SweepPoint>, PmrError> {
-    let mut out = Vec::new();
-    for r in retrievers {
-        out.extend(sweep_strategy(original, compressed, features, *r, abs_bounds)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,16 +148,5 @@ mod tests {
         for w in points.windows(2) {
             assert!(w[1].bytes >= w[0].bytes);
         }
-    }
-
-    #[test]
-    fn sweep_covers_all_strategies() {
-        let field = wave();
-        let c = Compressed::compress(&field, &CompressConfig::default());
-        let feats = retrieval_features(&field, &c);
-        let bounds = [c.absolute_bound(1e-2)];
-        let rs: Vec<&dyn Retriever> = vec![&Theory, &Theory];
-        let points = sweep(&field, &c, &feats, &rs, &bounds).unwrap();
-        assert_eq!(points.len(), 2);
     }
 }

@@ -19,7 +19,7 @@
 //! `BitWriter`/`BitReader` traffic collapses into whole-word copies and the
 //! prefix-reconstruction error loop becomes branchless and vectorizable.
 //! [`ExecPolicy::kernel`] selects the implementation; every kernel is
-//! bit-identical by construction, and [`PlaneKernel::Scalar`] keeps the
+//! bit-identical by construction, and [`PlaneKernel::Scalar`](crate::PlaneKernel::Scalar) keeps the
 //! original bit-at-a-time path alive as the differential oracle (it ignores
 //! `threads` for this stage — the oracle is defined serially).
 
@@ -356,7 +356,7 @@ impl LevelEncoding {
 
     /// The compressed payload of plane `k` — the unit of segment storage:
     /// fault-tolerant readers fetch exactly these byte strings (keyed by
-    /// `(level, plane)`) from a [`pmr-storage`] segment store.
+    /// `(level, plane)`) from a `pmr-storage` segment store.
     pub fn plane_payload(&self, k: u32) -> &[u8] {
         &self.planes[k as usize]
     }

@@ -149,20 +149,16 @@ impl Compressed {
     /// through its runs (`Decomposer::level_runs`), so no per-level copy is
     /// made.
     ///
-    /// The `threads` knob of `cfg` drives the parallel data path; results
-    /// are bit-identical regardless of the policy. Small
-    /// fields are processed serially even under a parallel policy (see
-    /// [`crate::exec`]).
+    /// The `threads` and `kernel` knobs of `cfg` are the execution policy of
+    /// the data path here and of every retrieval of the artifact (see
+    /// [`Compressed::exec`]); results are bit-identical regardless of the
+    /// policy. Small fields are processed serially even under a parallel
+    /// policy (see [`crate::exec`]).
     pub fn compress(field: &Field, cfg: &CompressConfig) -> Self {
-        Self::compress_with(field, cfg, &cfg.exec())
-    }
-
-    /// [`Compressed::compress`] with the execution policy overridden (used by
-    /// the batch API to nest snapshot-level and line-level parallelism).
-    pub fn compress_with(field: &Field, cfg: &CompressConfig, exec: &ExecPolicy) -> Self {
+        let exec = cfg.exec();
         let decomposer = Decomposer::new(field.shape(), cfg.levels, cfg.mode);
         let mut data = field.data().to_vec();
-        decomposer.decompose_with(&mut data, exec);
+        decomposer.decompose_with(&mut data, &exec);
         let levels: Vec<LevelEncoding> = decomposer
             .level_runs()
             .iter()
@@ -180,25 +176,16 @@ impl Compressed {
             levels,
             constants,
             value_range: finite_value_range(field),
-            exec: *exec,
+            exec,
             level_signatures: OnceLock::new(),
         }
     }
 
-    /// Compress a batch of snapshots, fanning out across worker threads —
-    /// one snapshot per worker, each compressed serially inside its worker.
-    /// Results are identical to calling [`Compressed::compress`] per field.
+    /// Compress a batch of snapshots, one [`Compressed::compress`] per
+    /// field, fanned out over up to `cfg`'s thread count. A kernel called
+    /// inside a batch item runs on that item's thread (see [`fan_out`]).
     pub fn compress_many(fields: &[Field], cfg: &CompressConfig) -> Vec<Compressed> {
-        let exec = cfg.exec();
-        let threads = exec.resolved_threads().min(fields.len());
-        if threads <= 1 {
-            return fields.iter().map(|f| Self::compress(f, cfg)).collect();
-        }
-        fan_out(threads, fields.len(), |i| {
-            let mut c = Self::compress_with(&fields[i], cfg, &ExecPolicy::serial());
-            c.exec = exec;
-            c
-        })
+        fan_out(cfg.exec().resolved_threads(), fields.len(), |i| Self::compress(&fields[i], cfg))
     }
 
     pub fn name(&self) -> &str {
@@ -243,7 +230,9 @@ impl Compressed {
         self.value_range
     }
 
-    /// The execution policy used by [`Compressed::retrieve`].
+    /// The execution policy of every retrieval of this artifact:
+    /// [`CompressConfig::exec`] of the config it was compressed with, or
+    /// the default for a loaded artifact.
     pub fn exec(&self) -> ExecPolicy {
         self.exec
     }
@@ -372,9 +361,9 @@ impl Compressed {
     /// This is the low-level decode primitive: it trusts the plan (a
     /// mismatched level count panics, exactly as a slice index would) and
     /// uses the artifact's own execution policy. Callers that want
-    /// validation, coarse-grid decoding, per-call execution policies, or
-    /// error measurement should go through `pmr_core`'s unified
-    /// `RetrievalRequest` API (or [`Compressed::decode_plan`] directly).
+    /// validation, coarse-grid decoding or error measurement should go
+    /// through `pmr_core`'s unified `RetrievalRequest` API (or
+    /// [`Compressed::decode_plan`] directly).
     pub fn retrieve(&self, plan: &RetrievalPlan) -> Field {
         assert_eq!(plan.planes.len(), self.levels.len(), "plan/levels mismatch");
         self.decode_own(plan, None, &self.exec)

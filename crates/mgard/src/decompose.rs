@@ -107,7 +107,7 @@ impl Decomposer {
     }
 
     /// [`Decomposer::decompose`] under an explicit execution policy, by the
-    /// plane-batched kernels of [`crate::batched`]: bit-identical to the
+    /// plane-batched kernels of `crate::batched`: bit-identical to the
     /// per-line path above at every thread count.
     pub fn decompose_with(&self, data: &mut [f64], exec: &ExecPolicy) {
         assert_eq!(data.len(), self.shape.len(), "data/shape length mismatch");

@@ -1,9 +1,12 @@
 //! Execution policy for the parallel data path, and the pool it runs on.
 //!
-//! Every hot stage in this crate — the multilevel transforms, bit-plane
-//! encoding/decoding, and the batch compress API — accepts an
-//! [`ExecPolicy`] that says how many worker threads to use. The parallel
-//! paths are written so their output is *bit-identical* to the serial paths:
+//! An [`ExecPolicy`] (a thread count and a bit-plane kernel) is set once,
+//! where the artifact is made: `CompressConfig::{threads, kernel}` drive
+//! compression, and the artifact carries the policy (`Compressed::exec`)
+//! to every retrieval of it. Only the decode primitives
+//! (`DecodeOptions::exec`, `Compressed::retrieve_from_payloads`) and the
+//! kernel-level `_with` oracles take another. The parallel paths are
+//! written so their output is *bit-identical* to the serial paths:
 //! transform lines are fully independent, per-chunk error reductions keep
 //! the larger of two numbers (exact, order-independent), and work is split
 //! by the policy and the grid geometry, never by thread scheduling or by
@@ -11,7 +14,10 @@
 //!
 //! The jobs of a parallel region run on the calling thread and on one
 //! process-wide pool of parked workers (one per core but the caller's,
-//! started on first use), so no region starts an OS thread.
+//! started on first use), so no region starts an OS thread. The pool owns
+//! nesting: a region submitted while another is in flight — a kernel
+//! called by a batch item of [`fan_out`], say — runs on its submitter's
+//! thread, so no caller has to pick a serial inner policy.
 
 use pmr_codec::PlaneKernel;
 use pmr_error::sync::{rank, Condvar, Mutex};
@@ -110,13 +116,18 @@ impl ExecPolicy {
 /// never by the pool's size, so which thread runs a job never shows in the
 /// output. A job's panic reaches the caller once every job has finished.
 pub(crate) fn run_jobs<J: Send>(jobs: impl IntoIterator<Item = J>, work: impl Fn(J) + Sync) {
-    pool().spread_jobs(jobs.into_iter().collect(), &work);
+    let jobs: Vec<J> = jobs.into_iter().collect();
+    #[cfg(test)]
+    let work = tests::counted(jobs.len(), work);
+    pool().spread_jobs(jobs, &work);
 }
 
 /// Map `work` over `0..n` on up to `threads` jobs claiming indices from a
 /// shared cursor; results come back in index order whatever the
-/// scheduling. The outer half of the batch API, which runs each item under
-/// a *serial* inner policy.
+/// scheduling. The batch APIs run each item under its own artifact's
+/// policy: while a fan-out of two or more jobs is in flight, every kernel
+/// an item calls runs inline on the item's thread, and a one-job fan-out
+/// publishes no region, so its items' kernels get the whole pool.
 pub fn fan_out<T: Send>(threads: usize, n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let slots = Mutex::new(rank::FAN_OUT_SLOTS, &mut out);
@@ -297,6 +308,22 @@ impl Drop for Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Jobs this thread has handed to [`run_jobs`], and jobs it has run.
+        static JOBS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    }
+
+    /// `work`, counting its `n` jobs as submitted by this thread and each
+    /// job as run by the thread that runs it.
+    pub(super) fn counted<J>(n: usize, work: impl Fn(J) + Sync) -> impl Fn(J) + Sync {
+        JOBS.set((JOBS.get().0 + n, JOBS.get().1));
+        move |job| {
+            JOBS.set((JOBS.get().0, JOBS.get().1 + 1));
+            work(job)
+        }
+    }
 
     #[test]
     fn auto_resolves_to_at_least_one() {
@@ -384,6 +411,56 @@ mod tests {
             let got = enc.decode_with(20, &exec);
             assert!(got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()));
         });
+
+        // What the batch APIs rely on: items that compress and decode under
+        // the default policy, with no serial override, get the serial bits,
+        // and while the fan-out is in flight every job their kernels submit
+        // runs on the item's own thread. Miri has no pool workers, and these
+        // sizes take minutes there.
+        if cfg!(miri) {
+            return;
+        }
+        use crate::{persist, CompressConfig, Compressed, DecodeOptions};
+        use pmr_field::{Field, Shape};
+        let fields: Vec<Field> = (0..4)
+            .map(|t| {
+                Field::from_fn("batch", t, Shape::d1(40_000), move |x, _, _| {
+                    ((x + 97 * t) as f64 * 0.013).sin()
+                })
+            })
+            .collect();
+        let round_trip = |field: &Field, cfg: &CompressConfig| {
+            let c = Compressed::compress(field, cfg);
+            let plan = c.plan_theory(c.absolute_bound(1e-4));
+            let out = c.decode_plan(&plan, &DecodeOptions::default()).expect("decode");
+            let bits: Vec<u64> = out.data().iter().map(|v| v.to_bits()).collect();
+            (persist::to_bytes(&c).expect("persist"), bits)
+        };
+        let serial = CompressConfig { threads: 1, ..CompressConfig::default() };
+        let want: Vec<_> = fields.iter().map(|f| round_trip(f, &serial)).collect();
+        // The fan-out is a region of its own only if no other test's region
+        // is in flight when it starts: retry until it ran on two threads.
+        loop {
+            let items = fan_out(ExecPolicy::default().resolved_threads(), fields.len(), |i| {
+                let before = JOBS.get();
+                let got = round_trip(&fields[i], &CompressConfig::default());
+                let (submitted, ran) = (JOBS.get().0 - before.0, JOBS.get().1 - before.1);
+                (got, std::thread::current().id(), submitted, ran)
+            });
+            for ((got, ..), want) in items.iter().zip(&want) {
+                assert!(got == want, "a batch item's output differs from the serial one");
+            }
+            if items.iter().any(|it| it.1 != items[0].1) {
+                for &(_, _, submitted, ran) in &items {
+                    assert!(submitted > 0, "the item's kernels ran no parallel region");
+                    assert_eq!(ran, submitted, "an item's job ran on another thread");
+                }
+                break;
+            }
+            if super::pool().workers.is_empty() {
+                break; // one core: the pool has no one to spread to
+            }
+        }
     }
 
     /// Miri reports one CPU, so there the process pool has no workers and

@@ -102,13 +102,6 @@ impl<'a> ProgressiveSession<'a> {
         let plan = RetrievalPlan::from_planes(self.planes.clone());
         self.compressed.retrieve(&plan)
     }
-
-    /// Reconstruct under an explicit execution policy — lets many sessions
-    /// share a machine without oversubscribing it.
-    pub fn current_field_with(&self, exec: &crate::exec::ExecPolicy) -> Field {
-        let plan = RetrievalPlan::from_planes(self.planes.clone());
-        self.compressed.decode_own(&plan, None, exec)
-    }
 }
 
 #[cfg(test)]
@@ -187,19 +180,6 @@ mod tests {
         let mut learned = ProgressiveSession::new(&c);
         learned.refine_with_constants(bound, &tuned);
         assert!(learned.fetched_bytes() <= theory.fetched_bytes());
-    }
-
-    #[test]
-    fn explicit_policy_matches_default_reconstruction() {
-        use crate::exec::ExecPolicy;
-        let (_, c) = artifact();
-        let mut session = ProgressiveSession::new(&c);
-        session.refine_theory(c.absolute_bound(1e-4));
-        let default = session.current_field();
-        let serial = session.current_field_with(&ExecPolicy::serial());
-        let par = session.current_field_with(&ExecPolicy::with_threads(4));
-        assert_eq!(default.data(), serial.data());
-        assert_eq!(serial.data(), par.data());
     }
 
     #[test]

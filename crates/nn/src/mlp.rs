@@ -92,16 +92,6 @@ impl Mlp {
         self.infer(&Matrix::row_vector(row)).data().to_vec()
     }
 
-    /// Inference without keeping caches around afterwards.
-    pub fn predict(&mut self, x: &Matrix) -> Matrix {
-        self.infer(x)
-    }
-
-    /// Convenience: predict for one input row.
-    pub fn predict_row(&mut self, row: &[f32]) -> Vec<f32> {
-        self.infer_row(row)
-    }
-
     /// Backward pass from the loss gradient w.r.t. the network output.
     /// Fills every layer's `dw`/`db`.
     pub fn backward(&mut self, dloss: &Matrix) {
@@ -341,13 +331,5 @@ mod tests {
         assert_eq!(mlp.infer(&x), rt.infer(&x));
         std::fs::remove_dir_all(&dir).ok();
         assert!(Mlp::load(&path).is_err());
-    }
-
-    #[test]
-    fn predict_row_convenience() {
-        let mut mlp = tiny_mlp(2);
-        let out = mlp.predict_row(&[1.0, 2.0, 3.0]);
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|v| v.is_finite()));
     }
 }

@@ -86,7 +86,7 @@ mod tests {
         let history = fit(&mut mlp, &data, &cfg);
         assert_eq!(history.len(), 150);
         assert!(history.last().unwrap() < &(history[0] / 10.0));
-        assert!(Loss::Mae.value(&mlp.predict(&data.x), &data.y) < 0.05);
+        assert!(Loss::Mae.value(&mlp.infer(&data.x), &data.y) < 0.05);
     }
 
     #[test]
@@ -97,7 +97,7 @@ mod tests {
             Mlp::new(&[1, 16, 16, 1], Activation::LeakyRelu(0.01), Activation::Identity, 3);
         let cfg = TrainConfig { epochs: 200, batch_size: 32, lr: 5e-3, ..Default::default() };
         fit(&mut mlp, &train, &cfg);
-        let test_loss = Loss::Huber(1.0).value(&mlp.predict(&test.x), &test.y);
+        let test_loss = Loss::Huber(1.0).value(&mlp.infer(&test.x), &test.y);
         assert!(test_loss < 0.01, "test loss {test_loss}");
     }
 

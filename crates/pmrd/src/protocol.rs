@@ -587,7 +587,7 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
 }
 
 /// Read one length-prefixed frame, rejecting any length prefix above
-/// `max`. The payload is read in [`READ_CHUNK`]-sized increments, so even
+/// `max`. The payload is read in `READ_CHUNK`-sized increments, so even
 /// under the cap, memory growth is paced by bytes actually received — a
 /// lying length prefix buys an attacker an error, not an allocation.
 pub fn read_frame_limited(r: &mut impl Read, max: usize) -> std::io::Result<Option<Vec<u8>>> {

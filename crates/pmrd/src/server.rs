@@ -166,7 +166,7 @@ impl Daemon {
     /// Handle one parsed request in process, collecting the planes a
     /// socket would have been sent, in the order it would have been sent
     /// them. Public so tests and tools can exercise the server path without
-    /// sockets: it is [`Daemon::serve`], the one request core, with a sink
+    /// sockets: it is `Daemon::serve`, the one request core, with a sink
     /// that cannot fail.
     pub fn handle_request(&self, req: &Request) -> (ServedPlanes, Report) {
         let mut planes = Vec::new();

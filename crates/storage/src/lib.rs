@@ -8,7 +8,7 @@
 //! [`FaultInjector`]), [`fetch`] (retries with checksum verification),
 //! [`tolerant`] (graceful degradation with honest re-estimated bounds),
 //! [`shard`] (consistent-hash sharding with replication and the hot tier,
-//! the one notion of storage tier here), and [`scrub`] (manifest-driven
+//! the one notion of storage tier here), and [`scrub`](mod@scrub) (manifest-driven
 //! verification and repair).
 
 // Panics, lossy casts, nondeterminism sources and discarded `Result`s,

@@ -89,7 +89,7 @@ impl std::error::Error for FetchError {}
 /// layer above compares that digest with the manifest's instead of hashing
 /// the same bytes again. The invariant — a carried digest is the digest of
 /// `bytes` — is why both fields are private: the digest is set only by a
-/// backend that has just proved it ([`SegmentRead::proved`], crate-private)
+/// backend that has just proved it (`SegmentRead::proved`, crate-private)
 /// or by hashing the bytes here ([`SegmentRead::fnv`]), and the one mutable
 /// view of the bytes clears it, so a wrapper that alters a payload cannot
 /// forward the digest of what it used to be.

@@ -15,7 +15,7 @@ use crate::fetch::{ExpectedSegment, FetchExecutor, FetchStats, RetryPolicy};
 use crate::segment::{FetchError, SegmentKey, SegmentStore};
 use pmr_error::PmrError;
 use pmr_field::Field;
-use pmr_mgard::{greedy_plan_capped, Compressed, ExecPolicy, RetrievalPlan};
+use pmr_mgard::{greedy_plan_capped, Compressed, RetrievalPlan};
 use std::convert::Infallible;
 
 /// How many compensating re-plan rounds follow the plan's own round.
@@ -179,15 +179,14 @@ pub fn fetch_planes_tolerant<P, E>(
 }
 
 /// Execute `plan` against `store` with retries, checksum verification, and
-/// graceful degradation, then decode what was held into a field under
-/// `exec` (`None` = the artifact's own policy).
+/// graceful degradation, then decode what was held into a field under the
+/// artifact's own execution policy.
 pub fn fetch_plan_tolerant(
     manifest: &Compressed,
     store: &dyn SegmentStore,
     plan: &RetrievalPlan,
     requested_bound: f64,
     cfg: &TolerantConfig,
-    exec: Option<ExecPolicy>,
 ) -> Result<TolerantRetrieval, PmrError> {
     let mut fetcher = FetchExecutor::new(store, cfg.policy.clone());
     // Sink: each level's prefix, kept for the one decode below.
@@ -210,7 +209,7 @@ pub fn fetch_plan_tolerant(
     })?;
 
     let achieved = got.planes;
-    let field = manifest.retrieve_from_payloads(&payloads, exec)?;
+    let field = manifest.retrieve_from_payloads(&payloads, None)?;
     let estimated_error = manifest.estimate_for(&achieved);
     let degraded = if got.lost.is_empty() {
         None
@@ -248,7 +247,7 @@ mod tests {
         abs_bound: f64,
         cfg: &TolerantConfig,
     ) -> Result<TolerantRetrieval, PmrError> {
-        fetch_plan_tolerant(c, store, &c.plan_theory(abs_bound), abs_bound, cfg, None)
+        fetch_plan_tolerant(c, store, &c.plan_theory(abs_bound), abs_bound, cfg)
     }
 
     fn artifact() -> (Field, Compressed) {
@@ -326,8 +325,8 @@ mod tests {
         // and lose (1, 8).
         let gone = [(0, 1), (1, 8), (2, 8), (3, 12), (4, 12)];
         let store = MemStore::from_compressed(&c).without(&gone);
-        let out = fetch_plan_tolerant(&c, &store, &plan, bound, &TolerantConfig::default(), None)
-            .unwrap();
+        let out =
+            fetch_plan_tolerant(&c, &store, &plan, bound, &TolerantConfig::default()).unwrap();
         let report = out.degraded.as_ref().expect("loss must be reported");
         assert!(report.replanned);
         assert_eq!(report.lost_segments, [gone[0], gone[2], gone[3], gone[4]]);
@@ -453,8 +452,8 @@ mod tests {
         let (_, c) = artifact();
         let store = MemStore::from_compressed(&c);
         let bad = RetrievalPlan::from_planes(vec![1; c.num_levels() + 1]);
-        let err = fetch_plan_tolerant(&c, &store, &bad, 0.1, &TolerantConfig::default(), None)
-            .unwrap_err();
+        let err =
+            fetch_plan_tolerant(&c, &store, &bad, 0.1, &TolerantConfig::default()).unwrap_err();
         assert!(matches!(err, PmrError::InvalidConfig { .. }));
     }
 

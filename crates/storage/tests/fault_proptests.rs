@@ -24,7 +24,7 @@ fn retrieve_theory_tolerant(
     abs_bound: f64,
     cfg: &TolerantConfig,
 ) -> Result<TolerantRetrieval, PmrError> {
-    fetch_plan_tolerant(c, store, &c.plan_theory(abs_bound), abs_bound, cfg, None)
+    fetch_plan_tolerant(c, store, &c.plan_theory(abs_bound), abs_bound, cfg)
 }
 
 fn sample(g: &mut Rng) -> (Field, Compressed) {

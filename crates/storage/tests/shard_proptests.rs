@@ -127,7 +127,7 @@ fn probe(c: &Compressed, store: &ShardedStore) -> Vec<Probe> {
         .map(|rel| {
             let bound = c.absolute_bound(rel);
             let plan = c.plan_theory(bound);
-            let got = fetch_plan_tolerant(c, store, &plan, bound, &TolerantConfig::default(), None)
+            let got = fetch_plan_tolerant(c, store, &plan, bound, &TolerantConfig::default())
                 .unwrap_or_else(|e| panic!("probe at rel {rel} failed: {e}"));
             (got.field.data().to_vec(), got.planes.clone(), got.degraded.is_some())
         })
