@@ -8,9 +8,8 @@
 //! tightens — and what does a coarse-resolution retrieval (reduced degrees
 //! of freedom) buy for nearly free?
 
-use pmr_analysis as analysis;
+use pmr_bench::analysis::{self, downsample};
 use pmr_bench::{bench_size, bench_timesteps, datasets, human_bytes, output, sci};
-use pmr_field::ops::downsample;
 use pmr_mgard::{CompressConfig, Compressed, DecodeOptions, RetrievalPlan};
 use pmr_sim::WarpXField;
 

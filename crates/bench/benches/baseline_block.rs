@@ -13,8 +13,8 @@
 //!    the multilevel path should win: per-level plane control spends bits
 //!    unevenly across scales, which whole-stream truncation cannot.
 
+use pmr_bench::blockcodec::{BlockCompressed, BlockConfig};
 use pmr_bench::{bench_size, bench_timesteps, datasets, human_bytes, output, sci};
-use pmr_blockcodec::{BlockCompressed, BlockConfig};
 use pmr_field::error::max_abs_error;
 use pmr_mgard::{CompressConfig, Compressed};
 use pmr_sim::WarpXField;

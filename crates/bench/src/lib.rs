@@ -4,7 +4,10 @@
 //! that regenerates one table or figure of the paper:
 //! it prints the same series the paper plots and writes a CSV under
 //! `results/`. This crate carries the common plumbing: scaled dataset
-//! configurations, experiment setup, and table/CSV output.
+//! configurations and their on-disk snapshot cache, experiment setup, and
+//! table/CSV output; and the two pieces of experiment apparatus no product
+//! path runs: the ZFP-like [`blockcodec`] baseline and the post-hoc
+//! [`analysis`] kernels.
 //!
 //! Scaling knobs (environment variables):
 //!
@@ -15,6 +18,8 @@
 
 #![forbid(unsafe_code)]
 
+pub mod analysis;
+pub mod blockcodec;
 pub mod datasets;
 pub mod output;
 pub mod setup;

@@ -30,7 +30,6 @@
 pub mod error;
 pub mod field;
 pub mod io;
-pub mod ops;
 pub mod shape;
 pub mod stats;
 

@@ -234,7 +234,7 @@ impl Decomposer {
 
     /// Coefficient level of the node at `(x, y, z)` under the convention
     /// documented at module level.
-    pub fn level_of_node(&self, x: usize, y: usize, z: usize) -> usize {
+    fn level_of_node(&self, x: usize, y: usize, z: usize) -> usize {
         let steps = self.steps();
         let mut s = 0;
         while s < steps {

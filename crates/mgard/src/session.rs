@@ -90,12 +90,6 @@ impl<'a> ProgressiveSession<'a> {
         self.merge_valid(&plan)
     }
 
-    /// Refine using externally supplied per-level constants (E-MGARD).
-    pub fn refine_with_constants(&mut self, abs_bound: f64, constants: &[f64]) -> u64 {
-        let plan = self.compressed.plan_with_constants(abs_bound, constants);
-        self.merge_valid(&plan)
-    }
-
     /// Reconstruct the field from everything fetched so far. Decoding and
     /// recomposition run under the artifact's [`crate::exec::ExecPolicy`].
     pub fn current_field(&self) -> Field {
@@ -168,18 +162,6 @@ mod tests {
         let mut expect = vec![4u32; nl];
         expect[nl - 1] = 8;
         assert_eq!(session.planes(), &expect[..]);
-    }
-
-    #[test]
-    fn constants_refinement_reads_less_than_theory() {
-        let (_, c) = artifact();
-        let bound = c.absolute_bound(1e-3);
-        let mut theory = ProgressiveSession::new(&c);
-        theory.refine_theory(bound);
-        let tuned: Vec<f64> = c.theory_constants().iter().map(|v| v / 20.0).collect();
-        let mut learned = ProgressiveSession::new(&c);
-        learned.refine_with_constants(bound, &tuned);
-        assert!(learned.fetched_bytes() <= theory.fetched_bytes());
     }
 
     #[test]

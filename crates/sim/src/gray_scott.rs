@@ -99,8 +99,6 @@ pub struct GrayScott {
     v: Vec<f64>,
     scratch_u: Vec<f64>,
     scratch_v: Vec<f64>,
-    /// Integration steps taken so far.
-    steps: usize,
     /// Scoped threads each step runs on (resolved once, at construction).
     workers: usize,
 }
@@ -140,16 +138,7 @@ impl GrayScott {
             *ui += rng.range(-0.01..0.01);
         }
 
-        GrayScott {
-            cfg,
-            shape,
-            u,
-            v,
-            scratch_u: vec![0.0; n],
-            scratch_v: vec![0.0; n],
-            steps: 0,
-            workers,
-        }
+        GrayScott { cfg, shape, u, v, scratch_u: vec![0.0; n], scratch_v: vec![0.0; n], workers }
     }
 
     pub fn config(&self) -> &GrayScottConfig {
@@ -158,11 +147,6 @@ impl GrayScott {
 
     pub fn shape(&self) -> Shape {
         self.shape
-    }
-
-    /// Integration steps taken so far.
-    pub fn steps_taken(&self) -> usize {
-        self.steps
     }
 
     /// Advance one Euler step. Z-slabs of the new state are filled on the
@@ -178,7 +162,6 @@ impl GrayScott {
         });
         std::mem::swap(&mut self.u, &mut self.scratch_u);
         std::mem::swap(&mut self.v, &mut self.scratch_v);
-        self.steps += 1;
     }
 
     /// Advance to the next snapshot boundary.
@@ -327,7 +310,6 @@ mod tests {
             }
             std::mem::swap(&mut self.u, &mut self.scratch_u);
             std::mem::swap(&mut self.v, &mut self.scratch_v);
-            self.steps += 1;
         }
     }
 
@@ -355,7 +337,6 @@ mod tests {
                         "{size}^3, {} workers, step {step} differs from the oracle",
                         sim.workers
                     );
-                    assert_eq!(sim.steps_taken(), step);
                 }
             }
         }

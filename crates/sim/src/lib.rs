@@ -12,12 +12,31 @@
 //!   the fields `B_x`, `E_x`, `J_x`. See DESIGN.md §2 for why this
 //!   substitution preserves the evaluated behaviour.
 //!
-//! [`cache`] persists generated snapshots to disk so that benches and
-//! examples do not regenerate them on every run.
+//! Both generators fill contiguous z-slabs of the grid on scoped worker
+//! threads (the caller fills the first slab), serially below 16,384
+//! points; the worker count is resolved once per process, and
+//! [`GrayScott`] stores it at construction. The initial-condition walk of
+//! [`GrayScott::new`] stays serial. WarpX computes what depends on x alone
+//! (pulse, wake and bunch envelopes with their `exp`/`sin`/`cos`, `kx·x`
+//! per mode) once per x, and what depends on (y, z) alone (`trans`, the
+//! `(ry − rz)` swirl prefix, `ky·y`, `kz·z`) once per row, each as the
+//! per-point expression's own left-associative sub-product; per point
+//! remain a few multiplies, the six mode `sin`s, whose arguments are still
+//! summed per point in the original order, and `hash_noise`. Gray-Scott
+//! splits each x-row into its two wrapping end points and a branch-free
+//! interior over shifted row windows, summing the stencil in the original
+//! order.
 //!
-//! Both generators fill z-slabs of the grid on scoped worker threads. No
-//! operation combines the values of two grid points, so the worker count
-//! cannot change a value: every field is bit-identical at any count.
+//! A worker reads shared inputs and writes only its own slab, and no
+//! operation combines the values of two grid points, so neither the worker
+//! count nor the slab bounds can reorder an operation: every field is
+//! bit-identical at any count. The per-point generators are kept verbatim
+//! as `#[cfg(test)]` oracles (`warpx::tests::warpx_field_oracle`,
+//! `GrayScott::step_oracle`) and compared by `to_bits` at 1, 2, 3 and 7
+//! workers, including sizes smaller than and not divisible by the worker
+//! count; `tests/parallel_determinism.rs` runs a 33³ field and five steps
+//! under TSan. [`warpx_field_with_workers`] and [`GrayScott::with_workers`]
+//! pin the count for those tests.
 
 // Panics, lossy casts, nondeterminism sources and discarded `Result`s,
 // as scoped to this crate (DESIGN.md §8); test code is exempt.
@@ -41,11 +60,9 @@
 
 use std::sync::OnceLock;
 
-pub mod cache;
 pub mod gray_scott;
 pub mod warpx;
 
-pub use cache::DatasetCache;
 pub use gray_scott::{GrayScott, GrayScottConfig, GsSpecies};
 pub use warpx::{warpx_field, warpx_field_with_workers, WarpXConfig, WarpXField};
 

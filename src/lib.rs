@@ -3,9 +3,10 @@
 //! Umbrella crate for the workspace reproducing *"Improving Progressive
 //! Retrieval for HPC Scientific Data using Deep Neural Network"* (ICDE 2023).
 //!
-//! It re-exports the public API of every member crate so that downstream
-//! users (and the examples and integration tests in this repository) can
-//! depend on a single crate:
+//! It re-exports the public API of every library crate the product runs
+//! (`pmrtool`, retrieval, the storage and conformance paths) so that
+//! downstream users, and the examples and integration tests in this
+//! repository, can depend on a single crate:
 //!
 //! * [`field`] — field containers, statistics, error metrics
 //! * [`json`] — the JSON value, writer and strict parser every report,
@@ -21,13 +22,13 @@
 //!   golden-artifact verification (`pmrtool conformance`), and the
 //!   hostile-input oracle every parser of untrusted bytes is held to
 //!
-//! See the repository `README.md` for a quickstart and `DESIGN.md` for the
-//! system inventory.
+//! The experiment apparatus no product path runs (the ZFP-like block-codec
+//! baseline, the post-hoc analysis kernels, the dataset cache) lives in
+//! `pmr-bench`, beside the benches that use it. See the repository
+//! `README.md` for a quickstart and `DESIGN.md` for the system inventory.
 
 #![forbid(unsafe_code)]
 
-pub use pmr_analysis as analysis;
-pub use pmr_blockcodec as blockcodec;
 pub use pmr_codec as codec;
 pub use pmr_conformance as conformance;
 pub use pmr_core as core;

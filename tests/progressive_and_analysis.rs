@@ -1,11 +1,11 @@
-//! Integration: progressive sessions, coarse-resolution retrieval and
-//! post-hoc analysis working together through the facade crate.
+//! Integration: progressive sessions and coarse-resolution retrieval
+//! through the facade crate, judged by the post-hoc analysis kernels and
+//! the block-codec baseline of `pmr-bench`.
 
-use pmr::analysis;
-use pmr::blockcodec::{BlockCompressed, BlockConfig};
-use pmr::field::ops::downsample;
 use pmr::mgard::{CompressConfig, Compressed, DecodeOptions, ProgressiveSession, RetrievalPlan};
 use pmr::sim::{warpx_field, WarpXConfig, WarpXField};
+use pmr_bench::analysis::{self, downsample};
+use pmr_bench::blockcodec::{BlockCompressed, BlockConfig};
 
 fn snapshot() -> pmr::field::Field {
     let cfg = WarpXConfig { size: 17, snapshots: 4, ..Default::default() };
